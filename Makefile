@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test bench bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz
+.PHONY: check fmt vet build test bench-test bench bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz
 
 check: fmt vet build test
 
@@ -13,14 +13,22 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# bench/ is its own module (it is the BENCHMARK.json harness), so ./... never
+# reaches it; vet it too, or an API-breaking refactor passes here and fails
+# the benchmark run.
 vet:
 	go vet ./...
+	go vet -C bench ./...
 
 build:
 	go build ./...
 
 test:
 	go test -race ./...
+
+# The benchmark harness's own tests (~35 s): they serve the real stack.
+bench-test:
+	go test -C bench ./...
 
 # The figure benches and the instrumentation-overhead comparison.
 bench:

@@ -18,7 +18,6 @@ import (
 	"samplewh/internal/estimate"
 	"samplewh/internal/histogram"
 	"samplewh/internal/obs"
-	"samplewh/internal/plan"
 	"samplewh/internal/randx"
 	"samplewh/internal/sketch"
 	"samplewh/internal/warehouse"
@@ -194,14 +193,13 @@ func peerHealthy(err error) bool {
 
 // groupResult is one scatter group's gathered outcome.
 type groupResult struct {
-	smp     *core.Sample[int64]
-	merged  []string
-	skipped []warehouse.SkippedPartition
-	// pruned and plan carry the shard's bounded-query outcome (nil/empty on
-	// unbounded scatters): partitions its planner never loaded, and its local
-	// plan accounting for the coordinator to aggregate.
-	pruned []string
-	plan   *PlanInfo
+	smp *core.Sample[int64]
+	// cov is the shard's coverage of the group; its Pruned and plan carry the
+	// shard's bounded-query outcome (empty/nil on unbounded scatters):
+	// partitions its planner never loaded, and its local plan accounting for
+	// the coordinator to aggregate.
+	cov  Coverage
+	plan *PlanInfo
 	// sketch is the shard's merged sidecar over the group's partitions,
 	// present only when the scatter asked for it (distinct/topk queries) and
 	// the shard could produce one.
@@ -218,17 +216,18 @@ type attemptOut struct {
 	elapsed  time.Duration
 }
 
-// attemptGroup asks one replica for the merged sample of the group's
-// partitions: the self peer merges straight from the local warehouse, remote
-// peers serve GET sample?local=1 (which also forwards the trace ID, so both
-// legs of a hedged pair join the same trace).
+// attemptGroup asks one replica for the merged sample of q.ids, one scatter
+// group's partitions: the self peer reads its own warehouse through
+// localRead — the same path a single node answers from — and remote peers
+// serve GET sample?local=1 (which also forwards the trace ID, so both legs of
+// a hedged pair join the same trace).
 //
 // Bounded queries propagate their error budget to every leg: each shard
 // plans its own group's partitions and stops when its local proxy half-width
 // meets maxerr, so early stopping happens where the partitions live instead
 // of after the network round-trip. Remote legs get ~90% of the time budget,
 // holding back a slice for the wire and the coordinator merge.
-func (s *Server) attemptGroup(ctx context.Context, p *peer, ds string, parts []string, hedged bool, bounds plan.Bounds, confidence float64, wantSketch bool) attemptOut {
+func (s *Server) attemptGroup(ctx context.Context, p *peer, q readQuery, hedged bool) attemptOut {
 	out := attemptOut{p: p, hedged: hedged}
 	start := time.Now()
 	sp := obs.SpanFromContext(ctx).Start("shard_fetch")
@@ -237,46 +236,36 @@ func (s *Server) attemptGroup(ctx context.Context, p *peer, ds string, parts []s
 		sp.SetLabel("hedged", "true")
 	}
 	defer func() {
-		sp.SetValue("partitions", int64(len(parts)))
+		sp.SetValue("partitions", int64(len(q.ids)))
 		sp.SetError(out.err)
 		sp.End()
 	}()
 	if p.self {
-		// Zero bounds delegate to the plain partial merge, keeping the
-		// unbounded scatter byte-identical to the pre-planner path.
-		pq := warehouse.PlannedQuery[int64]{Bounds: bounds, Confidence: confidence}
-		if bounds.MaxErr > 0 {
-			pq.HalfWidth = proxyEvaluator(confidence)
-		}
-		smp, cov, exec, err := s.wh.MergedSamplePlanned(ctx, ds, parts, true, pq)
+		rd, err := s.localRead(ctx, q)
 		out.elapsed = time.Since(start)
 		if err != nil {
 			out.err = err
 			return out
 		}
-		out.res = groupResult{smp: smp, merged: cov.Merged, skipped: cov.Skipped,
-			pruned: cov.Pruned, plan: planInfo(bounds, exec)}
-		if wantSketch {
-			// Best-effort: a nil sketch makes the coordinator fall back to
-			// the sample-based estimators for the whole scatter.
-			out.res.sketch, _ = s.wh.DatasetSketch(ctx, ds, cov.Merged...)
-		}
+		// A nil sketch makes the coordinator fall back to the sample-based
+		// estimators for the whole scatter.
+		out.res = groupResult{smp: rd.smp, cov: rd.cov, plan: rd.plan, sketch: rd.sketch}
 		return out
 	}
-	opts := QueryOpts{Parts: parts, Local: true, Sketch: wantSketch}
-	if bounds.Bounded() {
-		opts.MaxErr = bounds.MaxErr
-		opts.MaxTime = bounds.MaxTime * 9 / 10
-		opts.Confidence = confidence
+	opts := QueryOpts{Parts: q.ids, Local: true, Sketch: q.wantSketch}
+	if q.bounds.Bounded() {
+		opts.MaxErr = q.bounds.MaxErr
+		opts.MaxTime = q.bounds.MaxTime * 9 / 10
+		opts.Confidence = q.confidence
 	}
-	resp, err := p.query.Sample(ctx, ds, opts)
+	resp, err := p.query.Sample(ctx, q.ds, opts)
 	out.elapsed = time.Since(start)
 	if err != nil {
 		out.err = err
 		out.canceled = ctx.Err() == context.Canceled
 		return out
 	}
-	cfg, err := s.wh.Config(ds)
+	cfg, err := s.wh.Config(q.ds)
 	if err != nil {
 		out.err = err
 		return out
@@ -286,12 +275,7 @@ func (s *Server) attemptGroup(ctx context.Context, p *peer, ds string, parts []s
 		out.err = fmt.Errorf("shard %d: %w", p.id, err)
 		return out
 	}
-	res := groupResult{smp: smp, merged: resp.Coverage.Merged,
-		pruned: resp.Coverage.Pruned, plan: resp.Plan, sketch: resp.Sketch}
-	for _, sk := range resp.Coverage.Skipped {
-		res.skipped = append(res.skipped, warehouse.SkippedPartition{ID: sk.ID, Reason: sk.Reason})
-	}
-	out.res = res
+	out.res = groupResult{smp: smp, cov: resp.Coverage, plan: resp.Plan, sketch: resp.Sketch}
 	return out
 }
 
@@ -301,7 +285,7 @@ func (s *Server) attemptGroup(ctx context.Context, p *peer, ds string, parts []s
 // context is canceled); a failed attempt fails over to the next replica
 // immediately. Peers behind an open breaker are skipped without spending
 // any deadline budget.
-func (s *Server) fetchGroup(ctx context.Context, ds string, parts []string, chain []*peer, agg *shardAgg, bounds plan.Bounds, confidence float64, wantSketch bool) (groupResult, error) {
+func (s *Server) fetchGroup(ctx context.Context, q readQuery, chain []*peer, agg *shardAgg) (groupResult, error) {
 	c := s.cluster
 	results := make(chan attemptOut, len(chain))
 	gctx, gcancel := context.WithCancel(ctx)
@@ -334,7 +318,7 @@ func (s *Server) fetchGroup(ctx context.Context, ds string, parts []string, chai
 					probes[p] = true
 				}
 			}
-			go func() { results <- s.attemptGroup(gctx, p, ds, parts, hedged, bounds, confidence, wantSketch) }()
+			go func() { results <- s.attemptGroup(gctx, p, q, hedged) }()
 			return p
 		}
 		return nil
@@ -380,7 +364,7 @@ func (s *Server) fetchGroup(ctx context.Context, ds string, parts []string, chai
 				if out.hedged {
 					c.o.hedgeWins.Inc()
 				}
-				agg.note(out.p, "ok", nil, len(out.res.merged), out.hedged)
+				agg.note(out.p, "ok", nil, len(out.res.cov.Merged), out.hedged)
 				return out.res, nil
 			}
 			if firstErr == nil {
@@ -518,8 +502,7 @@ func (s *Server) healDatasetFromPeers(ctx context.Context, ds string) error {
 		if err != nil {
 			return fmt.Errorf("heal data set %q from shard %d: %w", ds, p.id, err)
 		}
-		if err := s.wh.CreateDataset(ds, cfg); err != nil &&
-			!strings.Contains(err.Error(), "already exists") {
+		if err := s.wh.CreateDataset(ds, cfg); err != nil && !errors.Is(err, warehouse.ErrDatasetExists) {
 			return fmt.Errorf("heal data set %q: %w", ds, err)
 		}
 		return nil
@@ -540,12 +523,13 @@ func (s *Server) healDatasetFromPeers(ctx context.Context, ds string) error {
 // merged sample and reported honestly — it can exceed maxerr even when every
 // shard met it locally, because the cross-shard merge subsamples down to one
 // partition's sample size while the covered population grows.
-func (s *Server) scatterMerged(r *http.Request, ds string, ids []string, partial bool, bounds plan.Bounds, confidence float64, wantSketch bool) (*core.Sample[int64], Coverage, []ShardStatus, bool, *PlanInfo, *sketch.Summary, error) {
+func (s *Server) scatterMerged(r *http.Request, q readQuery) (readResult, error) {
 	c := s.cluster
 	ctx := r.Context()
+	ds, bounds := q.ds, q.bounds
 	if _, err := s.wh.Config(ds); err != nil {
 		if err := s.healDatasetFromPeers(ctx, ds); err != nil {
-			return nil, Coverage{}, nil, false, nil, nil, err
+			return readResult{}, err
 		}
 	}
 	c.o.scatter.Inc()
@@ -560,25 +544,25 @@ func (s *Server) scatterMerged(r *http.Request, ds string, ids []string, partial
 	// flagged degraded even though the coverage over the *known* partitions
 	// looks complete.
 	blind := false
-	requested := ids
+	requested := q.ids
 	if len(requested) == 0 {
 		var failed int
 		requested, failed, err = s.listPartitions(ctx, ds, agg)
 		if err != nil {
-			return nil, Coverage{}, nil, false, nil, nil, err
+			return readResult{}, err
 		}
 		blind = failed >= c.cfg.Replication
 	} else {
 		seen := make(map[string]bool, len(requested))
 		for _, id := range requested {
 			if seen[id] {
-				return nil, Coverage{}, nil, false, nil, nil, badRequest("duplicate partition %q in parts", id)
+				return readResult{}, badRequest("duplicate partition %q in parts", id)
 			}
 			seen[id] = true
 		}
 	}
 	if len(requested) == 0 {
-		return nil, Coverage{}, agg.list(), len(agg.list()) > 0, nil, nil, notFound("data set %q has no partitions", ds)
+		return readResult{}, notFound("data set %q has no partitions", ds)
 	}
 
 	// Group partitions by their (identical) replica chains so one request
@@ -613,7 +597,11 @@ func (s *Server) scatterMerged(r *http.Request, ds string, ids []string, partial
 	sp.SetValue("partitions", int64(len(requested)))
 
 	// Scatter: every group fetch runs concurrently under the request
-	// deadline minus the merge reserve.
+	// deadline minus the merge reserve. A leg carries the bounds and the
+	// sketch request but never the predicate: shards answer partial reads so
+	// the coordinator can name what each one cost, stop on the proxy width,
+	// and do not prune.
+	leg := readQuery{ds: ds, partial: true, bounds: bounds, confidence: q.confidence, wantSketch: q.wantSketch}
 	fctx := ctx
 	if res := c.mergeReserve(ctx); res > 0 {
 		if dl, ok := ctx.Deadline(); ok {
@@ -634,7 +622,9 @@ func (s *Server) scatterMerged(r *http.Request, ds string, ids []string, partial
 		wg.Add(1)
 		go func(i int, g *group) {
 			defer wg.Done()
-			res, err := s.fetchGroup(fctx, ds, g.parts, g.chain, agg, bounds, confidence, wantSketch)
+			gq := leg
+			gq.ids = g.parts
+			res, err := s.fetchGroup(fctx, gq, g.chain, agg)
 			outs[i] = fetchOut{g: g, res: res, err: err}
 		}(i, g)
 	}
@@ -642,22 +632,22 @@ func (s *Server) scatterMerged(r *http.Request, ds string, ids []string, partial
 
 	// Gather: assemble coverage and fold the group samples through the
 	// merge operators (deterministic order and seed).
-	cov := warehouse.MergeCoverage{Requested: requested}
+	cov := Coverage{Requested: requested}
 	var samples []*core.Sample[int64]
 	var sketches []*sketch.Summary
-	sketchComplete := wantSketch
+	sketchComplete := q.wantSketch
 	for _, out := range outs {
 		if out.err != nil {
 			for _, id := range out.g.parts {
-				cov.Skipped = append(cov.Skipped, warehouse.SkippedPartition{
+				cov.Skipped = append(cov.Skipped, SkippedPartition{
 					ID: id, Reason: fmt.Sprintf("shard unreachable: %v", out.err),
 				})
 			}
 			continue
 		}
-		cov.Merged = append(cov.Merged, out.res.merged...)
-		cov.Skipped = append(cov.Skipped, out.res.skipped...)
-		cov.Pruned = append(cov.Pruned, out.res.pruned...)
+		cov.Merged = append(cov.Merged, out.res.cov.Merged...)
+		cov.Skipped = append(cov.Skipped, out.res.cov.Skipped...)
+		cov.Pruned = append(cov.Pruned, out.res.cov.Pruned...)
 		if out.res.smp != nil {
 			samples = append(samples, out.res.smp)
 		}
@@ -706,8 +696,8 @@ func (s *Server) scatterMerged(r *http.Request, ds string, ids []string, partial
 		}
 	}
 
-	shards := agg.list()
-	degraded := cov.Partial() || blind
+	cov.Partial = len(cov.Skipped) > 0
+	degraded := cov.Partial || blind
 	if degraded {
 		c.o.degraded.Inc()
 		// Read repair: the partitions this answer could not cover are
@@ -715,36 +705,33 @@ func (s *Server) scatterMerged(r *http.Request, ds string, ids []string, partial
 		// targeted repair ahead of the next full sweep.
 		s.noteDegradedCoverage(ds, cov.Skipped)
 	}
-	if !partial && degraded {
+	if !q.partial && degraded {
 		if len(cov.Skipped) > 0 {
-			return nil, Coverage{}, shards, degraded, nil, nil,
-				badGateway("strict merge: %d of %d requested partitions unavailable (first: %s: %s)",
-					len(cov.Skipped), len(requested), cov.Skipped[0].ID, cov.Skipped[0].Reason)
+			return readResult{}, badGateway("strict merge: %d of %d requested partitions unavailable (first: %s: %s)",
+				len(cov.Skipped), len(requested), cov.Skipped[0].ID, cov.Skipped[0].Reason)
 		}
-		return nil, Coverage{}, shards, degraded, nil, nil,
-			badGateway("strict merge: partition discovery incomplete (unreachable peers >= replication factor %d)",
-				c.cfg.Replication)
+		return readResult{}, badGateway("strict merge: partition discovery incomplete (unreachable peers >= replication factor %d)",
+			c.cfg.Replication)
 	}
 	if len(samples) == 0 {
-		return nil, Coverage{}, shards, degraded, nil, nil,
-			badGateway("no shard reachable for any requested partition of %q", ds)
+		return readResult{}, badGateway("no shard reachable for any requested partition of %q", ds)
 	}
 	rng := randx.New(c.cfg.Seed ^ hashString(ds))
 	merged := samples[0]
 	for _, smp := range samples[1:] {
 		merged, err = core.Merge(merged, smp, rng)
 		if err != nil {
-			return nil, Coverage{}, shards, degraded, nil, nil, fmt.Errorf("coordinator merge: %w", err)
+			return readResult{}, fmt.Errorf("coordinator merge: %w", err)
 		}
 	}
 	if pinfo != nil {
 		pinfo.CoveredPopulation = merged.ParentSize
 		if hw, herr := estimate.ProxyHalfWidth(merged.Size(), merged.ParentSize,
-			pinfo.TotalPopulation, confidence); herr == nil {
+			pinfo.TotalPopulation, q.confidence); herr == nil {
 			pinfo.AchievedHalfWidth = hw
 		}
 	}
-	return merged, coverage(cov), shards, degraded, pinfo, skUnion, nil
+	return readResult{smp: merged, cov: cov, degraded: degraded, shards: agg.list(), plan: pinfo, sketch: skUnion}, nil
 }
 
 // --- replicated ingest ---------------------------------------------------
@@ -1064,14 +1051,14 @@ func (s *Server) broadcastDatasetCreate(ctx context.Context, req CreateDatasetRe
 
 // notFoundErr classifies a replica roll-out failure as "the replica never
 // held the partition" — an idempotent no-op, whether it came back over the
-// wire (APIError) or from the local warehouse (httpError).
+// wire (APIError) or from the local warehouse.
 func notFoundErr(err error) bool {
 	var ae *APIError
 	if errors.As(err, &ae) {
 		return ae.StatusCode == http.StatusNotFound
 	}
-	var he *httpError
-	return errors.As(err, &he) && he.code == http.StatusNotFound
+	code, _ := errorStatus(err)
+	return code == http.StatusNotFound
 }
 
 // handleRollOutCluster forwards a partition roll-out to its replica set.

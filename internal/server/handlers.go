@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -183,8 +185,9 @@ type PlanInfo struct {
 	ProvenZeroPopulation int64 `json:"proven_zero_population,omitempty"`
 }
 
-// planInfo converts a warehouse plan execution to its wire form.
-func planInfo(b plan.Bounds, exec *warehouse.PlanExecution) *PlanInfo {
+// planInfo converts a warehouse plan execution to its wire form (nil for an
+// unbounded query, which has none).
+func planInfo(b plan.Bounds, exec *warehouse.PlanExecution, sketchPruned int) *PlanInfo {
 	if exec == nil {
 		return nil
 	}
@@ -199,6 +202,7 @@ func planInfo(b plan.Bounds, exec *warehouse.PlanExecution) *PlanInfo {
 		AchievedHalfWidth:    exec.AchievedHalfWidth,
 		CoveredPopulation:    exec.CoveredPop,
 		TotalPopulation:      exec.TotalPop,
+		SketchPruned:         sketchPruned,
 		ProvenZeroPopulation: exec.ProvenZeroPop,
 	}
 }
@@ -288,19 +292,6 @@ type EstimateResponse struct {
 	// handler's elapsed time.
 	TraceID string            `json:"trace_id,omitempty"`
 	Trace   *obs.SpanSnapshot `json:"trace,omitempty"`
-}
-
-// explainParam parses ?explain= (default off).
-func explainParam(r *http.Request) (bool, error) {
-	raw := r.URL.Query().Get("explain")
-	if raw == "" {
-		return false, nil
-	}
-	v, err := strconv.ParseBool(raw)
-	if err != nil {
-		return false, badRequest("bad explain %q", raw)
-	}
-	return v, nil
 }
 
 // explainTrace snapshots the request's trace for an explain response. The
@@ -458,10 +449,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) err
 		return err
 	}
 	if err := s.wh.CreateDataset(req.Name, cfg); err != nil {
-		if strings.Contains(err.Error(), "already exists") {
-			return conflict("%v", err)
-		}
-		return badRequest("%v", err)
+		return invalidUnlessSentinel(err)
 	}
 	info, err := s.datasetInfo(req.Name)
 	if err != nil {
@@ -547,10 +535,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	// hashes instead of re-transferring everything.
 	smp, err := s.wh.NewPartitionSampler(ds, part, expected)
 	if err != nil {
-		if strings.Contains(err.Error(), "unknown data set") {
-			return notFound("%v", err)
-		}
-		return badRequest("%v", err)
+		return invalidUnlessSentinel(err)
 	}
 
 	var entry *wal.Entry[int64]
@@ -692,110 +677,75 @@ func (s *Server) handleRollOut(w http.ResponseWriter, r *http.Request) error {
 func (s *Server) rollOutLocal(ds, part string) error {
 	parts, err := s.wh.Partitions(ds)
 	if err != nil {
-		return notFound("unknown data set %q", ds)
+		return err
 	}
-	found := false
-	for _, p := range parts {
-		if p == part {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(parts, part) {
 		// RollOut itself is an idempotent no-op; the API reports the truth.
 		return notFound("partition %s/%s not found", ds, part)
 	}
 	return s.wh.RollOut(ds, part)
 }
 
-// mergeParams resolves the shared merge-query parameters: the partition
-// subset (?parts=a,b; empty = all) and strictness (?partial=0 fails on any
-// unreadable partition; the default degrades and reports coverage).
-func mergeParams(r *http.Request) (ids []string, partial bool, err error) {
-	if raw := r.URL.Query().Get("parts"); raw != "" {
+// boolParam parses a boolean query parameter; absent means def.
+func boolParam(r *http.Request, name string, def bool) (bool, error) {
+	raw := r.URL.Query().Get(name)
+	if raw == "" {
+		return def, nil
+	}
+	v, err := strconv.ParseBool(raw)
+	if err != nil {
+		return false, badRequest("bad %s %q", name, raw)
+	}
+	return v, nil
+}
+
+// parseReadQuery resolves the parameters every merged read shares:
+//
+//	?parts=a,b     the partition subset (empty = all)
+//	?partial=0     fail on any unreadable partition (the default degrades
+//	               and reports coverage)
+//	?maxerr=       a fraction-scale confidence half-width target in (0,1)
+//	?maxtime=      a Go duration the merge may spend; either bound engages
+//	               the planner, and absent both the query runs the ordinary
+//	               full merge unchanged
+//	?confidence=   default 0.95
+//	?explain=1     attach the request's span tree (returned separately)
+func parseReadQuery(r *http.Request) (q readQuery, explain bool, err error) {
+	q = readQuery{ds: r.PathValue("ds"), confidence: 0.95}
+	params := r.URL.Query()
+	if raw := params.Get("parts"); raw != "" {
 		for _, f := range strings.Split(raw, ",") {
 			f = strings.TrimSpace(f)
 			if f == "" {
-				return nil, false, badRequest("empty partition id in parts=%q", raw)
+				return q, false, badRequest("empty partition id in parts=%q", raw)
 			}
-			ids = append(ids, f)
+			q.ids = append(q.ids, f)
 		}
 	}
-	partial = true
-	if raw := r.URL.Query().Get("partial"); raw != "" {
-		v, perr := strconv.ParseBool(raw)
-		if perr != nil {
-			return nil, false, badRequest("bad partial %q", raw)
+	if q.partial, err = boolParam(r, "partial", true); err != nil {
+		return q, false, err
+	}
+	if raw := params.Get("maxerr"); raw != "" {
+		v, perr := strconv.ParseFloat(raw, 64)
+		if perr != nil || v <= 0 || v >= 1 {
+			return q, false, badRequest("bad maxerr %q (want a fraction in (0,1))", raw)
 		}
-		partial = v
+		q.bounds.MaxErr = v
 	}
-	return ids, partial, nil
-}
-
-// boundsParams parses the bounded-query knobs: ?maxerr= (a fraction-scale
-// confidence half-width target in (0,1)) and ?maxtime= (a Go duration the
-// merge may spend). Either engages the planner; absent both, the query runs
-// the ordinary full-merge path unchanged.
-func boundsParams(r *http.Request) (plan.Bounds, error) {
-	var b plan.Bounds
-	if raw := r.URL.Query().Get("maxerr"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v <= 0 || v >= 1 {
-			return b, badRequest("bad maxerr %q (want a fraction in (0,1))", raw)
+	if raw := params.Get("maxtime"); raw != "" {
+		d, perr := time.ParseDuration(raw)
+		if perr != nil || d <= 0 {
+			return q, false, badRequest("bad maxtime %q (want a positive duration like 50ms)", raw)
 		}
-		b.MaxErr = v
+		q.bounds.MaxTime = d
 	}
-	if raw := r.URL.Query().Get("maxtime"); raw != "" {
-		d, err := time.ParseDuration(raw)
-		if err != nil || d <= 0 {
-			return b, badRequest("bad maxtime %q (want a positive duration like 50ms)", raw)
+	if raw := params.Get("confidence"); raw != "" {
+		if q.confidence, err = strconv.ParseFloat(raw, 64); err != nil {
+			return q, false, badRequest("bad confidence %q", raw)
 		}
-		b.MaxTime = d
 	}
-	return b, nil
-}
-
-// pruneParam parses ?prune= (default on): whether range queries may use
-// sketch sidecars to skip partitions provably outside the range. Pruning
-// never changes the returned estimate — ?prune=0 exists for verification and
-// benchmarking, not correctness.
-func pruneParam(r *http.Request) (bool, error) {
-	raw := r.URL.Query().Get("prune")
-	if raw == "" {
-		return true, nil
-	}
-	v, err := strconv.ParseBool(raw)
-	if err != nil {
-		return false, badRequest("bad prune %q", raw)
-	}
-	return v, nil
-}
-
-// sketchParam parses ?sketch= (default off): whether a sample response
-// should carry the merged sketch sidecar of its covered partitions.
-func sketchParam(r *http.Request) (bool, error) {
-	raw := r.URL.Query().Get("sketch")
-	if raw == "" {
-		return false, nil
-	}
-	v, err := strconv.ParseBool(raw)
-	if err != nil {
-		return false, badRequest("bad sketch %q", raw)
-	}
-	return v, nil
-}
-
-// confidenceParam parses ?confidence= (default 0.95).
-func confidenceParam(r *http.Request) (float64, error) {
-	confidence := 0.95
-	if raw := r.URL.Query().Get("confidence"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return 0, badRequest("bad confidence %q", raw)
-		}
-		confidence = v
-	}
-	return confidence, nil
+	explain, err = boolParam(r, "explain", false)
+	return q, explain, err
 }
 
 // rangePred parses a count:LO..HI / fraction:LO..HI query into its kind,
@@ -817,78 +767,124 @@ func rangePred(q string) (kind string, lo, hi int64, pred func(int64) bool, err 
 	return kind, lo, hi, func(v int64) bool { return v >= lo && v <= hi }, nil
 }
 
-// proxyEvaluator is the query-agnostic half-width evaluator used where no
-// specific predicate is in hand (the sample endpoint, shard-local scatter
-// legs): the worst-case p=0.5 width upper-bounds any range query's, so a
-// bound met under the proxy holds for whatever estimate the caller — or a
-// coordinator — later builds from the covered sample.
-func proxyEvaluator(confidence float64) func(acc *core.Sample[int64], totalPop, provenZero int64) (float64, bool) {
-	return func(acc *core.Sample[int64], totalPop, provenZero int64) (float64, bool) {
-		z, err := estimate.ZCrit(confidence)
-		if err != nil {
-			return 0, false
-		}
-		return estimate.ProxyHalfWidthProvenZeroZ(acc.Size(), acc.ParentSize, totalPop, provenZero, z), true
-	}
+// readQuery is one parsed sample/estimate read, local or scattered.
+type readQuery struct {
+	ds         string
+	ids        []string
+	partial    bool
+	bounds     plan.Bounds
+	confidence float64
+	// rng and pred are the value range of a count:/fraction: query and its
+	// predicate (nil for every other kind); prune lets sketch sidecars drop
+	// partitions provably outside rng.
+	rng   *warehouse.SketchRange
+	pred  func(int64) bool
+	prune bool
+	// wantSketch asks for the sketch union of the covered partitions.
+	wantSketch bool
 }
 
-// merged runs the warehouse merge under the request context, mapping
-// warehouse errors to HTTP ones.
-func (s *Server) merged(r *http.Request, ds string, ids []string, partial bool) (*core.Sample[int64], Coverage, error) {
-	if _, err := s.wh.Config(ds); err != nil {
-		return nil, Coverage{}, notFound("unknown data set %q", ds)
+// readResult is what a read hands the answer stage: one merged sample, or —
+// for a local unbounded range query — strata plus proven-zero populations
+// (smp nil). shards is set by the cluster coordinator only.
+type readResult struct {
+	smp      *core.Sample[int64]
+	strata   *core.Stratified[int64]
+	zeros    []estimate.ZeroStratum
+	cov      Coverage
+	degraded bool
+	shards   []ShardStatus
+	plan     *PlanInfo
+	sketch   *sketch.Summary
+}
+
+// meta summarizes the inputs behind the answer. For strata that is the
+// loaded strata plus the proven-zero populations the estimate also covers;
+// Kind "stratified" marks that no single merged sample backs it.
+func (rd readResult) meta() SampleMeta {
+	if rd.smp != nil {
+		return sampleMeta(rd.smp)
 	}
-	var smp *core.Sample[int64]
+	var size, parent, footprint int64
+	if rd.strata != nil {
+		size, parent = rd.strata.SampleSize(), rd.strata.ParentSize()
+		for _, s := range rd.strata.Strata() {
+			footprint += s.Footprint()
+		}
+	}
+	for _, z := range rd.zeros {
+		parent += z.Pop
+	}
+	meta := SampleMeta{Kind: "stratified", Size: size, ParentSize: parent, Footprint: footprint}
+	if parent > 0 {
+		meta.Fraction = float64(size) / float64(parent)
+	}
+	return meta
+}
+
+// readFrom answers q from the cluster when this request coordinates one, and
+// from the local warehouse otherwise.
+func (s *Server) readFrom(r *http.Request, q readQuery) (readResult, error) {
+	if s.coordinated(r) {
+		return s.scatterMerged(r, q)
+	}
+	return s.localRead(r.Context(), q)
+}
+
+// localRead runs q against this node's own warehouse; it is the only caller
+// of the warehouse's read entry points, and the query alone picks between
+// them. An unbounded range query reads strata: sketch sidecars prove-prune
+// partitions with zero range overlap before the loader runs, with an
+// estimate byte-identical to the unpruned one. Everything else reads one
+// merged sample, planned when bounded. A bound stops on the query's own
+// interval when there is a predicate. Where none is in hand (the sample
+// endpoint, shard-local scatter legs) maxerr stops on the query-agnostic
+// proxy: the worst-case p=0.5 width upper-bounds any range query's, so a
+// bound met under it holds for whatever estimate the caller — or a
+// coordinator — later builds from the covered sample. Warehouse errors travel
+// up unwrapped; errorStatus maps them.
+func (s *Server) localRead(ctx context.Context, q readQuery) (readResult, error) {
+	var out readResult
 	var cov warehouse.MergeCoverage
 	var err error
-	if partial {
-		smp, cov, err = s.wh.MergedSamplePartialContext(r.Context(), ds, ids...)
+	if q.rng != nil && !q.bounds.Bounded() {
+		out.strata, out.zeros, cov, err = s.wh.StratifiedRange(ctx, q.ds, q.ids, *q.rng, q.prune, q.partial)
 	} else {
-		smp, err = s.wh.MergedSampleContext(r.Context(), ds, ids...)
-		if err == nil {
-			cov = warehouse.MergeCoverage{Requested: ids, Merged: ids}
-			if len(ids) == 0 {
-				parts, _ := s.wh.Partitions(ds)
-				cov = warehouse.MergeCoverage{Requested: parts, Merged: parts}
+		pq := warehouse.PlannedQuery[int64]{Bounds: q.bounds, Confidence: q.confidence}
+		switch {
+		case q.pred != nil:
+			pq.HalfWidth = func(acc *core.Sample[int64], totalPop, provenZero int64) (float64, bool) {
+				e, herr := estimate.BoundedFractionProvenZero(acc, q.pred, q.confidence, totalPop, provenZero)
+				return estimate.HalfWidth(e), herr == nil
+			}
+		case q.bounds.MaxErr > 0:
+			z, zerr := estimate.ZCrit(q.confidence)
+			pq.HalfWidth = func(acc *core.Sample[int64], totalPop, provenZero int64) (float64, bool) {
+				return estimate.ProxyHalfWidthProvenZeroZ(acc.Size(), acc.ParentSize, totalPop, provenZero, z), zerr == nil
 			}
 		}
+		if q.prune {
+			pq.SketchRange = q.rng
+		}
+		var exec *warehouse.PlanExecution
+		out.smp, cov, exec, err = s.wh.MergedSamplePlanned(ctx, q.ds, q.ids, q.partial, pq)
+		out.plan = planInfo(q.bounds, exec, len(cov.SketchPruned))
 	}
 	if err != nil {
-		switch {
-		case strings.Contains(err.Error(), "has no partitions"),
-			strings.Contains(err.Error(), "no readable partitions"):
-			return nil, Coverage{}, notFound("%v", err)
-		case strings.Contains(err.Error(), "duplicate partition"):
-			return nil, Coverage{}, badRequest("%v", err)
-		}
-		return nil, Coverage{}, err
+		return readResult{}, err
 	}
-	return smp, coverage(cov), nil
-}
-
-// mergedPlanned is merged() for bounded queries: the planner-driven
-// warehouse merge with the same error mapping.
-func (s *Server) mergedPlanned(r *http.Request, ds string, ids []string, partial bool, pq warehouse.PlannedQuery[int64]) (*core.Sample[int64], Coverage, *warehouse.PlanExecution, error) {
-	if _, err := s.wh.Config(ds); err != nil {
-		return nil, Coverage{}, nil, notFound("unknown data set %q", ds)
+	out.cov = coverage(cov)
+	out.degraded = out.cov.Partial
+	if q.wantSketch && out.smp != nil {
+		// Best-effort: a partition without a rebuildable sidecar simply
+		// leaves the union empty and the caller falls back to the sample.
+		out.sketch, _ = s.wh.DatasetSketch(ctx, q.ds, cov.Merged...)
 	}
-	smp, cov, exec, err := s.wh.MergedSamplePlanned(r.Context(), ds, ids, partial, pq)
-	if err != nil {
-		switch {
-		case strings.Contains(err.Error(), "has no partitions"),
-			strings.Contains(err.Error(), "no readable partitions"):
-			return nil, Coverage{}, exec, notFound("%v", err)
-		case strings.Contains(err.Error(), "duplicate partition"):
-			return nil, Coverage{}, exec, badRequest("%v", err)
-		}
-		return nil, Coverage{}, exec, err
-	}
-	return smp, coverage(cov), exec, nil
+	return out, nil
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
-	ds := r.PathValue("ds")
-	ids, partial, err := mergeParams(r)
+	q, explain, err := parseReadQuery(r)
 	if err != nil {
 		return err
 	}
@@ -900,64 +896,21 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 		}
 		limit = v
 	}
-	explain, err := explainParam(r)
+	// ?sketch=1 attaches the merged sketch sidecar of the covered partitions.
+	if q.wantSketch, err = boolParam(r, "sketch", false); err != nil {
+		return err
+	}
+	rd, err := s.readFrom(r, q)
 	if err != nil {
 		return err
 	}
-	bounds, err := boundsParams(r)
-	if err != nil {
-		return err
-	}
-	confidence, err := confidenceParam(r)
-	if err != nil {
-		return err
-	}
-	wantSketch, err := sketchParam(r)
-	if err != nil {
-		return err
-	}
-	var (
-		smp      *core.Sample[int64]
-		cov      Coverage
-		shards   []ShardStatus
-		degraded bool
-		pinfo    *PlanInfo
-		skUnion  *sketch.Summary
-	)
-	switch {
-	case s.coordinated(r):
-		smp, cov, shards, degraded, pinfo, skUnion, err = s.scatterMerged(r, ds, ids, partial, bounds, confidence, wantSketch)
-	case bounds.Bounded():
-		// The sample endpoint has no query kind, so a maxerr bound stops on
-		// the query-agnostic proxy width — conservative for any range query a
-		// caller later runs against the returned values.
-		pq := warehouse.PlannedQuery[int64]{Bounds: bounds, Confidence: confidence}
-		if bounds.MaxErr > 0 {
-			pq.HalfWidth = proxyEvaluator(confidence)
-		}
-		var exec *warehouse.PlanExecution
-		smp, cov, exec, err = s.mergedPlanned(r, ds, ids, partial, pq)
-		pinfo = planInfo(bounds, exec)
-		degraded = cov.Partial
-	default:
-		smp, cov, err = s.merged(r, ds, ids, partial)
-		degraded = cov.Partial
-	}
-	if err != nil {
-		return err
-	}
-	if wantSketch && skUnion == nil && !s.coordinated(r) {
-		// Best-effort: a partition without a rebuildable sidecar simply
-		// leaves the field empty and the caller falls back to the sample.
-		skUnion, _ = s.wh.DatasetSketch(r.Context(), ds, cov.Merged...)
-	}
-	resp := SampleResponse{Dataset: ds, Sample: sampleMeta(smp), Coverage: cov,
-		Degraded: degraded, Shards: shards, Plan: pinfo, Sketch: skUnion}
+	resp := SampleResponse{Dataset: q.ds, Sample: sampleMeta(rd.smp), Coverage: rd.cov,
+		Degraded: rd.degraded, Shards: rd.shards, Plan: rd.plan, Sketch: rd.sketch}
 	if explain {
 		resp.TraceID, resp.Trace = explainTrace(r)
 	}
 	if limit != 0 {
-		entries := smp.Hist.Entries()
+		entries := rd.smp.Hist.Entries()
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Value < entries[j].Value })
 		if limit > 0 && len(entries) > limit {
 			entries = entries[:limit]
@@ -981,140 +934,63 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 //	topk:K | groupby:DIV
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 	start := nowNS()
-	ds := r.PathValue("ds")
 	q := r.URL.Query().Get("q")
 	if q == "" {
 		return badRequest("q required (avg | sum | median | distinct | count:LO..HI | fraction:LO..HI | quantile:Q | topk:K | groupby:DIV)")
 	}
-	confidence, err := confidenceParam(r)
+	rq, explain, err := parseReadQuery(r)
 	if err != nil {
 		return err
 	}
-	ids, partial, err := mergeParams(r)
-	if err != nil {
-		return err
-	}
-	explain, err := explainParam(r)
-	if err != nil {
-		return err
-	}
-	bounds, err := boundsParams(r)
-	if err != nil {
-		return err
-	}
-	prune, err := pruneParam(r)
-	if err != nil {
+	// ?prune= (default on) lets range queries use sketch sidecars to skip
+	// partitions provably outside the range. Pruning never changes the
+	// returned estimate — ?prune=0 exists for verification and benchmarking,
+	// not correctness.
+	if rq.prune, err = boolParam(r, "prune", true); err != nil {
 		return err
 	}
 	// Parse range kinds up front: the sketch pruning layer needs the raw
 	// bounds, and a maxerr bound is only defined for these kinds (the only
 	// ones whose fraction-scale error it can promise); other kinds can still
 	// be time-bounded.
-	var pred func(int64) bool
-	var rlo, rhi int64
 	rangeKind := ""
 	if strings.HasPrefix(q, "count:") || strings.HasPrefix(q, "fraction:") {
-		rangeKind, rlo, rhi, pred, err = rangePred(q)
-		if err != nil {
+		var lo, hi int64
+		if rangeKind, lo, hi, rq.pred, err = rangePred(q); err != nil {
 			return err
 		}
+		rq.rng = &warehouse.SketchRange{Lo: lo, Hi: hi}
 	}
-	if bounds.MaxErr > 0 && rangeKind == "" {
+	if rq.bounds.MaxErr > 0 && rangeKind == "" {
 		return badRequest("maxerr applies only to count:LO..HI and fraction:LO..HI queries (got %q); use maxtime to bound other kinds", q)
-	}
-	if rangeKind != "" && !s.coordinated(r) && !bounds.Bounded() {
-		// Local range queries run the stratified path: sketch sidecars
-		// prove-prune partitions with zero range overlap before the loader
-		// runs, with an estimate byte-identical to the unpruned one.
-		return s.handleEstimateRange(w, r, rangeQuery{
-			ds: ds, q: q, kind: rangeKind, lo: rlo, hi: rhi, pred: pred,
-			ids: ids, partial: partial, prune: prune,
-			confidence: confidence, explain: explain, start: start,
-		})
 	}
 	// Distinct/topk answers union sketch sidecars when every covered
 	// partition (and shard) has one; the merged sample stays the fallback.
-	wantSketch := q == "distinct" || strings.HasPrefix(q, "topk:")
-	var (
-		smp      *core.Sample[int64]
-		cov      Coverage
-		shards   []ShardStatus
-		degraded bool
-		pinfo    *PlanInfo
-		skUnion  *sketch.Summary
-	)
-	switch {
-	case s.coordinated(r):
-		smp, cov, shards, degraded, pinfo, skUnion, err = s.scatterMerged(r, ds, ids, partial, bounds, confidence, wantSketch)
-	case bounds.Bounded():
-		pq := warehouse.PlannedQuery[int64]{Bounds: bounds, Confidence: confidence}
-		if pred != nil {
-			p := pred
-			pq.HalfWidth = func(acc *core.Sample[int64], totalPop, provenZero int64) (float64, bool) {
-				e, herr := estimate.BoundedFractionProvenZero(acc, p, confidence, totalPop, provenZero)
-				if herr != nil {
-					return 0, false
-				}
-				return estimate.HalfWidth(e), true
-			}
-		}
-		if rangeKind != "" && prune {
-			pq.SketchRange = &warehouse.SketchRange{Lo: rlo, Hi: rhi}
-		}
-		var exec *warehouse.PlanExecution
-		smp, cov, exec, err = s.mergedPlanned(r, ds, ids, partial, pq)
-		pinfo = planInfo(bounds, exec)
-		degraded = cov.Partial
-	default:
-		smp, cov, err = s.merged(r, ds, ids, partial)
-		degraded = cov.Partial
-	}
+	rq.wantSketch = q == "distinct" || strings.HasPrefix(q, "topk:")
+	rd, err := s.readFrom(r, rq)
 	if err != nil {
 		return err
 	}
-	if pinfo != nil {
-		pinfo.SketchPruned = len(cov.SketchPruned)
-	}
-	if wantSketch && skUnion == nil && !s.coordinated(r) {
-		skUnion, _ = s.wh.DatasetSketch(r.Context(), ds, cov.Merged...)
+	resp := EstimateResponse{
+		Dataset: rq.ds, Query: q, Confidence: rq.confidence,
+		Sample: rd.meta(), Coverage: rd.cov,
+		Degraded: rd.degraded, Shards: rd.shards, Plan: rd.plan,
 	}
 	esp := obs.SpanFromContext(r.Context()).Start("estimate")
 	esp.SetLabel("q", q)
-	resp := EstimateResponse{
-		Dataset: ds, Query: q, Confidence: confidence,
-		Sample: sampleMeta(smp), Coverage: cov,
-		Degraded: degraded, Shards: shards, Plan: pinfo,
-	}
-	if rangeKind != "" && pinfo != nil {
-		// Bounded range queries answer over the full requested population:
-		// the interval carries the pruned partitions' worst case — and the
-		// proven-zero partitions' exactly-known zero — so it stays honest no
-		// matter what the planner left unloaded.
+	// Strata and bounded samples have their own range arithmetic; a plain
+	// merged sample (a coordinated unbounded range query) answers like any
+	// other kind.
+	if rangeKind != "" && (rd.smp == nil || rd.plan != nil) {
 		var e estimate.Estimate
-		var aerr error
-		if rangeKind == "count" {
-			e, aerr = estimate.BoundedCountProvenZero(smp, pred, confidence, pinfo.TotalPopulation, pinfo.ProvenZeroPopulation)
-		} else {
-			e, aerr = estimate.BoundedFractionProvenZero(smp, pred, confidence, pinfo.TotalPopulation, pinfo.ProvenZeroPopulation)
-		}
-		if aerr != nil {
-			esp.SetError(aerr)
-			esp.End()
-			return badRequest("%v", aerr)
+		if e, err = rangeEstimate(rd, rangeKind, rq.pred, rq.confidence); err != nil {
+			err = badRequest("%v", err)
 		}
 		resp.Estimate = &e
-		hw := estimate.HalfWidth(e)
-		if rangeKind == "count" && pinfo.TotalPopulation > 0 {
-			hw /= float64(pinfo.TotalPopulation)
-		}
-		pinfo.AchievedHalfWidth = hw
+	} else if est, nerr := estimate.NewWithConfidence(rd.smp, rq.confidence); nerr != nil {
+		err = badRequest("%v", nerr)
 	} else {
-		est, nerr := estimate.NewWithConfidence(smp, confidence)
-		if nerr != nil {
-			esp.SetError(nerr)
-			return badRequest("%v", nerr)
-		}
-		err = s.answer(&resp, est, smp, q, skUnion)
+		err = s.answer(&resp, est, rd.smp, q, rd.sketch)
 	}
 	esp.SetError(err)
 	esp.End()
@@ -1129,110 +1005,61 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// rangeQuery bundles one parsed count:/fraction: request for the stratified
-// range path.
-type rangeQuery struct {
-	ds, q, kind    string
-	lo, hi         int64
-	pred           func(int64) bool
-	ids            []string
-	partial, prune bool
-	confidence     float64
-	explain        bool
-	start          int64
-}
-
-// stratifiedMeta summarizes the stratified inputs behind a range answer:
-// the loaded strata plus the proven-zero populations the estimate also
-// covers. Kind "stratified" marks that no single merged sample backs it.
-func stratifiedMeta(st *core.Stratified[int64], zeros []estimate.ZeroStratum) SampleMeta {
-	var size, parent, footprint int64
-	if st != nil {
-		size, parent = st.SampleSize(), st.ParentSize()
-		for _, s := range st.Strata() {
-			footprint += s.Footprint()
+// rangeEstimate is the estimator arithmetic of the two count:/fraction:
+// reads that do not go through answer().
+//
+// Strata (a local unbounded query): partitions whose sketch sidecar proved
+// zero overlap enter the stratified expansion as exact zero strata of known
+// population instead of being loaded. The substitution is an identity of the
+// stratified formulas, so the answer is byte-identical with pruning on
+// (?prune=1, the default) or off — the property the sketch bench asserts
+// estimate by estimate.
+//
+// A bounded merged sample: the answer is over the full requested population;
+// the interval carries the pruned partitions' worst case — and the
+// proven-zero partitions' exactly-known zero — so it stays honest no matter
+// what the planner left unloaded. The achieved half-width is written back
+// into the plan at fraction scale.
+func rangeEstimate(rd readResult, kind string, pred func(int64) bool, confidence float64) (estimate.Estimate, error) {
+	switch {
+	case rd.smp != nil:
+		pi := rd.plan
+		bounded := estimate.BoundedFractionProvenZero[int64]
+		if kind == "count" {
+			bounded = estimate.BoundedCountProvenZero[int64]
 		}
-	}
-	for _, z := range zeros {
-		parent += z.Pop
-	}
-	meta := SampleMeta{Kind: "stratified", Size: size, ParentSize: parent, Footprint: footprint}
-	if parent > 0 {
-		meta.Fraction = float64(size) / float64(parent)
-	}
-	return meta
-}
-
-// handleEstimateRange answers local count:/fraction: queries through the
-// stratified estimator: partitions whose sketch sidecar proves zero overlap
-// with [lo, hi] enter the expansion as exact zero strata of known population
-// instead of being loaded. The substitution is an identity of the stratified
-// formulas, so the answer is byte-identical with pruning on (?prune=1, the
-// default) or off — the property the sketch bench asserts estimate-by-
-// estimate.
-func (s *Server) handleEstimateRange(w http.ResponseWriter, r *http.Request, rq rangeQuery) error {
-	if _, err := s.wh.Config(rq.ds); err != nil {
-		return notFound("unknown data set %q", rq.ds)
-	}
-	st, zeros, wcov, err := s.wh.StratifiedRange(r.Context(), rq.ds, rq.ids,
-		warehouse.SketchRange{Lo: rq.lo, Hi: rq.hi}, rq.prune, rq.partial)
-	if err != nil {
-		switch {
-		case strings.Contains(err.Error(), "has no partitions"),
-			strings.Contains(err.Error(), "no readable partitions"):
-			return notFound("%v", err)
-		case strings.Contains(err.Error(), "duplicate partition"):
-			return badRequest("%v", err)
+		e, err := bounded(rd.smp, pred, confidence, pi.TotalPopulation, pi.ProvenZeroPopulation)
+		if err != nil {
+			return e, err
 		}
-		return err
-	}
-	cov := coverage(wcov)
-	esp := obs.SpanFromContext(r.Context()).Start("estimate")
-	esp.SetLabel("q", rq.q)
-	var e estimate.Estimate
-	if st == nil {
+		pi.AchievedHalfWidth = estimate.HalfWidth(e)
+		if kind == "count" && pi.TotalPopulation > 0 {
+			pi.AchievedHalfWidth /= float64(pi.TotalPopulation)
+		}
+		return e, nil
+	case rd.strata == nil:
 		// Every readable partition was proven out of range: zero matches,
 		// exactly — byte-identical to what the unpruned estimator returns
 		// for strata that contain no matching value (count and fraction
 		// alike). The answer is exact when every pruned partition held an
 		// exhaustive sample.
-		e = estimate.Estimate{Exact: true}
-		for _, z := range zeros {
+		e := estimate.Estimate{Exact: true}
+		for _, z := range rd.zeros {
 			if !z.Exhaustive {
 				e.Exact = false
 				break
 			}
 		}
-	} else {
-		est, nerr := estimate.NewStratifiedWithConfidence(st, rq.confidence)
-		if nerr != nil {
-			esp.SetError(nerr)
-			esp.End()
-			return badRequest("%v", nerr)
-		}
-		var aerr error
-		if rq.kind == "count" {
-			e, aerr = est.CountPruned(rq.pred, zeros)
-		} else {
-			e, aerr = est.FractionPruned(rq.pred, zeros)
-		}
-		if aerr != nil {
-			esp.SetError(aerr)
-			esp.End()
-			return badRequest("%v", aerr)
-		}
+		return e, nil
 	}
-	esp.End()
-	resp := EstimateResponse{
-		Dataset: rq.ds, Query: rq.q, Confidence: rq.confidence,
-		Estimate: &e, Sample: stratifiedMeta(st, zeros), Coverage: cov,
-		Degraded: cov.Partial, ElapsedNS: nowNS() - rq.start,
+	est, err := estimate.NewStratifiedWithConfidence(rd.strata, confidence)
+	if err != nil {
+		return estimate.Estimate{}, err
 	}
-	if rq.explain {
-		resp.TraceID, resp.Trace = explainTrace(r)
+	if kind == "count" {
+		return est.CountPruned(pred, rd.zeros)
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return nil
+	return est.FractionPruned(pred, rd.zeros)
 }
 
 // answer dispatches the query grammar against the estimator. sk, when

@@ -514,7 +514,7 @@ func (s *Server) pullPartition(ctx context.Context, p *peer, ds, part, trigger s
 	}
 	p.br.Record(true)
 	err = s.wh.AdoptPartition(ds, part, t.Raw, t.Sketch)
-	if err != nil && strings.Contains(err.Error(), "unknown data set") {
+	if errors.Is(err, warehouse.ErrUnknownDataset) {
 		if herr := s.healDatasetFromPeers(ctx, ds); herr == nil {
 			err = s.wh.AdoptPartition(ds, part, t.Raw, t.Sketch)
 		}
@@ -716,7 +716,7 @@ func (rp *repairState) enqueueReadRepair(ds, part string) bool {
 // noteDegradedCoverage feeds a degraded answer's uncovered partitions into
 // the read-repair queue — the partitions clients actually read converge
 // first, ahead of the next full sweep.
-func (s *Server) noteDegradedCoverage(ds string, skipped []warehouse.SkippedPartition) {
+func (s *Server) noteDegradedCoverage(ds string, skipped []SkippedPartition) {
 	c := s.cluster
 	if c == nil || c.repair == nil {
 		return

@@ -460,9 +460,38 @@ func errorStatus(err error) (int, string) {
 		return statusClientClosedRequest, "request canceled"
 	case storage.IsNotFound(err):
 		return http.StatusNotFound, err.Error()
-	default:
-		return http.StatusInternalServerError, err.Error()
 	}
+	if code := warehouseStatus(err); code != 0 {
+		return code, err.Error()
+	}
+	return http.StatusInternalServerError, err.Error()
+}
+
+// warehouseStatus is the one place a warehouse sentinel error becomes an
+// HTTP status (0: not a sentinel). Handlers return warehouse errors as they
+// are; nothing inspects message text.
+func warehouseStatus(err error) int {
+	switch {
+	case errors.Is(err, warehouse.ErrUnknownDataset),
+		errors.Is(err, warehouse.ErrNoPartitions),
+		errors.Is(err, warehouse.ErrNoReadablePartitions):
+		return http.StatusNotFound
+	case errors.Is(err, warehouse.ErrDuplicatePartition):
+		return http.StatusBadRequest
+	case errors.Is(err, warehouse.ErrDatasetExists):
+		return http.StatusConflict
+	}
+	return 0
+}
+
+// invalidUnlessSentinel classifies the error of a warehouse call whose other
+// failures all mean the request itself was malformed (a bad name, a missing
+// expected size): sentinels keep their own status, the rest answer 400.
+func invalidUnlessSentinel(err error) error {
+	if warehouseStatus(err) != 0 {
+		return err
+	}
+	return badRequest("%v", err)
 }
 
 // statusClientClosedRequest is nginx's conventional code for a client that
@@ -477,17 +506,13 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// badRequest, notFound and conflict build explicit handler errors.
+// badRequest and notFound build explicit handler errors.
 func badRequest(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
 func notFound(format string, args ...any) error {
 	return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
-}
-
-func conflict(format string, args ...any) error {
-	return &httpError{code: http.StatusConflict, msg: fmt.Sprintf(format, args...)}
 }
 
 // errorBody is the JSON error envelope.

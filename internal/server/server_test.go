@@ -477,3 +477,48 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal("per-route counter missing")
 	}
 }
+
+// TestWarehouseSentinelStatus pins the one error map: each warehouse sentinel
+// answers its HTTP status on every route that can raise it.
+func TestWarehouseSentinelStatus(t *testing.T) {
+	store := storage.NewMemStore[int64]()
+	wh := warehouse.New[int64](store, 42)
+	cfg := warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(64)}
+	for _, ds := range []string{"gone", "empty"} {
+		if err := wh.CreateDataset(ds, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(wh, Config{})
+	// "gone" holds one partition whose sample vanished from the store.
+	if w := do(t, s, http.MethodPut, "/v1/datasets/gone/partitions/a", "1\n2\n3\n"); w.Code != http.StatusCreated {
+		t.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+	}
+	if err := store.Delete("gone/a"); err != nil {
+		t.Fatal(err)
+	}
+	create := `{"name":"empty"}`
+	cases := []struct {
+		name, method, target, body string
+		want                       int
+	}{
+		{"unknown data set: sample", http.MethodGet, "/v1/datasets/ghost/sample", "", http.StatusNotFound},
+		{"unknown data set: estimate", http.MethodGet, "/v1/datasets/ghost/estimate?q=avg", "", http.StatusNotFound},
+		{"unknown data set: range estimate", http.MethodGet, "/v1/datasets/ghost/estimate?q=count:0..9", "", http.StatusNotFound},
+		{"unknown data set: bounded estimate", http.MethodGet, "/v1/datasets/ghost/estimate?q=count:0..9&maxerr=0.2", "", http.StatusNotFound},
+		{"unknown data set: ingest", http.MethodPut, "/v1/datasets/ghost/partitions/a", "1\n", http.StatusNotFound},
+		{"no partitions: sample", http.MethodGet, "/v1/datasets/empty/sample", "", http.StatusNotFound},
+		{"no partitions: range estimate", http.MethodGet, "/v1/datasets/empty/estimate?q=count:0..9", "", http.StatusNotFound},
+		{"no readable partitions: sample", http.MethodGet, "/v1/datasets/gone/sample", "", http.StatusNotFound},
+		{"no readable partitions: range estimate", http.MethodGet, "/v1/datasets/gone/estimate?q=count:0..9&prune=0", "", http.StatusNotFound},
+		{"no readable partitions: bounded sample", http.MethodGet, "/v1/datasets/gone/sample?maxtime=1s", "", http.StatusNotFound},
+		{"duplicate partition: sample", http.MethodGet, "/v1/datasets/gone/sample?parts=a,a", "", http.StatusBadRequest},
+		{"duplicate partition: range estimate", http.MethodGet, "/v1/datasets/gone/estimate?q=fraction:0..9&parts=a,a", "", http.StatusBadRequest},
+		{"data set exists: create", http.MethodPost, "/v1/datasets", create, http.StatusConflict},
+	}
+	for _, c := range cases {
+		if w := do(t, s, c.method, c.target, c.body); w.Code != c.want {
+			t.Errorf("%s: status %d, want %d (%s)", c.name, w.Code, c.want, w.Body.String())
+		}
+	}
+}

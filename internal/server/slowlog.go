@@ -84,11 +84,13 @@ func (l *slowLog) observe(route string, tr *obs.Trace, elapsed time.Duration, re
 	e := SlowQuery{
 		TraceID:    tr.ID(),
 		Route:      route,
-		Time:       time.Now(),
 		DurationNS: elapsed.Nanoseconds(),
 		Trace:      tr.Snapshot(),
 	}
 	l.mu.Lock()
+	// Stamped under the lock, so ring order and time order agree when
+	// requests finish concurrently (the snapshot promises newest first).
+	e.Time = time.Now()
 	if len(l.buf) < cap(l.buf) {
 		l.buf = append(l.buf, e)
 	} else {

@@ -84,7 +84,7 @@ func (w *Warehouse[V]) NewPartitionSampler(dataset, partitionID string, expected
 	defer w.mu.Unlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return nil, unknownDataset(dataset)
 	}
 	return w.newSamplerLocked(ds, expectedN, randx.New(partitionSeed(dataset, partitionID)))
 }
@@ -179,7 +179,7 @@ func (w *Warehouse[V]) PartitionHashes(dataset string) (map[string]string, error
 	defer w.mu.RUnlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return nil, unknownDataset(dataset)
 	}
 	out := make(map[string]string, len(ds.partitions))
 	for _, p := range ds.partitions {
@@ -221,7 +221,7 @@ func (w *Warehouse[V]) ExportPartition(dataset, partitionID string) (*PartitionT
 	}
 	w.mu.RUnlock()
 	if !dsok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return nil, unknownDataset(dataset)
 	}
 	if !attached {
 		return nil, fmt.Errorf("warehouse: export %s/%s: %w", dataset, partitionID,
@@ -259,7 +259,7 @@ func (w *Warehouse[V]) AdoptPartition(dataset, partitionID string, raw []byte, s
 	defer w.mu.Unlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return unknownDataset(dataset)
 	}
 	if s.Config.FootprintBytes != ds.cfg.Core.FootprintBytes ||
 		s.Config.SizeModel != ds.cfg.Core.SizeModel {
@@ -294,7 +294,7 @@ func (w *Warehouse[V]) AdoptPartition(dataset, partitionID string, raw []byte, s
 	}
 	w.o.attaches.Inc()
 	w.o.reg.Gauge("warehouse." + dataset + ".partitions").Set(int64(len(ds.partitions)))
-	w.o.partitionEvent(obs.EvRollIn, dataset, partitionID,
+	w.o.event(obs.EvRollIn, dataset, partitionID,
 		map[string]string{"mode": "adopt"}, map[string]int64{
 			"sample_size": s.Size(),
 			"parent_size": s.ParentSize,

@@ -35,7 +35,7 @@ type instrumentable interface {
 //	plan.stats_backfills                         registry entries repaired on the query path (counter)
 //	sketch.builds                                sidecars built at roll-in/attach (counter)
 //	sketch.backfills                             sidecars rebuilt lazily on the query path (counter)
-//	sketch.pruned_partitions                     partitions prove-pruned from range queries (counter)
+//	sketch.pruned_partitions                     partitions prove-pruned from range queries, = coverage's SketchPruned (counter)
 //	sketch.prune_checks                          partitions tested against a range sketch (counter)
 //	sketch.unions                                sketch-union distinct/topk answers served (counter)
 type whObs struct {
@@ -98,19 +98,13 @@ func newWHObs(r *obs.Registry) whObs {
 func (o *whObs) fail(op, dataset, partition string, err error) {
 	o.errors.Inc()
 	if o.reg.Tracing() {
-		o.reg.Emit(obs.Event{
-			Type:      obs.EvError,
-			Component: "warehouse",
-			Dataset:   dataset,
-			Partition: partition,
-			Labels:    map[string]string{"op": op, "error": err.Error()},
-		})
+		o.event(obs.EvError, dataset, partition, map[string]string{"op": op, "error": err.Error()}, nil)
 	}
 }
 
-// partitionEvent emits one partition-lifecycle event (EvRollIn/EvRollOut)
-// when tracing is enabled.
-func (o *whObs) partitionEvent(typ, dataset, partition string, labels map[string]string, values map[string]int64) {
+// event emits one warehouse event (partition lifecycle, merge) when tracing
+// is enabled.
+func (o *whObs) event(typ, dataset, partition string, labels map[string]string, values map[string]int64) {
 	if !o.reg.Tracing() {
 		return
 	}

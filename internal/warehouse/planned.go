@@ -2,22 +2,15 @@ package warehouse
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"strconv"
-	"time"
 
 	"samplewh/internal/core"
-	"samplewh/internal/estimate"
-	"samplewh/internal/obs"
 	"samplewh/internal/plan"
-	"samplewh/internal/sketch"
 )
 
 // PlannedQuery configures one bounded merge (DESIGN.md §14).
 type PlannedQuery[V comparable] struct {
 	// Bounds are the caller's targets. The zero value makes
-	// MergedSamplePlanned delegate to the ordinary merge path.
+	// MergedSamplePlanned the ordinary full merge.
 	Bounds plan.Bounds
 	// Confidence shapes the planner's predictions (0 → 0.95). The actual
 	// stop decision always uses HalfWidth.
@@ -62,12 +55,6 @@ type PlanExecution struct {
 	ElapsedNS     int64
 }
 
-// waveCap bounds one load wave. Waves are sized by the planner's prediction
-// of how many partitions are still needed, clamped to the loader's worker
-// bound and this cap, so a loose prediction cannot overshoot the stop point
-// by a whole worker-pool round.
-const waveCap = 8
-
 // MergedSamplePlanned is the bounded query path: it plans the partition
 // order from the statistics registry (cache residency first, then population
 // per predicted load cost), loads in predicted-size waves, folds serially in
@@ -75,346 +62,9 @@ const waveCap = 8
 // or the MaxTime budget is about to expire. Unloaded partitions are reported
 // as Pruned, not Skipped — the answer is not degraded, it is exactly as
 // partial as the caller allowed. With zero Bounds it is byte-identical to
-// MergedSamplePartialContext/MergedSampleContext (it delegates to them).
-//
-// The serial fold is deliberate: Theorem 1 makes the result a valid uniform
-// sample of the covered union after every fold, which is what lets the
-// executor evaluate the interval incrementally; the parallel tree only pays
-// off when the full input set is fixed in advance.
+// MergedSamplePartialContext/MergedSampleContext (the same executor, with no
+// plan and no PlanExecution).
 func (w *Warehouse[V]) MergedSamplePlanned(ctx context.Context, dataset string, partitionIDs []string, partial bool, q PlannedQuery[V]) (*core.Sample[V], MergeCoverage, *PlanExecution, error) {
-	var cov MergeCoverage
-	if !q.Bounds.Bounded() {
-		s, c, err := w.mergedSample(ctx, dataset, partitionIDs, partial)
-		return s, c, nil, err
-	}
-	if q.Bounds.MaxErr > 0 && q.HalfWidth == nil {
-		return nil, cov, nil, fmt.Errorf("warehouse: maxerr bound without a half-width evaluator")
-	}
-	start := time.Now()
-
-	w.mu.RLock()
-	ds, ok := w.sets[dataset]
-	var ids []string
-	var alg Algorithm
-	var known map[string]PartitionStats
-	if ok {
-		alg = ds.cfg.Algorithm
-		if len(partitionIDs) == 0 {
-			ids = append([]string(nil), ds.partitions...)
-		} else {
-			ids = append([]string(nil), partitionIDs...)
-		}
-		known = make(map[string]PartitionStats, len(ds.stats))
-		for id, st := range ds.stats {
-			known[id] = st
-		}
-	}
-	var sketches map[string]*sketch.Summary
-	if ok && q.SketchRange != nil {
-		sketches = sketchSnapshotLocked(ds, ids)
-	}
-	w.mu.RUnlock()
-	if !ok {
-		return nil, cov, nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
-	}
-	if len(ids) == 0 {
-		return nil, cov, nil, fmt.Errorf("warehouse: data set %q has no partitions", dataset)
-	}
-	cov.Requested = ids
-	seen := make(map[string]bool, len(ids))
-	stats := make([]plan.PartitionStat, 0, len(ids))
-	var provenZero int64
-	for _, id := range ids {
-		if seen[id] {
-			return nil, cov, nil, fmt.Errorf("warehouse: duplicate partition %q in merge set", id)
-		}
-		seen[id] = true
-		if sk := sketches[id]; sk != nil {
-			w.o.sketchPruneChecks.Inc()
-			if sk.ProvablyOutside(q.SketchRange.Lo, q.SketchRange.Hi) {
-				// Proven irrelevant before the loader runs: its population
-				// joins the total with an exactly-zero contribution.
-				cov.SketchPruned = append(cov.SketchPruned, id)
-				provenZero += sk.Count
-				continue
-			}
-		}
-		key := w.key(dataset, id)
-		ps := plan.PartitionStat{
-			ID:     id,
-			Cached: w.ld.resident(key),
-			LoadNS: w.ld.ewmaNS(key),
-		}
-		if st, ok := known[id]; ok {
-			ps.Known = true
-			ps.SampleSize = st.SampleSize
-			ps.ParentSize = st.ParentSize
-			ps.Footprint = st.Footprint
-		}
-		if sk := sketches[id]; sk != nil {
-			ps.Weight = sk.RangeOverlap(q.SketchRange.Lo, q.SketchRange.Hi)
-		}
-		stats = append(stats, ps)
-	}
-	w.o.sketchPruned.Add(int64(len(cov.SketchPruned)))
-	if len(stats) == 0 {
-		// Every partition was proven out of range. Un-prune the first so the
-		// executor still produces a sample to answer from; the loaded
-		// stratum contributes its provably-zero matches honestly.
-		id := cov.SketchPruned[0]
-		cov.SketchPruned = cov.SketchPruned[1:]
-		provenZero -= sketches[id].Count
-		key := w.key(dataset, id)
-		ps := plan.PartitionStat{ID: id, Cached: w.ld.resident(key), LoadNS: w.ld.ewmaNS(key)}
-		if st, ok := known[id]; ok {
-			ps.Known = true
-			ps.SampleSize = st.SampleSize
-			ps.ParentSize = st.ParentSize
-			ps.Footprint = st.Footprint
-		}
-		stats = append(stats, ps)
-	}
-
-	confidence := q.Confidence
-	if confidence == 0 {
-		confidence = 0.95
-	}
-	z, err := estimate.ZCrit(confidence)
-	if err != nil {
-		return nil, cov, nil, fmt.Errorf("warehouse: planned merge %s: %w", dataset, err)
-	}
-	pl := plan.Build(stats, q.Bounds, plan.Config{Confidence: confidence})
-	w.o.plans.Inc()
-
-	exec := &PlanExecution{
-		Plan:              pl,
-		TotalPop:          pl.TotalPop + provenZero,
-		ProvenZeroPop:     provenZero,
-		AchievedHalfWidth: -1,
-	}
-
-	// The whole bounded query runs under one "plan" span: its load/merge
-	// children partition the execution time and its labels carry the chosen
-	// plan and the early-stop decision for explain and the slow-query log.
-	planSpan := obs.SpanFromContext(ctx).Start("plan")
-	planSpan.SetValue("partitions", int64(len(pl.Steps)))
-	planSpan.SetValue("predicted_stop", int64(pl.PredictedStop))
-	planSpan.SetValue("total_population", exec.TotalPop)
-	if len(cov.SketchPruned) > 0 {
-		planSpan.SetValue("sketch_pruned", int64(len(cov.SketchPruned)))
-		planSpan.SetValue("proven_zero_population", provenZero)
-	}
-	if q.Bounds.MaxErr > 0 {
-		planSpan.SetLabel("maxerr", strconv.FormatFloat(q.Bounds.MaxErr, 'g', -1, 64))
-	}
-	if q.Bounds.MaxTime > 0 {
-		planSpan.SetLabel("maxtime", q.Bounds.MaxTime.String())
-	}
-	defer planSpan.End()
-
-	var mergeFn core.MergeFunc[V]
-	switch alg {
-	case AlgSB:
-		mergeFn = core.SBMerge[V]
-	case AlgHB:
-		mergeFn = core.HBMerge[V]
-	default:
-		mergeFn = core.HRMerge[V]
-	}
-	w.mu.Lock()
-	src := w.rng.Split()
-	w.mu.Unlock()
-
-	maxWave := w.ld.workerBound()
-	if maxWave > waveCap {
-		maxWave = waveCap
-	}
-	if maxWave < 1 {
-		maxWave = 1
-	}
-
-	var acc *core.Sample[V]
-	unknownLeft := pl.Unknown
-	budget := q.Bounds.MaxTime
-	idx := 0
-	stop := ""
-
-	// evaluate records the running interval and reports whether MaxErr is
-	// met. While any unknown-stat partition is unloaded the total population
-	// is not yet known, so no bound can honestly be declared met.
-	evaluate := func() bool {
-		if acc == nil || q.HalfWidth == nil || unknownLeft > 0 {
-			return false
-		}
-		hw, ok := q.HalfWidth(acc, exec.TotalPop, exec.ProvenZeroPop)
-		if !ok {
-			return false
-		}
-		exec.AchievedHalfWidth = hw
-		return q.Bounds.MaxErr > 0 && hw <= q.Bounds.MaxErr
-	}
-
-	for idx < len(pl.Steps) {
-		if evaluate() {
-			stop = "maxerr"
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, cov, exec, fmt.Errorf("warehouse: planned merge %s: %w", dataset, err)
-		}
-		elapsed := time.Since(start)
-		if budget > 0 && idx > 0 && elapsed >= budget {
-			stop = "maxtime"
-			break
-		}
-		var accN, covered int64
-		if acc != nil {
-			accN, covered = acc.Size(), acc.ParentSize
-		}
-		wave := pl.NeededFrom(idx, accN, covered, z)
-		if wave > maxWave {
-			wave = maxWave
-		}
-		if wave < 1 {
-			wave = 1
-		}
-		// Trim the wave to what the budget predicts is affordable. The first
-		// wave always runs: a too-tight budget yields the smallest non-empty
-		// answer rather than an error.
-		if budget > 0 && idx > 0 {
-			remaining := budget - elapsed
-			afford := 0
-			var cost int64
-			for i := idx; i < idx+wave; i++ {
-				cost += pl.Steps[i].CostNS
-				if time.Duration(cost) > remaining {
-					break
-				}
-				afford++
-			}
-			if afford == 0 {
-				stop = "maxtime"
-				break
-			}
-			wave = afford
-		}
-
-		steps := pl.Steps[idx : idx+wave]
-		keys := make([]string, len(steps))
-		for i, st := range steps {
-			keys[i] = w.key(dataset, st.Stat.ID)
-		}
-		loadSpan := planSpan.Start("load")
-		loadSpan.SetValue("partitions", int64(len(keys)))
-		results := w.ld.load(obs.ContextWithSpan(ctx, loadSpan), keys)
-		loadSpan.End()
-
-		mergeSpan := planSpan.Start("merge")
-		t := w.o.mergeNS.Start()
-		folded := 0
-		for i, r := range results {
-			st := steps[i].Stat
-			exec.Loaded++
-			if r.err != nil {
-				err := fmt.Errorf("warehouse: planned merge %s: load %s: %w", dataset, st.ID, r.err)
-				if errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded) {
-					t.Stop()
-					mergeSpan.SetError(err)
-					mergeSpan.End()
-					return nil, cov, exec, err
-				}
-				w.o.fail("merge", dataset, st.ID, err)
-				if !partial {
-					t.Stop()
-					mergeSpan.SetError(err)
-					mergeSpan.End()
-					return nil, cov, exec, err
-				}
-				cov.Skipped = append(cov.Skipped, SkippedPartition{ID: st.ID, Reason: skipReason(err), Err: err})
-				w.o.skippedPartitions.Inc()
-				continue
-			}
-			if !st.Known {
-				// Backfill the registry from the sample in hand (manifests
-				// written before the registry existed); the entry persists on
-				// the next catalog mutation.
-				w.mu.Lock()
-				if cur, ok := w.sets[dataset]; ok {
-					w.setStat(cur, st.ID, r.s)
-				}
-				w.mu.Unlock()
-				w.o.statBackfills.Inc()
-				unknownLeft--
-				exec.TotalPop += r.s.ParentSize
-			}
-			if acc == nil {
-				acc = r.s
-			} else {
-				acc, err = mergeFn(acc, r.s, src)
-				if err != nil {
-					t.Stop()
-					err = fmt.Errorf("warehouse: planned merge %s: %w", dataset, err)
-					mergeSpan.SetError(err)
-					mergeSpan.End()
-					w.o.fail("merge", dataset, "", err)
-					return nil, cov, exec, err
-				}
-			}
-			cov.Merged = append(cov.Merged, st.ID)
-			folded++
-		}
-		t.Stop()
-		mergeSpan.SetValue("inputs", int64(folded))
-		mergeSpan.End()
-		idx += wave
-	}
-
-	if acc == nil {
-		return nil, cov, exec, fmt.Errorf("warehouse: planned merge %s: no readable partitions (of %d requested)",
-			dataset, len(ids))
-	}
-	if stop == "" {
-		evaluate() // record the final achieved half-width
-		stop = "exhausted"
-	}
-	exec.StopReason = stop
-	exec.CoveredPop = acc.ParentSize
-	exec.ElapsedNS = time.Since(start).Nanoseconds()
-	for _, st := range pl.Steps[idx:] {
-		cov.Pruned = append(cov.Pruned, st.Stat.ID)
-	}
-	if n := len(cov.Pruned); n > 0 {
-		w.o.earlyStops.Inc()
-		w.o.partitionsPruned.Add(int64(n))
-	}
-
-	planSpan.SetLabel("stop", stop)
-	planSpan.SetValue("loaded", int64(exec.Loaded))
-	planSpan.SetValue("pruned", int64(len(cov.Pruned)))
-	planSpan.SetValue("covered_population", exec.CoveredPop)
-	if exec.AchievedHalfWidth >= 0 {
-		planSpan.SetLabel("achieved_half_width", strconv.FormatFloat(exec.AchievedHalfWidth, 'g', 4, 64))
-	}
-
-	w.o.merges.Inc()
-	w.o.mergeInputs.Observe(int64(len(cov.Merged)))
-	if cov.Partial() {
-		w.o.partialMerges.Inc()
-	}
-	if w.o.reg.Tracing() {
-		w.o.reg.Emit(obs.Event{
-			Type:      obs.EvMerge,
-			Component: "warehouse",
-			Dataset:   dataset,
-			Labels:    map[string]string{"mode": "planned", "stop": stop},
-			Values: map[string]int64{
-				"inputs":      int64(len(cov.Merged)),
-				"sample_size": acc.Size(),
-				"parent_size": acc.ParentSize,
-				"pruned":      int64(len(cov.Pruned)),
-				"ns":          exec.ElapsedNS,
-			},
-		})
-	}
-	return acc, cov, exec, nil
+	res, err := w.run(ctx, query[V]{op: "merge", dataset: dataset, ids: partitionIDs, partial: partial, PlannedQuery: q})
+	return res.sample, res.cov, res.exec, err
 }

@@ -6,6 +6,7 @@ import (
 
 	"samplewh/internal/core"
 	"samplewh/internal/estimate"
+	"samplewh/internal/obs"
 	"samplewh/internal/plan"
 	"samplewh/internal/sketch"
 	"samplewh/internal/storage"
@@ -273,6 +274,8 @@ func TestPlannedQuerySketchPruning(t *testing.T) {
 
 func TestPlannedQueryAllPrunedFallback(t *testing.T) {
 	w := newTestWarehouse(t, AlgHR, 64)
+	reg := obs.NewRegistry()
+	w.Instrument(reg)
 	ingest(t, w, "orders", "p1", 0, 1000)
 	ingest(t, w, "orders", "p2", 1000, 2000)
 	q := PlannedQuery[int64]{
@@ -295,6 +298,10 @@ func TestPlannedQueryAllPrunedFallback(t *testing.T) {
 	}
 	if exec.ProvenZeroPop != 1000 {
 		t.Fatalf("ProvenZeroPop = %d", exec.ProvenZeroPop)
+	}
+	// The un-pruned partition was loaded, so it must not count as pruned.
+	if got := reg.Counter("sketch.pruned_partitions").Value(); got != int64(len(cov.SketchPruned)) {
+		t.Fatalf("sketch.pruned_partitions = %d, want len(SketchPruned) = %d", got, len(cov.SketchPruned))
 	}
 }
 

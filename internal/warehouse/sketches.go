@@ -83,7 +83,7 @@ func (w *Warehouse[V]) PartitionSketch(dataset, partitionID string) (*sketch.Sum
 	defer w.mu.RUnlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return nil, false, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return nil, false, unknownDataset(dataset)
 	}
 	sk := validSketch(ds.sketches[partitionID])
 	if sk == nil {
@@ -99,7 +99,7 @@ func (w *Warehouse[V]) SketchSnapshot(dataset string) (map[string]*sketch.Summar
 	defer w.mu.RUnlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return nil, unknownDataset(dataset)
 	}
 	out := make(map[string]*sketch.Summary, len(ds.sketches))
 	for id, sk := range ds.sketches {
@@ -164,66 +164,33 @@ func (w *Warehouse[V]) backfillSketches(dataset string, built map[string]*sketch
 // sample-based estimators when this errors (unreadable partition, non-int64
 // value type).
 func (w *Warehouse[V]) DatasetSketch(ctx context.Context, dataset string, partitionIDs ...string) (*sketch.Summary, error) {
-	w.mu.RLock()
-	ds, ok := w.sets[dataset]
-	var ids []string
-	var sketches map[string]*sketch.Summary
-	if ok {
-		if len(partitionIDs) == 0 {
-			ids = append([]string(nil), ds.partitions...)
-		} else {
-			ids = append([]string(nil), partitionIDs...)
-		}
-		sketches = sketchSnapshotLocked(ds, ids)
+	q := query[V]{op: "sketch", dataset: dataset, ids: partitionIDs}
+	v, err := w.resolve(&q, true)
+	if err != nil {
+		return nil, err
 	}
-	w.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("warehouse: data set %q has no partitions", dataset)
-	}
-
 	var missing []string
-	for _, id := range ids {
-		if sketches[id] == nil {
+	for _, id := range v.ids {
+		if v.sketches[id] == nil {
 			missing = append(missing, id)
 		}
 	}
 	if len(missing) > 0 {
-		keys := make([]string, len(missing))
-		for i, id := range missing {
-			keys[i] = w.key(dataset, id)
+		// The load stage rebuilds (and persists) the sidecar of every
+		// partition it loads that lacks one.
+		var cov MergeCoverage
+		if _, err := w.loadWave(ctx, obs.SpanFromContext(ctx), &q, &v, missing, &cov); err != nil {
+			return nil, err
 		}
-		span := obs.SpanFromContext(ctx).Start("sketch_backfill")
-		span.SetValue("partitions", int64(len(keys)))
-		results := w.ld.load(obs.ContextWithSpan(ctx, span), keys)
-		span.End()
-		built := make(map[string]*sketch.Summary, len(missing))
-		for i, r := range results {
-			if r.err != nil {
-				return nil, fmt.Errorf("warehouse: sketch %s: load %s: %w", dataset, missing[i], r.err)
-			}
-			sk := w.autoSketch(r.s)
-			if sk == nil {
-				return nil, fmt.Errorf("warehouse: sketch %s: value type has no sketch support", dataset)
-			}
-			sketches[missing[i]] = sk
-			built[missing[i]] = sk
+	}
+	ordered := make([]*sketch.Summary, len(v.ids))
+	for i, id := range v.ids {
+		if ordered[i] = v.sketches[id]; ordered[i] == nil {
+			return nil, fmt.Errorf("warehouse: sketch %s: value type has no sketch support", dataset)
 		}
-		w.backfillSketches(dataset, built)
-	}
-
-	ordered := make([]*sketch.Summary, len(ids))
-	for i, id := range ids {
-		ordered[i] = sketches[id]
-	}
-	union := sketch.MergeAll(ordered...)
-	if union == nil {
-		return nil, fmt.Errorf("warehouse: sketch %s: no sidecars", dataset)
 	}
 	w.o.sketchUnions.Inc()
-	return union, nil
+	return sketch.MergeAll(ordered...), nil
 }
 
 // SketchFsckReport summarizes one sidecar audit (swcli fsck's sketch pass).

@@ -2,13 +2,9 @@ package warehouse
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"samplewh/internal/core"
 	"samplewh/internal/estimate"
-	"samplewh/internal/obs"
-	"samplewh/internal/sketch"
 )
 
 // SketchRange is an inclusive value range a query predicates on; the sketch
@@ -39,115 +35,10 @@ type SketchRange struct {
 // was proven out of range — the caller answers zero with exactness from the
 // zero strata.
 func (w *Warehouse[V]) StratifiedRange(ctx context.Context, dataset string, partitionIDs []string, r SketchRange, prune, partial bool) (*core.Stratified[V], []estimate.ZeroStratum, MergeCoverage, error) {
-	var cov MergeCoverage
-	w.mu.RLock()
-	ds, ok := w.sets[dataset]
-	var ids []string
-	var sketches map[string]*sketch.Summary
-	if ok {
-		if len(partitionIDs) == 0 {
-			ids = append([]string(nil), ds.partitions...)
-		} else {
-			ids = append([]string(nil), partitionIDs...)
-		}
-		sketches = sketchSnapshotLocked(ds, ids)
-	}
-	w.mu.RUnlock()
-	if !ok {
-		return nil, nil, cov, fmt.Errorf("warehouse: unknown data set %q", dataset)
-	}
-	if len(ids) == 0 {
-		return nil, nil, cov, fmt.Errorf("warehouse: data set %q has no partitions", dataset)
-	}
-	cov.Requested = ids
-	seen := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
-			return nil, nil, cov, fmt.Errorf("warehouse: duplicate partition %q in merge set", id)
-		}
-		seen[id] = true
-	}
-
-	// Prove-prune against the sidecars before the loader sees anything.
-	var zeros []estimate.ZeroStratum
-	var loadIDs []string
-	reqSpan := obs.SpanFromContext(ctx)
+	q := query[V]{op: "range", dataset: dataset, ids: partitionIDs, partial: partial, strata: true}
 	if prune {
-		pruneSpan := reqSpan.Start("sketch_prune")
-		for _, id := range ids {
-			sk := sketches[id]
-			if sk != nil {
-				w.o.sketchPruneChecks.Inc()
-			}
-			if sk != nil && sk.ProvablyOutside(r.Lo, r.Hi) {
-				zeros = append(zeros, estimate.ZeroStratum{Pop: sk.Count, Exhaustive: sk.Exhaustive})
-				cov.SketchPruned = append(cov.SketchPruned, id)
-				continue
-			}
-			loadIDs = append(loadIDs, id)
-		}
-		pruneSpan.SetValue("checked", int64(len(ids)))
-		pruneSpan.SetValue("pruned", int64(len(cov.SketchPruned)))
-		pruneSpan.End()
-		w.o.sketchPruned.Add(int64(len(cov.SketchPruned)))
-	} else {
-		loadIDs = ids
+		q.SketchRange = &r
 	}
-
-	var samples []*core.Sample[V]
-	if len(loadIDs) > 0 {
-		keys := make([]string, len(loadIDs))
-		for i, id := range loadIDs {
-			keys[i] = w.key(dataset, id)
-		}
-		loadSpan := reqSpan.Start("load")
-		loadSpan.SetValue("partitions", int64(len(keys)))
-		results := w.ld.load(obs.ContextWithSpan(ctx, loadSpan), keys)
-		loadSpan.End()
-		built := make(map[string]*sketch.Summary)
-		for i, res := range results {
-			id := loadIDs[i]
-			if res.err != nil {
-				err := fmt.Errorf("warehouse: range %s: load %s: %w", dataset, id, res.err)
-				if errors.Is(res.err, context.Canceled) || errors.Is(res.err, context.DeadlineExceeded) {
-					return nil, nil, cov, err
-				}
-				w.o.fail("range", dataset, id, err)
-				if !partial {
-					return nil, nil, cov, err
-				}
-				cov.Skipped = append(cov.Skipped, SkippedPartition{ID: id, Reason: skipReason(err), Err: err})
-				w.o.skippedPartitions.Inc()
-				continue
-			}
-			cov.Merged = append(cov.Merged, id)
-			// A zero-population partition holds no data and contributes
-			// nothing to any stratum sum; NewStratified rejects it, so keep
-			// it out of the strata (identically in both prune modes).
-			if res.s.ParentSize > 0 {
-				samples = append(samples, res.s)
-			}
-			if sketches[id] == nil {
-				if sk := w.autoSketch(res.s); sk != nil {
-					built[id] = sk
-				}
-			}
-		}
-		w.backfillSketches(dataset, built)
-	}
-	if len(samples) == 0 && len(zeros) == 0 {
-		return nil, nil, cov, fmt.Errorf("warehouse: range %s: no readable partitions (of %d requested)",
-			dataset, len(ids))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, cov, fmt.Errorf("warehouse: range %s: %w", dataset, err)
-	}
-	if len(samples) == 0 {
-		return nil, zeros, cov, nil
-	}
-	st, err := core.NewStratified(samples...)
-	if err != nil {
-		return nil, nil, cov, fmt.Errorf("warehouse: range %s: %w", dataset, err)
-	}
-	return st, zeros, cov, nil
+	res, err := w.run(ctx, q)
+	return res.strata, res.zeros, res.cov, err
 }

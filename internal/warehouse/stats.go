@@ -1,10 +1,6 @@
 package warehouse
 
-import (
-	"fmt"
-
-	"samplewh/internal/core"
-)
+import "samplewh/internal/core"
 
 // PartitionStats is one partition's registry entry: the cheap statistics the
 // planner consumes (DESIGN.md §14) without touching the stored sample. They
@@ -22,12 +18,26 @@ func (w *Warehouse[V]) setStat(ds *dataset, partitionID string, s *core.Sample[V
 	if ds.stats == nil {
 		ds.stats = make(map[string]PartitionStats)
 	}
-	ds.stats[partitionID] = PartitionStats{
-		SampleSize: s.Size(),
-		ParentSize: s.ParentSize,
-		Footprint:  s.Footprint(),
-	}
+	ds.stats[partitionID] = statsOf(s)
 	w.statGauge()
+}
+
+func statsOf[V comparable](s *core.Sample[V]) PartitionStats {
+	return PartitionStats{SampleSize: s.Size(), ParentSize: s.ParentSize, Footprint: s.Footprint()}
+}
+
+// backfillStat repairs the registry entry of a partition a bounded query
+// planned without statistics, from the sample the load stage has in hand, and
+// returns the entry. A data set dropped since the query's snapshot is left
+// alone.
+func (w *Warehouse[V]) backfillStat(dataset, partitionID string, s *core.Sample[V]) PartitionStats {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if ds, ok := w.sets[dataset]; ok {
+		w.setStat(ds, partitionID, s)
+	}
+	w.o.statBackfills.Inc()
+	return statsOf(s)
 }
 
 // dropStat forgets a rolled-out partition's statistics. Caller holds w.mu.
@@ -58,7 +68,7 @@ func (w *Warehouse[V]) PartitionStatsSnapshot(dataset string) (map[string]Partit
 	defer w.mu.RUnlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return nil, unknownDataset(dataset)
 	}
 	out := make(map[string]PartitionStats, len(ds.stats))
 	for id, st := range ds.stats {

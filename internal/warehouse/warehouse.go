@@ -52,6 +52,21 @@ func (a Algorithm) String() string {
 	}
 }
 
+// Sentinel errors callers match with errors.Is. Each is wrapped with its
+// coordinates at the point of failure; the swd server maps them to HTTP
+// statuses in one place.
+var (
+	ErrUnknownDataset       = errors.New("unknown data set")
+	ErrDatasetExists        = errors.New("already exists")
+	ErrNoPartitions         = errors.New("has no partitions")
+	ErrNoReadablePartitions = errors.New("no readable partitions")
+	ErrDuplicatePartition   = errors.New("duplicate partition")
+)
+
+func unknownDataset(name string) error {
+	return fmt.Errorf("warehouse: %w %q", ErrUnknownDataset, name)
+}
+
 // DatasetConfig describes one data set's sampling regime.
 type DatasetConfig struct {
 	// Algorithm selects the sampler/merge family. Zero selects AlgHR, the
@@ -195,7 +210,7 @@ func (w *Warehouse[V]) CreateDataset(name string, cfg DatasetConfig) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, ok := w.sets[name]; ok {
-		return fmt.Errorf("warehouse: data set %q already exists", name)
+		return fmt.Errorf("warehouse: data set %q %w", name, ErrDatasetExists)
 	}
 	w.sets[name] = &dataset{cfg: norm}
 	if err := w.saveManifest(); err != nil {
@@ -223,7 +238,7 @@ func (w *Warehouse[V]) Config(dataset string) (DatasetConfig, error) {
 	defer w.mu.RUnlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return DatasetConfig{}, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return DatasetConfig{}, unknownDataset(dataset)
 	}
 	return ds.cfg, nil
 }
@@ -237,7 +252,7 @@ func (w *Warehouse[V]) NewSampler(dataset string, expectedN int64) (core.Sampler
 	defer w.mu.Unlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return nil, unknownDataset(dataset)
 	}
 	return w.newSamplerLocked(ds, expectedN, w.rng.Split())
 }
@@ -316,7 +331,7 @@ func (w *Warehouse[V]) rollIn(dataset, partitionID string, s *core.Sample[V], sk
 	defer w.mu.Unlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return unknownDataset(dataset)
 	}
 	replay := false
 	for _, p := range ds.partitions {
@@ -355,7 +370,7 @@ func (w *Warehouse[V]) rollIn(dataset, partitionID string, s *core.Sample[V], sk
 	w.o.rollIns.Inc()
 	w.o.rollInSize.Observe(s.Size())
 	w.o.reg.Gauge("warehouse." + dataset + ".partitions").Set(int64(len(ds.partitions)))
-	w.o.partitionEvent(obs.EvRollIn, dataset, partitionID, nil, map[string]int64{
+	w.o.event(obs.EvRollIn, dataset, partitionID, nil, map[string]int64{
 		"sample_size": s.Size(),
 		"parent_size": s.ParentSize,
 		"footprint":   s.Footprint(),
@@ -383,7 +398,7 @@ func (w *Warehouse[V]) Attach(dataset, partitionID string) error {
 	defer w.mu.Unlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return unknownDataset(dataset)
 	}
 	for _, p := range ds.partitions {
 		if p == partitionID {
@@ -417,7 +432,7 @@ func (w *Warehouse[V]) Attach(dataset, partitionID string) error {
 	w.ld.invalidate(w.key(dataset, partitionID))
 	w.o.attaches.Inc()
 	w.o.reg.Gauge("warehouse." + dataset + ".partitions").Set(int64(len(ds.partitions)))
-	w.o.partitionEvent(obs.EvRollIn, dataset, partitionID,
+	w.o.event(obs.EvRollIn, dataset, partitionID,
 		map[string]string{"mode": "attach"}, map[string]int64{
 			"sample_size": s.Size(),
 			"parent_size": s.ParentSize,
@@ -435,7 +450,7 @@ func (w *Warehouse[V]) RollOut(dataset, partitionID string) error {
 	defer w.mu.Unlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return unknownDataset(dataset)
 	}
 	idx := -1
 	for i, p := range ds.partitions {
@@ -464,7 +479,7 @@ func (w *Warehouse[V]) RollOut(dataset, partitionID string) error {
 	}
 	w.o.rollOuts.Inc()
 	w.o.reg.Gauge("warehouse." + dataset + ".partitions").Set(int64(len(ds.partitions)))
-	w.o.partitionEvent(obs.EvRollOut, dataset, partitionID, nil, nil)
+	w.o.event(obs.EvRollOut, dataset, partitionID, nil, nil)
 	return nil
 }
 
@@ -474,7 +489,7 @@ func (w *Warehouse[V]) Partitions(dataset string) ([]string, error) {
 	defer w.mu.RUnlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return nil, unknownDataset(dataset)
 	}
 	return append([]string(nil), ds.partitions...), nil
 }
@@ -508,7 +523,7 @@ func (w *Warehouse[V]) PartitionSampleContext(ctx context.Context, dataset, part
 	_, ok := w.sets[dataset]
 	w.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
+		return nil, unknownDataset(dataset)
 	}
 	s, err := w.ld.loadOne(ctx, w.key(dataset, partitionID))
 	if err != nil {
@@ -551,8 +566,7 @@ func (c MergeCoverage) Partial() bool { return len(c.Skipped) > 0 }
 // per-partition samples are not consumed. Any unreadable partition fails the
 // whole merge; see MergedSamplePartial for the degraded alternative.
 func (w *Warehouse[V]) MergedSample(dataset string, partitionIDs ...string) (*core.Sample[V], error) {
-	s, _, err := w.mergedSample(context.Background(), dataset, partitionIDs, false)
-	return s, err
+	return w.MergedSampleContext(context.Background(), dataset, partitionIDs...)
 }
 
 // MergedSampleContext is MergedSample honoring cancellation: once ctx is
@@ -561,8 +575,8 @@ func (w *Warehouse[V]) MergedSample(dataset string, partitionIDs ...string) (*co
 // is returned. Deadline-bound callers (e.g. the swd server) use this to stop
 // paying for answers nobody is waiting for.
 func (w *Warehouse[V]) MergedSampleContext(ctx context.Context, dataset string, partitionIDs ...string) (*core.Sample[V], error) {
-	s, _, err := w.mergedSample(ctx, dataset, partitionIDs, false)
-	return s, err
+	res, err := w.run(ctx, query[V]{op: "merge", dataset: dataset, ids: partitionIDs})
+	return res.sample, err
 }
 
 // MergedSamplePartial is MergedSample with graceful degradation: partitions
@@ -574,7 +588,7 @@ func (w *Warehouse[V]) MergedSampleContext(ctx context.Context, dataset string, 
 // degraded answer is acceptable. It errors only if no requested partition is
 // readable.
 func (w *Warehouse[V]) MergedSamplePartial(dataset string, partitionIDs ...string) (*core.Sample[V], MergeCoverage, error) {
-	return w.mergedSample(context.Background(), dataset, partitionIDs, true)
+	return w.MergedSamplePartialContext(context.Background(), dataset, partitionIDs...)
 }
 
 // MergedSamplePartialContext is MergedSamplePartial honoring cancellation.
@@ -583,144 +597,8 @@ func (w *Warehouse[V]) MergedSamplePartial(dataset string, partitionIDs ...strin
 // is waiting for would be wasted work), while per-partition storage failures
 // keep their skip-and-report semantics.
 func (w *Warehouse[V]) MergedSamplePartialContext(ctx context.Context, dataset string, partitionIDs ...string) (*core.Sample[V], MergeCoverage, error) {
-	return w.mergedSample(ctx, dataset, partitionIDs, true)
-}
-
-// mergedSample is the shared merge path; partial selects skip-and-report
-// semantics for unreadable partitions. It runs the three read-path layers in
-// order: the loader (bounded-concurrency fetch, singleflight, read-through
-// cache), then the parallel merge executor (see DESIGN.md §9). Cancellation
-// is checked between the layers and between partition loads inside the
-// loader; a context error always fails the merge, even in partial mode.
-func (w *Warehouse[V]) mergedSample(ctx context.Context, dataset string, partitionIDs []string, partial bool) (*core.Sample[V], MergeCoverage, error) {
-	var cov MergeCoverage
-	w.mu.RLock()
-	ds, ok := w.sets[dataset]
-	var ids []string
-	var alg Algorithm
-	mergeWorkers := w.mergeWorkers
-	if ok {
-		// Snapshot everything read from the dataset under the lock — the
-		// algorithm too, not just the partition list.
-		alg = ds.cfg.Algorithm
-		if len(partitionIDs) == 0 {
-			ids = append([]string(nil), ds.partitions...)
-		} else {
-			ids = append([]string(nil), partitionIDs...)
-		}
-	}
-	w.mu.RUnlock()
-	if !ok {
-		return nil, cov, fmt.Errorf("warehouse: unknown data set %q", dataset)
-	}
-	if len(ids) == 0 {
-		return nil, cov, fmt.Errorf("warehouse: data set %q has no partitions", dataset)
-	}
-	cov.Requested = ids
-	seen := make(map[string]bool, len(ids))
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		if seen[id] {
-			return nil, cov, fmt.Errorf("warehouse: duplicate partition %q in merge set", id)
-		}
-		seen[id] = true
-		keys[i] = w.key(dataset, id)
-	}
-	// Stage spans: load and merge are siblings under the caller's span, so
-	// their durations partition the request time the way explain reports it.
-	reqSpan := obs.SpanFromContext(ctx)
-	loadSpan := reqSpan.Start("load")
-	loadSpan.SetValue("partitions", int64(len(keys)))
-	results := w.ld.load(obs.ContextWithSpan(ctx, loadSpan), keys)
-	loadSpan.End()
-	samples := make([]*core.Sample[V], 0, len(ids))
-	for i, r := range results {
-		id := ids[i]
-		if r.err != nil {
-			err := fmt.Errorf("warehouse: merge %s: load %s: %w", dataset, id, r.err)
-			if errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded) {
-				// Nobody is waiting for this answer; degrading around the
-				// cancellation would only hide it. Fail outright.
-				return nil, cov, err
-			}
-			w.o.fail("merge", dataset, id, err)
-			if !partial {
-				return nil, cov, err
-			}
-			cov.Skipped = append(cov.Skipped, SkippedPartition{ID: id, Reason: skipReason(err), Err: err})
-			w.o.skippedPartitions.Inc()
-			continue
-		}
-		samples = append(samples, r.s)
-		cov.Merged = append(cov.Merged, id)
-	}
-	if len(samples) == 0 {
-		return nil, cov, fmt.Errorf("warehouse: merge %s: no readable partitions (of %d requested)",
-			dataset, len(ids))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, cov, fmt.Errorf("warehouse: merge %s: %w", dataset, err)
-	}
-
-	w.mu.Lock()
-	src := w.rng.Split()
-	w.mu.Unlock()
-
-	workers := resolveMergeWorkers(mergeWorkers)
-	mergeSpan := reqSpan.Start("merge")
-	mergeSpan.SetValue("inputs", int64(len(samples)))
-	mergeSpan.SetValue("workers", int64(workers))
-	mctx := obs.ContextWithSpan(ctx, mergeSpan)
-	t := w.o.mergeNS.Start()
-	var merged *core.Sample[V]
-	var err error
-	switch alg {
-	case AlgSB:
-		merged, err = core.MergeTreeParallelContext(mctx, samples, core.SBMerge[V], src, workers)
-	case AlgHB:
-		merged, err = core.MergeTreeParallelContext(mctx, samples, core.HBMerge[V], src, workers)
-	default:
-		merged, err = core.MergeTreeParallelContext(mctx, samples, core.HRMerge[V], src, workers)
-	}
-	ns := t.Stop()
-	mergeSpan.SetError(err)
-	mergeSpan.End()
-	if err != nil {
-		err = fmt.Errorf("warehouse: merge %s: %w", dataset, err)
-		w.o.fail("merge", dataset, "", err)
-		return nil, cov, err
-	}
-	w.o.merges.Inc()
-	w.o.mergeInputs.Observe(int64(len(samples)))
-	if cov.Partial() {
-		w.o.partialMerges.Inc()
-		if w.o.reg.Tracing() {
-			w.o.reg.Emit(obs.Event{
-				Type:      obs.EvPartialMerge,
-				Component: "warehouse",
-				Dataset:   dataset,
-				Values: map[string]int64{
-					"requested": int64(len(cov.Requested)),
-					"merged":    int64(len(cov.Merged)),
-					"skipped":   int64(len(cov.Skipped)),
-				},
-			})
-		}
-	}
-	if w.o.reg.Tracing() {
-		w.o.reg.Emit(obs.Event{
-			Type:      obs.EvMerge,
-			Component: "warehouse",
-			Dataset:   dataset,
-			Values: map[string]int64{
-				"inputs":      int64(len(samples)),
-				"sample_size": merged.Size(),
-				"parent_size": merged.ParentSize,
-				"ns":          ns,
-			},
-		})
-	}
-	return merged, cov, nil
+	res, err := w.run(ctx, query[V]{op: "merge", dataset: dataset, ids: partitionIDs, partial: true})
+	return res.sample, res.cov, err
 }
 
 // skipReason classifies a load failure for the coverage report.
@@ -745,24 +623,11 @@ func (w *Warehouse[V]) Window(dataset string, n int) (*core.Sample[V], error) {
 
 // WindowContext is Window honoring cancellation (see MergedSampleContext).
 func (w *Warehouse[V]) WindowContext(ctx context.Context, dataset string, n int) (*core.Sample[V], error) {
-	w.mu.RLock()
-	ds, ok := w.sets[dataset]
-	var ids []string
-	if ok {
-		ps := ds.partitions
-		if n < len(ps) {
-			ps = ps[len(ps)-n:]
-		}
-		ids = append([]string(nil), ps...)
-	}
-	w.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("warehouse: unknown data set %q", dataset)
-	}
 	if n < 1 {
 		return nil, fmt.Errorf("warehouse: window size %d < 1", n)
 	}
-	return w.MergedSampleContext(ctx, dataset, ids...)
+	res, err := w.run(ctx, query[V]{op: "merge", dataset: dataset, window: n})
+	return res.sample, err
 }
 
 // key maps (dataset, partition) to a store key.
