@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test bench-test bench bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz
+.PHONY: check fmt vet build test bench-test bench-smoke bench bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz
 
 check: fmt vet build test
 
@@ -29,6 +29,15 @@ test:
 # The benchmark harness's own tests (~35 s): they serve the real stack.
 bench-test:
 	go test -C bench ./...
+
+# Two seconds of each BENCHMARK.json workload through the real runner. The
+# runner exits non-zero when its correctness gate fails (or it cannot build or
+# serve), which is the check here; the timings of so short a run are advisory.
+bench-smoke:
+	@for w in merge-warm range-cold ingest-roll roll-query; do \
+		echo "bench-smoke: $$w"; \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 # The figure benches and the instrumentation-overhead comparison.
 bench:

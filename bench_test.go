@@ -8,6 +8,7 @@
 package samplewh
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -302,32 +303,31 @@ func BenchmarkHRMergeAliasVsInversion(b *testing.B) {
 	})
 }
 
+// hrSamples draws one Algorithm HR sample from each of parts partitions of per
+// unique values.
+func hrSamples(b *testing.B, cfg core.Config, parts, per int, rng *randx.RNG) []*core.Sample[int64] {
+	gens := workload.Partitions(workload.Spec{Dist: workload.Unique, N: int64(parts * per), Seed: 31}, parts)
+	out := make([]*core.Sample[int64], parts)
+	for i, g := range gens {
+		hr := core.NewHR[int64](cfg, rng.Split())
+		for v, ok := g.Next(); ok; v, ok = g.Next() {
+			hr.Feed(v)
+		}
+		s, err := hr.Finalize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		out[i] = s
+	}
+	return out
+}
+
 // BenchmarkMergeTreeParallel compares serial and parallel balanced merge
 // trees over 64 reservoir samples.
 func BenchmarkMergeTreeParallel(b *testing.B) {
 	const parts = 64
 	const per = 16 * 1024
 	cfg := core.ConfigForNF(4096)
-	build := func(rng *randx.RNG) []*core.Sample[int64] {
-		gens := workload.Partitions(workload.Spec{Dist: workload.Unique, N: parts * per, Seed: 31}, parts)
-		out := make([]*core.Sample[int64], parts)
-		for i, g := range gens {
-			hr := core.NewHR[int64](cfg, rng.Split())
-			for {
-				v, ok := g.Next()
-				if !ok {
-					break
-				}
-				hr.Feed(v)
-			}
-			s, err := hr.Finalize()
-			if err != nil {
-				b.Fatal(err)
-			}
-			out[i] = s
-		}
-		return out
-	}
 	for _, par := range []int{1, 2, 4, 0} {
 		name := fmt.Sprintf("parallelism=%d", par)
 		if par == 0 {
@@ -337,9 +337,48 @@ func BenchmarkMergeTreeParallel(b *testing.B) {
 			rng := randx.New(33)
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				samples := build(rng)
+				samples := hrSamples(b, cfg, parts, per, rng)
 				b.StartTimer()
 				if _, err := core.MergeTreeParallel(samples, core.HRMerge[int64], rng, par); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMergeK sets the one-pass k-way merge beside what a served estimate
+// ran before it — a clone of every cached sample, then the parallel tree of
+// consuming HRMerges — on one fixed set of inputs in the served shape: 16
+// partitions of 65536 unique rows sampled at n_F = 8192. MergeK only reads its
+// inputs, so it needs no clones and nothing is rebuilt between iterations.
+func BenchmarkMergeK(b *testing.B) {
+	const parts = 16
+	const per = 64 * 1024
+	cfg := core.ConfigForNF(8192)
+	rng := randx.New(33)
+	samples := hrSamples(b, cfg, parts, per, rng)
+	for _, par := range []int{1, 0} {
+		suffix := fmt.Sprintf("/parallelism=%d", par)
+		if par == 0 {
+			suffix = "/parallelism=max"
+		}
+		b.Run("clone+tree"+suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				own := make([]*core.Sample[int64], parts)
+				for j, s := range samples {
+					own[j] = s.Clone()
+				}
+				if _, err := core.MergeTreeParallel(own, core.HRMerge[int64], rng, par); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("kway"+suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.MergeK(context.Background(), samples, rng, par); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -68,9 +68,20 @@ type Histogram[V comparable] struct {
 
 // New returns an empty histogram using the given size model.
 func New[V comparable](model SizeModel) *Histogram[V] {
+	return NewSized[V](model, 0)
+}
+
+// NewSized is New with room for distinct entries reserved up front, for
+// builders that know the entry count before they insert (a decode loop, a
+// merge join): neither the entry slice nor the index rehashes on the way.
+func NewSized[V comparable](model SizeModel, distinct int) *Histogram[V] {
+	if distinct < 0 {
+		distinct = 0
+	}
 	return &Histogram[V]{
-		model: model,
-		index: make(map[V]int),
+		model:   model,
+		entries: make([]Entry[V], 0, distinct),
+		index:   make(map[V]int, distinct),
 	}
 }
 
@@ -116,12 +127,32 @@ func (h *Histogram[V]) Insert(v V, n int64) {
 		old := h.entries[i].Count
 		h.entries[i].Count = old + n
 		h.footprint += h.model.PairBytes(old+n) - h.model.PairBytes(old)
+		h.size += n
 	} else {
-		h.index[v] = len(h.entries)
-		h.entries = append(h.entries, Entry[V]{Value: v, Count: n})
-		h.footprint += h.model.PairBytes(n)
+		h.appendEntry(v, n)
 	}
+}
+
+// appendEntry adds the absent value v with count n.
+func (h *Histogram[V]) appendEntry(v V, n int64) {
+	h.index[v] = len(h.entries)
+	h.entries = append(h.entries, Entry[V]{Value: v, Count: n})
+	h.footprint += h.model.PairBytes(n)
 	h.size += n
+}
+
+// InsertNew adds v with count n only if v is absent and reports whether it
+// did: one index lookup for builders that must reject a repeated value (the
+// codec's decode loop). It panics if n < 1.
+func (h *Histogram[V]) InsertNew(v V, n int64) bool {
+	if n < 1 {
+		panic(fmt.Sprintf("histogram: InsertNew with n = %d < 1", n))
+	}
+	if _, ok := h.index[v]; ok {
+		return false
+	}
+	h.appendEntry(v, n)
+	return true
 }
 
 // FootprintAfterInsert returns the footprint the histogram would have after

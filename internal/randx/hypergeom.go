@@ -154,11 +154,64 @@ func (d *HypergeomDist) Alias() *AliasTable {
 	return NewAliasTable(d.pmf, d.lo)
 }
 
+// hypergeomFloor is the term size, relative to the mode, below which
+// Hypergeometric stops filling: a 53-bit uniform cannot land on a term
+// smaller than 2⁻⁶⁴ of the mode, and adding one cannot change the float64 sum.
+const hypergeomFloor = 0x1p-64
+
 // Hypergeometric draws a single hypergeometric(n1, n2, k) variate without
 // retaining the distribution. For one-shot use; callers that draw repeatedly
 // from the same parameters should keep a *HypergeomDist or an *AliasTable.
+//
+// It inverts the same pmf as HypergeomDist.Sample — the smallest l with
+// U ≤ CDF(l) — but allocates nothing: recurrence (3) is walked outward from
+// the mode only while a term is at least hypergeomFloor of the mode, which
+// finds the window [wlo, whi] holding all reachable mass, its sum and its
+// lowest term; a second walk up from wlo stops where the running sum reaches
+// U·sum. The cost is the window's width (a few standard deviations), not the
+// support's. Exactly one uniform is consumed whatever the parameters, a
+// one-point support included. It panics on inconsistent parameters, like
+// NewHypergeom.
 func Hypergeometric(s Source, n1, n2, k int64) int64 {
-	return NewHypergeom(n1, n2, k).Sample(s)
+	if n1 < 0 || n2 < 0 || k < 0 || k > n1+n2 {
+		panic(fmt.Sprintf("randx: Hypergeometric invalid parameters n1=%d n2=%d k=%d", n1, n2, k))
+	}
+	lo, hi := max(0, k-n2), min(k, n1)
+	u := Float64(s)
+	if lo == hi {
+		return lo
+	}
+	mode := int64(math.Floor(float64(k+1) * float64(n1+1) / float64(n1+n2+2)))
+	mode = max(lo, min(mode, hi))
+	// ratio(l) = P(l+1)/P(l), paper recurrence (3); positive inside the support.
+	ratio := func(l int64) float64 {
+		return float64(k-l) * float64(n1-l) / (float64(l+1) * float64(n2-k+l+1))
+	}
+	sum := 1.0 // un-normalized reference value at the mode
+	whi := mode
+	for t := 1.0; whi < hi; whi++ {
+		if t *= ratio(whi); t < hypergeomFloor {
+			break
+		}
+		sum += t
+	}
+	wlo, tlo := mode, 1.0
+	for wlo > lo {
+		t := tlo / ratio(wlo-1)
+		if t < hypergeomFloor {
+			break
+		}
+		wlo, tlo = wlo-1, t
+		sum += t
+	}
+	target := u * sum
+	l, t, run := wlo, tlo, tlo
+	for run < target && l < whi {
+		t *= ratio(l)
+		l++
+		run += t
+	}
+	return l
 }
 
 // AliasTable supports O(1) sampling from an arbitrary discrete distribution

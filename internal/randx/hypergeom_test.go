@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"samplewh/internal/stats"
 )
 
 // hgExact computes the hypergeometric pmf from log-binomials for testing.
@@ -243,6 +245,85 @@ func TestHypergeometricOneShot(t *testing.T) {
 		if l < 0 || l > 4 {
 			t.Fatalf("Hypergeometric sample %d out of range", l)
 		}
+	}
+}
+
+// TestHypergeometricOneShotMatchesPMF holds the table-free one-shot draw to
+// the tabulated pmf: chi-square over the cells with expected count >= 5, the
+// two tails pooled. The seeds are fixed, so a failure reproduces.
+func TestHypergeometricOneShotMatchesPMF(t *testing.T) {
+	const draws = 100000
+	for _, c := range []struct{ n1, n2, k int64 }{
+		{65536, 983040, 8192}, // the 16-partition merge's first draw
+		{10, 5, 7},
+		{1, 1, 1},
+		{12, 8, 10},
+		{3, 100000, 50000},
+	} {
+		const seed = 77
+		r := New(seed)
+		d := NewHypergeom(c.n1, c.n2, c.k)
+		lo, hi := d.Support()
+		counts := make(map[int64]int64)
+		for i := 0; i < draws; i++ {
+			l := Hypergeometric(r, c.n1, c.n2, c.k)
+			if l < lo || l > hi {
+				t.Fatalf("seed %d: Hypergeometric(%d,%d,%d) = %d outside [%d,%d]", seed, c.n1, c.n2, c.k, l, lo, hi)
+			}
+			counts[l]++
+		}
+		var obs []int64
+		var exp []float64
+		var tailObs int64
+		var tailExp float64
+		for l := lo; l <= hi; l++ {
+			if e := d.PMF(l) * draws; e >= 5 {
+				obs, exp = append(obs, counts[l]), append(exp, e)
+			} else {
+				tailObs, tailExp = tailObs+counts[l], tailExp+e
+			}
+		}
+		if tailExp >= 1 {
+			obs, exp = append(obs, tailObs), append(exp, tailExp)
+		} else if float64(tailObs) > 10 {
+			t.Errorf("seed %d: (%d,%d,%d): %d draws in tails of expected mass %g", seed, c.n1, c.n2, c.k, tailObs, tailExp)
+		}
+		res, err := stats.ChiSquareGOF(obs, exp, 0)
+		if err != nil {
+			t.Fatalf("(%d,%d,%d): %v", c.n1, c.n2, c.k, err)
+		}
+		if res.Reject(1e-4) {
+			t.Errorf("seed %d: Hypergeometric(%d,%d,%d) does not follow its pmf: %v", seed, c.n1, c.n2, c.k, res)
+		}
+	}
+}
+
+// A one-point support returns its only value and still consumes exactly one
+// uniform, so a stream stays aligned whatever the parameters.
+func TestHypergeometricDegenerate(t *testing.T) {
+	for _, c := range []struct{ n1, n2, k, want int64 }{
+		{7, 5, 12, 7}, // k = n1+n2: everything is taken
+		{7, 5, 0, 0},
+		{0, 5, 3, 0},
+		{4, 0, 3, 3},
+		{0, 0, 0, 0},
+	} {
+		r, ref := New(5), New(5)
+		if got := Hypergeometric(r, c.n1, c.n2, c.k); got != c.want {
+			t.Errorf("Hypergeometric(%d,%d,%d) = %d, want %d", c.n1, c.n2, c.k, got, c.want)
+		}
+		ref.Uint64()
+		if r.Uint64() != ref.Uint64() {
+			t.Errorf("Hypergeometric(%d,%d,%d) did not consume exactly one uniform", c.n1, c.n2, c.k)
+		}
+	}
+}
+
+func BenchmarkHypergeometricOneShot(b *testing.B) {
+	r := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Hypergeometric(r, 65536, 983040, 8192)
 	}
 }
 

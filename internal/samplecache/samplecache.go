@@ -9,7 +9,9 @@
 //
 // Cached samples are owned by the cache and treated as immutable: Get returns
 // the cached pointer and callers must Clone before any mutating use (the
-// pairwise merges consume their inputs). The warehouse loader enforces this.
+// pairwise merges consume their inputs). The warehouse read path hands the
+// shared pointer to its query and clones only where a merge would consume it
+// or a caller could keep it (DESIGN.md §9).
 //
 // All methods are safe for concurrent use, and every method on a nil *Cache
 // is a no-op returning zero values, mirroring the nil-safety convention of

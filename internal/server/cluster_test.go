@@ -724,3 +724,47 @@ func TestClusterRollOutReportsDegradedReplica(t *testing.T) {
 		t.Fatalf("dead replica state %q, want error or breaker_open (%+v)", states[dead], resp.Replicas)
 	}
 }
+
+// TestClusterQueryLeavesCachedSamplesWhole: a warehouse hands its queries the
+// cached sample itself, and the coordinator folds the legs' samples with
+// consuming merges — so what the self leg returns must be the query's own
+// copy even when it covers a single partition and merges nothing. With one
+// reservoir partition per shard, a fold that ate a cached sample would shrink
+// it, and the repeated query's min-size merge with it.
+func TestClusterQueryLeavesCachedSamplesWhole(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tc := newTestCluster(t, 3, clusterOpts{})
+	for _, wh := range tc.whs {
+		wh.SetQueryConfig(warehouse.QueryConfig{CacheBytes: 1 << 20})
+	}
+	const nf = 64
+	tc.createDataset(ctx, 0, "d", nf)
+	owned := map[int]bool{}
+	for i := 0; len(owned) < 3 && i < 200; i++ {
+		part := fmt.Sprintf("p%03d", i)
+		if shard := tc.chainOf("d", part)[0]; !owned[shard] {
+			owned[shard] = true
+			if _, err := tc.clients[0].IngestValues(ctx, "d", part, 0, seqValues(int64(i)*1000, 1000)); err != nil {
+				t.Fatalf("ingest %s: %v", part, err)
+			}
+		}
+	}
+	if len(owned) != 3 {
+		t.Fatalf("placed partitions on shards %v, want one on each of 3", owned)
+	}
+	for via := range tc.clients {
+		for round := 1; round <= 2; round++ {
+			smp, err := tc.clients[via].Sample(ctx, "d", QueryOpts{})
+			if err != nil {
+				t.Fatalf("sample via %d, round %d: %v", via, round, err)
+			}
+			if smp.Degraded || len(smp.Coverage.Merged) != 3 {
+				t.Fatalf("via %d round %d: coverage %+v", via, round, smp.Coverage)
+			}
+			if smp.Sample.Size != nf || smp.Sample.ParentSize != 3000 {
+				t.Fatalf("via %d round %d: merged sample %+v, want size %d of 3000", via, round, smp.Sample, nf)
+			}
+		}
+	}
+}

@@ -74,16 +74,15 @@ func TestExplainSpanTree(t *testing.T) {
 		}
 	}
 	merge := findChild(root, "merge")
-	if len(merge.Children) == 0 {
-		t.Fatal("merge span has no merge_level children")
+	sel, join := findChild(merge, "merge_select"), findChild(merge, "merge_join")
+	if len(merge.Children) != 2 || sel == nil || join == nil {
+		t.Fatalf("merge children = %+v, want merge_select and merge_join", merge.Children)
 	}
-	for _, c := range merge.Children {
-		if c.Name != "merge_level" {
-			t.Fatalf("unexpected merge child %q", c.Name)
-		}
-		if c.Values["pairs"] < 1 {
-			t.Fatalf("merge_level without pairs: %+v", c)
-		}
+	if sel.Values["inputs"] != 4 || sel.Values["k"] < 1 || sel.Values["workers"] < 1 {
+		t.Fatalf("merge_select values %v", sel.Values)
+	}
+	if join.Values["distinct"] < 1 {
+		t.Fatalf("merge_join without distinct: %+v", join)
 	}
 	est := findChild(root, "estimate")
 	if est.Labels["q"] != "avg" {

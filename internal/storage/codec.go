@@ -184,7 +184,10 @@ func DecodeSample[V comparable](buf []byte, vc ValueCodec[V]) (*core.Sample[V], 
 	pos += n
 
 	model := histogram.SizeModel{ValueBytes: valueBytes, CountBytes: countBytes}
-	h := histogram.New[V](model)
+	// Every entry takes at least two bytes (a value and a count), so what is
+	// left of buf bounds how many a header can honestly promise: a hostile
+	// entry count reserves no more than the input could fill.
+	h := histogram.NewSized[V](model, int(min(entryCount, uint64(len(buf)-pos)/2)))
 	for i := uint64(0); i < entryCount; i++ {
 		v, n, err := vc.Read(buf[pos:])
 		if err != nil {
@@ -198,10 +201,9 @@ func DecodeSample[V comparable](buf []byte, vc ValueCodec[V]) (*core.Sample[V], 
 		if c < 1 {
 			return fail(fmt.Sprintf("entry %d has count %d", i, c))
 		}
-		if h.Count(v) > 0 {
+		if !h.InsertNew(v, c) {
 			return fail(fmt.Sprintf("duplicate value in entry %d", i))
 		}
-		h.Insert(v, c)
 	}
 	if pos != len(buf) {
 		return fail(fmt.Sprintf("%d trailing bytes", len(buf)-pos))

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"samplewh/internal/core"
+	"samplewh/internal/histogram"
 	"samplewh/internal/obs"
 )
 
@@ -53,6 +55,27 @@ func TestDecodeLegacyV1(t *testing.T) {
 	}
 	if !got.Hist.Equal(s.Hist) || got.ParentSize != s.ParentSize {
 		t.Fatal("legacy decode mismatch")
+	}
+}
+
+// A header may promise any number of entries; decode reserves room for no
+// more than the bytes behind it could hold, so a hostile count is an error,
+// not an allocation.
+func TestDecodeHostileEntryCount(t *testing.T) {
+	empty := &core.Sample[int64]{Kind: core.ReservoirKind, Hist: histogram.New[int64](histogram.DefaultSizeModel),
+		ParentSize: 10, Config: core.ConfigForNF(64)}
+	data, err := EncodeSample(empty, Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := v1Encoding(t, data)
+	if body[len(body)-1] != 0 {
+		t.Fatalf("fixture does not end in its zero entry count: % x", body)
+	}
+	hostile := binary.AppendUvarint(body[:len(body)-1], 1<<50)
+	hostile = append(hostile, 2, 2) // one honest entry behind the lie
+	if _, err := DecodeSample(hostile, Int64Codec{}); err == nil {
+		t.Fatal("decode accepted an entry count the input cannot hold")
 	}
 }
 

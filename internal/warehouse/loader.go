@@ -22,9 +22,10 @@ type QueryConfig struct {
 	// issues. 0 selects the default (4×GOMAXPROCS — partition loads are
 	// I/O-bound); 1 loads sequentially.
 	LoadWorkers int
-	// MergeWorkers bounds the number of concurrent pairwise merges per tree
-	// level. 0 selects GOMAXPROCS; 1 forces the sequential tree. The merged
-	// result is byte-identical either way (see core.MergeTreeParallel).
+	// MergeWorkers bounds the goroutines of one merge: they select from the
+	// inputs in parallel (core.MergeK) or, on the pairwise fallback, run one
+	// tree level's merges. 0 selects GOMAXPROCS; 1 merges sequentially. The
+	// merged result is byte-identical either way.
 	MergeWorkers int
 }
 
@@ -72,11 +73,14 @@ func newLoadObs(r *obs.Registry) loadObs {
 // with singleflight deduplication and a read-through sample cache.
 //
 // Concurrent loads of the same key coalesce onto one store fetch; with the
-// cache enabled the decoded sample is retained (the cache owns it) and every
-// caller receives a private clone, because the pairwise merges consume their
-// inputs. Invalidation is generation-guarded: bumping the generation before
-// dropping a cache entry guarantees that an in-flight fetch started before
-// the invalidation can never re-insert the stale sample after it.
+// cache enabled the decoded sample is retained (the cache owns it). Every
+// caller receives that one decoded sample itself — shared with the cache and
+// with coalesced callers, and therefore read-only: the k-way merge only reads
+// its inputs, and whoever needs to mutate or keep a sample clones it
+// (combine's pairwise fallback, PartitionSample). Invalidation is
+// generation-guarded: bumping the generation before dropping a cache entry
+// guarantees that an in-flight fetch started before the invalidation can
+// never re-insert the stale sample after it.
 type loader[V comparable] struct {
 	store storage.Store[V]
 
@@ -95,11 +99,10 @@ type loader[V comparable] struct {
 
 // flight is one in-progress store fetch other loads can join.
 type flight[V comparable] struct {
-	done    chan struct{}
-	gen     uint64 // loader generation when the fetch began
-	waiters int    // joiners; leader must clone if > 0
-	s       *core.Sample[V]
-	err     error
+	done chan struct{}
+	gen  uint64 // loader generation when the fetch began
+	s    *core.Sample[V]
+	err  error
 }
 
 func newLoader[V comparable](store storage.Store[V]) *loader[V] {
@@ -235,49 +238,57 @@ type loadResult[V comparable] struct {
 }
 
 // load fetches every key, preserving request order in the results (merge
-// determinism depends on it). Fetches run on a worker pool bounded by the
-// configured LoadWorkers; duplicate concurrent fetches coalesce. Cancellation
-// is honored between fetches: once ctx is done, keys not yet started resolve
-// to ctx.Err() instead of reaching the store.
+// determinism depends on it). Keys resident in the cache resolve in the calling
+// goroutine — a hit is a pointer copy, cheaper than the goroutine that would
+// carry it; the rest run on a worker pool bounded by the configured
+// LoadWorkers, and duplicate concurrent fetches coalesce. Cancellation is
+// honored between keys: once ctx is done, keys not yet started resolve to
+// ctx.Err() instead of reaching the store. The samples are shared (see loader).
 func (l *loader[V]) load(ctx context.Context, keys []string) []loadResult[V] {
 	res := make([]loadResult[V], len(keys))
 	l.mu.Lock()
-	workers := l.workers
+	workers, cache := l.workers, l.cache
 	l.mu.Unlock()
-	if len(keys) <= 1 || workers <= 1 {
-		for i, k := range keys {
-			if err := ctx.Err(); err != nil {
-				res[i].err = err
-				continue
-			}
-			res[i].s, res[i].err = l.loadOne(ctx, k)
+	one := func(i int) {
+		if err := ctx.Err(); err != nil {
+			res[i].err = err
+			return
+		}
+		res[i].s, res[i].err = l.loadOne(ctx, keys[i])
+	}
+	var misses []int
+	for i, k := range keys {
+		// Contains counts nothing; loadOne's own lookup records the hit — or,
+		// if the entry left in between, the miss, and fetches here.
+		if cache.Contains(k) {
+			one(i)
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	if len(misses) <= 1 || workers <= 1 {
+		for _, i := range misses {
+			one(i)
 		}
 		return res
 	}
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, min(workers, len(misses)))
 	var wg sync.WaitGroup
-	for i, k := range keys {
+	for _, i := range misses {
 		wg.Add(1)
-		go func(i int, k string) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				res[i].err = err
-				return
-			}
-			res[i].s, res[i].err = l.loadOne(ctx, k)
-		}(i, k)
+			one(i)
+		}()
 	}
 	wg.Wait()
 	return res
 }
 
 // loadOne returns the decoded sample for key, from cache when possible. The
-// returned sample is private to the caller (safe to consume in a merge).
+// returned sample is shared and must not be mutated (see loader).
 // A store fetch, once started, runs to completion (the Store interface is
 // not cancelable, and an abandoned result can still populate the cache for
 // the next caller); ctx is honored before starting one and while waiting on
@@ -306,7 +317,7 @@ func (l *loader[V]) loadOne(ctx context.Context, key string) (s *core.Sample[V],
 			l.mu.Unlock()
 			sp.SetLabel("cache", "hit")
 			sp.SetValue("cache_age_ns", int64(age))
-			return s.Clone(), nil
+			return s, nil
 		}
 		if f, ok := l.flights[key]; ok {
 			if f.gen != l.gen {
@@ -320,7 +331,6 @@ func (l *loader[V]) loadOne(ctx context.Context, key string) (s *core.Sample[V],
 				}
 				continue
 			}
-			f.waiters++
 			l.mu.Unlock()
 			l.o.loadDedup.Inc()
 			sp.SetLabel("cache", "coalesced")
@@ -334,7 +344,7 @@ func (l *loader[V]) loadOne(ctx context.Context, key string) (s *core.Sample[V],
 			if f.err != nil {
 				return nil, f.err
 			}
-			return f.s.Clone(), nil
+			return f.s, nil
 		}
 		f := &flight[V]{done: make(chan struct{}), gen: l.gen}
 		l.flights[key] = f
@@ -356,13 +366,10 @@ func (l *loader[V]) loadOne(ctx context.Context, key string) (s *core.Sample[V],
 
 		l.mu.Lock()
 		delete(l.flights, key)
-		cached := false
-		if f.err == nil && l.cache != nil && f.gen == l.gen {
-			// The cache takes ownership of the decoded sample; readers clone.
+		if f.err == nil && f.gen == l.gen {
+			// The cache takes ownership of the decoded sample.
 			l.cache.Put(key, f.s)
-			cached = true
 		}
-		waiters := f.waiters
 		cache := l.cache
 		l.mu.Unlock()
 		close(f.done)
@@ -373,10 +380,6 @@ func (l *loader[V]) loadOne(ctx context.Context, key string) (s *core.Sample[V],
 			cache.Invalidate(key)
 			return nil, f.err
 		}
-		if cached || waiters > 0 {
-			return f.s.Clone(), nil
-		}
-		// Sole uncached reader: the store already handed us a private copy.
 		return f.s, nil
 	}
 }

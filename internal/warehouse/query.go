@@ -392,38 +392,63 @@ func (w *Warehouse[V]) loadWave(ctx context.Context, parent *obs.Span, q *query[
 }
 
 // combine is stage 5 for merges: one "merge" span and one merge_ns
-// observation around either the parallel tree over the whole input set
-// (unbounded; acc is nil) or a serial fold of got onto acc in plan order
-// (bounded). The serial fold is deliberate: Theorem 1 makes the result a
-// valid uniform sample of the covered union after every fold, which is what
-// lets the stop rule evaluate the interval between waves; the tree only pays
-// off when the input set is fixed in advance.
+// observation around the merge of got — the whole input set of an unbounded
+// query (acc is nil) or one wave of a bounded one, folded onto acc. Theorem 1
+// makes every such result a valid uniform sample of the covered union, which
+// is what lets the stop rule evaluate the interval between waves.
+//
+// This is the one place a merge function is chosen. An HR data set with no
+// exhaustive input takes core.MergeK: one pass over all inputs (acc is just
+// one more), which only reads them. Everything else — HB, SB, an exhaustive
+// input, a single input — keeps the pairwise merges, the parallel tree over a
+// fixed input set and the serial fold in plan order; those consume, so they
+// run on clones. Either way the loaded samples, shared with the cache, are
+// left untouched and the result aliases none of them.
 func (w *Warehouse[V]) combine(ctx context.Context, parent *obs.Span, q *query[V], v *catalogView, acc *core.Sample[V], got []*core.Sample[V], src *randx.RNG) (*core.Sample[V], int64, error) {
-	var merge core.MergeFunc[V]
-	switch v.alg {
-	case AlgSB:
-		merge = core.SBMerge[V]
-	case AlgHB:
-		merge = core.HBMerge[V]
-	default:
-		merge = core.HRMerge[V]
+	inputs := got
+	if acc != nil {
+		inputs = append([]*core.Sample[V]{acc}, got...)
 	}
+	kway := v.alg == AlgHR && len(inputs) > 1
+	for _, s := range inputs {
+		kway = kway && s.Kind != core.Exhaustive
+	}
+	workers := resolveMergeWorkers(v.mergeWorkers)
 	span := parent.Start("merge")
 	span.SetValue("inputs", int64(len(got)))
 	t := w.o.mergeNS.Start()
+	mctx := obs.ContextWithSpan(ctx, span)
 	var err error
-	if q.Bounds.Bounded() {
-		for _, s := range got {
-			if acc == nil {
-				acc = s
-			} else if acc, err = merge(acc, s, src); err != nil {
-				break
+	switch {
+	case len(got) == 0:
+		// A wave in which nothing loaded leaves acc as it was.
+	case kway:
+		span.SetValue("workers", int64(workers))
+		acc, err = core.MergeK(mctx, inputs, src, workers)
+	default:
+		var merge core.MergeFunc[V]
+		switch v.alg {
+		case AlgSB:
+			merge = core.SBMerge[V]
+		case AlgHB:
+			merge = core.HBMerge[V]
+		default:
+			merge = core.HRMerge[V]
+		}
+		own := make([]*core.Sample[V], len(inputs))
+		for i, s := range inputs {
+			if s == acc {
+				own[i] = s // already this query's own
+			} else {
+				own[i] = s.Clone()
 			}
 		}
-	} else {
-		workers := resolveMergeWorkers(v.mergeWorkers)
-		span.SetValue("workers", int64(workers))
-		acc, err = core.MergeTreeParallelContext(obs.ContextWithSpan(ctx, span), got, merge, src, workers)
+		if q.Bounds.Bounded() {
+			acc, err = core.MergeSerial(own, merge, src)
+		} else {
+			span.SetValue("workers", int64(workers))
+			acc, err = core.MergeTreeParallelContext(mctx, own, merge, src, workers)
+		}
 	}
 	ns := t.Stop()
 	span.SetError(err)

@@ -34,6 +34,10 @@ type SketchRange struct {
 // always fail. The returned Stratified is nil when every readable partition
 // was proven out of range — the caller answers zero with exactness from the
 // zero strata.
+//
+// The strata are the warehouse's loaded samples, shared with its cache: read
+// them, as the estimators do, and Clone a stratum before mutating it (or
+// before Stratified.Collapse, which consumes).
 func (w *Warehouse[V]) StratifiedRange(ctx context.Context, dataset string, partitionIDs []string, r SketchRange, prune, partial bool) (*core.Stratified[V], []estimate.ZeroStratum, MergeCoverage, error) {
 	q := query[V]{op: "range", dataset: dataset, ids: partitionIDs, partial: partial, strata: true}
 	if prune {

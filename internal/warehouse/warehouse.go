@@ -529,7 +529,8 @@ func (w *Warehouse[V]) PartitionSampleContext(ctx context.Context, dataset, part
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: load %s/%s: %w", dataset, partitionID, err)
 	}
-	return s, nil
+	// The loader's sample is shared with the cache; the caller may mutate its own.
+	return s.Clone(), nil
 }
 
 // SkippedPartition records one partition a degraded merge left out, with the

@@ -401,7 +401,7 @@ func BoundedCountProvenZero[V comparable](s *Sample[V], pred func(V) bool, confi
 
 // QueryConfig tunes the warehouse read path: the decoded-sample cache budget
 // (bytes of sample footprint; 0 disables caching), the partition-load worker
-// pool, and the merge-tree parallelism. Apply with Warehouse.SetQueryConfig.
+// pool, and the merge parallelism. Apply with Warehouse.SetQueryConfig.
 type QueryConfig = warehouse.QueryConfig
 
 // CacheStats is a point-in-time snapshot of the read-path sample cache
