@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test bench-test bench-smoke bench bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz
+.PHONY: check fmt vet build test bench-test bench-smoke bench bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
 
 check: fmt vet build test
 
@@ -100,9 +100,21 @@ chaos:
 chaos-cluster:
 	./scripts/chaos-cluster.sh
 
-# Short fuzz pass over the binary sample codec (decode must never panic and
-# must reject corrupted inputs). Override FUZZTIME for longer campaigns.
+# Short fuzz passes over the two decoders that read bytes the program did not
+# write this run: the binary sample codec (decode must never panic and must
+# reject corrupted inputs) and the manifest (load → catalog records → save
+# must never panic, and a saved manifest is a fixed point). The manifest seeds
+# are ~40 KB, so minimizing each new corpus entry would eat the whole budget.
+# Override FUZZTIME for longer campaigns.
 FUZZTIME ?= 15s
 
 fuzz:
 	go test -run NONE -fuzz FuzzDecodeSample -fuzztime $(FUZZTIME) ./internal/storage
+	go test -run NONE -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/warehouse
+
+# Non-test Go lines per internal package — the count ROADMAP aim 2 and its
+# simplification items gate on (raw lines: code, comments and blanks alike).
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$$d"; \
+	done

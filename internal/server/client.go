@@ -319,6 +319,15 @@ func (c *Client) Ingest(ctx context.Context, ds, part string, expected int64, va
 // restart — answers with the original acknowledgment instead of ingesting
 // again.
 func (c *Client) IngestKeyed(ctx context.Context, ds, part string, expected int64, key string, values io.Reader) (IngestResponse, error) {
+	out, _, err := c.putPartition(ctx, ds, part, expected, key, values, false)
+	return out, err
+}
+
+// putPartition issues the ingest request, PUT …/partitions/part. forwarded
+// marks a coordinator-to-replica leg: the marker header makes the receiving
+// shard serve the write locally instead of coordinating again. The bool
+// reports an idempotent replay.
+func (c *Client) putPartition(ctx context.Context, ds, part string, expected int64, key string, values io.Reader, forwarded bool) (IngestResponse, bool, error) {
 	var out IngestResponse
 	u := c.base + "/v1/datasets/" + url.PathEscape(ds) + "/partitions/" + url.PathEscape(part)
 	if expected > 0 {
@@ -326,33 +335,43 @@ func (c *Client) IngestKeyed(ctx context.Context, ds, part string, expected int6
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, values)
 	if err != nil {
-		return out, err
+		return out, false, err
 	}
 	req.Header.Set("Content-Type", "text/plain")
+	if forwarded {
+		req.Header.Set(forwardedHeader, "1")
+	}
 	if key != "" {
 		req.Header.Set("Idempotency-Key", key)
 	}
-	err = c.do(req, &out)
-	return out, err
+	var replayed bool
+	err = c.doCapture(req, &out, func(resp *http.Response) {
+		replayed = resp.Header.Get("Idempotency-Replayed") == "true"
+	})
+	return out, replayed, err
 }
 
 // IngestValues is Ingest for an in-memory value slice.
 func (c *Client) IngestValues(ctx context.Context, ds, part string, expected int64, values []int64) (IngestResponse, error) {
-	var b strings.Builder
-	b.Grow(len(values) * 8)
-	for _, v := range values {
-		b.WriteString(strconv.FormatInt(v, 10))
-		b.WriteByte('\n')
-	}
-	return c.Ingest(ctx, ds, part, expected, strings.NewReader(b.String()))
+	return c.Ingest(ctx, ds, part, expected, strings.NewReader(valuesBody(values)))
 }
 
 // RollOut removes a partition.
 func (c *Client) RollOut(ctx context.Context, ds, part string) error {
+	return c.deletePartition(ctx, ds, part, false)
+}
+
+// deletePartition issues the roll-out request; forwarded removes the
+// partition from one replica without triggering that replica's own
+// coordination.
+func (c *Client) deletePartition(ctx context.Context, ds, part string, forwarded bool) error {
 	u := c.base + "/v1/datasets/" + url.PathEscape(ds) + "/partitions/" + url.PathEscape(part)
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, u, nil)
 	if err != nil {
 		return err
+	}
+	if forwarded {
+		req.Header.Set(forwardedHeader, "1")
 	}
 	return c.do(req, nil)
 }
@@ -499,31 +518,6 @@ func (c *Client) NudgeRepair(ctx context.Context, ds, part string) error {
 	return c.do(req, nil)
 }
 
-// ingestForward is the coordinator-to-replica ingest: the marker header
-// makes the receiving shard serve the write locally instead of coordinating
-// again. The bool reports an idempotent replay.
-func (c *Client) ingestForward(ctx context.Context, ds, part string, expected int64, key, body string) (IngestResponse, bool, error) {
-	var out IngestResponse
-	u := c.base + "/v1/datasets/" + url.PathEscape(ds) + "/partitions/" + url.PathEscape(part)
-	if expected > 0 {
-		u += "?expected=" + strconv.FormatInt(expected, 10)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, strings.NewReader(body))
-	if err != nil {
-		return out, false, err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	req.Header.Set(forwardedHeader, "1")
-	if key != "" {
-		req.Header.Set("Idempotency-Key", key)
-	}
-	var replayed bool
-	err = c.doCapture(req, &out, func(resp *http.Response) {
-		replayed = resp.Header.Get("Idempotency-Replayed") == "true"
-	})
-	return out, replayed, err
-}
-
 // createDatasetForward pushes a data set definition to one replica.
 func (c *Client) createDatasetForward(ctx context.Context, req CreateDatasetRequest) error {
 	body, err := json.Marshal(req)
@@ -538,18 +532,6 @@ func (c *Client) createDatasetForward(ctx context.Context, req CreateDatasetRequ
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set(forwardedHeader, "1")
 	return c.do(hreq, nil)
-}
-
-// rollOutForward removes a partition from one replica without triggering
-// that replica's own coordination.
-func (c *Client) rollOutForward(ctx context.Context, ds, part string) error {
-	u := c.base + "/v1/datasets/" + url.PathEscape(ds) + "/partitions/" + url.PathEscape(part)
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, u, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(forwardedHeader, "1")
-	return c.do(req, nil)
 }
 
 // Metrics fetches the server's metrics snapshot as raw JSON.

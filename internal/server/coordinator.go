@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -415,7 +414,7 @@ func (s *Server) listPartitions(ctx context.Context, ds string, agg *shardAgg) (
 		if p.self {
 			parts, err := s.wh.Partitions(ds)
 			if err != nil {
-				return nil, 0, notFound("unknown data set %q", ds)
+				return nil, 0, err
 			}
 			mu.Lock()
 			for _, id := range parts {
@@ -748,41 +747,7 @@ type ReplicaStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// scanInt64Body parses the text ingest body (one value per line) into a
-// slice, bounded by the server's body cap.
-func (s *Server) scanInt64Body(w http.ResponseWriter, r *http.Request) ([]int64, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var vals []int64
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(line, 10, 64)
-		if err != nil {
-			return nil, badRequest("value %d: %v", len(vals)+1, err)
-		}
-		vals = append(vals, v)
-		if len(vals)%8192 == 0 {
-			if err := r.Context().Err(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, &httpError{code: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("ingest body exceeds %d bytes", s.cfg.MaxBodyBytes)}
-		}
-		return nil, badRequest("read: %v", err)
-	}
-	return vals, nil
-}
-
-// valuesBody renders values back to the text wire format for forwarding.
+// valuesBody renders values in the text wire format (one per line).
 func valuesBody(vals []int64) string {
 	var b strings.Builder
 	b.Grow(len(vals) * 8)
@@ -791,6 +756,39 @@ func valuesBody(vals []int64) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// replicate runs op on every replica of a chain at once — the local one
+// directly, remote ones behind their circuit breakers — and reports each
+// outcome: the state op returns ("ok", "replayed", "not_found"), "error"
+// with op's error, or "breaker_open" for a peer that was not tried.
+func (s *Server) replicate(chain []*peer, op func(i int, p *peer) (string, error)) []ReplicaStatus {
+	statuses := make([]ReplicaStatus, len(chain))
+	var wg sync.WaitGroup
+	for i, p := range chain {
+		statuses[i] = ReplicaStatus{Shard: p.id, Addr: p.addr}
+		if !p.self {
+			if ok, _ := p.br.Allow(); !ok {
+				s.cluster.o.breakerSkips.Inc()
+				statuses[i].State, statuses[i].Error = "breaker_open", "circuit breaker open"
+				continue
+			}
+		}
+		wg.Add(1)
+		go func(i int, p *peer) {
+			defer wg.Done()
+			state, err := op(i, p)
+			if !p.self {
+				p.br.Record(err == nil || peerHealthy(err))
+			}
+			if err != nil {
+				state, statuses[i].Error = "error", err.Error()
+			}
+			statuses[i].State = state
+		}(i, p)
+	}
+	wg.Wait()
+	return statuses
 }
 
 // handleIngestCluster is the coordinator's ingest path: buffer the batch,
@@ -802,32 +800,38 @@ func valuesBody(vals []int64) string {
 func (s *Server) handleIngestCluster(w http.ResponseWriter, r *http.Request) error {
 	c := s.cluster
 	ds, part := r.PathValue("ds"), r.PathValue("part")
-	expected := int64(0)
-	if raw := r.URL.Query().Get("expected"); raw != "" {
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || v < 0 {
-			return badRequest("bad expected %q", raw)
-		}
-		expected = v
-	}
-	if _, err := s.wh.Config(ds); err != nil {
-		return notFound("unknown data set %q", ds)
+	expected, err := parseExpected(r)
+	if err != nil {
+		return err
 	}
 	key := r.Header.Get("Idempotency-Key")
 	clientKeyed := key != ""
 	if clientKeyed {
 		if resp, ok := s.idem.get(idemScope(ds, part, key)); ok {
-			w.Header().Set("Idempotency-Replayed", "true")
-			writeJSON(w, http.StatusOK, resp)
+			writeIngest(w, resp, true)
 			return nil
 		}
 	} else {
 		key = fmt.Sprintf("swd-auto-%016x", rand.Uint64())
 	}
+	// Validate as every replica's ingestLocal will, once, before the body is
+	// buffered and fanned out: a request they would all refuse (unknown data
+	// set, bad partition ID, HB without ?expected=) answers its 4xx here, not
+	// a retryable "0 replicas acknowledged" 503.
+	if _, err := s.wh.NewPartitionSampler(ds, part, expected); err != nil {
+		return invalidUnlessSentinel(err)
+	}
 
-	vals, err := s.scanInt64Body(w, r)
-	if err != nil {
-		return err
+	var vals []int64
+	for source := s.scanValues(w, r); ; {
+		chunk, err := source()
+		if err != nil {
+			return err
+		}
+		if len(chunk) == 0 {
+			break
+		}
+		vals = append(vals, chunk...)
 	}
 	if len(vals) == 0 {
 		return badRequest("ingest %s/%s: no values in body", ds, part)
@@ -835,68 +839,40 @@ func (s *Server) handleIngestCluster(w http.ResponseWriter, r *http.Request) err
 
 	chain := c.replicas(ds, part)
 	body := valuesBody(vals)
-	statuses := make([]ReplicaStatus, len(chain))
 	resps := make([]*IngestResponse, len(chain))
-	var wg sync.WaitGroup
-	for i, p := range chain {
-		statuses[i] = ReplicaStatus{Shard: p.id, Addr: p.addr}
+	statuses := s.replicate(chain, func(i int, p *peer) (string, error) {
+		var resp IngestResponse
+		var replayed bool
+		var err error
 		if p.self {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				resp, replayed, err := s.ingestLocalValues(r.Context(), ds, part, expected, key, vals)
-				if err != nil {
-					statuses[i].State = "error"
-					statuses[i].Error = err.Error()
-					return
-				}
-				statuses[i].State = "ok"
-				if replayed {
-					statuses[i].State = "replayed"
-				}
-				resps[i] = &resp
-			}(i)
-			continue
-		}
-		if ok, _ := p.br.Allow(); !ok {
-			c.o.breakerSkips.Inc()
-			c.o.forwardErrs.Inc()
-			statuses[i].State = "breaker_open"
-			statuses[i].Error = "circuit breaker open"
-			continue
-		}
-		c.o.forwards.Inc()
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
+			resp, replayed, err = s.ingestLocal(r.Context(), ds, part, expected, key, chunksOf(vals))
+		} else {
+			c.o.forwards.Inc()
 			start := time.Now()
-			resp, replayed, err := s.forwardIngest(r.Context(), p, ds, part, expected, key, body)
-			if err != nil {
-				p.br.Record(peerHealthy(err))
-				c.o.forwardErrs.Inc()
-				statuses[i].State = "error"
-				statuses[i].Error = err.Error()
-				return
+			if resp, replayed, err = s.forwardIngest(r.Context(), p, ds, part, expected, key, body); err == nil {
+				p.lat.observe(time.Since(start).Nanoseconds())
 			}
-			p.br.Record(true)
-			p.lat.observe(time.Since(start).Nanoseconds())
-			statuses[i].State = "ok"
-			if replayed {
-				statuses[i].State = "replayed"
-			}
-			resps[i] = &resp
-		}(i, p)
-	}
-	wg.Wait()
+		}
+		if err != nil {
+			return "", err
+		}
+		resps[i] = &resp
+		if replayed {
+			return "replayed", nil
+		}
+		return "ok", nil
+	})
 
 	acks := 0
 	var template *IngestResponse
-	for i := range statuses {
-		if statuses[i].State == "ok" || statuses[i].State == "replayed" {
+	for i, p := range chain {
+		if resps[i] != nil {
 			acks++
 			if template == nil {
 				template = resps[i]
 			}
+		} else if !p.self {
+			c.o.forwardErrs.Inc()
 		}
 	}
 	if acks < c.cfg.WriteQuorum || template == nil {
@@ -920,15 +896,19 @@ func (s *Server) handleIngestCluster(w http.ResponseWriter, r *http.Request) err
 	if clientKeyed {
 		s.idem.put(idemScope(ds, part, key), resp)
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	writeIngest(w, resp, false)
 	return nil
 }
 
 // forwardIngest sends the batch to one remote replica, healing a peer that
 // missed the dataset-creation broadcast (it was down at the time) by
-// creating the data set there from the local config and retrying once.
+// creating the data set there from the local config and retrying once. The
+// heal keys on the peer's 404 carrying warehouse.ErrUnknownDataset's text
+// ("unknown data set") — every route returns that sentinel as it is and
+// warehouseStatus maps it; a peer's "partition not found" 404 does not match
+// and is passed on.
 func (s *Server) forwardIngest(ctx context.Context, p *peer, ds, part string, expected int64, key, body string) (IngestResponse, bool, error) {
-	resp, replayed, err := p.ingest.ingestForward(ctx, ds, part, expected, key, body)
+	resp, replayed, err := p.ingest.putPartition(ctx, ds, part, expected, key, strings.NewReader(body), true)
 	var ae *APIError
 	if err == nil || !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound ||
 		!strings.Contains(ae.Message, "unknown data set") {
@@ -948,72 +928,7 @@ func (s *Server) forwardIngest(ctx context.Context, p *peer, ds, part string, ex
 	if cerr := p.ingest.createDatasetForward(ctx, req); cerr != nil {
 		return resp, false, err
 	}
-	return p.ingest.ingestForward(ctx, ds, part, expected, key, body)
-}
-
-// ingestLocalValues is the local replica write: the buffered counterpart of
-// handleIngest's streaming path — same idempotency registry, same journal
-// choreography (append, seal-before-ack, roll-in, commit).
-func (s *Server) ingestLocalValues(ctx context.Context, ds, part string, expected int64, key string, vals []int64) (IngestResponse, bool, error) {
-	if key != "" {
-		if resp, ok := s.idem.get(idemScope(ds, part, key)); ok {
-			return resp, true, nil
-		}
-	}
-	// Partition-seeded: every replica of (ds, part) sampling the same batch
-	// draws the same randomness, so replicated copies are byte-identical
-	// and anti-entropy digests agree without a repair pull.
-	smp, err := s.wh.NewPartitionSampler(ds, part, expected)
-	if err != nil {
-		return IngestResponse{}, false, err
-	}
-	for _, v := range vals {
-		smp.Feed(v)
-	}
-	if s.journal != nil {
-		entry, err := s.journal.Begin(ds, part, key, expected)
-		if err != nil {
-			return IngestResponse{}, false, fmt.Errorf("journal: %w", err)
-		}
-		defer entry.Abort()
-		for off := 0; off < len(vals); off += ingestChunk {
-			end := off + ingestChunk
-			if end > len(vals) {
-				end = len(vals)
-			}
-			if err := entry.Append(vals[off:end]); err != nil {
-				return IngestResponse{}, false, fmt.Errorf("journal: %w", err)
-			}
-		}
-		if err := entry.SealContext(ctx, int64(len(vals))); err != nil {
-			return IngestResponse{}, false, fmt.Errorf("journal seal: %w", err)
-		}
-		sample, err := smp.Finalize()
-		if err != nil {
-			return IngestResponse{}, false, err
-		}
-		if err := s.wh.RollIn(ds, part, sample); err != nil {
-			return IngestResponse{}, false, err
-		}
-		_ = entry.Commit()
-		resp := IngestResponse{Dataset: ds, Partition: part, Read: int64(len(vals)), Sample: sampleMeta(sample)}
-		if key != "" {
-			s.idem.put(idemScope(ds, part, key), resp)
-		}
-		return resp, false, nil
-	}
-	sample, err := smp.Finalize()
-	if err != nil {
-		return IngestResponse{}, false, err
-	}
-	if err := s.wh.RollIn(ds, part, sample); err != nil {
-		return IngestResponse{}, false, err
-	}
-	resp := IngestResponse{Dataset: ds, Partition: part, Read: int64(len(vals)), Sample: sampleMeta(sample)}
-	if key != "" {
-		s.idem.put(idemScope(ds, part, key), resp)
-	}
-	return resp, false, nil
+	return p.ingest.putPartition(ctx, ds, part, expected, key, strings.NewReader(body), true)
 }
 
 // broadcastDatasetCreate pushes a freshly created data set to every
@@ -1075,40 +990,18 @@ func (s *Server) handleRollOutCluster(w http.ResponseWriter, r *http.Request) er
 	c := s.cluster
 	ds, part := r.PathValue("ds"), r.PathValue("part")
 	chain := c.replicas(ds, part)
-	statuses := make([]ReplicaStatus, len(chain))
-	var wg sync.WaitGroup
-	for i, p := range chain {
-		statuses[i] = ReplicaStatus{Shard: p.id, Addr: p.addr}
-		if !p.self {
-			if ok, _ := p.br.Allow(); !ok {
-				c.o.breakerSkips.Inc()
-				statuses[i].State = "breaker_open"
-				statuses[i].Error = "circuit breaker open"
-				continue
-			}
+	statuses := s.replicate(chain, func(_ int, p *peer) (string, error) {
+		var err error
+		if p.self {
+			err = s.rollOutLocal(ds, part)
+		} else {
+			err = p.ingest.deletePartition(r.Context(), ds, part, true)
 		}
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			var err error
-			if p.self {
-				err = s.rollOutLocal(ds, part)
-			} else {
-				err = p.ingest.rollOutForward(r.Context(), ds, part)
-				p.br.Record(err == nil || peerHealthy(err))
-			}
-			switch {
-			case err == nil:
-				statuses[i].State = "ok"
-			case notFoundErr(err):
-				statuses[i].State = "not_found"
-			default:
-				statuses[i].State = "error"
-				statuses[i].Error = err.Error()
-			}
-		}(i, p)
-	}
-	wg.Wait()
+		if err != nil && notFoundErr(err) {
+			return "not_found", nil
+		}
+		return "ok", err
+	})
 
 	dropped, degraded := 0, false
 	firstErr := ""

@@ -494,131 +494,176 @@ func (s *Server) handlePartitionInfo(w http.ResponseWriter, r *http.Request) err
 // framing, small enough to keep the handler's buffer bounded.
 const ingestChunk = 4096
 
-// handleIngest is roll-in over HTTP: the body is a stream of int64 values
-// (text, one per line), sampled on the way in through the data set's
-// HB/HR/SB sampler — the server never materializes the raw partition, only
-// its bounded sample. ?expected=N passes the expected partition size
-// (required for HB data sets).
-//
-// With a journal configured, the raw batch is also appended to the
-// write-ahead journal and sealed — fsynced under the `always` policy —
-// before the 201 leaves, so an acknowledged batch survives a crash and is
-// replayed into its partition on restart. A client-supplied Idempotency-Key
-// header makes retries safe across ambiguous failures: a key already
-// acknowledged (in this process or recovered from the journal) answers 200
-// with the original response and an `Idempotency-Replayed: true` header
-// instead of ingesting again.
+// valueSource hands an ingest batch over a chunk at a time: each call returns
+// up to ingestChunk values, valid until the next call, and none at the end.
+type valueSource func() ([]int64, error)
+
+// scanValues is the one parser of the text ingest body — int64 values, one
+// per line, blank lines skipped, bounded by the server's body cap. It honors
+// the request deadline between chunks, so a slow client cannot pin an ingest
+// slot forever. Nothing is allocated until the first chunk is asked for.
+func (s *Server) scanValues(w http.ResponseWriter, r *http.Request) valueSource {
+	what := "ingest " + r.PathValue("ds") + "/" + r.PathValue("part")
+	var sc *bufio.Scanner
+	var chunk []int64
+	var n int64
+	return func() ([]int64, error) {
+		if err := r.Context().Err(); err != nil {
+			return nil, err
+		}
+		if sc == nil {
+			sc = bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+			sc.Buffer(make([]byte, 1<<20), 1<<20)
+			chunk = make([]int64, 0, ingestChunk)
+		}
+		chunk = chunk[:0]
+		for len(chunk) < ingestChunk && sc.Scan() {
+			line := strings.TrimSpace(sc.Text())
+			if line == "" {
+				continue
+			}
+			v, err := strconv.ParseInt(line, 10, 64)
+			if err != nil {
+				return nil, badRequest("%s: value %d: %v", what, n+1, err)
+			}
+			chunk = append(chunk, v)
+			n++
+		}
+		if err := sc.Err(); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				return nil, &httpError{code: http.StatusRequestEntityTooLarge,
+					msg: fmt.Sprintf("ingest body exceeds %d bytes", s.cfg.MaxBodyBytes)}
+			}
+			return nil, badRequest("%s: read: %v", what, err)
+		}
+		return chunk, nil
+	}
+}
+
+// chunksOf is the valueSource over an already buffered batch.
+func chunksOf(vals []int64) valueSource {
+	return func() ([]int64, error) {
+		chunk := vals[:min(len(vals), ingestChunk)]
+		vals = vals[len(chunk):]
+		return chunk, nil
+	}
+}
+
+// parseExpected reads ?expected=N, the expected partition size (required for
+// HB data sets); absent means 0.
+func parseExpected(r *http.Request) (int64, error) {
+	raw := r.URL.Query().Get("expected")
+	if raw == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || v < 0 {
+		return 0, badRequest("bad expected %q", raw)
+	}
+	return v, nil
+}
+
+// writeIngest answers an ingest: 201 for a batch that landed, 200 with
+// Idempotency-Replayed for the original answer to a key seen before.
+func writeIngest(w http.ResponseWriter, resp IngestResponse, replayed bool) {
+	code := http.StatusCreated
+	if replayed {
+		w.Header().Set("Idempotency-Replayed", "true")
+		code = http.StatusOK
+	}
+	writeJSON(w, code, resp)
+}
+
+// handleIngest is roll-in over HTTP: PUT a stream of int64 values (text, one
+// per line) as one partition; ?expected=N passes the expected partition size
+// (required for HB data sets). See ingestLocal for what happens to them.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if s.coordinated(r) {
 		return s.handleIngestCluster(w, r)
 	}
-	ds, part := r.PathValue("ds"), r.PathValue("part")
-	expected := int64(0)
-	if raw := r.URL.Query().Get("expected"); raw != "" {
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || v < 0 {
-			return badRequest("bad expected %q", raw)
-		}
-		expected = v
+	expected, err := parseExpected(r)
+	if err != nil {
+		return err
 	}
-	idemKey := r.Header.Get("Idempotency-Key")
-	if idemKey != "" {
-		if resp, ok := s.idem.get(idemScope(ds, part, idemKey)); ok {
-			w.Header().Set("Idempotency-Replayed", "true")
-			writeJSON(w, http.StatusOK, resp)
-			return nil
+	resp, replayed, err := s.ingestLocal(r.Context(), r.PathValue("ds"), r.PathValue("part"),
+		expected, r.Header.Get("Idempotency-Key"), s.scanValues(w, r))
+	if err != nil {
+		return err
+	}
+	writeIngest(w, resp, replayed)
+	return nil
+}
+
+// ingestLocal is the one local write (DESIGN.md §17): every batch this
+// process stores — a single-node PUT, a coordinator's own replica leg, a leg
+// forwarded from another coordinator — is sampled on the way in through the
+// data set's HB/HR/SB sampler (the server never materializes the raw
+// partition, only its bounded sample) and rolled in here.
+//
+// With a journal configured, the raw batch is also appended to the
+// write-ahead journal and sealed — fsynced under the `always` policy — before
+// the roll-in and so before any ack: an acknowledged batch survives a crash
+// and is replayed into its partition on restart. A non-empty key (the
+// client's Idempotency-Key) already acknowledged, in this process or
+// recovered from the journal, answers the original response with replayed
+// set instead of ingesting again.
+//
+// Stage spans: ingest_read covers the scan with one wal_append child per
+// journaled chunk; wal_seal wraps the fsync ack barrier; finalize and rollin
+// time the sampler drain and the durable roll-in. Untraced requests pay nil
+// checks only.
+func (s *Server) ingestLocal(ctx context.Context, ds, part string, expected int64, key string, source valueSource) (resp IngestResponse, replayed bool, err error) {
+	if key != "" {
+		if resp, ok := s.idem.get(idemScope(ds, part, key)); ok {
+			return resp, true, nil
 		}
 	}
-	// Partition-seeded (not the warehouse's shared RNG stream): replicas of
-	// the same partition sampling the same batch produce byte-identical
-	// stored samples, which is what lets anti-entropy compare content
-	// hashes instead of re-transferring everything.
+	// Partition-seeded, not the warehouse's shared RNG stream: replicas
+	// sampling the same batch store byte-identical samples (DESIGN.md §16).
 	smp, err := s.wh.NewPartitionSampler(ds, part, expected)
 	if err != nil {
-		return invalidUnlessSentinel(err)
+		return resp, false, invalidUnlessSentinel(err)
 	}
-
 	var entry *wal.Entry[int64]
-	var chunk []int64
 	if s.journal != nil {
-		entry, err = s.journal.Begin(ds, part, idemKey, expected)
-		if err != nil {
-			return fmt.Errorf("ingest %s/%s: journal: %w", ds, part, err)
+		if entry, err = s.journal.Begin(ds, part, key, expected); err != nil {
+			return resp, false, fmt.Errorf("ingest %s/%s: journal: %w", ds, part, err)
 		}
 		// Abort after a successful Commit is a no-op; on any error return it
 		// retires the entry so the journal does not hold its segment live.
 		defer entry.Abort()
-		chunk = make([]int64, 0, ingestChunk)
 	}
 
-	ctx := r.Context()
-	// Trace the ingest stages: ingest_read covers the body scan with one
-	// wal_append child per journaled chunk; wal_seal wraps the fsync ack
-	// barrier; finalize and rollin time the sampler drain and the durable
-	// roll-in. Untraced requests pay nil checks only.
 	reqSpan := obs.SpanFromContext(ctx)
 	readSpan := reqSpan.Start("ingest_read")
-	appendChunk := func(vals []int64) error {
-		if len(vals) == 0 {
-			return nil
-		}
-		asp := readSpan.Start("wal_append")
-		asp.SetValue("values", int64(len(vals)))
-		err := entry.Append(vals)
-		asp.SetError(err)
-		asp.End()
-		return err
-	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	defer readSpan.End()
 	var n int64
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(line, 10, 64)
+	for {
+		vals, err := source()
 		if err != nil {
-			return badRequest("ingest %s/%s: value %d: %v", ds, part, n+1, err)
+			return resp, false, err
 		}
-		smp.Feed(v)
+		if len(vals) == 0 {
+			break
+		}
+		for _, v := range vals {
+			smp.Feed(v)
+		}
 		if entry != nil {
-			chunk = append(chunk, v)
-			if len(chunk) == ingestChunk {
-				if err := appendChunk(chunk); err != nil {
-					return fmt.Errorf("ingest %s/%s: journal: %w", ds, part, err)
-				}
-				chunk = chunk[:0]
+			asp := readSpan.Start("wal_append")
+			asp.SetValue("values", int64(len(vals)))
+			err := entry.Append(vals)
+			asp.SetError(err)
+			asp.End()
+			if err != nil {
+				return resp, false, fmt.Errorf("ingest %s/%s: journal: %w", ds, part, err)
 			}
 		}
-		n++
-		// The sampler is cheap but the body may be huge; honor the deadline
-		// between batches so a slow client cannot pin an ingest slot forever.
-		if n%8192 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{code: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("ingest body exceeds %d bytes", s.cfg.MaxBodyBytes)}
-		}
-		return badRequest("ingest %s/%s: read: %v", ds, part, err)
+		n += int64(len(vals))
 	}
 	if n == 0 {
-		return badRequest("ingest %s/%s: no values in body", ds, part)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if entry != nil {
-		if err := appendChunk(chunk); err != nil {
-			return fmt.Errorf("ingest %s/%s: journal: %w", ds, part, err)
-		}
+		return resp, false, badRequest("ingest %s/%s: no values in body", ds, part)
 	}
 	readSpan.SetValue("values", n)
 	readSpan.End()
@@ -630,7 +675,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 		ssp.SetError(err)
 		ssp.End()
 		if err != nil {
-			return fmt.Errorf("ingest %s/%s: journal seal: %w", ds, part, err)
+			return resp, false, fmt.Errorf("ingest %s/%s: journal seal: %w", ds, part, err)
 		}
 	}
 	fsp := reqSpan.Start("finalize")
@@ -638,14 +683,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	fsp.SetError(err)
 	fsp.End()
 	if err != nil {
-		return err
+		return resp, false, err
 	}
 	rsp := reqSpan.Start("rollin")
 	err = s.wh.RollIn(ds, part, sample)
 	rsp.SetError(err)
 	rsp.End()
 	if err != nil {
-		return err
+		return resp, false, err
 	}
 	if entry != nil {
 		// A commit failure is not fatal: the sample is durably rolled in and
@@ -653,12 +698,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 		// partition (RollIn replaces by ID).
 		_ = entry.Commit()
 	}
-	resp := IngestResponse{Dataset: ds, Partition: part, Read: n, Sample: sampleMeta(sample)}
-	if idemKey != "" {
-		s.idem.put(idemScope(ds, part, idemKey), resp)
+	resp = IngestResponse{Dataset: ds, Partition: part, Read: n, Sample: sampleMeta(sample)}
+	if key != "" {
+		s.idem.put(idemScope(ds, part, key), resp)
 	}
-	writeJSON(w, http.StatusCreated, resp)
-	return nil
+	return resp, false, nil
 }
 
 func (s *Server) handleRollOut(w http.ResponseWriter, r *http.Request) error {

@@ -1,0 +1,210 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"net"
+	"net/http"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"samplewh/internal/obs"
+	"samplewh/internal/storage"
+	"samplewh/internal/wal"
+	"samplewh/internal/warehouse"
+)
+
+// ingestNodes is n swd nodes over in-memory stores with raw access, each
+// with its own journal when asked — one standalone node, or an n-way
+// replicated cluster in which every node holds every partition.
+type ingestNodes struct {
+	stores  []*storage.MemStore[int64]
+	servers []*Server
+	clients []*Client
+}
+
+func bootIngestNodes(t *testing.T, n int, journal bool) *ingestNodes {
+	t.Helper()
+	in := &ingestNodes{}
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, "http://"+ln.Addr().String()
+	}
+	for i := range lns {
+		st := storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
+		wh, _, err := warehouse.Open[int64](st, uint64(500+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{DefaultTimeout: 5 * time.Second, Registry: obs.NewRegistry(),
+			SlowLogThreshold: time.Nanosecond} // keep every request's span tree
+		if journal {
+			lg, _, err := wal.Open[int64](filepath.Join(t.TempDir(), "wal"), storage.Int64Codec{}, wal.Options{Policy: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = lg.Close() })
+			cfg.Journal = lg
+		}
+		srv := New(wh, cfg)
+		if n > 1 {
+			if err := srv.EnableCluster(ClusterConfig{Peers: addrs, ShardID: i, Replication: n, HedgeDisabled: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hs := &http.Server{Handler: srv.Handler()}
+		go hs.Serve(lns[i])
+		t.Cleanup(func() { hs.Close() })
+		in.stores = append(in.stores, st)
+		in.servers = append(in.servers, srv)
+		in.clients = append(in.clients, NewClient(addrs[i], nil).SetRetryPolicy(NoRetry()))
+	}
+	return in
+}
+
+// ingestSpans returns the stage-span names under the newest partition.ingest
+// request in the node's slow log, in order, wal_append children collapsed.
+func (in *ingestNodes) ingestSpans(t *testing.T, node int) []string {
+	t.Helper()
+	for _, e := range in.servers[node].slow.snapshot().Entries {
+		if e.Route != "partition.ingest" {
+			continue
+		}
+		var names []string
+		for _, c := range e.Trace.Children {
+			if c.Name == "admission_wait" {
+				continue
+			}
+			names = append(names, c.Name)
+			if len(c.Children) > 0 {
+				names = append(names, c.Name+"/"+c.Children[0].Name)
+			}
+		}
+		return names
+	}
+	t.Fatal("no partition.ingest entry in the slow log")
+	return nil
+}
+
+// TestIngestPathsAgree: the same batch entering through a single node,
+// through a coordinator's own replica leg and through a leg forwarded to a
+// peer is one code path (ingestLocal), so all three store byte-identical
+// samples, acknowledge with equal sample metadata, open the same stage spans,
+// and replay a keyed retry — with the journal on or off.
+func TestIngestPathsAgree(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	body := valuesBody(seqValues(0, 3*ingestChunk+17)) // three full journal frames and a tail
+	for _, journal := range []bool{false, true} {
+		for _, key := range []string{"", "batch-1"} {
+			name := map[bool]string{false: "nojournal", true: "journal"}[journal] + "/key=" + key
+			t.Run(name, func(t *testing.T) {
+				single := bootIngestNodes(t, 1, journal)
+				cluster := bootIngestNodes(t, 2, journal) // node 0 coordinates: self leg; node 1: forwarded leg
+				for _, in := range []*ingestNodes{single, cluster} {
+					if _, err := in.clients[0].CreateDataset(ctx, CreateDatasetRequest{Name: "d", NF: 256}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, replayed, err := single.clients[0].putPartition(ctx, "d", "p", 0, key, strings.NewReader(body), false)
+				if err != nil || replayed {
+					t.Fatalf("single-node ingest: replayed=%v err=%v", replayed, err)
+				}
+				got, replayed, err := cluster.clients[0].putPartition(ctx, "d", "p", 0, key, strings.NewReader(body), false)
+				if err != nil || replayed {
+					t.Fatalf("clustered ingest: replayed=%v err=%v", replayed, err)
+				}
+				if got.Sample != want.Sample || got.Read != want.Read || len(got.Replicas) != 2 || got.Degraded {
+					t.Fatalf("clustered ack %+v, single-node ack %+v", got, want)
+				}
+				wantRaw, err := single.stores[0].GetRaw("d/p")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, leg := range []string{"self", "forwarded"} {
+					raw, err := cluster.stores[i].GetRaw("d/p")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(raw, wantRaw) {
+						t.Errorf("%s leg stored different bytes than the single node", leg)
+					}
+					// The forwarded leg is an ordinary local ingest on its node.
+					if a, b := cluster.ingestSpans(t, i), single.ingestSpans(t, 0); !slices.Equal(a, b) {
+						t.Errorf("%s leg stage spans %v, single node %v", leg, a, b)
+					}
+				}
+				stages := []string{"ingest_read", "finalize", "rollin"}
+				if journal {
+					stages = []string{"ingest_read", "ingest_read/wal_append", "wal_seal", "wal_seal/wal_fsync", "finalize", "rollin"}
+				}
+				if got := single.ingestSpans(t, 0); !slices.Equal(got, stages) {
+					t.Errorf("stage spans %v, want %v", got, stages)
+				}
+				if key == "" {
+					return
+				}
+				// A keyed retry answers from the registry on every path: the
+				// single node, and — retried through the other coordinator, so
+				// the roles swap — both replica legs.
+				again, replayed, err := single.clients[0].putPartition(ctx, "d", "p", 0, key, strings.NewReader(body), false)
+				if err != nil || !replayed || again.Sample != want.Sample {
+					t.Fatalf("single-node retry: replayed=%v err=%v resp=%+v", replayed, err, again)
+				}
+				again, _, err = cluster.clients[1].putPartition(ctx, "d", "p", 0, key, strings.NewReader(body), false)
+				if err != nil || again.Sample != want.Sample {
+					t.Fatalf("clustered retry: err=%v resp=%+v", err, again)
+				}
+				for _, rs := range again.Replicas {
+					if rs.State != "replayed" {
+						t.Errorf("clustered retry replica %+v, want replayed", rs)
+					}
+				}
+				if info, err := cluster.clients[0].PartitionInfo(ctx, "d", "p"); err != nil || info.ParentSize != want.Sample.ParentSize {
+					t.Fatalf("partition after retries: %+v, %v; want parent size %d", info, err, want.Sample.ParentSize)
+				}
+			})
+		}
+	}
+}
+
+// TestClusterIngestClientErrorIs4xx: a request every replica would refuse is
+// the client's mistake, in cluster mode as on a single node — not a "0
+// replicas acknowledged" 503, which server.Client would retry with backoff.
+func TestClusterIngestClientErrorIs4xx(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	single := bootIngestNodes(t, 1, false)
+	cluster := bootIngestNodes(t, 2, false)
+	for name, in := range map[string]*ingestNodes{"single": single, "cluster": cluster} {
+		if _, err := in.clients[0].CreateDataset(ctx, CreateDatasetRequest{Name: "hb", Algorithm: "HB", NF: 256}); err != nil {
+			t.Fatal(err)
+		}
+		status := func(ds, part string, expected int64) int {
+			_, err := in.clients[0].IngestValues(ctx, ds, part, expected, seqValues(0, 100))
+			var ae *APIError
+			if !errors.As(err, &ae) {
+				t.Fatalf("%s: ingest %s/%s expected=%d: err=%v, want an API error", name, ds, part, expected, err)
+			}
+			return ae.StatusCode
+		}
+		if got := status("hb", "p", 0); got != http.StatusBadRequest {
+			t.Errorf("%s: HB ingest without expected = %d, want 400", name, got)
+		}
+		if got := status("nope", "p", 0); got != http.StatusNotFound {
+			t.Errorf("%s: ingest into an unknown data set = %d, want 404", name, got)
+		}
+		if resp, err := in.clients[0].IngestValues(ctx, "hb", "p", 100, seqValues(0, 100)); err != nil || resp.Sample.ParentSize != 100 {
+			t.Errorf("%s: HB ingest with expected: %+v, %v", name, resp, err)
+		}
+	}
+}

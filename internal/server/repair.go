@@ -387,7 +387,7 @@ func (s *Server) replayHints(ctx context.Context) {
 			kind, values := "ingest", int64(len(h.vals))
 			if h.tombstone {
 				kind = "tombstone"
-				err = p.ingest.rollOutForward(ctx, h.ds, h.part)
+				err = p.ingest.deletePartition(ctx, h.ds, h.part, true)
 				if err != nil && notFoundErr(err) {
 					err = nil // the target never held it; converged
 				}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"strings"
 
 	"samplewh/internal/core"
-	"samplewh/internal/obs"
 	"samplewh/internal/randx"
 	"samplewh/internal/sketch"
 	"samplewh/internal/storage"
@@ -77,8 +75,8 @@ func partitionSeed(dataset, partitionID string) uint64 {
 // still statistically equivalent — anti-entropy then converges the replicas
 // by transfer rather than by construction.
 func (w *Warehouse[V]) NewPartitionSampler(dataset, partitionID string, expectedN int64) (core.Sampler[V], error) {
-	if partitionID == "" || strings.ContainsAny(partitionID, "/") {
-		return nil, fmt.Errorf("warehouse: invalid partition id %q", partitionID)
+	if err := checkPartitionID(partitionID); err != nil {
+		return nil, err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -97,32 +95,17 @@ func (w *Warehouse[V]) rawStore() (storage.RawStore[V], bool) {
 	return rs, ok
 }
 
-// storedHash computes the content hash of a partition's stored bytes, or ""
-// when the store has no raw access or the bytes cannot be read. Caller holds
-// w.mu; the store's raw read takes only the store's own locks.
-func (w *Warehouse[V]) storedHash(dataset, partitionID string, sk *sketch.Summary) string {
-	rs, ok := w.rawStore()
-	if !ok {
-		return ""
-	}
-	raw, err := rs.GetRaw(w.key(dataset, partitionID))
-	if err != nil {
-		return ""
-	}
-	return contentHash(raw, sk)
-}
-
 // priorHash returns the content hash the durable manifest already records for
-// dataset/partitionID, if any. Attach consults it so that re-attaching a
+// dataset/partitionID, or "". Attach consults it so that re-attaching a
 // partition over a persistent store preserves the seal from roll-in time
 // instead of re-sealing whatever bytes are stored now — otherwise a catalog
 // rebuild (swcli runs one on every invocation) would overwrite the evidence
 // fsck pass 6 and anti-entropy digests need to witness divergence. The
-// manifest is loaded at most once per warehouse; fresh seals evict their
-// entry via dropPrior. Caller holds w.mu.
-func (w *Warehouse[V]) priorHash(dataset, partitionID string) (string, bool) {
-	if !w.priorLoaded {
-		w.priorLoaded = true
+// manifest is loaded at most once per warehouse; a persisted install and a
+// roll-out evict their entry. Caller holds w.mu.
+func (w *Warehouse[V]) priorHash(dataset, partitionID string) string {
+	if w.prior == nil {
+		w.prior = make(map[string]string)
 		blob := w.blob
 		if blob == nil {
 			// Attach runs before PersistCatalog sets w.blob on rebuilt
@@ -132,41 +115,14 @@ func (w *Warehouse[V]) priorHash(dataset, partitionID string) (string, bool) {
 		if blob != nil {
 			if m, err := loadManifest(blob); err == nil {
 				for name, md := range m.Datasets {
-					for p, h := range md.Hashes {
-						if w.prior == nil {
-							w.prior = make(map[string]string)
-						}
-						w.prior[name+"/"+p] = h
+					for _, p := range md.records() {
+						w.prior[w.key(name, p.id)] = p.hash
 					}
 				}
 			}
 		}
 	}
-	h, ok := w.prior[dataset+"/"+partitionID]
-	return h, ok
-}
-
-// dropPrior forgets a cached durable-manifest hash after a fresh seal
-// (roll-in, adopt) or a roll-out makes it obsolete. Caller holds w.mu.
-func (w *Warehouse[V]) dropPrior(dataset, partitionID string) {
-	delete(w.prior, dataset+"/"+partitionID)
-}
-
-// setHash records a partition's content hash; "" drops it. Caller holds w.mu.
-func (w *Warehouse[V]) setHash(ds *dataset, partitionID, h string) {
-	if h == "" {
-		w.dropHash(ds, partitionID)
-		return
-	}
-	if ds.hashes == nil {
-		ds.hashes = make(map[string]string)
-	}
-	ds.hashes[partitionID] = h
-}
-
-// dropHash forgets a rolled-out partition's content hash. Caller holds w.mu.
-func (w *Warehouse[V]) dropHash(ds *dataset, partitionID string) {
-	delete(ds.hashes, partitionID)
+	return w.prior[w.key(dataset, partitionID)]
 }
 
 // PartitionHashes returns one data set's inventory: partition ID → content
@@ -175,17 +131,7 @@ func (w *Warehouse[V]) dropHash(ds *dataset, partitionID string) {
 // hashes existed) map to "" — digest comparison then degrades to presence
 // checks for them.
 func (w *Warehouse[V]) PartitionHashes(dataset string) (map[string]string, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	ds, ok := w.sets[dataset]
-	if !ok {
-		return nil, unknownDataset(dataset)
-	}
-	out := make(map[string]string, len(ds.partitions))
-	for _, p := range ds.partitions {
-		out[p] = ds.hashes[p]
-	}
-	return out, nil
+	return snapshot(w, dataset, func(p *partition) (string, bool) { return p.hash, true })
 }
 
 // PartitionTransfer is one partition as shipped between replicas: the exact
@@ -209,14 +155,11 @@ func (w *Warehouse[V]) ExportPartition(dataset, partitionID string) (*PartitionT
 	attached := false
 	var sk *sketch.Summary
 	if dsok {
-		for _, p := range ds.partitions {
-			if p == partitionID {
-				attached = true
-				break
+		if p := ds.byID[partitionID]; p != nil {
+			attached = true
+			if validSketch(p.sketch) != nil {
+				sk = p.sketch.Clone()
 			}
-		}
-		if s := validSketch(ds.sketches[partitionID]); s != nil {
-			sk = s.Clone()
 		}
 	}
 	w.mu.RUnlock()
@@ -241,9 +184,6 @@ func (w *Warehouse[V]) ExportPartition(dataset, partitionID string) (*PartitionT
 // transferred sidecar is adopted as-is when valid; otherwise one is derived
 // from the sample.
 func (w *Warehouse[V]) AdoptPartition(dataset, partitionID string, raw []byte, sk *sketch.Summary) error {
-	if partitionID == "" || strings.ContainsAny(partitionID, "/") {
-		return fmt.Errorf("warehouse: invalid partition id %q", partitionID)
-	}
 	rs, ok := w.rawStore()
 	if !ok {
 		return fmt.Errorf("warehouse: adopt %s/%s: store has no raw access", dataset, partitionID)
@@ -255,52 +195,7 @@ func (w *Warehouse[V]) AdoptPartition(dataset, partitionID string, raw []byte, s
 	if sk = validSketch(sk); sk != nil {
 		sk = sk.Clone()
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ds, ok := w.sets[dataset]
-	if !ok {
-		return unknownDataset(dataset)
-	}
-	if s.Config.FootprintBytes != ds.cfg.Core.FootprintBytes ||
-		s.Config.SizeModel != ds.cfg.Core.SizeModel {
-		return fmt.Errorf("warehouse: adopted sample config %+v does not match data set config %+v",
-			s.Config, ds.cfg.Core)
-	}
-	if err := rs.PutRaw(w.key(dataset, partitionID), raw); err != nil {
-		err = fmt.Errorf("warehouse: adopt %s/%s: %w", dataset, partitionID, err)
-		w.o.fail("adopt", dataset, partitionID, err)
-		return err
-	}
-	w.ld.invalidate(w.key(dataset, partitionID))
-	replay := false
-	for _, p := range ds.partitions {
-		if p == partitionID {
-			replay = true
-			break
-		}
-	}
-	if !replay {
-		ds.partitions = append(ds.partitions, partitionID)
-	}
-	w.setStat(ds, partitionID, s)
-	if sk == nil {
-		sk = w.autoSketch(s)
-	}
-	w.setSketch(ds, partitionID, sk)
-	w.setHash(ds, partitionID, contentHash(raw, sk))
-	w.dropPrior(dataset, partitionID)
-	if err := w.saveManifest(); err != nil {
-		return err
-	}
-	w.o.attaches.Inc()
-	w.o.reg.Gauge("warehouse." + dataset + ".partitions").Set(int64(len(ds.partitions)))
-	w.o.event(obs.EvRollIn, dataset, partitionID,
-		map[string]string{"mode": "adopt"}, map[string]int64{
-			"sample_size": s.Size(),
-			"parent_size": s.ParentSize,
-			"footprint":   s.Footprint(),
-		})
-	return nil
+	return w.install(opAdopt, dataset, partitionID, s, raw, sk)
 }
 
 // HashFsckReport summarizes one content-hash audit (swcli fsck pass 6).
@@ -325,69 +220,40 @@ func (r *HashFsckReport) Problems() int {
 // FsckHashes audits the manifest's partition content hashes against the
 // stored sample bytes, so anti-entropy digests cannot silently propagate
 // corruption or go stale. With fix set it recomputes defective hashes and
-// rewrites the manifest. Like FsckSketches it operates on the durable
-// manifest directly, not a live warehouse. A store without raw access has
+// rewrites the manifest (see fsckCatalog). A store without raw access has
 // nothing to verify and yields an empty report.
 func FsckHashes(store storage.Store[int64], fix bool) (*HashFsckReport, error) {
-	blob, ok := store.(storage.BlobStore)
-	if !ok {
-		return nil, fmt.Errorf("warehouse: fsck hashes: store has no blob support: %w", storage.ErrBlobsUnsupported)
-	}
 	rep := &HashFsckReport{}
-	rs, ok := store.(storage.RawStore[int64])
-	if !ok {
-		return rep, nil
-	}
-	m, err := loadManifest(blob)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(m.Datasets))
-	for name := range m.Datasets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	changed := false
-	for _, name := range names {
-		md := m.Datasets[name]
-		for _, p := range md.Partitions {
-			key := name + "/" + p
-			raw, err := rs.GetRaw(key)
-			if err != nil {
-				// The sample itself is unreadable or missing; the main fsck
-				// passes own that problem.
-				continue
-			}
-			rep.Checked++
-			want := contentHash(raw, md.Sketches[p])
-			got := md.Hashes[p]
-			switch {
-			case got == "":
-				rep.Missing = append(rep.Missing, key)
-			case got != want:
-				rep.Mismatched = append(rep.Mismatched, key)
-			default:
-				continue
-			}
-			if !fix {
-				continue
-			}
-			if md.Hashes == nil {
-				md.Hashes = make(map[string]string)
-				m.Datasets[name] = md
-			}
-			md.Hashes[p] = want
-			rep.Fixed = append(rep.Fixed, key)
-			changed = true
+	rs, hasRaw := store.(storage.RawStore[int64])
+	err := fsckCatalog(store, "hashes", func(key string, p *partition) bool {
+		if !hasRaw {
+			return false
 		}
-	}
-	if changed {
-		if err := saveManifestBlob(blob, m); err != nil {
-			return rep, err
+		raw, err := rs.GetRaw(key)
+		if err != nil {
+			// The sample itself is unreadable or missing; the main fsck
+			// passes own that problem.
+			return false
 		}
-	}
+		rep.Checked++
+		want := contentHash(raw, p.sketch)
+		switch p.hash {
+		case want:
+			return false
+		case "":
+			rep.Missing = append(rep.Missing, key)
+		default:
+			rep.Mismatched = append(rep.Mismatched, key)
+		}
+		if !fix {
+			return false
+		}
+		p.hash = want
+		rep.Fixed = append(rep.Fixed, key)
+		return true
+	})
 	sort.Strings(rep.Missing)
 	sort.Strings(rep.Mismatched)
 	sort.Strings(rep.Fixed)
-	return rep, nil
+	return rep, err
 }

@@ -58,9 +58,7 @@ type manifestDataset struct {
 // manifestPartitionStats is one registry entry as persisted: the roll-in
 // snapshot plus the loader's latency EWMA at the last catalog write.
 type manifestPartitionStats struct {
-	SampleSize int64 `json:"sample_size"`
-	ParentSize int64 `json:"parent_size"`
-	Footprint  int64 `json:"footprint_bytes"`
+	PartitionStats
 	LoadEWMANS int64 `json:"load_ewma_ns,omitempty"`
 }
 
@@ -78,6 +76,55 @@ func parseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
+// records reads a manifest data set's four parallel registries as catalog
+// records in roll-in order — the one place the on-disk layout is decoded.
+// Sidecars come back as stored, valid or not: Open drops the unusable ones,
+// fsck reports them.
+func (md manifestDataset) records() []*partition {
+	recs := make([]*partition, len(md.Partitions))
+	for i, id := range md.Partitions {
+		st, known := md.Stats[id]
+		recs[i] = &partition{
+			id:     id,
+			stats:  st.PartitionStats,
+			known:  known,
+			sketch: md.Sketches[id],
+			hash:   md.Hashes[id],
+			ewmaNS: st.LoadEWMANS,
+		}
+	}
+	return recs
+}
+
+// setRecords is the inverse of records: it lays the records out as the four
+// registries, each omitted while no record has an entry for it, so a catalog
+// loaded from an older manifest re-saves in that manifest's shape.
+func (md *manifestDataset) setRecords(recs []*partition) {
+	md.Partitions = make([]string, len(recs))
+	md.Stats, md.Sketches, md.Hashes = nil, nil, nil
+	for i, p := range recs {
+		md.Partitions[i] = p.id
+		if p.known {
+			if md.Stats == nil {
+				md.Stats = make(map[string]manifestPartitionStats, len(recs))
+			}
+			md.Stats[p.id] = manifestPartitionStats{PartitionStats: p.stats, LoadEWMANS: p.ewmaNS}
+		}
+		if p.sketch != nil {
+			if md.Sketches == nil {
+				md.Sketches = make(map[string]*sketch.Summary, len(recs))
+			}
+			md.Sketches[p.id] = p.sketch
+		}
+		if p.hash != "" {
+			if md.Hashes == nil {
+				md.Hashes = make(map[string]string, len(recs))
+			}
+			md.Hashes[p.id] = p.hash
+		}
+	}
+}
+
 // buildManifest snapshots the catalog. Callers hold w.mu.
 func (w *Warehouse[V]) buildManifest() manifest {
 	m := manifest{Version: manifestVersion, Datasets: make(map[string]manifestDataset, len(w.sets))}
@@ -89,31 +136,11 @@ func (w *Warehouse[V]) buildManifest() manifest {
 			ValueBytes:     ds.cfg.Core.SizeModel.ValueBytes,
 			CountBytes:     ds.cfg.Core.SizeModel.CountBytes,
 			ExceedProb:     ds.cfg.Core.ExceedProb,
-			Partitions:     append([]string{}, ds.partitions...),
 		}
-		if len(ds.stats) > 0 {
-			md.Stats = make(map[string]manifestPartitionStats, len(ds.stats))
-			for id, st := range ds.stats {
-				md.Stats[id] = manifestPartitionStats{
-					SampleSize: st.SampleSize,
-					ParentSize: st.ParentSize,
-					Footprint:  st.Footprint,
-					LoadEWMANS: w.ld.ewmaNS(w.key(name, id)),
-				}
-			}
+		for _, p := range ds.parts {
+			p.ewmaNS = w.ld.ewmaNS(w.key(name, p.id))
 		}
-		if len(ds.sketches) > 0 {
-			md.Sketches = make(map[string]*sketch.Summary, len(ds.sketches))
-			for id, sk := range ds.sketches {
-				md.Sketches[id] = sk
-			}
-		}
-		if len(ds.hashes) > 0 {
-			md.Hashes = make(map[string]string, len(ds.hashes))
-			for id, h := range ds.hashes {
-				md.Hashes[id] = h
-			}
-		}
+		md.setRecords(ds.parts)
 		m.Datasets[name] = md
 	}
 	return m
@@ -156,18 +183,11 @@ func (w *Warehouse[V]) saveManifest() error {
 	if w.blob == nil {
 		return nil
 	}
-	data, err := json.MarshalIndent(w.buildManifest(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("warehouse: encode manifest: %w", err)
-	}
-	if err := w.blob.PutBlob(manifestName, data); err != nil {
-		return fmt.Errorf("warehouse: save manifest: %w", err)
-	}
-	return nil
+	return saveManifestBlob(w.blob, w.buildManifest())
 }
 
-// saveManifestBlob persists an explicitly built manifest — the offline path
-// used by FsckSketches, which repairs the catalog without a live warehouse.
+// saveManifestBlob writes m as the store's catalog; fsck, which repairs the
+// catalog without a live warehouse, calls it directly.
 func saveManifestBlob(blob storage.BlobStore, m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -200,6 +220,41 @@ func loadManifest(blob storage.BlobStore) (manifest, error) {
 		m.Datasets = map[string]manifestDataset{}
 	}
 	return m, nil
+}
+
+// fsckCatalog is the offline walker behind swcli fsck's sidecar and seal
+// passes. It operates on the durable manifest directly — not on a live
+// warehouse — visiting every partition record in (data set, roll-in) order;
+// check reports, and returns true when it repaired the record in place. A
+// repaired manifest is written back once, after the walk.
+func fsckCatalog(store storage.Store[int64], pass string, check func(key string, p *partition) bool) error {
+	blob, ok := store.(storage.BlobStore)
+	if !ok {
+		return fmt.Errorf("warehouse: fsck %s: store has no blob support: %w", pass, storage.ErrBlobsUnsupported)
+	}
+	m, err := loadManifest(blob)
+	if err != nil {
+		return err
+	}
+	names := make([]string, 0, len(m.Datasets))
+	for name := range m.Datasets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	changed := false
+	for _, name := range names {
+		md := m.Datasets[name]
+		recs := md.records()
+		for _, p := range recs {
+			changed = check(name+"/"+p.id, p) || changed
+		}
+		md.setRecords(recs)
+		m.Datasets[name] = md
+	}
+	if !changed {
+		return nil
+	}
+	return saveManifestBlob(blob, m)
 }
 
 // RecoveryReport summarizes one manifest-vs-store reconciliation.
@@ -253,34 +308,14 @@ func Open[V comparable](store storage.Store[V], seed uint64) (*Warehouse[V], *Re
 		if err != nil {
 			return nil, nil, fmt.Errorf("warehouse: manifest data set %q: %w", name, err)
 		}
-		ds := &dataset{cfg: norm, partitions: append([]string{}, md.Partitions...)}
-		if len(md.Sketches) > 0 {
-			ds.sketches = make(map[string]*sketch.Summary, len(md.Sketches))
-			for id, sk := range md.Sketches {
-				// Corrupt or version-skewed sidecars are dropped here so the
-				// query path rebuilds them; fsck reads the raw manifest and
-				// still reports them.
-				if validSketch(sk) != nil {
-					ds.sketches[id] = sk
-				}
-			}
-		}
-		if len(md.Hashes) > 0 {
-			ds.hashes = make(map[string]string, len(md.Hashes))
-			for id, h := range md.Hashes {
-				ds.hashes[id] = h
-			}
-		}
-		if len(md.Stats) > 0 {
-			ds.stats = make(map[string]PartitionStats, len(md.Stats))
-			for id, st := range md.Stats {
-				ds.stats[id] = PartitionStats{
-					SampleSize: st.SampleSize,
-					ParentSize: st.ParentSize,
-					Footprint:  st.Footprint,
-				}
-				w.ld.seedEWMA(w.key(name, id), st.LoadEWMANS)
-			}
+		ds := &dataset{cfg: norm}
+		for _, p := range md.records() {
+			// Corrupt or version-skewed sidecars are dropped here so the query
+			// path rebuilds them; fsck reads the raw manifest and still
+			// reports them.
+			p.sketch = validSketch(p.sketch)
+			ds.upsert(*p)
+			w.ld.seedEWMA(w.key(name, p.id), p.ewmaNS)
 		}
 		w.sets[name] = ds
 	}
@@ -316,26 +351,20 @@ func (w *Warehouse[V]) Recover() (*RecoveryReport, error) {
 	claimed := make(map[string]bool)
 	changed := false
 	for name, ds := range w.sets {
-		kept := ds.partitions[:0]
-		for _, p := range ds.partitions {
-			k := w.key(name, p)
+		for _, id := range ds.ids() {
+			k := w.key(name, id)
 			if present[k] {
 				claimed[k] = true
-				kept = append(kept, p)
-			} else {
-				rep.Dangling = append(rep.Dangling, k)
-				delete(ds.stats, p)
-				delete(ds.sketches, p)
-				delete(ds.hashes, p)
-				w.ld.dropEWMA(k)
-				changed = true
+				continue
 			}
+			rep.Dangling = append(rep.Dangling, k)
+			ds.remove(id)
+			w.ld.dropEWMA(k)
+			changed = true
 		}
-		ds.partitions = kept
-		rep.Partitions += len(kept)
+		rep.Partitions += len(ds.parts)
 	}
-	w.statGauge()
-	w.sketchGauge()
+	w.gauges()
 	rep.Datasets = len(w.sets)
 	for _, k := range keys {
 		if !claimed[k] {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -97,24 +98,31 @@ func (w *Warehouse[V]) resolve(q *query[V], sidecars bool) (catalogView, error) 
 	}
 	v.alg = ds.cfg.Algorithm
 	v.mergeWorkers = w.mergeWorkers
-	ids := q.ids
-	if len(ids) == 0 {
-		ids = ds.partitions
-		if q.window > 0 && q.window < len(ids) {
-			ids = ids[len(ids)-q.window:]
+	if v.ids = slices.Clone(q.ids); len(v.ids) == 0 {
+		v.ids = ds.ids()
+		if q.window > 0 && q.window < len(v.ids) {
+			v.ids = v.ids[len(v.ids)-q.window:]
 		}
 	}
-	v.ids = append([]string(nil), ids...)
 	if q.Bounds.Bounded() {
 		v.stats = make(map[string]PartitionStats, len(v.ids))
-		for _, id := range v.ids {
-			if st, ok := ds.stats[id]; ok {
-				v.stats[id] = st
-			}
-		}
 	}
 	if sidecars {
-		v.sketches = sketchSnapshotLocked(ds, v.ids)
+		v.sketches = make(map[string]*sketch.Summary, len(v.ids))
+	}
+	if v.stats != nil || v.sketches != nil {
+		for _, id := range v.ids {
+			p := ds.byID[id]
+			if p == nil {
+				continue
+			}
+			if v.stats != nil && p.known {
+				v.stats[id] = p.stats
+			}
+			if v.sketches != nil && validSketch(p.sketch) != nil {
+				v.sketches[id] = p.sketch
+			}
+		}
 	}
 	w.mu.RUnlock()
 	if len(v.ids) == 0 {
@@ -351,7 +359,7 @@ func (w *Warehouse[V]) loadWave(ctx context.Context, parent *obs.Span, q *query[
 	results := w.ld.load(obs.ContextWithSpan(ctx, span), keys)
 	span.End()
 	samples := make([]*core.Sample[V], 0, len(ids))
-	var built map[string]*sketch.Summary
+	var fixes []partition
 	for i, r := range results {
 		id := ids[i]
 		if r.err != nil {
@@ -374,20 +382,21 @@ func (w *Warehouse[V]) loadWave(ctx context.Context, parent *obs.Span, q *query[
 		if !q.strata || r.s.ParentSize > 0 {
 			samples = append(samples, r.s)
 		}
+		fix := partition{id: id}
 		if _, known := v.stats[id]; v.stats != nil && !known {
-			v.stats[id] = w.backfillStat(q.dataset, id, r.s)
+			fix.stats, fix.known = statsOf(r.s), true
+			v.stats[id] = fix.stats
 		}
 		if v.sketches != nil && v.sketches[id] == nil {
-			if sk := w.autoSketch(r.s); sk != nil {
-				if built == nil {
-					built = make(map[string]*sketch.Summary)
-				}
-				built[id] = sk
-				v.sketches[id] = sk
+			if fix.sketch = w.autoSketch(r.s); fix.sketch != nil {
+				v.sketches[id] = fix.sketch
 			}
 		}
+		if fix.known || fix.sketch != nil {
+			fixes = append(fixes, fix)
+		}
 	}
-	w.backfillSketches(q.dataset, built)
+	w.backfill(q.dataset, fixes)
 	return samples, nil
 }
 

@@ -124,7 +124,7 @@ func TestDatasetSketchUnionAndBackfill(t *testing.T) {
 
 	// Simulate a pre-sketch manifest for p2.
 	w.mu.Lock()
-	delete(w.sets["orders"].sketches, "p2")
+	w.sets["orders"].byID["p2"].sketch = nil
 	w.mu.Unlock()
 
 	union, err := w.DatasetSketch(context.Background(), "orders")

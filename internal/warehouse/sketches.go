@@ -32,39 +32,6 @@ func (w *Warehouse[V]) autoSketch(s *core.Sample[V]) *sketch.Summary {
 	return sketch.FromSample(si)
 }
 
-// setSketch records a partition's sidecar; nil drops it (value types without
-// sketch support, or invalidation). Caller holds w.mu.
-func (w *Warehouse[V]) setSketch(ds *dataset, partitionID string, sk *sketch.Summary) {
-	if sk == nil {
-		w.dropSketch(ds, partitionID)
-		return
-	}
-	if ds.sketches == nil {
-		ds.sketches = make(map[string]*sketch.Summary)
-	}
-	ds.sketches[partitionID] = sk
-	w.sketchGauge()
-}
-
-// dropSketch forgets a rolled-out partition's sidecar. Caller holds w.mu.
-func (w *Warehouse[V]) dropSketch(ds *dataset, partitionID string) {
-	delete(ds.sketches, partitionID)
-	w.sketchGauge()
-}
-
-// sketchGauge mirrors the sidecar count into
-// warehouse.partition_sketch_entries. Caller holds w.mu.
-func (w *Warehouse[V]) sketchGauge() {
-	if w.o.reg == nil {
-		return
-	}
-	var n int64
-	for _, ds := range w.sets {
-		n += int64(len(ds.sketches))
-	}
-	w.o.reg.Gauge("warehouse.partition_sketch_entries").Set(n)
-}
-
 // validSketch returns a usable sidecar or nil: corrupt or version-skewed
 // summaries must never prune, so they read as absent (fsck reports them;
 // the query path backfills over them).
@@ -85,75 +52,21 @@ func (w *Warehouse[V]) PartitionSketch(dataset, partitionID string) (*sketch.Sum
 	if !ok {
 		return nil, false, unknownDataset(dataset)
 	}
-	sk := validSketch(ds.sketches[partitionID])
-	if sk == nil {
-		return nil, false, nil
+	if p := ds.byID[partitionID]; p != nil && validSketch(p.sketch) != nil {
+		return p.sketch.Clone(), true, nil
 	}
-	return sk.Clone(), true, nil
+	return nil, false, nil
 }
 
 // SketchSnapshot returns a copy of one data set's sidecar registry, keyed by
 // partition ID. Only valid sidecars are included.
 func (w *Warehouse[V]) SketchSnapshot(dataset string) (map[string]*sketch.Summary, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	ds, ok := w.sets[dataset]
-	if !ok {
-		return nil, unknownDataset(dataset)
-	}
-	out := make(map[string]*sketch.Summary, len(ds.sketches))
-	for id, sk := range ds.sketches {
-		if v := validSketch(sk); v != nil {
-			out[id] = v.Clone()
+	return snapshot(w, dataset, func(p *partition) (*sketch.Summary, bool) {
+		if validSketch(p.sketch) == nil {
+			return nil, false
 		}
-	}
-	return out, nil
-}
-
-// sketchSnapshotLocked copies the valid sidecars for a set of partitions.
-// Caller holds w.mu (read or write).
-func sketchSnapshotLocked(ds *dataset, ids []string) map[string]*sketch.Summary {
-	out := make(map[string]*sketch.Summary, len(ids))
-	for _, id := range ids {
-		if sk := validSketch(ds.sketches[id]); sk != nil {
-			out[id] = sk
-		}
-	}
-	return out
-}
-
-// backfillSketches persists freshly built sidecars for partitions that were
-// loaded anyway (pre-sketch manifests). Partitions rolled out since the
-// snapshot are left alone.
-func (w *Warehouse[V]) backfillSketches(dataset string, built map[string]*sketch.Summary) {
-	if len(built) == 0 {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ds, ok := w.sets[dataset]
-	if !ok {
-		return
-	}
-	attached := make(map[string]bool, len(ds.partitions))
-	for _, p := range ds.partitions {
-		attached[p] = true
-	}
-	n := 0
-	for id, sk := range built {
-		if !attached[id] || validSketch(ds.sketches[id]) != nil {
-			continue
-		}
-		w.setSketch(ds, id, sk)
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	w.o.sketchBackfills.Add(int64(n))
-	// Best-effort persistence: a failed manifest write leaves the sidecars
-	// in memory; the next catalog mutation or query retries.
-	_ = w.saveManifest()
+		return p.sketch.Clone(), true
+	})
 }
 
 // DatasetSketch returns the merged sidecar of the named partitions (all
@@ -216,74 +129,40 @@ func (r *SketchFsckReport) Problems() int {
 // FsckSketches audits the manifest's sketch sidecars against the partition
 // registry, reporting missing, stale (format-version or population skew),
 // and corrupt entries. With fix set it rebuilds defective sidecars from the
-// stored samples and rewrites the manifest. It operates on the durable
-// manifest directly — not on a live warehouse — matching fsck's offline
-// contract. A store without a manifest yields an empty report.
+// stored samples and rewrites the manifest (see fsckCatalog). A store without
+// a manifest yields an empty report.
 func FsckSketches(store storage.Store[int64], fix bool) (*SketchFsckReport, error) {
-	blob, ok := store.(storage.BlobStore)
-	if !ok {
-		return nil, fmt.Errorf("warehouse: fsck sketches: store has no blob support: %w", storage.ErrBlobsUnsupported)
-	}
-	m, err := loadManifest(blob)
-	if err != nil {
-		return nil, err
-	}
 	rep := &SketchFsckReport{}
-	names := make([]string, 0, len(m.Datasets))
-	for name := range m.Datasets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	changed := false
-	for _, name := range names {
-		md := m.Datasets[name]
-		for _, p := range md.Partitions {
-			rep.Checked++
-			key := name + "/" + p
-			sk := md.Sketches[p]
-			problem := ""
-			switch {
-			case sk == nil:
-				problem = "missing"
-				rep.Missing = append(rep.Missing, key)
-			case sk.Version != sketch.Version:
-				problem = "stale"
-				rep.Stale = append(rep.Stale, key)
-			case sk.Validate() != nil:
-				problem = "corrupt"
-				rep.Corrupt = append(rep.Corrupt, key)
-			default:
-				if st, ok := md.Stats[p]; ok && sk.Count != st.ParentSize {
-					problem = "stale"
-					rep.Stale = append(rep.Stale, key)
-				}
-			}
-			if problem == "" || !fix {
-				continue
-			}
-			s, err := store.Get(key)
-			if err != nil {
-				// The sample itself is unreadable; the main fsck passes own
-				// that problem — leave the sidecar defect reported.
-				continue
-			}
-			if md.Sketches == nil {
-				md.Sketches = make(map[string]*sketch.Summary)
-				m.Datasets[name] = md
-			}
-			md.Sketches[p] = sketch.FromSample(s)
-			rep.Fixed = append(rep.Fixed, key)
-			changed = true
+	err := fsckCatalog(store, "sketches", func(key string, p *partition) bool {
+		rep.Checked++
+		switch sk := p.sketch; {
+		case sk == nil:
+			rep.Missing = append(rep.Missing, key)
+		case sk.Version != sketch.Version:
+			rep.Stale = append(rep.Stale, key)
+		case sk.Validate() != nil:
+			rep.Corrupt = append(rep.Corrupt, key)
+		case p.known && sk.Count != p.stats.ParentSize:
+			rep.Stale = append(rep.Stale, key)
+		default:
+			return false
 		}
-	}
-	if changed {
-		if err := saveManifestBlob(blob, m); err != nil {
-			return rep, err
+		if !fix {
+			return false
 		}
-	}
+		s, err := store.Get(key)
+		if err != nil {
+			// The sample itself is unreadable; the main fsck passes own that
+			// problem — leave the sidecar defect reported.
+			return false
+		}
+		p.sketch = sketch.FromSample(s)
+		rep.Fixed = append(rep.Fixed, key)
+		return true
+	})
 	sort.Strings(rep.Missing)
 	sort.Strings(rep.Stale)
 	sort.Strings(rep.Corrupt)
 	sort.Strings(rep.Fixed)
-	return rep, nil
+	return rep, err
 }

@@ -122,34 +122,13 @@ type Warehouse[V comparable] struct {
 	// ld is the read-path fetch layer: bounded-concurrency store loads with
 	// singleflight dedup and the optional read-through sample cache.
 	ld *loader[V]
-	// prior lazily caches the durable manifest's content hashes (keyed
-	// dataset/partition) for Attach: re-attaching a partition the manifest
-	// already seals must keep the recorded hash rather than re-seal the
-	// current bytes, or fsck could never witness divergence. Fresh seals
-	// (roll-in, adopt, roll-out) evict their entry. See priorHash.
-	prior       map[string]string
-	priorLoaded bool
+	// prior lazily caches the durable manifest's content hashes, keyed like
+	// the store, for Attach to keep instead of re-sealing (see priorHash).
+	prior map[string]string
 	// mergeWorkers is the resolved QueryConfig.MergeWorkers (0 = GOMAXPROCS,
 	// applied at merge time).
 	mergeWorkers int
 	o            whObs
-}
-
-type dataset struct {
-	cfg        DatasetConfig
-	partitions []string // ordered by roll-in time
-	// stats is the planner's per-partition statistics registry, maintained at
-	// roll-in/attach/roll-out and persisted in the manifest (see stats.go).
-	stats map[string]PartitionStats
-	// sketches is the per-partition summary sidecar registry (see
-	// sketches.go), maintained on the same lifecycle as stats and persisted
-	// in the manifest.
-	sketches map[string]*sketch.Summary
-	// hashes is the per-partition content-hash registry for anti-entropy
-	// digests (see antientropy.go), maintained on the same lifecycle and
-	// persisted in the manifest. Entries are absent when the store has no
-	// raw-bytes access.
-	hashes map[string]string
 }
 
 // New creates a warehouse over the given store, seeding all merge
@@ -193,8 +172,7 @@ func (w *Warehouse[V]) Instrument(reg *obs.Registry) {
 	w.ld.instrument(reg)
 	// A registry attached after partitions were rolled in starts from the
 	// catalog's current state rather than zero.
-	w.statGauge()
-	w.sketchGauge()
+	w.gauges()
 }
 
 // CreateDataset registers a data set. It errors if the name is empty,
@@ -291,7 +269,7 @@ func (w *Warehouse[V]) newSamplerLocked(ds *dataset, expectedN int64, src *randx
 // so a client retrying after a crash or timeout converges instead of
 // erroring.
 func (w *Warehouse[V]) RollIn(dataset, partitionID string, s *core.Sample[V]) error {
-	return w.rollIn(dataset, partitionID, s, nil)
+	return w.install(opRollIn, dataset, partitionID, s, nil, nil)
 }
 
 // RollInSketched is RollIn with a stream-built sketch sidecar: the ingest
@@ -311,134 +289,22 @@ func (w *Warehouse[V]) RollInSketched(dataset, partitionID string, s *core.Sampl
 				sk.Count, s.ParentSize)
 		}
 		sk = sk.Clone()
+		sk.Exhaustive = s != nil && s.Kind == core.Exhaustive
 	}
-	return w.rollIn(dataset, partitionID, s, sk)
-}
-
-// rollIn is the shared roll-in path; sk, when non-nil, is a validated
-// stream-built sidecar (already cloned).
-func (w *Warehouse[V]) rollIn(dataset, partitionID string, s *core.Sample[V], sk *sketch.Summary) error {
-	if partitionID == "" || strings.ContainsAny(partitionID, "/") {
-		return fmt.Errorf("warehouse: invalid partition id %q", partitionID)
-	}
-	if s == nil {
-		return fmt.Errorf("warehouse: nil sample")
-	}
-	if err := s.Validate(); err != nil {
-		return fmt.Errorf("warehouse: sample invalid: %w", err)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ds, ok := w.sets[dataset]
-	if !ok {
-		return unknownDataset(dataset)
-	}
-	replay := false
-	for _, p := range ds.partitions {
-		if p == partitionID {
-			replay = true
-			break
-		}
-	}
-	if s.Config.FootprintBytes != ds.cfg.Core.FootprintBytes ||
-		s.Config.SizeModel != ds.cfg.Core.SizeModel {
-		return fmt.Errorf("warehouse: sample config %+v does not match data set config %+v",
-			s.Config, ds.cfg.Core)
-	}
-	if err := w.store.Put(w.key(dataset, partitionID), s); err != nil {
-		err = fmt.Errorf("warehouse: roll-in %s/%s: %w", dataset, partitionID, err)
-		w.o.fail("roll-in", dataset, partitionID, err)
-		return err
-	}
-	w.ld.invalidate(w.key(dataset, partitionID))
-	if !replay {
-		ds.partitions = append(ds.partitions, partitionID)
-	}
-	w.setStat(ds, partitionID, s)
-	if sk != nil {
-		sk.Exhaustive = s.Kind == core.Exhaustive
-		w.o.sketchBuilds.Inc()
-	} else {
-		sk = w.autoSketch(s)
-	}
-	w.setSketch(ds, partitionID, sk)
-	w.setHash(ds, partitionID, w.storedHash(dataset, partitionID, sk))
-	w.dropPrior(dataset, partitionID)
-	if err := w.saveManifest(); err != nil {
-		return err
-	}
-	w.o.rollIns.Inc()
-	w.o.rollInSize.Observe(s.Size())
-	w.o.reg.Gauge("warehouse." + dataset + ".partitions").Set(int64(len(ds.partitions)))
-	w.o.event(obs.EvRollIn, dataset, partitionID, nil, map[string]int64{
-		"sample_size": s.Size(),
-		"parent_size": s.ParentSize,
-		"footprint":   s.Footprint(),
-	})
-	return nil
+	return w.install(opRollIn, dataset, partitionID, s, nil, sk)
 }
 
 // Attach registers a partition whose sample already exists in the store —
 // used when reopening a warehouse over a persistent store. The stored
 // sample is validated against the data set's configuration.
 func (w *Warehouse[V]) Attach(dataset, partitionID string) error {
-	if partitionID == "" || strings.ContainsAny(partitionID, "/") {
-		return fmt.Errorf("warehouse: invalid partition id %q", partitionID)
-	}
 	s, err := w.store.Get(w.key(dataset, partitionID))
 	if err != nil {
 		err = fmt.Errorf("warehouse: attach %s/%s: %w", dataset, partitionID, err)
-		w.o.fail("attach", dataset, partitionID, err)
+		w.o.fail(opAttach, dataset, partitionID, err)
 		return err
 	}
-	if err := s.Validate(); err != nil {
-		return fmt.Errorf("warehouse: stored sample invalid: %w", err)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ds, ok := w.sets[dataset]
-	if !ok {
-		return unknownDataset(dataset)
-	}
-	for _, p := range ds.partitions {
-		if p == partitionID {
-			return fmt.Errorf("warehouse: partition %q already attached", partitionID)
-		}
-	}
-	if s.Config.FootprintBytes != ds.cfg.Core.FootprintBytes ||
-		s.Config.SizeModel != ds.cfg.Core.SizeModel {
-		return fmt.Errorf("warehouse: stored sample config %+v does not match data set config %+v",
-			s.Config, ds.cfg.Core)
-	}
-	ds.partitions = append(ds.partitions, partitionID)
-	w.setStat(ds, partitionID, s)
-	sk := w.autoSketch(s)
-	w.setSketch(ds, partitionID, sk)
-	h := w.storedHash(dataset, partitionID, sk)
-	if ph, ok := w.priorHash(dataset, partitionID); ok {
-		// The durable manifest already seals this partition: keep the recorded
-		// hash rather than re-sealing the current bytes, so divergence between
-		// seal and store stays visible to fsck and anti-entropy.
-		h = ph
-	}
-	w.setHash(ds, partitionID, h)
-	if err := w.saveManifest(); err != nil {
-		ds.partitions = ds.partitions[:len(ds.partitions)-1]
-		w.dropStat(ds, partitionID)
-		w.dropSketch(ds, partitionID)
-		w.dropHash(ds, partitionID)
-		return err
-	}
-	w.ld.invalidate(w.key(dataset, partitionID))
-	w.o.attaches.Inc()
-	w.o.reg.Gauge("warehouse." + dataset + ".partitions").Set(int64(len(ds.partitions)))
-	w.o.event(obs.EvRollIn, dataset, partitionID,
-		map[string]string{"mode": "attach"}, map[string]int64{
-			"sample_size": s.Size(),
-			"parent_size": s.ParentSize,
-			"footprint":   s.Footprint(),
-		})
-	return nil
+	return w.install(opAttach, dataset, partitionID, s, nil, nil)
 }
 
 // RollOut removes a partition's sample (e.g. when the corresponding data
@@ -452,33 +318,28 @@ func (w *Warehouse[V]) RollOut(dataset, partitionID string) error {
 	if !ok {
 		return unknownDataset(dataset)
 	}
-	idx := -1
-	for i, p := range ds.partitions {
-		if p == partitionID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if ds.byID[partitionID] == nil {
 		return nil
 	}
-	if err := w.store.Delete(w.key(dataset, partitionID)); err != nil {
+	key := w.key(dataset, partitionID)
+	if err := w.store.Delete(key); err != nil {
 		err = fmt.Errorf("warehouse: roll-out %s/%s: %w", dataset, partitionID, err)
 		w.o.fail("roll-out", dataset, partitionID, err)
 		return err
 	}
-	w.ld.invalidate(w.key(dataset, partitionID))
-	w.ld.dropEWMA(w.key(dataset, partitionID))
-	ds.partitions = append(ds.partitions[:idx], ds.partitions[idx+1:]...)
-	w.dropStat(ds, partitionID)
-	w.dropSketch(ds, partitionID)
-	w.dropHash(ds, partitionID)
-	w.dropPrior(dataset, partitionID)
+	w.ld.invalidate(key)
+	rec, idx := ds.remove(partitionID)
 	if err := w.saveManifest(); err != nil {
+		// Same policy as install: memory never runs ahead of the manifest. The
+		// record now dangles (its sample is gone) exactly as the durable one
+		// does; a retried roll-out, or Recover, drops both.
+		ds.insert(idx, rec)
 		return err
 	}
+	w.ld.dropEWMA(key)
+	delete(w.prior, key)
 	w.o.rollOuts.Inc()
-	w.o.reg.Gauge("warehouse." + dataset + ".partitions").Set(int64(len(ds.partitions)))
+	w.gauges()
 	w.o.event(obs.EvRollOut, dataset, partitionID, nil, nil)
 	return nil
 }
@@ -491,7 +352,7 @@ func (w *Warehouse[V]) Partitions(dataset string) ([]string, error) {
 	if !ok {
 		return nil, unknownDataset(dataset)
 	}
-	return append([]string(nil), ds.partitions...), nil
+	return ds.ids(), nil
 }
 
 // Info returns metadata for one partition's sample.
