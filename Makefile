@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test bench-test bench-smoke bench bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
+.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
 
 check: fmt vet build test
 
@@ -42,6 +42,11 @@ bench-smoke:
 # The figure benches and the instrumentation-overhead comparison.
 bench:
 	go test -run XXX -bench . -benchtime 1s .
+
+# The write side's micro-benchmarks: one RollIn+RollOut cycle over a 64-partition
+# file store (ns and catalog bytes per cycle) and the sidecar build inside it.
+bench-roll:
+	go test -run XXX -bench 'BenchmarkRollCycle|BenchmarkFromSample' -benchtime=50x .
 
 # Read-path benchmark (DESIGN.md §9): cold vs warm cache and merge
 # parallelism at 64 partitions, written to BENCH_query.json.
@@ -100,17 +105,19 @@ chaos:
 chaos-cluster:
 	./scripts/chaos-cluster.sh
 
-# Short fuzz passes over the two decoders that read bytes the program did not
+# Short fuzz passes over the decoders that read bytes the program did not
 # write this run: the binary sample codec (decode must never panic and must
-# reject corrupted inputs) and the manifest (load → catalog records → save
-# must never panic, and a saved manifest is a fixed point). The manifest seeds
-# are ~40 KB, so minimizing each new corpus entry would eat the whole budget.
+# reject corrupted inputs), the manifest (load → catalog records → save must
+# never panic, and a saved catalog is a fixed point) and a partition's sidecar
+# blob (what loads validates or reads as absent). The manifest seeds are
+# ~40 KB, so minimizing each new corpus entry would eat the whole budget.
 # Override FUZZTIME for longer campaigns.
 FUZZTIME ?= 15s
 
 fuzz:
 	go test -run NONE -fuzz FuzzDecodeSample -fuzztime $(FUZZTIME) ./internal/storage
 	go test -run NONE -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/warehouse
+	go test -run NONE -fuzz FuzzLoadSidecar -fuzztime $(FUZZTIME) ./internal/warehouse
 
 # Non-test Go lines per internal package — the count ROADMAP aim 2 and its
 # simplification items gate on (raw lines: code, comments and blanks alike).

@@ -16,6 +16,9 @@ import (
 	"samplewh/internal/experiments"
 	"samplewh/internal/obs"
 	"samplewh/internal/randx"
+	"samplewh/internal/sketch"
+	"samplewh/internal/storage"
+	"samplewh/internal/warehouse"
 	"samplewh/internal/workload"
 )
 
@@ -383,6 +386,58 @@ func BenchmarkMergeK(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRollCycle is the write side of a served roll without HTTP, journal
+// or sampling: one RollIn of an 8192-entry HR sample and one RollOut of the
+// oldest partition, over a file store that keeps 64 partitions attached — the
+// sample's atomic put, its sidecar build and blob, and the manifest, twice.
+// catalog-B/op is what the store's blob side channel was handed per cycle.
+func BenchmarkRollCycle(b *testing.B) {
+	const parts = 64
+	reg := obs.NewRegistry()
+	st, err := storage.NewFileStore[int64](b.TempDir(), storage.Int64Codec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.Instrument(reg)
+	w, _, err := warehouse.Open[int64](st, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.ConfigForNF(8192)
+	if err := w.CreateDataset("d", warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: cfg}); err != nil {
+		b.Fatal(err)
+	}
+	samples := hrSamples(b, cfg, parts, 64*1024, randx.New(33))
+	for i, s := range samples {
+		if err := w.RollIn("d", fmt.Sprintf("p%06d", i), s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	written := reg.Counter("storage.file.blob_bytes_written")
+	before := written.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.RollIn("d", fmt.Sprintf("p%06d", parts+i), samples[i%parts]); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.RollOut("d", fmt.Sprintf("p%06d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(written.Value()-before)/float64(b.N), "catalog-B/op")
+}
+
+// BenchmarkFromSample is the sidecar build inside that roll-in: 8192 distinct
+// sampled values, so nearly every one misses the heavy-hitter table.
+func BenchmarkFromSample(b *testing.B) {
+	s := hrSamples(b, core.ConfigForNF(8192), 1, 64*1024, randx.New(33))[0]
+	b.ReportAllocs()
+	for b.Loop() {
+		sketch.FromSample(s)
 	}
 }
 

@@ -610,8 +610,8 @@ func (c *cli) rollout(args []string) error {
 // -fix, catalog entries whose samples are gone (dangling) are dropped, torn
 // journal tails are truncated back to the last valid frame, and fully
 // committed journal segments are removed; orphan samples are reported but
-// never deleted. Two final passes audit the manifest's sidecar state: sketch
-// summaries (missing, stale, or corrupt ones are reported and, with -fix,
+// never deleted. Two final passes audit the catalog's per-partition state:
+// sketch summaries (missing, stale, or corrupt ones are reported and, with -fix,
 // rebuilt from the stored samples) and the partition content hashes cluster
 // anti-entropy compares (missing or byte-disagreeing hashes are reported
 // and, with -fix, recomputed from the stored bytes).
@@ -734,11 +734,11 @@ func (c *cli) fsck(args []string) error {
 		return err
 	}
 
-	// Pass 5: sketch sidecars. The warehouse manifest carries one mergeable
-	// summary per partition (DESIGN.md §15); a missing, stale, or corrupt
-	// sidecar costs partition pruning and sketch-assisted answers, never
-	// correctness. With -fix, defective sidecars are rebuilt from the stored
-	// samples and the manifest is rewritten.
+	// Pass 5: sketch sidecars. Every partition the manifest lists has one
+	// mergeable summary stored beside its sample (DESIGN.md §15); a missing,
+	// stale, or corrupt sidecar costs partition pruning and sketch-assisted
+	// answers, never correctness. With -fix, defective sidecars are rebuilt
+	// from the stored samples and those blobs rewritten.
 	skRep, err := warehouse.FsckSketches(c.st, *fix)
 	if err != nil {
 		return fmt.Errorf("fsck: sketches: %w", err)

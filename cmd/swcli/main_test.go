@@ -409,9 +409,9 @@ func TestCLIFsckOpensDamagedWarehouse(t *testing.T) {
 	}
 }
 
-// TestCLIFsckSketchPass damages the manifest's sketch sidecars directly —
-// one deleted, one carrying a future format version — and checks fsck
-// reports both while -fix rebuilds them from the stored samples.
+// TestCLIFsckSketchPass damages the stored sketch sidecars directly — one
+// deleted, one carrying a future format version — and checks fsck reports
+// both while -fix rebuilds them from the stored samples.
 func TestCLIFsckSketchPass(t *testing.T) {
 	dir := t.TempDir()
 	c := newCLI(t, dir)
@@ -428,22 +428,23 @@ func TestCLIFsckSketchPass(t *testing.T) {
 		t.Fatalf("fsck on a fresh warehouse: %v", err)
 	}
 
-	raw, err := c.st.GetBlob("warehouse-manifest")
+	if err := c.st.DeleteBlob("orders/p1"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := c.st.GetBlob("orders/p2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
+	var sk map[string]any
+	if err := json.Unmarshal(raw, &sk); err != nil {
 		t.Fatal(err)
 	}
-	sketches := m["datasets"].(map[string]any)["orders"].(map[string]any)["partition_sketches"].(map[string]any)
-	delete(sketches, "p1")
-	sketches["p2"].(map[string]any)["version"] = 99
-	damaged, err := json.Marshal(m)
+	sk["version"] = 99
+	damaged, err := json.Marshal(sk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.st.PutBlob("warehouse-manifest", damaged); err != nil {
+	if err := c.st.PutBlob("orders/p2", damaged); err != nil {
 		t.Fatal(err)
 	}
 

@@ -40,6 +40,9 @@ const (
 	// syncing — the two crash shapes the recovery path must survive.
 	OpWalAppend
 	OpWalSync
+	// OpDeleteBlob is last so the classes before it keep the numbers Rates
+	// hashes into its decisions: seeded schedules replay as before.
+	OpDeleteBlob
 	numOps
 )
 
@@ -62,6 +65,8 @@ func (o Op) String() string {
 		return "wal_append"
 	case OpWalSync:
 		return "wal_sync"
+	case OpDeleteBlob:
+		return "delete_blob"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -224,8 +229,8 @@ func sum(a [numOps]int64) int64 {
 
 // Store wraps an inner storage.Store with a fault schedule. It forwards the
 // blob side channel when the inner store provides one, injecting OpPutBlob/
-// OpGetBlob faults the same way. Safe for concurrent use if the inner store
-// is.
+// OpGetBlob/OpDeleteBlob faults the same way. Safe for concurrent use if the
+// inner store is.
 type Store[V comparable] struct {
 	inner    storage.Store[V]
 	sched    Schedule
@@ -353,6 +358,18 @@ func (s *Store[V]) GetBlob(name string) ([]byte, error) {
 		return nil, err
 	}
 	return bs.GetBlob(name)
+}
+
+// DeleteBlob implements storage.BlobStore.
+func (s *Store[V]) DeleteBlob(name string) error {
+	bs, ok := s.inner.(storage.BlobStore)
+	if !ok {
+		return storage.ErrBlobsUnsupported
+	}
+	if err := s.apply(OpDeleteBlob, name); err != nil {
+		return err
+	}
+	return bs.DeleteBlob(name)
 }
 
 // ExpectedFailures returns the expected number of injected transients for n

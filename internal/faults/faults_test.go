@@ -191,6 +191,22 @@ func TestBlobForwarding(t *testing.T) {
 	if _, err := st.GetBlob("m"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second GetBlob err = %v", err)
 	}
+	del := Wrap[int64](storage.NewMemStore[int64](), FailNth{Op: OpDeleteBlob, N: 1, Err: TransientErr(OpDeleteBlob, "m")})
+	if err := del.PutBlob("m", []byte("sidecar")); err != nil {
+		t.Fatal(err)
+	}
+	if err := del.DeleteBlob("m"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("first DeleteBlob err = %v", err)
+	}
+	if b, err := del.GetBlob("m"); err != nil || string(b) != "sidecar" {
+		t.Fatalf("a failed DeleteBlob removed the blob: %q, %v", b, err)
+	}
+	if err := del.DeleteBlob("m"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := del.GetBlob("m"); !storage.IsNotFound(err) {
+		t.Fatalf("GetBlob after DeleteBlob: %v", err)
+	}
 }
 
 func TestInstrumentCounters(t *testing.T) {

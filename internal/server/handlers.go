@@ -494,6 +494,14 @@ func (s *Server) handlePartitionInfo(w http.ResponseWriter, r *http.Request) err
 // framing, small enough to keep the handler's buffer bounded.
 const ingestChunk = 4096
 
+// A line of the ingest body may be up to maxIngestLine bytes, newline
+// included; the scanner starts at scanBufStart and grows on demand, so a
+// request of ordinary 21-byte lines does not pay for the longest one allowed.
+const (
+	maxIngestLine = 1 << 20
+	scanBufStart  = 64 << 10
+)
+
 // valueSource hands an ingest batch over a chunk at a time: each call returns
 // up to ingestChunk values, valid until the next call, and none at the end.
 type valueSource func() ([]int64, error)
@@ -513,7 +521,7 @@ func (s *Server) scanValues(w http.ResponseWriter, r *http.Request) valueSource 
 		}
 		if sc == nil {
 			sc = bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-			sc.Buffer(make([]byte, 1<<20), 1<<20)
+			sc.Buffer(make([]byte, scanBufStart), maxIngestLine)
 			chunk = make([]int64, 0, ingestChunk)
 		}
 		chunk = chunk[:0]

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -206,5 +208,54 @@ func TestClusterIngestClientErrorIs4xx(t *testing.T) {
 		if resp, err := in.clients[0].IngestValues(ctx, "hb", "p", 100, seqValues(0, 100)); err != nil || resp.Sample.ParentSize != 100 {
 			t.Errorf("%s: HB ingest with expected: %+v, %v", name, resp, err)
 		}
+	}
+}
+
+// TestScanValuesLineBound: the body scanner takes a line of up to 1 MiB,
+// newline included, and answers 400 to a longer one, whatever size its buffer
+// starts at — and a request of ordinary lines allocates that starting buffer
+// and the chunk, not the megabyte the longest permitted line would need.
+func TestScanValuesLineBound(t *testing.T) {
+	s := newTestServer(t, Config{})
+	scan := func(body string) ([]int64, error) {
+		r := httptest.NewRequest(http.MethodPut, "/v1/datasets/d/partitions/p", strings.NewReader(body))
+		var all []int64
+		for source := s.scanValues(httptest.NewRecorder(), r); ; {
+			chunk, err := source()
+			if err != nil || len(chunk) == 0 {
+				return all, err
+			}
+			all = append(all, chunk...)
+		}
+	}
+	pad := func(n int) string { return strings.Repeat(" ", n-1) + "7" }
+
+	vals, err := scan("1\n" + pad(1<<20-1) + "\n3\n")
+	if err != nil || !slices.Equal(vals, []int64{1, 7, 3}) {
+		t.Fatalf("a (1 MiB − 1)-byte line: values %v, err %v", vals, err)
+	}
+	if _, err := scan(strings.Repeat("9", 1<<20-1) + "\n"); err == nil || !strings.Contains(err.Error(), "value 1: ") {
+		t.Fatalf("a (1 MiB − 1)-digit value: err = %v, want the parse failure", err)
+	}
+	var he *httpError
+	if _, err := scan("1\n" + pad(1<<20) + "\n"); !errors.As(err, &he) || he.code != http.StatusBadRequest ||
+		!strings.Contains(he.msg, "read: bufio.Scanner: token too long") {
+		t.Fatalf("a 1 MiB line: err = %v, want 400 token too long", err)
+	}
+
+	body := strings.Repeat("-1234567890123456789\n", 2*ingestChunk)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if vals, err := scan(body); err != nil || len(vals) != 2*ingestChunk {
+			t.Fatalf("scan: %d values, %v", len(vals), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// 64 KiB of scanner buffer, 32 KiB of chunk, this test's own ~192 KiB of
+	// collected values and the request; the megabyte buffer put it over 1.3 MB.
+	if perReq := (after.TotalAlloc - before.TotalAlloc) / runs; perReq > 400<<10 {
+		t.Fatalf("scanning 8192 short lines allocates %d bytes per request, want under 400 KiB", perReq)
 	}
 }

@@ -106,9 +106,14 @@ func Hash(v int64) uint64 { return splitmix64(uint64(v)) }
 // Builder accumulates a stream of values into a Summary. The zero Builder
 // is not ready; use NewBuilder.
 type Builder struct {
-	sum        Summary
-	kmv        *kmvHeap
-	heavy      map[int64]*HeavyHit
+	sum Summary
+	kmv *kmvHeap
+	// heavy holds the space-saving counters in claim order, at most heavyK of
+	// them; slot maps a tracked value to its index in heavy. An eviction
+	// overwrites the minimum counter in place, so a stream of unseen values
+	// allocates nothing.
+	heavy      []HeavyHit
+	slot       map[int64]int
 	heavyK     int
 	heavyFloor int64
 }
@@ -135,7 +140,8 @@ func NewBuilderSized(kmvK, heavyK int) *Builder {
 			HeavyK:  heavyK,
 		},
 		kmv:    newKMVHeap(kmvK),
-		heavy:  make(map[int64]*HeavyHit, heavyK),
+		heavy:  make([]HeavyHit, 0, heavyK),
+		slot:   make(map[int64]int, heavyK),
 		heavyK: heavyK,
 	}
 }
@@ -168,25 +174,29 @@ func (b *Builder) AddN(v int64, n int64) {
 // values claim a free slot, or evict the minimum counter inheriting its
 // count as error.
 func (b *Builder) addHeavy(v int64, n int64) {
-	if h, ok := b.heavy[v]; ok {
-		h.Count += n
+	if i, ok := b.slot[v]; ok {
+		b.heavy[i].Count += n
 		return
 	}
 	if len(b.heavy) < b.heavyK {
-		b.heavy[v] = &HeavyHit{Value: v, Count: n}
+		b.slot[v] = len(b.heavy)
+		b.heavy = append(b.heavy, HeavyHit{Value: v, Count: n})
 		return
 	}
 	// Evict the minimum-count entry (ties broken by value for determinism).
-	var min *HeavyHit
-	for _, h := range b.heavy {
-		if min == nil || h.Count < min.Count || (h.Count == min.Count && h.Value < min.Value) {
-			min = h
+	min := 0
+	for i := 1; i < len(b.heavy); i++ {
+		h, m := &b.heavy[i], &b.heavy[min]
+		if h.Count < m.Count || (h.Count == m.Count && h.Value < m.Value) {
+			min = i
 		}
 	}
-	delete(b.heavy, min.Value)
-	b.heavy[v] = &HeavyHit{Value: v, Count: min.Count + n, Err: min.Count}
-	if min.Count > b.heavyFloor {
-		b.heavyFloor = min.Count
+	evicted := b.heavy[min]
+	delete(b.slot, evicted.Value)
+	b.slot[v] = min
+	b.heavy[min] = HeavyHit{Value: v, Count: evicted.Count + n, Err: evicted.Count}
+	if evicted.Count > b.heavyFloor {
+		b.heavyFloor = evicted.Count
 	}
 }
 
@@ -195,10 +205,7 @@ func (b *Builder) addHeavy(v int64, n int64) {
 func (b *Builder) Summary() *Summary {
 	s := b.sum // copy
 	s.KMV = b.kmv.sorted()
-	s.Heavy = make([]HeavyHit, 0, len(b.heavy))
-	for _, h := range b.heavy {
-		s.Heavy = append(s.Heavy, *h)
-	}
+	s.Heavy = append(make([]HeavyHit, 0, len(b.heavy)), b.heavy...)
 	sortHeavy(s.Heavy)
 	s.HeavyFloor = b.heavyFloor
 	return &s
@@ -227,20 +234,22 @@ func newKMVHeap(k int) *kmvHeap {
 }
 
 func (m *kmvHeap) insert(hash uint64) {
+	// A full heap turns most of a stream away on one comparison: a hash at or
+	// above the threshold is either the threshold itself or not kept, so the
+	// seen lookup is only for hashes that could enter.
+	if len(m.h) == m.k && hash >= m.h[0] {
+		return
+	}
 	if _, dup := m.seen[hash]; dup {
 		return
 	}
+	m.seen[hash] = struct{}{}
 	if len(m.h) < m.k {
-		m.seen[hash] = struct{}{}
 		m.h = append(m.h, hash)
 		m.up(len(m.h) - 1)
 		return
 	}
-	if hash >= m.h[0] {
-		return
-	}
 	delete(m.seen, m.h[0])
-	m.seen[hash] = struct{}{}
 	m.h[0] = hash
 	m.down(0)
 }

@@ -354,3 +354,131 @@ func TestUnionKMVTruncates(t *testing.T) {
 		t.Fatalf("validate: %v", err)
 	}
 }
+
+// refBuilder is the builder as it stood before the heavy-hitter table became
+// a slice and the KMV heap learned to test its threshold first: a map of
+// heap-allocated counters walked for its minimum on every unseen value, and a
+// seen lookup on every hash. It is kept as the reference the fast builder's
+// output is compared against, byte for byte.
+type refBuilder struct {
+	sum        Summary
+	k          int
+	kmv        []uint64 // max-heap
+	seen       map[uint64]struct{}
+	heavy      map[int64]*HeavyHit
+	heavyK     int
+	heavyFloor int64
+}
+
+func newRefBuilder(kmvK, heavyK int) *refBuilder {
+	proto := NewBuilderSized(kmvK, heavyK).sum // the same empty summary, clamps included
+	return &refBuilder{sum: proto, k: proto.KMVK, seen: map[uint64]struct{}{},
+		heavy: map[int64]*HeavyHit{}, heavyK: proto.HeavyK}
+}
+
+func (b *refBuilder) AddN(v, n int64) {
+	if n <= 0 {
+		return
+	}
+	b.sum.Count += n
+	b.sum.Observed += n
+	b.sum.Min = minI64(b.sum.Min, v)
+	b.sum.Max = maxI64(b.sum.Max, v)
+	f := float64(v)
+	b.sum.Sum += f * float64(n)
+	b.sum.Sum2 += f * f * float64(n)
+	b.insert(Hash(v))
+	b.addHeavy(v, n)
+}
+
+func (b *refBuilder) addHeavy(v, n int64) {
+	if h, ok := b.heavy[v]; ok {
+		h.Count += n
+		return
+	}
+	if len(b.heavy) < b.heavyK {
+		b.heavy[v] = &HeavyHit{Value: v, Count: n}
+		return
+	}
+	var min *HeavyHit
+	for _, h := range b.heavy {
+		if min == nil || h.Count < min.Count || (h.Count == min.Count && h.Value < min.Value) {
+			min = h
+		}
+	}
+	delete(b.heavy, min.Value)
+	b.heavy[v] = &HeavyHit{Value: v, Count: min.Count + n, Err: min.Count}
+	if min.Count > b.heavyFloor {
+		b.heavyFloor = min.Count
+	}
+}
+
+func (b *refBuilder) insert(hash uint64) {
+	if _, dup := b.seen[hash]; dup {
+		return
+	}
+	m := &kmvHeap{k: b.k, h: b.kmv}
+	defer func() { b.kmv = m.h }()
+	if len(m.h) < m.k {
+		b.seen[hash] = struct{}{}
+		m.h = append(m.h, hash)
+		m.up(len(m.h) - 1)
+		return
+	}
+	if hash >= m.h[0] {
+		return
+	}
+	delete(b.seen, m.h[0])
+	b.seen[hash] = struct{}{}
+	m.h[0] = hash
+	m.down(0)
+}
+
+func (b *refBuilder) Summary() *Summary {
+	s := b.sum
+	s.KMV = (&kmvHeap{h: b.kmv}).sorted()
+	s.Heavy = make([]HeavyHit, 0, len(b.heavy))
+	for _, h := range b.heavy {
+		s.Heavy = append(s.Heavy, *h)
+	}
+	sortHeavy(s.Heavy)
+	s.HeavyFloor = b.heavyFloor
+	return &s
+}
+
+// TestBuilderMatchesReference: the fast builder changes how the summary is
+// computed, never what it is — stored sidecars, content hashes and served
+// answers all hang on that.
+func TestBuilderMatchesReference(t *testing.T) {
+	type item struct{ v, n int64 }
+	rng := rand.New(rand.NewSource(20))
+	zipf := rand.NewZipf(rng, 1.2, 1, 1<<20)
+	streams := map[string][]item{}
+	for i := int64(0); i < 20000; i++ {
+		streams["all-distinct"] = append(streams["all-distinct"], item{i*7919 - 50000, 1})
+		streams["zipf"] = append(streams["zipf"], item{int64(zipf.Uint64()), 1})
+		streams["few-distinct"] = append(streams["few-distinct"], item{rng.Int63n(12), 1})
+		// Histogram entries as FromSample feeds them: scaled multiplicities,
+		// ties in count, the odd non-positive one (ignored).
+		streams["multiplicity"] = append(streams["multiplicity"], item{rng.Int63n(3000), rng.Int63n(9) - 1})
+	}
+	for name, stream := range streams {
+		for _, heavyK := range []int{1, 16, 64} {
+			for _, kmvK := range []int{1, 256} {
+				fast, ref := NewBuilderSized(kmvK, heavyK), newRefBuilder(kmvK, heavyK)
+				for i, it := range stream {
+					fast.AddN(it.v, it.n)
+					ref.AddN(it.v, it.n)
+					if i != 100 && i != len(stream)-1 { // mid-stream snapshots count too
+						continue
+					}
+					got, _ := json.Marshal(fast.Summary())
+					want, _ := json.Marshal(ref.Summary())
+					if string(got) != string(want) {
+						t.Fatalf("%s heavyK=%d kmvK=%d after %d values:\n got %s\nwant %s", name, heavyK, kmvK, i+1, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -7,12 +7,12 @@ import (
 )
 
 // BlobStore is the optional byte-level side channel a Store may provide for
-// small metadata documents — the warehouse persists its catalog manifest
-// through it. Blob names use the same escaping as sample keys but a distinct
-// file extension, so blobs and samples never collide and Keys never lists
-// blobs. Both built-in stores implement it; wrappers (RetryStore, the fault
-// injector) forward it and report ErrBlobsUnsupported when their inner store
-// lacks it.
+// small metadata documents — the warehouse persists its catalog manifest and
+// one sketch sidecar per partition through it. Blob names use the same
+// escaping as sample keys but a distinct file extension, so blobs and samples
+// never collide and Keys never lists blobs. Both built-in stores implement
+// it; wrappers (RetryStore, the fault injector) forward it and report
+// ErrBlobsUnsupported when their inner store lacks it.
 type BlobStore interface {
 	// PutBlob stores data under name, replacing any existing blob, with the
 	// same atomicity guarantee as Put.
@@ -20,6 +20,9 @@ type BlobStore interface {
 	// GetBlob returns the blob stored under name, or an error satisfying
 	// IsNotFound if absent. Callers own the returned slice.
 	GetBlob(name string) ([]byte, error)
+	// DeleteBlob removes the blob under name; deleting a missing blob is a
+	// no-op.
+	DeleteBlob(name string) error
 }
 
 // ErrBlobsUnsupported is returned by store wrappers whose underlying store
@@ -35,6 +38,7 @@ func (s *MemStore[V]) PutBlob(name string, data []byte) error {
 	s.mu.Lock()
 	s.blobs[name] = cp
 	s.mu.Unlock()
+	s.o.blobPut(len(data))
 	return nil
 }
 
@@ -43,10 +47,20 @@ func (s *MemStore[V]) GetBlob(name string) ([]byte, error) {
 	s.mu.RLock()
 	data, ok := s.blobs[name]
 	s.mu.RUnlock()
+	s.o.blobGets.Inc()
 	if !ok {
 		return nil, &NotFoundError{Key: name}
 	}
 	return append([]byte(nil), data...), nil
+}
+
+// DeleteBlob implements BlobStore.
+func (s *MemStore[V]) DeleteBlob(name string) error {
+	s.mu.Lock()
+	delete(s.blobs, name)
+	s.mu.Unlock()
+	s.o.blobDeletes.Inc()
+	return nil
 }
 
 // PutBlob implements BlobStore with the same atomic temp-file + rename path
@@ -61,6 +75,7 @@ func (s *FileStore[V]) PutBlob(name string, data []byte) error {
 	if err := writeAtomic(path, data); err != nil {
 		return fmt.Errorf("storage: put blob %q: %w", name, err)
 	}
+	s.o.blobPut(len(data))
 	return nil
 }
 
@@ -71,6 +86,7 @@ func (s *FileStore[V]) GetBlob(name string) ([]byte, error) {
 		return nil, err
 	}
 	data, err := os.ReadFile(path)
+	s.o.blobGets.Inc()
 	if os.IsNotExist(err) {
 		return nil, &NotFoundError{Key: name, Err: err}
 	}
@@ -78,6 +94,24 @@ func (s *FileStore[V]) GetBlob(name string) ([]byte, error) {
 		return nil, fmt.Errorf("storage: get blob %q: read: %w", name, err)
 	}
 	return data, nil
+}
+
+// DeleteBlob implements BlobStore. Like Delete it leaves the removal to the
+// next directory sync: a blob that reappears after a power cut is one the
+// manifest no longer names.
+func (s *FileStore[V]) DeleteBlob(name string) error {
+	path, err := s.pathForExt(name, blobExt)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	err = os.Remove(path)
+	s.mu.Unlock()
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("storage: delete blob %q: %w", name, err)
+	}
+	s.o.blobDeletes.Inc()
+	return nil
 }
 
 var (

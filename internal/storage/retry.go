@@ -216,6 +216,16 @@ func (s *RetryStore[V]) GetBlob(name string) ([]byte, error) {
 	return out, nil
 }
 
+// DeleteBlob implements BlobStore by forwarding under the retry budget;
+// ErrBlobsUnsupported when the inner store has no blob support.
+func (s *RetryStore[V]) DeleteBlob(name string) error {
+	bs, ok := s.inner.(BlobStore)
+	if !ok {
+		return ErrBlobsUnsupported
+	}
+	return s.do("delete_blob", name, func() error { return bs.DeleteBlob(name) })
+}
+
 var (
 	_ Store[int64] = (*RetryStore[int64])(nil)
 	_ BlobStore    = (*RetryStore[int64])(nil)

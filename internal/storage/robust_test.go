@@ -461,3 +461,48 @@ func TestErrorClassification(t *testing.T) {
 		t.Fatal("Transient(nil) != nil")
 	}
 }
+
+// TestBlobSideChannel: both stores — and the retry wrapper over them — put,
+// get and delete blobs, count every operation and the bytes written, keep
+// blobs out of Keys, and treat deleting a missing blob as done.
+func TestBlobSideChannel(t *testing.T) {
+	fs, err := NewFileStore[int64](t.TempDir(), Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type blobStore interface {
+		Store[int64]
+		BlobStore
+		Instrument(*obs.Registry)
+	}
+	for kind, st := range map[string]blobStore{"storage.mem": NewMemStore[int64](), "storage.file": fs} {
+		reg := obs.NewRegistry()
+		st.Instrument(reg)
+		var bs BlobStore = NewRetryStore[int64](st, RetryPolicy{})
+		if err := bs.PutBlob("ds/p1", []byte("sidecar")); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if got, err := bs.GetBlob("ds/p1"); err != nil || string(got) != "sidecar" {
+			t.Fatalf("%s: GetBlob = %q, %v", kind, got, err)
+		}
+		if keys, _ := st.Keys(""); len(keys) != 0 {
+			t.Fatalf("%s: Keys lists blobs: %v", kind, keys)
+		}
+		for i := 0; i < 2; i++ { // the second delete finds nothing, and is no error
+			if err := bs.DeleteBlob("ds/p1"); err != nil {
+				t.Fatalf("%s: DeleteBlob #%d: %v", kind, i+1, err)
+			}
+		}
+		if _, err := bs.GetBlob("ds/p1"); !IsNotFound(err) {
+			t.Fatalf("%s: GetBlob after delete: %v", kind, err)
+		}
+		for name, want := range map[string]int64{"blob_puts": 1, "blob_bytes_written": 7, "blob_gets": 2, "blob_deletes": 2} {
+			if got := reg.Counter(kind + "." + name).Value(); got != want {
+				t.Errorf("%s.%s = %d, want %d", kind, name, got, want)
+			}
+		}
+	}
+	if err := fs.DeleteBlob("../escape"); err == nil {
+		t.Fatal("file store deleted a blob outside its root")
+	}
+}

@@ -115,7 +115,7 @@ func (w *Warehouse[V]) priorHash(dataset, partitionID string) string {
 		if blob != nil {
 			if m, err := loadManifest(blob); err == nil {
 				for name, md := range m.Datasets {
-					for _, p := range md.records() {
+					for _, p := range md.records(nil, name) { // the seals only: no sidecar is read
 						w.prior[w.key(name, p.id)] = p.hash
 					}
 				}

@@ -23,8 +23,12 @@ type partition struct {
 	stats PartitionStats
 	known bool
 	// sketch is the summary sidecar (sketches.go); nil for value types without
-	// sketch support and for pre-sketch manifests until a query backfills it.
-	sketch *sketch.Summary
+	// sketch support and for partitions whose stored sidecar is missing or
+	// unusable, until a query backfills it. sketchUnsaved marks a sidecar the
+	// store's blob for this partition does not hold yet: the next catalog
+	// write sends it (setRecords) and no other.
+	sketch        *sketch.Summary
+	sketchUnsaved bool
 	// hash seals the stored sample bytes for anti-entropy (antientropy.go);
 	// "" when the store has no raw access or the manifest predates hashes.
 	hash string
@@ -126,10 +130,12 @@ const (
 // validate → put → invalidate → upsert → persist → account. raw is the
 // encoded sample when the caller has it (adopt); sk is a sidecar the caller
 // brings (stream-built or transferred, already validated and cloned) or nil
-// to derive one from the sample. When the manifest cannot be saved the
-// previous record (or none) is restored, so after any return the in-memory
-// catalog equals the last manifest written; the stored bytes may then be
-// ahead of their seal, which a retry — or fsck — converges.
+// to derive one from the sample. Persist is this record's sidecar blob, then
+// the manifest. When either cannot be saved the previous record (or none) is
+// restored, so after any return the in-memory catalog equals the last
+// manifest written; the stored bytes may then be ahead of their seal — never
+// beside a sidecar that describes other bytes — which a retry, or fsck,
+// converges.
 func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []byte, sk *sketch.Summary) error {
 	if err := checkPartitionID(id); err != nil {
 		return err
@@ -154,6 +160,16 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 		return fmt.Errorf("warehouse: %s %s/%s: sample config %+v does not match data set config %+v",
 			op, dataset, id, s.Config, ds.cfg.Core)
 	}
+	if ds.byID[id] != nil {
+		// A replaced partition's sidecar goes before its bytes change. Until
+		// the new one is put the partition has none, which reads as absent
+		// and is rebuilt on demand; the old one beside the new bytes would
+		// read as a proof about them.
+		if err := w.deleteSidecar(key); err != nil {
+			w.o.fail(op, dataset, id, err)
+			return err
+		}
+	}
 	rs, hasRaw := w.rawStore()
 	var err error
 	switch op {
@@ -174,7 +190,7 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 	} else if op == opRollIn {
 		w.o.sketchBuilds.Inc() // stream-built; an adopted sidecar was built elsewhere
 	}
-	rec := partition{id: id, stats: statsOf(s), known: true, sketch: sk}
+	rec := partition{id: id, stats: statsOf(s), known: true, sketch: sk, sketchUnsaved: true}
 	if op == opAttach {
 		// A seal the durable manifest already holds is kept rather than
 		// recomputed from the current bytes, so divergence between seal and
@@ -192,7 +208,11 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 	prev, replaced := ds.upsert(rec)
 	if err := w.saveManifest(); err != nil {
 		if replaced {
+			// The old record comes back without its sidecar, which describes
+			// the bytes that were just replaced.
+			prev.sketch = nil
 			ds.upsert(prev)
+			w.gauges()
 		} else {
 			ds.remove(id)
 		}
@@ -245,7 +265,7 @@ func (w *Warehouse[V]) backfill(dataset string, fixes []partition) {
 			stats++
 		}
 		if fix.sketch != nil && validSketch(p.sketch) == nil {
-			p.sketch = fix.sketch
+			p.sketch, p.sketchUnsaved = fix.sketch, true
 			sketches++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -19,8 +20,11 @@ import (
 // commit before the catalog became one record per partition (run this test
 // with -update-golden there to regenerate it), from the deterministic build
 // below — an HR and an SB data set, partition-seeded samplers, one
-// stream-sketched roll-in, one replaced roll-in, one roll-out.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden-manifest.json from goldenStore")
+// stream-sketched roll-in, one replaced roll-in, one roll-out. It carries its
+// five sidecars inline, which makes it the legacy fixture too: today's writer
+// produces the same manifest minus partition_sketches, and the same sidecars
+// as one blob each.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden-manifest.json from goldenStore (at the commit that wrote sidecars inline)")
 
 const goldenPath = "testdata/golden-manifest.json"
 
@@ -81,6 +85,35 @@ func storedManifest(t testing.TB, st *storage.MemStore[int64]) []byte {
 	return data
 }
 
+// withoutSidecars is a manifest as today's writer lays it out: the same bytes
+// less the inline partition_sketches.
+func withoutSidecars(t testing.TB, data []byte) []byte {
+	return stripped(t, data, "partition_sketches")
+}
+
+// storedSidecars returns the sidecar blob of every partition the manifest
+// names that has one, by store key, re-marshalled compactly.
+func storedSidecars(t testing.TB, st *storage.MemStore[int64]) map[string]string {
+	t.Helper()
+	m, err := loadManifest(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for name, md := range m.Datasets {
+		for _, id := range md.Partitions {
+			if sk := loadSidecar(st, name+"/"+id); sk != nil {
+				data, err := json.Marshal(sk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[name+"/"+id] = string(data)
+			}
+		}
+	}
+	return out
+}
+
 // reopenAndResave puts data in place of st's manifest, opens a warehouse over
 // it and forces a catalog write, returning the warehouse and what it wrote.
 func reopenAndResave(t *testing.T, st *storage.MemStore[int64], data []byte) (*Warehouse[int64], []byte) {
@@ -117,20 +150,35 @@ func TestGoldenManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The write side still produces the same catalog, byte for byte: same
-	// partition order, same stats, same sidecars, same content hashes (so
-	// the same stored sample bytes and the same RNG draws).
-	if !bytes.Equal(built, golden) {
-		t.Fatalf("rebuilt manifest differs from golden:\n%s", built)
+	// partition order, same stats, same content hashes (so the same stored
+	// sample bytes and the same RNG draws) in the manifest, and the same
+	// sidecars beside the samples.
+	if !bytes.Equal(built, withoutSidecars(t, golden)) {
+		t.Fatalf("rebuilt manifest differs from golden less its sidecars:\n%s", built)
 	}
-	// ...and the read side loads it and writes it back unchanged.
-	if _, resaved := reopenAndResave(t, st, golden); !bytes.Equal(resaved, golden) {
-		t.Fatalf("golden manifest re-saved differently:\n%s", resaved)
-	}
-
 	var m manifest
 	if err := json.Unmarshal(golden, &m); err != nil {
 		t.Fatal(err)
 	}
+	inline := map[string]string{}
+	for name, md := range m.Datasets {
+		for id, sk := range md.Sketches {
+			data, err := json.Marshal(sk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inline[name+"/"+id] = string(data)
+		}
+	}
+	if got := storedSidecars(t, st); len(inline) != 5 || !reflect.DeepEqual(got, inline) {
+		t.Fatalf("rebuilt sidecar blobs differ from the golden manifest's inline ones:\n got %v\nwant %v", got, inline)
+	}
+	// ...and the read side loads the golden manifest and writes it back in
+	// today's layout, every other byte unchanged.
+	if _, resaved := reopenAndResave(t, st, golden); !bytes.Equal(resaved, withoutSidecars(t, golden)) {
+		t.Fatalf("golden manifest re-saved differently:\n%s", resaved)
+	}
+
 	if got := m.Datasets["orders"].Partitions; len(got) != 3 || got[0] != "d2" {
 		t.Fatalf("orders partitions = %v, want the replaced d2 first of three", got)
 	}
@@ -144,7 +192,7 @@ func TestGoldenManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, resaved := reopenAndResave(t, st, withEWMA); !bytes.Equal(resaved, withEWMA) {
+	if _, resaved := reopenAndResave(t, st, withEWMA); !bytes.Equal(resaved, withoutSidecars(t, withEWMA)) {
 		t.Fatalf("load_ewma_ns lost in the round trip:\n%s", resaved)
 	}
 }
@@ -189,8 +237,16 @@ func TestGoldenManifestStripped(t *testing.T) {
 		t.Run(field, func(t *testing.T) {
 			st, _ := goldenStore(t)
 			old := stripped(t, golden, field)
+			if field == "partition_sketches" {
+				// A store from before sidecars has none beside its samples either.
+				for key := range storedSidecars(t, st) {
+					if err := st.DeleteBlob(key); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			w, resaved := reopenAndResave(t, st, old)
-			if !bytes.Equal(resaved, old) {
+			if !bytes.Equal(resaved, withoutSidecars(t, old)) {
 				t.Fatalf("manifest without %s re-saved differently:\n%s", field, resaved)
 			}
 			parts, _ := w.Partitions("orders")
@@ -234,7 +290,7 @@ func TestGoldenManifestStripped(t *testing.T) {
 				if err != nil || len(rep.Missing) != 5 || len(rep.Fixed) != 5 {
 					t.Fatalf("FsckHashes(fix) = %+v, %v; want 5 missing, 5 fixed", rep, err)
 				}
-				if got := storedManifest(t, st); !bytes.Equal(got, golden) {
+				if got := storedManifest(t, st); !bytes.Equal(got, withoutSidecars(t, golden)) {
 					t.Fatalf("re-sealed manifest differs from golden:\n%s", got)
 				}
 			}

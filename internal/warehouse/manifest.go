@@ -16,7 +16,9 @@ import (
 // manifestName is the blob key of the warehouse catalog. It lives beside the
 // sample files (".blob" suffix on file stores) and goes through the same
 // atomic-rename write path, so a crash leaves either the old catalog or the
-// new one — never a torn manifest.
+// new one — never a torn manifest. Each partition's sketch sidecar is a blob
+// of its own, named by the partition's store key: it sits beside the sample
+// it summarizes and counts for nothing until the manifest names the partition.
 const manifestName = "warehouse-manifest"
 
 // manifestVersion is bumped on incompatible manifest layout changes; older
@@ -43,10 +45,9 @@ type manifestDataset struct {
 	// registry existed still load under the same version: their partitions
 	// simply plan as "unknown" until the first planned query backfills them.
 	Stats map[string]manifestPartitionStats `json:"partition_stats,omitempty"`
-	// Sketches is the per-partition sidecar registry (see sketches.go). Also
-	// optional under the same version: partitions without sidecars are
-	// backfilled from their stored samples the first time a sketch-assisted
-	// query loads them, or by swcli fsck -fix.
+	// Sketches is where manifests used to carry the sidecars inline; it is
+	// still read (records) and never written — the first catalog write moves
+	// the sidecars out to their blobs.
 	Sketches map[string]*sketch.Summary `json:"partition_sketches,omitempty"`
 	// Hashes is the per-partition content-hash registry for anti-entropy
 	// digests (see antientropy.go). Optional under the same version:
@@ -76,30 +77,57 @@ func parseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
-// records reads a manifest data set's four parallel registries as catalog
-// records in roll-in order — the one place the on-disk layout is decoded.
-// Sidecars come back as stored, valid or not: Open drops the unusable ones,
-// fsck reports them.
-func (md manifestDataset) records() []*partition {
+// records reads a manifest data set's registries, and each partition's sidecar
+// blob, as catalog records in roll-in order — with setRecords the one place the
+// on-disk layout is known. Sidecars come back as stored, valid or not: Open
+// drops the unusable ones, fsck reports them; a blob that is missing or does
+// not decode is no sidecar. An inline sidecar wins over a blob and is marked
+// for the move out. A nil blob store reads the manifest's own facts only.
+func (md manifestDataset) records(blob storage.BlobStore, dataset string) []*partition {
 	recs := make([]*partition, len(md.Partitions))
 	for i, id := range md.Partitions {
 		st, known := md.Stats[id]
+		sk := md.Sketches[id]
+		inline := sk != nil
+		if !inline && blob != nil {
+			sk = loadSidecar(blob, dataset+"/"+id)
+		}
 		recs[i] = &partition{
-			id:     id,
-			stats:  st.PartitionStats,
-			known:  known,
-			sketch: md.Sketches[id],
-			hash:   md.Hashes[id],
-			ewmaNS: st.LoadEWMANS,
+			id:            id,
+			stats:         st.PartitionStats,
+			known:         known,
+			sketch:        sk,
+			sketchUnsaved: inline,
+			hash:          md.Hashes[id],
+			ewmaNS:        st.LoadEWMANS,
 		}
 	}
 	return recs
 }
 
-// setRecords is the inverse of records: it lays the records out as the four
-// registries, each omitted while no record has an entry for it, so a catalog
-// loaded from an older manifest re-saves in that manifest's shape.
-func (md *manifestDataset) setRecords(recs []*partition) {
+// loadSidecar decodes one partition's sidecar blob, nil when there is none to
+// decode.
+func loadSidecar(blob storage.BlobStore, key string) *sketch.Summary {
+	data, err := blob.GetBlob(key)
+	if err != nil {
+		return nil
+	}
+	var sk *sketch.Summary
+	if json.Unmarshal(data, &sk) != nil {
+		return nil
+	}
+	return sk
+}
+
+// setRecords is the inverse of records. Sidecars the store does not hold yet
+// go out first, one compact blob each — an installed or backfilled record's
+// own, or all of them when the catalog came from memory or from a manifest
+// that carried them inline — so a crash before the manifest lands leaves what
+// was there. Then the small facts are laid out as three registries, each
+// omitted while no record has an entry for it, so a catalog loaded from an
+// older manifest re-saves in that manifest's shape. A nil blob store lays out
+// the manifest and writes nothing.
+func (md *manifestDataset) setRecords(blob storage.BlobStore, dataset string, recs []*partition) error {
 	md.Partitions = make([]string, len(recs))
 	md.Stats, md.Sketches, md.Hashes = nil, nil, nil
 	for i, p := range recs {
@@ -110,23 +138,30 @@ func (md *manifestDataset) setRecords(recs []*partition) {
 			}
 			md.Stats[p.id] = manifestPartitionStats{PartitionStats: p.stats, LoadEWMANS: p.ewmaNS}
 		}
-		if p.sketch != nil {
-			if md.Sketches == nil {
-				md.Sketches = make(map[string]*sketch.Summary, len(recs))
-			}
-			md.Sketches[p.id] = p.sketch
-		}
 		if p.hash != "" {
 			if md.Hashes == nil {
 				md.Hashes = make(map[string]string, len(recs))
 			}
 			md.Hashes[p.id] = p.hash
 		}
+		if blob == nil || p.sketch == nil || !p.sketchUnsaved {
+			continue
+		}
+		data, err := json.Marshal(p.sketch)
+		if err != nil {
+			return fmt.Errorf("warehouse: encode sidecar %s/%s: %w", dataset, p.id, err)
+		}
+		if err := blob.PutBlob(dataset+"/"+p.id, data); err != nil {
+			return fmt.Errorf("warehouse: save sidecar %s/%s: %w", dataset, p.id, err)
+		}
+		p.sketchUnsaved = false
 	}
+	return nil
 }
 
-// buildManifest snapshots the catalog. Callers hold w.mu.
-func (w *Warehouse[V]) buildManifest() manifest {
+// buildManifest snapshots the catalog, writing through blob the sidecars it
+// does not hold yet (see setRecords). Callers hold w.mu.
+func (w *Warehouse[V]) buildManifest(blob storage.BlobStore) (manifest, error) {
 	m := manifest{Version: manifestVersion, Datasets: make(map[string]manifestDataset, len(w.sets))}
 	for name, ds := range w.sets {
 		md := manifestDataset{
@@ -140,15 +175,17 @@ func (w *Warehouse[V]) buildManifest() manifest {
 		for _, p := range ds.parts {
 			p.ewmaNS = w.ld.ewmaNS(w.key(name, p.id))
 		}
-		md.setRecords(ds.parts)
+		if err := md.setRecords(blob, name, ds.parts); err != nil {
+			return m, err
+		}
 		m.Datasets[name] = md
 	}
-	return m
+	return m, nil
 }
 
 // PersistCatalog turns on the durable catalog for a warehouse built with
-// New: the current in-memory catalog — including the partition stats and
-// sketch registries — is written to the store's blob side channel
+// New: the current in-memory catalog — the manifest, and every sidecar the
+// store does not hold yet — is written to the store's blob side channel
 // immediately, and every subsequent catalog mutation rewrites it, exactly
 // as on an Open-built warehouse. It errors when the store has no blob
 // support. swcli uses it to adopt a directory it manages; a caller that did
@@ -183,7 +220,11 @@ func (w *Warehouse[V]) saveManifest() error {
 	if w.blob == nil {
 		return nil
 	}
-	return saveManifestBlob(w.blob, w.buildManifest())
+	m, err := w.buildManifest(w.blob)
+	if err != nil {
+		return err
+	}
+	return saveManifestBlob(w.blob, m)
 }
 
 // saveManifestBlob writes m as the store's catalog; fsck, which repairs the
@@ -226,7 +267,8 @@ func loadManifest(blob storage.BlobStore) (manifest, error) {
 // passes. It operates on the durable manifest directly — not on a live
 // warehouse — visiting every partition record in (data set, roll-in) order;
 // check reports, and returns true when it repaired the record in place. A
-// repaired manifest is written back once, after the walk.
+// repaired catalog is written back once, after the walk: the sidecars that
+// were rebuilt, then the manifest.
 func fsckCatalog(store storage.Store[int64], pass string, check func(key string, p *partition) bool) error {
 	blob, ok := store.(storage.BlobStore)
 	if !ok {
@@ -242,17 +284,22 @@ func fsckCatalog(store storage.Store[int64], pass string, check func(key string,
 	}
 	sort.Strings(names)
 	changed := false
+	walked := make(map[string][]*partition, len(names))
 	for _, name := range names {
-		md := m.Datasets[name]
-		recs := md.records()
-		for _, p := range recs {
+		walked[name] = m.Datasets[name].records(blob, name)
+		for _, p := range walked[name] {
 			changed = check(name+"/"+p.id, p) || changed
 		}
-		md.setRecords(recs)
-		m.Datasets[name] = md
 	}
 	if !changed {
 		return nil
+	}
+	for _, name := range names {
+		md := m.Datasets[name]
+		if err := md.setRecords(blob, name, walked[name]); err != nil {
+			return err
+		}
+		m.Datasets[name] = md
 	}
 	return saveManifestBlob(blob, m)
 }
@@ -309,9 +356,9 @@ func Open[V comparable](store storage.Store[V], seed uint64) (*Warehouse[V], *Re
 			return nil, nil, fmt.Errorf("warehouse: manifest data set %q: %w", name, err)
 		}
 		ds := &dataset{cfg: norm}
-		for _, p := range md.records() {
+		for _, p := range md.records(blob, name) {
 			// Corrupt or version-skewed sidecars are dropped here so the query
-			// path rebuilds them; fsck reads the raw manifest and still
+			// path rebuilds them; fsck reads the stored ones and still
 			// reports them.
 			p.sketch = validSketch(p.sketch)
 			ds.upsert(*p)
@@ -358,6 +405,9 @@ func (w *Warehouse[V]) Recover() (*RecoveryReport, error) {
 				continue
 			}
 			rep.Dangling = append(rep.Dangling, k)
+			// Best effort: a sidecar that outlives its dropped record is inert,
+			// and a store that cannot delete it must not keep the rest closed.
+			_ = w.deleteSidecar(k)
 			ds.remove(id)
 			w.ld.dropEWMA(k)
 			changed = true

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"samplewh/internal/core"
@@ -320,18 +321,23 @@ func TestFsckSketches(t *testing.T) {
 		}
 	}
 
-	// Damage the durable manifest directly: fsck audits storage, not memory.
-	m, err := loadManifest(st)
-	if err != nil {
+	// Damage the stored sidecars directly: fsck audits storage, not memory.
+	if err := st.DeleteBlob("ds/gone"); err != nil {
 		t.Fatal(err)
 	}
-	md := m.Datasets["ds"]
-	delete(md.Sketches, "gone")
-	md.Sketches["old"].Version = sketch.Version + 1
-	md.Sketches["bad"].Min = md.Sketches["bad"].Max + 1
-	m.Datasets["ds"] = md
-	if err := saveManifestBlob(st, m); err != nil {
-		t.Fatal(err)
+	for key, damage := range map[string]func(*sketch.Summary){
+		"ds/old": func(sk *sketch.Summary) { sk.Version = sketch.Version + 1 },
+		"ds/bad": func(sk *sketch.Summary) { sk.Min = sk.Max + 1 },
+	} {
+		sk := loadSidecar(st, key)
+		damage(sk)
+		data, err := json.Marshal(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutBlob(key, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	rep, err := FsckSketches(st, false)

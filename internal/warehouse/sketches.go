@@ -14,11 +14,11 @@ import (
 // Sketch sidecars (DESIGN.md §15). Every int64 partition carries a compact
 // mergeable summary (count, min/max, moments, KMV distinct, heavy hitters)
 // next to its sample: built from the stream at roll-in when the ingest path
-// provides one, derived from the sample otherwise, persisted in the
-// manifest, backfilled lazily for pre-sketch partitions, and dropped on
-// roll-out. The read path consults them to prove-prune partitions out of
-// range queries and to answer distinct/topk from sketch unions instead of
-// sample extrapolation.
+// provides one, derived from the sample otherwise, persisted as one blob per
+// partition beside the sample (manifest.go), backfilled lazily where that
+// blob is missing or unusable, and deleted on roll-out. The read path
+// consults them to prove-prune partitions out of range queries and to answer
+// distinct/topk from sketch unions instead of sample extrapolation.
 
 // autoSketch derives a sample-sourced sidecar for int64 data sets; other
 // value types have no sketch support and get nil (all sketch features
@@ -30,6 +30,19 @@ func (w *Warehouse[V]) autoSketch(s *core.Sample[V]) *sketch.Summary {
 	}
 	w.o.sketchBuilds.Inc()
 	return sketch.FromSample(si)
+}
+
+// deleteSidecar removes one partition's sidecar blob — rolled out, found
+// dangling by Recover, or about to have its sample replaced. It is a no-op on
+// ephemeral warehouses. Callers hold w.mu.
+func (w *Warehouse[V]) deleteSidecar(key string) error {
+	if w.blob == nil {
+		return nil
+	}
+	if err := w.blob.DeleteBlob(key); err != nil {
+		return fmt.Errorf("warehouse: delete sidecar %s: %w", key, err)
+	}
+	return nil
 }
 
 // validSketch returns a usable sidecar or nil: corrupt or version-skewed
@@ -110,7 +123,7 @@ func (w *Warehouse[V]) DatasetSketch(ctx context.Context, dataset string, partit
 // Entries are "dataset/partition" keys.
 type SketchFsckReport struct {
 	Checked int
-	// Missing partitions have no sidecar in the manifest; Stale sidecars
+	// Missing partitions have no sidecar in the store; Stale sidecars
 	// disagree with the partition's registry stats or carry an old format
 	// version; Corrupt sidecars fail validation.
 	Missing []string
@@ -126,11 +139,11 @@ func (r *SketchFsckReport) Problems() int {
 	return len(r.Missing) + len(r.Stale) + len(r.Corrupt)
 }
 
-// FsckSketches audits the manifest's sketch sidecars against the partition
-// registry, reporting missing, stale (format-version or population skew),
-// and corrupt entries. With fix set it rebuilds defective sidecars from the
-// stored samples and rewrites the manifest (see fsckCatalog). A store without
-// a manifest yields an empty report.
+// FsckSketches audits the stored sketch sidecars against the partition
+// registry, reporting missing (no blob, or one that does not decode), stale
+// (format-version or population skew), and corrupt entries. With fix set it
+// rebuilds defective sidecars from the stored samples and writes those blobs
+// back (see fsckCatalog). A store without a manifest yields an empty report.
 func FsckSketches(store storage.Store[int64], fix bool) (*SketchFsckReport, error) {
 	rep := &SketchFsckReport{}
 	err := fsckCatalog(store, "sketches", func(key string, p *partition) bool {
@@ -156,7 +169,7 @@ func FsckSketches(store storage.Store[int64], fix bool) (*SketchFsckReport, erro
 			// problem — leave the sidecar defect reported.
 			return false
 		}
-		p.sketch = sketch.FromSample(s)
+		p.sketch, p.sketchUnsaved = sketch.FromSample(s), true
 		rep.Fixed = append(rep.Fixed, key)
 		return true
 	})

@@ -113,9 +113,10 @@ type PartitionInfo struct {
 type Warehouse[V comparable] struct {
 	mu    sync.RWMutex
 	store storage.Store[V]
-	// blob, when non-nil, is the manifest side channel making the catalog
-	// durable: every catalog mutation rewrites the manifest through it. New
-	// leaves it nil (ephemeral catalog); Open sets it.
+	// blob, when non-nil, is the side channel making the catalog durable:
+	// every catalog mutation rewrites the manifest through it, after the one
+	// sidecar blob that changed. New leaves it nil (ephemeral catalog); Open
+	// sets it.
 	blob storage.BlobStore
 	rng  *randx.RNG
 	sets map[string]*dataset
@@ -328,6 +329,10 @@ func (w *Warehouse[V]) RollOut(dataset, partitionID string) error {
 		return err
 	}
 	w.ld.invalidate(key)
+	if err := w.deleteSidecar(key); err != nil {
+		w.o.fail("roll-out", dataset, partitionID, err)
+		return err
+	}
 	rec, idx := ds.remove(partitionID)
 	if err := w.saveManifest(); err != nil {
 		// Same policy as install: memory never runs ahead of the manifest. The
