@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
+.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-decode bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
 
 check: fmt vet build test
 
@@ -47,6 +47,12 @@ bench:
 # file store (ns and catalog bytes per cycle) and the sidecar build inside it.
 bench-roll:
 	go test -run XXX -bench 'BenchmarkRollCycle|BenchmarkFromSample' -benchtime=50x .
+
+# The cold read's micro-benchmarks: decoding one 8192-entry HR sample, stored
+# in value order and in the insertion order older files have, and cloning its
+# histogram (what a consuming merge pays per input).
+bench-decode:
+	go test -run XXX -bench 'BenchmarkDecodeSample|BenchmarkHistogramClone' -benchmem -benchtime=200x .
 
 # Read-path benchmark (DESIGN.md §9): cold vs warm cache and merge
 # parallelism at 64 partitions, written to BENCH_query.json.
@@ -106,16 +112,19 @@ chaos-cluster:
 	./scripts/chaos-cluster.sh
 
 # Short fuzz passes over the decoders that read bytes the program did not
-# write this run: the binary sample codec (decode must never panic and must
-# reject corrupted inputs), the manifest (load → catalog records → save must
-# never panic, and a saved catalog is a fixed point) and a partition's sidecar
-# blob (what loads validates or reads as absent). The manifest seeds are
-# ~40 KB, so minimizing each new corpus entry would eat the whole budget.
-# Override FUZZTIME for longer campaigns.
+# write this run — the binary sample codec (decode must never panic, must
+# reject corrupted inputs and must never hold a value twice), the manifest
+# (load → catalog records → save must never panic, and a saved catalog is a
+# fixed point) and a partition's sidecar blob (what loads validates or reads
+# as absent) — and over the histogram, whose lazily built index must leave
+# every operation sequence observably what the eager reference makes of it.
+# The manifest seeds are ~40 KB, so minimizing each new corpus entry would eat
+# the whole budget. Override FUZZTIME for longer campaigns.
 FUZZTIME ?= 15s
 
 fuzz:
 	go test -run NONE -fuzz FuzzDecodeSample -fuzztime $(FUZZTIME) ./internal/storage
+	go test -run NONE -fuzz FuzzHistogramOps -fuzztime $(FUZZTIME) ./internal/histogram
 	go test -run NONE -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/warehouse
 	go test -run NONE -fuzz FuzzLoadSidecar -fuzztime $(FUZZTIME) ./internal/warehouse
 

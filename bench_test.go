@@ -9,7 +9,10 @@ package samplewh
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"testing"
 
 	"samplewh/internal/core"
@@ -386,6 +389,69 @@ func BenchmarkMergeK(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// insertionOrderEncoding lays s out as stores wrote samples before value order
+// was the stored order (storage.EncodeSample's format, the entries in the
+// order the histogram holds them): the files older partitions still are.
+func insertionOrderEncoding(s *core.Sample[int64]) []byte {
+	buf := binary.BigEndian.AppendUint32(nil, 0x53574831)
+	buf = append(buf, 2, byte(s.Kind))
+	buf = binary.AppendVarint(buf, s.ParentSize)
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Q))
+	buf = binary.AppendVarint(buf, s.Config.FootprintBytes)
+	buf = binary.AppendVarint(buf, s.Config.SizeModel.ValueBytes)
+	buf = binary.AppendVarint(buf, s.Config.SizeModel.CountBytes)
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Config.ExceedProb))
+	buf = binary.AppendUvarint(buf, uint64(s.Hist.Distinct()))
+	s.Hist.Each(func(v, c int64) {
+		buf = binary.AppendVarint(buf, v)
+		buf = binary.AppendVarint(buf, c)
+	})
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// BenchmarkDecodeSample is what a cold read pays per partition: one
+// 8192-entry HR sample (a 41 KB file) decoded from value order — each value
+// checked against the one before it, no set built — and from the insertion
+// order files written before that carry, which still costs the set.
+func BenchmarkDecodeSample(b *testing.B) {
+	s := hrSamples(b, core.ConfigForNF(8192), 1, 64*1024, randx.New(33))[0]
+	legacy := insertionOrderEncoding(s)
+	ordered, err := storage.EncodeSample(s, storage.Int64Codec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got, err := storage.DecodeSample(legacy, storage.Int64Codec{}); err != nil || !got.Hist.Equal(s.Hist) || len(legacy) != len(ordered) {
+		b.Fatalf("insertion-order encoding does not decode to the sample: %v", err)
+	}
+	for _, file := range []struct {
+		name string
+		data []byte
+	}{{"value-order", ordered}, {"legacy-order", legacy}} {
+		b.Run(file.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(file.data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := storage.DecodeSample(file.data, storage.Int64Codec{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHistogramClone is what a consuming merge pays per input before it
+// touches it: a copy of the 8192 entries, and no index until the merge's
+// first mutation builds one.
+func BenchmarkHistogramClone(b *testing.B) {
+	s := hrSamples(b, core.ConfigForNF(8192), 1, 64*1024, randx.New(33))[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if s.Hist.Clone().Distinct() != s.Hist.Distinct() {
+			b.Fatal("clone lost entries")
+		}
 	}
 }
 

@@ -20,7 +20,9 @@ import (
 // The fraction-scale half-width w·z·se + (1−w)/2 shrinks monotonically as
 // coverage grows and reduces to the ordinary interval at full coverage —
 // loading more partitions buys a tighter answer, and the executor stops as
-// soon as the width meets the bound.
+// soon as the width meets the bound. The point estimate sits where that
+// half-width is centred, w·p̂ + (1−w)/2: the uncovered remainder counted at
+// half, the one value that is inside the interval whatever it hides.
 
 // HalfWidth is the fraction-scale half-width of an estimate's interval.
 func HalfWidth(e Estimate) float64 { return (e.Hi - e.Lo) / 2 }
@@ -44,11 +46,21 @@ func BoundedFraction[V comparable](s *core.Sample[V], pred func(V) bool, confide
 		return est, nil
 	}
 	w := float64(covered) / float64(totalPop)
-	est.StdErr *= w
-	est.Lo = w * est.Lo
-	est.Hi = w*est.Hi + (1 - w)
+	est = extend(est, w, 1-w)
 	est.Exact = false // the uncovered remainder is never exact
 	return est, nil
+}
+
+// extend carries a fraction estimated over the covered share w of a requested
+// population to the whole of it, of which the share u is unknown (and the
+// rest, if any, proven to hold no match): value, error and interval all move
+// to the requested scale together, so lo ≤ value ≤ hi ≤ 1 keeps holding.
+func extend(est Estimate, w, u float64) Estimate {
+	est.Value = w*est.Value + u/2
+	est.StdErr *= w
+	est.Lo = w * est.Lo
+	est.Hi = min(w*est.Hi+u, 1)
+	return est
 }
 
 // BoundedCount is BoundedFraction scaled to a count over totalPop elements.

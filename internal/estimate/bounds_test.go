@@ -3,6 +3,8 @@ package estimate
 import (
 	"math"
 	"testing"
+
+	"samplewh/internal/randx"
 )
 
 func TestBoundedFractionFullCoverageIsFraction(t *testing.T) {
@@ -147,5 +149,73 @@ func TestProxyHalfWidthProperties(t *testing.T) {
 	}
 	if z, err := ZCrit(0.95); err != nil || math.Abs(z-1.96) > 0.01 {
 		t.Fatalf("ZCrit(0.95) = %v, %v", z, err)
+	}
+}
+
+// A bounded answer's value sits inside its own interval, whatever the sample,
+// the predicate, the requested population and the proven-zero share of it;
+// the interval stays inside [0, 1]; and at full coverage every bounded form
+// is the plain estimate, bit for bit.
+func TestBoundedValueInsideItsInterval(t *testing.T) {
+	src := randx.New(2006)
+	for trial := 0; trial < 400; trial++ {
+		rows := int64(200 + src.Uint64()%5000)
+		s := reservoirSample(t, src.Uint64(), rows, int64(16+src.Uint64()%256))
+		cut := int64(src.Uint64() % uint64(rows+rows/4)) // now and then nothing, or everything, matches
+		pred := func(v int64) bool { return v < cut }
+		conf := []float64{0.90, 0.95, 0.99}[src.Uint64()%3]
+		plain, err := NewWithConfidence(s, conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFrac, _ := plain.Fraction(pred)
+		wantCount, _ := plain.Count(pred)
+
+		total := s.ParentSize + int64(src.Uint64()%uint64(4*rows))
+		provenZero := int64(0)
+		if trial%2 == 1 {
+			provenZero = int64(src.Uint64() % uint64(total-s.ParentSize+rows)) // may exceed what is uncovered
+		}
+		frac, err := BoundedFractionProvenZero(s, pred, conf, total, provenZero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, err := BoundedCountProvenZero(s, pred, conf, total, provenZero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(0 <= frac.Lo && frac.Lo <= frac.Value && frac.Value <= frac.Hi && frac.Hi <= 1) {
+			t.Fatalf("trial %d (covered %d of %d, %d proven zero): fraction %+v is not 0 ≤ lo ≤ value ≤ hi ≤ 1",
+				trial, s.ParentSize, total, provenZero, frac)
+		}
+		n := float64(total)
+		if count.Value != frac.Value*n || count.Lo != frac.Lo*n || count.Hi != frac.Hi*n || count.StdErr != frac.StdErr*n {
+			t.Fatalf("trial %d: count %+v is not fraction %+v scaled by %v", trial, count, frac, n)
+		}
+		if total > s.ParentSize {
+			// Centred where the documented half-width w·z·se + u/2 is.
+			w := float64(s.ParentSize) / n
+			u := 1 - w
+			if provenZero > 0 {
+				u = float64(max(total-s.ParentSize-provenZero, 0)) / n
+			}
+			if want := w*wantFrac.Value + u/2; frac.Value != want {
+				t.Fatalf("trial %d: value %v, want w·p̂ + u/2 = %v", trial, frac.Value, want)
+			}
+		}
+
+		for _, full := range []int64{0, s.ParentSize - 1, s.ParentSize} {
+			for _, pz := range []int64{0, provenZero} {
+				if got, _ := BoundedFractionProvenZero(s, pred, conf, full, pz); got != wantFrac {
+					t.Fatalf("trial %d: full coverage (total %d, proven zero %d) %+v, want Fraction's %+v", trial, full, pz, got, wantFrac)
+				}
+			}
+			if got, _ := BoundedFraction(s, pred, conf, full); got != wantFrac {
+				t.Fatalf("trial %d: BoundedFraction at full coverage %+v, want %+v", trial, got, wantFrac)
+			}
+		}
+		if got, _ := BoundedCount(s, pred, conf, s.ParentSize); got.Value != wantCount.Value {
+			t.Fatalf("trial %d: BoundedCount at full coverage %+v, want Count's %+v", trial, got, wantCount)
+		}
 	}
 }

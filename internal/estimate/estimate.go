@@ -13,6 +13,7 @@ package estimate
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"samplewh/internal/core"
@@ -347,7 +348,16 @@ func NewOrdered[V comparable](s *core.Sample[V], less func(a, b V) bool) (*Order
 		return nil, err
 	}
 	bag := s.Hist.Expand()
-	sort.SliceStable(bag, func(i, j int) bool { return less(bag[i], bag[j]) })
+	// Equal bare values are interchangeable, so stability buys nothing here.
+	slices.SortFunc(bag, func(a, b V) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 	return &OrderedEstimator[V]{Estimator: base, sorted: bag}, nil
 }
 

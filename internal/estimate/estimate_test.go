@@ -2,9 +2,11 @@ package estimate
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"samplewh/internal/core"
+	"samplewh/internal/histogram"
 	"samplewh/internal/randx"
 )
 
@@ -507,5 +509,40 @@ func TestJoinSizeEstimateErrors(t *testing.T) {
 	empty.Hist.Reset()
 	if _, err := JoinSizeEstimate(a, empty); err == nil {
 		t.Error("empty accepted")
+	}
+}
+
+// NewOrdered sorts the expanded bag without sort.SliceStable's reflection;
+// every quantile must come out as the stable sort's did, whatever order the
+// histogram holds its entries in.
+func TestNewOrderedMatchesStableSort(t *testing.T) {
+	src := randx.New(17)
+	bags := map[string][]int64{}
+	for i := 0; i < 5000; i++ {
+		bags["random"] = append(bags["random"], int64(src.Uint64()%1000000)-500000)
+		bags["duplicate-heavy"] = append(bags["duplicate-heavy"], int64(src.Uint64()%13))
+		bags["sorted"] = append(bags["sorted"], int64(i/3))
+		bags["reverse-sorted"] = append(bags["reverse-sorted"], int64((5000-i)/2))
+	}
+	less := func(a, b int64) bool { return a < b }
+	for name, bag := range bags {
+		s := &core.Sample[int64]{Kind: core.ReservoirKind, ParentSize: 1 << 20, Config: core.ConfigForNF(8192),
+			Hist: histogram.FromBag(histogram.DefaultSizeModel, bag)}
+		oe, err := NewOrdered(s, less)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.Hist.Expand()
+		sort.SliceStable(want, func(i, j int) bool { return less(want[i], want[j]) })
+		for i := 0; i <= 1000; i++ {
+			q := float64(i) / 1000
+			got, err := oe.Quantile(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := want[int(q*float64(len(want)-1))]; got != ref {
+				t.Fatalf("%s: quantile %v = %d, stable sort says %d", name, q, got, ref)
+			}
+		}
 	}
 }

@@ -107,9 +107,11 @@ func (e *StratifiedEstimator[V]) FractionPruned(pred func(V) bool, zeros []ZeroS
 //
 //	p_total ∈ [w·p_lo , w·p_hi + u]   w = covered/total, u = unknown/total
 //
-// With provenZero == 0 it delegates to BoundedFraction unchanged (the two
-// formulas agree algebraically but not bit-for-bit, and the zero-pruning
-// case must stay byte-identical to the pre-sketch path).
+// and the point estimate is that interval's centre before sampling error,
+// w·p̂ + u/2 (see extend). With provenZero == 0 it delegates to
+// BoundedFraction unchanged (the two formulas agree algebraically but not
+// bit-for-bit, and the zero-pruning case must stay byte-identical to the
+// pre-sketch path).
 func BoundedFractionProvenZero[V comparable](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop, provenZero int64) (Estimate, error) {
 	if provenZero <= 0 {
 		return BoundedFraction(s, pred, confidence, totalPop)
@@ -132,12 +134,7 @@ func BoundedFractionProvenZero[V comparable](s *core.Sample[V], pred func(V) boo
 	}
 	w := float64(covered) / float64(totalPop)
 	u := float64(unknown) / float64(totalPop)
-	est.StdErr *= w
-	est.Lo = w * est.Lo
-	est.Hi = w*est.Hi + u
-	if est.Hi > 1 {
-		est.Hi = 1
-	}
+	est = extend(est, w, u)
 	// Exact only if nothing is genuinely unknown and the covered estimate
 	// was exact (the proven-zero strata contribute exactly zero matches).
 	est.Exact = est.Exact && unknown == 0

@@ -12,11 +12,18 @@
 // swap-with-last compaction on removal), so that all sampling algorithms
 // driven by a seeded random source are exactly reproducible; Go's randomized
 // map iteration order never influences results.
+//
+// The entry slice is the histogram; the value → position index is a cache
+// over it, built by the first lookup or mutation (see indexed). A histogram
+// that is only iterated — decoded, cloned, cached, walked by a merge or an
+// estimator — never pays for one.
 package histogram
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // SizeModel describes the storage cost of the compact representation:
@@ -61,9 +68,9 @@ type Entry[V comparable] struct {
 type Histogram[V comparable] struct {
 	model     SizeModel
 	entries   []Entry[V]
-	index     map[V]int
-	size      int64 // total number of data elements (sum of counts)
-	footprint int64 // bytes under the compact representation
+	index     atomic.Pointer[map[V]int] // nil until indexed builds it
+	size      int64                     // total number of data elements (sum of counts)
+	footprint int64                     // bytes under the compact representation
 }
 
 // New returns an empty histogram using the given size model.
@@ -72,26 +79,54 @@ func New[V comparable](model SizeModel) *Histogram[V] {
 }
 
 // NewSized is New with room for distinct entries reserved up front, for
-// builders that know the entry count before they insert (a decode loop, a
-// merge join): neither the entry slice nor the index rehashes on the way.
+// builders that know the entry count before they insert (a merge join, a
+// bag): neither the entry slice nor the index, which is sized by that
+// reservation when the first insert builds it, rehashes on the way.
 func NewSized[V comparable](model SizeModel, distinct int) *Histogram[V] {
 	if distinct < 0 {
 		distinct = 0
 	}
-	return &Histogram[V]{
-		model:   model,
-		entries: make([]Entry[V], 0, distinct),
-		index:   make(map[V]int, distinct),
+	return &Histogram[V]{model: model, entries: make([]Entry[V], 0, distinct)}
+}
+
+// FromEntries adopts a ready slice of entries — distinct values, counts ≥ 1,
+// both the caller's to have checked — as a histogram, summing only size and
+// footprint. The slice belongs to the histogram afterwards.
+func FromEntries[V comparable](model SizeModel, entries []Entry[V]) *Histogram[V] {
+	h := &Histogram[V]{model: model, entries: entries}
+	for _, e := range entries {
+		h.size += e.Count
+		h.footprint += model.PairBytes(e.Count)
 	}
+	return h
 }
 
 // FromBag builds a histogram holding every element of the bag.
 func FromBag[V comparable](model SizeModel, bag []V) *Histogram[V] {
-	h := New[V](model)
+	h := NewSized[V](model, len(bag))
 	for _, v := range bag {
 		h.Insert(v, 1)
 	}
 	return h
+}
+
+// indexed returns the value → position map over the entries, building it when
+// the histogram has none: after FromEntries, Clone or SortFunc, or before the
+// first insert. It is the only reader of h.index, and it publishes what it
+// builds atomically, so a lookup (Count, Equal, JoinedFootprint) stays legal
+// on a histogram several goroutines share read-only: each finds the published
+// map or builds an equal one of its own, and none writes anything another
+// reads unsynchronised.
+func (h *Histogram[V]) indexed() map[V]int {
+	if p := h.index.Load(); p != nil {
+		return *p
+	}
+	m := make(map[V]int, cap(h.entries))
+	for i, e := range h.entries {
+		m[e.Value] = i
+	}
+	h.index.Store(&m)
+	return m
 }
 
 // Model returns the histogram's size model.
@@ -110,7 +145,7 @@ func (h *Histogram[V]) Footprint() int64 { return h.footprint }
 
 // Count returns the multiplicity of v in the histogram (0 if absent).
 func (h *Histogram[V]) Count(v V) int64 {
-	if i, ok := h.index[v]; ok {
+	if i, ok := h.indexed()[v]; ok {
 		return h.entries[i].Count
 	}
 	return 0
@@ -123,36 +158,17 @@ func (h *Histogram[V]) Insert(v V, n int64) {
 	if n < 1 {
 		panic(fmt.Sprintf("histogram: Insert with n = %d < 1", n))
 	}
-	if i, ok := h.index[v]; ok {
+	index := h.indexed()
+	if i, ok := index[v]; ok {
 		old := h.entries[i].Count
 		h.entries[i].Count = old + n
 		h.footprint += h.model.PairBytes(old+n) - h.model.PairBytes(old)
-		h.size += n
 	} else {
-		h.appendEntry(v, n)
+		index[v] = len(h.entries)
+		h.entries = append(h.entries, Entry[V]{Value: v, Count: n})
+		h.footprint += h.model.PairBytes(n)
 	}
-}
-
-// appendEntry adds the absent value v with count n.
-func (h *Histogram[V]) appendEntry(v V, n int64) {
-	h.index[v] = len(h.entries)
-	h.entries = append(h.entries, Entry[V]{Value: v, Count: n})
-	h.footprint += h.model.PairBytes(n)
 	h.size += n
-}
-
-// InsertNew adds v with count n only if v is absent and reports whether it
-// did: one index lookup for builders that must reject a repeated value (the
-// codec's decode loop). It panics if n < 1.
-func (h *Histogram[V]) InsertNew(v V, n int64) bool {
-	if n < 1 {
-		panic(fmt.Sprintf("histogram: InsertNew with n = %d < 1", n))
-	}
-	if _, ok := h.index[v]; ok {
-		return false
-	}
-	h.appendEntry(v, n)
-	return true
 }
 
 // FootprintAfterInsert returns the footprint the histogram would have after
@@ -176,7 +192,7 @@ func (h *Histogram[V]) Remove(v V, n int64) {
 	if n < 1 {
 		panic(fmt.Sprintf("histogram: Remove with n = %d < 1", n))
 	}
-	i, ok := h.index[v]
+	i, ok := h.indexed()[v]
 	if !ok || h.entries[i].Count < n {
 		panic("histogram: Remove of more occurrences than present")
 	}
@@ -216,11 +232,12 @@ func (h *Histogram[V]) SetCount(i int, count int64) {
 
 // removeAt drops entry i by swapping the final entry into its slot.
 func (h *Histogram[V]) removeAt(i int) {
+	index := h.indexed()
 	last := len(h.entries) - 1
-	delete(h.index, h.entries[i].Value)
+	delete(index, h.entries[i].Value)
 	if i != last {
 		h.entries[i] = h.entries[last]
-		h.index[h.entries[i].Value] = i
+		index[h.entries[i].Value] = i
 	}
 	h.entries[last] = Entry[V]{}
 	h.entries = h.entries[:last]
@@ -258,20 +275,33 @@ func (h *Histogram[V]) Expand() []V {
 	return bag
 }
 
-// Clone returns a deep copy of the histogram.
+// Clone returns a deep copy of the histogram: the entries, in order. The
+// copy indexes itself if and when it is looked up or mutated.
 func (h *Histogram[V]) Clone() *Histogram[V] {
-	c := &Histogram[V]{
+	return &Histogram[V]{
 		model:     h.model,
-		entries:   make([]Entry[V], len(h.entries)),
-		index:     make(map[V]int, len(h.index)),
+		entries:   slices.Clone(h.entries),
 		size:      h.size,
 		footprint: h.footprint,
 	}
-	copy(c.entries, h.entries)
-	for v, i := range h.index {
-		c.index[v] = i
+}
+
+// IsSortedFunc reports whether the entries are in ascending order of cmp over
+// their values.
+func (h *Histogram[V]) IsSortedFunc(cmp func(a, b V) int) bool {
+	return slices.IsSortedFunc(h.entries, func(a, b Entry[V]) int { return cmp(a.Value, b.Value) })
+}
+
+// SortFunc puts the entries in ascending order of cmp over their values, in
+// place and without a scratch copy; the index, which maps values to the old
+// positions, goes. A histogram already in order is left untouched — not one
+// write — so sorting one that is shared read-only is legal once it is sorted.
+func (h *Histogram[V]) SortFunc(cmp func(a, b V) int) {
+	if h.IsSortedFunc(cmp) {
+		return
 	}
-	return c
+	slices.SortFunc(h.entries, func(a, b Entry[V]) int { return cmp(a.Value, b.Value) })
+	h.index.Store(nil)
 }
 
 // Join merges other into h, summing counts of shared values. This is the
@@ -314,7 +344,7 @@ func (h *Histogram[V]) Equal(other *Histogram[V]) bool {
 // Reset empties the histogram in place, retaining allocated capacity.
 func (h *Histogram[V]) Reset() {
 	h.entries = h.entries[:0]
-	clear(h.index)
+	clear(h.indexed()) // a built index keeps its capacity; an unbuilt one is built empty
 	h.size = 0
 	h.footprint = 0
 }

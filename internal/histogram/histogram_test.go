@@ -38,19 +38,10 @@ func TestInsertSingletonAndPair(t *testing.T) {
 	}
 }
 
-func TestNewSizedAndInsertNew(t *testing.T) {
+func TestNewSized(t *testing.T) {
 	h := NewSized[int64](DefaultSizeModel, 4)
 	if h.Size() != 0 || h.Distinct() != 0 || h.Footprint() != 0 {
 		t.Fatalf("empty sized histogram: %v", h)
-	}
-	if !h.InsertNew(7, 1) || !h.InsertNew(9, 3) {
-		t.Fatal("InsertNew refused an absent value")
-	}
-	if h.InsertNew(7, 5) {
-		t.Fatal("InsertNew accepted a repeated value")
-	}
-	if h.Count(7) != 1 || h.Size() != 4 || h.Distinct() != 2 || h.Footprint() != 8+12 {
-		t.Fatalf("after a refused insert: %v, count(7)=%d", h, h.Count(7))
 	}
 	// The reservation is a hint, not a bound, and a negative one is ignored.
 	g := NewSized[int64](DefaultSizeModel, -1)

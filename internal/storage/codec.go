@@ -7,6 +7,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -24,6 +25,9 @@ type ValueCodec[V comparable] interface {
 	// Read decodes one value from buf, returning the value and the number
 	// of bytes consumed, or an error on malformed input.
 	Read(buf []byte) (V, int, error)
+	// Compare orders values: negative when a sorts before b, zero only when
+	// a == b. It is the order samples are stored in.
+	Compare(a, b V) int
 }
 
 // Int64Codec encodes int64 values with zig-zag varints.
@@ -42,6 +46,9 @@ func (Int64Codec) Read(buf []byte) (int64, int, error) {
 	}
 	return v, n, nil
 }
+
+// Compare implements ValueCodec.
+func (Int64Codec) Compare(a, b int64) int { return cmp.Compare(a, b) }
 
 // StringCodec encodes strings with a uvarint length prefix.
 type StringCodec struct{}
@@ -64,6 +71,9 @@ func (StringCodec) Read(buf []byte) (string, int, error) {
 	return string(buf[n : n+int(l)]), n + int(l), nil
 }
 
+// Compare implements ValueCodec.
+func (StringCodec) Compare(a, b string) int { return cmp.Compare(a, b) }
+
 // Codec format constants.
 const (
 	magic = 0x53574831 // "SWH1"
@@ -83,9 +93,19 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	footprint varint | valueBytes varint | countBytes varint |
 //	exceedProb float64 | entryCount uvarint | {value, count varint}... |
 //	crc32c u32 (over all preceding bytes)
+//
+// Entries are written in ascending value order (vc.Compare) whatever order
+// the sample holds them in, so equal multisets encode to equal bytes. A store
+// sorts the sample itself before it encodes (sortForPut); only a direct
+// caller's unordered sample costs the sorted copy here.
 func EncodeSample[V comparable](s *core.Sample[V], vc ValueCodec[V]) ([]byte, error) {
 	if s == nil || s.Hist == nil {
 		return nil, fmt.Errorf("storage: nil sample")
+	}
+	hist := s.Hist
+	if !hist.IsSortedFunc(vc.Compare) {
+		hist = hist.Clone()
+		hist.SortFunc(vc.Compare)
 	}
 	buf := make([]byte, 0, 64+s.Hist.Distinct()*10)
 	buf = binary.BigEndian.AppendUint32(buf, magic)
@@ -96,8 +116,8 @@ func EncodeSample[V comparable](s *core.Sample[V], vc ValueCodec[V]) ([]byte, er
 	buf = binary.AppendVarint(buf, s.Config.SizeModel.ValueBytes)
 	buf = binary.AppendVarint(buf, s.Config.SizeModel.CountBytes)
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Config.ExceedProb))
-	buf = binary.AppendUvarint(buf, uint64(s.Hist.Distinct()))
-	s.Hist.Each(func(v V, c int64) {
+	buf = binary.AppendUvarint(buf, uint64(hist.Distinct()))
+	hist.Each(func(v V, c int64) {
 		buf = vc.Append(buf, v)
 		buf = binary.AppendVarint(buf, c)
 	})
@@ -105,7 +125,10 @@ func EncodeSample[V comparable](s *core.Sample[V], vc ValueCodec[V]) ([]byte, er
 	return buf, nil
 }
 
-// DecodeSample parses a sample serialized by EncodeSample.
+// DecodeSample parses a sample serialized by EncodeSample. Entries may come
+// in any order — files written before value order was the stored order, or
+// adopted from a peer that still writes them so, decode to the same multiset
+// — and the sample holds them in the order of the file.
 func DecodeSample[V comparable](buf []byte, vc ValueCodec[V]) (*core.Sample[V], error) {
 	fail := func(msg string) (*core.Sample[V], error) {
 		return nil, fmt.Errorf("storage: decode: %s", msg)
@@ -187,7 +210,12 @@ func DecodeSample[V comparable](buf []byte, vc ValueCodec[V]) (*core.Sample[V], 
 	// Every entry takes at least two bytes (a value and a count), so what is
 	// left of buf bounds how many a header can honestly promise: a hostile
 	// entry count reserves no more than the input could fill.
-	h := histogram.NewSized[V](model, int(min(entryCount, uint64(len(buf)-pos)/2)))
+	entries := make([]histogram.Entry[V], 0, min(entryCount, uint64(len(buf)-pos)/2))
+	// No value may appear twice. While the file is in value order, each value
+	// strictly greater than the one before is that check, and no set is
+	// built; from the first pair that is not, every value read so far goes
+	// into one and the rest of the file is checked against it.
+	var seen map[V]struct{}
 	for i := uint64(0); i < entryCount; i++ {
 		v, n, err := vc.Read(buf[pos:])
 		if err != nil {
@@ -201,16 +229,27 @@ func DecodeSample[V comparable](buf []byte, vc ValueCodec[V]) (*core.Sample[V], 
 		if c < 1 {
 			return fail(fmt.Sprintf("entry %d has count %d", i, c))
 		}
-		if !h.InsertNew(v, c) {
-			return fail(fmt.Sprintf("duplicate value in entry %d", i))
+		if seen == nil && i > 0 && vc.Compare(entries[i-1].Value, v) >= 0 {
+			seen = make(map[V]struct{}, cap(entries))
+			for _, e := range entries {
+				seen[e.Value] = struct{}{}
+			}
 		}
+		if seen != nil {
+			// The i values before this one are distinct and all in the set:
+			// a set that did not grow already held v (one map operation).
+			if seen[v] = struct{}{}; uint64(len(seen)) != i+1 {
+				return fail(fmt.Sprintf("duplicate value in entry %d", i))
+			}
+		}
+		entries = append(entries, histogram.Entry[V]{Value: v, Count: c})
 	}
 	if pos != len(buf) {
 		return fail(fmt.Sprintf("%d trailing bytes", len(buf)-pos))
 	}
 	s := &core.Sample[V]{
 		Kind:       kind,
-		Hist:       h,
+		Hist:       histogram.FromEntries(model, entries),
 		ParentSize: parentSize,
 		Q:          q,
 		Config: core.Config{

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"os"
 	"testing"
 
 	"samplewh/internal/core"
@@ -28,6 +29,18 @@ func FuzzDecodeSample(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// The seeds above are in value order, as EncodeSample writes them. Files
+	// from before it did are not, and take the decoder's other duplicate
+	// check: a whole one, and short ones that switch checks at each position
+	// a duplicate can hide relative to the first out-of-order pair.
+	legacy, err := os.ReadFile(legacyOrderFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
+	f.Add(encodeEntries(100, 5, 1, 1, 2, 7, 1, 3, 1))
+	f.Add(encodeEntries(100, 1, 1, 3, 1, 2, 1, 3, 1))
+	f.Add(encodeEntries(100, 1, 1, 2, 1, 2, 1))
 	f.Add([]byte{})
 	f.Add([]byte{0x53, 0x57, 0x48, 0x31, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -35,6 +48,15 @@ func FuzzDecodeSample(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
+		// Whatever decodes holds no value twice, by a check that shares
+		// nothing with the decoder's.
+		seen := make(map[int64]bool, s.Hist.Distinct())
+		s.Hist.Each(func(v int64, _ int64) {
+			if seen[v] {
+				t.Fatalf("decoder accepted value %d twice", v)
+			}
+			seen[v] = true
+		})
 		// Anything accepted must satisfy the sample invariants and
 		// re-encode cleanly.
 		if err := s.Validate(); err != nil {

@@ -69,10 +69,13 @@ func (s *FileStore[V]) DecodeRaw(data []byte) (*core.Sample[V], error) {
 }
 
 // WithCodec equips the in-memory store with a value codec, enabling the
-// RawStore methods. MemStore holds decoded samples, so GetRaw re-encodes on
-// demand; because EncodeSample is deterministic and encode∘decode is the
-// identity on canonical bytes, the result is byte-stable across calls and
-// across replicas holding equal samples. Returns the receiver for chaining.
+// RawStore methods, and makes value order the store's order (Put sorts, as a
+// FileStore's does). MemStore holds decoded samples, so GetRaw re-encodes on
+// demand; because EncodeSample writes equal multisets as equal bytes, the
+// result is byte-stable across calls and across replicas holding equal
+// samples, and equals what PutRaw was given whenever that was in value order
+// (bytes from a writer that predates it come back reordered: same multiset,
+// same length). Returns the receiver for chaining.
 func (s *MemStore[V]) WithCodec(codec ValueCodec[V]) *MemStore[V] {
 	s.codec = codec
 	return s

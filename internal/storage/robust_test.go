@@ -180,6 +180,7 @@ func TestFileStoreConcurrentOps(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			key := "ds/p" + string(rune('a'+g))
+			s := s.Clone() // Put orders the sample it is handed in place: one each
 			for i := 0; i < 20; i++ {
 				if err := st.Put(key, s); err != nil {
 					t.Error(err)

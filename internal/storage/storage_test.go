@@ -310,18 +310,3 @@ func BenchmarkEncodeSample(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDecodeSample(b *testing.B) {
-	hr := core.NewHR[int64](core.ConfigForNF(8192), randx.New(1))
-	for v := int64(0); v < 100000; v++ {
-		hr.Feed(v)
-	}
-	s, _ := hr.Finalize()
-	data, _ := EncodeSample(s, Int64Codec{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSample(data, Int64Codec{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -16,7 +16,12 @@ import (
 // Keys are hierarchical, slash-separated strings such as
 // "orders/price/2006-01-02".
 type Store[V comparable] interface {
-	// Put stores the sample under key, replacing any existing one.
+	// Put stores the sample under key, replacing any existing one. A store
+	// that holds a value codec first puts the caller's sample into value
+	// order, in place (sortForPut): the multiset is untouched, the entry
+	// order afterwards is the one every later Get returns. So the caller must
+	// own the sample: no other goroutine may be reading or putting it
+	// meanwhile, unless it is in value order already (then nothing is written).
 	Put(key string, s *core.Sample[V]) error
 	// Get returns the sample stored under key, or an error satisfying
 	// IsNotFound if absent. Callers own the returned sample.
@@ -26,6 +31,19 @@ type Store[V comparable] interface {
 	Delete(key string) error
 	// Keys returns all stored keys with the given prefix, sorted.
 	Keys(prefix string) ([]string, error)
+}
+
+// sortForPut puts the caller's sample into ascending value order, in place
+// and without a copy, before a store encodes or clones it. It runs ahead of
+// everything else so that whatever the caller derives from the sample after
+// Put returns — the warehouse's sidecar (its heavy-hitter table depends on
+// entry order), statistics, content hash — is derived from the order a later
+// Get of the same key yields. A store without a codec never encodes and has
+// no order to impose: it keeps the caller's on both sides.
+func sortForPut[V comparable](smp *core.Sample[V], codec ValueCodec[V]) {
+	if smp != nil && smp.Hist != nil && codec != nil {
+		smp.Hist.SortFunc(codec.Compare)
+	}
 }
 
 // MemStore is an in-memory Store, safe for concurrent use. Samples are
@@ -50,6 +68,7 @@ func (s *MemStore[V]) Put(key string, smp *core.Sample[V]) error {
 		return fmt.Errorf("storage: Put nil sample at %q", key)
 	}
 	t := s.o.putNS.Start()
+	sortForPut(smp, s.codec)
 	s.mu.Lock()
 	s.m[key] = smp.Clone()
 	s.mu.Unlock()
@@ -246,6 +265,7 @@ func (s *FileStore[V]) Put(key string, smp *core.Sample[V]) error {
 	if err != nil {
 		return err
 	}
+	sortForPut(smp, s.codec)
 	te := s.o.encodeNS.Start()
 	data, err := EncodeSample(smp, s.codec)
 	te.Stop()

@@ -23,7 +23,10 @@ import (
 // stream-sketched roll-in, one replaced roll-in, one roll-out. It carries its
 // five sidecars inline, which makes it the legacy fixture too: today's writer
 // produces the same manifest minus partition_sketches, and the same sidecars
-// as one blob each.
+// as one blob each. Its partition_hashes values and the inline sidecar bodies
+// (not its layout, ids or stats) were rebuilt once since: when stores began
+// writing samples in value order, the bytes the HR partitions hash to, and
+// the entry order their sample-built heavy-hitter tables follow, changed.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden-manifest.json from goldenStore (at the commit that wrote sidecars inline)")
 
 const goldenPath = "testdata/golden-manifest.json"

@@ -268,7 +268,9 @@ func (w *Warehouse[V]) newSamplerLocked(ds *dataset, expectedN int64, src *randx
 // in roll-in order for windowing. RollIn is idempotent: rolling the same
 // partition ID in again replaces its sample and keeps its original position,
 // so a client retrying after a crash or timeout converges instead of
-// erroring.
+// erroring. The sample is handed over: a store that encodes puts its entries
+// into value order in place (storage.Store.Put), and everything recorded
+// about the partition is derived from that order.
 func (w *Warehouse[V]) RollIn(dataset, partitionID string, s *core.Sample[V]) error {
 	return w.install(opRollIn, dataset, partitionID, s, nil, nil)
 }
