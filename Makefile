@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-decode bench-query bench-plan bench-sketch bench-serve bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
+.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-decode bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
 
 check: fmt vet build test
 
@@ -54,34 +54,11 @@ bench-roll:
 bench-decode:
 	go test -run XXX -bench 'BenchmarkDecodeSample|BenchmarkHistogramClone' -benchmem -benchtime=200x .
 
-# Read-path benchmark (DESIGN.md §9): cold vs warm cache and merge
-# parallelism at 64 partitions, written to BENCH_query.json.
-bench-query:
-	go run ./cmd/swbench -exp querypath -qparts 16,64 -qworkers 1,4,16 -json BENCH_query.json
-
-# Bounded-query benchmark (DESIGN.md §14): maxerr ladder over a file-backed
-# warehouse; partitions loaded and latency must fall as the bound loosens.
-bench-plan:
-	go run ./cmd/swbench -exp plan -pparts 32 -pmaxerr 0.05,0.1,0.2,0.3 -json BENCH_plan.json
-
-# Sketch sidecar benchmark (DESIGN.md §15): prove-pruning ladder (fails
-# unless the prune ratio grows with selectivity and estimates stay
-# byte-identical) plus KMV-union vs sample-GEE distinct estimation on a
-# skewed workload, written to BENCH_sketch.json.
-bench-sketch:
-	go run ./cmd/swbench -exp sketch -skparts 32 -json BENCH_sketch.json
-
-# Serving-layer benchmark (DESIGN.md §10): closed-loop client ladder against
-# a live loopback server — latency quantiles and shed rate per client count,
-# written to BENCH_serve.json.
-bench-serve:
-	go run ./cmd/swbench -exp serve -sclients 1,2,4,8,16,32 -sdur 2s -json BENCH_serve.json
-
 # Cluster benchmark (DESIGN.md §13): replicated scatter-gather ladder over
-# shard counts plus a one-shard-down kill drill through the survivors,
-# written to BENCH_cluster.json.
+# shard counts plus a one-shard-down kill drill through the survivors; the
+# JSON document goes to stdout.
 bench-cluster:
-	go run ./cmd/swbench -exp cluster -clshards 1,2,4 -clclients 8 -cldur 2s -json BENCH_cluster.json
+	go run ./cmd/swbench -exp cluster -clshards 1,2,4 -clclients 8 -cldur 2s -json -
 
 # Self-healing replication drill (DESIGN.md §16): kill a replica, ingest
 # through the survivors, restart it, and measure convergence time; fails
@@ -128,9 +105,10 @@ fuzz:
 	go test -run NONE -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/warehouse
 	go test -run NONE -fuzz FuzzLoadSidecar -fuzztime $(FUZZTIME) ./internal/warehouse
 
-# Non-test Go lines per internal package — the count ROADMAP aim 2 and its
-# simplification items gate on (raw lines: code, comments and blanks alike).
+# Non-test Go lines per internal package, per command and in the root facade —
+# the count ROADMAP aim 2 and its simplification items gate on (raw lines:
+# code, comments and blanks alike).
 loc:
-	@for d in internal/*/; do \
+	@for d in internal/*/ cmd/*/ ./; do \
 		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$$d"; \
 	done

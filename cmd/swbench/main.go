@@ -10,11 +10,13 @@
 //	concise     §3.3 concise-sampling non-uniformity demonstration
 //	uniformity  chi-square uniformity audit of all three pipelines
 //	faults      fault-injection drill: transient storm + bit-rot degradation
-//	querypath   read-path scaling: cold vs warm cache, merge parallelism,
-//	            trace-overhead guard (tracing on vs off, <5% bound)
-//	serve       serving-layer ladder: client-observed latency quantiles + shed rate
 //	cluster     replicated scatter-gather ladder + one-shard-down kill drill
-//	all         everything above except faults, querypath, serve and cluster
+//	repair      self-healing drill: kill a replica, ingest, restart, converge
+//	chaos       SIGKILL crash-recovery drill against a built swd
+//	all         the figures, concise, uniformity and calibration
+//
+// The served read and write paths are timed by the bench/ harness
+// (BENCHMARK.json), not here.
 //
 // The defaults run a laptop-scale configuration; pass -full for the paper's
 // original sizes (N = 2^26 for speedup, scale factors to 512, 3 runs),
@@ -69,7 +71,7 @@ type jsonDocument struct {
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment: fig5, fig9..fig16, concise, uniformity, calibration, faults, querypath, plan, sketch, serve, cluster, chaos, repair, all")
+		exp         = flag.String("exp", "all", "experiment: fig5, fig9..fig16, concise, uniformity, calibration, faults, cluster, chaos, repair, all")
 		full        = flag.Bool("full", false, "use the paper's full-scale parameters (slow)")
 		logN        = flag.Int("logn", 0, "speedup population size exponent (default 22, paper 26)")
 		partsFlag   = flag.String("parts", "", "comma-separated partition counts")
@@ -81,10 +83,6 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "base RNG seed")
 		parallelism = flag.Int("parallelism", 0, "sampler goroutines (0 = GOMAXPROCS)")
 		trials      = flag.Int("trials", 0, "trials for concise/uniformity experiments")
-		qparts      = flag.String("qparts", "16,64", "querypath experiment: comma-separated partition counts")
-		qworkers    = flag.String("qworkers", "1,4,16", "querypath experiment: comma-separated merge worker counts")
-		sclients    = flag.String("sclients", "1,2,4,8,16,32", "serve experiment: comma-separated client counts")
-		sdur        = flag.Duration("sdur", 2*time.Second, "serve experiment: duration per client count")
 		faultRate   = flag.Float64("fault-rate", 0.2, "faults experiment: transient failure probability per store op")
 		clShards    = flag.String("clshards", "1,2,4", "cluster experiment: comma-separated shard counts")
 		clClients   = flag.Int("clclients", 8, "cluster experiment: closed-loop query clients")
@@ -95,9 +93,6 @@ func main() {
 		cbatch      = flag.Int("cbatch", 2000, "chaos experiment: values per ingest batch")
 		cuptime     = flag.Duration("cuptime", 150*time.Millisecond, "chaos experiment: daemon uptime between kills")
 		faultCrpt   = flag.Float64("fault-corrupt", 0.15, "faults experiment: sticky corruption probability per partition")
-		pparts      = flag.Int("pparts", 32, "plan experiment: partition count")
-		pmaxerr     = flag.String("pmaxerr", "0.05,0.1,0.2,0.3", "plan experiment: comma-separated maxerr ladder, loosest last")
-		skparts     = flag.Int("skparts", 32, "sketch experiment: partition count")
 		rparts      = flag.Int("rparts", 8, "repair experiment: partitions per ingest wave")
 		rshards     = flag.Int("rshards", 3, "repair experiment: cluster size")
 		rper        = flag.Int("rper", 2048, "repair experiment: values per partition")
@@ -197,18 +192,6 @@ func main() {
 		case "faults":
 			r, err := experiments.FaultTolerance(*faultRate, *faultCrpt, 16, opt)
 			return emit(name, r, err)
-		case "plan":
-			r, err := experiments.Plan(*pparts, parseFloats(*pmaxerr), opt)
-			return emit(name, r, err)
-		case "sketch":
-			r, err := experiments.Sketch(*skparts, opt)
-			return emit(name, r, err)
-		case "querypath":
-			r, err := experiments.QueryPath(parseInts(*qparts), parseInts(*qworkers), opt)
-			return emit(name, r, err)
-		case "serve":
-			r, err := experiments.Serve(parseInts(*sclients), *sdur, opt)
-			return emit(name, r, err)
 		case "cluster":
 			r, err := experiments.Cluster(experiments.ClusterConfig{
 				Shards: parseInts(*clShards), Clients: *clClients, Dur: *clDur,
@@ -272,22 +255,6 @@ func main() {
 }
 
 // parseInts parses a comma-separated integer list; empty input gives nil.
-func parseFloats(s string) []float64 {
-	if s == "" {
-		return nil
-	}
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: bad float %q\n", f)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 func parseInts(s string) []int {
 	if s == "" {
 		return nil

@@ -1,7 +1,10 @@
 // Command swcli manages a file-backed sample warehouse: create data sets,
 // ingest partition values through the bounded uniform samplers, roll
 // partitions in and out, merge arbitrary partition subsets, and answer
-// approximate queries — the full life cycle of the paper's Figure 1.
+// approximate queries — the full life cycle of the paper's Figure 1. The
+// warehouse lives in DIR/samples: the sample files, their sketch sidecars and
+// the manifest, which is the only catalog and is opened the way swd opens its
+// own (warehouse.Open).
 //
 // Usage:
 //
@@ -32,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,20 +50,6 @@ import (
 	"samplewh/internal/wal"
 	"samplewh/internal/warehouse"
 )
-
-// catalog is the persistent data-set registry stored alongside the samples.
-type catalog struct {
-	Datasets map[string]*catalogEntry `json:"datasets"`
-}
-
-type catalogEntry struct {
-	Algorithm  string   `json:"algorithm"`
-	NF         int64    `json:"nf"`
-	P          float64  `json:"p"`
-	SBRate     float64  `json:"sb_rate,omitempty"`
-	Partitions []string `json:"partitions"`
-	NextSeed   uint64   `json:"next_seed"`
-}
 
 func main() {
 	dir := flag.String("dir", "", "warehouse directory (required except for query)")
@@ -93,10 +83,13 @@ func main() {
 		cli.reg = obs.NewRegistry()
 	}
 	cmd, args := flag.Arg(0), flag.Args()[1:]
-	// fsck exists to repair warehouses that no longer open cleanly, so it
-	// must not be blocked by the very damage it is meant to report.
-	cli.lenient = cmd == "fsck"
-	err := cli.open()
+	// fsck reads the manifest as it is stored: opening the warehouse would
+	// reconcile it against the samples first, repairing what fsck is there to
+	// report.
+	err := cli.openStore()
+	if err == nil && cmd != "fsck" {
+		err = cli.openWarehouse()
+	}
 	if err == nil {
 		switch cmd {
 		case "create":
@@ -141,10 +134,11 @@ commands:
   merge    -ds NAME [-part ID1,ID2,...]
   estimate -ds NAME [-part IDS] -q QUERY   (avg | sum | median | distinct | topk:K | count:LO..HI)
   rollout  -ds NAME -part ID
-  fsck     [-fix]   (verify samples, quarantine corrupt ones, reconcile catalog,
-           check wal/ segments for torn tails and orphans, audit sketch
-           sidecars and anti-entropy content hashes — -fix rebuilds
-           missing/stale/corrupt ones)
+  fsck     [-fix]   (verify samples, quarantine corrupt ones, reconcile the
+           manifest against the samples, check wal/ segments for torn tails
+           and orphans, audit sketch sidecars and anti-entropy content hashes —
+           -fix drops dangling records and rebuilds missing/stale/corrupt
+           sidecars and hashes)
   query    -addr URL [-ds NAME [-q QUERY]] [-part IDS] [-strict] [-timeout D]
            [-confidence 0.95] [-maxerr E] [-maxtime D] [-explain] [-json]
            (against a running swd; no -dir needed. -maxerr/-maxtime bound the
@@ -160,95 +154,111 @@ func fatal(err error) {
 }
 
 type cli struct {
-	dir     string
-	cat     catalog
-	st      *storage.FileStore[int64]
-	wh      *warehouse.Warehouse[int64]
-	reg     *obs.Registry // non-nil when -metrics is set
-	lenient bool          // tolerate attach failures at open (fsck)
-	broken  []brokenPartition
+	dir string
+	st  *storage.FileStore[int64]
+	wh  *warehouse.Warehouse[int64] // nil under fsck, which works on the store
+	reg *obs.Registry               // non-nil when -metrics is set
 }
 
-// brokenPartition records a cataloged partition that failed to attach during
-// a lenient open, for fsck to report.
-type brokenPartition struct {
-	key string // dataset/partition
-	err error
-}
-
-// catalogPath returns the registry file location.
-func (c *cli) catalogPath() string { return filepath.Join(c.dir, "catalog.json") }
-
-// open loads the catalog (if any) and reconstructs the warehouse.
-func (c *cli) open() error {
+// openStore opens the sample store under DIR/samples.
+func (c *cli) openStore() error {
 	st, err := storage.NewFileStore[int64](filepath.Join(c.dir, "samples"), storage.Int64Codec{})
 	if err != nil {
 		return err
 	}
 	st.Instrument(c.reg) // nil reg = uninstrumented
 	c.st = st
-	c.wh = warehouse.New[int64](st, 0x5357434c49) // fixed base seed; per-partition seeds come from the catalog
-	c.wh.Instrument(c.reg)
-	c.cat.Datasets = map[string]*catalogEntry{}
-	data, err := os.ReadFile(c.catalogPath())
-	if os.IsNotExist(err) {
-		// No catalog.json: either a fresh directory or a daemon-managed one
-		// (swd's catalog IS the warehouse manifest). Adopt a fresh directory
-		// so sketch sidecars persist; never clobber a daemon's manifest with
-		// an empty reconstruction.
-		if !warehouse.HasManifest(st) {
-			return c.wh.PersistCatalog()
-		}
-		return nil
-	}
+	return nil
+}
+
+// openWarehouse opens the warehouse over the store from its manifest, as swd
+// does, and brings a directory that still has a catalog.json forward.
+func (c *cli) openWarehouse() error {
+	wh, rep, err := warehouse.Open[int64](c.st, 0x5357434c49) // fixed base seed
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(data, &c.cat); err != nil {
-		return fmt.Errorf("catalog corrupt: %w", err)
+	wh.Instrument(c.reg)
+	c.wh = wh
+	imported, err := c.retireLegacyCatalog()
+	if err != nil {
+		return err
 	}
-	for name, e := range c.cat.Datasets {
-		if err := c.wh.CreateDataset(name, e.config()); err != nil {
-			return err
+	// Before an import every sample is an orphan; that report says nothing.
+	if !imported && !rep.Clean() {
+		fmt.Fprintf(os.Stderr, "swcli: recovery: %s\n", rep)
+	}
+	return nil
+}
+
+// legacyCatalog is the data-set registry swcli used to keep in
+// DIR/catalog.json beside the warehouse manifest.
+type legacyCatalog struct {
+	Datasets map[string]struct {
+		Algorithm  string   `json:"algorithm"`
+		NF         int64    `json:"nf"`
+		P          float64  `json:"p"`
+		SBRate     float64  `json:"sb_rate"`
+		Partitions []string `json:"partitions"`
+	} `json:"datasets"`
+}
+
+// retireLegacyCatalog renames DIR/catalog.json out of the way, once. Every
+// directory written since sidecars landed has a manifest in step with it, so
+// the file is only set aside; a directory whose manifest names no data set is
+// older than that, and its catalog is imported first: each data set created
+// and each stored sample rolled in again, which seals it and builds its
+// sidecar (no seal can predate the manifest). A listed sample that is missing
+// or corrupt is left out with a warning, as fsck -fix would drop it.
+func (c *cli) retireLegacyCatalog() (imported bool, err error) {
+	path := filepath.Join(c.dir, "catalog.json")
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	if len(c.wh.Datasets()) == 0 {
+		var cat legacyCatalog
+		if err := json.Unmarshal(data, &cat); err != nil {
+			return false, fmt.Errorf("catalog corrupt: %w", err)
 		}
-		for _, p := range e.Partitions {
-			if err := c.wh.Attach(name, p); err != nil {
-				if c.lenient {
-					c.broken = append(c.broken, brokenPartition{key: name + "/" + p, err: err})
+		for name, e := range cat.Datasets {
+			if err := c.wh.CreateDataset(name, datasetConfig(e.Algorithm, e.NF, e.P, e.SBRate)); err != nil {
+				return false, fmt.Errorf("import %s: %w", name, err)
+			}
+			for _, p := range e.Partitions {
+				smp, err := c.st.Get(name + "/" + p)
+				if storage.IsNotFound(err) || storage.IsCorrupt(err) {
+					fmt.Fprintf(os.Stderr, "swcli: import: %s/%s left out: %v\n", name, p, err)
 					continue
 				}
-				return fmt.Errorf("attach %s/%s: %w", name, p, err)
+				if err == nil {
+					err = c.wh.RollIn(name, p, smp)
+				}
+				if err != nil {
+					return false, fmt.Errorf("import %s/%s: %w", name, p, err)
+				}
 			}
 		}
+		imported = true
 	}
-	// This is a swcli-managed directory: keep the warehouse manifest (and
-	// with it the sketch sidecars fsck audits) in step with the catalog.
-	return c.wh.PersistCatalog()
+	return imported, os.Rename(path, path+".retired")
 }
 
-// save writes the catalog atomically.
-func (c *cli) save() error {
-	data, err := json.MarshalIndent(&c.cat, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := c.catalogPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, c.catalogPath())
-}
-
-// config converts a catalog entry to a warehouse config.
-func (e *catalogEntry) config() warehouse.DatasetConfig {
-	cfg := core.ConfigForNF(e.NF)
-	cfg.ExceedProb = e.P
-	dc := warehouse.DatasetConfig{Core: cfg, SBRate: e.SBRate}
-	switch e.Algorithm {
+// datasetConfig builds a data set's warehouse configuration from the create
+// flags (or a legacy catalog entry, which recorded them).
+func datasetConfig(alg string, nf int64, p, sbRate float64) warehouse.DatasetConfig {
+	cfg := core.ConfigForNF(nf)
+	cfg.ExceedProb = p
+	dc := warehouse.DatasetConfig{Core: cfg}
+	switch alg {
 	case "HB":
 		dc.Algorithm = warehouse.AlgHB
 	case "SB":
 		dc.Algorithm = warehouse.AlgSB
+		dc.SBRate = sbRate
 	default:
 		dc.Algorithm = warehouse.AlgHR
 	}
@@ -271,15 +281,7 @@ func (c *cli) create(args []string) error {
 	default:
 		return fmt.Errorf("create: unknown algorithm %q", *alg)
 	}
-	e := &catalogEntry{Algorithm: *alg, NF: *nf, P: *p, NextSeed: 1}
-	if *alg == "SB" {
-		e.SBRate = *rate
-	}
-	if err := c.wh.CreateDataset(*ds, e.config()); err != nil {
-		return err
-	}
-	c.cat.Datasets[*ds] = e
-	if err := c.save(); err != nil {
+	if err := c.wh.CreateDataset(*ds, datasetConfig(*alg, *nf, *p, *rate)); err != nil {
 		return err
 	}
 	fmt.Printf("created data set %q (alg=%s nF=%d)\n", *ds, *alg, *nf)
@@ -297,17 +299,15 @@ func (c *cli) ingest(args []string) error {
 	if *ds == "" || *part == "" {
 		return fmt.Errorf("ingest: -ds and -part required")
 	}
-	e, ok := c.cat.Datasets[*ds]
-	if !ok {
+	parts, err := c.wh.Partitions(*ds)
+	if err != nil {
 		return fmt.Errorf("ingest: unknown data set %q", *ds)
 	}
 	// The warehouse treats a duplicate roll-in as an idempotent replace (for
 	// crash-retry convergence); at the CLI a re-used partition ID is almost
 	// always operator error, so reject it here.
-	for _, p := range e.Partitions {
-		if p == *part {
-			return fmt.Errorf("ingest: partition %s/%s already exists (rollout first to replace)", *ds, *part)
-		}
+	if slices.Contains(parts, *part) {
+		return fmt.Errorf("ingest: partition %s/%s already exists (rollout first to replace)", *ds, *part)
 	}
 	var r io.Reader = os.Stdin
 	if *in != "" {
@@ -369,30 +369,28 @@ func (c *cli) ingest(args []string) error {
 	if err := c.wh.RollIn(*ds, *part, s); err != nil {
 		return err
 	}
-	e.Partitions = append(e.Partitions, *part)
-	e.NextSeed++
-	if err := c.save(); err != nil {
-		return err
-	}
 	fmt.Printf("ingested %d values into %s/%s: %s sample of %d elements (%d bytes)\n",
 		n, *ds, *part, s.Kind, s.Size(), s.Footprint())
 	return nil
 }
 
 func (c *cli) ls(args []string) error {
-	names := make([]string, 0, len(c.cat.Datasets))
-	for n := range c.cat.Datasets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := c.wh.Datasets()
 	if len(names) == 0 {
 		fmt.Println("(no data sets)")
 		return nil
 	}
 	for _, n := range names {
-		e := c.cat.Datasets[n]
-		fmt.Printf("%s  alg=%s nF=%d partitions=%d\n", n, e.Algorithm, e.NF, len(e.Partitions))
-		for _, p := range e.Partitions {
+		cfg, err := c.wh.Config(n)
+		if err != nil {
+			return err
+		}
+		parts, err := c.wh.Partitions(n)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s  alg=%s nF=%d partitions=%d\n", n, cfg.Algorithm, cfg.Core.NF(), len(parts))
+		for _, p := range parts {
 			info, err := c.wh.Info(n, p)
 			if err != nil {
 				return err
@@ -576,48 +574,39 @@ func (c *cli) rollout(args []string) error {
 		return fmt.Errorf("rollout: -ds and -part required")
 	}
 	// The warehouse-level roll-out is an idempotent no-op on a missing
-	// partition; surface the operator-facing error from the catalog instead.
-	e, ok := c.cat.Datasets[*ds]
-	if !ok {
+	// partition; surface the operator-facing error here instead.
+	parts, err := c.wh.Partitions(*ds)
+	if err != nil {
 		return fmt.Errorf("rollout: unknown data set %q", *ds)
 	}
-	idx := -1
-	for i, p := range e.Partitions {
-		if p == *part {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if !slices.Contains(parts, *part) {
 		return fmt.Errorf("rollout: partition %s/%s not found", *ds, *part)
 	}
 	if err := c.wh.RollOut(*ds, *part); err != nil {
-		return err
-	}
-	e.Partitions = append(e.Partitions[:idx], e.Partitions[idx+1:]...)
-	if err := c.save(); err != nil {
 		return err
 	}
 	fmt.Printf("rolled out %s/%s\n", *ds, *part)
 	return nil
 }
 
-// fsck verifies the warehouse on disk: stale temp files from killed writes
-// are removed, every sample is decode-verified (corrupt files are renamed to
-// ".corrupt" siblings by the store), the catalog is reconciled against the
+// fsck verifies the warehouse on disk, working on the store and the manifest
+// as they are stored rather than on an opened warehouse (whose Open would
+// already have reconciled them): stale temp files from killed writes are
+// removed, every sample is decode-verified (corrupt files are renamed to
+// ".corrupt" siblings by the store), the manifest is reconciled against the
 // surviving samples, and write-ahead journal segments (a `wal/` directory in
 // the swd layout) are checked for torn tails and orphaned segments. With
-// -fix, catalog entries whose samples are gone (dangling) are dropped, torn
+// -fix, manifest records whose samples are gone (dangling) are dropped, torn
 // journal tails are truncated back to the last valid frame, and fully
 // committed journal segments are removed; orphan samples are reported but
-// never deleted. Two final passes audit the catalog's per-partition state:
+// never deleted. Two final passes audit the manifest's per-partition state:
 // sketch summaries (missing, stale, or corrupt ones are reported and, with -fix,
 // rebuilt from the stored samples) and the partition content hashes cluster
 // anti-entropy compares (missing or byte-disagreeing hashes are reported
 // and, with -fix, recomputed from the stored bytes).
 func (c *cli) fsck(args []string) error {
 	fs := flag.NewFlagSet("fsck", flag.ExitOnError)
-	fix := fs.Bool("fix", false, "repair: drop dangling catalog entries")
+	fix := fs.Bool("fix", false, "repair: drop dangling manifest records, rebuild defective sidecars and hashes")
 	fs.Parse(args)
 
 	// Pass 1: sweep stale temp files left by killed mid-Put processes. They
@@ -654,7 +643,6 @@ func (c *cli) fsck(args []string) error {
 		return fmt.Errorf("fsck: list: %w", err)
 	}
 	var corrupt []string
-	readable := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		if _, err := c.st.Get(k); err != nil {
 			if storage.IsCorrupt(err) {
@@ -663,49 +651,19 @@ func (c *cli) fsck(args []string) error {
 			}
 			return fmt.Errorf("fsck: verify %q: %w", k, err)
 		}
-		readable[k] = true
 	}
-	// Partitions that failed to attach during the lenient open: corrupt ones
-	// were quarantined there (so Keys no longer lists them); the rest
-	// surface as dangling in pass 3.
-	for _, b := range c.broken {
-		if storage.IsCorrupt(b.err) {
-			corrupt = append(corrupt, b.key)
-		}
-	}
-	sort.Strings(corrupt)
 	for _, k := range corrupt {
 		fmt.Printf("corrupt: %s (quarantined)\n", k)
 	}
 
-	// Pass 3: reconcile the catalog. Dangling entries point at samples that
+	// Pass 3: reconcile the manifest. Dangling records point at samples that
 	// no longer exist (crashed ingest, quarantined corruption); orphans are
-	// samples no catalog entry claims (crashed rollout or foreign files).
-	var dangling, orphans []string
-	claimed := make(map[string]bool)
-	for name, e := range c.cat.Datasets {
-		kept := e.Partitions[:0]
-		for _, p := range e.Partitions {
-			k := name + "/" + p
-			if readable[k] {
-				claimed[k] = true
-				kept = append(kept, p)
-			} else {
-				dangling = append(dangling, k)
-				if !*fix {
-					kept = append(kept, p)
-				}
-			}
-		}
-		e.Partitions = kept
+	// samples no record claims (crashed rollout or foreign files).
+	cRep, err := warehouse.FsckReconcile(c.st, *fix)
+	if err != nil {
+		return fmt.Errorf("fsck: catalog: %w", err)
 	}
-	for _, k := range keys {
-		if readable[k] && !claimed[k] {
-			orphans = append(orphans, k)
-		}
-	}
-	sort.Strings(dangling)
-	sort.Strings(orphans)
+	dangling, orphans := cRep.Dangling, cRep.Orphans
 	for _, k := range dangling {
 		if *fix {
 			fmt.Printf("dangling: %s (dropped from catalog)\n", k)
@@ -715,11 +673,6 @@ func (c *cli) fsck(args []string) error {
 	}
 	for _, k := range orphans {
 		fmt.Printf("orphan: %s (sample without catalog entry)\n", k)
-	}
-	if *fix && len(dangling) > 0 {
-		if err := c.save(); err != nil {
-			return fmt.Errorf("fsck: save catalog: %w", err)
-		}
 	}
 
 	// Pass 4: write-ahead journal segments (the swd layout keeps them under

@@ -1,22 +1,58 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"samplewh/internal/core"
+	"samplewh/internal/obs"
+	"samplewh/internal/randx"
+	"samplewh/internal/server"
+	"samplewh/internal/storage"
+	"samplewh/internal/warehouse"
 )
 
-// newCLI opens a cli over a temp warehouse directory.
+// newCLI opens a cli over a temp warehouse directory, as main does for every
+// command but fsck.
 func newCLI(t *testing.T, dir string) *cli {
 	t.Helper()
 	c := &cli{dir: dir}
-	if err := c.open(); err != nil {
+	if err := c.openStore(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.openWarehouse(); err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// newFsckCLI opens a cli the way main does for fsck: the store only.
+func newFsckCLI(t *testing.T, dir string) *cli {
+	t.Helper()
+	c := &cli{dir: dir}
+	if err := c.openStore(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// partitionsOf reopens dir and lists one data set's partitions.
+func partitionsOf(t *testing.T, dir, ds string) []string {
+	t.Helper()
+	parts, err := newCLI(t, dir).wh.Partitions(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parts
 }
 
 // writeValues writes a text value file and returns its path.
@@ -72,15 +108,10 @@ func TestCLICreateIngestMergeEstimate(t *testing.T) {
 	}
 
 	// Reopen and verify persistence of catalog + partition order.
-	c2 := newCLI(t, dir)
-	e, ok := c2.cat.Datasets["orders"]
-	if !ok {
-		t.Fatal("catalog lost data set on reopen")
+	if parts := partitionsOf(t, dir, "orders"); len(parts) != 1 || parts[0] != "p2" {
+		t.Fatalf("partitions after reopen: %v", parts)
 	}
-	if len(e.Partitions) != 1 || e.Partitions[0] != "p2" {
-		t.Fatalf("partitions after reopen: %v", e.Partitions)
-	}
-	if err := c2.merge([]string{"-ds", "orders"}); err != nil {
+	if err := newCLI(t, dir).merge([]string{"-ds", "orders"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -160,8 +191,8 @@ func TestCLIEstimateValidation(t *testing.T) {
 func TestCLICorruptCatalog(t *testing.T) {
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, "catalog.json"), []byte("{nope"), 0o644)
-	c := &cli{dir: dir}
-	if err := c.open(); err == nil {
+	c := newFsckCLI(t, dir)
+	if err := c.openWarehouse(); err == nil {
 		t.Fatal("corrupt catalog accepted")
 	}
 }
@@ -333,20 +364,19 @@ func TestCLIFsckQuarantineAndFix(t *testing.T) {
 	if err := c.fsck([]string{"-fix"}); err != nil {
 		t.Fatalf("fsck -fix: %v", err)
 	}
-	if parts := c.cat.Datasets["d"].Partitions; len(parts) != 1 || parts[0] != "p2" {
+	if parts := partitionsOf(t, dir, "d"); len(parts) != 1 || parts[0] != "p2" {
 		t.Fatalf("catalog after fix = %v", parts)
 	}
-	// And a reopened CLI is clean.
-	c2 := newCLI(t, dir)
-	if err := c2.fsck(nil); err != nil {
+	// And a fresh fsck is clean.
+	if err := newFsckCLI(t, dir).fsck(nil); err != nil {
 		t.Fatalf("fsck after fix: %v", err)
 	}
 }
 
 // TestCLIFsckOpensDamagedWarehouse is the real-world repair path: a fresh
-// swcli invocation against a warehouse with a corrupt partition. A strict
-// open fails at attach-validation, so fsck must open leniently — otherwise
-// the repair tool is blocked by the damage it exists to fix.
+// swcli invocation against a warehouse with a corrupt partition. fsck works on
+// the store and the manifest as stored, so the damage cannot block it, and
+// without -fix it reports and leaves the manifest alone.
 func TestCLIFsckOpensDamagedWarehouse(t *testing.T) {
 	dir := t.TempDir()
 	c := newCLI(t, dir)
@@ -368,40 +398,27 @@ func TestCLIFsckOpensDamagedWarehouse(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	// A strict open (every other subcommand) fails at attach-validation.
-	strict := &cli{dir: dir}
-	if err := strict.open(); err == nil {
-		t.Fatal("strict open of a damaged warehouse succeeded")
+	before, err := c.st.GetBlob("warehouse-manifest")
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// A lenient open (fsck) succeeds and records the broken partition; the
-	// corrupt attach quarantined the file, so fsck reports it and -fix on a
-	// second invocation clears the dangling entry.
-	lenient := &cli{dir: dir, lenient: true}
-	if err := lenient.open(); err != nil {
-		t.Fatalf("lenient open: %v", err)
-	}
-	if len(lenient.broken) != 1 || lenient.broken[0].key != "d/p1" {
-		t.Fatalf("broken = %+v", lenient.broken)
-	}
-	if err := lenient.fsck(nil); err == nil {
+	if err := newFsckCLI(t, dir).fsck(nil); err == nil {
 		t.Fatal("fsck missed the corrupt partition")
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("corrupt file not quarantined: %v", err)
 	}
-
-	fixer := &cli{dir: dir, lenient: true}
-	if err := fixer.open(); err != nil {
-		t.Fatalf("reopen for -fix: %v", err)
+	if after, err := c.st.GetBlob("warehouse-manifest"); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("fsck without -fix rewrote the manifest (err %v)", err)
 	}
-	if err := fixer.fsck([]string{"-fix"}); err != nil {
+
+	if err := newFsckCLI(t, dir).fsck([]string{"-fix"}); err != nil {
 		t.Fatalf("fsck -fix: %v", err)
 	}
-	// The warehouse opens strictly again and still answers queries.
+	// The warehouse opens with nothing left to recover and answers queries.
 	healed := newCLI(t, dir)
-	if parts := healed.cat.Datasets["d"].Partitions; len(parts) != 1 || parts[0] != "p2" {
+	if parts, _ := healed.wh.Partitions("d"); len(parts) != 1 || parts[0] != "p2" {
 		t.Fatalf("catalog after fix = %v", parts)
 	}
 	if err := healed.estimate([]string{"-ds", "d", "-q", "avg"}); err != nil {
@@ -456,5 +473,189 @@ func TestCLIFsckSketchPass(t *testing.T) {
 	}
 	if err := c.fsck(nil); err != nil {
 		t.Fatalf("fsck after -fix: %v", err)
+	}
+}
+
+// stdoutOf runs one command and returns what it printed.
+func stdoutOf(t *testing.T, cmd func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		out <- string(data)
+	}()
+	err = cmd()
+	os.Stdout = saved
+	w.Close()
+	printed := <-out
+	if err != nil {
+		t.Fatalf("%v\n%s", err, printed)
+	}
+	return printed
+}
+
+// TestCLIReadsServerWrittenStore: the manifest is the one catalog, so a store
+// written by the daemon's stack — server.New over warehouse.Open, keyed ingest
+// — is listed, estimated and fsck-clean under swcli, which has no registry of
+// its own to miss it from.
+func TestCLIReadsServerWrittenStore(t *testing.T) {
+	dir := t.TempDir()
+	st, err := storage.NewFileStore[int64](filepath.Join(dir, "samples"), storage.Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh, _, err := warehouse.Open[int64](st, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(wh, server.Config{}).Handler())
+	defer ts.Close()
+	cl := server.NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := cl.CreateDataset(ctx, server.CreateDatasetRequest{Name: "served", NF: 64}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"p1", "p2"} {
+		vals, err := os.Open(writeValues(t, t.TempDir(), 3000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cl.IngestKeyed(ctx, "served", p, 0, "key-"+p, vals)
+		vals.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := newCLI(t, dir)
+	if out := stdoutOf(t, func() error { return c.ls(nil) }); !strings.Contains(out, "served  alg=HR nF=64 partitions=2") {
+		t.Fatalf("ls over a server-written store:\n%s", out)
+	}
+	if out := stdoutOf(t, func() error { return c.info([]string{"-ds", "served"}) }); !strings.Contains(out, "2 partitions: p1, p2") {
+		t.Fatalf("info over a server-written store:\n%s", out)
+	}
+	if out := stdoutOf(t, func() error { return c.estimate([]string{"-ds", "served", "-q", "avg"}) }); !strings.HasPrefix(out, "AVG ≈ ") {
+		t.Fatalf("estimate over a server-written store:\n%s", out)
+	}
+	if out := stdoutOf(t, func() error { return newFsckCLI(t, dir).fsck(nil) }); out != "clean\n" {
+		t.Fatalf("fsck over a server-written store:\n%s", out)
+	}
+}
+
+// TestCLIReadOnlyCommandsWriteNothing: a swcli-written directory is a
+// warehouse directory — warehouse.Open finds nothing to recover — and opening
+// it again to list, describe, merge or estimate puts no sample, sidecar or
+// manifest and leaves every seal as it was.
+func TestCLIReadOnlyCommandsWriteNothing(t *testing.T) {
+	dir := t.TempDir()
+	c := newCLI(t, dir)
+	if err := c.create([]string{"-ds", "d", "-nf", "64"}); err != nil {
+		t.Fatal(err)
+	}
+	vals := writeValues(t, t.TempDir(), 2000)
+	for _, p := range []string{"p1", "p2", "p3"} {
+		if err := c.ingest([]string{"-ds", "d", "-part", p, "-in", vals}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hashes := func() map[string]string {
+		t.Helper()
+		wh, rep, err := warehouse.Open[int64](newFsckCLI(t, dir).st, 1)
+		if err != nil || !rep.Clean() {
+			t.Fatalf("warehouse.Open over a swcli directory: %v, %v", rep, err)
+		}
+		h, err := wh.PartitionHashes("d")
+		if err != nil || len(h) != 3 || h["p1"] == "" {
+			t.Fatalf("hashes = %v, %v", h, err)
+		}
+		return h
+	}
+	before := hashes()
+
+	for _, cmd := range [][]string{
+		{"ls"}, {"info", "-ds", "d"}, {"info", "-ds", "d", "-part", "p2"},
+		{"merge", "-ds", "d"}, {"estimate", "-ds", "d", "-q", "avg"}, {"estimate", "-ds", "d", "-q", "distinct"},
+	} {
+		r := &cli{dir: dir, reg: obs.NewRegistry()}
+		if err := r.openStore(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.openWarehouse(); err != nil {
+			t.Fatal(err)
+		}
+		run := map[string]func([]string) error{"ls": r.ls, "info": r.info, "merge": r.merge, "estimate": r.estimate}[cmd[0]]
+		if err := run(cmd[1:]); err != nil {
+			t.Fatalf("%v: %v", cmd, err)
+		}
+		for _, name := range []string{"puts", "deletes", "blob_puts", "blob_deletes"} {
+			if n := r.reg.Counter("storage.file." + name).Value(); n != 0 {
+				t.Errorf("%v: storage.file.%s = %d, want 0", cmd, name, n)
+			}
+		}
+	}
+	if after := hashes(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("read-only commands re-sealed partitions:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// TestCLIRetiresLegacyCatalog: catalog.json is read at most once. Beside a
+// manifest that names data sets it is set aside unread; alone — a directory
+// older than the manifest — its data sets and stored samples are imported
+// first, less any sample that is gone.
+func TestCLIRetiresLegacyCatalog(t *testing.T) {
+	dir := t.TempDir()
+	st := newFsckCLI(t, dir).st
+	sample := func(seed uint64) *core.Sample[int64] {
+		hr := core.NewHR[int64](core.ConfigForNF(64), randx.New(seed))
+		for v := int64(0); v < 2000; v++ {
+			hr.Feed(v)
+		}
+		s, err := hr.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for i, p := range []string{"p1", "p2"} {
+		if err := st.Put("old/"+p, sample(uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := filepath.Join(dir, "catalog.json")
+	if err := os.WriteFile(legacy, []byte(`{"datasets": {"old": {"algorithm": "HR", "nf": 64, "p": 0.001,
+		"partitions": ["p1", "gone", "p2"], "next_seed": 4}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := newCLI(t, dir)
+	if out := stdoutOf(t, func() error { return c.ls(nil) }); !strings.Contains(out, "old  alg=HR nF=64 partitions=2") {
+		t.Fatalf("ls after the import:\n%s", out)
+	}
+	if err := c.estimate([]string{"-ds", "old", "-q", "avg"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("catalog.json still in place after the import (err %v)", err)
+	}
+	if out := stdoutOf(t, func() error { return newFsckCLI(t, dir).fsck(nil) }); out != "clean\n" {
+		t.Fatalf("fsck after the import:\n%s", out)
+	}
+
+	// A catalog.json beside a manifest with data sets is not consulted: this
+	// one would not parse.
+	if err := os.WriteFile(legacy, []byte("{nope"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if parts := partitionsOf(t, dir, "old"); !reflect.DeepEqual(parts, []string{"p1", "p2"}) {
+		t.Fatalf("partitions = %v", parts)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("catalog.json still in place beside a manifest (err %v)", err)
 	}
 }

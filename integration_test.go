@@ -18,7 +18,10 @@ func TestIntegrationWarehouseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wh := NewWarehouse(st, 1)
+	wh, _, err := OpenWarehouse(st, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := ConfigForNF(1024)
 	if err := wh.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: cfg}); err != nil {
 		t.Fatal(err)
@@ -121,19 +124,14 @@ func TestIntegrationWarehouseLifecycle(t *testing.T) {
 		t.Fatalf("roll-out did not shrink parent: %d vs %d", m2.ParentSize, m.ParentSize)
 	}
 
-	// "Reopen" the warehouse from the same directory and re-attach.
+	// Reopen the warehouse from the same directory.
 	st2, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wh2 := NewWarehouse(st2, 2)
-	if err := wh2.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: cfg}); err != nil {
-		t.Fatal(err)
-	}
-	for day := 6; day <= 10; day++ {
-		if err := wh2.Attach("orders", fmt.Sprintf("d%02d", day)); err != nil {
-			t.Fatal(err)
-		}
+	wh2, rep, err := OpenWarehouse(st2, 2)
+	if err != nil || !rep.Clean() {
+		t.Fatalf("reopen: %v, %v", rep, err)
 	}
 	m3, err := wh2.MergedSample("orders")
 	if err != nil {

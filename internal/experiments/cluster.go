@@ -256,3 +256,12 @@ func clusterRung(r *Report, bc *benchCluster, coordinators []*server.Client, n i
 		degraded.Load())
 	return nil
 }
+
+// quantileUS returns the q-quantile of sorted durations in microseconds.
+func quantileUS(sorted []time.Duration, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(q * float64(len(sorted)-1))
+	return float64(sorted[idx]) / 1e3
+}

@@ -95,36 +95,6 @@ func (w *Warehouse[V]) rawStore() (storage.RawStore[V], bool) {
 	return rs, ok
 }
 
-// priorHash returns the content hash the durable manifest already records for
-// dataset/partitionID, or "". Attach consults it so that re-attaching a
-// partition over a persistent store preserves the seal from roll-in time
-// instead of re-sealing whatever bytes are stored now — otherwise a catalog
-// rebuild (swcli runs one on every invocation) would overwrite the evidence
-// fsck pass 6 and anti-entropy digests need to witness divergence. The
-// manifest is loaded at most once per warehouse; a persisted install and a
-// roll-out evict their entry. Caller holds w.mu.
-func (w *Warehouse[V]) priorHash(dataset, partitionID string) string {
-	if w.prior == nil {
-		w.prior = make(map[string]string)
-		blob := w.blob
-		if blob == nil {
-			// Attach runs before PersistCatalog sets w.blob on rebuilt
-			// warehouses; go to the store directly.
-			blob, _ = w.store.(storage.BlobStore)
-		}
-		if blob != nil {
-			if m, err := loadManifest(blob); err == nil {
-				for name, md := range m.Datasets {
-					for _, p := range md.records(nil, name) { // the seals only: no sidecar is read
-						w.prior[w.key(name, p.id)] = p.hash
-					}
-				}
-			}
-		}
-	}
-	return w.prior[w.key(dataset, partitionID)]
-}
-
 // PartitionHashes returns one data set's inventory: partition ID → content
 // hash for every attached partition, in no particular order. Partitions
 // without a recorded hash (store without raw access, or attached before
@@ -225,32 +195,32 @@ func (r *HashFsckReport) Problems() int {
 func FsckHashes(store storage.Store[int64], fix bool) (*HashFsckReport, error) {
 	rep := &HashFsckReport{}
 	rs, hasRaw := store.(storage.RawStore[int64])
-	err := fsckCatalog(store, "hashes", func(key string, p *partition) bool {
+	err := fsckCatalog(store, "hashes", func(key string, p *partition) fsckVerdict {
 		if !hasRaw {
-			return false
+			return fsckKeep
 		}
 		raw, err := rs.GetRaw(key)
 		if err != nil {
 			// The sample itself is unreadable or missing; the main fsck
 			// passes own that problem.
-			return false
+			return fsckKeep
 		}
 		rep.Checked++
 		want := contentHash(raw, p.sketch)
 		switch p.hash {
 		case want:
-			return false
+			return fsckKeep
 		case "":
 			rep.Missing = append(rep.Missing, key)
 		default:
 			rep.Mismatched = append(rep.Mismatched, key)
 		}
 		if !fix {
-			return false
+			return fsckKeep
 		}
 		p.hash = want
 		rep.Fixed = append(rep.Fixed, key)
-		return true
+		return fsckRepaired
 	})
 	sort.Strings(rep.Missing)
 	sort.Strings(rep.Mismatched)

@@ -116,14 +116,12 @@ func checkPartitionID(id string) error {
 	return nil
 }
 
-// The three ways a partition's sample reaches the catalog. The op names the
-// writer in errors and events and decides what differs between them: how the
-// bytes reach the store, whether a known ID is replaced, whether a seal the
-// durable manifest already holds is kept.
+// The two ways a partition's sample reaches the catalog. The op names the
+// writer in errors and events and decides how the bytes reach the store; both
+// replace a known ID and seal what they stored.
 const (
-	opRollIn = "roll-in" // encode s and put it; replaces; fresh seal
-	opAdopt  = "adopt"   // put the transferred bytes verbatim; replaces; fresh seal
-	opAttach = "attach"  // the bytes are already stored; never replaces; keeps a prior seal
+	opRollIn = "roll-in" // encode s and put it
+	opAdopt  = "adopt"   // put the transferred bytes verbatim
 )
 
 // install is the one write path into the catalog (DESIGN.md §17):
@@ -152,9 +150,6 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 	ds, ok := w.sets[dataset]
 	if !ok {
 		return unknownDataset(dataset)
-	}
-	if op == opAttach && ds.byID[id] != nil {
-		return fmt.Errorf("warehouse: partition %q already attached", id)
 	}
 	if s.Config.FootprintBytes != ds.cfg.Core.FootprintBytes || s.Config.SizeModel != ds.cfg.Core.SizeModel {
 		return fmt.Errorf("warehouse: %s %s/%s: sample config %+v does not match data set config %+v",
@@ -191,19 +186,11 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 		w.o.sketchBuilds.Inc() // stream-built; an adopted sidecar was built elsewhere
 	}
 	rec := partition{id: id, stats: statsOf(s), known: true, sketch: sk, sketchUnsaved: true}
-	if op == opAttach {
-		// A seal the durable manifest already holds is kept rather than
-		// recomputed from the current bytes, so divergence between seal and
-		// store stays visible to fsck and anti-entropy.
-		rec.hash = w.priorHash(dataset, id)
+	if raw == nil && hasRaw {
+		raw, _ = rs.GetRaw(key) // unreadable bytes stay unsealed: presence-only
 	}
-	if rec.hash == "" {
-		if raw == nil && hasRaw {
-			raw, _ = rs.GetRaw(key) // unreadable bytes stay unsealed: presence-only
-		}
-		if raw != nil {
-			rec.hash = contentHash(raw, sk)
-		}
+	if raw != nil {
+		rec.hash = contentHash(raw, sk)
 	}
 	prev, replaced := ds.upsert(rec)
 	if err := w.saveManifest(); err != nil {
@@ -218,7 +205,6 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 		}
 		return err
 	}
-	delete(w.prior, key) // the manifest now carries this seal
 
 	var labels map[string]string
 	if op == opRollIn {

@@ -82,13 +82,12 @@ func (f *writerFixture) facts(t *testing.T) catalogFacts {
 	return c
 }
 
-// TestThreeWritersAgree: the same sample bytes entering the catalog by
-// RollIn, by ExportPartition→AdoptPartition and by Attach over a copied store
-// go through one install, so every accessor, gauge and event agrees; only the
-// lifecycle counter (rollins vs attaches) and the event's mode label name the
-// writer.
-func TestThreeWritersAgree(t *testing.T) {
-	rolled, adopted, attached := newWriterFixture(t), newWriterFixture(t), newWriterFixture(t)
+// TestBothWritersAgree: the same sample bytes entering the catalog by RollIn
+// and by ExportPartition→AdoptPartition go through one install, so every
+// accessor, gauge and event agrees; only the lifecycle counter (rollins vs
+// attaches) and the event's mode label name the writer.
+func TestBothWritersAgree(t *testing.T) {
+	rolled, adopted := newWriterFixture(t), newWriterFixture(t)
 
 	if err := rolled.w.RollIn("ds", "p", externalSample(t, 64, 3, 0, 5000)); err != nil {
 		t.Fatal(err)
@@ -100,26 +99,18 @@ func TestThreeWritersAgree(t *testing.T) {
 	if err := adopted.w.AdoptPartition("ds", "p", tr.Raw, tr.Sketch); err != nil {
 		t.Fatal(err)
 	}
-	if err := attached.st.PutRaw("ds/p", tr.Raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := attached.w.Attach("ds", "p"); err != nil {
-		t.Fatal(err)
-	}
 
 	want := rolled.facts(t)
 	if len(want.Partitions) != 1 || len(want.Stats) != 1 || len(want.Sketches) != 1 ||
 		want.Hashes["p"] != tr.Hash || want.Gauges != [3]int64{1, 1, 1} || len(want.Events) != 1 {
 		t.Fatalf("roll-in left %+v", want)
 	}
-	for name, f := range map[string]*writerFixture{"adopt": adopted, "attach": attached} {
-		if got := f.facts(t); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
-		}
-		for _, e := range f.sink.Events() {
-			if e.Type == obs.EvRollIn && e.Labels["mode"] != name {
-				t.Errorf("%s roll_in event labels %v", name, e.Labels)
-			}
+	if got := adopted.facts(t); !reflect.DeepEqual(got, want) {
+		t.Errorf("adopt:\n got %+v\nwant %+v", got, want)
+	}
+	for _, e := range adopted.sink.Events() {
+		if e.Type == obs.EvRollIn && e.Labels["mode"] != "adopt" {
+			t.Errorf("adopt roll_in event labels %v", e.Labels)
 		}
 	}
 	for _, c := range []struct {
@@ -128,7 +119,6 @@ func TestThreeWritersAgree(t *testing.T) {
 	}{
 		{rolled, 1, 0, 1},
 		{adopted, 0, 1, 0}, // the sidecar travelled with the bytes: nothing built
-		{attached, 0, 1, 1},
 	} {
 		got := [3]int64{c.f.reg.Counter("warehouse.rollins").Value(), c.f.reg.Counter("warehouse.attaches").Value(),
 			c.f.reg.Counter("sketch.builds").Value()}
@@ -279,10 +269,7 @@ func TestFailedPersistLeavesCatalogAtLastManifest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mem.PutRaw("ds/onDisk", tr.Raw); err != nil {
-				t.Fatal(err)
-			}
-			sidecars := []string{"ds/a", "ds/b", "ds/c", "ds/d", "ds/x", "ds/onDisk"}
+			sidecars := []string{"ds/a", "ds/b", "ds/c", "ds/d", "ds/x"}
 
 			inMemory := func() []byte {
 				w.mu.Lock()
@@ -312,7 +299,6 @@ func TestFailedPersistLeavesCatalogAtLastManifest(t *testing.T) {
 				{"RollIn replace", func() error { return w.RollIn("ds", "a", externalSample(t, 64, 5, 0, 3000)) }},
 				{"AdoptPartition new", func() error { return w.AdoptPartition("ds", "x", tr.Raw, tr.Sketch) }},
 				{"AdoptPartition replace", func() error { return w.AdoptPartition("ds", "b", tr.Raw, tr.Sketch) }},
-				{"Attach", func() error { return w.Attach("ds", "onDisk") }},
 				{"RollOut", func() error { return w.RollOut("ds", "c") }},
 			}
 			for _, wr := range writers {
@@ -354,7 +340,7 @@ func TestFailedPersistLeavesCatalogAtLastManifest(t *testing.T) {
 				checkReopened(t, wr.name+" retried", mem, sidecars)
 			}
 			parts, _ := w.Partitions("ds")
-			if want := []string{"a", "b", "d", "x", "onDisk"}; !reflect.DeepEqual(parts, want) {
+			if want := []string{"a", "b", "d", "x"}; !reflect.DeepEqual(parts, want) {
 				t.Fatalf("partitions after all writers = %v, want %v", parts, want)
 			}
 			// Every listed partition ends with its sidecar stored, and the

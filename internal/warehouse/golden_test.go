@@ -131,10 +131,17 @@ func reopenAndResave(t *testing.T, st *storage.MemStore[int64], data []byte) (*W
 	if !rep.Clean() {
 		t.Fatalf("golden store reopened unclean: %v", rep)
 	}
-	if err := w.PersistCatalog(); err != nil {
+	if err := resave(w); err != nil {
 		t.Fatal(err)
 	}
 	return w, storedManifest(t, st)
+}
+
+// resave forces the catalog write any catalog mutation ends with.
+func resave(w *Warehouse[int64]) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.saveManifest()
 }
 
 func TestGoldenManifest(t *testing.T) {

@@ -183,37 +183,6 @@ func (w *Warehouse[V]) buildManifest(blob storage.BlobStore) (manifest, error) {
 	return m, nil
 }
 
-// PersistCatalog turns on the durable catalog for a warehouse built with
-// New: the current in-memory catalog — the manifest, and every sidecar the
-// store does not hold yet — is written to the store's blob side channel
-// immediately, and every subsequent catalog mutation rewrites it, exactly
-// as on an Open-built warehouse. It errors when the store has no blob
-// support. swcli uses it to adopt a directory it manages; a caller that did
-// not create the store's manifest should check HasManifest first, since the
-// write replaces whatever catalog is there.
-func (w *Warehouse[V]) PersistCatalog() error {
-	blob, ok := w.store.(storage.BlobStore)
-	if !ok {
-		return fmt.Errorf("warehouse: persist catalog: store has no blob support: %w", storage.ErrBlobsUnsupported)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.blob = blob
-	return w.saveManifest()
-}
-
-// HasManifest reports whether the store carries a durable warehouse catalog
-// (written by Open-built warehouses or PersistCatalog). Stores without blob
-// support never do.
-func HasManifest[V comparable](store storage.Store[V]) bool {
-	blob, ok := store.(storage.BlobStore)
-	if !ok {
-		return false
-	}
-	_, err := blob.GetBlob(manifestName)
-	return err == nil
-}
-
 // saveManifest persists the catalog through the blob side channel. It is a
 // no-op on ephemeral (New-built) warehouses. Callers hold w.mu.
 func (w *Warehouse[V]) saveManifest() error {
@@ -263,13 +232,23 @@ func loadManifest(blob storage.BlobStore) (manifest, error) {
 	return m, nil
 }
 
-// fsckCatalog is the offline walker behind swcli fsck's sidecar and seal
-// passes. It operates on the durable manifest directly — not on a live
-// warehouse — visiting every partition record in (data set, roll-in) order;
-// check reports, and returns true when it repaired the record in place. A
-// repaired catalog is written back once, after the walk: the sidecars that
-// were rebuilt, then the manifest.
-func fsckCatalog(store storage.Store[int64], pass string, check func(key string, p *partition) bool) error {
+// fsckVerdict is what an fsck pass decides about one partition record.
+type fsckVerdict uint8
+
+const (
+	fsckKeep     fsckVerdict = iota // leave the record as stored
+	fsckRepaired                    // the pass changed the record in place: write it back
+	fsckDrop                        // remove the record, and its sidecar, from the catalog
+)
+
+// fsckCatalog is the offline walker behind swcli fsck's catalog passes
+// (reconcile, sidecars, seals). It operates on the durable manifest directly —
+// not on a live warehouse, whose Open would repair what fsck is there to
+// report — visiting every partition record in (data set, roll-in) order;
+// check reports, and says what becomes of the record. A changed catalog is
+// written back once, after the walk: the sidecars that were rebuilt, then the
+// manifest.
+func fsckCatalog(store storage.Store[int64], pass string, check func(key string, p *partition) fsckVerdict) error {
 	blob, ok := store.(storage.BlobStore)
 	if !ok {
 		return fmt.Errorf("warehouse: fsck %s: store has no blob support: %w", pass, storage.ErrBlobsUnsupported)
@@ -286,9 +265,19 @@ func fsckCatalog(store storage.Store[int64], pass string, check func(key string,
 	changed := false
 	walked := make(map[string][]*partition, len(names))
 	for _, name := range names {
-		walked[name] = m.Datasets[name].records(blob, name)
-		for _, p := range walked[name] {
-			changed = check(name+"/"+p.id, p) || changed
+		for _, p := range m.Datasets[name].records(blob, name) {
+			key := name + "/" + p.id
+			switch check(key, p) {
+			case fsckDrop:
+				// Best effort, as in Recover: a sidecar that outlives its
+				// record is inert.
+				_ = blob.DeleteBlob(key)
+				changed = true
+				continue
+			case fsckRepaired:
+				changed = true
+			}
+			walked[name] = append(walked[name], p)
 		}
 	}
 	if !changed {
@@ -302,6 +291,50 @@ func fsckCatalog(store storage.Store[int64], pass string, check func(key string,
 		m.Datasets[name] = md
 	}
 	return saveManifestBlob(blob, m)
+}
+
+// CatalogFsckReport summarizes one offline manifest-vs-store reconciliation
+// (swcli fsck's catalog pass) — what Recover would find, without repairing it
+// unasked. Entries are "dataset/partition" keys.
+type CatalogFsckReport struct {
+	// Dangling records name a sample the store does not hold (crashed ingest,
+	// quarantined corruption); with fix they are dropped from the manifest.
+	// Orphans are stored samples no record claims (crashed roll-out, foreign
+	// files); they are reported, never deleted.
+	Dangling []string
+	Orphans  []string
+}
+
+// FsckReconcile audits the manifest's partition records against the store's
+// keys. With fix set it drops the dangling records and rewrites the manifest
+// (see fsckCatalog).
+func FsckReconcile(store storage.Store[int64], fix bool) (*CatalogFsckReport, error) {
+	keys, err := store.Keys("")
+	if err != nil {
+		return nil, fmt.Errorf("warehouse: fsck catalog: list store: %w", err)
+	}
+	unclaimed := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		unclaimed[k] = true
+	}
+	rep := &CatalogFsckReport{}
+	err = fsckCatalog(store, "catalog", func(key string, p *partition) fsckVerdict {
+		if unclaimed[key] {
+			delete(unclaimed, key)
+			return fsckKeep
+		}
+		rep.Dangling = append(rep.Dangling, key)
+		if fix {
+			return fsckDrop
+		}
+		return fsckKeep
+	})
+	for k := range unclaimed {
+		rep.Orphans = append(rep.Orphans, k)
+	}
+	sort.Strings(rep.Dangling)
+	sort.Strings(rep.Orphans)
+	return rep, err
 }
 
 // RecoveryReport summarizes one manifest-vs-store reconciliation.

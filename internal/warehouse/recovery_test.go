@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +158,19 @@ func TestRecoverDropsDanglingAndReportsOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The offline audit (swcli fsck) finds both and repairs nothing unasked.
+	before := storedManifest(t, st)
+	audit, err := FsckReconcile(st, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(audit.Dangling, []string{"ds/p2"}) || !reflect.DeepEqual(audit.Orphans, []string{"ds/stray"}) {
+		t.Fatalf("offline audit = %+v", audit)
+	}
+	if !bytes.Equal(storedManifest(t, st), before) {
+		t.Fatal("an audit without fix rewrote the manifest")
+	}
+
 	w2, rep, err := Open[int64](st, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +199,24 @@ func TestRecoverDropsDanglingAndReportsOrphans(t *testing.T) {
 	}
 	if len(rep3.Orphans) != 1 {
 		t.Fatalf("orphans = %v", rep3.Orphans)
+	}
+
+	// The audit with fix drops a dangling record, and its sidecar, itself.
+	if err := st.Delete("ds/p3"); err != nil {
+		t.Fatal(err)
+	}
+	if audit, err = FsckReconcile(st, true); err != nil || !reflect.DeepEqual(audit.Dangling, []string{"ds/p3"}) {
+		t.Fatalf("offline audit with fix = %+v, %v", audit, err)
+	}
+	if sk := loadSidecar(st, "ds/p3"); sk != nil {
+		t.Fatal("the dropped record's sidecar is still stored")
+	}
+	w4, rep4, err := Open[int64](st, 7)
+	if err != nil || len(rep4.Dangling) != 0 {
+		t.Fatalf("open after the fix: %v, %v", rep4, err)
+	}
+	if parts, _ := w4.Partitions("ds"); !reflect.DeepEqual(parts, []string{"p1"}) {
+		t.Fatalf("partitions after the fix = %v", parts)
 	}
 }
 

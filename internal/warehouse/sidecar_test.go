@@ -196,7 +196,7 @@ func TestLegacyManifestMigrates(t *testing.T) {
 	// The manifest put fails mid-migration: the sidecars are out, the legacy
 	// manifest still stands, and it still wins.
 	failing := open(faults.Wrap[int64](st, faults.FailKey{Op: faults.OpPutBlob, Key: manifestName, Err: errBlob}))
-	if err := failing.PersistCatalog(); !errors.Is(err, errBlob) {
+	if err := resave(failing); !errors.Is(err, errBlob) {
 		t.Fatalf("catalog write with a failing manifest put: %v", err)
 	}
 	if got := storedManifest(t, st); !bytes.Equal(got, golden) {
@@ -211,7 +211,7 @@ func TestLegacyManifestMigrates(t *testing.T) {
 
 	// The first catalog write that lands completes it.
 	before := readBlobIO(reg)
-	if err := w.PersistCatalog(); err != nil {
+	if err := resave(w); err != nil {
 		t.Fatal(err)
 	}
 	if io := readBlobIO(reg).minus(before); io.puts != 6 {

@@ -3,6 +3,8 @@ package warehouse
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 
 	"samplewh/internal/core"
@@ -11,6 +13,7 @@ import (
 	"samplewh/internal/plan"
 	"samplewh/internal/sketch"
 	"samplewh/internal/storage"
+	"samplewh/internal/workload"
 )
 
 func TestRollInBuildsSketch(t *testing.T) {
@@ -142,13 +145,55 @@ func TestDatasetSketchUnionAndBackfill(t *testing.T) {
 	if _, ok, err := w.PartitionSketch("orders", "p2"); err != nil || !ok {
 		t.Fatalf("backfill did not restore p2's sidecar (ok=%v err=%v)", ok, err)
 	}
+
+	// Where the samples are not exhaustive: a skewed data set whose merged
+	// sample has lost most rare values, so the sample's GEE estimate is biased
+	// low, while the stream-built sidecars hashed every row — their union must
+	// land closer to the true distinct count.
+	if err := w.CreateDataset("zipf", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(256)}); err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.Spec{Dist: workload.Zipfian, N: 16 * 2000, Seed: 1, ZipfValues: 200_000, ZipfSkew: 1.1}
+	truth := make(map[int64]struct{})
+	for i, g := range workload.Partitions(spec, 16) {
+		smp, err := w.NewSampler("zipf", g.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := sketch.NewBuilder()
+		for v, ok := g.Next(); ok; v, ok = g.Next() {
+			smp.Feed(v)
+			b.Add(v)
+			truth[v] = struct{}{}
+		}
+		s, err := smp.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.RollInSketched("zipf", fmt.Sprintf("p%02d", i), s, b.Summary()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged, err := w.MergedSample("zipf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if union, err = w.DatasetSketch(context.Background(), "zipf"); err != nil {
+		t.Fatal(err)
+	}
+	n := float64(len(truth))
+	kmv, gee := union.DistinctEstimate(), estimate.New(merged).DistinctGEE()
+	if math.Abs(kmv-n) >= math.Abs(gee-n) {
+		t.Fatalf("kmv union %.0f no closer to the true %d distinct values than sample GEE %.0f", kmv, len(truth), gee)
+	}
 }
 
 // rangeEstimates answers a count:lo..hi query through the stratified path and
-// returns the (count, fraction) estimate pair.
-func rangeEstimates(t *testing.T, w *Warehouse[int64], lo, hi int64, prune bool) (estimate.Estimate, estimate.Estimate) {
+// returns the (count, fraction) estimate pair and the partitions the sidecars
+// proved out of range.
+func rangeEstimates(t *testing.T, w *Warehouse[int64], lo, hi int64, prune bool) (cnt, frac estimate.Estimate, pruned []string) {
 	t.Helper()
-	strata, zeros, _, err := w.StratifiedRange(context.Background(), "orders", nil, SketchRange{Lo: lo, Hi: hi}, prune, false)
+	strata, zeros, cov, err := w.StratifiedRange(context.Background(), "orders", nil, SketchRange{Lo: lo, Hi: hi}, prune, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,22 +205,22 @@ func rangeEstimates(t *testing.T, w *Warehouse[int64], lo, hi int64, prune bool)
 		t.Fatal(err)
 	}
 	pred := func(v int64) bool { return v >= lo && v <= hi }
-	cnt, err := est.CountPruned(pred, zeros)
-	if err != nil {
+	if cnt, err = est.CountPruned(pred, zeros); err != nil {
 		t.Fatal(err)
 	}
-	frac, err := est.FractionPruned(pred, zeros)
-	if err != nil {
+	if frac, err = est.FractionPruned(pred, zeros); err != nil {
 		t.Fatal(err)
 	}
-	return cnt, frac
+	return cnt, frac, cov.SketchPruned
 }
 
 // TestStratifiedRangeByteIdentity is the pruning contract: whenever the
 // pruned partitions provably lie outside the query range, the pruning-enabled
 // estimate is byte-identical to the pruning-disabled one — same value, same
 // interval, same exactness — across disjoint partition layouts and a ladder
-// of query ranges.
+// of query ranges. The first four ranges narrow from the whole domain to one
+// partition's slice, and along them the pruned count never falls. With pruning
+// off nothing is pruned.
 func TestStratifiedRangeByteIdentity(t *testing.T) {
 	w := newTestWarehouse(t, AlgHR, 128)
 	// Eight partitions holding disjoint contiguous value ranges.
@@ -186,26 +231,40 @@ func TestStratifiedRangeByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	const ladder = 4
 	ranges := []SketchRange{
+		{Lo: 0, Hi: parts*span - 1},           // everything (nothing prunable)
+		{Lo: 0, Hi: parts*span/2 - 1},         // half the domain
+		{Lo: 0, Hi: parts*span/4 - 1},         // a quarter
 		{Lo: 0, Hi: span - 1},                 // first partition only
 		{Lo: span / 2, Hi: span + span/2},     // straddles a boundary
 		{Lo: 3 * span, Hi: 5*span - 1},        // middle pair
-		{Lo: 0, Hi: parts*span - 1},           // everything (nothing prunable)
 		{Lo: 7*span + 123, Hi: 7*span + 4000}, // slice of the last partition
 	}
-	for _, r := range ranges {
-		cntOn, fracOn := rangeEstimates(t, w, r.Lo, r.Hi, true)
-		cntOff, fracOff := rangeEstimates(t, w, r.Lo, r.Hi, false)
+	prev := 0
+	for i, r := range ranges {
+		cntOn, fracOn, pruned := rangeEstimates(t, w, r.Lo, r.Hi, true)
+		cntOff, fracOff, prunedOff := rangeEstimates(t, w, r.Lo, r.Hi, false)
 		if cntOn != cntOff {
 			t.Errorf("range [%d,%d]: count diverged with pruning:\n on  %+v\n off %+v", r.Lo, r.Hi, cntOn, cntOff)
 		}
 		if fracOn != fracOff {
 			t.Errorf("range [%d,%d]: fraction diverged with pruning:\n on  %+v\n off %+v", r.Lo, r.Hi, fracOn, fracOff)
 		}
+		if len(prunedOff) != 0 {
+			t.Errorf("range [%d,%d]: pruning disabled but %v pruned", r.Lo, r.Hi, prunedOff)
+		}
+		if i >= ladder {
+			continue
+		}
+		if len(pruned) < prev {
+			t.Errorf("range [%d,%d]: pruned %d partitions, the wider range before it %d", r.Lo, r.Hi, len(pruned), prev)
+		}
+		prev = len(pruned)
 	}
 
-	// And pruning actually prunes: the single-partition query must skip the
-	// seven provably-out-of-range partitions.
+	// And pruning actually prunes: the narrowest rung, a single-partition
+	// query, must skip all seven provably-out-of-range partitions.
 	_, _, cov, err := w.StratifiedRange(context.Background(), "orders", nil, SketchRange{Lo: 0, Hi: span - 1}, true, false)
 	if err != nil {
 		t.Fatal(err)

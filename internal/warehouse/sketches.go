@@ -146,7 +146,7 @@ func (r *SketchFsckReport) Problems() int {
 // back (see fsckCatalog). A store without a manifest yields an empty report.
 func FsckSketches(store storage.Store[int64], fix bool) (*SketchFsckReport, error) {
 	rep := &SketchFsckReport{}
-	err := fsckCatalog(store, "sketches", func(key string, p *partition) bool {
+	err := fsckCatalog(store, "sketches", func(key string, p *partition) fsckVerdict {
 		rep.Checked++
 		switch sk := p.sketch; {
 		case sk == nil:
@@ -158,20 +158,20 @@ func FsckSketches(store storage.Store[int64], fix bool) (*SketchFsckReport, erro
 		case p.known && sk.Count != p.stats.ParentSize:
 			rep.Stale = append(rep.Stale, key)
 		default:
-			return false
+			return fsckKeep
 		}
 		if !fix {
-			return false
+			return fsckKeep
 		}
 		s, err := store.Get(key)
 		if err != nil {
 			// The sample itself is unreadable; the main fsck passes own that
 			// problem — leave the sidecar defect reported.
-			return false
+			return fsckKeep
 		}
 		p.sketch, p.sketchUnsaved = sketch.FromSample(s), true
 		rep.Fixed = append(rep.Fixed, key)
-		return true
+		return fsckRepaired
 	})
 	sort.Strings(rep.Missing)
 	sort.Strings(rep.Stale)

@@ -123,9 +123,6 @@ type Warehouse[V comparable] struct {
 	// ld is the read-path fetch layer: bounded-concurrency store loads with
 	// singleflight dedup and the optional read-through sample cache.
 	ld *loader[V]
-	// prior lazily caches the durable manifest's content hashes, keyed like
-	// the store, for Attach to keep instead of re-sealing (see priorHash).
-	prior map[string]string
 	// mergeWorkers is the resolved QueryConfig.MergeWorkers (0 = GOMAXPROCS,
 	// applied at merge time).
 	mergeWorkers int
@@ -297,19 +294,6 @@ func (w *Warehouse[V]) RollInSketched(dataset, partitionID string, s *core.Sampl
 	return w.install(opRollIn, dataset, partitionID, s, nil, sk)
 }
 
-// Attach registers a partition whose sample already exists in the store —
-// used when reopening a warehouse over a persistent store. The stored
-// sample is validated against the data set's configuration.
-func (w *Warehouse[V]) Attach(dataset, partitionID string) error {
-	s, err := w.store.Get(w.key(dataset, partitionID))
-	if err != nil {
-		err = fmt.Errorf("warehouse: attach %s/%s: %w", dataset, partitionID, err)
-		w.o.fail(opAttach, dataset, partitionID, err)
-		return err
-	}
-	return w.install(opAttach, dataset, partitionID, s, nil, nil)
-}
-
 // RollOut removes a partition's sample (e.g. when the corresponding data
 // expires from the full-scale warehouse). Rolling out a partition the data
 // set does not hold is a no-op, so a client retrying a crashed roll-out
@@ -344,7 +328,6 @@ func (w *Warehouse[V]) RollOut(dataset, partitionID string) error {
 		return err
 	}
 	w.ld.dropEWMA(key)
-	delete(w.prior, key)
 	w.o.rollOuts.Inc()
 	w.gauges()
 	w.o.event(obs.EvRollOut, dataset, partitionID, nil, nil)

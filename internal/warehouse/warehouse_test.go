@@ -375,55 +375,6 @@ func TestDatasetsListing(t *testing.T) {
 	}
 }
 
-func TestAttachReopensPersistentWarehouse(t *testing.T) {
-	st := storage.NewMemStore[int64]()
-	w1 := New[int64](st, 1)
-	if err := w1.CreateDataset("d", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
-		t.Fatal(err)
-	}
-	smp, _ := w1.NewSampler("d", 0)
-	for v := int64(0); v < 2000; v++ {
-		smp.Feed(v)
-	}
-	s, _ := smp.Finalize()
-	if err := w1.RollIn("d", "p1", s); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Reopen": fresh warehouse over the same store.
-	w2 := New[int64](st, 2)
-	if err := w2.CreateDataset("d", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Attach("d", "p1"); err != nil {
-		t.Fatal(err)
-	}
-	parts, _ := w2.Partitions("d")
-	if len(parts) != 1 || parts[0] != "p1" {
-		t.Fatalf("partitions = %v", parts)
-	}
-	if err := w2.Attach("d", "p1"); err == nil {
-		t.Error("double attach accepted")
-	}
-	if err := w2.Attach("d", "missing"); err == nil {
-		t.Error("attach of missing sample accepted")
-	}
-	if err := w2.Attach("nope", "p1"); err == nil {
-		t.Error("attach to unknown data set accepted")
-	}
-	if err := w2.Attach("d", "a/b"); err == nil {
-		t.Error("attach with hostile id accepted")
-	}
-	// Config mismatch.
-	w3 := New[int64](st, 3)
-	if err := w3.CreateDataset("d", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(128)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w3.Attach("d", "p1"); err == nil {
-		t.Error("config mismatch attach accepted")
-	}
-}
-
 func TestAlgorithmString(t *testing.T) {
 	if AlgHB.String() != "HB" || AlgHR.String() != "HR" || AlgSB.String() != "SB" {
 		t.Fatal("algorithm names wrong")

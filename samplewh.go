@@ -239,29 +239,6 @@ func NewSymmetricMerger[V comparable]() *SymmetricMerger[V] {
 	return core.NewSymmetricMerger[V]()
 }
 
-// SystematicSampler is 1-in-k systematic sampling with a random start — one
-// of the paper's §6 future-work designs (not uniform; see its doc).
-type SystematicSampler[V comparable] = core.SystematicSampler[V]
-
-// NewSystematicSampler returns a 1-in-k systematic sampler.
-func NewSystematicSampler[V comparable](cfg Config, k int64, seed uint64) *SystematicSampler[V] {
-	return core.NewSystematic[V](cfg, k, randx.New(seed))
-}
-
-// WeightedReservoir is biased (weighted) bounded sampling via
-// Efraimidis–Spirakis A-Res — the paper's §6 "biased sampling" design.
-type WeightedReservoir[V comparable] = core.WeightedReservoir[V]
-
-// NewWeightedReservoir returns a size-k weighted reservoir sampler.
-func NewWeightedReservoir[V comparable](cfg Config, k int64, seed uint64) *WeightedReservoir[V] {
-	return core.NewWeightedReservoir[V](cfg, k, randx.New(seed))
-}
-
-// MergeWeighted merges weighted reservoirs of disjoint partitions exactly.
-func MergeWeighted[V comparable](a, b *WeightedReservoir[V]) (*WeightedReservoir[V], error) {
-	return core.MergeWeighted(a, b)
-}
-
 // Warehouse organizes per-partition samples by data set with roll-in,
 // roll-out, windowing and on-demand merged samples (int64 values; use
 // GenericWarehouse for other value types).
