@@ -63,9 +63,9 @@ bench-cluster:
 # Self-healing replication drill (DESIGN.md §16): kill a replica, ingest
 # through the survivors, restart it, and measure convergence time; fails
 # unless the healed cluster answers strict full-coverage queries with samples
-# identical to a never-failed control. Written to BENCH_repair.json.
+# identical to a never-failed control; the JSON document goes to stdout.
 bench-repair:
-	go run ./cmd/swbench -exp repair -rshards 3 -rparts 8 -json BENCH_repair.json
+	go run ./cmd/swbench -exp repair -rshards 3 -rparts 8 -json -
 
 # Boot a real swd, hit every endpoint once with curl + swcli query, then
 # SIGTERM it and require a clean drain (exit 0). The one-query-per-endpoint

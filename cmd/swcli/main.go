@@ -132,7 +132,8 @@ commands:
   ls
   info     -ds NAME [-part ID]
   merge    -ds NAME [-part ID1,ID2,...]
-  estimate -ds NAME [-part IDS] -q QUERY   (avg | sum | median | distinct | topk:K | count:LO..HI)
+  estimate -ds NAME [-part IDS] -q QUERY   (avg | sum | median | distinct | count:LO..HI |
+           fraction:LO..HI | quantile:Q | topk:K | groupby:DIV | equidepth:B)
   rollout  -ds NAME -part ID
   fsck     [-fix]   (verify samples, quarantine corrupt ones, reconcile the
            manifest against the samples, check wal/ segments for torn tails
@@ -225,7 +226,11 @@ func (c *cli) retireLegacyCatalog() (imported bool, err error) {
 			return false, fmt.Errorf("catalog corrupt: %w", err)
 		}
 		for name, e := range cat.Datasets {
-			if err := c.wh.CreateDataset(name, datasetConfig(e.Algorithm, e.NF, e.P, e.SBRate)); err != nil {
+			cfg, err := server.DatasetConfig(server.CreateDatasetRequest{Algorithm: e.Algorithm, NF: e.NF, P: e.P, SBRate: e.SBRate})
+			if err == nil {
+				err = c.wh.CreateDataset(name, cfg)
+			}
+			if err != nil {
 				return false, fmt.Errorf("import %s: %w", name, err)
 			}
 			for _, p := range e.Partitions {
@@ -247,41 +252,22 @@ func (c *cli) retireLegacyCatalog() (imported bool, err error) {
 	return imported, os.Rename(path, path+".retired")
 }
 
-// datasetConfig builds a data set's warehouse configuration from the create
-// flags (or a legacy catalog entry, which recorded them).
-func datasetConfig(alg string, nf int64, p, sbRate float64) warehouse.DatasetConfig {
-	cfg := core.ConfigForNF(nf)
-	cfg.ExceedProb = p
-	dc := warehouse.DatasetConfig{Core: cfg}
-	switch alg {
-	case "HB":
-		dc.Algorithm = warehouse.AlgHB
-	case "SB":
-		dc.Algorithm = warehouse.AlgSB
-		dc.SBRate = sbRate
-	default:
-		dc.Algorithm = warehouse.AlgHR
-	}
-	return dc
-}
-
 func (c *cli) create(args []string) error {
 	fs := flag.NewFlagSet("create", flag.ExitOnError)
 	ds := fs.String("ds", "", "data set name")
 	alg := fs.String("alg", "HR", "algorithm: HR, HB or SB")
 	nf := fs.Int64("nf", 8192, "sample-size bound nF")
 	p := fs.Float64("p", 0.001, "HB exceedance probability")
-	rate := fs.Float64("rate", 0.01, "SB fixed sampling rate")
+	rate := fs.Float64("rate", 0, "SB fixed sampling rate (0 = 0.01)")
 	fs.Parse(args)
 	if *ds == "" {
 		return fmt.Errorf("create: -ds required")
 	}
-	switch *alg {
-	case "HR", "HB", "SB":
-	default:
-		return fmt.Errorf("create: unknown algorithm %q", *alg)
+	cfg, err := server.DatasetConfig(server.CreateDatasetRequest{Algorithm: *alg, NF: *nf, P: *p, SBRate: *rate})
+	if err != nil {
+		return err
 	}
-	if err := c.wh.CreateDataset(*ds, datasetConfig(*alg, *nf, *p, *rate)); err != nil {
+	if err := c.wh.CreateDataset(*ds, cfg); err != nil {
 		return err
 	}
 	fmt.Printf("created data set %q (alg=%s nF=%d)\n", *ds, *alg, *nf)
@@ -460,11 +446,13 @@ func (c *cli) merge(args []string) error {
 	return nil
 }
 
+// estimate answers a query from the merged sample through server.Answer, the
+// grammar swd serves, at 95 % confidence; equidepth:B is this command's own.
 func (c *cli) estimate(args []string) error {
 	fs := flag.NewFlagSet("estimate", flag.ExitOnError)
 	ds := fs.String("ds", "", "data set name")
 	part := fs.String("part", "", "comma-separated partition ids (default all)")
-	q := fs.String("q", "", "query: avg | sum | median | distinct | topk:K | count:LO..HI | groupby:DIV | equidepth:B")
+	q := fs.String("q", "", "query: avg | sum | median | distinct | count:LO..HI | fraction:LO..HI | quantile:Q | topk:K | groupby:DIV | equidepth:B")
 	fs.Parse(args)
 	if *ds == "" || *q == "" {
 		return fmt.Errorf("estimate: -ds and -q required")
@@ -473,53 +461,9 @@ func (c *cli) estimate(args []string) error {
 	if err != nil {
 		return err
 	}
-	est := estimate.New(m)
-	switch {
-	case *q == "avg":
-		e, err := est.Avg(func(v int64) float64 { return float64(v) })
-		if err != nil {
-			return err
-		}
-		fmt.Printf("AVG ≈ %s\n", e)
-	case *q == "sum":
-		e, err := est.Sum(func(v int64) float64 { return float64(v) })
-		if err != nil {
-			return err
-		}
-		fmt.Printf("SUM ≈ %s\n", e)
-	case *q == "median":
-		oe, err := estimate.NewOrdered(m, func(a, b int64) bool { return a < b })
-		if err != nil {
-			return err
-		}
-		med, err := oe.Median()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("MEDIAN ≈ %d\n", med)
-	case *q == "distinct":
-		fmt.Printf("DISTINCT: in-sample=%d chao1≈%.0f gee≈%.0f\n",
-			est.DistinctNaive(), est.DistinctChao1(), est.DistinctGEE())
-		// The sketch-union answer rides along when sidecars exist. It is
-		// authoritative only when every sidecar observed every row; a
-		// sample-bounded union cannot see values the sampler dropped.
-		if sk, err := c.wh.DatasetSketch(context.Background(), *ds, partIDs(*part)...); err == nil {
-			scope := "sample-bounded"
-			if sk.Source == sketch.SourceStream || sk.Exhaustive {
-				scope = "authoritative"
-			}
-			fmt.Printf("DISTINCT (kmv union) ≈ %.0f (%s)\n", sk.DistinctEstimate(), scope)
-		}
-	case strings.HasPrefix(*q, "topk:"):
-		k, err := strconv.Atoi(strings.TrimPrefix(*q, "topk:"))
-		if err != nil {
-			return fmt.Errorf("estimate: bad topk %q", *q)
-		}
-		for i, fe := range est.TopK(k) {
-			fmt.Printf("%2d. value=%-12d est_freq≈%.0f (sample %d)\n", i+1, fe.Value, fe.Estimated, fe.InSample)
-		}
-	case strings.HasPrefix(*q, "equidepth:"):
-		b, err := strconv.Atoi(strings.TrimPrefix(*q, "equidepth:"))
+	kind, arg, _ := strings.Cut(*q, ":")
+	if kind == "equidepth" {
+		b, err := strconv.Atoi(arg)
 		if err != nil || b < 2 {
 			return fmt.Errorf("estimate: bad equidepth bucket count %q", *q)
 		}
@@ -532,35 +476,47 @@ func (c *cli) estimate(args []string) error {
 			return err
 		}
 		fmt.Printf("equi-depth boundaries (%d buckets): %v\n", b, bounds)
-	case strings.HasPrefix(*q, "groupby:"):
-		div, err := strconv.ParseInt(strings.TrimPrefix(*q, "groupby:"), 10, 64)
-		if err != nil || div < 1 {
-			return fmt.Errorf("estimate: bad groupby divisor %q", *q)
+		return nil
+	}
+	// The sketch-union answer rides along with distinct when sidecars exist.
+	var sk *sketch.Summary
+	if kind == "distinct" {
+		sk, _ = c.wh.DatasetSketch(context.Background(), *ds, partIDs(*part)...)
+	}
+	var resp server.EstimateResponse
+	if err := server.Answer(&resp, m, *q, 0.95, sk); err != nil {
+		return fmt.Errorf("estimate: %w", err)
+	}
+	// AVG, COUNT(100..5000), QUANTILE(0.99): the query as its line's label.
+	label := strings.ToUpper(kind)
+	if arg != "" {
+		label += "(" + arg + ")"
+	}
+	switch {
+	case resp.Estimate != nil:
+		fmt.Printf("%s ≈ %s\n", label, *resp.Estimate)
+	case resp.Quantile != nil:
+		fmt.Printf("%s ≈ %d\n", label, *resp.Quantile)
+	case resp.Distinct != nil:
+		fmt.Printf("DISTINCT: in-sample=%d chao1≈%.0f gee≈%.0f\n",
+			resp.Distinct.InSample, resp.Distinct.Chao1, resp.Distinct.GEE)
+		if sk != nil {
+			// Authoritative only when every sidecar observed every row; a
+			// sample-bounded union cannot see values the sampler dropped.
+			scope := "sample-bounded"
+			if resp.Distinct.Method == "kmv" {
+				scope = "authoritative"
+			}
+			fmt.Printf("DISTINCT (kmv union) ≈ %.0f (%s)\n", resp.Distinct.KMV, scope)
 		}
-		groups, err := estimate.GroupBy(est, func(v int64) int64 { return v / div })
-		if err != nil {
-			return err
+	case resp.TopK != nil:
+		for i, fe := range resp.TopK {
+			fmt.Printf("%2d. value=%-12d est_freq≈%.0f (sample %d)\n", i+1, fe.Value, fe.Estimated, fe.InSample)
 		}
-		for _, g := range groups {
+	default:
+		for _, g := range resp.Groups {
 			fmt.Printf("group %-10d count ≈ %s\n", g.Key, g.Count)
 		}
-	case strings.HasPrefix(*q, "count:"):
-		rng := strings.SplitN(strings.TrimPrefix(*q, "count:"), "..", 2)
-		if len(rng) != 2 {
-			return fmt.Errorf("estimate: bad range %q (want count:LO..HI)", *q)
-		}
-		lo, err1 := strconv.ParseInt(rng[0], 10, 64)
-		hi, err2 := strconv.ParseInt(rng[1], 10, 64)
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("estimate: bad range bounds %q", *q)
-		}
-		e, err := est.Count(func(v int64) bool { return v >= lo && v <= hi })
-		if err != nil {
-			return err
-		}
-		fmt.Printf("COUNT(%d..%d) ≈ %s\n", lo, hi, e)
-	default:
-		return fmt.Errorf("estimate: unknown query %q", *q)
 	}
 	return nil
 }

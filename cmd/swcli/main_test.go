@@ -98,7 +98,8 @@ func TestCLICreateIngestMergeEstimate(t *testing.T) {
 	if err := c.merge([]string{"-ds", "orders", "-part", "p1,p2"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{"avg", "sum", "median", "distinct", "topk:5", "count:0..499"} {
+	for _, q := range []string{"avg", "sum", "median", "distinct", "topk:5", "count:0..499",
+		"fraction:0..499", "quantile:0.9"} { // the grammar swd serves, whole
 		if err := c.estimate([]string{"-ds", "orders", "-q", q}); err != nil {
 			t.Fatalf("estimate %s: %v", q, err)
 		}
@@ -181,10 +182,14 @@ func TestCLIEstimateValidation(t *testing.T) {
 	if err := c.ingest([]string{"-ds", "d", "-part", "p", "-in", vals}); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{"", "bogus", "topk:x", "count:1..", "count:a..b"} {
+	for _, q := range []string{"", "bogus", "topk:x", "count:1..", "count:a..b", "count:9..1"} {
 		if err := c.estimate([]string{"-ds", "d", "-q", q}); err == nil {
 			t.Errorf("query %q accepted", q)
 		}
+	}
+	// An inverted range is refused in the server's words, not answered 0.
+	if err := c.estimate([]string{"-ds", "d", "-q", "count:9..1"}); err == nil || !strings.Contains(err.Error(), "bad range bounds") {
+		t.Errorf("count:9..1: %v, want the server's \"bad range bounds\"", err)
 	}
 }
 

@@ -94,14 +94,12 @@ func main() {
 		shardID      = flag.Int("shard-id", 0, "this node's index into -peers")
 		replication  = flag.Int("replication", 1, "replicas per partition (ingest fan-out, query failover width)")
 		writeQuorum  = flag.Int("write-quorum", 0, "replica acks required before an ingest is acknowledged (0 = majority)")
-		vnodes       = flag.Int("vnodes", 64, "virtual nodes per shard on the placement ring")
 		hedgeOff     = flag.Bool("no-hedge", false, "disable hedged (duplicate) requests to replicas")
 		hedgeInitial = flag.Duration("hedge-initial", 50*time.Millisecond, "hedge delay before a peer has latency history")
 		breakerOpen  = flag.Duration("breaker-open", 2*time.Second, "how long an open per-peer circuit breaker rejects before probing")
 
 		repairEvery = flag.Duration("repair-interval", 30*time.Second, "anti-entropy sweep period; 0 disables self-healing repair (cluster mode)")
 		hintsDir    = flag.String("hints-dir", "", "hinted-handoff journal directory (default <dir>/hints in -dir cluster mode; empty in -mem mode keeps hints in memory)")
-		noReadRep   = flag.Bool("no-read-repair", false, "disable targeted repair of partitions uncovered by degraded answers")
 	)
 	flag.Parse()
 
@@ -117,17 +115,15 @@ func main() {
 			list[i] = strings.TrimSpace(list[i])
 		}
 		cluster = &server.ClusterConfig{
-			Peers:              list,
-			ShardID:            *shardID,
-			Replication:        *replication,
-			WriteQuorum:        *writeQuorum,
-			VirtualNodes:       *vnodes,
-			HedgeDisabled:      *hedgeOff,
-			HedgeInitial:       *hedgeInitial,
-			Breaker:            server.BreakerConfig{OpenFor: *breakerOpen},
-			Seed:               *seed,
-			RepairInterval:     *repairEvery,
-			ReadRepairDisabled: *noReadRep,
+			Peers:          list,
+			ShardID:        *shardID,
+			Replication:    *replication,
+			WriteQuorum:    *writeQuorum,
+			HedgeDisabled:  *hedgeOff,
+			HedgeInitial:   *hedgeInitial,
+			Breaker:        server.BreakerConfig{OpenFor: *breakerOpen},
+			Seed:           *seed,
+			RepairInterval: *repairEvery,
 		}
 	}
 	if err := run(*addr, *dir, *mem, *seed, serverOpts{

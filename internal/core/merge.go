@@ -156,51 +156,6 @@ func HRMerge[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], err
 	return hrMergeSRS(s1, s2, src)
 }
 
-// MergeToSize merges two non-exhaustive samples of disjoint partitions into
-// a simple random sample of exactly k elements of the union, for any
-// k ≤ min(|S1|, |S2|). The paper's proof of Theorem 1 "actually establishes
-// the correctness of our process for any merged sample size
-// k ∈ {1, ..., |S1| ∧ |S2|}"; HRMerge uses the maximum, but a smaller k lets
-// the warehouse cap the merged sample below the inputs' sizes (e.g. for
-// bandwidth-limited shipping of merged samples). Inputs are consumed.
-func MergeToSize[V comparable](s1, s2 *Sample[V], k int64, src randx.Source) (*Sample[V], error) {
-	if err := mergeCompatible(s1, s2); err != nil {
-		return nil, err
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("core: MergeToSize k = %d < 0", k)
-	}
-	if s1.Kind == Exhaustive || s2.Kind == Exhaustive {
-		m, err := HRMerge(s1, s2, src)
-		if err != nil {
-			return nil, err
-		}
-		if m.Kind == Exhaustive {
-			// An exact union: cut it down to an SRS of size k directly.
-			if k > m.Size() {
-				return nil, fmt.Errorf("core: MergeToSize k = %d exceeds union size %d", k, m.Size())
-			}
-			PurgeReservoir(m.Hist, k, src)
-			m.Kind = ReservoirKind
-			m.Q = 0
-			return m, nil
-		}
-		if k > m.Size() {
-			return nil, fmt.Errorf("core: MergeToSize k = %d exceeds merged size %d", k, m.Size())
-		}
-		PurgeReservoir(m.Hist, k, src)
-		return m, nil
-	}
-	min := s1.Size()
-	if s2.Size() < min {
-		min = s2.Size()
-	}
-	if k < 0 || k > min {
-		return nil, fmt.Errorf("core: MergeToSize k = %d outside [0, min(|S1|,|S2|) = %d]", k, min)
-	}
-	return hrMergeSRSK(s1, s2, k, src)
-}
-
 // hrMergeSRS implements lines 5–12 of Figure 8 for two non-exhaustive
 // samples, each viewed as a simple random sample of its realized size.
 func hrMergeSRS[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
@@ -208,11 +163,6 @@ func hrMergeSRS[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], 
 	if s2.Size() < k {
 		k = s2.Size()
 	}
-	return hrMergeSRSK(s1, s2, k, src)
-}
-
-// hrMergeSRSK is hrMergeSRS generalized to any merged size k ≤ min sizes.
-func hrMergeSRSK[V comparable](s1, s2 *Sample[V], k int64, src randx.Source) (*Sample[V], error) {
 	cfg := s1.Config.normalized()
 	out := &Sample[V]{
 		Kind:       ReservoirKind,

@@ -295,64 +295,3 @@ func TestMergeTreeParallelEmpty(t *testing.T) {
 		t.Fatal("empty input accepted")
 	}
 }
-
-// TestMergeToSizeUniform verifies the k < min generalization of Theorem 1:
-// every element of the union appears with probability k/(|D1|+|D2|).
-func TestMergeToSizeUniform(t *testing.T) {
-	r := randx.New(40)
-	cfg := smallCfg(32)
-	const n1, n2 = 800, 1200
-	const k = 10
-	const trials = 6000
-	counts := make([]int64, n1+n2)
-	for trial := 0; trial < trials; trial++ {
-		s1 := collectHR(t, cfg, 0, n1, r.Split())
-		s2 := collectHR(t, cfg, n1, n1+n2, r.Split())
-		m, err := MergeToSize(s1, s2, k, r.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Size() != k {
-			t.Fatalf("size %d, want %d", m.Size(), k)
-		}
-		if m.ParentSize != n1+n2 {
-			t.Fatalf("parent %d", m.ParentSize)
-		}
-		m.Hist.Each(func(v int64, c int64) { counts[v] += c })
-	}
-	want := float64(trials) * k / (n1 + n2)
-	for v, c := range counts {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want)+1 {
-			t.Errorf("element %d: %d inclusions, want ~%.1f", v, c, want)
-		}
-	}
-}
-
-// TestMergeToSizeValidation covers bounds and the exhaustive path.
-func TestMergeToSizeValidation(t *testing.T) {
-	r := randx.New(41)
-	cfg := smallCfg(32)
-	s1 := collectHR(t, cfg, 0, 5000, r.Split())
-	s2 := collectHR(t, cfg, 5000, 10000, r.Split())
-	if _, err := MergeToSize(s1.Clone(), s2.Clone(), 33, r.Split()); err == nil {
-		t.Error("k > min accepted")
-	}
-	if _, err := MergeToSize(s1.Clone(), s2.Clone(), -1, r.Split()); err == nil {
-		t.Error("negative k accepted")
-	}
-	// Exhaustive inputs: union cut to k.
-	e1 := collectHR(t, cfg, 0, 20, r.Split())
-	e2 := collectHR(t, cfg, 20, 40, r.Split())
-	m, err := MergeToSize(e1, e2, 7, r.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Size() != 7 || m.Kind != ReservoirKind {
-		t.Fatalf("exhaustive path: %v", m)
-	}
-	e3 := collectHR(t, cfg, 0, 5, r.Split())
-	e4 := collectHR(t, cfg, 5, 10, r.Split())
-	if _, err := MergeToSize(e3, e4, 11, r.Split()); err == nil {
-		t.Error("k > union size accepted on exhaustive path")
-	}
-}

@@ -64,28 +64,6 @@ func (r *RNG) Split() *RNG {
 	return NewStream(r.Uint64(), r.Uint64())
 }
 
-// State is the full serializable state of an RNG, used to checkpoint
-// long-running samplers. Restoring a State resumes the exact sequence.
-type State struct {
-	Hi, Lo uint64
-	IncHi  uint64
-	IncLo  uint64
-}
-
-// State captures the generator's current state.
-func (r *RNG) State() State {
-	return State{Hi: r.hi, Lo: r.lo, IncHi: r.incHi, IncLo: r.incLo}
-}
-
-// FromState reconstructs a generator that continues exactly where the
-// captured one left off. It panics if the state is invalid (even increment).
-func FromState(s State) *RNG {
-	if s.IncLo%2 == 0 {
-		panic("randx: FromState with even increment (not a valid PCG state)")
-	}
-	return &RNG{hi: s.Hi, lo: s.Lo, incHi: s.IncHi, incLo: s.IncLo}
-}
-
 // mix64 is the SplitMix64 finalizer, used to diffuse seeds.
 func mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15

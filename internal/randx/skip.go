@@ -39,31 +39,6 @@ type Skipper struct {
 // which Algorithm Z's constant expected cost wins.
 const thresholdFactor = 22
 
-// SkipperState is the serializable state of a Skipper (the W value that
-// Algorithm Z threads between calls); the random source is restored
-// separately.
-type SkipperState struct {
-	K      int64
-	W      float64
-	ForceX bool
-	ForceZ bool
-}
-
-// State captures the skipper's persistent state for checkpointing.
-func (sk *Skipper) State() SkipperState {
-	return SkipperState{K: sk.k, W: sk.w, ForceX: sk.ForceX, ForceZ: sk.ForceZ}
-}
-
-// SkipperFromState reconstructs a skipper that continues exactly where the
-// captured one left off, drawing randomness from src.
-func SkipperFromState(st SkipperState, src Source) *Skipper {
-	sk := NewSkipper(src, st.K)
-	sk.w = st.W
-	sk.ForceX = st.ForceX
-	sk.ForceZ = st.ForceZ
-	return sk
-}
-
 // NewSkipper returns a skip generator for reservoir size k drawing
 // randomness from src. It panics if k < 1.
 func NewSkipper(src Source, k int64) *Skipper {

@@ -30,29 +30,15 @@ type ClusterConfig struct {
 	// before the coordinator acks the client. 0 selects a majority of the
 	// replication factor (N/2+1).
 	WriteQuorum int
-	// VirtualNodes per shard on the placement ring. Default 64.
-	VirtualNodes int
 
 	// HedgeDisabled turns off hedged requests (they default on).
 	HedgeDisabled bool
-	// HedgeQuantile is the per-peer latency quantile after which a
-	// duplicate request fires to the next replica. Default 0.95.
-	HedgeQuantile float64
 	// HedgeInitial is the hedge delay used before a peer has enough
 	// latency observations. Default 50ms.
 	HedgeInitial time.Duration
-	// HedgeMin / HedgeMax clamp the adaptive hedge delay.
-	// Defaults 5ms / 1s.
-	HedgeMin time.Duration
-	HedgeMax time.Duration
 
 	// Breaker tunes the per-peer circuit breakers.
 	Breaker BreakerConfig
-
-	// MergeReserve is the slice of the request deadline the coordinator
-	// keeps for merging after the scatter returns. Default 10% clamped to
-	// [10ms, 250ms].
-	MergeReserve time.Duration
 
 	// Seed drives the coordinator's merge randomness. Default 0x535744.
 	Seed uint64
@@ -62,7 +48,7 @@ type ClusterConfig struct {
 	// (faults.NewTransport). Nil uses a shared default client.
 	HTTPClient func(shard int, addr string) *http.Client
 
-	// RepairInterval is the anti-entropy sweep period and the master switch
+	// RepairInterval is the anti-entropy sweep period and the one switch
 	// for the self-healing subsystem (repair.go): 0 (the default) disables
 	// sweeps, hinted handoff and read repair entirely — no background
 	// goroutines start. cmd/swd defaults it to 30s.
@@ -77,12 +63,6 @@ type ClusterConfig struct {
 	// hints in memory only — still replayed, lost on crash (the
 	// anti-entropy sweep is the backstop).
 	Hints *wal.Log[int64]
-	// MaxPendingHints bounds the hint queue; over it new hints are dropped
-	// and counted (repair.hints_dropped). Default 4096.
-	MaxPendingHints int
-	// ReadRepairDisabled turns off targeted repair of partitions named
-	// uncovered by degraded answers (it defaults on when repair is enabled).
-	ReadRepairDisabled bool
 }
 
 func (c ClusterConfig) normalized() (ClusterConfig, error) {
@@ -104,29 +84,14 @@ func (c ClusterConfig) normalized() (ClusterConfig, error) {
 	if c.WriteQuorum > c.Replication {
 		c.WriteQuorum = c.Replication
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
-	}
 	if c.HedgeInitial <= 0 {
 		c.HedgeInitial = 50 * time.Millisecond
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 5 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = time.Second
-	}
-	if c.HedgeMax < c.HedgeMin {
-		c.HedgeMax = c.HedgeMin
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x535744
 	}
 	if c.HintReplayInterval <= 0 {
 		c.HintReplayInterval = time.Second
-	}
-	if c.MaxPendingHints <= 0 {
-		c.MaxPendingHints = 4096
 	}
 	return c, nil
 }
@@ -190,7 +155,7 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	if err != nil {
 		return err
 	}
-	place, err := NewPlacement(len(cfg.Peers), cfg.Replication, cfg.VirtualNodes)
+	place, err := NewPlacement(len(cfg.Peers), cfg.Replication, virtualNodes)
 	if err != nil {
 		return err
 	}
@@ -299,7 +264,7 @@ func (s *Server) handleClusterz(w http.ResponseWriter, r *http.Request) {
 			st.LatencyP95NS = p95
 		}
 		if !c.cfg.HedgeDisabled {
-			st.HedgeDelayNS = int64(p.hedgeDelay(c.cfg.HedgeQuantile, c.cfg.HedgeInitial, c.cfg.HedgeMin, c.cfg.HedgeMax))
+			st.HedgeDelayNS = int64(p.hedgeDelay(c.cfg.HedgeInitial))
 		}
 		if p.self {
 			st.Ready = s.ReadyState() && !s.Draining()

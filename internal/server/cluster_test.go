@@ -624,7 +624,7 @@ func TestClusterStatusEndpoint(t *testing.T) {
 // TestClusterQueryHealsMissedDatasetCreate: a node that was down during the
 // dataset-create broadcast must not answer 404 to coordinated queries for
 // data the cluster holds — the query path heals the definition from a peer,
-// mirroring forwardIngest's 404 heal, so a query-only workload converges.
+// the same pull a forwarded ingest performs, so a query-only workload converges.
 func TestClusterQueryHealsMissedDatasetCreate(t *testing.T) {
 	ctx := context.Background()
 	tc := newTestCluster(t, 2, clusterOpts{replication: 1, hedgeOff: true})
@@ -632,7 +632,7 @@ func TestClusterQueryHealsMissedDatasetCreate(t *testing.T) {
 	// Shard 1 knows the data set; shard 0 "missed the broadcast" (it never
 	// hears about it — the definition is planted directly in shard 1's
 	// warehouse, no cluster create involved).
-	cfg, err := datasetConfig(CreateDatasetRequest{Name: "heal", NF: 2048})
+	cfg, err := DatasetConfig(CreateDatasetRequest{Name: "heal", NF: 2048})
 	if err != nil {
 		t.Fatalf("dataset config: %v", err)
 	}

@@ -51,10 +51,11 @@ type shardAgg struct {
 
 func newShardAgg() *shardAgg { return &shardAgg{m: make(map[int]*ShardStatus)} }
 
-// note records one attempt outcome for a shard. "ok" wins over errors (a
-// shard that served anything is reported ok, with its errors elided —
-// per-partition failures are already named in the coverage).
-func (a *shardAgg) note(p *peer, state string, err error, parts int, hedged bool) {
+// note records one attempt outcome for a shard, by callState. "ok" wins over
+// errors (a shard that served anything is reported ok, with its errors elided
+// — per-partition failures are already named in the coverage).
+func (a *shardAgg) note(p *peer, err error, parts int, hedged bool) {
+	state := callState(err)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st, ok := a.m[p.id]
@@ -67,7 +68,7 @@ func (a *shardAgg) note(p *peer, state string, err error, parts int, hedged bool
 		st.Error = ""
 	} else if st.State != "ok" {
 		st.State = state
-		if err != nil && st.Error == "" {
+		if st.Error == "" {
 			st.Error = err.Error()
 		}
 	}
@@ -110,24 +111,11 @@ func carve(ctx context.Context, fraction float64) (context.Context, context.Canc
 	return context.WithTimeout(ctx, time.Duration(float64(rem)*fraction))
 }
 
-// mergeReserve is how much of the remaining deadline the coordinator holds
-// back from the scatter for the final merge: 10%, clamped to [10ms, 250ms].
-func (c *clusterState) mergeReserve(ctx context.Context) time.Duration {
-	if c.cfg.MergeReserve > 0 {
-		return c.cfg.MergeReserve
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0
-	}
-	res := time.Until(dl) / 10
-	if res < 10*time.Millisecond {
-		res = 10 * time.Millisecond
-	}
-	if res > 250*time.Millisecond {
-		res = 250 * time.Millisecond
-	}
-	return res
+// mergeReserve is how much of the time left until the request deadline the
+// coordinator holds back from the scatter for the final merge: 10%, clamped
+// to [10ms, 250ms].
+func mergeReserve(deadline time.Time) time.Duration {
+	return min(max(time.Until(deadline)/10, 10*time.Millisecond), 250*time.Millisecond)
 }
 
 // badGateway builds a 502 handler error — the cluster coordinator's "the
@@ -178,48 +166,31 @@ func sampleFromWire(resp SampleResponse, cc core.Config) (*core.Sample[int64], e
 	return smp, nil
 }
 
-// peerHealthy classifies an attempt failure for the circuit breaker: clean
-// 4xx responses prove the peer is up and answering (the request was just
-// unserveable there), so only transport errors, timeouts and 5xx/429 count
-// against it.
-func peerHealthy(err error) bool {
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae.StatusCode < http.StatusInternalServerError && ae.StatusCode != http.StatusTooManyRequests
+// readResultFromWire is a remote scatter leg's answer as the readResult
+// localRead would have built on that shard: the merged sample, the shard's
+// coverage of the group (its Pruned and plan carry a bounded query's outcome),
+// and its sketch union when the scatter asked for one.
+func readResultFromWire(resp SampleResponse, cc core.Config) (readResult, error) {
+	smp, err := sampleFromWire(resp, cc)
+	if err != nil {
+		return readResult{}, err
 	}
-	return false
-}
-
-// groupResult is one scatter group's gathered outcome.
-type groupResult struct {
-	smp *core.Sample[int64]
-	// cov is the shard's coverage of the group; its Pruned and plan carry the
-	// shard's bounded-query outcome (empty/nil on unbounded scatters):
-	// partitions its planner never loaded, and its local plan accounting for
-	// the coordinator to aggregate.
-	cov  Coverage
-	plan *PlanInfo
-	// sketch is the shard's merged sidecar over the group's partitions,
-	// present only when the scatter asked for it (distinct/topk queries) and
-	// the shard could produce one.
-	sketch *sketch.Summary
+	return readResult{smp: smp, cov: resp.Coverage, degraded: resp.Degraded, plan: resp.Plan, sketch: resp.Sketch}, nil
 }
 
 // attemptOut is one replica attempt's outcome inside a group fetch.
 type attemptOut struct {
-	p        *peer
-	res      groupResult
-	err      error
-	hedged   bool
-	canceled bool // lost a hedge race; not the peer's fault
-	elapsed  time.Duration
+	p      *peer
+	res    readResult
+	err    error
+	hedged bool
 }
 
 // attemptGroup asks one replica for the merged sample of q.ids, one scatter
 // group's partitions: the self peer reads its own warehouse through
 // localRead — the same path a single node answers from — and remote peers
-// serve GET sample?local=1 (which also forwards the trace ID, so both legs of
-// a hedged pair join the same trace).
+// serve GET sample?local=1 through the guarded call (which also forwards the
+// trace ID, so both legs of a hedged pair join the same trace).
 //
 // Bounded queries propagate their error budget to every leg: each shard
 // plans its own group's partitions and stops when its local proxy half-width
@@ -228,7 +199,6 @@ type attemptOut struct {
 // holding back a slice for the wire and the coordinator merge.
 func (s *Server) attemptGroup(ctx context.Context, p *peer, q readQuery, hedged bool) attemptOut {
 	out := attemptOut{p: p, hedged: hedged}
-	start := time.Now()
 	sp := obs.SpanFromContext(ctx).Start("shard_fetch")
 	sp.SetLabel("shard", strconv.Itoa(p.id))
 	if hedged {
@@ -240,15 +210,9 @@ func (s *Server) attemptGroup(ctx context.Context, p *peer, q readQuery, hedged 
 		sp.End()
 	}()
 	if p.self {
-		rd, err := s.localRead(ctx, q)
-		out.elapsed = time.Since(start)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		// A nil sketch makes the coordinator fall back to the sample-based
-		// estimators for the whole scatter.
-		out.res = groupResult{smp: rd.smp, cov: rd.cov, plan: rd.plan, sketch: rd.sketch}
+		// A nil sketch in the result makes the coordinator fall back to the
+		// sample-based estimators for the whole scatter.
+		out.res, out.err = s.localRead(ctx, q)
 		return out
 	}
 	opts := QueryOpts{Parts: q.ids, Local: true, Sketch: q.wantSketch}
@@ -257,11 +221,12 @@ func (s *Server) attemptGroup(ctx context.Context, p *peer, q readQuery, hedged 
 		opts.MaxTime = q.bounds.MaxTime * 9 / 10
 		opts.Confidence = q.confidence
 	}
-	resp, err := p.query.Sample(ctx, q.ds, opts)
-	out.elapsed = time.Since(start)
-	if err != nil {
-		out.err = err
-		out.canceled = ctx.Err() == context.Canceled
+	var resp SampleResponse
+	out.err = s.cluster.call(ctx, p, func() (err error) {
+		resp, err = p.query.Sample(ctx, q.ds, opts)
+		return err
+	})
+	if out.err != nil {
 		return out
 	}
 	cfg, err := s.wh.Config(q.ds)
@@ -269,129 +234,86 @@ func (s *Server) attemptGroup(ctx context.Context, p *peer, q readQuery, hedged 
 		out.err = err
 		return out
 	}
-	smp, err := sampleFromWire(resp, cfg.Core)
-	if err != nil {
+	if out.res, err = readResultFromWire(resp, cfg.Core); err != nil {
 		out.err = fmt.Errorf("shard %d: %w", p.id, err)
-		return out
 	}
-	out.res = groupResult{smp: smp, cov: resp.Coverage, plan: resp.Plan, sketch: resp.Sketch}
 	return out
 }
 
 // fetchGroup drives one scatter group through its replica chain: the first
-// live (breaker-closed) replica is asked; after the peer's hedge delay a
-// duplicate fires to the next replica (first answer wins, the loser's
-// context is canceled); a failed attempt fails over to the next replica
-// immediately. Peers behind an open breaker are skipped without spending
-// any deadline budget.
-func (s *Server) fetchGroup(ctx context.Context, q readQuery, chain []*peer, agg *shardAgg) (groupResult, error) {
+// replica is asked; after its hedge delay a duplicate fires to the next
+// replica (first answer wins, the loser's context is canceled); a failed
+// attempt fails over to the next replica immediately, and so does one the
+// guarded call refused — a peer behind an open breaker costs the group no
+// deadline and is not counted as a failover.
+func (s *Server) fetchGroup(ctx context.Context, q readQuery, chain []*peer, agg *shardAgg) (readResult, error) {
 	c := s.cluster
 	results := make(chan attemptOut, len(chain))
 	gctx, gcancel := context.WithCancel(ctx)
 	defer gcancel()
 
-	// probes tracks attempts holding their peer's half-open probe slot. A
-	// probe whose outcome never reaches Record — it lost the hedge race, or
-	// this fetch returned while it was still in flight — must release the
-	// slot via CancelProbe, or the peer stays fenced until the latch expires.
-	probes := make(map[*peer]bool)
-	defer func() {
-		for p := range probes {
-			p.br.CancelProbe()
+	next, inflight := 0, 0
+	launch := func(hedged bool) bool {
+		if next == len(chain) {
+			return false
 		}
-	}()
-
-	next := 0
-	launch := func(hedged bool) *peer {
-		for next < len(chain) {
-			p := chain[next]
-			next++
-			if !p.self {
-				ok, probe := p.br.Allow()
-				if !ok {
-					c.o.breakerSkips.Inc()
-					agg.note(p, "breaker_open", errors.New("circuit breaker open"), 0, false)
-					continue
-				}
-				if probe {
-					probes[p] = true
-				}
-			}
-			go func() { results <- s.attemptGroup(gctx, p, q, hedged) }()
-			return p
-		}
-		return nil
+		p := chain[next]
+		next++
+		inflight++
+		go func() { results <- s.attemptGroup(gctx, p, q, hedged) }()
+		return true
 	}
 
-	first := launch(false)
-	if first == nil {
-		return groupResult{}, errors.New("all replicas unavailable (breaker open)")
-	}
+	launch(false)
 	var hedgeTimer <-chan time.Time
-	if !c.cfg.HedgeDisabled && next < len(chain) {
-		t := time.NewTimer(first.hedgeDelay(c.cfg.HedgeQuantile, c.cfg.HedgeInitial, c.cfg.HedgeMin, c.cfg.HedgeMax))
+	if !c.cfg.HedgeDisabled && len(chain) > 1 {
+		t := time.NewTimer(chain[0].hedgeDelay(c.cfg.HedgeInitial))
 		defer t.Stop()
 		hedgeTimer = t.C
 	}
 
-	inflight := 1
 	var firstErr error
 	for {
 		select {
 		case out := <-results:
 			inflight--
-			if !out.p.self {
-				if out.canceled {
-					// Not the peer's fault, so no Record — but a probe
-					// attempt must still release the slot it holds.
-					if probes[out.p] {
-						delete(probes, out.p)
-						out.p.br.CancelProbe()
-					}
-				} else {
-					delete(probes, out.p) // Record settles the probe slot
-					ok := out.err == nil || peerHealthy(out.err)
-					out.p.br.Record(ok)
-					if out.err == nil {
-						out.p.lat.observe(out.elapsed.Nanoseconds())
-						c.o.peerLatency.Observe(out.elapsed.Nanoseconds())
-					}
-				}
-			}
 			if out.err == nil {
 				gcancel() // the hedge race is decided; stop the loser
 				if out.hedged {
 					c.o.hedgeWins.Inc()
 				}
-				agg.note(out.p, "ok", nil, len(out.res.cov.Merged), out.hedged)
+				agg.note(out.p, nil, len(out.res.cov.Merged), out.hedged)
 				return out.res, nil
 			}
 			if firstErr == nil {
 				firstErr = fmt.Errorf("shard %d (%s): %w", out.p.id, out.p.addr, out.err)
 			}
-			if !out.canceled {
-				agg.note(out.p, "error", out.err, 0, out.hedged)
+			if ctx.Err() != context.Canceled { // a cancelled request is not the peer's failure
+				agg.note(out.p, out.err, 0, out.hedged)
 			}
 			if ctx.Err() != nil {
-				return groupResult{}, firstErr
+				return readResult{}, firstErr
 			}
-			if p := launch(false); p != nil {
-				c.o.failovers.Inc()
-				inflight++
+			// A refused hedge passes its flag on: whoever answers in its place
+			// is still the duplicate.
+			refused := errors.Is(out.err, errBreakerOpen)
+			if launch(refused && out.hedged) {
+				if !refused {
+					c.o.failovers.Inc()
+				}
 			} else if inflight == 0 {
-				return groupResult{}, firstErr
+				return readResult{}, firstErr
 			}
 		case <-hedgeTimer:
 			hedgeTimer = nil
-			if p := launch(true); p != nil {
+			if launch(true) {
 				c.o.hedged.Inc()
-				inflight++
 			}
 		case <-ctx.Done():
 			if firstErr == nil {
 				firstErr = fmt.Errorf("scatter deadline: %w", ctx.Err())
 			}
-			return groupResult{}, firstErr
+			return readResult{}, firstErr
 		}
 	}
 }
@@ -423,31 +345,24 @@ func (s *Server) listPartitions(ctx context.Context, ds string, agg *shardAgg) (
 			mu.Unlock()
 			continue
 		}
-		if ok, _ := p.br.Allow(); !ok {
-			c.o.breakerSkips.Inc()
-			failed.Add(1)
-			agg.note(p, "breaker_open", errors.New("circuit breaker open"), 0, false)
-			continue
-		}
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			start := time.Now()
-			info, err := p.query.Dataset(lctx, ds)
+			var info DatasetInfo
+			err := c.call(lctx, p, func() (err error) {
+				info, err = p.query.Dataset(lctx, ds)
+				return err
+			})
 			if err != nil {
-				p.br.Record(peerHealthy(err))
 				// An unknown data set on one peer only means it missed the
 				// broadcast (it holds no partitions either); not a failure.
-				var ae *APIError
-				if errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
+				if notFoundErr(err) {
 					return
 				}
 				failed.Add(1)
-				agg.note(p, "error", fmt.Errorf("list partitions: %w", err), 0, false)
+				agg.note(p, fmt.Errorf("list partitions: %w", err), 0, false)
 				return
 			}
-			p.br.Record(true)
-			p.lat.observe(time.Since(start).Nanoseconds())
 			mu.Lock()
 			for _, id := range info.Partitions {
 				set[id] = true
@@ -464,11 +379,13 @@ func (s *Server) listPartitions(ctx context.Context, ds string, agg *shardAgg) (
 	return out, int(failed.Load()), nil
 }
 
-// healDatasetFromPeers recovers a data set definition this node missed (it
-// was down during the create broadcast) by fetching it from a peer and
-// creating it locally — the query-path counterpart of forwardIngest's 404
-// heal, so a query-only workload converges too instead of answering 404 for
-// data the cluster holds.
+// healDatasetFromPeers is how a data set definition reaches a node that
+// missed its creation (it was down during the create broadcast): the first
+// peer that knows the data set supplies the definition and it is created
+// locally. Every path that can meet an unknown data set pulls it this way on
+// the first miss — a coordinated query, a forwarded or replayed ingest, an
+// adopted partition — so a node converges whatever traffic reaches it first
+// instead of answering 404 for data the cluster holds.
 func (s *Server) healDatasetFromPeers(ctx context.Context, ds string) error {
 	c := s.cluster
 	hctx, cancel := context.WithTimeout(ctx, 2*time.Second)
@@ -477,21 +394,15 @@ func (s *Server) healDatasetFromPeers(ctx context.Context, ds string) error {
 		if p.self {
 			continue
 		}
-		if ok, _ := p.br.Allow(); !ok {
-			c.o.breakerSkips.Inc()
-			continue
-		}
-		start := time.Now()
-		info, err := p.query.Dataset(hctx, ds)
+		var info DatasetInfo
+		err := c.call(hctx, p, func() (err error) {
+			info, err = p.query.Dataset(hctx, ds)
+			return err
+		})
 		if err != nil {
-			// A peer's 404 is a healthy answer: it doesn't know the data set
-			// either. Keep asking the others.
-			p.br.Record(peerHealthy(err))
-			continue
+			continue // refused, unreachable, or it does not know the data set either
 		}
-		p.br.Record(true)
-		p.lat.observe(time.Since(start).Nanoseconds())
-		cfg, err := datasetConfig(CreateDatasetRequest{
+		cfg, err := DatasetConfig(CreateDatasetRequest{
 			Name:      info.Name,
 			Algorithm: info.Algorithm,
 			NF:        info.NF,
@@ -602,16 +513,14 @@ func (s *Server) scatterMerged(r *http.Request, q readQuery) (readResult, error)
 	// and do not prune.
 	leg := readQuery{ds: ds, partial: true, bounds: bounds, confidence: q.confidence, wantSketch: q.wantSketch}
 	fctx := ctx
-	if res := c.mergeReserve(ctx); res > 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			var cancel context.CancelFunc
-			fctx, cancel = context.WithDeadline(ctx, dl.Add(-res))
-			defer cancel()
-		}
+	if dl, ok := ctx.Deadline(); ok {
+		var cancel context.CancelFunc
+		fctx, cancel = context.WithDeadline(ctx, dl.Add(-mergeReserve(dl)))
+		defer cancel()
 	}
 	type fetchOut struct {
 		g   *group
-		res groupResult
+		res readResult
 		err error
 	}
 	outs := make([]fetchOut, len(groups))
@@ -758,33 +667,26 @@ func valuesBody(vals []int64) string {
 	return b.String()
 }
 
-// replicate runs op on every replica of a chain at once — the local one
-// directly, remote ones behind their circuit breakers — and reports each
-// outcome: the state op returns ("ok", "replayed", "not_found"), "error"
-// with op's error, or "breaker_open" for a peer that was not tried.
-func (s *Server) replicate(chain []*peer, op func(i int, p *peer) (string, error)) []ReplicaStatus {
+// replicate runs op on every replica of a chain at once, each through the
+// guarded call, and reports each outcome: the state op returns ("ok",
+// "replayed", "not_found"), "error" with op's error, or "breaker_open" for a
+// peer that was not tried.
+func (s *Server) replicate(ctx context.Context, chain []*peer, op func(i int, p *peer) (string, error)) []ReplicaStatus {
 	statuses := make([]ReplicaStatus, len(chain))
 	var wg sync.WaitGroup
 	for i, p := range chain {
 		statuses[i] = ReplicaStatus{Shard: p.id, Addr: p.addr}
-		if !p.self {
-			if ok, _ := p.br.Allow(); !ok {
-				s.cluster.o.breakerSkips.Inc()
-				statuses[i].State, statuses[i].Error = "breaker_open", "circuit breaker open"
-				continue
-			}
-		}
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			state, err := op(i, p)
-			if !p.self {
-				p.br.Record(err == nil || peerHealthy(err))
-			}
+			st := &statuses[i]
+			err := s.cluster.call(ctx, p, func() (err error) {
+				st.State, err = op(i, p)
+				return err
+			})
 			if err != nil {
-				state, statuses[i].Error = "error", err.Error()
+				st.State, st.Error = callState(err), err.Error()
 			}
-			statuses[i].State = state
 		}(i, p)
 	}
 	wg.Wait()
@@ -840,7 +742,7 @@ func (s *Server) handleIngestCluster(w http.ResponseWriter, r *http.Request) err
 	chain := c.replicas(ds, part)
 	body := valuesBody(vals)
 	resps := make([]*IngestResponse, len(chain))
-	statuses := s.replicate(chain, func(i int, p *peer) (string, error) {
+	statuses := s.replicate(r.Context(), chain, func(i int, p *peer) (string, error) {
 		var resp IngestResponse
 		var replayed bool
 		var err error
@@ -848,10 +750,7 @@ func (s *Server) handleIngestCluster(w http.ResponseWriter, r *http.Request) err
 			resp, replayed, err = s.ingestLocal(r.Context(), ds, part, expected, key, chunksOf(vals))
 		} else {
 			c.o.forwards.Inc()
-			start := time.Now()
-			if resp, replayed, err = s.forwardIngest(r.Context(), p, ds, part, expected, key, body); err == nil {
-				p.lat.observe(time.Since(start).Nanoseconds())
-			}
+			resp, replayed, err = p.ingest.putPartition(r.Context(), ds, part, expected, key, strings.NewReader(body), true)
 		}
 		if err != nil {
 			return "", err
@@ -900,40 +799,10 @@ func (s *Server) handleIngestCluster(w http.ResponseWriter, r *http.Request) err
 	return nil
 }
 
-// forwardIngest sends the batch to one remote replica, healing a peer that
-// missed the dataset-creation broadcast (it was down at the time) by
-// creating the data set there from the local config and retrying once. The
-// heal keys on the peer's 404 carrying warehouse.ErrUnknownDataset's text
-// ("unknown data set") — every route returns that sentinel as it is and
-// warehouseStatus maps it; a peer's "partition not found" 404 does not match
-// and is passed on.
-func (s *Server) forwardIngest(ctx context.Context, p *peer, ds, part string, expected int64, key, body string) (IngestResponse, bool, error) {
-	resp, replayed, err := p.ingest.putPartition(ctx, ds, part, expected, key, strings.NewReader(body), true)
-	var ae *APIError
-	if err == nil || !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound ||
-		!strings.Contains(ae.Message, "unknown data set") {
-		return resp, replayed, err
-	}
-	cfg, cerr := s.wh.Config(ds)
-	if cerr != nil {
-		return resp, false, err
-	}
-	req := CreateDatasetRequest{
-		Name:      ds,
-		Algorithm: cfg.Algorithm.String(),
-		NF:        cfg.Core.NF(),
-		P:         cfg.Core.ExceedProb,
-		SBRate:    cfg.SBRate,
-	}
-	if cerr := p.ingest.createDatasetForward(ctx, req); cerr != nil {
-		return resp, false, err
-	}
-	return p.ingest.putPartition(ctx, ds, part, expected, key, strings.NewReader(body), true)
-}
-
 // broadcastDatasetCreate pushes a freshly created data set to every
-// reachable peer so replicas accept forwarded ingest for it. Best-effort: a
-// peer that is down gets healed lazily by forwardIngest's 404 path.
+// reachable peer so replicas hold the definition before the first forwarded
+// ingest. Best-effort: a peer that is down pulls the definition on its first
+// miss (healDatasetFromPeers).
 func (s *Server) broadcastDatasetCreate(ctx context.Context, req CreateDatasetRequest) {
 	c := s.cluster
 	bctx, cancel := context.WithTimeout(ctx, 2*time.Second)
@@ -943,22 +812,12 @@ func (s *Server) broadcastDatasetCreate(ctx context.Context, req CreateDatasetRe
 		if p.self {
 			continue
 		}
-		if ok, _ := p.br.Allow(); !ok {
-			c.o.breakerSkips.Inc()
-			continue
-		}
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			err := p.ingest.createDatasetForward(bctx, req)
-			if err != nil {
-				// "already exists" conflicts are success for a broadcast.
-				var ae *APIError
-				if errors.As(err, &ae) && ae.StatusCode == http.StatusConflict {
-					err = nil
-				}
-			}
-			p.br.Record(err == nil || peerHealthy(err))
+			// A 409 "already exists" is a clean 4xx: healthy, and success
+			// enough for a broadcast.
+			_ = c.call(bctx, p, func() error { return p.ingest.createDatasetForward(bctx, req) })
 		}(p)
 	}
 	wg.Wait()
@@ -990,7 +849,7 @@ func (s *Server) handleRollOutCluster(w http.ResponseWriter, r *http.Request) er
 	c := s.cluster
 	ds, part := r.PathValue("ds"), r.PathValue("part")
 	chain := c.replicas(ds, part)
-	statuses := s.replicate(chain, func(_ int, p *peer) (string, error) {
+	statuses := s.replicate(r.Context(), chain, func(_ int, p *peer) (string, error) {
 		var err error
 		if p.self {
 			err = s.rollOutLocal(ds, part)

@@ -405,9 +405,11 @@ func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) error
 	return nil
 }
 
-// datasetConfig resolves a CreateDatasetRequest into the warehouse config,
-// applying the API defaults (NF 8192, SB rate 0.01).
-func datasetConfig(req CreateDatasetRequest) (warehouse.DatasetConfig, error) {
+// DatasetConfig resolves a CreateDatasetRequest into the warehouse config,
+// applying the API defaults (NF 8192, SB rate 0.01): the one reading of a
+// data set's creation parameters, for POST /v1/datasets, a definition healed
+// from a peer and `swcli create` alike.
+func DatasetConfig(req CreateDatasetRequest) (warehouse.DatasetConfig, error) {
 	nf := req.NF
 	if nf == 0 {
 		nf = 8192
@@ -444,7 +446,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) err
 	if req.NF == 0 {
 		req.NF = 8192
 	}
-	cfg, err := datasetConfig(req)
+	cfg, err := DatasetConfig(req)
 	if err != nil {
 		return err
 	}
@@ -630,6 +632,12 @@ func (s *Server) ingestLocal(ctx context.Context, ds, part string, expected int6
 	// Partition-seeded, not the warehouse's shared RNG stream: replicas
 	// sampling the same batch store byte-identical samples (DESIGN.md §16).
 	smp, err := s.wh.NewPartitionSampler(ds, part, expected)
+	if err != nil && s.cluster != nil && errors.Is(err, warehouse.ErrUnknownDataset) &&
+		s.healDatasetFromPeers(ctx, ds) == nil {
+		// This replica missed the create broadcast and a peer has just
+		// supplied the definition — before any of the body is read.
+		smp, err = s.wh.NewPartitionSampler(ds, part, expected)
+	}
 	if err != nil {
 		return resp, false, invalidUnlessSentinel(err)
 	}
@@ -801,7 +809,7 @@ func parseReadQuery(r *http.Request) (q readQuery, explain bool, err error) {
 }
 
 // rangePred parses a count:LO..HI / fraction:LO..HI query into its kind,
-// bounds and range predicate — shared by answer(), the maxerr gate (these
+// bounds and range predicate — shared by Answer, the maxerr gate (these
 // two kinds are the only ones whose fraction-scale error a maxerr bound can
 // promise) and the sketch pruning layer, which needs the raw bounds to test
 // sidecars against.
@@ -1039,10 +1047,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 			err = badRequest("%v", err)
 		}
 		resp.Estimate = &e
-	} else if est, nerr := estimate.NewWithConfidence(rd.smp, rq.confidence); nerr != nil {
-		err = badRequest("%v", nerr)
 	} else {
-		err = s.answer(&resp, est, rd.smp, q, rd.sketch)
+		err = Answer(&resp, rd.smp, q, rq.confidence, rd.sketch)
 	}
 	esp.SetError(err)
 	esp.End()
@@ -1058,7 +1064,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 }
 
 // rangeEstimate is the estimator arithmetic of the two count:/fraction:
-// reads that do not go through answer().
+// reads that do not go through Answer.
 //
 // Strata (a local unbounded query): partitions whose sketch sidecar proved
 // zero overlap enter the stratified expansion as exact zero strata of known
@@ -1114,10 +1120,18 @@ func rangeEstimate(rd readResult, kind string, pred func(int64) bool, confidence
 	return est.FractionPruned(pred, rd.zeros)
 }
 
-// answer dispatches the query grammar against the estimator. sk, when
+// Answer is the query grammar's one implementation (see handleEstimate for
+// the grammar): it evaluates q against a merged sample at the given confidence
+// and fills the one result field of resp that q's kind selects. sk, when
 // non-nil, is the sketch union of the covered partitions — the authoritative
 // distinct/topk source, with the sample-based estimators kept alongside.
-func (s *Server) answer(resp *EstimateResponse, est *estimate.Estimator[int64], smp *core.Sample[int64], q string, sk *sketch.Summary) error {
+// handleEstimate and `swcli estimate` both answer through it; a query it
+// refuses is a 400 with the same message on either.
+func Answer(resp *EstimateResponse, smp *core.Sample[int64], q string, confidence float64, sk *sketch.Summary) error {
+	est, err := estimate.NewWithConfidence(smp, confidence)
+	if err != nil {
+		return badRequest("%v", err)
+	}
 	setEst := func(e estimate.Estimate, err error) error {
 		if err != nil {
 			return badRequest("%v", err)
@@ -1131,7 +1145,7 @@ func (s *Server) answer(resp *EstimateResponse, est *estimate.Estimator[int64], 
 	case q == "sum":
 		return setEst(est.Sum(func(v int64) float64 { return float64(v) }))
 	case q == "median":
-		return s.quantile(resp, smp, 0.5)
+		return quantile(resp, smp, 0.5)
 	case q == "distinct":
 		resp.Distinct = &DistinctResult{
 			InSample: est.DistinctNaive(),
@@ -1156,7 +1170,7 @@ func (s *Server) answer(resp *EstimateResponse, est *estimate.Estimator[int64], 
 		if err != nil {
 			return badRequest("bad quantile %q", q)
 		}
-		return s.quantile(resp, smp, qv)
+		return quantile(resp, smp, qv)
 	case strings.HasPrefix(q, "topk:"):
 		k, err := strconv.Atoi(strings.TrimPrefix(q, "topk:"))
 		if err != nil || k < 1 {
@@ -1198,7 +1212,7 @@ func (s *Server) answer(resp *EstimateResponse, est *estimate.Estimator[int64], 
 }
 
 // quantile answers median/quantile queries via the ordered estimator.
-func (s *Server) quantile(resp *EstimateResponse, smp *core.Sample[int64], q float64) error {
+func quantile(resp *EstimateResponse, smp *core.Sample[int64], q float64) error {
 	oe, err := estimate.NewOrdered(smp, func(a, b int64) bool { return a < b })
 	if err != nil {
 		return badRequest("%v", err)

@@ -1,10 +1,21 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
+)
+
+// The hedge delay is a peer's observed latency quantile clamped to
+// [hedgeMin, hedgeMax]; HedgeInitial stands in until the window has enough
+// observations.
+const (
+	hedgeQuantile = 0.95
+	hedgeMin      = 5 * time.Millisecond
+	hedgeMax      = time.Second
 )
 
 // latWindow is a small ring of recent request latencies used to derive the
@@ -17,12 +28,7 @@ type latWindow struct {
 	n   int
 }
 
-func newLatWindow(size int) *latWindow {
-	if size <= 0 {
-		size = 64
-	}
-	return &latWindow{buf: make([]int64, size)}
-}
+func newLatWindow() *latWindow { return &latWindow{buf: make([]int64, 64)} }
 
 func (l *latWindow) observe(ns int64) {
 	l.mu.Lock()
@@ -82,7 +88,7 @@ func newPeer(id int, addr string, self bool, brCfg BreakerConfig, httpc *http.Cl
 		addr: addr,
 		self: self,
 		br:   newBreaker(brCfg),
-		lat:  newLatWindow(64),
+		lat:  newLatWindow(),
 	}
 	if !self {
 		p.query = NewClient(addr, httpc).SetRetryPolicy(NoRetry())
@@ -94,19 +100,76 @@ func newPeer(id int, addr string, self bool, brCfg BreakerConfig, httpc *http.Cl
 }
 
 // hedgeDelay derives when a duplicate of an outstanding request to this peer
-// should fire: the peer's observed latency quantile, clamped to
-// [min, max]; before enough observations exist, the configured initial
-// delay.
-func (p *peer) hedgeDelay(q float64, initial, min, max time.Duration) time.Duration {
+// should fire: the peer's observed latency quantile, or the configured
+// initial delay before enough observations exist, clamped to
+// [hedgeMin, hedgeMax].
+func (p *peer) hedgeDelay(initial time.Duration) time.Duration {
 	d := initial
-	if ns, ok := p.lat.quantile(q); ok {
+	if ns, ok := p.lat.quantile(hedgeQuantile); ok {
 		d = time.Duration(ns)
 	}
-	if d < min {
-		d = min
+	return min(max(d, hedgeMin), hedgeMax)
+}
+
+// errBreakerOpen is call's answer for a peer its breaker refused: the request
+// was never sent.
+var errBreakerOpen = errors.New("circuit breaker open")
+
+// callState names a guarded call's outcome in a per-shard or per-replica
+// status: "ok", "breaker_open" for a refused call, "error" otherwise.
+func callState(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, errBreakerOpen):
+		return "breaker_open"
 	}
-	if d > max {
-		d = max
+	return "error"
+}
+
+// peerHealthy classifies a failed request for the circuit breaker: clean 4xx
+// responses prove the peer is up and answering (the request was just
+// unserveable there), so only transport errors, timeouts and 5xx/429 count
+// against it.
+func peerHealthy(err error) bool {
+	var ae *APIError
+	if errors.As(err, &ae) {
+		return ae.StatusCode < http.StatusInternalServerError && ae.StatusCode != http.StatusTooManyRequests
 	}
-	return d
+	return false
+}
+
+// call is the guarded peer request (DESIGN.md §13), the only code outside
+// breaker.go that touches a breaker. A peer behind an open breaker is refused
+// with errBreakerOpen: no request sent, none of ctx's deadline spent.
+// Otherwise fn runs and its outcome settles the breaker; a success's latency
+// feeds the peer's hedging window. A request whose ctx was cancelled under it
+// (a lost hedge race) proves nothing about the peer: it is not recorded, and
+// a half-open probe slot it held is released. The self peer has no network to
+// guard: fn just runs.
+func (c *clusterState) call(ctx context.Context, p *peer, fn func() error) error {
+	if p.self {
+		return fn()
+	}
+	ok, probe := p.br.Allow()
+	if !ok {
+		c.o.breakerSkips.Inc()
+		return errBreakerOpen
+	}
+	start := time.Now()
+	err := fn()
+	switch {
+	case err == nil:
+		p.br.Record(true)
+		ns := time.Since(start).Nanoseconds()
+		p.lat.observe(ns)
+		c.o.peerLatency.Observe(ns)
+	case ctx.Err() == context.Canceled:
+		if probe {
+			p.br.CancelProbe()
+		}
+	default:
+		p.br.Record(peerHealthy(err))
+	}
+	return err
 }

@@ -31,6 +31,11 @@ type ringPoint struct {
 	shard int
 }
 
+// virtualNodes is how many ring points each shard of a served cluster owns. A
+// constant, not configuration: two nodes that disagreed on it would place the
+// same partition on different shards and never notice.
+const virtualNodes = 64
+
 // NewPlacement builds the ring for a cluster of `shards` shards with the
 // given replication factor (clamped to [1, shards]) and virtual-node count
 // per shard (0 selects 64).
@@ -45,7 +50,7 @@ func NewPlacement(shards, replication, vnodes int) (*Placement, error) {
 		replication = shards
 	}
 	if vnodes <= 0 {
-		vnodes = 64
+		vnodes = virtualNodes
 	}
 	p := &Placement{
 		shards:      shards,

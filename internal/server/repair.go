@@ -1,10 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,21 +171,23 @@ func unpackHintPartition(packed string) (shard int, part string, ok bool) {
 // (live ingests never journal a negative expected size).
 const tombstoneExpected = -1
 
+// maxPendingHints bounds the hint queue; over it new hints are dropped and
+// counted (repair.hints_dropped), and the anti-entropy sweep covers them.
+const maxPendingHints = 4096
+
 // repairState is the per-node repair machinery: the pending hint queue, the
 // read-repair channel and the background loop's lifecycle.
 type repairState struct {
 	interval  time.Duration
 	hintEvery time.Duration
-	maxHints  int
 	hlog      *wal.Log[int64]
 	o         repairObs
 
 	mu     sync.Mutex
 	hints  []*hint
-	queued map[string]bool // read-repair dedup: targets currently in rrCh
+	queued map[repairTarget]bool // read-repair dedup: targets currently in rrCh
 
-	rrCh       chan repairTarget
-	readRepair bool
+	rrCh chan repairTarget
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -196,15 +200,13 @@ type repairState struct {
 
 func newRepairState(cfg ClusterConfig, reg *obs.Registry) *repairState {
 	return &repairState{
-		interval:   cfg.RepairInterval,
-		hintEvery:  cfg.HintReplayInterval,
-		maxHints:   cfg.MaxPendingHints,
-		hlog:       cfg.Hints,
-		o:          newRepairObs(reg),
-		queued:     make(map[string]bool),
-		rrCh:       make(chan repairTarget, 256),
-		readRepair: !cfg.ReadRepairDisabled,
-		stop:       make(chan struct{}),
+		interval:  cfg.RepairInterval,
+		hintEvery: cfg.HintReplayInterval,
+		hlog:      cfg.Hints,
+		o:         newRepairObs(reg),
+		queued:    make(map[repairTarget]bool),
+		rrCh:      make(chan repairTarget, 256),
+		stop:      make(chan struct{}),
 	}
 }
 
@@ -215,7 +217,7 @@ func newRepairState(cfg ClusterConfig, reg *obs.Registry) *repairState {
 // counted — anti-entropy sweeps are the backstop for dropped hints.
 func (rp *repairState) addHint(shard int, ds, part, key string, expected int64, vals []int64, tombstone bool) {
 	rp.mu.Lock()
-	if len(rp.hints) >= rp.maxHints {
+	if len(rp.hints) >= maxPendingHints {
 		rp.mu.Unlock()
 		rp.o.hintsDropped.Inc()
 		return
@@ -254,7 +256,7 @@ func (rp *repairState) seedHints(entries []wal.RecoveredEntry[int64]) {
 	var commit []uint64
 	for _, re := range entries {
 		shard, part, ok := unpackHintPartition(re.Partition)
-		if !ok || len(rp.hints) >= rp.maxHints {
+		if !ok || len(rp.hints) >= maxPendingHints {
 			commit = append(commit, re.ID)
 			rp.o.hintsDropped.Inc()
 			continue
@@ -348,11 +350,13 @@ func (s *Server) hintCapture(chain []*peer, statuses []ReplicaStatus, ds, part, 
 	}
 }
 
-// replayHints attempts delivery of every pending hint whose target's
-// breaker admits traffic. Within one shard hints replay in arrival order; a
-// transport failure stops that shard's drain until the next tick (the
-// breaker re-opens), while a clean 4xx rejection drops the hint — the
-// target is alive and will never accept it.
+// replayHints attempts delivery of every pending hint, each through the
+// guarded call. Within one shard hints replay in arrival order; a refused
+// call or a transport failure stops that shard's drain until the next tick
+// (the target is still down), while a clean 4xx rejection drops the hint —
+// the target is alive and will never accept it. A target that never heard of
+// the hint's data set heals itself before it reads the batch
+// (healDatasetFromPeers).
 func (s *Server) replayHints(ctx context.Context) {
 	c := s.cluster
 	rp := c.repair
@@ -363,10 +367,7 @@ func (s *Server) replayHints(ctx context.Context) {
 	}
 	sort.Ints(shards)
 	for _, id := range shards {
-		if ctx.Err() != nil {
-			return
-		}
-		if id >= len(c.peers) || c.peers[id] == nil || c.peers[id].self {
+		if id >= len(c.peers) || c.peers[id].self {
 			for _, h := range byShard[id] {
 				rp.finishHint(h)
 				rp.o.hintsDropped.Inc()
@@ -374,54 +375,46 @@ func (s *Server) replayHints(ctx context.Context) {
 			continue
 		}
 		p := c.peers[id]
-		ok, probe := p.br.Allow()
-		if !ok {
-			continue
-		}
-		recorded := false
+	drain:
 		for _, h := range byShard[id] {
 			if ctx.Err() != nil {
-				break
+				return
 			}
-			var err error
-			kind, values := "ingest", int64(len(h.vals))
+			kind := "ingest"
 			if h.tombstone {
 				kind = "tombstone"
-				err = p.ingest.deletePartition(ctx, h.ds, h.part, true)
-				if err != nil && notFoundErr(err) {
-					err = nil // the target never held it; converged
-				}
-			} else {
-				_, _, err = s.forwardIngest(ctx, p, h.ds, h.part, h.expected, h.key, valuesBody(h.vals))
 			}
-			if err == nil {
-				p.br.Record(true)
-				recorded = true
+			err := c.call(ctx, p, func() error {
+				if h.tombstone {
+					err := p.ingest.deletePartition(ctx, h.ds, h.part, true)
+					if err != nil && notFoundErr(err) {
+						return nil // the target never held it; converged
+					}
+					return err
+				}
+				_, _, err := p.ingest.putPartition(ctx, h.ds, h.part, h.expected, h.key,
+					strings.NewReader(valuesBody(h.vals)), true)
+				return err
+			})
+			switch {
+			case err == nil:
 				rp.finishHint(h)
 				rp.o.hintsReplayed.Inc()
 				if rp.o.reg.Tracing() {
 					rp.o.reg.Emit(obs.Event{Type: obs.EvHintReplay, Component: "server.repair",
 						Dataset: h.ds, Partition: h.part,
 						Labels: map[string]string{"target": strconv.Itoa(h.shard), "kind": kind},
-						Values: map[string]int64{"values": values}})
+						Values: map[string]int64{"values": int64(len(h.vals))}})
 				}
-				continue
-			}
-			healthy := peerHealthy(err)
-			p.br.Record(healthy)
-			recorded = true
-			if healthy {
+			case peerHealthy(err):
 				// The target is up and rejected the write outright (bad
 				// request, unknown partition scheme...): replaying the same
 				// bytes can never succeed, so the hint is dead.
 				rp.finishHint(h)
 				rp.o.hintsDropped.Inc()
-				continue
+			default:
+				break drain
 			}
-			break // transport/5xx: target still down, stop this shard's drain
-		}
-		if probe && !recorded {
-			p.br.CancelProbe()
 		}
 	}
 }
@@ -501,18 +494,17 @@ func (s *Server) handleAntiEntropyNudge(w http.ResponseWriter, r *http.Request) 
 // byte-identical to the source's.
 func (s *Server) pullPartition(ctx context.Context, p *peer, ds, part, trigger string) error {
 	rp := s.cluster.repair
-	ok, _ := p.br.Allow()
-	if !ok {
-		s.cluster.o.breakerSkips.Inc()
-		return fmt.Errorf("pull %s/%s from shard %d: circuit breaker open", ds, part, p.id)
-	}
-	t, err := p.query.PullPartition(ctx, ds, part)
+	var t PartitionTransferResponse
+	err := s.cluster.call(ctx, p, func() (err error) {
+		t, err = p.query.PullPartition(ctx, ds, part)
+		return err
+	})
 	if err != nil {
-		p.br.Record(peerHealthy(err))
-		rp.o.pullErrors.Inc()
+		if !errors.Is(err, errBreakerOpen) { // a refused pull was never attempted
+			rp.o.pullErrors.Inc()
+		}
 		return fmt.Errorf("pull %s/%s from shard %d: %w", ds, part, p.id, err)
 	}
-	p.br.Record(true)
 	err = s.wh.AdoptPartition(ds, part, t.Raw, t.Sketch)
 	if errors.Is(err, warehouse.ErrUnknownDataset) {
 		if herr := s.healDatasetFromPeers(ctx, ds); herr == nil {
@@ -543,13 +535,48 @@ func needPull(localHash string, localHas bool, wantHash string) bool {
 	return wantHash != "" && localHash != "" && localHash != wantHash
 }
 
+// repairPartition is the one repair decision (DESIGN.md §16), shared by the
+// sweep and read repair. Unless this shard is outside the partition's replica
+// chain (member reports that) or a tombstone for the partition is pending —
+// an undelivered roll-out must not be pulled back — it walks the chain in
+// placement order: the first member whose digest lists the partition is the
+// authority, so every replica converges toward one copy's bytes. Its copy is
+// pulled when needPull says the local one is missing or stale. digestOf
+// returns a chain member's partition → hash inventory for ds, nil when the
+// member could not be asked; trigger labels the pull's event.
+func (s *Server) repairPartition(ctx context.Context, ds, part, trigger string, digestOf func(*peer) map[string]string) (member bool, err error) {
+	c := s.cluster
+	chain := c.replicas(ds, part)
+	self := slices.IndexFunc(chain, func(p *peer) bool { return p.self })
+	if self < 0 {
+		return false, nil
+	}
+	if c.repair.pendingTombstone(ds, part) {
+		return true, nil
+	}
+	localHash, localHas := digestOf(chain[self])[part]
+	for _, p := range chain {
+		if p.self {
+			if localHas {
+				return true, nil
+			}
+			continue
+		}
+		wantHash, has := digestOf(p)[part]
+		if !has {
+			continue
+		}
+		if needPull(localHash, localHas, wantHash) {
+			err = s.pullPartition(ctx, p, ds, part, trigger)
+		}
+		return true, err
+	}
+	return true, nil
+}
+
 // repairSweep runs one full anti-entropy pass: gather every reachable
-// peer's digest, union the inventories, and for each partition this shard
-// is a chain member of, pull from the authority when the local copy is
-// missing or stale. The authority for a partition is its earliest chain
-// member whose digest lists it — the same primary-first order the write
-// path uses — so every replica converges toward one copy's bytes and
-// estimates become byte-identical cluster-wide.
+// peer's digest, union the inventories, and put every partition any of them
+// lists through repairPartition against those prefetched digests.
 func (s *Server) repairSweep(ctx context.Context) error {
 	c := s.cluster
 	rp := c.repair
@@ -562,101 +589,45 @@ func (s *Server) repairSweep(ctx context.Context) error {
 			digests[i] = s.localInventory()
 			continue
 		}
-		ok, _ := p.br.Allow()
-		if !ok {
-			c.o.breakerSkips.Inc()
-			continue
-		}
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			d, err := p.query.Digest(ctx, "")
-			if err != nil {
-				p.br.Record(peerHealthy(err))
-				return
+			var d DigestResponse
+			err := c.call(ctx, p, func() (err error) {
+				d, err = p.query.Digest(ctx, "")
+				return err
+			})
+			if err == nil {
+				digests[i] = d.Datasets
 			}
-			p.br.Record(true)
-			digests[i] = d.Datasets
 		}(i, p)
 	}
 	wg.Wait()
 
-	self := c.cfg.ShardID
-	local := digests[self]
-
-	dsSet := make(map[string]bool)
+	seen := make(map[repairTarget]bool)
+	var targets []repairTarget
 	for _, d := range digests {
-		for name := range d {
-			dsSet[name] = true
+		for ds, parts := range d {
+			for part := range parts {
+				if t := (repairTarget{ds, part}); !seen[t] {
+					seen[t] = true
+					targets = append(targets, t)
+				}
+			}
 		}
 	}
-	names := make([]string, 0, len(dsSet))
-	for name := range dsSet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	slices.SortFunc(targets, func(a, b repairTarget) int {
+		return cmp.Or(strings.Compare(a.ds, b.ds), strings.Compare(a.part, b.part))
+	})
 
 	var firstErr error
-	for _, ds := range names {
-		partSet := make(map[string]bool)
-		for _, d := range digests {
-			for part := range d[ds] {
-				partSet[part] = true
-			}
+	for _, t := range targets {
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
-		parts := make([]string, 0, len(partSet))
-		for part := range partSet {
-			parts = append(parts, part)
-		}
-		sort.Strings(parts)
-		for _, part := range parts {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			chain := c.replicas(ds, part)
-			selfIn := false
-			for _, p := range chain {
-				selfIn = selfIn || p.self
-			}
-			if !selfIn {
-				continue
-			}
-			if rp.pendingTombstone(ds, part) {
-				continue // an undelivered roll-out must not be pulled back
-			}
-			authority, wantHash := -1, ""
-			for _, p := range chain {
-				d := digests[p.id]
-				if d == nil {
-					continue // unreachable this sweep; the next one re-checks
-				}
-				if h, ok := d[ds][part]; ok {
-					authority, wantHash = p.id, h
-					break
-				}
-			}
-			if authority < 0 || authority == self {
-				continue
-			}
-			localHash, localHas := "", false
-			if local != nil {
-				localHash, localHas = local[ds][part]
-			}
-			if !needPull(localHash, localHas, wantHash) {
-				continue
-			}
-			if err := s.pullPartition(ctx, c.peers[authority], ds, part, "sweep"); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if local != nil {
-				if local[ds] == nil {
-					local[ds] = make(map[string]string)
-				}
-				local[ds][part] = wantHash
-			}
+		prefetched := func(p *peer) map[string]string { return digests[p.id][t.ds] }
+		if _, err := s.repairPartition(ctx, t.ds, t.part, "sweep", prefetched); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 
@@ -689,24 +660,21 @@ func (s *Server) RepairNow(ctx context.Context) error {
 // targets collapse while queued, and a full queue drops the target (the
 // next sweep covers it) rather than blocking the query path.
 func (rp *repairState) enqueueReadRepair(ds, part string) bool {
-	if !rp.readRepair {
-		return false
-	}
-	key := ds + "\x00" + part
+	t := repairTarget{ds: ds, part: part}
 	rp.mu.Lock()
-	if rp.queued[key] {
+	if rp.queued[t] {
 		rp.mu.Unlock()
 		return true
 	}
-	rp.queued[key] = true
+	rp.queued[t] = true
 	rp.mu.Unlock()
 	select {
-	case rp.rrCh <- repairTarget{ds: ds, part: part}:
+	case rp.rrCh <- t:
 		rp.o.rrBacklog.Set(int64(len(rp.rrCh)))
 		return true
 	default:
 		rp.mu.Lock()
-		delete(rp.queued, key)
+		delete(rp.queued, t)
 		rp.mu.Unlock()
 		rp.o.rrDropped.Inc()
 		return false
@@ -736,9 +704,8 @@ func (s *Server) readRepairLoop() {
 		case <-rp.stop:
 			return
 		case t := <-rp.rrCh:
-			key := t.ds + "\x00" + t.part
 			rp.mu.Lock()
-			delete(rp.queued, key)
+			delete(rp.queued, t)
 			rp.mu.Unlock()
 			rp.o.rrBacklog.Set(int64(len(rp.rrCh)))
 			if !s.ReadyState() || s.Draining() {
@@ -751,67 +718,31 @@ func (s *Server) readRepairLoop() {
 	}
 }
 
-// targetedRepair repairs one partition: when this shard is in its replica
-// chain, diff against the chain and pull if behind; otherwise nudge the
-// first reachable chain member to repair itself.
+// targetedRepair is read repair for one partition: repairPartition against
+// digests fetched from the chain on demand when this shard is a chain member;
+// otherwise a nudge to the first reachable member to repair itself.
 func (s *Server) targetedRepair(ctx context.Context, ds, part string) {
 	c := s.cluster
-	rp := c.repair
-	rp.o.readRepairs.Inc()
-	chain := c.replicas(ds, part)
-	selfIn := false
-	for _, p := range chain {
-		selfIn = selfIn || p.self
-	}
-	if !selfIn {
-		for _, p := range chain {
-			if ok, _ := p.br.Allow(); !ok {
-				c.o.breakerSkips.Inc()
-				continue
-			}
-			err := p.query.NudgeRepair(ctx, ds, part)
-			p.br.Record(err == nil || peerHealthy(err))
-			if err == nil {
-				return
-			}
-		}
-		return
-	}
-	if rp.pendingTombstone(ds, part) {
-		return
-	}
-	localHash, localHas := "", false
-	if hashes, err := s.wh.PartitionHashes(ds); err == nil {
-		localHash, localHas = hashes[part]
-	}
-	// Walk the chain in authority order: the first member known to hold the
-	// partition wins. Self short-circuits — if we are the earliest holder,
-	// our copy is the authoritative one.
-	for _, p := range chain {
+	c.repair.o.readRepairs.Inc()
+	fetched := func(p *peer) map[string]string {
 		if p.self {
-			if localHas {
-				return
-			}
-			continue
+			hashes, _ := s.wh.PartitionHashes(ds)
+			return hashes
 		}
-		if ok, _ := p.br.Allow(); !ok {
-			c.o.breakerSkips.Inc()
-			continue
-		}
-		d, err := p.query.Digest(ctx, ds)
-		if err != nil {
-			p.br.Record(peerHealthy(err))
-			continue
-		}
-		p.br.Record(true)
-		wantHash, has := d.Datasets[ds][part]
-		if !has {
-			continue
-		}
-		if needPull(localHash, localHas, wantHash) {
-			_ = s.pullPartition(ctx, p, ds, part, "read_repair")
-		}
+		var d DigestResponse
+		_ = c.call(ctx, p, func() (err error) { // a member that cannot answer lists nothing
+			d, err = p.query.Digest(ctx, ds)
+			return err
+		})
+		return d.Datasets[ds]
+	}
+	if member, _ := s.repairPartition(ctx, ds, part, "read_repair", fetched); member {
 		return
+	}
+	for _, p := range c.replicas(ds, part) {
+		if c.call(ctx, p, func() error { return p.query.NudgeRepair(ctx, ds, part) }) == nil {
+			return
+		}
 	}
 }
 
@@ -859,12 +790,9 @@ func (s *Server) repairLoop() {
 func (s *Server) startRepair(cfg ClusterConfig) {
 	rp := newRepairState(cfg, s.o.reg)
 	s.cluster.repair = rp
-	rp.wg.Add(1)
+	rp.wg.Add(2)
 	go s.repairLoop()
-	if rp.readRepair {
-		rp.wg.Add(1)
-		go s.readRepairLoop()
-	}
+	go s.readRepairLoop()
 }
 
 // StopRepair stops the repair goroutines and waits for them to exit. Safe
@@ -897,9 +825,6 @@ func (s *Server) repairStatus() *RepairStatus {
 		return nil
 	}
 	rp := c.repair
-	rp.mu.Lock()
-	pending := len(rp.hints)
-	rp.mu.Unlock()
 	return &RepairStatus{
 		IntervalNS:          rp.interval.Nanoseconds(),
 		Sweeps:              rp.sweeps.Load(),
@@ -907,10 +832,10 @@ func (s *Server) repairStatus() *RepairStatus {
 		LastSweepDurationNS: rp.lastSweepDurNS.Load(),
 		Pulls:               rp.o.pulls.Value(),
 		PullErrors:          rp.o.pullErrors.Value(),
-		HintsPending:        pending,
+		HintsPending:        s.PendingHints(),
 		HintsReplayed:       rp.o.hintsReplayed.Value(),
 		HintsDropped:        rp.o.hintsDropped.Value(),
-		ReadRepair:          rp.readRepair,
+		ReadRepair:          true,
 		ReadRepairBacklog:   len(rp.rrCh),
 	}
 }

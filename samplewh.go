@@ -134,25 +134,6 @@ func NewConciseSampler[V comparable](cfg Config, purgeFactor float64, seed uint6
 	return core.NewConcise[V](cfg, purgeFactor, randx.New(seed))
 }
 
-// HBState is the serializable checkpoint of an in-progress HB sampler.
-type HBState[V comparable] = core.HBState[V]
-
-// HRState is the serializable checkpoint of an in-progress HR sampler.
-type HRState[V comparable] = core.HRState[V]
-
-// ResumeHB reconstructs an Algorithm HB sampler from a checkpoint captured
-// with (*HB).Checkpoint; the resumed sampler continues the exact random
-// sequence of the original.
-func ResumeHB[V comparable](st HBState[V]) (*HB[V], error) {
-	return core.ResumeHBFromState(st)
-}
-
-// ResumeHR reconstructs an Algorithm HR sampler from a checkpoint captured
-// with (*HR).Checkpoint.
-func ResumeHR[V comparable](st HRState[V]) (*HR[V], error) {
-	return core.ResumeHRFromState(st)
-}
-
 // QApprox is the paper's equation (1): the Bernoulli rate for Algorithm HB.
 func QApprox(n int64, p float64, nf int64) float64 { return core.QApprox(n, p, nf) }
 
@@ -194,12 +175,6 @@ func MergeSerial[V comparable](samples []*Sample[V], merge MergeFunc[V], src Sou
 // MergeTree folds samples with a balanced binary tree of pairwise merges.
 func MergeTree[V comparable](samples []*Sample[V], merge MergeFunc[V], src Source) (*Sample[V], error) {
 	return core.MergeTree(samples, merge, src)
-}
-
-// MergeToSize merges two samples into a simple random sample of exactly k
-// elements of the union (any k up to min(|S1|,|S2|); Theorem 1 generalized).
-func MergeToSize[V comparable](s1, s2 *Sample[V], k int64, src Source) (*Sample[V], error) {
-	return core.MergeToSize(s1, s2, k, src)
 }
 
 // MergeTreeParallel is MergeTree with each level's independent pairwise

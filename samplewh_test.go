@@ -286,65 +286,7 @@ func TestFacadeDeterminism(t *testing.T) {
 	}
 }
 
-func TestFacadeCheckpointResume(t *testing.T) {
-	cfg := ConfigForNF(64)
-	ref := NewHRSampler[int64](cfg, 123)
-	hr := NewHRSampler[int64](cfg, 123)
-	for v := int64(0); v < 3000; v++ {
-		ref.Feed(v)
-		hr.Feed(v)
-	}
-	st, err := hr.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ResumeHR(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := int64(3000); v < 8000; v++ {
-		ref.Feed(v)
-		resumed.Feed(v)
-	}
-	want, _ := ref.Finalize()
-	got, _ := resumed.Finalize()
-	if !got.Hist.Equal(want.Hist) {
-		t.Fatal("facade checkpoint resume diverged")
-	}
-
-	hb := NewHBSampler[int64](cfg, 100, 5)
-	hb.Feed(1)
-	stb, err := hb.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResumeHB(stb); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFacadeMergeToSizeAndDiff(t *testing.T) {
-	cfg := ConfigForNF(64)
-	mk := func(lo, hi int64, seed uint64) *Sample[int64] {
-		s := NewHRSampler[int64](cfg, seed)
-		for v := lo; v < hi; v++ {
-			s.Feed(v)
-		}
-		out, err := s.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	s1 := mk(0, 5000, 1)
-	s2 := mk(5000, 10000, 2)
-	m, err := MergeToSize(s1, s2, 16, NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Size() != 16 {
-		t.Fatalf("size %d", m.Size())
-	}
+func TestFacadeDiffEstimate(t *testing.T) {
 	d := DiffEstimate(Estimate{Value: 9, StdErr: 3}, Estimate{Value: 5, StdErr: 4})
 	if d.Value != 4 || math.Abs(d.StdErr-5) > 1e-12 {
 		t.Fatalf("diff %+v", d)
