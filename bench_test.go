@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 
 	"samplewh/internal/core"
@@ -312,14 +313,20 @@ func BenchmarkHRMergeAliasVsInversion(b *testing.B) {
 // hrSamples draws one Algorithm HR sample from each of parts partitions of per
 // unique values.
 func hrSamples(b *testing.B, cfg core.Config, parts, per int, rng *randx.RNG) []*core.Sample[int64] {
+	return partitionSamples(b, parts, per, func() core.Sampler[int64] { return core.NewHR[int64](cfg, rng.Split()) })
+}
+
+// partitionSamples draws one sample, from a sampler newSampler makes, of each
+// of parts partitions of per unique values.
+func partitionSamples(b *testing.B, parts, per int, newSampler func() core.Sampler[int64]) []*core.Sample[int64] {
 	gens := workload.Partitions(workload.Spec{Dist: workload.Unique, N: int64(parts * per), Seed: 31}, parts)
 	out := make([]*core.Sample[int64], parts)
 	for i, g := range gens {
-		hr := core.NewHR[int64](cfg, rng.Split())
+		smp := newSampler()
 		for v, ok := g.Next(); ok; v, ok = g.Next() {
-			hr.Feed(v)
+			smp.Feed(v)
 		}
-		s, err := hr.Finalize()
+		s, err := smp.Finalize()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -357,13 +364,28 @@ func BenchmarkMergeTreeParallel(b *testing.B) {
 // ran before it — a clone of every cached sample, then the parallel tree of
 // consuming HRMerges — on one fixed set of inputs in the served shape: 16
 // partitions of 65536 unique rows sampled at n_F = 8192. MergeK only reads its
-// inputs, so it needs no clones and nothing is rebuilt between iterations.
+// inputs, so it needs no clones and nothing is rebuilt between iterations. The
+// hb rows merge the same partitions sampled by Algorithm HB (Bernoulli
+// inputs, thinned to one rate); hr+exhaustive adds a 4096-row partition the HR
+// sampler kept whole.
 func BenchmarkMergeK(b *testing.B) {
 	const parts = 16
 	const per = 64 * 1024
 	cfg := core.ConfigForNF(8192)
 	rng := randx.New(33)
 	samples := hrSamples(b, cfg, parts, per, rng)
+	hb := partitionSamples(b, parts, per, func() core.Sampler[int64] { return core.NewHB[int64](cfg, per, rng.Split()) })
+	withExh := append(slices.Clone(samples), hrSamples(b, cfg, 1, 4096, rng)[0])
+	kway := func(in []*core.Sample[int64], par int) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.MergeK(context.Background(), in, rng, par); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	for _, par := range []int{1, 0} {
 		suffix := fmt.Sprintf("/parallelism=%d", par)
 		if par == 0 {
@@ -381,14 +403,9 @@ func BenchmarkMergeK(b *testing.B) {
 				}
 			}
 		})
-		b.Run("kway"+suffix, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.MergeK(context.Background(), samples, rng, par); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run("kway"+suffix, kway(samples, par))
+		b.Run("hb"+suffix, kway(hb, par))
+		b.Run("hr+exhaustive"+suffix, kway(withExh, par))
 	}
 }
 

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"samplewh/internal/histogram"
-	"samplewh/internal/obs"
 	"samplewh/internal/randx"
 )
 
@@ -22,17 +20,6 @@ func mergeCompatible[V comparable](s1, s2 *Sample[V]) error {
 			s1.Config.SizeModel, s2.Config.SizeModel)
 	}
 	return nil
-}
-
-// Merge combines two samples of disjoint partitions into a uniform sample of
-// the union, choosing the appropriate procedure by the samples' kinds:
-// HBMerge when Bernoulli samples are involved, HRMerge otherwise. Inputs are
-// consumed (their histograms may be mutated); Clone first to keep them.
-func Merge[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
-	if s1.Kind == BernoulliKind || s2.Kind == BernoulliKind {
-		return HBMerge(s1, s2, src)
-	}
-	return HRMerge(s1, s2, src)
 }
 
 // HBMerge merges two samples produced by Algorithm HB from disjoint
@@ -273,7 +260,8 @@ func absorbIntoReservoir[V comparable](bag []V, k, t0 int64, h *histogram.Histog
 	return bag
 }
 
-// MergeFunc is the signature shared by Merge, HBMerge and HRMerge.
+// MergeFunc is the signature shared by the pairwise merges: HBMerge, HRMerge
+// and SBMerge.
 type MergeFunc[V comparable] func(s1, s2 *Sample[V], src randx.Source) (*Sample[V], error)
 
 // MergeSerial folds the samples left-to-right with repeated pairwise merges:
@@ -306,7 +294,7 @@ func MergeSerial[V comparable](samples []*Sample[V], merge MergeFunc[V], src ran
 // produces byte-identical output for the same seed. Foreign Source
 // implementations cannot be split; all merges then share src sequentially.
 func MergeTree[V comparable](samples []*Sample[V], merge MergeFunc[V], src randx.Source) (*Sample[V], error) {
-	return mergeTree(context.Background(), samples, merge, src, 1)
+	return MergeTreeParallel(samples, merge, src, 1)
 }
 
 // MergeTreeParallel is MergeTree with every level's pairwise merges executed
@@ -319,23 +307,6 @@ func MergeTree[V comparable](samples []*Sample[V], merge MergeFunc[V], src randx
 // cannot be split across goroutines; the tree then runs sequentially on the
 // shared stream. Inputs are consumed.
 func MergeTreeParallel[V comparable](samples []*Sample[V], merge MergeFunc[V], src randx.Source, parallelism int) (*Sample[V], error) {
-	return mergeTree(context.Background(), samples, merge, src, parallelism)
-}
-
-// MergeTreeParallelContext is MergeTreeParallel recording one trace span per
-// tree level when ctx carries an obs span: each level span notes its index,
-// pair count and effective worker count, so a request's explain output shows
-// where merge time concentrates (the bottom level does half the work). The
-// merged result is byte-identical to MergeTreeParallel — tracing never
-// touches the randomness assignment. An untraced ctx costs one nil check
-// per level.
-func MergeTreeParallelContext[V comparable](ctx context.Context, samples []*Sample[V], merge MergeFunc[V], src randx.Source, parallelism int) (*Sample[V], error) {
-	return mergeTree(ctx, samples, merge, src, parallelism)
-}
-
-// mergeTree is the shared balanced-tree executor behind MergeTree and
-// MergeTreeParallel.
-func mergeTree[V comparable](ctx context.Context, samples []*Sample[V], merge MergeFunc[V], src randx.Source, parallelism int) (*Sample[V], error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: MergeTree with no samples")
 	}
@@ -345,9 +316,8 @@ func mergeTree[V comparable](ctx context.Context, samples []*Sample[V], merge Me
 		// goroutines; run the tree sequentially on it.
 		parallelism = 1
 	}
-	parent := obs.SpanFromContext(ctx)
 	level := samples
-	for lvl := 0; len(level) > 1; lvl++ {
+	for len(level) > 1 {
 		pairs := len(level) / 2
 		next := make([]*Sample[V], (len(level)+1)/2)
 		errs := make([]error, pairs)
@@ -361,12 +331,7 @@ func mergeTree[V comparable](ctx context.Context, samples []*Sample[V], merge Me
 				srcs[i] = src
 			}
 		}
-		workers := parallelismOrPairs(parallelism, pairs)
-		sp := parent.Start("merge_level")
-		sp.SetValue("level", int64(lvl))
-		sp.SetValue("pairs", int64(pairs))
-		sp.SetValue("workers", int64(workers))
-		if workers == 1 {
+		if workers := parallelismOrPairs(parallelism, pairs); workers == 1 {
 			for i := 0; i < pairs; i++ {
 				next[i], errs[i] = merge(level[2*i], level[2*i+1], srcs[i])
 			}
@@ -384,7 +349,6 @@ func mergeTree[V comparable](ctx context.Context, samples []*Sample[V], merge Me
 			}
 			wg.Wait()
 		}
-		sp.End()
 		for _, err := range errs {
 			if err != nil {
 				return nil, err

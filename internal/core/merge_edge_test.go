@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestHBMergeFullBernoulliReroutesToSRS(t *testing.T) {
 }
 
 // TestMergeManyMixedKinds merges a mixture of exhaustive, Bernoulli and
-// reservoir samples through the generic dispatcher and validates the result.
+// reservoir samples through the k-way merge and validates the result.
 func TestMergeManyMixedKinds(t *testing.T) {
 	r := randx.New(22)
 	cfg := smallCfg(128)
@@ -104,7 +105,7 @@ func TestMergeManyMixedKinds(t *testing.T) {
 		collectHR(t, cfg, 10000, 30000, r.Split()), // reservoir
 		collectHR(t, cfg, 30000, 30040, r.Split()), // exhaustive
 	}
-	m, err := MergeSerial(samples, Merge, r.Split())
+	m, err := MergeK(context.Background(), samples, r.Split(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

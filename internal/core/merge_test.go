@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -363,13 +364,13 @@ func TestHBMergeReservoirOverflowPathDirect(t *testing.T) {
 func TestMergeDispatch(t *testing.T) {
 	r := randx.New(9)
 	cfg := smallCfg(64)
-	// bernoulli + reservoir → reservoir result via HRMerge.
+	// bernoulli + reservoir → reservoir result via MergeK's HRMerge rule.
 	s1 := collectHB(t, cfg, 0, 1<<13, r.Split())
 	hrS := collectHR(t, cfg, 1<<13, 1<<14, r.Split())
 	if s1.Kind != BernoulliKind || hrS.Kind != ReservoirKind {
 		t.Fatalf("setup kinds: %v %v", s1.Kind, hrS.Kind)
 	}
-	m, err := Merge(s1, hrS, r.Split())
+	m, err := MergeK(context.Background(), []*Sample[int64]{s1, hrS}, r.Split(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +383,7 @@ func TestMergeIncompatibleConfigs(t *testing.T) {
 	r := randx.New(10)
 	s1 := collectHB(t, smallCfg(64), 0, 100, r.Split())
 	s2 := collectHB(t, smallCfg(128), 100, 200, r.Split())
-	if _, err := Merge(s1, s2, r); err == nil {
+	if _, err := MergeK(context.Background(), []*Sample[int64]{s1, s2}, r, 1); err == nil {
 		t.Fatal("merge across footprints did not error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -174,7 +175,7 @@ func TestPropertyMergeParentAdditive(t *testing.T) {
 		if s1 == nil || s2 == nil {
 			return false
 		}
-		m, err := Merge(s1, s2, rng)
+		m, err := MergeK(context.Background(), []*Sample[int64]{s1, s2}, rng, 1)
 		if err != nil {
 			return false
 		}

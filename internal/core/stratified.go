@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"samplewh/internal/histogram"
 	"samplewh/internal/randx"
 )
 
@@ -76,49 +77,31 @@ func (st *Stratified[V]) Collapse(merge MergeFunc[V], src randx.Source) (*Sample
 // §4.1 closing note describes: "simply unioning the samples together yields
 // a Bern(q) sample from the union of the parent partitions. Such unioning is
 // useful when enforcing an upper bound on the sample size is not an issue."
-// Samples with differing rates are first equalized to the minimum rate with
-// purgeBernoulli. The inputs are consumed.
+// Every input is thinned to the minimum rate into fresh entries (an exhaustive
+// sample is a Bern(1) sample), so the inputs are only read and the result
+// aliases none of them. It is Algorithm SB's merge: what a fold of SBMerges
+// computes, in one pass.
 func UnionBernoulli[V comparable](samples []*Sample[V], src randx.Source) (*Sample[V], error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: UnionBernoulli with no samples")
 	}
 	minQ := 1.0
 	for i, s := range samples {
-		if s.Kind == Exhaustive {
-			continue // an exhaustive sample is a Bern(1) sample
-		}
-		if s.Kind != BernoulliKind {
+		if s.Kind != BernoulliKind && s.Kind != Exhaustive {
 			return nil, fmt.Errorf("core: UnionBernoulli: sample %d has kind %s", i, s.Kind)
 		}
-		if i > 0 {
-			if err := mergeCompatible(samples[0], s); err != nil {
-				return nil, err
-			}
+		if err := mergeCompatible(samples[0], s); err != nil {
+			return nil, err
 		}
-		if s.Q < minQ {
-			minQ = s.Q
-		}
+		minQ = min(minQ, s.rate())
 	}
-	out := &Sample[V]{
-		Kind:   BernoulliKind,
-		Q:      minQ,
-		Config: samples[0].Config.normalized(),
-	}
-	for _, s := range samples {
-		rate := 1.0
-		if s.Kind == BernoulliKind {
-			rate = s.Q
-		}
-		if rate > minQ {
-			PurgeBernoulli(s.Hist, minQ/rate, src)
-		}
-		if out.Hist == nil {
-			out.Hist = s.Hist
-		} else {
-			out.Hist.Join(s.Hist)
-		}
+	out := &Sample[V]{Kind: BernoulliKind, Q: minQ, Config: samples[0].Config.normalized()}
+	kept := make([][]histogram.Entry[V], len(samples))
+	for i, s := range samples {
+		kept[i] = thin(s.Hist, minQ/s.rate(), src)
 		out.ParentSize += s.ParentSize
 	}
+	out.Hist = join(out.Config.SizeModel, kept)
 	if minQ == 1 {
 		out.Kind = Exhaustive
 	}

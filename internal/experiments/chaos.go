@@ -67,7 +67,7 @@ func Chaos(cfg ChaosConfig, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer proc.kill()
+	defer func() { proc.kill() }() // the incarnation alive at return, not the first
 
 	ctx := context.Background()
 	var base atomic.Value // current base URL; replaced on every restart
@@ -216,7 +216,8 @@ type swdProc struct {
 }
 
 // startSwd launches the binary on an ephemeral port with the journal in
-// fsync=always mode and waits for its "listening on" log line.
+// fsync=always mode and waits, 15 s at most, for its "listening on" log line
+// and then for /readyz.
 func startSwd(path, dir string) (*swdProc, error) {
 	cmd := exec.Command(path, "-dir", dir, "-addr", "127.0.0.1:0", "-wal-sync", "always", "-events", "0")
 	stderr, err := cmd.StderrPipe()
@@ -244,18 +245,28 @@ func startSwd(path, dir string) (*swdProc, error) {
 		}
 		close(addrCh) // EOF: the process died
 	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
 	select {
 	case base, ok := <-addrCh:
 		if !ok {
 			_ = cmd.Wait()
 			return nil, fmt.Errorf("chaos: swd exited before listening (corrupt journal?)")
 		}
-		return &swdProc{cmd: cmd, base: base}, nil
-	case <-time.After(15 * time.Second):
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return nil, fmt.Errorf("chaos: swd did not come up within 15s")
+		// Listening is not ready: /readyz stays 503 while the journal
+		// replays, and a POST that meets that is not retried.
+		cl := server.NewClient(base, nil).SetRetryPolicy(server.NoRetry())
+		for ctx.Err() == nil {
+			if cl.ReadyCheck(ctx) == nil {
+				return &swdProc{cmd: cmd, base: base}, nil
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	case <-ctx.Done():
 	}
+	_ = cmd.Process.Kill()
+	_ = cmd.Wait()
+	return nil, fmt.Errorf("chaos: swd did not come up within 15s")
 }
 
 // kill delivers SIGKILL — the crash under test — and reaps the process.

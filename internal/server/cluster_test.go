@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"samplewh/internal/core"
 	"samplewh/internal/faults"
 	"samplewh/internal/obs"
 	"samplewh/internal/storage"
@@ -765,6 +766,118 @@ func TestClusterQueryLeavesCachedSamplesWhole(t *testing.T) {
 			if smp.Sample.Size != nf || smp.Sample.ParentSize != 3000 {
 				t.Fatalf("via %d round %d: merged sample %+v, want size %d of 3000", via, round, smp.Sample, nf)
 			}
+		}
+	}
+}
+
+// TestClusterHBScatter: an HB data set's shard samples are Bernoulli samples
+// at unequal rates, and the coordinator merges them with the warehouse's one
+// merge — thinned to q(ΣN, p, n_F) — so the answer covers every partition
+// with its exact population, at the rate the union's size calls for.
+func TestClusterHBScatter(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tc := newTestCluster(t, 3, clusterOpts{replication: 2})
+	const nf, parts, per = 256, 9, 2000
+	if _, err := tc.clients[0].CreateDataset(ctx, CreateDatasetRequest{Name: "hb", Algorithm: "HB", NF: nf}); err != nil {
+		t.Fatalf("create dataset: %v", err)
+	}
+	for i := 0; i < parts; i++ {
+		if _, err := tc.clients[i%3].IngestValues(ctx, "hb", fmt.Sprintf("p%02d", i), per, seqValues(int64(i*per), per)); err != nil {
+			t.Fatalf("ingest p%02d: %v", i, err)
+		}
+	}
+	wantQ := core.QApprox(parts*per, core.DefaultExceedProb, nf)
+	for via := range tc.clients {
+		smp, err := tc.clients[via].Sample(ctx, "hb", QueryOpts{})
+		if err != nil {
+			t.Fatalf("sample via %d: %v", via, err)
+		}
+		if smp.Degraded || smp.Coverage.Partial || len(smp.Coverage.Merged) != parts {
+			t.Fatalf("via %d: coverage %+v degraded=%v, want all %d partitions", via, smp.Coverage, smp.Degraded, parts)
+		}
+		if m := smp.Sample; m.ParentSize != parts*per || m.Kind != "bernoulli" || m.Q != wantQ || m.Size > nf {
+			t.Fatalf("via %d: merged %+v, want a Bernoulli sample of all %d rows at q = %v", via, m, parts*per, wantQ)
+		}
+	}
+}
+
+// TestClusterIngestHealsMissedDatasetCreate: a coordinator that missed the
+// create broadcast pulls the definition before it validates a keyed ingest,
+// as its replica leg would, instead of answering 404 for a data set the
+// cluster holds. The batch lands on the whole chain, and a resend with the
+// same key replays.
+func TestClusterIngestHealsMissedDatasetCreate(t *testing.T) {
+	ctx := context.Background()
+	tc := newTestCluster(t, 2, clusterOpts{replication: 2, hedgeOff: true})
+	cfg, err := DatasetConfig(CreateDatasetRequest{Name: "heal", NF: 2048})
+	if err != nil {
+		t.Fatalf("dataset config: %v", err)
+	}
+	if err := tc.whs[1].CreateDataset("heal", cfg); err != nil {
+		t.Fatalf("create on shard 1: %v", err)
+	}
+	body := valuesBody(seqValues(0, 500))
+	resp, replayed, err := tc.clients[0].putPartition(ctx, "heal", "p0", 0, "batch-1", strings.NewReader(body), false)
+	if err != nil {
+		t.Fatalf("keyed ingest via the coordinator that missed the create: %v", err)
+	}
+	if replayed || resp.Degraded || len(resp.Replicas) != 2 {
+		t.Fatalf("ingest replayed=%v degraded=%v replicas %+v, want both replicas ok", replayed, resp.Degraded, resp.Replicas)
+	}
+	for _, rs := range resp.Replicas {
+		if rs.State != "ok" {
+			t.Fatalf("replica %+v, want ok", rs)
+		}
+	}
+	for i, wh := range tc.whs {
+		if s, err := wh.PartitionSample("heal", "p0"); err != nil || s.ParentSize != 500 {
+			t.Fatalf("shard %d holds p0 as %v (%v), want 500 rows", i, s, err)
+		}
+	}
+	if _, replayed, err = tc.clients[0].putPartition(ctx, "heal", "p0", 0, "batch-1", strings.NewReader(body), false); err != nil || !replayed {
+		t.Fatalf("resend with the same key: replayed=%v err=%v, want replayed", replayed, err)
+	}
+}
+
+// TestSampleFromWire: a shard's values arrive in ascending order, so the
+// coordinator adopts them as they come and refuses an answer that repeats a
+// value, goes back down, or carries a count below one — where rebuilding by
+// inserts would have summed a repeat silently.
+func TestSampleFromWire(t *testing.T) {
+	cc := core.ConfigForNF(64)
+	meta := SampleMeta{Kind: "reservoir", Size: 4, ParentSize: 100}
+	for _, tc := range []struct {
+		name   string
+		values []ValueCount
+		ok     bool
+	}{
+		{"ascending", []ValueCount{{1, 1}, {3, 2}, {7, 1}}, true},
+		{"empty", nil, true},
+		{"repeated", []ValueCount{{1, 1}, {3, 1}, {3, 2}}, false},
+		{"out of order", []ValueCount{{1, 1}, {7, 2}, {3, 1}}, false},
+		{"zero count", []ValueCount{{1, 1}, {3, 0}, {7, 3}}, false},
+		{"negative count", []ValueCount{{1, -1}, {3, 2}, {7, 3}}, false},
+	} {
+		smp, err := sampleFromWire(SampleResponse{Sample: meta, Values: tc.values}, cc)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: accepted as %v", tc.name, smp)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var n int64
+		for i, vc := range tc.values {
+			if e := smp.Hist.Entry(i); e.Value != vc.Value || e.Count != vc.Count {
+				t.Fatalf("%s: entry %d is %+v, want %+v", tc.name, i, e, vc)
+			}
+			n += vc.Count
+		}
+		if smp.Size() != n || smp.Hist.Distinct() != len(tc.values) || smp.ParentSize != 100 {
+			t.Fatalf("%s: rebuilt %v, want %d values", tc.name, smp, n)
 		}
 	}
 }

@@ -146,16 +146,22 @@ func sampleFromWire(resp SampleResponse, cc core.Config) (*core.Sample[int64], e
 	default:
 		return nil, fmt.Errorf("shard sample with unknown kind %q", resp.Sample.Kind)
 	}
-	h := histogram.New[int64](cc.SizeModel)
-	for _, vc := range resp.Values {
+	// handleSample sends values in ascending order, so the rule storage
+	// applies to a value-ordered file is the whole check: each value above the
+	// one before (no repeats, no hash map), each count positive.
+	entries := make([]histogram.Entry[int64], len(resp.Values))
+	for i, vc := range resp.Values {
 		if vc.Count <= 0 {
 			return nil, fmt.Errorf("shard sample with non-positive count %d for value %d", vc.Count, vc.Value)
 		}
-		h.Insert(vc.Value, vc.Count)
+		if i > 0 && vc.Value <= resp.Values[i-1].Value {
+			return nil, fmt.Errorf("shard sample value %d at %d is not above %d", vc.Value, i, resp.Values[i-1].Value)
+		}
+		entries[i] = histogram.Entry[int64]{Value: vc.Value, Count: vc.Count}
 	}
 	smp := &core.Sample[int64]{
 		Kind:       kind,
-		Hist:       h,
+		Hist:       histogram.FromEntries(cc.SizeModel, entries),
 		ParentSize: resp.Sample.ParentSize,
 		Q:          resp.Sample.Q,
 		Config:     cc,
@@ -437,8 +443,12 @@ func (s *Server) scatterMerged(r *http.Request, q readQuery) (readResult, error)
 	c := s.cluster
 	ctx := r.Context()
 	ds, bounds := q.ds, q.bounds
-	if _, err := s.wh.Config(ds); err != nil {
+	cfg, err := s.wh.Config(ds)
+	if err != nil {
 		if err := s.healDatasetFromPeers(ctx, ds); err != nil {
+			return readResult{}, err
+		}
+		if cfg, err = s.wh.Config(ds); err != nil {
 			return readResult{}, err
 		}
 	}
@@ -447,7 +457,6 @@ func (s *Server) scatterMerged(r *http.Request, q readQuery) (readResult, error)
 	defer sp.End()
 	agg := newShardAgg()
 
-	var err error
 	// blind is set when discovery may have missed partitions: once as many
 	// peers are unreachable as there are replicas per partition, some
 	// partition may have had no live replica to list it — the answer must be
@@ -538,8 +547,8 @@ func (s *Server) scatterMerged(r *http.Request, q readQuery) (readResult, error)
 	}
 	wg.Wait()
 
-	// Gather: assemble coverage and fold the group samples through the
-	// merge operators (deterministic order and seed).
+	// Gather: assemble coverage and merge the group samples as the warehouse
+	// merges partitions (deterministic order and seed).
 	cov := Coverage{Requested: requested}
 	var samples []*core.Sample[int64]
 	var sketches []*sketch.Summary
@@ -624,13 +633,9 @@ func (s *Server) scatterMerged(r *http.Request, q readQuery) (readResult, error)
 	if len(samples) == 0 {
 		return readResult{}, badGateway("no shard reachable for any requested partition of %q", ds)
 	}
-	rng := randx.New(c.cfg.Seed ^ hashString(ds))
-	merged := samples[0]
-	for _, smp := range samples[1:] {
-		merged, err = core.Merge(merged, smp, rng)
-		if err != nil {
-			return readResult{}, fmt.Errorf("coordinator merge: %w", err)
-		}
+	merged, err := warehouse.Merge(obs.ContextWithSpan(ctx, sp), cfg.Algorithm, samples, randx.New(c.cfg.Seed^hashString(ds)), 1)
+	if err != nil {
+		return readResult{}, fmt.Errorf("coordinator merge: %w", err)
 	}
 	if pinfo != nil {
 		pinfo.CoveredPopulation = merged.ParentSize
@@ -719,8 +724,13 @@ func (s *Server) handleIngestCluster(w http.ResponseWriter, r *http.Request) err
 	// Validate as every replica's ingestLocal will, once, before the body is
 	// buffered and fanned out: a request they would all refuse (unknown data
 	// set, bad partition ID, HB without ?expected=) answers its 4xx here, not
-	// a retryable "0 replicas acknowledged" 503.
-	if _, err := s.wh.NewPartitionSampler(ds, part, expected); err != nil {
+	// a retryable "0 replicas acknowledged" 503. A coordinator that missed the
+	// create pulls the definition first, as its own replica leg would.
+	_, err = s.wh.NewPartitionSampler(ds, part, expected)
+	if errors.Is(err, warehouse.ErrUnknownDataset) && s.healDatasetFromPeers(r.Context(), ds) == nil {
+		_, err = s.wh.NewPartitionSampler(ds, part, expected)
+	}
+	if err != nil {
 		return invalidUnlessSentinel(err)
 	}
 

@@ -22,10 +22,10 @@ type QueryConfig struct {
 	// issues. 0 selects the default (4×GOMAXPROCS — partition loads are
 	// I/O-bound); 1 loads sequentially.
 	LoadWorkers int
-	// MergeWorkers bounds the goroutines of one merge: they select from the
-	// inputs in parallel (core.MergeK) or, on the pairwise fallback, run one
-	// tree level's merges. 0 selects GOMAXPROCS; 1 merges sequentially. The
-	// merged result is byte-identical either way.
+	// MergeWorkers bounds the goroutines of one HB or HR merge
+	// (core.MergeK), which select from or thin its inputs in parallel. 0
+	// selects GOMAXPROCS; 1 merges sequentially. The merged result is
+	// byte-identical either way.
 	MergeWorkers int
 }
 
@@ -75,9 +75,9 @@ func newLoadObs(r *obs.Registry) loadObs {
 // Concurrent loads of the same key coalesce onto one store fetch; with the
 // cache enabled the decoded sample is retained (the cache owns it). Every
 // caller receives that one decoded sample itself — shared with the cache and
-// with coalesced callers, and therefore read-only: the k-way merge only reads
-// its inputs, and whoever needs to mutate or keep a sample clones it
-// (combine's pairwise fallback, PartitionSample). Invalidation is
+// with coalesced callers, and therefore read-only: every merge only reads its
+// inputs, and whoever needs to mutate or keep a sample clones it
+// (PartitionSample). Invalidation is
 // generation-guarded: bumping the generation before dropping a cache entry
 // guarantees that an in-flight fetch started before the invalidation can
 // never re-insert the stale sample after it.

@@ -401,63 +401,25 @@ func (w *Warehouse[V]) loadWave(ctx context.Context, parent *obs.Span, q *query[
 }
 
 // combine is stage 5 for merges: one "merge" span and one merge_ns
-// observation around the merge of got — the whole input set of an unbounded
-// query (acc is nil) or one wave of a bounded one, folded onto acc. Theorem 1
-// makes every such result a valid uniform sample of the covered union, which
-// is what lets the stop rule evaluate the interval between waves.
-//
-// This is the one place a merge function is chosen. An HR data set with no
-// exhaustive input takes core.MergeK: one pass over all inputs (acc is just
-// one more), which only reads them. Everything else — HB, SB, an exhaustive
-// input, a single input — keeps the pairwise merges, the parallel tree over a
-// fixed input set and the serial fold in plan order; those consume, so they
-// run on clones. Either way the loaded samples, shared with the cache, are
-// left untouched and the result aliases none of them.
+// observation around the Merge of got — the whole input set of an unbounded
+// query (acc is nil) or one wave of a bounded one, with acc as one more input.
+// Theorem 1 makes every such result a valid uniform sample of the covered
+// union, which is what lets the stop rule evaluate the interval between waves.
+// The loaded samples, shared with the cache, are only read, and the result
+// aliases none of them.
 func (w *Warehouse[V]) combine(ctx context.Context, parent *obs.Span, q *query[V], v *catalogView, acc *core.Sample[V], got []*core.Sample[V], src *randx.RNG) (*core.Sample[V], int64, error) {
 	inputs := got
 	if acc != nil {
 		inputs = append([]*core.Sample[V]{acc}, got...)
 	}
-	kway := v.alg == AlgHR && len(inputs) > 1
-	for _, s := range inputs {
-		kway = kway && s.Kind != core.Exhaustive
-	}
-	workers := resolveMergeWorkers(v.mergeWorkers)
 	span := parent.Start("merge")
 	span.SetValue("inputs", int64(len(got)))
 	t := w.o.mergeNS.Start()
-	mctx := obs.ContextWithSpan(ctx, span)
 	var err error
-	switch {
-	case len(got) == 0:
-		// A wave in which nothing loaded leaves acc as it was.
-	case kway:
+	if len(got) > 0 { // a wave in which nothing loaded leaves acc as it was
+		workers := resolveMergeWorkers(v.mergeWorkers)
 		span.SetValue("workers", int64(workers))
-		acc, err = core.MergeK(mctx, inputs, src, workers)
-	default:
-		var merge core.MergeFunc[V]
-		switch v.alg {
-		case AlgSB:
-			merge = core.SBMerge[V]
-		case AlgHB:
-			merge = core.HBMerge[V]
-		default:
-			merge = core.HRMerge[V]
-		}
-		own := make([]*core.Sample[V], len(inputs))
-		for i, s := range inputs {
-			if s == acc {
-				own[i] = s // already this query's own
-			} else {
-				own[i] = s.Clone()
-			}
-		}
-		if q.Bounds.Bounded() {
-			acc, err = core.MergeSerial(own, merge, src)
-		} else {
-			span.SetValue("workers", int64(workers))
-			acc, err = core.MergeTreeParallelContext(mctx, own, merge, src, workers)
-		}
+		acc, err = Merge(obs.ContextWithSpan(ctx, span), v.alg, inputs, src, workers)
 	}
 	ns := t.Stop()
 	span.SetError(err)
@@ -468,6 +430,19 @@ func (w *Warehouse[V]) combine(ctx context.Context, parent *obs.Span, q *query[V
 		return nil, ns, err
 	}
 	return acc, ns, nil
+}
+
+// Merge is the one place a merge is chosen: a uniform sample of the union of
+// samples of disjoint partitions of a data set sampled by alg. SB's merge is
+// the union at the minimum rate with no bound (core.UnionBernoulli); HB's and
+// HR's is core.MergeK. Both only read their inputs and return a fresh sample.
+// The executor's combine stage and the cluster coordinator's fold of its shard
+// samples are its callers.
+func Merge[V comparable](ctx context.Context, alg Algorithm, samples []*core.Sample[V], src *randx.RNG, workers int) (*core.Sample[V], error) {
+	if alg == AlgSB {
+		return core.UnionBernoulli(samples, src)
+	}
+	return core.MergeK(ctx, samples, src, workers)
 }
 
 // account is stage 6 for merges: the one site for the merge counters and the

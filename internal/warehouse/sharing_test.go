@@ -52,10 +52,10 @@ func assertCacheUntouched(t *testing.T, w *Warehouse[int64], want map[string][]b
 	}
 }
 
-// sharingFixture holds three data sets behind one cache: "hr" (six reservoir
-// partitions — the k-way path), "hb" (the pairwise fallback by algorithm) and
-// "mixed" (HR with one partition small enough to be exhaustive — the pairwise
-// fallback by input kind). One merge of each leaves every partition resident.
+// sharingFixture holds four data sets behind one cache: "hr" (six reservoir
+// partitions), "hb" (Bernoulli partitions, thinned to one rate), "sb" (the
+// unbounded union) and "mixed" (HR with one partition small enough to be
+// exhaustive). One merge of each leaves every partition resident.
 func sharingFixture(t *testing.T) (*Warehouse[int64], []string) {
 	t.Helper()
 	w := New[int64](storage.NewMemStore[int64](), 42)
@@ -64,8 +64,8 @@ func sharingFixture(t *testing.T) (*Warehouse[int64], []string) {
 	for _, ds := range []struct {
 		name string
 		alg  Algorithm
-	}{{"hr", AlgHR}, {"hb", AlgHB}, {"mixed", AlgHR}} {
-		if err := w.CreateDataset(ds.name, DatasetConfig{Algorithm: ds.alg, Core: core.ConfigForNF(128)}); err != nil {
+	}{{"hr", AlgHR}, {"hb", AlgHB}, {"sb", AlgSB}, {"mixed", AlgHR}} {
+		if err := w.CreateDataset(ds.name, DatasetConfig{Algorithm: ds.alg, Core: core.ConfigForNF(128), SBRate: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 		for p := int64(0); p < 6; p++ {
@@ -118,6 +118,12 @@ func TestQueriesNeverTouchCachedSamples(t *testing.T) {
 		{"MergedSamplePlanned/maxtime", planned(plan.Bounds{MaxTime: time.Minute})},
 		{"one partition", func() (*core.Sample[int64], error) { return w.MergedSample("hr", "p2") }},
 		{"HB data set", func() (*core.Sample[int64], error) { return w.MergedSample("hb") }},
+		{"SB data set", func() (*core.Sample[int64], error) { return w.MergedSample("sb") }},
+		{"bounded, SB data set", func() (*core.Sample[int64], error) {
+			s, _, _, err := w.MergedSamplePlanned(ctx, "sb", nil, true,
+				PlannedQuery[int64]{Bounds: plan.Bounds{MaxTime: time.Minute}})
+			return s, err
+		}},
 		{"exhaustive input", func() (*core.Sample[int64], error) { return w.MergedSample("mixed") }},
 		{"bounded, exhaustive input", func() (*core.Sample[int64], error) {
 			s, _, _, err := w.MergedSamplePlanned(ctx, "mixed", nil, true,
@@ -131,7 +137,7 @@ func TestQueriesNeverTouchCachedSamples(t *testing.T) {
 			t.Fatalf("%s: %v", a.name, err)
 		}
 		assertCacheUntouched(t, w, want, a.name)
-		size, parent := first.Size(), first.ParentSize
+		size, parent, random := first.Size(), first.ParentSize, first.Kind == core.BernoulliKind
 		// The answer is the caller's: wrecking it must reach nothing shared.
 		core.PurgeReservoir(first.Hist, 1, randx.New(9))
 		assertCacheUntouched(t, w, want, a.name+", answer purged")
@@ -139,7 +145,8 @@ func TestQueriesNeverTouchCachedSamples(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s, second run: %v", a.name, err)
 		}
-		if again.Size() != size || again.ParentSize != parent {
+		// A Bernoulli answer's size is itself a draw; any other is fixed.
+		if (!random && again.Size() != size) || again.ParentSize != parent {
 			t.Fatalf("%s: answer was size %d of %d, after purging it the next is size %d of %d",
 				a.name, size, parent, again.Size(), again.ParentSize)
 		}

@@ -142,12 +142,6 @@ func QExact(n int64, p float64, nf int64, tol float64) float64 {
 	return core.QExact(n, p, nf, tol)
 }
 
-// Merge combines two samples of disjoint partitions into a uniform sample
-// of the union, dispatching on the samples' kinds. Inputs are consumed.
-func Merge[V comparable](s1, s2 *Sample[V], src Source) (*Sample[V], error) {
-	return core.Merge(s1, s2, src)
-}
-
 // HBMerge is the paper's Figure 6 merge for Algorithm HB samples.
 func HBMerge[V comparable](s1, s2 *Sample[V], src Source) (*Sample[V], error) {
 	return core.HBMerge(s1, s2, src)
@@ -200,7 +194,8 @@ func NewStratifiedEstimator[V comparable](st *Stratified[V]) (*estimate.Stratifi
 }
 
 // UnionBernoulli unions Bernoulli samples of disjoint partitions without a
-// footprint bound, equalizing rates if needed (paper §4.1).
+// footprint bound, thinning every input to the smallest rate (paper §4.1).
+// It only reads its inputs: Algorithm SB's merge.
 func UnionBernoulli[V comparable](samples []*Sample[V], src Source) (*Sample[V], error) {
 	return core.UnionBernoulli(samples, src)
 }

@@ -81,7 +81,7 @@ func TestFacadeGenericMergeDispatch(t *testing.T) {
 	}
 	s1, _ := hb.Finalize()
 	s2, _ := hr.Finalize()
-	m, err := Merge(s1, s2, rng)
+	m, err := HBMerge(s1, s2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
