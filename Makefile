@@ -92,9 +92,12 @@ chaos-cluster:
 # write this run — the binary sample codec (decode must never panic, must
 # reject corrupted inputs and must never hold a value twice), the manifest
 # (load → catalog records → save must never panic, and a saved catalog is a
-# fixed point) and a partition's sidecar blob (what loads validates or reads
-# as absent) — and over the histogram, whose lazily built index must leave
-# every operation sequence observably what the eager reference makes of it.
+# fixed point), a partition's sidecar blob (what loads validates or reads as
+# absent), the query grammar (an accepted query re-renders to itself) and a
+# read's URL parameters (an accepted read has a supported confidence and
+# in-range bounds) — and over the histogram, whose lazily built index must
+# leave every operation sequence observably what the eager reference makes of
+# it.
 # The manifest seeds are ~40 KB, so minimizing each new corpus entry would eat
 # the whole budget. Override FUZZTIME for longer campaigns.
 FUZZTIME ?= 15s
@@ -104,6 +107,8 @@ fuzz:
 	go test -run NONE -fuzz FuzzHistogramOps -fuzztime $(FUZZTIME) ./internal/histogram
 	go test -run NONE -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/warehouse
 	go test -run NONE -fuzz FuzzLoadSidecar -fuzztime $(FUZZTIME) ./internal/warehouse
+	go test -run NONE -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/estimate
+	go test -run NONE -fuzz FuzzParseReadQuery -fuzztime $(FUZZTIME) ./internal/server
 
 # Non-test Go lines per internal package, per command and in the root facade —
 # the count ROADMAP aim 2 and its simplification items gate on (raw lines:

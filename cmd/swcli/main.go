@@ -446,26 +446,28 @@ func (c *cli) merge(args []string) error {
 	return nil
 }
 
-// estimate answers a query from the merged sample through server.Answer, the
-// grammar swd serves, at 95 % confidence; equidepth:B is this command's own.
+// estimate answers a query as a local swd read does, at 95 % confidence: it
+// reads the design swd reads — for count:/fraction: the strata of the
+// partitions whose sidecars do not rule the range out, otherwise the merged
+// sample — strictly, as ?partial=0 does, and answers it through
+// estimate.Answer. equidepth:B is this command's own.
 func (c *cli) estimate(args []string) error {
 	fs := flag.NewFlagSet("estimate", flag.ExitOnError)
 	ds := fs.String("ds", "", "data set name")
 	part := fs.String("part", "", "comma-separated partition ids (default all)")
-	q := fs.String("q", "", "query: avg | sum | median | distinct | count:LO..HI | fraction:LO..HI | quantile:Q | topk:K | groupby:DIV | equidepth:B")
+	q := fs.String("q", "", "query: "+estimate.Grammar+" | equidepth:B")
 	fs.Parse(args)
 	if *ds == "" || *q == "" {
 		return fmt.Errorf("estimate: -ds and -q required")
 	}
-	m, err := c.mergedSample(*ds, *part)
-	if err != nil {
-		return err
-	}
-	kind, arg, _ := strings.Cut(*q, ":")
-	if kind == "equidepth" {
+	if kind, arg, _ := strings.Cut(*q, ":"); kind == "equidepth" {
 		b, err := strconv.Atoi(arg)
 		if err != nil || b < 2 {
 			return fmt.Errorf("estimate: bad equidepth bucket count %q", *q)
+		}
+		m, err := c.mergedSample(*ds, *part)
+		if err != nil {
+			return err
 		}
 		oe, err := estimate.NewOrdered(m, func(a, b int64) bool { return a < b })
 		if err != nil {
@@ -478,47 +480,64 @@ func (c *cli) estimate(args []string) error {
 		fmt.Printf("equi-depth boundaries (%d buckets): %v\n", b, bounds)
 		return nil
 	}
-	// The sketch-union answer rides along with distinct when sidecars exist.
-	var sk *sketch.Summary
-	if kind == "distinct" {
-		sk, _ = c.wh.DatasetSketch(context.Background(), *ds, partIDs(*part)...)
-	}
-	var resp server.EstimateResponse
-	if err := server.Answer(&resp, m, *q, 0.95, sk); err != nil {
+	query, err := estimate.ParseQuery(*q)
+	if err != nil {
 		return fmt.Errorf("estimate: %w", err)
 	}
-	// AVG, COUNT(100..5000), QUANTILE(0.99): the query as its line's label.
+	ctx, ids := context.Background(), partIDs(*part)
+	var d estimate.Design[int64]
+	if query.Range() {
+		rng := warehouse.SketchRange{Lo: query.Lo, Hi: query.Hi}
+		d.Strata, d.Proven, _, err = c.wh.StratifiedRange(ctx, *ds, ids, rng, true, false)
+	} else {
+		d.Sample, err = c.mergedSample(*ds, *part)
+	}
+	if err != nil {
+		return err
+	}
+	// The sketch-union answer rides along with distinct and topk when
+	// sidecars exist.
+	var sk *sketch.Summary
+	if query.Sketched() {
+		sk, _ = c.wh.DatasetSketch(ctx, *ds, ids...)
+	}
+	resp, err := estimate.Answer(query, d, 0.95, sk)
+	if err != nil {
+		return fmt.Errorf("estimate: %w", err)
+	}
+	printResult(*q, resp, 0.95)
+	return nil
+}
+
+// printResult prints an answer the way estimate and query both do, labelled
+// with the query: AVG, COUNT(100..5000), QUANTILE(0.99).
+func printResult(q string, r estimate.Result, confidence float64) {
+	kind, arg, _ := strings.Cut(q, ":")
 	label := strings.ToUpper(kind)
 	if arg != "" {
 		label += "(" + arg + ")"
 	}
 	switch {
-	case resp.Estimate != nil:
-		fmt.Printf("%s ≈ %s\n", label, *resp.Estimate)
-	case resp.Quantile != nil:
-		fmt.Printf("%s ≈ %d\n", label, *resp.Quantile)
-	case resp.Distinct != nil:
-		fmt.Printf("DISTINCT: in-sample=%d chao1≈%.0f gee≈%.0f\n",
-			resp.Distinct.InSample, resp.Distinct.Chao1, resp.Distinct.GEE)
-		if sk != nil {
-			// Authoritative only when every sidecar observed every row; a
+	case r.Estimate != nil:
+		fmt.Printf("%s ≈ %s @ %g%% confidence\n", label, *r.Estimate, 100*confidence)
+	case r.Quantile != nil:
+		fmt.Printf("%s ≈ %d\n", label, *r.Quantile)
+	case r.Distinct != nil:
+		fmt.Printf("DISTINCT: in-sample=%d chao1≈%.0f gee≈%.0f\n", r.Distinct.InSample, r.Distinct.Chao1, r.Distinct.GEE)
+		if r.Distinct.KMV > 0 {
+			// method=kmv only when every sidecar observed every row; a
 			// sample-bounded union cannot see values the sampler dropped.
-			scope := "sample-bounded"
-			if resp.Distinct.Method == "kmv" {
-				scope = "authoritative"
-			}
-			fmt.Printf("DISTINCT (kmv union) ≈ %.0f (%s)\n", resp.Distinct.KMV, scope)
+			fmt.Printf("DISTINCT (kmv union) ≈ %.0f (method=%s)\n", r.Distinct.KMV, r.Distinct.Method)
 		}
-	case resp.TopK != nil:
-		for i, fe := range resp.TopK {
+	case r.TopK != nil:
+		for i, fe := range r.TopK {
 			fmt.Printf("%2d. value=%-12d est_freq≈%.0f (sample %d)\n", i+1, fe.Value, fe.Estimated, fe.InSample)
 		}
 	default:
-		for _, g := range resp.Groups {
+		for _, g := range r.Groups {
 			fmt.Printf("group %-10d count ≈ %s\n", g.Key, g.Count)
 		}
 	}
-	return nil
 }
 
 func (c *cli) rollout(args []string) error {
@@ -746,7 +765,7 @@ func query(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8385", "swd base URL")
 	ds := fs.String("ds", "", "data set name")
-	q := fs.String("q", "", "query: avg | sum | median | distinct | count:LO..HI | fraction:LO..HI | quantile:Q | topk:K | groupby:DIV")
+	q := fs.String("q", "", "query: "+estimate.Grammar)
 	part := fs.String("part", "", "comma-separated partition ids (default all)")
 	strict := fs.Bool("strict", false, "fail instead of degrading when a partition is unreadable")
 	timeout := fs.Duration("timeout", 0, "server-side deadline (0 = server default)")
@@ -830,28 +849,7 @@ func query(args []string) error {
 		if *asJSON {
 			return printJSON(resp)
 		}
-		switch {
-		case resp.Estimate != nil:
-			fmt.Printf("%s ≈ %.6g  [%.6g, %.6g] @ %g%% confidence\n",
-				strings.ToUpper(*q), resp.Estimate.Value, resp.Estimate.Lo, resp.Estimate.Hi, 100*resp.Confidence)
-		case resp.Quantile != nil:
-			fmt.Printf("%s ≈ %d\n", strings.ToUpper(*q), *resp.Quantile)
-		case resp.Distinct != nil:
-			fmt.Printf("DISTINCT: in-sample=%d chao1≈%.0f gee≈%.0f\n",
-				resp.Distinct.InSample, resp.Distinct.Chao1, resp.Distinct.GEE)
-			if resp.Distinct.KMV > 0 {
-				fmt.Printf("DISTINCT (kmv union) ≈ %.0f (method=%s)\n",
-					resp.Distinct.KMV, resp.Distinct.Method)
-			}
-		case resp.TopK != nil:
-			for i, fe := range resp.TopK {
-				fmt.Printf("%2d. value=%-12d est_freq≈%.0f (sample %d)\n", i+1, fe.Value, fe.Estimated, fe.InSample)
-			}
-		case resp.Groups != nil:
-			for _, g := range resp.Groups {
-				fmt.Printf("group %-10d count ≈ %.6g [%.6g, %.6g]\n", g.Key, g.Count.Value, g.Count.Lo, g.Count.Hi)
-			}
-		}
+		printResult(*q, resp.Result, resp.Confidence)
 		fmt.Printf("sample: %s of %d values (parent %d, fraction %.6f); served in %.2fms\n",
 			resp.Sample.Kind, resp.Sample.Size, resp.Sample.ParentSize, resp.Sample.Fraction,
 			float64(resp.ElapsedNS)/1e6)

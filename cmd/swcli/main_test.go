@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -662,5 +663,51 @@ func TestCLIRetiresLegacyCatalog(t *testing.T) {
 	}
 	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
 		t.Fatalf("catalog.json still in place beside a manifest (err %v)", err)
+	}
+}
+
+// TestCLIEstimateAgreesWithServer: swcli estimate answers count: and
+// fraction: as swd does — the same sidecar-pruned strata, read strictly — so
+// on a store written through swd it prints the interval swd returns for
+// ?partial=0. Strata draw no randomness, so the two agree exactly.
+func TestCLIEstimateAgreesWithServer(t *testing.T) {
+	dir := t.TempDir()
+	st, err := storage.NewFileStore[int64](filepath.Join(dir, "samples"), storage.Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh, _, err := warehouse.Open[int64](st, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(wh, server.Config{}).Handler())
+	defer ts.Close()
+	cl := server.NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := cl.CreateDataset(ctx, server.CreateDatasetRequest{Name: "served", NF: 128}); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []string{"p1", "p2", "p3"} {
+		var b strings.Builder
+		for v := 0; v < 3000; v++ {
+			b.WriteString(strconv.Itoa(5000*i + v))
+			b.WriteByte('\n')
+		}
+		if _, err := cl.IngestKeyed(ctx, "served", p, 0, "key-"+p, strings.NewReader(b.String())); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := newCLI(t, dir)
+	for _, q := range []string{"count:0..499", "fraction:0..499", "count:100..6000", "fraction:2500..12000", "count:20000..30000"} {
+		resp, err := cl.Estimate(ctx, "served", q, server.QueryOpts{Strict: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, arg, _ := strings.Cut(q, ":")
+		want := fmt.Sprintf("%s(%s) ≈ %s @ 95%% confidence\n", strings.ToUpper(kind), arg, *resp.Estimate)
+		if got := stdoutOf(t, func() error { return c.estimate([]string{"-ds", "served", "-q", q}) }); got != want {
+			t.Errorf("%s: swcli printed\n  %s swd answered\n  %s", q, got, want)
+		}
 	}
 }

@@ -19,9 +19,9 @@ import (
 	"samplewh/internal/core"
 )
 
-// zCrit maps a confidence level to the two-sided normal critical value used
+// ZCrit maps a confidence level to the two-sided normal critical value used
 // for intervals; only the conventional levels are supported.
-func zCrit(confidence float64) (float64, error) {
+func ZCrit(confidence float64) (float64, error) {
 	switch confidence {
 	case 0.90:
 		return 1.6448536269514722, nil
@@ -56,9 +56,8 @@ func (e Estimate) String() string {
 
 // Estimator answers approximate queries over one sample.
 type Estimator[V comparable] struct {
-	s          *core.Sample[V]
-	confidence float64
-	z          float64
+	s *core.Sample[V]
+	z float64
 }
 
 // New builds an estimator at 95% confidence.
@@ -76,26 +75,15 @@ func NewWithConfidence[V comparable](s *core.Sample[V], confidence float64) (*Es
 	if s == nil || s.Hist == nil {
 		return nil, fmt.Errorf("estimate: nil sample")
 	}
-	z, err := zCrit(confidence)
+	z, err := ZCrit(confidence)
 	if err != nil {
 		return nil, err
 	}
-	return &Estimator[V]{s: s, confidence: confidence, z: z}, nil
+	return &Estimator[V]{s: s, z: z}, nil
 }
 
 // Sample returns the underlying sample.
 func (e *Estimator[V]) Sample() *core.Sample[V] { return e.s }
-
-// fpc returns the finite-population correction factor sqrt((N−n)/(N−1)) for
-// a simple random sample of n from N.
-func (e *Estimator[V]) fpc() float64 {
-	n := float64(e.s.Size())
-	N := float64(e.s.ParentSize)
-	if N <= 1 || n >= N {
-		return 0
-	}
-	return math.Sqrt((N - n) / (N - 1))
-}
 
 // interval finishes an Estimate from a point value and standard error.
 func (e *Estimator[V]) interval(value, stderr float64) Estimate {
@@ -125,16 +113,7 @@ func (e *Estimator[V]) Fraction(pred func(V) bool) (Estimate, error) {
 			match += c
 		}
 	})
-	p := float64(match) / float64(n)
-	se := math.Sqrt(p*(1-p)/float64(n)) * e.fpc()
-	est := e.interval(p, se)
-	if est.Lo < 0 {
-		est.Lo = 0
-	}
-	if est.Hi > 1 {
-		est.Hi = 1
-	}
-	return est, nil
+	return e.share(float64(match) / float64(n)), nil
 }
 
 // Count estimates the number of data-set elements whose value satisfies
@@ -144,15 +123,23 @@ func (e *Estimator[V]) Count(pred func(V) bool) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, err
 	}
+	return e.count(frac), nil
+}
+
+// share is the interval of a proportion p of the sample, clamped to [0, 1].
+func (e *Estimator[V]) share(p float64) Estimate {
+	est := e.interval(p, srsSE(p, e.s.Size(), e.s.ParentSize))
+	est.Lo, est.Hi = max(est.Lo, 0), min(est.Hi, 1)
+	return est
+}
+
+// count carries a share's estimate to the N rows the sample covers, clamped
+// to [0, N].
+func (e *Estimator[V]) count(share Estimate) Estimate {
 	N := float64(e.s.ParentSize)
-	est := e.interval(frac.Value*N, frac.StdErr*N)
-	if est.Lo < 0 {
-		est.Lo = 0
-	}
-	if est.Hi > N {
-		est.Hi = N
-	}
-	return est, nil
+	est := e.interval(share.Value*N, share.StdErr*N)
+	est.Lo, est.Hi = max(est.Lo, 0), min(est.Hi, N)
+	return est
 }
 
 // Avg estimates the mean of f(v) over the data set.
@@ -174,7 +161,7 @@ func (e *Estimator[V]) Avg(f func(V) float64) (Estimate, error) {
 		if variance < 0 {
 			variance = 0
 		}
-		se = math.Sqrt(variance/float64(n)) * e.fpc()
+		se = math.Sqrt(variance/float64(n)) * fpc(n, e.s.ParentSize)
 	}
 	return e.interval(mean, se), nil
 }
@@ -309,26 +296,10 @@ func GroupBy[V comparable, K comparable](e *Estimator[V], key func(V) K) ([]Grou
 	}
 	counts := make(map[K]int64)
 	e.s.Hist.Each(func(v V, c int64) { counts[key(v)] += c })
-	N := float64(e.s.ParentSize)
 	out := make([]GroupResult[K], 0, len(counts))
 	for k, c := range counts {
-		p := float64(c) / float64(n)
-		se := math.Sqrt(p*(1-p)/float64(n)) * e.fpc()
-		share := e.interval(p, se)
-		if share.Lo < 0 {
-			share.Lo = 0
-		}
-		if share.Hi > 1 {
-			share.Hi = 1
-		}
-		cnt := e.interval(p*N, se*N)
-		if cnt.Lo < 0 {
-			cnt.Lo = 0
-		}
-		if cnt.Hi > N {
-			cnt.Hi = N
-		}
-		out = append(out, GroupResult[K]{Key: k, Count: cnt, Share: share})
+		share := e.share(float64(c) / float64(n))
+		out = append(out, GroupResult[K]{Key: k, Count: e.count(share), Share: share})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Count.Value > out[j].Count.Value })
 	return out, nil
@@ -368,7 +339,7 @@ func (e *OrderedEstimator[V]) Quantile(q float64) (V, error) {
 	if len(e.sorted) == 0 {
 		return zero, fmt.Errorf("estimate: empty sample")
 	}
-	if q < 0 || q > 1 {
+	if !(q >= 0 && q <= 1) {
 		return zero, fmt.Errorf("estimate: quantile %v outside [0,1]", q)
 	}
 	idx := int(q * float64(len(e.sorted)-1))

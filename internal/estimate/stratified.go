@@ -21,10 +21,16 @@ type StratifiedEstimator[V comparable] struct {
 
 // NewStratified builds a stratified estimator at 95% confidence.
 func NewStratified[V comparable](st *core.Stratified[V]) (*StratifiedEstimator[V], error) {
+	return NewStratifiedWithConfidence(st, 0.95)
+}
+
+// NewStratifiedWithConfidence builds a stratified estimator at an explicit
+// confidence level (0.90, 0.95, or 0.99).
+func NewStratifiedWithConfidence[V comparable](st *core.Stratified[V], confidence float64) (*StratifiedEstimator[V], error) {
 	if st == nil || st.NumStrata() == 0 {
 		return nil, fmt.Errorf("estimate: nil or empty stratified sample")
 	}
-	z, err := zCrit(0.95)
+	z, err := ZCrit(confidence)
 	if err != nil {
 		return nil, err
 	}
@@ -94,42 +100,14 @@ func (e *StratifiedEstimator[V]) Avg(f func(V) float64) (Estimate, error) {
 	}, nil
 }
 
-// Count estimates the number of elements satisfying pred across all strata.
-func (e *StratifiedEstimator[V]) Count(pred func(V) bool) (Estimate, error) {
-	est, err := e.Sum(func(v V) float64 {
-		if pred(v) {
-			return 1
-		}
-		return 0
-	})
-	if err != nil {
-		return Estimate{}, err
-	}
-	if est.Lo < 0 {
-		est.Lo = 0
-	}
-	if max := float64(e.st.ParentSize()); est.Hi > max {
-		est.Hi = max
-	}
-	return est, nil
+// CountPruned is Interval's count over the strata plus the proven-zero
+// strata. It remains only because bench/trace.go compiles against it; ROADMAP
+// item 1(a), which rewrites that replay, deletes it.
+func (e *StratifiedEstimator[V]) CountPruned(pred func(V) bool, zeros []ZeroStratum) (Estimate, error) {
+	return Interval(Design[V]{Strata: e.st, Proven: zeros}, pred, false, e.z)
 }
 
-// Fraction estimates the fraction of elements satisfying pred.
-func (e *StratifiedEstimator[V]) Fraction(pred func(V) bool) (Estimate, error) {
-	cnt, err := e.Count(pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	N := float64(e.st.ParentSize())
-	out := Estimate{
-		Value:  cnt.Value / N,
-		StdErr: cnt.StdErr / N,
-		Lo:     cnt.Lo / N,
-		Hi:     cnt.Hi / N,
-		Exact:  cnt.Exact,
-	}
-	if out.Hi > 1 {
-		out.Hi = 1
-	}
-	return out, nil
+// FractionPruned is CountPruned's fraction, kept for the same reason.
+func (e *StratifiedEstimator[V]) FractionPruned(pred func(V) bool, zeros []ZeroStratum) (Estimate, error) {
+	return Interval(Design[V]{Strata: e.st, Proven: zeros}, pred, true, e.z)
 }

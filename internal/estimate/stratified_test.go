@@ -68,14 +68,15 @@ func TestStratifiedCountAndFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Predicate: values in stratum 0's range (v < 1000): exactly 10000.
-	cnt, err := e.Count(func(v int64) bool { return v < 1000 })
+	pred := func(v int64) bool { return v < 1000 }
+	cnt, err := Interval(Design[int64]{Strata: st}, pred, false, e.z)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(cnt.Value-10000) > 6*cnt.StdErr+1 {
 		t.Fatalf("count %v ± %v, truth 10000", cnt.Value, cnt.StdErr)
 	}
-	frac, err := e.Fraction(func(v int64) bool { return v < 1000 })
+	frac, err := Interval(Design[int64]{Strata: st}, pred, true, e.z)
 	if err != nil {
 		t.Fatal(err)
 	}

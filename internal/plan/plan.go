@@ -23,8 +23,8 @@ import (
 // to the unbounded one.
 type Bounds struct {
 	// MaxErr is the fraction-scale half-width target for the answer's
-	// confidence interval (see estimate.BoundedFraction); 0 disables the
-	// error bound.
+	// confidence interval (see estimate.Interval); 0 disables the error
+	// bound.
 	MaxErr float64
 	// MaxTime is the execution budget for loading and merging; 0 disables
 	// it. The first wave of loads always runs, so a too-tight budget yields
@@ -159,7 +159,7 @@ func Build(stats []PartitionStat, b Bounds, cfg Config) QueryPlan {
 			n = mergedSize(n, st.Stat.SampleSize)
 			pop += st.Stat.ParentSize
 			ns += st.CostNS
-			if estimate.ProxyHalfWidthZ(n, pop, p.TotalPop, z) <= b.MaxErr {
+			if estimate.ProxyWidth(n, pop, 0, p.TotalPop, z) <= b.MaxErr {
 				p.PredictedStop = i + 1
 				p.PredictedPop = pop
 				p.PredictedNS = ns
@@ -203,7 +203,7 @@ func (p QueryPlan) NeededFrom(idx int, curN, curPop int64, z float64) int {
 		st := p.Steps[i].Stat
 		n = mergedSize(n, st.SampleSize)
 		pop += st.ParentSize
-		if estimate.ProxyHalfWidthZ(n, pop, total, z) <= p.Bounds.MaxErr {
+		if estimate.ProxyWidth(n, pop, 0, total, z) <= p.Bounds.MaxErr {
 			if i-idx+1 < 1 {
 				return 1
 			}

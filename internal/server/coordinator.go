@@ -172,18 +172,6 @@ func sampleFromWire(resp SampleResponse, cc core.Config) (*core.Sample[int64], e
 	return smp, nil
 }
 
-// readResultFromWire is a remote scatter leg's answer as the readResult
-// localRead would have built on that shard: the merged sample, the shard's
-// coverage of the group (its Pruned and plan carry a bounded query's outcome),
-// and its sketch union when the scatter asked for one.
-func readResultFromWire(resp SampleResponse, cc core.Config) (readResult, error) {
-	smp, err := sampleFromWire(resp, cc)
-	if err != nil {
-		return readResult{}, err
-	}
-	return readResult{smp: smp, cov: resp.Coverage, degraded: resp.Degraded, plan: resp.Plan, sketch: resp.Sketch}, nil
-}
-
 // attemptOut is one replica attempt's outcome inside a group fetch.
 type attemptOut struct {
 	p      *peer
@@ -240,9 +228,15 @@ func (s *Server) attemptGroup(ctx context.Context, p *peer, q readQuery, hedged 
 		out.err = err
 		return out
 	}
-	if out.res, err = readResultFromWire(resp, cfg.Core); err != nil {
+	// The leg's answer as the readResult localRead built on that shard: its
+	// merged sample, its coverage of the group (Pruned and plan carry a
+	// bounded query's outcome) and its sketch union when one was asked for.
+	smp, err := sampleFromWire(resp, cfg.Core)
+	if err != nil {
 		out.err = fmt.Errorf("shard %d: %w", p.id, err)
+		return out
 	}
+	out.res = readResult{design: estimate.Design[int64]{Sample: smp}, cov: resp.Coverage, degraded: resp.Degraded, plan: resp.Plan, sketch: resp.Sketch}
 	return out
 }
 
@@ -565,8 +559,8 @@ func (s *Server) scatterMerged(r *http.Request, q readQuery) (readResult, error)
 		cov.Merged = append(cov.Merged, out.res.cov.Merged...)
 		cov.Skipped = append(cov.Skipped, out.res.cov.Skipped...)
 		cov.Pruned = append(cov.Pruned, out.res.cov.Pruned...)
-		if out.res.smp != nil {
-			samples = append(samples, out.res.smp)
+		if smp := out.res.design.Sample; smp != nil {
+			samples = append(samples, smp)
 		}
 		// A shard that answered without a sidecar poisons the union: mixing
 		// sketch and non-sketch shards would silently undercount, so the
@@ -637,14 +631,15 @@ func (s *Server) scatterMerged(r *http.Request, q readQuery) (readResult, error)
 	if err != nil {
 		return readResult{}, fmt.Errorf("coordinator merge: %w", err)
 	}
+	rd := readResult{design: estimate.Design[int64]{Sample: merged}, cov: cov, degraded: degraded, shards: agg.list(), plan: pinfo, sketch: skUnion}
 	if pinfo != nil {
+		// What the legs did not cover is ignored, and the proxy prices it.
+		rd.design = estimate.Planned(merged, pinfo.TotalPopulation, 0)
+		z, _ := estimate.ZCrit(q.confidence) // parseReadQuery admits supported levels only
 		pinfo.CoveredPopulation = merged.ParentSize
-		if hw, herr := estimate.ProxyHalfWidth(merged.Size(), merged.ParentSize,
-			pinfo.TotalPopulation, q.confidence); herr == nil {
-			pinfo.AchievedHalfWidth = hw
-		}
+		pinfo.AchievedHalfWidth = estimate.ProxyWidth(merged.Size(), merged.ParentSize, 0, pinfo.TotalPopulation, z)
 	}
-	return readResult{smp: merged, cov: cov, degraded: degraded, shards: agg.list(), plan: pinfo, sketch: skUnion}, nil
+	return rd, nil
 }
 
 // --- replicated ingest ---------------------------------------------------

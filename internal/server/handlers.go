@@ -239,43 +239,16 @@ type SampleResponse struct {
 	Trace   *obs.SpanSnapshot `json:"trace,omitempty"`
 }
 
-// DistinctResult carries the distinct-count estimators. The sample-based
-// trio (InSample, Chao1, GEE) extrapolates from the merged sample; KMV is the
-// sketch-union answer, exact until the union saturates its K smallest-hash
-// slots and a small-relative-error estimate after. Method names the
-// authoritative estimator: "kmv" when every covered partition (and, in
-// cluster mode, every shard) contributed a sidecar that observed every row
-// (stream-built, or built from an exhaustive sample), "sample" otherwise. The
-// sample-based fallback is biased low on skewed multi-partition data — the
-// merged sample subsamples the union, losing rare values — so treat GEE as a
-// lower-confidence answer, not an upper bound.
-type DistinctResult struct {
-	InSample int64   `json:"in_sample"`
-	Chao1    float64 `json:"chao1"`
-	GEE      float64 `json:"gee"`
-	KMV      float64 `json:"kmv,omitempty"`
-	Method   string  `json:"method,omitempty"`
-}
-
-// EstimateResponse is the GET estimate body. Exactly one of Estimate,
-// Quantile, Distinct, TopK or Groups is populated, per the query kind; every
-// response carries the sample metadata and merge coverage.
+// EstimateResponse is the GET estimate body: the answer (one field of
+// estimate.Result, per the query kind) with the sample metadata and merge
+// coverage every response carries.
 type EstimateResponse struct {
-	Dataset    string                      `json:"dataset"`
-	Query      string                      `json:"query"`
-	Confidence float64                     `json:"confidence"`
-	Estimate   *estimate.Estimate          `json:"estimate,omitempty"`
-	Quantile   *int64                      `json:"quantile,omitempty"`
-	Distinct   *DistinctResult             `json:"distinct,omitempty"`
-	TopK       []estimate.FreqEntry[int64] `json:"topk,omitempty"`
-	// TopKHeavy is the sketch-union answer to topk queries (space-saving
-	// counts with per-entry error bounds), populated when every covered
-	// partition contributed a sidecar that observed every row; TopK stays
-	// the sample-scaled view.
-	TopKHeavy []sketch.HeavyHit             `json:"topk_heavy,omitempty"`
-	Groups    []estimate.GroupResult[int64] `json:"groups,omitempty"`
-	Sample    SampleMeta                    `json:"sample"`
-	Coverage  Coverage                      `json:"coverage"`
+	Dataset         string     `json:"dataset"`
+	Query           string     `json:"query"`
+	Confidence      float64    `json:"confidence"`
+	estimate.Result            // inline: estimate, quantile, distinct, topk, topk_heavy, groups
+	Sample          SampleMeta `json:"sample"`
+	Coverage        Coverage   `json:"coverage"`
 	// Degraded mirrors Coverage.Partial: the answer stands on fewer
 	// partitions than requested (its intervals are honest but wider).
 	// Shards carries the per-shard outcomes when a cluster coordinator
@@ -768,7 +741,7 @@ func boolParam(r *http.Request, name string, def bool) (bool, error) {
 //	?maxtime=      a Go duration the merge may spend; either bound engages
 //	               the planner, and absent both the query runs the ordinary
 //	               full merge unchanged
-//	?confidence=   default 0.95
+//	?confidence=   0.90, 0.95 (the default) or 0.99
 //	?explain=1     attach the request's span tree (returned separately)
 func parseReadQuery(r *http.Request) (q readQuery, explain bool, err error) {
 	q = readQuery{ds: r.PathValue("ds"), confidence: 0.95}
@@ -787,7 +760,7 @@ func parseReadQuery(r *http.Request) (q readQuery, explain bool, err error) {
 	}
 	if raw := params.Get("maxerr"); raw != "" {
 		v, perr := strconv.ParseFloat(raw, 64)
-		if perr != nil || v <= 0 || v >= 1 {
+		if perr != nil || !(v > 0 && v < 1) {
 			return q, false, badRequest("bad maxerr %q (want a fraction in (0,1))", raw)
 		}
 		q.bounds.MaxErr = v
@@ -800,31 +773,14 @@ func parseReadQuery(r *http.Request) (q readQuery, explain bool, err error) {
 		q.bounds.MaxTime = d
 	}
 	if raw := params.Get("confidence"); raw != "" {
-		if q.confidence, err = strconv.ParseFloat(raw, 64); err != nil {
-			return q, false, badRequest("bad confidence %q", raw)
+		var perr error
+		q.confidence, perr = strconv.ParseFloat(raw, 64)
+		if _, zerr := estimate.ZCrit(q.confidence); perr != nil || zerr != nil {
+			return q, false, badRequest("bad confidence %q (use 0.90, 0.95 or 0.99)", raw)
 		}
 	}
 	explain, err = boolParam(r, "explain", false)
 	return q, explain, err
-}
-
-// rangePred parses a count:LO..HI / fraction:LO..HI query into its kind,
-// bounds and range predicate — shared by Answer, the maxerr gate (these
-// two kinds are the only ones whose fraction-scale error a maxerr bound can
-// promise) and the sketch pruning layer, which needs the raw bounds to test
-// sidecars against.
-func rangePred(q string) (kind string, lo, hi int64, pred func(int64) bool, err error) {
-	kind, spec, _ := strings.Cut(q, ":")
-	loRaw, hiRaw, ok := strings.Cut(spec, "..")
-	if !ok {
-		return "", 0, 0, nil, badRequest("bad range %q (want %s:LO..HI)", q, kind)
-	}
-	lo, err1 := strconv.ParseInt(loRaw, 10, 64)
-	hi, err2 := strconv.ParseInt(hiRaw, 10, 64)
-	if err1 != nil || err2 != nil || lo > hi {
-		return "", 0, 0, nil, badRequest("bad range bounds %q", q)
-	}
-	return kind, lo, hi, func(v int64) bool { return v >= lo && v <= hi }, nil
 }
 
 // readQuery is one parsed sample/estimate read, local or scattered.
@@ -834,23 +790,21 @@ type readQuery struct {
 	partial    bool
 	bounds     plan.Bounds
 	confidence float64
-	// rng and pred are the value range of a count:/fraction: query and its
-	// predicate (nil for every other kind); prune lets sketch sidecars drop
-	// partitions provably outside rng.
-	rng   *warehouse.SketchRange
-	pred  func(int64) bool
+	// query is the estimate's parsed ?q= (zero for a sample read); prune
+	// lets sketch sidecars drop partitions provably outside a range query's
+	// value range.
+	query estimate.Query
 	prune bool
 	// wantSketch asks for the sketch union of the covered partitions.
 	wantSketch bool
 }
 
-// readResult is what a read hands the answer stage: one merged sample, or —
-// for a local unbounded range query — strata plus proven-zero populations
-// (smp nil). shards is set by the cluster coordinator only.
+// readResult is what a read hands the answer stage: the design the answer
+// stands on — one merged sample, or, for a local unbounded range query,
+// strata — with the proven and ignored population around it. shards is set
+// by the cluster coordinator only.
 type readResult struct {
-	smp      *core.Sample[int64]
-	strata   *core.Stratified[int64]
-	zeros    []estimate.ZeroStratum
+	design   estimate.Design[int64]
 	cov      Coverage
 	degraded bool
 	shards   []ShardStatus
@@ -862,19 +816,18 @@ type readResult struct {
 // loaded strata plus the proven-zero populations the estimate also covers;
 // Kind "stratified" marks that no single merged sample backs it.
 func (rd readResult) meta() SampleMeta {
-	if rd.smp != nil {
-		return sampleMeta(rd.smp)
+	d := rd.design
+	if d.Sample != nil {
+		return sampleMeta(d.Sample)
 	}
-	var size, parent, footprint int64
-	if rd.strata != nil {
-		size, parent = rd.strata.SampleSize(), rd.strata.ParentSize()
-		for _, s := range rd.strata.Strata() {
+	var size, footprint int64
+	if d.Strata != nil {
+		size = d.Strata.SampleSize()
+		for _, s := range d.Strata.Strata() {
 			footprint += s.Footprint()
 		}
 	}
-	for _, z := range rd.zeros {
-		parent += z.Pop
-	}
+	parent := d.Pop()
 	meta := SampleMeta{Kind: "stratified", Size: size, ParentSize: parent, Footprint: footprint}
 	if parent > 0 {
 		meta.Fraction = float64(size) / float64(parent)
@@ -907,27 +860,31 @@ func (s *Server) localRead(ctx context.Context, q readQuery) (readResult, error)
 	var out readResult
 	var cov warehouse.MergeCoverage
 	var err error
-	if q.rng != nil && !q.bounds.Bounded() {
-		out.strata, out.zeros, cov, err = s.wh.StratifiedRange(ctx, q.ds, q.ids, *q.rng, q.prune, q.partial)
+	rng := warehouse.SketchRange{Lo: q.query.Lo, Hi: q.query.Hi}
+	if q.query.Range() && !q.bounds.Bounded() {
+		out.design.Strata, out.design.Proven, cov, err = s.wh.StratifiedRange(ctx, q.ds, q.ids, rng, q.prune, q.partial)
 	} else {
 		pq := warehouse.PlannedQuery[int64]{Bounds: q.bounds, Confidence: q.confidence}
-		switch {
-		case q.pred != nil:
+		z, _ := estimate.ZCrit(q.confidence) // parseReadQuery admits supported levels only
+		if q.query.Range() || q.bounds.MaxErr > 0 {
+			pred := q.query.Pred()
 			pq.HalfWidth = func(acc *core.Sample[int64], totalPop, provenZero int64) (float64, bool) {
-				e, herr := estimate.BoundedFractionProvenZero(acc, q.pred, q.confidence, totalPop, provenZero)
+				if !q.query.Range() {
+					return estimate.ProxyWidth(acc.Size(), acc.ParentSize, provenZero, totalPop, z), true
+				}
+				e, herr := estimate.Interval(estimate.Planned(acc, totalPop, provenZero), pred, true, z)
 				return estimate.HalfWidth(e), herr == nil
 			}
-		case q.bounds.MaxErr > 0:
-			z, zerr := estimate.ZCrit(q.confidence)
-			pq.HalfWidth = func(acc *core.Sample[int64], totalPop, provenZero int64) (float64, bool) {
-				return estimate.ProxyHalfWidthProvenZeroZ(acc.Size(), acc.ParentSize, totalPop, provenZero, z), zerr == nil
-			}
 		}
-		if q.prune {
-			pq.SketchRange = q.rng
+		if q.query.Range() && q.prune {
+			pq.SketchRange = &rng
 		}
 		var exec *warehouse.PlanExecution
-		out.smp, cov, exec, err = s.wh.MergedSamplePlanned(ctx, q.ds, q.ids, q.partial, pq)
+		out.design.Sample, cov, exec, err = s.wh.MergedSamplePlanned(ctx, q.ds, q.ids, q.partial, pq)
+		if exec != nil && err == nil {
+			out.design = estimate.Planned(out.design.Sample, exec.TotalPop, exec.ProvenZeroPop)
+			out.design.Proven = exec.Proven
+		}
 		out.plan = planInfo(q.bounds, exec, len(cov.SketchPruned))
 	}
 	if err != nil {
@@ -935,7 +892,7 @@ func (s *Server) localRead(ctx context.Context, q readQuery) (readResult, error)
 	}
 	out.cov = coverage(cov)
 	out.degraded = out.cov.Partial
-	if q.wantSketch && out.smp != nil {
+	if q.wantSketch && out.design.Sample != nil {
 		// Best-effort: a partition without a rebuildable sidecar simply
 		// leaves the union empty and the caller falls back to the sample.
 		out.sketch, _ = s.wh.DatasetSketch(ctx, q.ds, cov.Merged...)
@@ -964,13 +921,13 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	resp := SampleResponse{Dataset: q.ds, Sample: sampleMeta(rd.smp), Coverage: rd.cov,
+	resp := SampleResponse{Dataset: q.ds, Sample: sampleMeta(rd.design.Sample), Coverage: rd.cov,
 		Degraded: rd.degraded, Shards: rd.shards, Plan: rd.plan, Sketch: rd.sketch}
 	if explain {
 		resp.TraceID, resp.Trace = explainTrace(r)
 	}
 	if limit != 0 {
-		entries := rd.smp.Hist.Entries()
+		entries := rd.design.Sample.Hist.Entries()
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Value < entries[j].Value })
 		if limit > 0 && len(entries) > limit {
 			entries = entries[:limit]
@@ -985,18 +942,16 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// handleEstimate answers an approximate query over the merged sample of the
-// requested partitions. Query grammar (?q=):
-//
-//	avg | sum | median | distinct
-//	count:LO..HI | fraction:LO..HI   (closed value range)
-//	quantile:Q                        (Q in [0,1])
-//	topk:K | groupby:DIV
+// handleEstimate answers an approximate query (?q=, the grammar
+// estimate.ParseQuery reads) over the requested partitions: the read builds
+// the design and estimate.Answer, the one answer every read shares, fills in
+// the result.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 	start := nowNS()
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		return badRequest("q required (avg | sum | median | distinct | count:LO..HI | fraction:LO..HI | quantile:Q | topk:K | groupby:DIV)")
+	raw := r.URL.Query().Get("q")
+	query, err := estimate.ParseQuery(raw)
+	if err != nil {
+		return badRequest("%v", err)
 	}
 	rq, explain, err := parseReadQuery(r)
 	if err != nil {
@@ -1009,218 +964,41 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 	if rq.prune, err = boolParam(r, "prune", true); err != nil {
 		return err
 	}
-	// Parse range kinds up front: the sketch pruning layer needs the raw
-	// bounds, and a maxerr bound is only defined for these kinds (the only
-	// ones whose fraction-scale error it can promise); other kinds can still
-	// be time-bounded.
-	rangeKind := ""
-	if strings.HasPrefix(q, "count:") || strings.HasPrefix(q, "fraction:") {
-		var lo, hi int64
-		if rangeKind, lo, hi, rq.pred, err = rangePred(q); err != nil {
-			return err
-		}
-		rq.rng = &warehouse.SketchRange{Lo: lo, Hi: hi}
-	}
-	if rq.bounds.MaxErr > 0 && rangeKind == "" {
-		return badRequest("maxerr applies only to count:LO..HI and fraction:LO..HI queries (got %q); use maxtime to bound other kinds", q)
+	if rq.bounds.MaxErr > 0 && !query.Range() {
+		return badRequest("maxerr applies only to count:LO..HI and fraction:LO..HI queries (got %q); use maxtime to bound other kinds", raw)
 	}
 	// Distinct/topk answers union sketch sidecars when every covered
 	// partition (and shard) has one; the merged sample stays the fallback.
-	rq.wantSketch = q == "distinct" || strings.HasPrefix(q, "topk:")
+	rq.query, rq.wantSketch = query, query.Sketched()
 	rd, err := s.readFrom(r, rq)
 	if err != nil {
 		return err
 	}
 	resp := EstimateResponse{
-		Dataset: rq.ds, Query: q, Confidence: rq.confidence,
+		Dataset: rq.ds, Query: raw, Confidence: rq.confidence,
 		Sample: rd.meta(), Coverage: rd.cov,
 		Degraded: rd.degraded, Shards: rd.shards, Plan: rd.plan,
 	}
 	esp := obs.SpanFromContext(r.Context()).Start("estimate")
-	esp.SetLabel("q", q)
-	// Strata and bounded samples have their own range arithmetic; a plain
-	// merged sample (a coordinated unbounded range query) answers like any
-	// other kind.
-	if rangeKind != "" && (rd.smp == nil || rd.plan != nil) {
-		var e estimate.Estimate
-		if e, err = rangeEstimate(rd, rangeKind, rq.pred, rq.confidence); err != nil {
-			err = badRequest("%v", err)
+	esp.SetLabel("q", raw)
+	resp.Result, err = estimate.Answer(query, rd.design, rq.confidence, rd.sketch)
+	if pi := rd.plan; err == nil && pi != nil && query.Range() {
+		// A bounded range answer's own interval is the width its plan achieved,
+		// reported at fraction scale.
+		pi.AchievedHalfWidth = estimate.HalfWidth(*resp.Estimate)
+		if query.Kind == "count" && pi.TotalPopulation > 0 {
+			pi.AchievedHalfWidth /= float64(pi.TotalPopulation)
 		}
-		resp.Estimate = &e
-	} else {
-		err = Answer(&resp, rd.smp, q, rq.confidence, rd.sketch)
 	}
 	esp.SetError(err)
 	esp.End()
 	if err != nil {
-		return err
+		return badRequest("%v", err)
 	}
 	resp.ElapsedNS = nowNS() - start
 	if explain {
 		resp.TraceID, resp.Trace = explainTrace(r)
 	}
 	writeJSON(w, http.StatusOK, resp)
-	return nil
-}
-
-// rangeEstimate is the estimator arithmetic of the two count:/fraction:
-// reads that do not go through Answer.
-//
-// Strata (a local unbounded query): partitions whose sketch sidecar proved
-// zero overlap enter the stratified expansion as exact zero strata of known
-// population instead of being loaded. The substitution is an identity of the
-// stratified formulas, so the answer is byte-identical with pruning on
-// (?prune=1, the default) or off — the property the sketch bench asserts
-// estimate by estimate.
-//
-// A bounded merged sample: the answer is over the full requested population;
-// the interval carries the pruned partitions' worst case — and the
-// proven-zero partitions' exactly-known zero — so it stays honest no matter
-// what the planner left unloaded. The achieved half-width is written back
-// into the plan at fraction scale.
-func rangeEstimate(rd readResult, kind string, pred func(int64) bool, confidence float64) (estimate.Estimate, error) {
-	switch {
-	case rd.smp != nil:
-		pi := rd.plan
-		bounded := estimate.BoundedFractionProvenZero[int64]
-		if kind == "count" {
-			bounded = estimate.BoundedCountProvenZero[int64]
-		}
-		e, err := bounded(rd.smp, pred, confidence, pi.TotalPopulation, pi.ProvenZeroPopulation)
-		if err != nil {
-			return e, err
-		}
-		pi.AchievedHalfWidth = estimate.HalfWidth(e)
-		if kind == "count" && pi.TotalPopulation > 0 {
-			pi.AchievedHalfWidth /= float64(pi.TotalPopulation)
-		}
-		return e, nil
-	case rd.strata == nil:
-		// Every readable partition was proven out of range: zero matches,
-		// exactly — byte-identical to what the unpruned estimator returns
-		// for strata that contain no matching value (count and fraction
-		// alike). The answer is exact when every pruned partition held an
-		// exhaustive sample.
-		e := estimate.Estimate{Exact: true}
-		for _, z := range rd.zeros {
-			if !z.Exhaustive {
-				e.Exact = false
-				break
-			}
-		}
-		return e, nil
-	}
-	est, err := estimate.NewStratifiedWithConfidence(rd.strata, confidence)
-	if err != nil {
-		return estimate.Estimate{}, err
-	}
-	if kind == "count" {
-		return est.CountPruned(pred, rd.zeros)
-	}
-	return est.FractionPruned(pred, rd.zeros)
-}
-
-// Answer is the query grammar's one implementation (see handleEstimate for
-// the grammar): it evaluates q against a merged sample at the given confidence
-// and fills the one result field of resp that q's kind selects. sk, when
-// non-nil, is the sketch union of the covered partitions — the authoritative
-// distinct/topk source, with the sample-based estimators kept alongside.
-// handleEstimate and `swcli estimate` both answer through it; a query it
-// refuses is a 400 with the same message on either.
-func Answer(resp *EstimateResponse, smp *core.Sample[int64], q string, confidence float64, sk *sketch.Summary) error {
-	est, err := estimate.NewWithConfidence(smp, confidence)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	setEst := func(e estimate.Estimate, err error) error {
-		if err != nil {
-			return badRequest("%v", err)
-		}
-		resp.Estimate = &e
-		return nil
-	}
-	switch {
-	case q == "avg":
-		return setEst(est.Avg(func(v int64) float64 { return float64(v) }))
-	case q == "sum":
-		return setEst(est.Sum(func(v int64) float64 { return float64(v) }))
-	case q == "median":
-		return quantile(resp, smp, 0.5)
-	case q == "distinct":
-		resp.Distinct = &DistinctResult{
-			InSample: est.DistinctNaive(),
-			Chao1:    est.DistinctChao1(),
-			GEE:      est.DistinctGEE(),
-			Method:   "sample",
-		}
-		if sk != nil {
-			resp.Distinct.KMV = sk.DistinctEstimate()
-			// KMV is authoritative only when the union observed every row:
-			// stream-built sidecars, or exhaustive samples (full frequency
-			// histograms). A sample-source union hashed only sampled values,
-			// so its distinct estimate is bounded by the sample and the
-			// extrapolating sample estimators remain the best answer.
-			if sk.Source == sketch.SourceStream || sk.Exhaustive {
-				resp.Distinct.Method = "kmv"
-			}
-		}
-		return nil
-	case strings.HasPrefix(q, "quantile:"):
-		qv, err := strconv.ParseFloat(strings.TrimPrefix(q, "quantile:"), 64)
-		if err != nil {
-			return badRequest("bad quantile %q", q)
-		}
-		return quantile(resp, smp, qv)
-	case strings.HasPrefix(q, "topk:"):
-		k, err := strconv.Atoi(strings.TrimPrefix(q, "topk:"))
-		if err != nil || k < 1 {
-			return badRequest("bad topk %q", q)
-		}
-		resp.TopK = est.TopK(k)
-		if resp.TopK == nil {
-			resp.TopK = []estimate.FreqEntry[int64]{}
-		}
-		// Heavy-hitter counts are population-scale only when the union
-		// observed every row; sample-scale counts would mislead.
-		if sk != nil && (sk.Source == sketch.SourceStream || sk.Exhaustive) {
-			resp.TopKHeavy = sk.TopK(k)
-		}
-		return nil
-	case strings.HasPrefix(q, "groupby:"):
-		div, err := strconv.ParseInt(strings.TrimPrefix(q, "groupby:"), 10, 64)
-		if err != nil || div < 1 {
-			return badRequest("bad groupby divisor %q", q)
-		}
-		groups, err := estimate.GroupBy(est, func(v int64) int64 { return v / div })
-		if err != nil {
-			return badRequest("%v", err)
-		}
-		resp.Groups = groups
-		return nil
-	case strings.HasPrefix(q, "count:"), strings.HasPrefix(q, "fraction:"):
-		kind, _, _, pred, err := rangePred(q)
-		if err != nil {
-			return err
-		}
-		if kind == "count" {
-			return setEst(est.Count(pred))
-		}
-		return setEst(est.Fraction(pred))
-	default:
-		return badRequest("unknown query %q", q)
-	}
-}
-
-// quantile answers median/quantile queries via the ordered estimator.
-func quantile(resp *EstimateResponse, smp *core.Sample[int64], q float64) error {
-	oe, err := estimate.NewOrdered(smp, func(a, b int64) bool { return a < b })
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	v, err := oe.Quantile(q)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	resp.Quantile = &v
 	return nil
 }

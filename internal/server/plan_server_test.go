@@ -5,11 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
+	"samplewh/internal/core"
+	"samplewh/internal/estimate"
 	"samplewh/internal/obs"
+	"samplewh/internal/storage"
+	"samplewh/internal/warehouse"
 )
 
 // The bounded-endpoint fixture: 4 partitions of 1000 sequential values each
@@ -115,22 +120,70 @@ func TestEstimateMaxErrOnlyForRangeQueries(t *testing.T) {
 	}
 }
 
+// badReadTargets are read requests every route refuses with 400; their query
+// strings also seed FuzzParseReadQuery.
+var badReadTargets = []string{
+	"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=0",
+	"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=1",
+	"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=1.5",
+	"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=lots",
+	"/v1/datasets/d/estimate?q=avg&maxtime=-5ms",
+	"/v1/datasets/d/estimate?q=avg&maxtime=soon",
+	"/v1/datasets/d/sample?maxerr=nope",
+	"/v1/datasets/d/sample?maxtime=0",
+	// An unsupported confidence is refused on every read route, bounded or
+	// not, and a NaN bound is no bound.
+	"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=0.3&confidence=0.8",
+	"/v1/datasets/d/estimate?q=avg&maxtime=10s&confidence=0.8",
+	"/v1/datasets/d/estimate?q=avg&confidence=0.8",
+	"/v1/datasets/d/sample?maxerr=0.3&confidence=0.8",
+	"/v1/datasets/d/sample?confidence=0.8",
+	"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=NaN",
+}
+
 func TestBoundsParamValidation(t *testing.T) {
 	s := newTestServer(t, Config{})
-	for _, target := range []string{
-		"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=0",
-		"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=1",
-		"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=1.5",
-		"/v1/datasets/d/estimate?q=fraction:0..499&maxerr=lots",
-		"/v1/datasets/d/estimate?q=avg&maxtime=-5ms",
-		"/v1/datasets/d/estimate?q=avg&maxtime=soon",
-		"/v1/datasets/d/sample?maxerr=nope",
-		"/v1/datasets/d/sample?maxtime=0",
-	} {
+	for _, target := range badReadTargets {
 		if w := do(t, s, http.MethodGet, target, ""); w.Code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400: %s", target, w.Code, w.Body.String())
 		}
 	}
+}
+
+// FuzzParseReadQuery: whatever query string a read arrives with, a read
+// parseReadQuery accepts has a supported confidence, a maxerr that is unset
+// or in (0, 1), a maxtime that is unset or positive, and no empty partition
+// id.
+func FuzzParseReadQuery(f *testing.F) {
+	for _, target := range badReadTargets {
+		_, raw, _ := strings.Cut(target, "?")
+		f.Add(raw)
+	}
+	f.Add("parts=p0,p1&partial=0&maxerr=0.2&maxtime=50ms&confidence=0.99&explain=1")
+	f.Add("parts=p0,,p1")
+	f.Add("confidence=0.90&maxerr=1e-3")
+	f.Fuzz(func(t *testing.T, raw string) {
+		r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/datasets/d/sample", RawQuery: raw}}
+		r.SetPathValue("ds", "d")
+		q, _, err := parseReadQuery(r)
+		if err != nil {
+			return
+		}
+		if _, zerr := estimate.ZCrit(q.confidence); zerr != nil {
+			t.Fatalf("%q: accepted confidence %v", raw, q.confidence)
+		}
+		if e := q.bounds.MaxErr; e != 0 && !(e > 0 && e < 1) {
+			t.Fatalf("%q: accepted maxerr %v", raw, e)
+		}
+		if q.bounds.MaxTime < 0 {
+			t.Fatalf("%q: accepted maxtime %v", raw, q.bounds.MaxTime)
+		}
+		for _, id := range q.ids {
+			if id == "" {
+				t.Fatalf("%q: accepted an empty partition id in %q", raw, q.ids)
+			}
+		}
+	})
 }
 
 func TestSampleMaxErrUsesProxyBound(t *testing.T) {
@@ -349,5 +402,98 @@ func TestClusterBoundedDegradedComposition(t *testing.T) {
 	ae := new(APIError)
 	if err == nil || !errors.As(err, &ae) || ae.StatusCode != http.StatusBadGateway {
 		t.Fatalf("strict bounded degraded query: %v, want 502", err)
+	}
+}
+
+// TestClusterBadConfidenceLeavesBreakersClosed: a client's unsupported
+// confidence on a bounded read is its own error. The coordinator answers 400
+// before scattering, so no healthy peer is charged a failure for it: after
+// more such requests than the breaker needs to trip, every breaker in every
+// node's /clusterz is still closed.
+func TestClusterBadConfidenceLeavesBreakersClosed(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tc := newTestCluster(t, 3, clusterOpts{replication: 2})
+	tc.createDataset(ctx, 0, "d", 512)
+	for i := 0; i < 6; i++ {
+		if _, err := tc.clients[0].IngestValues(ctx, "d", fmt.Sprintf("p%d", i), 0, seqValues(int64(i*100), 100)); err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+	}
+	bad := QueryOpts{MaxErr: 0.3, Confidence: 0.8}
+	for i := 0; i < 12; i++ {
+		var err error
+		switch i % 3 {
+		case 0:
+			_, err = tc.clients[0].Estimate(ctx, "d", "fraction:0..99", bad)
+		case 1:
+			_, err = tc.clients[0].Estimate(ctx, "d", "avg", QueryOpts{MaxTime: 10 * time.Second, Confidence: 0.8})
+		default:
+			_, err = tc.clients[0].Sample(ctx, "d", bad)
+		}
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest {
+			t.Fatalf("request %d with confidence 0.8: %v, want 400", i, err)
+		}
+	}
+	for node, cl := range tc.clients {
+		st, err := cl.ClusterStatus(ctx)
+		if err != nil {
+			t.Fatalf("node %d clusterz: %v", node, err)
+		}
+		for _, p := range st.Peers {
+			if p.Breaker != "closed" {
+				t.Fatalf("node %d: peer %d breaker %q after client errors, want closed", node, p.Shard, p.Breaker)
+			}
+		}
+	}
+}
+
+// TestBoundedExactNeedsExhaustiveProof: a bounded answer is exact only when
+// every partition it proved out of range was proved over all of its rows. An
+// exhaustive in-range partition beside a large partition whose sidecar was
+// built from its sample is not exact, bounded or not, however complete the
+// rest of the read.
+func TestBoundedExactNeedsExhaustiveProof(t *testing.T) {
+	wh := warehouse.New[int64](storage.NewMemStore[int64](), 42)
+	if err := wh.CreateDataset("d", warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(512)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		id     string
+		lo, hi int64
+	}{{"small", 0, 100}, {"large", 10000, 15000}} {
+		smp, err := wh.NewSampler("d", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := p.lo; v < p.hi; v++ {
+			smp.Feed(v)
+		}
+		fin, err := smp.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wh.RollIn("d", p.id, fin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(wh, Config{})
+	for _, target := range []string{
+		"/v1/datasets/d/estimate?q=count:0..99&maxerr=0.3",
+		"/v1/datasets/d/estimate?q=fraction:0..99&maxerr=0.3",
+		"/v1/datasets/d/estimate?q=count:0..99",
+	} {
+		w := do(t, s, http.MethodGet, target, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, w.Code, w.Body.String())
+		}
+		resp := decode[EstimateResponse](t, w)
+		if len(resp.Coverage.SketchPruned) != 1 || resp.Estimate == nil {
+			t.Fatalf("%s: want the large partition proven out of range: %+v", target, resp.Coverage)
+		}
+		if resp.Estimate.Exact {
+			t.Fatalf("%s: %+v claims exact over a partition proven only over its sample", target, *resp.Estimate)
+		}
 	}
 }

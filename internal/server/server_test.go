@@ -448,6 +448,7 @@ func TestEstimateEndpoint(t *testing.T) {
 		"/v1/datasets/d/estimate?q=explode":           http.StatusBadRequest,
 		"/v1/datasets/d/estimate?q=count:9..1":        http.StatusBadRequest, // lo > hi
 		"/v1/datasets/d/estimate?q=quantile:bogus":    http.StatusBadRequest,
+		"/v1/datasets/d/estimate?q=quantile:NaN":      http.StatusBadRequest,
 		"/v1/datasets/d/estimate?q=avg&confidence=2":  http.StatusBadRequest, // unsupported level
 		"/v1/datasets/d/estimate?q=avg&timeout=bogus": http.StatusBadRequest,
 		"/v1/datasets/nope/estimate?q=avg":            http.StatusNotFound,

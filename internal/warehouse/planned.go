@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"samplewh/internal/core"
+	"samplewh/internal/estimate"
 	"samplewh/internal/plan"
 )
 
@@ -17,10 +18,9 @@ type PlannedQuery[V comparable] struct {
 	Confidence float64
 	// HalfWidth returns the fraction-scale half-width of the answer the
 	// caller would build from acc extended to totalPop elements, of which
-	// provenZero are sketch-proven to contribute no matches (see
-	// estimate.BoundedFractionProvenZero), or ok=false when the query kind
-	// defines no error bound (a maxtime-only query). Required when
-	// Bounds.MaxErr > 0.
+	// provenZero are sketch-proven to contribute no matches (the design
+	// estimate.Planned describes), or ok=false when the query kind defines
+	// no error bound (a maxtime-only query). Required when Bounds.MaxErr > 0.
 	HalfWidth func(acc *core.Sample[V], totalPop, provenZero int64) (float64, bool)
 	// SketchRange, when non-nil, is the query's value range: partitions
 	// whose sketch sidecar proves zero overlap are dropped from the plan
@@ -48,9 +48,11 @@ type PlanExecution struct {
 	// coverage fraction in the bounded interval.
 	CoveredPop int64
 	TotalPop   int64
-	// ProvenZeroPop is the population of partitions a sketch sidecar proved
-	// out of the query's range — counted in TotalPop, never loaded, and
-	// contributing exactly zero matches to the answer's interval.
+	// Proven are the partitions a sketch sidecar proved out of the query's
+	// range — counted in TotalPop, never loaded, and contributing exactly
+	// zero matches to the answer's interval — and ProvenZeroPop their summed
+	// population.
+	Proven        []estimate.ZeroStratum
 	ProvenZeroPop int64
 	ElapsedNS     int64
 }

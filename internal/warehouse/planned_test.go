@@ -15,7 +15,7 @@ import (
 	"samplewh/internal/storage"
 )
 
-// proxyHW adapts estimate.ProxyHalfWidth as a planned query's half-width
+// proxyHW adapts estimate.ProxyWidth as a planned query's half-width
 // evaluator — the same query-agnostic worst case the server's sample endpoint
 // uses.
 func proxyHW(confidence float64) func(*core.Sample[int64], int64, int64) (float64, bool) {
@@ -24,7 +24,7 @@ func proxyHW(confidence float64) func(*core.Sample[int64], int64, int64) (float6
 		if err != nil {
 			return 0, false
 		}
-		return estimate.ProxyHalfWidthProvenZeroZ(acc.Size(), acc.ParentSize, totalPop, provenZero, z), true
+		return estimate.ProxyWidth(acc.Size(), acc.ParentSize, provenZero, totalPop, z), true
 	}
 }
 

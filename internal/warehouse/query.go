@@ -231,6 +231,7 @@ func (w *Warehouse[V]) order(q *query[V], v *catalogView, live []string, res *re
 	res.exec = &PlanExecution{
 		Plan:              pl,
 		TotalPop:          pl.TotalPop + provenZero,
+		Proven:            res.zeros,
 		ProvenZeroPop:     provenZero,
 		AchievedHalfWidth: -1,
 	}

@@ -21,7 +21,7 @@ type SketchRange struct {
 // that is the entire point — and are reported in coverage as SketchPruned.
 //
 // Replacing an out-of-range stratum by a zero stratum of the same population
-// is an exact identity of the stratified expansion (see estimate.CountPruned),
+// is an exact identity of the stratified expansion (see estimate.Interval),
 // so the eventual estimate is byte-identical with pruning on or off. A
 // sample-built sidecar proves facts about the stored sample, which is all
 // any query can observe for that partition, so the identity holds for both

@@ -280,19 +280,6 @@ type PlanExecution = warehouse.PlanExecution
 // registry feeding the query planner.
 type PartitionStats = warehouse.PartitionStats
 
-// BoundedFraction estimates the fraction of the FULL population (totalPop
-// values) satisfying pred from a sample covering possibly fewer: the interval
-// carries the uncovered remainder's worst case, so it is honest under
-// planner pruning and degraded coverage.
-func BoundedFraction[V comparable](s *Sample[V], pred func(V) bool, confidence float64, totalPop int64) (Estimate, error) {
-	return estimate.BoundedFraction(s, pred, confidence, totalPop)
-}
-
-// BoundedCount is BoundedFraction scaled to a count of the full population.
-func BoundedCount[V comparable](s *Sample[V], pred func(V) bool, confidence float64, totalPop int64) (Estimate, error) {
-	return estimate.BoundedCount(s, pred, confidence, totalPop)
-}
-
 // SketchSummary is a partition's mergeable summary sidecar: count, min/max,
 // first two moments, a KMV distinct sketch and a space-saving heavy-hitter
 // table (DESIGN.md §15). Sidecars are built at roll-in, persisted in the
@@ -328,22 +315,6 @@ type SketchFsckReport = warehouse.SketchFsckReport
 // defective ones from the stored samples when fix is set.
 func FsckSketches(store Store, fix bool) (*SketchFsckReport, error) {
 	return warehouse.FsckSketches(store, fix)
-}
-
-// ZeroStratum is a prove-pruned partition's contribution to a stratified
-// estimate: zero matches over a known population, exactly.
-type ZeroStratum = estimate.ZeroStratum
-
-// BoundedFractionProvenZero extends BoundedFraction with provenZero rows
-// proven (via sketch sidecars) to contain no matches: they count toward the
-// denominator with zero uncertainty, so pruning never widens the interval.
-func BoundedFractionProvenZero[V comparable](s *Sample[V], pred func(V) bool, confidence float64, totalPop, provenZero int64) (Estimate, error) {
-	return estimate.BoundedFractionProvenZero(s, pred, confidence, totalPop, provenZero)
-}
-
-// BoundedCountProvenZero is BoundedFractionProvenZero scaled to a count.
-func BoundedCountProvenZero[V comparable](s *Sample[V], pred func(V) bool, confidence float64, totalPop, provenZero int64) (Estimate, error) {
-	return estimate.BoundedCountProvenZero(s, pred, confidence, totalPop, provenZero)
 }
 
 // QueryConfig tunes the warehouse read path: the decoded-sample cache budget
