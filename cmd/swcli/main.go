@@ -304,7 +304,7 @@ func (c *cli) ingest(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	smp, err := c.wh.NewSampler(*ds, *expected)
+	smp, err := c.wh.NewPartitionSampler(*ds, *part, *expected)
 	if err != nil {
 		return err
 	}
@@ -426,7 +426,7 @@ func partIDs(parts string) []string {
 }
 
 func (c *cli) mergedSample(ds, parts string) (*core.Sample[int64], error) {
-	return c.wh.MergedSample(ds, partIDs(parts)...)
+	return c.wh.MergedSampleContext(context.Background(), ds, partIDs(parts)...)
 }
 
 func (c *cli) merge(args []string) error {

@@ -329,7 +329,7 @@ func TestCLIFsckCleanAfterKilledPut(t *testing.T) {
 		t.Fatal("stale temp file not swept")
 	}
 	// The real sample is untouched.
-	if _, err := c.wh.PartitionSample("d", "p1"); err != nil {
+	if _, err := c.wh.PartitionSampleContext(context.Background(), "d", "p1"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -551,6 +551,71 @@ func TestCLIReadsServerWrittenStore(t *testing.T) {
 	}
 	if out := stdoutOf(t, func() error { return newFsckCLI(t, dir).fsck(nil) }); out != "clean\n" {
 		t.Fatalf("fsck over a server-written store:\n%s", out)
+	}
+}
+
+// TestCLIIngestStoresWhatServerStores: a partition's sampler is seeded by the
+// partition's identity, so the same values ingested offline by swcli and
+// PUT to the daemon's stack store the same bytes — equal content hashes,
+// equal samples. There are more values than n_F, so the sample is a
+// reservoir and every stored value is a random draw.
+func TestCLIIngestStoresWhatServerStores(t *testing.T) {
+	vals := writeValues(t, t.TempDir(), 5000)
+
+	offline := t.TempDir()
+	c := newCLI(t, offline)
+	if err := c.create([]string{"-ds", "d", "-nf", "64"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ingest([]string{"-ds", "d", "-part", "p1", "-in", vals}); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := storage.NewFileStore[int64](t.TempDir(), storage.Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, _, err := warehouse.Open[int64](st, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(served, server.Config{}).Handler())
+	defer ts.Close()
+	cl := server.NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := cl.CreateDataset(ctx, server.CreateDatasetRequest{Name: "d", NF: 64}); err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.Open(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Close()
+	if _, err := cl.Ingest(ctx, "d", "p1", 0, body); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := served.PartitionHashes("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := newCLI(t, offline).wh.PartitionHashes("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("swcli stored hashes %v, the server %v", got, want)
+	}
+	a, err := c.wh.PartitionSampleContext(ctx, "d", "p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := served.PartitionSampleContext(ctx, "d", "p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Kind != core.ReservoirKind || a.Kind != b.Kind || a.ParentSize != b.ParentSize || !a.Hist.Equal(b.Hist) {
+		t.Fatalf("swcli stored %v, the server %v", a, b)
 	}
 }
 

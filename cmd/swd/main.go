@@ -27,7 +27,11 @@
 // Usage:
 //
 //	swd -dir /var/lib/swd -addr :8385
-//	swd -mem -addr 127.0.0.1:8385 -cache 128MiB... (flags below)
+//	swd -mem -addr 127.0.0.1:8385 -cache 134217728
+//
+// In -dir mode every acknowledged ingest batch is first sealed, fsynced, in
+// the write-ahead journal DIR/wal. swd -h lists the flags; every other
+// setting is a constant, stated in README.md "Running the server".
 //
 // Cluster mode (see README.md "Running a cluster"): give every node the
 // same -peers list and its own -shard-id, and each node both owns its
@@ -40,8 +44,8 @@
 //	swd -mem -addr 127.0.0.1:8402 -peers http://127.0.0.1:8401,http://127.0.0.1:8402 -shard-id 1 -replication 2
 //
 // SIGTERM or SIGINT begins graceful drain: readiness starts failing, the
-// listener closes, in-flight requests run to completion (bounded by
-// -drain-timeout), and the process exits 0.
+// listener closes, in-flight requests run to completion (for at most 15 s),
+// and the process exits 0.
 package main
 
 import (
@@ -65,103 +69,53 @@ import (
 	"samplewh/internal/warehouse"
 )
 
-func main() {
-	var (
-		addr         = flag.String("addr", "127.0.0.1:8385", "listen address")
-		dir          = flag.String("dir", "", "warehouse directory (file-backed, durable catalog)")
-		mem          = flag.Bool("mem", false, "serve an ephemeral in-memory warehouse instead of -dir")
-		seed         = flag.Uint64("seed", 0x535744, "base RNG seed for merge randomness")
-		cacheBytes   = flag.Int64("cache", 64<<20, "decoded-sample cache budget in bytes (0 disables)")
-		loadWorkers  = flag.Int("load-workers", 0, "partition-load workers per merge (0 = 4×GOMAXPROCS)")
-		mergeWorkers = flag.Int("merge-workers", 0, "parallel merge workers (0 = GOMAXPROCS)")
-		timeout      = flag.Duration("timeout", 2*time.Second, "default per-request deadline")
-		maxTimeout   = flag.Duration("max-timeout", 30*time.Second, "ceiling for client-requested ?timeout=")
-		queryLimit   = flag.Int("query-limit", 0, "concurrent merge/estimate requests (0 = GOMAXPROCS)")
-		ingestLimit  = flag.Int("ingest-limit", 4, "concurrent ingest requests")
-		readLimit    = flag.Int("read-limit", 64, "concurrent introspection requests")
-		queueDepth   = flag.Int("queue-depth", 0, "admission queue depth per class (0 = 2×limit)")
-		queueWait    = flag.Duration("queue-wait", 100*time.Millisecond, "max queued time before a request is shed")
-		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on shutdown")
-		events       = flag.Int("events", 256, "trace-event ring buffer size (0 disables tracing)")
-		slowlogThr   = flag.Duration("slowlog-threshold", 500*time.Millisecond, "record requests slower than this in the slow-query log (negative disables)")
-		slowlogSize  = flag.Int("slowlog-size", 64, "slow-query log ring size")
-		walOn        = flag.Bool("wal", true, "write-ahead ingest journal (crash-durable acks; -dir mode only)")
-		walSync      = flag.String("wal-sync", "always", "journal fsync policy: always | interval | off")
-		walInterval  = flag.Duration("wal-sync-interval", 100*time.Millisecond, "journal fsync period under -wal-sync=interval")
-		walSegment   = flag.Int64("wal-segment", 64<<20, "journal segment roll threshold in bytes")
-
-		peers        = flag.String("peers", "", "cluster mode: comma-separated peer base URLs, self included (index = shard id)")
-		shardID      = flag.Int("shard-id", 0, "this node's index into -peers")
-		replication  = flag.Int("replication", 1, "replicas per partition (ingest fan-out, query failover width)")
-		writeQuorum  = flag.Int("write-quorum", 0, "replica acks required before an ingest is acknowledged (0 = majority)")
-		hedgeOff     = flag.Bool("no-hedge", false, "disable hedged (duplicate) requests to replicas")
-		hedgeInitial = flag.Duration("hedge-initial", 50*time.Millisecond, "hedge delay before a peer has latency history")
-		breakerOpen  = flag.Duration("breaker-open", 2*time.Second, "how long an open per-peer circuit breaker rejects before probing")
-
-		repairEvery = flag.Duration("repair-interval", 30*time.Second, "anti-entropy sweep period; 0 disables self-healing repair (cluster mode)")
-		hintsDir    = flag.String("hints-dir", "", "hinted-handoff journal directory (default <dir>/hints in -dir cluster mode; empty in -mem mode keeps hints in memory)")
-	)
-	flag.Parse()
-
-	walPolicy, err := wal.ParsePolicy(*walSync)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "swd: %v\n", err)
-		os.Exit(1)
-	}
-	var cluster *server.ClusterConfig
-	if *peers != "" {
-		list := strings.Split(*peers, ",")
-		for i := range list {
-			list[i] = strings.TrimSpace(list[i])
-		}
-		cluster = &server.ClusterConfig{
-			Peers:          list,
-			ShardID:        *shardID,
-			Replication:    *replication,
-			WriteQuorum:    *writeQuorum,
-			HedgeDisabled:  *hedgeOff,
-			HedgeInitial:   *hedgeInitial,
-			Breaker:        server.BreakerConfig{OpenFor: *breakerOpen},
-			Seed:           *seed,
-			RepairInterval: *repairEvery,
-		}
-	}
-	if err := run(*addr, *dir, *mem, *seed, serverOpts{
-		cluster:    cluster,
-		cacheBytes: *cacheBytes, loadWorkers: *loadWorkers, mergeWorkers: *mergeWorkers,
-		cfg: server.Config{
-			DefaultTimeout:   *timeout,
-			MaxTimeout:       *maxTimeout,
-			QueryLimit:       *queryLimit,
-			IngestLimit:      *ingestLimit,
-			ReadLimit:        *readLimit,
-			QueueDepth:       *queueDepth,
-			QueueWait:        *queueWait,
-			SlowLogThreshold: *slowlogThr,
-			SlowLogSize:      *slowlogSize,
-		},
-		drainTimeout: *drainTimeout,
-		events:       *events,
-		wal:          *walOn,
-		walOpts:      wal.Options{Policy: walPolicy, Interval: *walInterval, SegmentBytes: *walSegment},
-		hintsDir:     *hintsDir,
-	}); err != nil {
-		fmt.Fprintf(os.Stderr, "swd: %v\n", err)
-		os.Exit(1)
-	}
+// config is swd's command line.
+type config struct {
+	addr, dir, peers, hintsDir                string
+	mem                                       bool
+	cacheBytes                                int64
+	shardID, replication, writeQuorum         int
+	timeout, slowlogThreshold                 time.Duration
+	hedgeInitial, breakerOpen, repairInterval time.Duration
 }
 
-type serverOpts struct {
-	cacheBytes   int64
-	loadWorkers  int
-	mergeWorkers int
-	cfg          server.Config
-	drainTimeout time.Duration
-	events       int
-	wal          bool
-	walOpts      wal.Options
-	cluster      *server.ClusterConfig
-	hintsDir     string
+// defineFlags declares swd's flags on fs: deployment settings, and the knobs
+// a drill or test sets. Every other setting is a constant (README "Running
+// the server"); main_test.go holds this set and README to each other.
+func defineFlags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8385", "listen address")
+	fs.StringVar(&c.dir, "dir", "", "warehouse directory (file-backed, durable catalog, write-ahead journal)")
+	fs.BoolVar(&c.mem, "mem", false, "serve an ephemeral in-memory warehouse instead of -dir")
+	fs.Int64Var(&c.cacheBytes, "cache", 64<<20, "decoded-sample cache budget in bytes (0 disables)")
+	fs.DurationVar(&c.timeout, "timeout", 2*time.Second, "default per-request deadline")
+	fs.DurationVar(&c.slowlogThreshold, "slowlog-threshold", 500*time.Millisecond, "record requests slower than this in the slow-query log (negative disables)")
+
+	fs.StringVar(&c.peers, "peers", "", "cluster mode: comma-separated peer base URLs, self included (index = shard id)")
+	fs.IntVar(&c.shardID, "shard-id", 0, "this node's index into -peers")
+	fs.IntVar(&c.replication, "replication", 1, "replicas per partition (ingest fan-out, query failover width)")
+	fs.IntVar(&c.writeQuorum, "write-quorum", 0, "replica acks required before an ingest is acknowledged (0 = majority)")
+	fs.DurationVar(&c.hedgeInitial, "hedge-initial", 50*time.Millisecond, "hedge delay before a peer has latency history")
+	fs.DurationVar(&c.breakerOpen, "breaker-open", 2*time.Second, "how long an open per-peer circuit breaker rejects before probing")
+	fs.DurationVar(&c.repairInterval, "repair-interval", 30*time.Second, "anti-entropy sweep period; 0 disables self-healing repair (cluster mode)")
+	fs.StringVar(&c.hintsDir, "hints-dir", "", "hinted-handoff journal directory (default <dir>/hints in -dir cluster mode; empty in -mem mode keeps hints in memory)")
+	return c
+}
+
+const (
+	// seed is the base seed of the warehouse's merge randomness.
+	seed = 0x535744
+	// drainTimeout bounds how long in-flight requests may run after SIGTERM.
+	drainTimeout = 15 * time.Second
+)
+
+func main() {
+	c := defineFlags(flag.CommandLine)
+	flag.Parse()
+	if err := run(c); err != nil {
+		fmt.Fprintf(os.Stderr, "swd: %v\n", err)
+		os.Exit(1)
+	}
 }
 
 // logf writes one timestamped operational log line to stderr.
@@ -169,55 +123,39 @@ func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "%s swd: %s\n", time.Now().Format(time.RFC3339), fmt.Sprintf(format, args...))
 }
 
-func run(addr, dir string, mem bool, seed uint64, opts serverOpts) error {
-	if (dir == "") == !mem {
+func run(c *config) error {
+	if (c.dir == "") == !c.mem {
 		return errors.New("exactly one of -dir or -mem is required")
 	}
-
 	reg := obs.NewRegistry()
-	var sink *obs.MemorySink
-	if opts.events > 0 {
-		sink = obs.NewMemorySink(opts.events)
-		reg.SetSink(sink)
-	}
 
 	// Build the warehouse: durable file-backed catalog (reconciled on open)
 	// or an ephemeral in-memory one.
-	var wh *warehouse.Warehouse[int64]
-	if mem {
+	var st interface {
+		storage.Store[int64]
+		Instrument(*obs.Registry)
+	}
+	if c.mem {
 		// The codec enables the raw-bytes interface anti-entropy hashes and
 		// transfers are built on, so -mem cluster nodes repair too.
-		st := storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
-		st.Instrument(reg)
-		w, report, err := warehouse.Open[int64](st, seed)
-		if err != nil {
-			return fmt.Errorf("open in-memory warehouse: %w", err)
-		}
-		if !report.Clean() {
-			logf("recovery: %s", report)
-		}
-		wh = w
+		st = storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
 	} else {
-		st, err := storage.NewFileStore[int64](dir, storage.Int64Codec{})
+		fst, err := storage.NewFileStore[int64](c.dir, storage.Int64Codec{})
 		if err != nil {
 			return fmt.Errorf("open store: %w", err)
 		}
-		st.Instrument(reg)
-		w, report, err := warehouse.Open[int64](st, seed)
-		if err != nil {
-			return fmt.Errorf("open warehouse: %w", err)
-		}
-		if !report.Clean() {
-			logf("recovery: %s", report)
-		}
-		wh = w
+		st = fst
+	}
+	st.Instrument(reg)
+	wh, report, err := warehouse.Open[int64](st, seed)
+	if err != nil {
+		return fmt.Errorf("open warehouse: %w", err)
+	}
+	if !report.Clean() {
+		logf("recovery: %s", report)
 	}
 	wh.Instrument(reg)
-	wh.SetQueryConfig(warehouse.QueryConfig{
-		CacheBytes:   opts.cacheBytes,
-		LoadWorkers:  opts.loadWorkers,
-		MergeWorkers: opts.mergeWorkers,
-	})
+	wh.SetQueryConfig(warehouse.QueryConfig{CacheBytes: c.cacheBytes})
 
 	// Write-ahead ingest journal (file-backed mode only): open it now (so
 	// the server journals new ingest from the first request), but defer the
@@ -226,13 +164,11 @@ func run(addr, dir string, mem bool, seed uint64, opts serverOpts) error {
 	// and flips /readyz once the replayed state is consistent.
 	var journal *wal.Log[int64]
 	var recovered []wal.RecoveredEntry[int64]
-	if opts.wal && !mem {
-		opts.walOpts.Registry = reg
-		lg, rec, err := wal.Open[int64](filepath.Join(dir, "wal"), storage.Int64Codec{}, opts.walOpts)
+	if !c.mem {
+		journal, recovered, err = wal.Open[int64](filepath.Join(c.dir, "wal"), storage.Int64Codec{}, wal.Options{Registry: reg})
 		if err != nil {
 			return fmt.Errorf("open journal: %w", err)
 		}
-		journal, recovered = lg, rec
 		defer func() {
 			if err := journal.Close(); err != nil {
 				logf("journal close: %v", err)
@@ -240,42 +176,50 @@ func run(addr, dir string, mem bool, seed uint64, opts serverOpts) error {
 		}()
 	}
 
-	// Hinted-handoff journal (cluster mode with repair enabled): a dedicated
-	// WAL whose entries are undelivered replica writes, so hints survive the
-	// coordinator crashing too. -mem nodes without -hints-dir keep hints in
-	// memory only (the anti-entropy sweep is the backstop).
-	var hintsLog *wal.Log[int64]
-	var hintsRecovered []wal.RecoveredEntry[int64]
-	if opts.cluster != nil && opts.cluster.RepairInterval > 0 {
-		hdir := opts.hintsDir
-		if hdir == "" && !mem {
-			hdir = filepath.Join(dir, "hints")
+	srv := server.New(wh, server.Config{
+		DefaultTimeout:   c.timeout,
+		SlowLogThreshold: c.slowlogThreshold,
+		Journal:          journal,
+		Registry:         reg,
+	})
+	if c.peers != "" {
+		cluster := server.ClusterConfig{
+			Peers:          strings.Split(c.peers, ","),
+			ShardID:        c.shardID,
+			Replication:    c.replication,
+			WriteQuorum:    c.writeQuorum,
+			HedgeInitial:   c.hedgeInitial,
+			Breaker:        server.BreakerConfig{OpenFor: c.breakerOpen},
+			RepairInterval: c.repairInterval,
 		}
-		if hdir != "" {
-			hOpts := opts.walOpts
-			hOpts.Registry = reg
-			lg, rec, err := wal.Open[int64](hdir, storage.Int64Codec{}, hOpts)
+		for i := range cluster.Peers {
+			cluster.Peers[i] = strings.TrimSpace(cluster.Peers[i])
+		}
+		// Hinted-handoff journal (repair enabled): a dedicated WAL whose
+		// entries are undelivered replica writes, so hints survive the
+		// coordinator crashing too. -mem nodes without -hints-dir keep hints
+		// in memory only (the anti-entropy sweep is the backstop).
+		var hintsRecovered []wal.RecoveredEntry[int64]
+		hdir := c.hintsDir
+		if hdir == "" && !c.mem {
+			hdir = filepath.Join(c.dir, "hints")
+		}
+		if c.repairInterval > 0 && hdir != "" {
+			hints, rec, err := wal.Open[int64](hdir, storage.Int64Codec{}, wal.Options{Registry: reg})
 			if err != nil {
 				return fmt.Errorf("open hints journal: %w", err)
 			}
-			hintsLog, hintsRecovered = lg, rec
 			defer func() {
-				if err := hintsLog.Close(); err != nil {
+				if err := hints.Close(); err != nil {
 					logf("hints journal close: %v", err)
 				}
 			}()
-			opts.cluster.Hints = hintsLog
+			cluster.Hints, hintsRecovered = hints, rec
 		}
-	}
-
-	opts.cfg.Registry = reg
-	opts.cfg.Journal = journal
-	srv := server.New(wh, opts.cfg)
-	if opts.cluster != nil {
-		if err := srv.EnableCluster(*opts.cluster); err != nil {
+		if err := srv.EnableCluster(cluster); err != nil {
 			return fmt.Errorf("cluster: %w", err)
 		}
-		// Stop the repair goroutines before the deferred journal closes
+		// Stop the repair goroutines before the deferred journals close
 		// (defers run LIFO, so this fires first on the way out).
 		defer srv.StopRepair()
 		if len(hintsRecovered) > 0 {
@@ -283,12 +227,11 @@ func run(addr, dir string, mem bool, seed uint64, opts serverOpts) error {
 			logf("hints journal: %d undelivered hints recovered", len(hintsRecovered))
 		}
 		logf("cluster mode: shard %d of %d, replication %d, repair interval %s",
-			opts.cluster.ShardID, len(opts.cluster.Peers), opts.cluster.Replication,
-			opts.cluster.RepairInterval)
+			cluster.ShardID, len(cluster.Peers), cluster.Replication, cluster.RepairInterval)
 	}
 	srv.SetReady(false)
 
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
@@ -323,9 +266,9 @@ func run(addr, dir string, mem bool, seed uint64, opts serverOpts) error {
 
 	select {
 	case sig := <-sigCh:
-		logf("received %s, draining (timeout %s)", sig, opts.drainTimeout)
+		logf("received %s, draining (timeout %s)", sig, drainTimeout)
 		srv.BeginDrain()
-		ctx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		go func() {
 			<-sigCh

@@ -1,6 +1,7 @@
 package samplewh_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -126,6 +127,7 @@ func ExampleNewEstimator() {
 // A warehouse organizes partition samples per data set and produces merged
 // samples of any subset on demand.
 func ExampleWarehouse() {
+	ctx := context.Background()
 	wh := samplewh.NewWarehouse(samplewh.NewMemStore(), 5)
 	err := wh.CreateDataset("orders", samplewh.DatasetConfig{
 		Algorithm: samplewh.AlgHR,
@@ -135,7 +137,8 @@ func ExampleWarehouse() {
 		log.Fatal(err)
 	}
 	for day := int64(1); day <= 3; day++ {
-		smp, err := wh.NewSampler("orders", 0)
+		id := fmt.Sprintf("day%d", day)
+		smp, err := wh.NewPartitionSampler("orders", id, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -146,17 +149,17 @@ func ExampleWarehouse() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := wh.RollIn("orders", fmt.Sprintf("day%d", day), s); err != nil {
+		if err := wh.RollIn("orders", id, s); err != nil {
 			log.Fatal(err)
 		}
 	}
-	merged, err := wh.MergedSample("orders")
+	merged, err := wh.MergedSampleContext(ctx, "orders")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("partitions:", 3)
 	fmt.Println("merged parent:", merged.ParentSize)
-	window, err := wh.Window("orders", 2)
+	window, err := wh.WindowContext(ctx, "orders", 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	wh := samplewh.NewWarehouse(samplewh.NewMemStore(), 42)
 	cfg := samplewh.DatasetConfig{
 		Algorithm: samplewh.AlgHR,
@@ -29,7 +31,8 @@ func main() {
 	// produces values tagged with the day so we can verify window contents.
 	for day := 1; day <= 28; day++ {
 		volume := int64(20000 + 7000*(day%5)) // fluctuating arrival rate
-		smp, err := wh.NewSampler("clicks", volume)
+		id := fmt.Sprintf("day-%02d", day)
+		smp, err := wh.NewPartitionSampler("clicks", id, volume)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,13 +52,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := wh.RollIn("clicks", fmt.Sprintf("day-%02d", day), s); err != nil {
+		if err := wh.RollIn("clicks", id, s); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	// Weekly sample: merge days 1-7 explicitly.
-	week1, err := wh.MergedSample("clicks",
+	week1, err := wh.MergedSampleContext(ctx, "clicks",
 		"day-01", "day-02", "day-03", "day-04", "day-05", "day-06", "day-07")
 	if err != nil {
 		log.Fatal(err)
@@ -63,14 +66,14 @@ func main() {
 	fmt.Println("week 1 sample: ", week1)
 
 	// Monthly sample: merge everything currently rolled in.
-	month, err := wh.MergedSample("clicks")
+	month, err := wh.MergedSampleContext(ctx, "clicks")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("monthly sample:", month)
 
 	// Moving 7-day window (the stream-sampling approximation).
-	window, err := wh.Window("clicks", 7)
+	window, err := wh.WindowContext(ctx, "clicks", 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	rest, err := wh.MergedSample("clicks")
+	rest, err := wh.MergedSampleContext(ctx, "clicks")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -92,7 +93,7 @@ func main() {
 	exactTime := time.Since(t0)
 
 	t0 = time.Now()
-	merged, err := samples.MergedSample("sensor")
+	merged, err := samples.MergedSampleContext(context.Background(), "sensor")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func main() {
 	if err := shadow.RollOut("sensor", "batch-0"); err != nil {
 		log.Fatal(err)
 	}
-	m2, err := samples.MergedSample("sensor")
+	m2, err := samples.MergedSampleContext(context.Background(), "sensor")
 	if err != nil {
 		log.Fatal(err)
 	}

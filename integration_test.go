@@ -1,6 +1,7 @@
 package samplewh
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -13,6 +14,7 @@ import (
 // moving window, roll-out, reopening from disk, and approximate analytics
 // validated against ground truth.
 func TestIntegrationWarehouseLifecycle(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	st, err := NewFileStore(dir)
 	if err != nil {
@@ -38,7 +40,8 @@ func TestIntegrationWarehouseLifecycle(t *testing.T) {
 	for day := 1; day <= 10; day++ {
 		volume := int64(30000 + 5000*(day%3))
 		// orders: values are amounts 0..999 with day-dependent drift.
-		smp, err := wh.NewSampler("orders", volume)
+		part := fmt.Sprintf("d%02d", day)
+		smp, err := wh.NewPartitionSampler("orders", part, volume)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,12 +60,12 @@ func TestIntegrationWarehouseLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wh.RollIn("orders", fmt.Sprintf("d%02d", day), s); err != nil {
+		if err := wh.RollIn("orders", part, s); err != nil {
 			t.Fatal(err)
 		}
 
 		// clicks: HB needs the expected size.
-		csmp, err := wh.NewSampler("clicks", volume)
+		csmp, err := wh.NewPartitionSampler("clicks", part, volume)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,13 +81,13 @@ func TestIntegrationWarehouseLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wh.RollIn("clicks", fmt.Sprintf("d%02d", day), cs); err != nil {
+		if err := wh.RollIn("clicks", part, cs); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Full merged sample of orders: estimate the mean amount.
-	m, err := wh.MergedSample("orders")
+	m, err := wh.MergedSampleContext(ctx, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestIntegrationWarehouseLifecycle(t *testing.T) {
 	}
 
 	// Window over the last 3 days.
-	w, err := wh.Window("orders", 3)
+	w, err := wh.WindowContext(ctx, "orders", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestIntegrationWarehouseLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m2, err := wh.MergedSample("orders")
+	m2, err := wh.MergedSampleContext(ctx, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,7 @@ func TestIntegrationWarehouseLifecycle(t *testing.T) {
 	if err != nil || !rep.Clean() {
 		t.Fatalf("reopen: %v, %v", rep, err)
 	}
-	m3, err := wh2.MergedSample("orders")
+	m3, err := wh2.MergedSampleContext(ctx, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +165,7 @@ func TestIntegrationConcurrentWarehouseAccess(t *testing.T) {
 			defer wg.Done()
 			ds := fmt.Sprintf("ds%d", w)
 			for part := 0; part < 4; part++ {
-				smp, err := wh.NewSampler(ds, 0)
+				smp, err := wh.NewPartitionSampler(ds, fmt.Sprintf("p%d", part), 0)
 				if err != nil {
 					errs <- err
 					return
@@ -179,7 +182,7 @@ func TestIntegrationConcurrentWarehouseAccess(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := wh.MergedSample(ds); err != nil {
+				if _, err := wh.MergedSampleContext(context.Background(), ds); err != nil {
 					errs <- err
 					return
 				}
@@ -192,7 +195,7 @@ func TestIntegrationConcurrentWarehouseAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < workers; w++ {
-		m, err := wh.MergedSample(fmt.Sprintf("ds%d", w))
+		m, err := wh.MergedSampleContext(context.Background(), fmt.Sprintf("ds%d", w))
 		if err != nil {
 			t.Fatal(err)
 		}

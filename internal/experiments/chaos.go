@@ -215,11 +215,11 @@ type swdProc struct {
 	base string
 }
 
-// startSwd launches the binary on an ephemeral port with the journal in
-// fsync=always mode and waits, 15 s at most, for its "listening on" log line
-// and then for /readyz.
+// startSwd launches the binary on an ephemeral port (its journal fsyncs
+// every acknowledged batch) and waits, 15 s at most, for its "listening on"
+// log line and then for /readyz.
 func startSwd(path, dir string) (*swdProc, error) {
-	cmd := exec.Command(path, "-dir", dir, "-addr", "127.0.0.1:0", "-wal-sync", "always", "-events", "0")
+	cmd := exec.Command(path, "-dir", dir, "-addr", "127.0.0.1:0")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return nil, fmt.Errorf("chaos: stderr pipe: %w", err)

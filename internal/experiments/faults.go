@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -79,7 +80,7 @@ func FaultTolerance(transientRate, corruptRate float64, parts int, opt Options) 
 		if err := w.RollIn("ft", fmt.Sprintf("p%03d", i), s); err != nil {
 			userErrors++
 		}
-		if _, err := w.MergedSample("ft"); err != nil {
+		if _, err := w.MergedSampleContext(context.Background(), "ft"); err != nil {
 			userErrors++
 		}
 	}
@@ -117,7 +118,7 @@ func FaultTolerance(transientRate, corruptRate float64, parts int, opt Options) 
 			return nil, fmt.Errorf("experiments: faults: phase-2 roll-in: %w", err)
 		}
 	}
-	merged, cov, err := w2.MergedSamplePartial("ft")
+	merged, cov, err := w2.MergedSamplePartialContext(context.Background(), "ft")
 	if err != nil {
 		return nil, fmt.Errorf("experiments: faults: partial merge: %w", err)
 	}

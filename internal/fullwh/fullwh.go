@@ -276,7 +276,7 @@ func NewShadow(full *Warehouse, samples *warehouse.Warehouse[int64]) *Shadow {
 // rolls the sample into the sample warehouse. expectedN is required for
 // AlgHB data sets (pass 0 otherwise).
 func (s *Shadow) Ingest(dataset, partition string, expectedN int64, values func(yield func(int64) bool)) (int64, error) {
-	smp, err := s.Samples.NewSampler(dataset, expectedN)
+	smp, err := s.Samples.NewPartitionSampler(dataset, partition, expectedN)
 	if err != nil {
 		return 0, err
 	}

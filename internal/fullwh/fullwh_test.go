@@ -1,6 +1,7 @@
 package fullwh
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -191,7 +192,7 @@ func TestShadowPipelineEstimatesMatchTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Approximate answer from the shadow sample warehouse.
-	m, err := sw.MergedSample("orders")
+	m, err := sw.MergedSampleContext(context.Background(), "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestShadowPipelineEstimatesMatchTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := sw.MergedSample("orders")
+	m2, err := sw.MergedSampleContext(context.Background(), "orders")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,6 @@ type ClusterConfig struct {
 	// Breaker tunes the per-peer circuit breakers.
 	Breaker BreakerConfig
 
-	// Seed drives the coordinator's merge randomness. Default 0x535744.
-	Seed uint64
-
 	// HTTPClient, when non-nil, builds the HTTP client used for one peer —
 	// the hook where tests plug fault-injecting transports
 	// (faults.NewTransport). Nil uses a shared default client.
@@ -65,6 +62,10 @@ type ClusterConfig struct {
 	Hints *wal.Log[int64]
 }
 
+// coordinatorSeed seeds the coordinator's merge randomness, with the data
+// set's name hashed in.
+const coordinatorSeed = 0x535744
+
 func (c ClusterConfig) normalized() (ClusterConfig, error) {
 	if len(c.Peers) == 0 {
 		return c, fmt.Errorf("cluster: no peers")
@@ -86,9 +87,6 @@ func (c ClusterConfig) normalized() (ClusterConfig, error) {
 	}
 	if c.HedgeInitial <= 0 {
 		c.HedgeInitial = 50 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x535744
 	}
 	if c.HintReplayInterval <= 0 {
 		c.HintReplayInterval = time.Second

@@ -831,7 +831,7 @@ func TestClusterIngestHealsMissedDatasetCreate(t *testing.T) {
 		}
 	}
 	for i, wh := range tc.whs {
-		if s, err := wh.PartitionSample("heal", "p0"); err != nil || s.ParentSize != 500 {
+		if s, err := wh.PartitionSampleContext(ctx, "heal", "p0"); err != nil || s.ParentSize != 500 {
 			t.Fatalf("shard %d holds p0 as %v (%v), want 500 rows", i, s, err)
 		}
 	}

@@ -627,7 +627,7 @@ func (s *Server) scatterMerged(r *http.Request, q readQuery) (readResult, error)
 	if len(samples) == 0 {
 		return readResult{}, badGateway("no shard reachable for any requested partition of %q", ds)
 	}
-	merged, err := warehouse.Merge(obs.ContextWithSpan(ctx, sp), cfg.Algorithm, samples, randx.New(c.cfg.Seed^hashString(ds)), 1)
+	merged, err := warehouse.Merge(obs.ContextWithSpan(ctx, sp), cfg.Algorithm, samples, randx.New(coordinatorSeed^hashString(ds)), 1)
 	if err != nil {
 		return readResult{}, fmt.Errorf("coordinator merge: %w", err)
 	}

@@ -495,7 +495,7 @@ func (s *Server) scanValues(w http.ResponseWriter, r *http.Request) valueSource 
 			return nil, err
 		}
 		if sc == nil {
-			sc = bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+			sc = bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 			sc.Buffer(make([]byte, scanBufStart), maxIngestLine)
 			chunk = make([]int64, 0, ingestChunk)
 		}
@@ -516,7 +516,7 @@ func (s *Server) scanValues(w http.ResponseWriter, r *http.Request) valueSource 
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				return nil, &httpError{code: http.StatusRequestEntityTooLarge,
-					msg: fmt.Sprintf("ingest body exceeds %d bytes", s.cfg.MaxBodyBytes)}
+					msg: fmt.Sprintf("ingest body exceeds %d bytes", maxBodyBytes)}
 			}
 			return nil, badRequest("%s: read: %v", what, err)
 		}

@@ -31,7 +31,7 @@ import (
 type idemRegistry struct {
 	mu        sync.Mutex
 	cap       int
-	ttl       time.Duration // <= 0 disables age-based expiry
+	ttl       time.Duration
 	m         map[string]*list.Element
 	order     *list.List // front = most recently used
 	evictions *obs.Counter
@@ -59,7 +59,7 @@ func idemScope(ds, part, key string) string { return ds + "\x00" + part + "\x00"
 
 // expired reports whether an entry is past the TTL.
 func (r *idemRegistry) expired(e *idemEntry, now time.Time) bool {
-	return r.ttl > 0 && now.Sub(e.added) > r.ttl
+	return now.Sub(e.added) > r.ttl
 }
 
 func (r *idemRegistry) get(scope string) (IngestResponse, bool) {

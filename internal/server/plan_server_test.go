@@ -463,7 +463,7 @@ func TestBoundedExactNeedsExhaustiveProof(t *testing.T) {
 		id     string
 		lo, hi int64
 	}{{"small", 0, 100}, {"large", 10000, 15000}} {
-		smp, err := wh.NewSampler("d", 0)
+		smp, err := wh.NewPartitionSampler("d", p.id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

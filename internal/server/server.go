@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -47,9 +46,6 @@ type Config struct {
 	// MaxTimeout clamps client-requested deadlines. Default 30s.
 	MaxTimeout time.Duration
 
-	// ReadLimit bounds concurrently executing introspection requests
-	// (dataset/partition listing). Default 64.
-	ReadLimit int
 	// IngestLimit bounds concurrently executing roll-in/roll-out requests.
 	// Ingest streams through a sampler and holds the warehouse write path;
 	// a small bound protects query tail latency. Default 4.
@@ -63,12 +59,6 @@ type Config struct {
 	// QueueWait bounds how long a request may wait for a slot before being
 	// shed. Default 100ms.
 	QueueWait time.Duration
-
-	// MaxBodyBytes caps ingest request bodies. Default 256 MiB.
-	MaxBodyBytes int64
-	// RetryAfter is the Retry-After hint attached to 429 responses.
-	// Default 1s (rounded up to whole seconds on the wire).
-	RetryAfter time.Duration
 
 	// SlowLogThreshold is the latency (admission wait included) above which
 	// a request's span tree is recorded in the slow-query log and a
@@ -84,18 +74,28 @@ type Config struct {
 	// before the response leaves, and the handler commits the entry once
 	// RollIn lands. Nil serves without crash durability (in-memory mode).
 	Journal *wal.Log[int64]
-	// IdempotencyCapacity bounds the remembered Idempotency-Key responses
-	// (least-recently-used eviction). Default 4096.
-	IdempotencyCapacity int
-	// IdempotencyTTL bounds how long a remembered Idempotency-Key response
-	// stays answerable; older entries read as absent and are reaped lazily.
-	// Default 1h; negative disables age-based expiry.
-	IdempotencyTTL time.Duration
 
 	// Registry routes server metrics and events; nil leaves the server
 	// uninstrumented (all obs calls are nil-safe no-ops).
 	Registry *obs.Registry
 }
+
+// Serving limits nothing configures.
+const (
+	// readLimit bounds concurrently executing introspection requests
+	// (dataset/partition listing, anti-entropy reads).
+	readLimit = 64
+	// maxBodyBytes caps ingest request bodies.
+	maxBodyBytes = 256 << 20
+	// retryAfter is the Retry-After hint, in whole seconds, on 429 and
+	// booting 503 responses.
+	retryAfter = "1"
+	// idemCapacity bounds the remembered Idempotency-Key responses
+	// (least-recently-used eviction); an entry older than idemTTL reads as
+	// absent and is reaped lazily.
+	idemCapacity = 4096
+	idemTTL      = time.Hour
+)
 
 // normalized fills config defaults.
 func (c Config) normalized() Config {
@@ -105,9 +105,6 @@ func (c Config) normalized() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 30 * time.Second
 	}
-	if c.ReadLimit <= 0 {
-		c.ReadLimit = 64
-	}
 	if c.IngestLimit <= 0 {
 		c.IngestLimit = 4
 	}
@@ -116,18 +113,6 @@ func (c Config) normalized() Config {
 	}
 	if c.QueueWait <= 0 {
 		c.QueueWait = 100 * time.Millisecond
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 256 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.IdempotencyCapacity <= 0 {
-		c.IdempotencyCapacity = 4096
-	}
-	if c.IdempotencyTTL == 0 {
-		c.IdempotencyTTL = time.Hour
 	}
 	if c.SlowLogThreshold == 0 {
 		c.SlowLogThreshold = 500 * time.Millisecond
@@ -222,9 +207,9 @@ func New(wh *warehouse.Warehouse[int64], cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		o:       newServerObs(cfg.Registry),
 		journal: cfg.Journal,
-		idem:    newIdemRegistry(cfg.IdempotencyCapacity, cfg.IdempotencyTTL, cfg.Registry.Counter("server.idem_evictions")),
+		idem:    newIdemRegistry(idemCapacity, idemTTL, cfg.Registry.Counter("server.idem_evictions")),
 		slow:    newSlowLog(cfg.SlowLogThreshold, cfg.SlowLogSize, cfg.Registry),
-		read:    newLimiter(cfg.ReadLimit, cfg.queueDepth(cfg.ReadLimit), cfg.QueueWait),
+		read:    newLimiter(readLimit, cfg.queueDepth(readLimit), cfg.QueueWait),
 		ingest:  newLimiter(cfg.IngestLimit, cfg.queueDepth(cfg.IngestLimit), cfg.QueueWait),
 		query:   newLimiter(cfg.QueryLimit, cfg.queueDepth(cfg.QueryLimit), cfg.QueueWait),
 	}
@@ -358,8 +343,7 @@ func (s *Server) wrap(lim *limiter, route string, fn handlerFunc) http.Handler {
 			// Booting (WAL replay in flight): the listener is up so probes
 			// and peers get a crisp 503 instead of connection refused, but
 			// no serving-class work runs until the state is consistent.
-			secs := int64((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+			w.Header().Set("Retry-After", retryAfter)
 			writeError(w, http.StatusServiceUnavailable, "not ready: booting")
 			return
 		}
@@ -439,8 +423,7 @@ func (s *Server) shedOrCancel(w http.ResponseWriter, route string, err error) {
 				Labels: map[string]string{"route": route},
 				Values: map[string]int64{"inflight": int64(s.Inflight())}})
 		}
-		secs := int64((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "saturated: admission queue full")
 		return
 	}

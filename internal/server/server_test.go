@@ -28,7 +28,7 @@ func newTestWarehouse(t *testing.T, parts, valuesPer int) *warehouse.Warehouse[i
 		t.Fatal(err)
 	}
 	for i := 0; i < parts; i++ {
-		smp, err := wh.NewSampler("d", 0)
+		smp, err := wh.NewPartitionSampler("d", part(i), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,10 @@
 // Package wal is the segmented write-ahead ingest journal of the sample
 // warehouse's serving layer. Every ingest batch the server acknowledges is
-// first appended here as CRC32C-framed records and fsynced per a configurable
-// policy, so a kill -9 between the acknowledgment and the durable roll-in of
-// the finished sample loses nothing: on restart the journal's sealed but
-// uncommitted entries are replayed through the data set's sampler family
-// (Warehouse.ReplayJournal) and the partitions the clients were told exist
-// are rebuilt exactly once.
+// first appended here as CRC32C-framed records and fsynced, so a kill -9
+// between the acknowledgment and the durable roll-in of the finished sample
+// loses nothing: on restart the journal's sealed but uncommitted entries are
+// replayed through the data set's sampler family (Warehouse.ReplayJournal)
+// and the partitions the clients were told exist are rebuilt exactly once.
 //
 // Entry lifecycle, as driven by the ingest handler:
 //
@@ -15,13 +14,13 @@
 //	... roll the finalized sample into the warehouse ...
 //	e.Commit()                                       // frame: commit — entry GC-able
 //
-// Seal is the durability point: once it returns under SyncAlways, the batch
-// survives a crash and the HTTP response may promise so. Commit records that
-// the sample itself was durably rolled in; committed entries are never
-// replayed, and a segment whose entries are all committed (or dead) is
-// deleted. Recovery truncates torn tails (a crash mid-append) back to the
-// last valid frame, discards unsealed entries (the client never got an ack;
-// it will retry), and returns sealed-uncommitted entries for replay.
+// Seal is the durability point: once it returns, the batch survives a crash
+// and the HTTP response may promise so. Commit records that the sample
+// itself was durably rolled in; committed entries are never replayed, and a
+// segment whose entries are all committed (or dead) is deleted. Recovery
+// truncates torn tails (a crash mid-append) back to the last valid frame,
+// discards unsealed entries (the client never got an ack; it will retry),
+// and returns sealed-uncommitted entries for replay.
 //
 // Fault injection: an optional faults.Schedule is consulted on every append
 // (faults.OpWalAppend — an injected error writes a deterministic torn prefix
@@ -37,7 +36,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,57 +45,19 @@ import (
 	"samplewh/internal/storage"
 )
 
-// Policy selects when appended frames are fsynced.
+// Policy names the journal's one fsync policy. The benchmark harness's
+// stack (bench/stack.go) names it, so the type, SyncAlways and
+// Options.Policy stay although there is nothing to choose between.
 type Policy uint8
 
-const (
-	// SyncAlways fsyncs on every Seal, before the ack leaves the server:
-	// an acknowledged batch survives power loss. The default.
-	SyncAlways Policy = iota
-	// SyncInterval fsyncs on a background interval: acknowledgments can
-	// outrun durability by up to the interval — bounded loss, higher
-	// throughput.
-	SyncInterval
-	// SyncOff never fsyncs; the OS flushes when it pleases. Only the
-	// process-crash (not machine-crash) guarantee remains.
-	SyncOff
-)
+// SyncAlways fsyncs on every Seal, before the ack leaves the server: an
+// acknowledged batch survives power loss.
+const SyncAlways Policy = 0
 
-// String returns the policy's flag spelling.
-func (p Policy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncOff:
-		return "off"
-	default:
-		return fmt.Sprintf("Policy(%d)", uint8(p))
-	}
-}
-
-// ParsePolicy inverts Policy.String.
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(s) {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "off":
-		return SyncOff, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown sync policy %q (want always, interval or off)", s)
-	}
-}
-
-// Options tunes a journal. The zero value selects SyncAlways, a 100ms
-// interval (unused unless SyncInterval), and 64 MiB segments.
+// Options tunes a journal. The zero value selects 64 MiB segments.
 type Options struct {
-	// Policy selects the fsync policy.
+	// Policy is always SyncAlways; see Policy.
 	Policy Policy
-	// Interval is the background fsync period under SyncInterval.
-	Interval time.Duration
 	// SegmentBytes is the soft segment-roll threshold. One entry's frames
 	// never span segments, so a single huge batch may overshoot it.
 	SegmentBytes int64
@@ -110,9 +70,6 @@ type Options struct {
 }
 
 func (o Options) normalized() Options {
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
@@ -228,9 +185,6 @@ type Log[V comparable] struct {
 	appendSeq atomic.Int64 // fault-injection sequence numbers
 	syncSeq   atomic.Int64
 
-	stop chan struct{} // interval-sync ticker shutdown
-	wg   sync.WaitGroup
-
 	o walObs
 }
 
@@ -272,31 +226,11 @@ func Open[V comparable](dir string, codec storage.ValueCodec[V], opts Options) (
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Policy == SyncInterval {
-		l.stop = make(chan struct{})
-		l.wg.Add(1)
-		go l.syncLoop()
-	}
 	return l, recovered, nil
 }
 
 // Dir returns the journal's root directory.
 func (l *Log[V]) Dir() string { return l.dir }
-
-// syncLoop is the SyncInterval background flusher.
-func (l *Log[V]) syncLoop() {
-	defer l.wg.Done()
-	t := time.NewTicker(l.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-t.C:
-			_ = l.Sync() // an interval-sync failure surfaces on the next Seal or Close
-		}
-	}
-}
 
 // Entry is one in-flight journaled ingest batch.
 type Entry[V comparable] struct {
@@ -357,10 +291,9 @@ func (e *Entry[V]) Append(values []V) error {
 	return e.l.appendLocked(frameValues, payload, e.key, false)
 }
 
-// Seal marks the batch complete with its total value count and makes it
-// durable per the sync policy. Under SyncAlways, when Seal returns nil the
-// batch will survive a crash — this is the barrier the ingest handler waits
-// on before acknowledging the client.
+// Seal marks the batch complete with its total value count and fsyncs it.
+// When Seal returns nil the batch will survive a crash — this is the barrier
+// the ingest handler waits on before acknowledging the client.
 func (e *Entry[V]) Seal(total int64) error {
 	return e.SealContext(context.Background(), total)
 }
@@ -391,14 +324,12 @@ func (e *Entry[V]) SealContext(ctx context.Context, total int64) error {
 	seq, off := e.l.activeSeq, e.l.written
 	e.l.mu.Unlock()
 	e.sealed = true
-	if e.l.opts.Policy == SyncAlways {
-		sp := obs.SpanFromContext(ctx).Start("wal_fsync")
-		err := e.l.syncTo(seq, off)
-		sp.SetError(err)
-		sp.End()
-		if err != nil {
-			return err
-		}
+	sp := obs.SpanFromContext(ctx).Start("wal_fsync")
+	err := e.l.syncTo(seq, off)
+	sp.SetError(err)
+	sp.End()
+	if err != nil {
+		return err
 	}
 	e.l.o.seals.Inc()
 	return nil
@@ -534,7 +465,7 @@ func (l *Log[V]) appendLocked(typ byte, payload []byte, fkey string, mayRoll boo
 // next. Callers hold l.mu.
 func (l *Log[V]) rollLocked() error {
 	if l.f != nil {
-		if l.opts.Policy != SyncOff && !l.broken {
+		if !l.broken {
 			if err := l.f.Sync(); err != nil {
 				return fmt.Errorf("wal: roll: sync: %w", err)
 			}
@@ -557,13 +488,11 @@ func (l *Log[V]) rollLocked() error {
 		f.Close()
 		return fmt.Errorf("wal: segment header: %w", err)
 	}
-	if l.opts.Policy != SyncOff {
-		// The new segment's directory entry must survive a crash or the
-		// frames inside it are unreachable.
-		if err := syncDir(l.dir); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
+	// The new segment's directory entry must survive a crash or the frames
+	// inside it are unreachable.
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: %w", err)
 	}
 	l.f = f
 	l.broken = false
@@ -610,7 +539,7 @@ func (l *Log[V]) syncTo(seq uint64, off int64) error {
 	return nil
 }
 
-// Sync flushes everything appended so far, regardless of policy.
+// Sync flushes everything appended so far.
 func (l *Log[V]) Sync() error {
 	l.mu.Lock()
 	seq, off := l.activeSeq, l.written
@@ -618,18 +547,10 @@ func (l *Log[V]) Sync() error {
 	return l.syncTo(seq, off)
 }
 
-// Close stops the background flusher, syncs (unless SyncOff) and closes the
-// active segment. The journal is unusable afterwards.
+// Close syncs and closes the active segment. The journal is unusable
+// afterwards.
 func (l *Log[V]) Close() error {
-	if l.stop != nil {
-		close(l.stop)
-		l.wg.Wait()
-		l.stop = nil
-	}
-	var err error
-	if l.opts.Policy != SyncOff {
-		err = l.Sync()
-	}
+	err := l.Sync()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f != nil {

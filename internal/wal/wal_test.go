@@ -297,7 +297,7 @@ func TestReplayIdempotencyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed))
 	for round := 0; round < 40; round++ {
 		dir := t.TempDir()
-		l, _ := openTest(t, dir, Options{Policy: SyncOff, SegmentBytes: 512})
+		l, _ := openTest(t, dir, Options{SegmentBytes: 512})
 		want := make(map[string][]int64)
 		nBatch := 1 + rng.Intn(8)
 		for b := 0; b < nBatch; b++ {
@@ -365,12 +365,12 @@ func TestReplayIdempotencyProperty(t *testing.T) {
 			}
 			return got
 		}
-		l1, rec1 := openTest(t, dir, Options{Policy: SyncOff})
+		l1, rec1 := openTest(t, dir, Options{})
 		got1 := check("first", rec1)
 		if err := l1.Close(); err != nil {
 			t.Fatalf("round %d: Close: %v", round, err)
 		}
-		l2, rec2 := openTest(t, dir, Options{Policy: SyncOff})
+		l2, rec2 := openTest(t, dir, Options{})
 		got2 := check("second", rec2)
 		if err := l2.Close(); err != nil {
 			t.Fatalf("round %d: Close: %v", round, err)

@@ -5,8 +5,6 @@ import (
 	"hash/crc32"
 	"sort"
 
-	"samplewh/internal/core"
-	"samplewh/internal/randx"
 	"samplewh/internal/sketch"
 	"samplewh/internal/storage"
 )
@@ -66,25 +64,6 @@ func partitionSeed(dataset, partitionID string) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-// NewPartitionSampler is NewSampler with deterministic seeding derived from
-// the (dataset, partition) identity instead of the warehouse RNG. Replicated
-// ingest paths use it so independently-fed replicas converge to identical
-// sample bytes; single-node tools may keep NewSampler, whose samples are
-// still statistically equivalent — anti-entropy then converges the replicas
-// by transfer rather than by construction.
-func (w *Warehouse[V]) NewPartitionSampler(dataset, partitionID string, expectedN int64) (core.Sampler[V], error) {
-	if err := checkPartitionID(partitionID); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ds, ok := w.sets[dataset]
-	if !ok {
-		return nil, unknownDataset(dataset)
-	}
-	return w.newSamplerLocked(ds, expectedN, randx.New(partitionSeed(dataset, partitionID)))
 }
 
 // rawStore returns the store's raw-bytes extension when it has one. Without

@@ -165,11 +165,11 @@ func sidecarsAgree(t *testing.T, when string, w *Warehouse[int64]) {
 	t.Helper()
 	parts, _ := w.Partitions("ds")
 	for _, id := range parts {
-		sk, ok, err := w.PartitionSketch("ds", id)
+		sk, ok, err := partitionSketch(w, "ds", id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := w.PartitionSample("ds", id)
+		s, err := w.PartitionSampleContext(bg, "ds", id)
 		if !ok || err != nil {
 			continue
 		}

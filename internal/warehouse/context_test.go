@@ -21,7 +21,7 @@ func newCtxWarehouse(t *testing.T, parts int, delay time.Duration) (*Warehouse[i
 		t.Fatal(err)
 	}
 	for i := 0; i < parts; i++ {
-		smp, err := w.NewSampler("ctx", 0)
+		smp, err := w.NewPartitionSampler("ctx", "p"+string(rune('a'+i)), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestMergedSampleContextDeadline(t *testing.T) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 	// The background-context path must be unaffected.
-	if _, err := w.MergedSample("ctx"); err != nil {
+	if _, err := w.MergedSampleContext(bg, "ctx"); err != nil {
 		t.Fatalf("uncancelled merge failed: %v", err)
 	}
 }

@@ -144,14 +144,6 @@ func TestExecutorSentinelErrors(t *testing.T) {
 	timed := PlannedQuery[int64]{Bounds: plan.Bounds{MaxTime: time.Minute}}
 	// Each adapter, reduced to (dataset, ids, partial) → error.
 	adapters := map[string]func(w *Warehouse[int64], ds string, ids []string, partial bool) error{
-		"MergedSample": func(w *Warehouse[int64], ds string, ids []string, partial bool) error {
-			if partial {
-				_, _, err := w.MergedSamplePartial(ds, ids...)
-				return err
-			}
-			_, err := w.MergedSample(ds, ids...)
-			return err
-		},
 		"MergedSampleContext": func(w *Warehouse[int64], ds string, ids []string, partial bool) error {
 			if partial {
 				_, _, err := w.MergedSamplePartialContext(ctx, ds, ids...)
@@ -172,8 +164,8 @@ func TestExecutorSentinelErrors(t *testing.T) {
 			_, _, _, err := w.StratifiedRange(ctx, ds, ids, SketchRange{Lo: 0, Hi: 1000}, true, partial)
 			return err
 		},
-		"Window": func(w *Warehouse[int64], ds string, ids []string, partial bool) error {
-			_, err := w.Window(ds, 3)
+		"WindowContext": func(w *Warehouse[int64], ds string, ids []string, partial bool) error {
+			_, err := w.WindowContext(ctx, ds, 3)
 			return err
 		},
 	}
@@ -206,7 +198,7 @@ func TestExecutorSentinelErrors(t *testing.T) {
 	}
 	for aname, call := range adapters {
 		for _, c := range cases {
-			if aname == "Window" && (c.ids != nil || c.partial) {
+			if aname == "WindowContext" && (c.ids != nil || c.partial) {
 				continue // a window names no ids and is always strict
 			}
 			if err := call(w, c.ds, c.ids, c.partial); !errors.Is(err, c.want) {

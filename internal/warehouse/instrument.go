@@ -5,7 +5,7 @@ import (
 )
 
 // instrumentable is satisfied by samplers that accept metric routing (all of
-// the core samplers do). NewSampler uses it so the warehouse can instrument
+// the core samplers do). NewPartitionSampler uses it so the warehouse can instrument
 // whatever sampler family the data set's configuration selects.
 type instrumentable interface {
 	Instrument(reg *obs.Registry, partition string)

@@ -36,7 +36,7 @@ func TestWarehouseMetricsLifecycle(t *testing.T) {
 		t.Errorf("core.hr.items = %d, want 9000 (samplers not instrumented?)", got)
 	}
 
-	m, err := w.MergedSample("orders")
+	m, err := w.MergedSampleContext(bg, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestWarehouseErrorWrapping(t *testing.T) {
 	reg.SetSink(sink)
 	w.Instrument(reg)
 
-	smp, err := w.NewSampler("orders", 0)
+	smp, err := w.NewPartitionSampler("orders", "day1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestWarehouseErrorWrapping(t *testing.T) {
 // storage.IsNotFound so callers can distinguish absence from corruption.
 func TestNotFoundSurvivesWrapping(t *testing.T) {
 	w := newTestWarehouse(t, AlgHR, 64)
-	_, err := w.PartitionSample("orders", "missing")
+	_, err := w.PartitionSampleContext(bg, "orders", "missing")
 	if !storage.IsNotFound(err) {
 		t.Errorf("wrapped missing-partition error not IsNotFound: %v", err)
 	}

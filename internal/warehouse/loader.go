@@ -77,7 +77,7 @@ func newLoadObs(r *obs.Registry) loadObs {
 // caller receives that one decoded sample itself — shared with the cache and
 // with coalesced callers, and therefore read-only: every merge only reads its
 // inputs, and whoever needs to mutate or keep a sample clones it
-// (PartitionSample). Invalidation is
+// (PartitionSampleContext). Invalidation is
 // generation-guarded: bumping the generation before dropping a cache entry
 // guarantees that an in-flight fetch started before the invalidation can
 // never re-insert the stale sample after it.

@@ -176,7 +176,7 @@ func TestSharedHistogramLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingest(t, w, "ds", "p", 0, 20000)
-	want, err := w.PartitionSample("ds", "p") // decodes, caches, returns a copy
+	want, err := w.PartitionSampleContext(bg, "ds", "p") // decodes, caches, returns a copy
 	if err != nil {
 		t.Fatal(err)
 	}

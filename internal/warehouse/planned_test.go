@@ -261,7 +261,7 @@ func TestPlannedCacheResidencyReordersPlan(t *testing.T) {
 	}
 	// Warm only p06 and p07 into the cache.
 	for _, id := range []string{"p06", "p07"} {
-		if _, err := w.PartitionSample("orders", id); err != nil {
+		if _, err := w.PartitionSampleContext(bg, "orders", id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +292,7 @@ func TestManifestStatsRoundTrip(t *testing.T) {
 	}
 	// Measure load latencies, then mutate the catalog so the manifest (with
 	// the EWMAs) is rewritten.
-	if _, err := w.MergedSample("orders"); err != nil {
+	if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 		t.Fatal(err)
 	}
 	ingest(t, w, "orders", "p3", 1500, 2000)

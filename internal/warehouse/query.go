@@ -20,7 +20,7 @@ import (
 // partition subset (the paper's S_K, Theorem 1) — and this file is its one
 // executor. Error/time bounds and sketch pruning are policies over that
 // operation, steered by query fields, not separate paths: every exported read
-// entry point (MergedSample*, Window*, MergedSamplePlanned, StratifiedRange)
+// entry point (MergedSample*Context, WindowContext, MergedSamplePlanned, StratifiedRange)
 // fills in a query and calls run, whose six stages each exist once
 // (DESIGN.md §9): resolve → prune → order → load → combine → account.
 

@@ -38,14 +38,14 @@ func TestWarmCacheMergeUniformity(t *testing.T) {
 		ingest(t, w, "orders", fmt.Sprintf("p%d", p), int64(p)*perPart, int64(p+1)*perPart)
 	}
 	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20, MergeWorkers: 4})
-	if _, err := w.MergedSample("orders"); err != nil { // prime the cache
+	if _, err := w.MergedSampleContext(bg, "orders"); err != nil { // prime the cache
 		t.Fatal(err)
 	}
 	baseline := reg.Snapshot().Counters["storage.mem.gets"]
 
 	counts := make([]int64, n)
 	for trial := 0; trial < trials; trial++ {
-		m, err := w.MergedSample("orders")
+		m, err := w.MergedSampleContext(bg, "orders")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestWarmCacheZeroStoreGets(t *testing.T) {
 	for p := 0; p < parts; p++ {
 		ingest(t, w, "orders", fmt.Sprintf("p%d", p), int64(p)*1000, int64(p+1)*1000)
 	}
-	if _, err := w.MergedSample("orders"); err != nil {
+	if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 		t.Fatal(err)
 	}
 	cold := reg.Snapshot().Counters["storage.mem.gets"]
@@ -53,7 +53,7 @@ func TestWarmCacheZeroStoreGets(t *testing.T) {
 		t.Fatalf("cold merge issued %d gets, want >= %d", cold, parts)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := w.MergedSample("orders"); err != nil {
+		if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestCacheDisabledByDefault(t *testing.T) {
 		ingest(t, w, "orders", fmt.Sprintf("p%d", p), int64(p)*1000, int64(p+1)*1000)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := w.MergedSample("orders"); err != nil {
+		if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,10 +123,10 @@ func TestCacheDoesNotChangeResults(t *testing.T) {
 	for i, qc := range configs {
 		w := build(qc)
 		// Two calls: the second is warm for cached configs.
-		if _, err := w.MergedSample("orders"); err != nil {
+		if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 			t.Fatal(err)
 		}
-		s, err := w.MergedSample("orders")
+		s, err := w.MergedSampleContext(bg, "orders")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := w.MergedSample("orders"); err != nil {
+			if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -178,7 +178,7 @@ func TestSingleflightDedup(t *testing.T) {
 	// A fully-overlapped run serves every caller from the four in-flight
 	// fetches (zero cache hits); a follow-up merge must be all cache.
 	before := ss.gets.Load()
-	if _, err := w.MergedSample("orders"); err != nil {
+	if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 		t.Fatal(err)
 	}
 	if ss.gets.Load() != before {
@@ -201,7 +201,7 @@ func TestStaleCacheNeverServedAfterRollCycle(t *testing.T) {
 	}
 	ingest(t, w, "orders", "p0", 0, 1000)
 	ingest(t, w, "orders", "p1", 1000, 2000) // old content: values in [1000, 2000)
-	if _, err := w.MergedSample("orders"); err != nil {
+	if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 		t.Fatal(err) // warms the cache with old p1
 	}
 	if err := w.RollOut("orders", "p1"); err != nil {
@@ -209,7 +209,7 @@ func TestStaleCacheNeverServedAfterRollCycle(t *testing.T) {
 	}
 	ingest(t, w, "orders", "p1", 50_000, 51_000) // new content: [50000, 51000)
 	for i := 0; i < 5; i++ {
-		s, err := w.MergedSample("orders")
+		s, err := w.MergedSampleContext(bg, "orders")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestConcurrentRollCycleUnderRace(t *testing.T) {
 			}
 			gen++
 			lo := 100_000 + gen*1000
-			smp, err := w.NewSampler("orders", 1000)
+			smp, err := w.NewPartitionSampler("orders", "hot", 1000)
 			if err != nil {
 				t.Error(err)
 				return
@@ -280,7 +280,7 @@ func TestConcurrentRollCycleUnderRace(t *testing.T) {
 		go func() {
 			defer readWG.Done()
 			for i := 0; i < 50; i++ {
-				s, _, err := w.MergedSamplePartial("orders")
+				s, _, err := w.MergedSamplePartialContext(bg, "orders")
 				if err != nil {
 					t.Error(err)
 					return
@@ -299,7 +299,7 @@ func TestConcurrentRollCycleUnderRace(t *testing.T) {
 	// Churn settled with "hot" rolled out. Warm merges must contain only the
 	// stable partitions' values.
 	for i := 0; i < 3; i++ {
-		s, err := w.MergedSample("orders")
+		s, err := w.MergedSampleContext(bg, "orders")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestConcurrentRollCycleUnderRace(t *testing.T) {
 			}
 		})
 	}
-	if _, err := w.PartitionSample("orders", "hot"); err == nil {
+	if _, err := w.PartitionSampleContext(bg, "orders", "hot"); err == nil {
 		t.Fatal("rolled-out partition still readable")
 	}
 }
@@ -331,7 +331,7 @@ func TestMergedSamplePartialSkipsWithLoader(t *testing.T) {
 	if err := store.Delete("orders/p2"); err != nil {
 		t.Fatal(err)
 	}
-	s, cov, err := w.MergedSamplePartial("orders")
+	s, cov, err := w.MergedSamplePartialContext(bg, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestMergedSamplePartialSkipsWithLoader(t *testing.T) {
 		t.Fatalf("merged %v", cov.Merged)
 	}
 	// Full-strict merge still fails.
-	if _, err := w.MergedSample("orders"); err == nil {
+	if _, err := w.MergedSampleContext(bg, "orders"); err == nil {
 		t.Fatal("strict merge succeeded with a missing partition")
 	}
 }

@@ -78,7 +78,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, err := w.MergedSample("orders")
+	merged, err := w.MergedSampleContext(bg, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		t.Fatalf("partitions = %v, %v", parts, err)
 	}
 
-	merged2, err := w2.MergedSample("orders")
+	merged2, err := w2.MergedSampleContext(bg, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,13 +254,13 @@ func TestPartialMergeSkipsUnreadable(t *testing.T) {
 	}
 
 	// The strict merge fails loudly.
-	if _, err := w.MergedSample("ds"); !storage.IsCorrupt(err) {
+	if _, err := w.MergedSampleContext(bg, "ds"); !storage.IsCorrupt(err) {
 		t.Fatalf("strict merge err = %v", err)
 	}
 
 	// The partial merge degrades: p2 skipped with reason "corrupt", union of
 	// the survivors still a valid uniform sample with the right parent size.
-	m, cov, err := w.MergedSamplePartial("ds")
+	m, cov, err := w.MergedSamplePartialContext(bg, "ds")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestPartialMergeSkipsUnreadable(t *testing.T) {
 	if err := inner.Delete("ds/p3"); err != nil {
 		t.Fatal(err)
 	}
-	_, cov, err = w.MergedSamplePartial("ds")
+	_, cov, err = w.MergedSamplePartialContext(bg, "ds")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestPartialMergeSkipsUnreadable(t *testing.T) {
 
 	// When nothing is readable the partial merge errors rather than
 	// fabricating an empty sample.
-	if _, _, err := w.MergedSamplePartial("ds", "p2", "p3"); err == nil {
+	if _, _, err := w.MergedSamplePartialContext(bg, "ds", "p2", "p3"); err == nil {
 		t.Fatal("merge of only unreadable partitions succeeded")
 	}
 }
@@ -332,11 +332,11 @@ func TestTransientStormInvisibleThroughRetry(t *testing.T) {
 				t.Fatalf("roll-in %s/%s: %v", ds, p, err)
 			}
 		}
-		if _, err := w.MergedSample("orders"); err != nil {
+		if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 			t.Fatalf("merge at step %d: %v", i, err)
 		}
 	}
-	if _, err := w.Window("clicks", 3); err != nil {
+	if _, err := w.WindowContext(bg, "clicks", 3); err != nil {
 		t.Fatalf("window: %v", err)
 	}
 	for _, p := range []string{"day0", "day1"} {
@@ -406,7 +406,7 @@ func TestKillMidPutLeavesNoVisibleCorruption(t *testing.T) {
 	if !rep.Clean() {
 		t.Fatalf("recovery after kill-mid-put not clean: %v", rep)
 	}
-	if _, err := w2.MergedSample("ds"); err != nil {
+	if _, err := w2.MergedSampleContext(bg, "ds"); err != nil {
 		t.Fatalf("merge after kill-mid-put: %v", err)
 	}
 }

@@ -76,7 +76,7 @@ func sharingFixture(t *testing.T) (*Warehouse[int64], []string) {
 			ingest(t, w, ds.name, fmt.Sprintf("p%d", p), p*1000, hi)
 			keys = append(keys, w.key(ds.name, fmt.Sprintf("p%d", p)))
 		}
-		if _, err := w.MergedSample(ds.name); err != nil {
+		if _, err := w.MergedSampleContext(bg, ds.name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,29 +102,29 @@ func TestQueriesNeverTouchCachedSamples(t *testing.T) {
 		name string
 		run  func() (*core.Sample[int64], error)
 	}{
-		{"MergedSample", func() (*core.Sample[int64], error) { return w.MergedSample("hr") }},
+		{"all partitions", func() (*core.Sample[int64], error) { return w.MergedSampleContext(ctx, "hr") }},
 		{"MergedSampleContext", func() (*core.Sample[int64], error) { return w.MergedSampleContext(ctx, "hr", "p1", "p4", "p5") }},
-		{"MergedSamplePartial", func() (*core.Sample[int64], error) {
-			s, _, err := w.MergedSamplePartial("hr")
+		{"partial, all partitions", func() (*core.Sample[int64], error) {
+			s, _, err := w.MergedSamplePartialContext(ctx, "hr")
 			return s, err
 		}},
 		{"MergedSamplePartialContext", func() (*core.Sample[int64], error) {
 			s, _, err := w.MergedSamplePartialContext(ctx, "hr", "p0", "p2")
 			return s, err
 		}},
-		{"Window", func() (*core.Sample[int64], error) { return w.Window("hr", 3) }},
+		{"window of 3", func() (*core.Sample[int64], error) { return w.WindowContext(ctx, "hr", 3) }},
 		{"WindowContext", func() (*core.Sample[int64], error) { return w.WindowContext(ctx, "hr", 4) }},
 		{"MergedSamplePlanned/maxerr", planned(plan.Bounds{MaxErr: 0.2})},
 		{"MergedSamplePlanned/maxtime", planned(plan.Bounds{MaxTime: time.Minute})},
-		{"one partition", func() (*core.Sample[int64], error) { return w.MergedSample("hr", "p2") }},
-		{"HB data set", func() (*core.Sample[int64], error) { return w.MergedSample("hb") }},
-		{"SB data set", func() (*core.Sample[int64], error) { return w.MergedSample("sb") }},
+		{"one partition", func() (*core.Sample[int64], error) { return w.MergedSampleContext(ctx, "hr", "p2") }},
+		{"HB data set", func() (*core.Sample[int64], error) { return w.MergedSampleContext(ctx, "hb") }},
+		{"SB data set", func() (*core.Sample[int64], error) { return w.MergedSampleContext(ctx, "sb") }},
 		{"bounded, SB data set", func() (*core.Sample[int64], error) {
 			s, _, _, err := w.MergedSamplePlanned(ctx, "sb", nil, true,
 				PlannedQuery[int64]{Bounds: plan.Bounds{MaxTime: time.Minute}})
 			return s, err
 		}},
-		{"exhaustive input", func() (*core.Sample[int64], error) { return w.MergedSample("mixed") }},
+		{"exhaustive input", func() (*core.Sample[int64], error) { return w.MergedSampleContext(ctx, "mixed") }},
 		{"bounded, exhaustive input", func() (*core.Sample[int64], error) {
 			s, _, _, err := w.MergedSamplePlanned(ctx, "mixed", nil, true,
 				PlannedQuery[int64]{Bounds: plan.Bounds{MaxTime: time.Minute}})
@@ -153,7 +153,7 @@ func TestQueriesNeverTouchCachedSamples(t *testing.T) {
 	}
 
 	// A one-partition merge is that partition's sample, value for value.
-	one, err := w.MergedSample("hr", "p2")
+	one, err := w.MergedSampleContext(ctx, "hr", "p2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +165,13 @@ func TestQueriesNeverTouchCachedSamples(t *testing.T) {
 		t.Fatal("one-partition merge differs from the stored partition sample")
 	}
 
-	// PartitionSample's callers may mutate what they get.
-	ps, err := w.PartitionSample("hr", "p0")
+	// PartitionSampleContext's callers may mutate what they get.
+	ps, err := w.PartitionSampleContext(ctx, "hr", "p0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	core.PurgeReservoir(ps.Hist, 1, randx.New(9))
-	assertCacheUntouched(t, w, want, "PartitionSample purged")
+	assertCacheUntouched(t, w, want, "PartitionSampleContext purged")
 
 	// Strata are the loaded samples themselves, handed out to be read.
 	for _, prune := range []bool{false, true} {
@@ -205,7 +205,7 @@ func TestSharedSamplesUnderConcurrentQueries(t *testing.T) {
 		keys[p] = w.key("orders", ids[p])
 		ingest(t, w, "orders", ids[p], int64(p)*1000, int64(p+1)*1000)
 	}
-	if _, err := w.MergedSample("orders"); err != nil {
+	if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
 		t.Fatal(err)
 	}
 	want := cachedEncodings(t, w, keys)
@@ -222,7 +222,7 @@ func TestSharedSamplesUnderConcurrentQueries(t *testing.T) {
 				return
 			default:
 			}
-			smp, err := w.NewSampler("orders", 1000)
+			smp, err := w.NewPartitionSampler("orders", "hot", 1000)
 			if err != nil {
 				t.Error(err)
 				return
@@ -259,7 +259,7 @@ func TestSharedSamplesUnderConcurrentQueries(t *testing.T) {
 				case 0:
 					s, err = w.MergedSampleContext(ctx, "orders", sub...)
 				case 1:
-					s, _, err = w.MergedSamplePartial("orders") // may include "hot"
+					s, _, err = w.MergedSamplePartialContext(bg, "orders") // may include "hot"
 				case 2:
 					s, _, _, err = w.MergedSamplePlanned(ctx, "orders", sub, true,
 						PlannedQuery[int64]{Bounds: plan.Bounds{MaxErr: 0.5}, HalfWidth: proxyHW(0.95)})
@@ -280,7 +280,7 @@ func TestSharedSamplesUnderConcurrentQueries(t *testing.T) {
 	close(stop)
 	writer.Wait()
 
-	if _, err := w.MergedSample("orders", ids...); err != nil {
+	if _, err := w.MergedSampleContext(bg, "orders", ids...); err != nil {
 		t.Fatal(err)
 	}
 	assertCacheUntouched(t, w, want, "after concurrent queries")
@@ -302,7 +302,7 @@ func TestLoadResolvesHitsInline(t *testing.T) {
 		ingest(t, w, "orders", id, int64(p)*1000, int64(p+1)*1000)
 		keys = append(keys, w.key("orders", id))
 	}
-	if _, err := w.MergedSample("orders", "p1", "p4", "p6"); err != nil { // three residents
+	if _, err := w.MergedSampleContext(bg, "orders", "p1", "p4", "p6"); err != nil { // three residents
 		t.Fatal(err)
 	}
 	before := w.CacheStats()

@@ -86,11 +86,11 @@ func TestRollCostsOnePartition(t *testing.T) {
 
 		// Warm the cache, then read every way the server does.
 		w.SetQueryConfig(QueryConfig{CacheBytes: 64 << 20})
-		if _, err := w.MergedSample("ds"); err != nil {
+		if _, err := w.MergedSampleContext(bg, "ds"); err != nil {
 			t.Fatal(err)
 		}
 		t2 := readBlobIO(reg)
-		if _, err := w.MergedSample("ds"); err != nil {
+		if _, err := w.MergedSampleContext(bg, "ds"); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, _, err := w.StratifiedRange(context.Background(), "ds", nil, SketchRange{Lo: 2000, Hi: 4500}, true, false); err != nil {
@@ -295,7 +295,7 @@ func FuzzLoadSidecar(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sk, ok, err := w.PartitionSketch("ds", "p")
+		sk, ok, err := partitionSketch(w, "ds", "p")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 func TestRollInBuildsSketch(t *testing.T) {
 	w := newTestWarehouse(t, AlgHR, 64)
 	ingest(t, w, "orders", "day1", 0, 5000)
-	sk, ok, err := w.PartitionSketch("orders", "day1")
+	sk, ok, err := partitionSketch(w, "orders", "day1")
 	if err != nil || !ok {
 		t.Fatalf("sketch: ok=%v err=%v", ok, err)
 	}
@@ -51,7 +51,7 @@ func TestRollInSketchedValidation(t *testing.T) {
 	if err := w.RollInSketched("orders", "p1", s, good); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := w.PartitionSketch("orders", "p1")
+	got, ok, err := partitionSketch(w, "orders", "p1")
 	if err != nil || !ok {
 		t.Fatalf("sketch: ok=%v err=%v", ok, err)
 	}
@@ -82,7 +82,7 @@ func TestRollOutDropsSketch(t *testing.T) {
 	if err := w.RollOut("orders", "day1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := w.PartitionSketch("orders", "day1"); err != nil || ok {
+	if _, ok, err := partitionSketch(w, "orders", "day1"); err != nil || ok {
 		t.Fatalf("rolled-out partition still has a sidecar (ok=%v err=%v)", ok, err)
 	}
 }
@@ -99,7 +99,7 @@ func TestSketchManifestRoundTrip(t *testing.T) {
 	if err := w.RollIn("orders", "a", externalSample(t, 64, 1, 0, 3000)); err != nil {
 		t.Fatal(err)
 	}
-	want, ok, err := w.PartitionSketch("orders", "a")
+	want, ok, err := partitionSketch(w, "orders", "a")
 	if err != nil || !ok {
 		t.Fatalf("sketch before reopen: ok=%v err=%v", ok, err)
 	}
@@ -108,7 +108,7 @@ func TestSketchManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := w2.PartitionSketch("orders", "a")
+	got, ok, err := partitionSketch(w2, "orders", "a")
 	if err != nil || !ok {
 		t.Fatalf("sketch after reopen: ok=%v err=%v", ok, err)
 	}
@@ -142,7 +142,7 @@ func TestDatasetSketchUnionAndBackfill(t *testing.T) {
 		t.Fatalf("union distinct = %v, want 200 (KMV unsaturated over 200 values)", d)
 	}
 	// The missing sidecar was rebuilt from the stored sample as a side effect.
-	if _, ok, err := w.PartitionSketch("orders", "p2"); err != nil || !ok {
+	if _, ok, err := partitionSketch(w, "orders", "p2"); err != nil || !ok {
 		t.Fatalf("backfill did not restore p2's sidecar (ok=%v err=%v)", ok, err)
 	}
 
@@ -156,7 +156,7 @@ func TestDatasetSketchUnionAndBackfill(t *testing.T) {
 	spec := workload.Spec{Dist: workload.Zipfian, N: 16 * 2000, Seed: 1, ZipfValues: 200_000, ZipfSkew: 1.1}
 	truth := make(map[int64]struct{})
 	for i, g := range workload.Partitions(spec, 16) {
-		smp, err := w.NewSampler("zipf", g.Len())
+		smp, err := w.NewPartitionSampler("zipf", fmt.Sprintf("p%02d", i), g.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestDatasetSketchUnionAndBackfill(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, err := w.MergedSample("zipf")
+	merged, err := w.MergedSampleContext(bg, "zipf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestFsckSketches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []string{"ok", "gone", "old", "bad"} {
-		if _, ok, err := w2.PartitionSketch("ds", p); err != nil || !ok {
+		if _, ok, err := partitionSketch(w2, "ds", p); err != nil || !ok {
 			t.Fatalf("partition %s has no sidecar after repair (ok=%v err=%v)", p, ok, err)
 		}
 	}

@@ -55,24 +55,10 @@ func validSketch(sk *sketch.Summary) *sketch.Summary {
 	return sk
 }
 
-// PartitionSketch returns a copy of one partition's sidecar; ok is false
-// when the partition has none (pre-sketch manifest, non-int64 value type,
-// or a corrupt entry awaiting backfill).
-func (w *Warehouse[V]) PartitionSketch(dataset, partitionID string) (*sketch.Summary, bool, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	ds, ok := w.sets[dataset]
-	if !ok {
-		return nil, false, unknownDataset(dataset)
-	}
-	if p := ds.byID[partitionID]; p != nil && validSketch(p.sketch) != nil {
-		return p.sketch.Clone(), true, nil
-	}
-	return nil, false, nil
-}
-
 // SketchSnapshot returns a copy of one data set's sidecar registry, keyed by
-// partition ID. Only valid sidecars are included.
+// partition ID. Only valid sidecars are included: a partition is absent when
+// it has none (pre-sketch manifest, non-int64 value type, or a corrupt entry
+// awaiting backfill).
 func (w *Warehouse[V]) SketchSnapshot(dataset string) (map[string]*sketch.Summary, error) {
 	return snapshot(w, dataset, func(p *partition) (*sketch.Summary, bool) {
 		if validSketch(p.sketch) == nil {

@@ -30,7 +30,7 @@ type SketchRange struct {
 //
 // With prune false every partition is loaded (the property-test baseline and
 // the ?prune=0 escape hatch). partial selects skip-and-report semantics for
-// unreadable partitions exactly as in MergedSamplePartial; context errors
+// unreadable partitions exactly as in MergedSamplePartialContext; context errors
 // always fail. The returned Stratified is nil when every readable partition
 // was proven out of range — the caller answers zero with exactness from the
 // zero strata.

@@ -160,8 +160,8 @@ func (w *Warehouse[V]) CacheStats() samplecache.Stats {
 
 // Instrument routes the warehouse's metrics and events into reg: partition
 // lifecycle counters, merge latency, per-dataset partition gauges, and
-// samplers handed out by NewSampler. A nil registry reverts to the no-op
-// state. Instrument the underlying store separately (stores are shared
+// samplers handed out by NewPartitionSampler. A nil registry reverts to the
+// no-op state. Instrument the underlying store separately (stores are shared
 // resources the warehouse does not own).
 func (w *Warehouse[V]) Instrument(reg *obs.Registry) {
 	w.mu.Lock()
@@ -219,24 +219,26 @@ func (w *Warehouse[V]) Config(dataset string) (DatasetConfig, error) {
 	return ds.cfg, nil
 }
 
-// NewSampler returns a fresh sampler for one partition of the data set,
-// configured per the data set's algorithm. expectedN is required for AlgHB
-// (ignored otherwise). The caller feeds the partition's values through it
-// and passes the finalized sample to RollIn.
-func (w *Warehouse[V]) NewSampler(dataset string, expectedN int64) (core.Sampler[V], error) {
+// NewPartitionSampler returns a fresh sampler for one partition of the data
+// set, configured per the data set's algorithm. expectedN is required for
+// AlgHB (ignored otherwise). The caller feeds the partition's values through
+// it and passes the finalized sample to RollIn.
+//
+// Its randomness is seeded from the (dataset, partition) identity, not the
+// warehouse RNG (see partitionSeed): the same values sampled for the same
+// partition store the same bytes, whichever process — swd, a replica, an
+// offline swcli ingest — fed them.
+func (w *Warehouse[V]) NewPartitionSampler(dataset, partitionID string, expectedN int64) (core.Sampler[V], error) {
+	if err := checkPartitionID(partitionID); err != nil {
+		return nil, err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ds, ok := w.sets[dataset]
 	if !ok {
 		return nil, unknownDataset(dataset)
 	}
-	return w.newSamplerLocked(ds, expectedN, w.rng.Split())
-}
-
-// newSamplerLocked builds a sampler for ds drawing randomness from src — the
-// shared tail of NewSampler (warehouse-seeded) and NewPartitionSampler
-// (deterministically partition-seeded; see antientropy.go). Caller holds w.mu.
-func (w *Warehouse[V]) newSamplerLocked(ds *dataset, expectedN int64, src *randx.RNG) (core.Sampler[V], error) {
+	src := randx.New(partitionSeed(dataset, partitionID))
 	var smp core.Sampler[V]
 	switch ds.cfg.Algorithm {
 	case AlgHB:
@@ -253,8 +255,7 @@ func (w *Warehouse[V]) newSamplerLocked(ds *dataset, expectedN int64, src *randx
 	}
 	if w.o.reg != nil {
 		if in, ok := smp.(instrumentable); ok {
-			// The partition ID is only chosen at RollIn time, so the sampler
-			// events carry just the component name.
+			// Sampler events carry just the component name.
 			in.Instrument(w.o.reg, "")
 		}
 	}
@@ -347,7 +348,7 @@ func (w *Warehouse[V]) Partitions(dataset string) ([]string, error) {
 
 // Info returns metadata for one partition's sample.
 func (w *Warehouse[V]) Info(dataset, partitionID string) (PartitionInfo, error) {
-	s, err := w.PartitionSample(dataset, partitionID)
+	s, err := w.PartitionSampleContext(context.Background(), dataset, partitionID)
 	if err != nil {
 		return PartitionInfo{}, err
 	}
@@ -360,15 +361,10 @@ func (w *Warehouse[V]) Info(dataset, partitionID string) (PartitionInfo, error) 
 	}, nil
 }
 
-// PartitionSample returns a copy of one partition's stored sample. It reads
-// through the sample cache when one is configured.
-func (w *Warehouse[V]) PartitionSample(dataset, partitionID string) (*core.Sample[V], error) {
-	return w.PartitionSampleContext(context.Background(), dataset, partitionID)
-}
-
-// PartitionSampleContext is PartitionSample honoring ctx: a done context is
-// observed before the store is touched and while waiting on a coalesced
-// in-flight fetch.
+// PartitionSampleContext returns a copy of one partition's stored sample. It
+// reads through the sample cache when one is configured, and observes a done
+// ctx before the store is touched and while waiting on a coalesced in-flight
+// fetch.
 func (w *Warehouse[V]) PartitionSampleContext(ctx context.Context, dataset, partitionID string) (*core.Sample[V], error) {
 	w.mu.RLock()
 	_, ok := w.sets[dataset]
@@ -412,38 +408,30 @@ type MergeCoverage struct {
 // Partial reports whether any requested partition was skipped.
 func (c MergeCoverage) Partial() bool { return len(c.Skipped) > 0 }
 
-// MergedSample produces a uniform sample of the union of the named
+// MergedSampleContext produces a uniform sample of the union of the named
 // partitions — the paper's S_K for K ⊆ {1..k}. Passing no IDs merges all
 // partitions of the data set (a sample of the entire data set). The stored
 // per-partition samples are not consumed. Any unreadable partition fails the
-// whole merge; see MergedSamplePartial for the degraded alternative.
-func (w *Warehouse[V]) MergedSample(dataset string, partitionIDs ...string) (*core.Sample[V], error) {
-	return w.MergedSampleContext(context.Background(), dataset, partitionIDs...)
-}
-
-// MergedSampleContext is MergedSample honoring cancellation: once ctx is
-// done, partition loads not yet started are skipped, waits on coalesced
-// fetches are abandoned, and the merge is not attempted; the context's error
-// is returned. Deadline-bound callers (e.g. the swd server) use this to stop
-// paying for answers nobody is waiting for.
+// whole merge; see MergedSamplePartialContext for the degraded alternative.
+//
+// Once ctx is done, partition loads not yet started are skipped, waits on
+// coalesced fetches are abandoned, and the merge is not attempted; the
+// context's error is returned. Deadline-bound callers (e.g. the swd server)
+// use this to stop paying for answers nobody is waiting for.
 func (w *Warehouse[V]) MergedSampleContext(ctx context.Context, dataset string, partitionIDs ...string) (*core.Sample[V], error) {
 	res, err := w.run(ctx, query[V]{op: "merge", dataset: dataset, ids: partitionIDs})
 	return res.sample, err
 }
 
-// MergedSamplePartial is MergedSample with graceful degradation: partitions
-// whose samples cannot be read (missing, quarantined as corrupt, or erroring)
-// are skipped, and the result is the uniform sample of the union of the
-// partitions that survived — still statistically uniform over that reduced
-// union, since the pairwise merge composes over any subset. The coverage
-// report names every skipped partition so callers can decide whether the
-// degraded answer is acceptable. It errors only if no requested partition is
-// readable.
-func (w *Warehouse[V]) MergedSamplePartial(dataset string, partitionIDs ...string) (*core.Sample[V], MergeCoverage, error) {
-	return w.MergedSamplePartialContext(context.Background(), dataset, partitionIDs...)
-}
-
-// MergedSamplePartialContext is MergedSamplePartial honoring cancellation.
+// MergedSamplePartialContext is MergedSampleContext with graceful
+// degradation: partitions whose samples cannot be read (missing, quarantined
+// as corrupt, or erroring) are skipped, and the result is the uniform sample
+// of the union of the partitions that survived — still statistically uniform
+// over that reduced union, since the merge composes over any subset. The
+// coverage report names every skipped partition so callers can decide whether
+// the degraded answer is acceptable. It errors only if no requested partition
+// is readable.
+//
 // Context expiry is never degraded around: a load that failed because ctx was
 // done fails the whole merge (reporting a partial answer for a query nobody
 // is waiting for would be wasted work), while per-partition storage failures
@@ -465,15 +453,11 @@ func skipReason(err error) string {
 	}
 }
 
-// Window produces a uniform sample of the union of the most recent n
+// WindowContext produces a uniform sample of the union of the most recent n
 // partitions (by roll-in order) — the paper's moving-window approximation of
 // stream sampling ("as new daily samples are rolled in and old daily samples
-// are rolled out, the system approximates stream sampling algorithms").
-func (w *Warehouse[V]) Window(dataset string, n int) (*core.Sample[V], error) {
-	return w.WindowContext(context.Background(), dataset, n)
-}
-
-// WindowContext is Window honoring cancellation (see MergedSampleContext).
+// are rolled out, the system approximates stream sampling algorithms"). It
+// honors ctx as MergedSampleContext does.
 func (w *Warehouse[V]) WindowContext(ctx context.Context, dataset string, n int) (*core.Sample[V], error) {
 	if n < 1 {
 		return nil, fmt.Errorf("warehouse: window size %d < 1", n)

@@ -1,15 +1,29 @@
 package warehouse
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"samplewh/internal/core"
 	"samplewh/internal/histogram"
 	"samplewh/internal/randx"
+	"samplewh/internal/sketch"
 	"samplewh/internal/storage"
 	"samplewh/internal/workload"
 )
+
+// bg is the context of every test read that nothing cancels.
+var bg = context.Background()
+
+// partitionSketch is one partition's entry in SketchSnapshot; ok is false
+// when the partition has no valid sidecar.
+func partitionSketch(w *Warehouse[int64], ds, id string) (*sketch.Summary, bool, error) {
+	snap, err := w.SketchSnapshot(ds)
+	sk, ok := snap[id]
+	return sk, ok, err
+}
 
 func newTestWarehouse(t *testing.T, alg Algorithm, nf int64) *Warehouse[int64] {
 	t.Helper()
@@ -27,7 +41,7 @@ func newTestWarehouse(t *testing.T, alg Algorithm, nf int64) *Warehouse[int64] {
 // ingest samples the range [lo, hi) into the named partition.
 func ingest(t *testing.T, w *Warehouse[int64], ds, part string, lo, hi int64) {
 	t.Helper()
-	smp, err := w.NewSampler(ds, hi-lo)
+	smp, err := w.NewPartitionSampler(ds, part, hi-lo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +122,7 @@ func TestRollInValidation(t *testing.T) {
 	ingest(t, w, "orders", "p1", 0, 1000)
 	// Re-rolling an existing partition is an idempotent replace: same
 	// position, new sample, no duplicate list entry.
-	smp, _ := w.NewSampler("orders", 10)
+	smp, _ := w.NewPartitionSampler("orders", "p1", 10)
 	smp.Feed(1)
 	s, _ := smp.Finalize()
 	if err := w.RollIn("orders", "p1", s); err != nil {
@@ -117,7 +131,7 @@ func TestRollInValidation(t *testing.T) {
 	if parts, _ := w.Partitions("orders"); len(parts) != 1 || parts[0] != "p1" {
 		t.Errorf("partitions after replay = %v", parts)
 	}
-	if got, err := w.PartitionSample("orders", "p1"); err != nil || got.ParentSize != 1 {
+	if got, err := w.PartitionSampleContext(bg, "orders", "p1"); err != nil || got.ParentSize != 1 {
 		t.Errorf("replay did not replace sample: %v, %v", got, err)
 	}
 	if err := w.RollIn("orders", "bad/id", s); err == nil {
@@ -149,7 +163,7 @@ func TestRollOut(t *testing.T) {
 	if len(parts) != 1 || parts[0] != "day2" {
 		t.Fatalf("partitions after roll-out = %v", parts)
 	}
-	if _, err := w.PartitionSample("orders", "day1"); !storage.IsNotFound(err) {
+	if _, err := w.PartitionSampleContext(bg, "orders", "day1"); !storage.IsNotFound(err) {
 		t.Fatalf("rolled-out sample still present: %v", err)
 	}
 	// Double roll-out is an idempotent no-op; a missing data set still errors.
@@ -170,7 +184,7 @@ func TestMergedSampleAllPartitions(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		ingest(t, w, "orders", string(rune('a'+i)), i*per, (i+1)*per)
 	}
-	m, err := w.MergedSample("orders")
+	m, err := w.MergedSampleContext(bg, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +195,7 @@ func TestMergedSampleAllPartitions(t *testing.T) {
 		t.Fatalf("size = %d", m.Size())
 	}
 	// Stored samples must remain intact (merge must not consume them).
-	s, err := w.PartitionSample("orders", "a")
+	s, err := w.PartitionSampleContext(bg, "orders", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +209,7 @@ func TestMergedSampleSubset(t *testing.T) {
 	ingest(t, w, "orders", "p0", 0, 2000)
 	ingest(t, w, "orders", "p1", 2000, 4000)
 	ingest(t, w, "orders", "p2", 4000, 6000)
-	m, err := w.MergedSample("orders", "p0", "p2")
+	m, err := w.MergedSampleContext(bg, "orders", "p0", "p2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,20 +222,20 @@ func TestMergedSampleSubset(t *testing.T) {
 			t.Fatalf("value %d from excluded partition present", v)
 		}
 	})
-	if _, err := w.MergedSample("orders", "p0", "p0"); err == nil {
+	if _, err := w.MergedSampleContext(bg, "orders", "p0", "p0"); err == nil {
 		t.Error("duplicate partition in merge set accepted")
 	}
-	if _, err := w.MergedSample("orders", "nope"); err == nil {
+	if _, err := w.MergedSampleContext(bg, "orders", "nope"); err == nil {
 		t.Error("unknown partition accepted")
 	}
 }
 
 func TestMergedSampleErrors(t *testing.T) {
 	w := newTestWarehouse(t, AlgHR, 64)
-	if _, err := w.MergedSample("orders"); err == nil {
+	if _, err := w.MergedSampleContext(bg, "orders"); err == nil {
 		t.Error("merge of empty data set accepted")
 	}
-	if _, err := w.MergedSample("nope"); err == nil {
+	if _, err := w.MergedSampleContext(bg, "nope"); err == nil {
 		t.Error("unknown data set accepted")
 	}
 }
@@ -231,7 +245,7 @@ func TestWindow(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		ingest(t, w, "orders", string(rune('a'+i)), i*1000, (i+1)*1000)
 	}
-	m, err := w.Window("orders", 2)
+	m, err := w.WindowContext(bg, "orders", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,17 +259,17 @@ func TestWindow(t *testing.T) {
 		}
 	})
 	// Window larger than partition count = everything.
-	m, err = w.Window("orders", 99)
+	m, err = w.WindowContext(bg, "orders", 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.ParentSize != 5000 {
 		t.Fatalf("big window parent = %d", m.ParentSize)
 	}
-	if _, err := w.Window("orders", 0); err == nil {
+	if _, err := w.WindowContext(bg, "orders", 0); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := w.Window("nope", 1); err == nil {
+	if _, err := w.WindowContext(bg, "nope", 1); err == nil {
 		t.Error("unknown data set accepted")
 	}
 }
@@ -266,7 +280,7 @@ func TestHBWarehouseEndToEnd(t *testing.T) {
 	for i := int64(0); i < 8; i++ {
 		ingest(t, w, "orders", string(rune('a'+i)), i*per, (i+1)*per)
 	}
-	m, err := w.MergedSample("orders")
+	m, err := w.MergedSampleContext(bg, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +297,14 @@ func TestHBWarehouseEndToEnd(t *testing.T) {
 
 func TestHBSamplerRequiresExpectedN(t *testing.T) {
 	w := newTestWarehouse(t, AlgHB, 64)
-	if _, err := w.NewSampler("orders", 0); err == nil {
+	if _, err := w.NewPartitionSampler("orders", "p", 0); err == nil {
 		t.Error("AlgHB sampler without expectedN accepted")
 	}
-	if _, err := w.NewSampler("nope", 10); err == nil {
+	if _, err := w.NewPartitionSampler("nope", "p", 10); err == nil {
 		t.Error("unknown data set accepted")
+	}
+	if _, err := w.NewPartitionSampler("orders", "bad/id", 10); err == nil {
+		t.Error("slash in partition id accepted")
 	}
 }
 
@@ -297,7 +314,7 @@ func TestSBWarehouseEndToEnd(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		ingest(t, w, "orders", string(rune('a'+i)), i*per, (i+1)*per)
 	}
-	m, err := w.MergedSample("orders")
+	m, err := w.MergedSampleContext(bg, "orders")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +341,10 @@ func TestWarehouseMergedSampleUniformity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range workload.Ranges(n, parts) {
-			smp, err := w.NewSampler("d", r[1]-r[0])
+			// The sampler is seeded by its partition ID, so each trial names
+			// its partitions afresh or every trial would draw alike.
+			id := fmt.Sprintf("t%d-%d", trial, r[0]/300)
+			smp, err := w.NewPartitionSampler("d", id, r[1]-r[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,11 +355,11 @@ func TestWarehouseMergedSampleUniformity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.RollIn("d", string(rune('a'+r[0]/300)), s); err != nil {
+			if err := w.RollIn("d", id, s); err != nil {
 				t.Fatal(err)
 			}
 		}
-		m, err := w.MergedSample("d")
+		m, err := w.MergedSampleContext(bg, "d")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +414,7 @@ func TestWarehouseWithFileStore(t *testing.T) {
 	if err := w.CreateDataset("d", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
 	}
-	smp, err := w.NewSampler("d", 0)
+	smp, err := w.NewPartitionSampler("d", "p1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +428,7 @@ func TestWarehouseWithFileStore(t *testing.T) {
 	if err := w.RollIn("d", "p1", s); err != nil {
 		t.Fatal(err)
 	}
-	m, err := w.MergedSample("d")
+	m, err := w.MergedSampleContext(bg, "d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +450,7 @@ func TestGenericStringWarehouse(t *testing.T) {
 	}
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for p := 0; p < 3; p++ {
-		smp, err := w.NewSampler("words", 0)
+		smp, err := w.NewPartitionSampler("words", string(rune('a'+p)), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +465,7 @@ func TestGenericStringWarehouse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := w.MergedSample("words")
+	m, err := w.MergedSampleContext(bg, "words")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestMetricsConcurrency(t *testing.T) {
 		writersWG.Add(1)
 		go func(g int) {
 			defer writersWG.Done()
-			smp, err := w.NewSampler("events", perWriter)
+			smp, err := w.NewPartitionSampler("events", fmt.Sprintf("p%d", g), perWriter)
 			if err != nil {
 				errs <- err
 				return
@@ -166,7 +166,7 @@ func TestTraceOverheadGuard(t *testing.T) {
 	}
 	// Unique values: every partition sample saturates n_F, the most merge work.
 	for p := int64(0); p < parts; p++ {
-		smp, err := w.NewSampler("qp", 0)
+		smp, err := w.NewPartitionSampler("qp", fmt.Sprintf("p%d", p), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
