@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-decode bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
+.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-decode bench-merge bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
 
 check: fmt vet build test
 
@@ -54,6 +54,16 @@ bench-roll:
 bench-decode:
 	go test -run XXX -bench 'BenchmarkDecodeSample|BenchmarkHistogramClone' -benchmem -benchtime=200x .
 
+# The warm read's micro-benchmark: one k-way merge of 16 cached 8192-entry HR
+# samples beside the clone + pairwise tree it replaced, over HB inputs, with an
+# exhaustive input, and in value order as the store serves them, each
+# single-threaded and at full parallelism. CI runs it with BENCHTIME=20x as a
+# smoke test.
+BENCHTIME ?= 200x
+
+bench-merge:
+	go test -run XXX -bench BenchmarkMergeK -benchmem -benchtime=$(BENCHTIME) .
+
 # Cluster benchmark (DESIGN.md §13): replicated scatter-gather ladder over
 # shard counts plus a one-shard-down kill drill through the survivors; the
 # JSON document goes to stdout.
@@ -89,8 +99,9 @@ chaos-cluster:
 	./scripts/chaos-cluster.sh
 
 # Short fuzz passes over the decoders that read bytes the program did not
-# write this run — the binary sample codec (decode must never panic, must
-# reject corrupted inputs and must never hold a value twice), the manifest
+# write this run — the binary sample codec and a shard's GET sample body
+# (decode must never panic, must reject corrupted inputs, must never hold a
+# value twice, and what is accepted must merge without a panic), the manifest
 # (load → catalog records → save must never panic, and a saved catalog is a
 # fixed point), a partition's sidecar blob (what loads validates or reads as
 # absent), the query grammar (an accepted query re-renders to itself) and a
@@ -104,6 +115,7 @@ FUZZTIME ?= 15s
 
 fuzz:
 	go test -run NONE -fuzz FuzzDecodeSample -fuzztime $(FUZZTIME) ./internal/storage
+	go test -run NONE -fuzz FuzzSampleFromWire -fuzztime $(FUZZTIME) ./internal/server
 	go test -run NONE -fuzz FuzzHistogramOps -fuzztime $(FUZZTIME) ./internal/histogram
 	go test -run NONE -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/warehouse
 	go test -run NONE -fuzz FuzzLoadSidecar -fuzztime $(FUZZTIME) ./internal/warehouse

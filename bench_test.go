@@ -8,6 +8,7 @@
 package samplewh
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -367,13 +368,19 @@ func BenchmarkMergeTreeParallel(b *testing.B) {
 // inputs, so it needs no clones and nothing is rebuilt between iterations. The
 // hb rows merge the same partitions sampled by Algorithm HB (Bernoulli
 // inputs, thinned to one rate); hr+exhaustive adds a 4096-row partition the HR
-// sampler kept whole.
+// sampler kept whole. The served rows merge the HR samples with their entries
+// in value order, as the store hands them out.
 func BenchmarkMergeK(b *testing.B) {
 	const parts = 16
 	const per = 64 * 1024
 	cfg := core.ConfigForNF(8192)
 	rng := randx.New(33)
 	samples := hrSamples(b, cfg, parts, per, rng)
+	served := make([]*core.Sample[int64], parts)
+	for i, s := range samples {
+		served[i] = s.Clone()
+		served[i].Hist.SortFunc(cmp.Compare[int64])
+	}
 	hb := partitionSamples(b, parts, per, func() core.Sampler[int64] { return core.NewHB[int64](cfg, per, rng.Split()) })
 	withExh := append(slices.Clone(samples), hrSamples(b, cfg, 1, 4096, rng)[0])
 	kway := func(in []*core.Sample[int64], par int) func(b *testing.B) {
@@ -406,6 +413,7 @@ func BenchmarkMergeK(b *testing.B) {
 		b.Run("kway"+suffix, kway(samples, par))
 		b.Run("hb"+suffix, kway(hb, par))
 		b.Run("hr+exhaustive"+suffix, kway(withExh, par))
+		b.Run("served"+suffix, kway(served, par))
 	}
 }
 

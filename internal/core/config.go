@@ -28,16 +28,23 @@ const DefaultExceedProb = 0.001
 
 // normalized returns a copy with defaults filled in, validating bounds.
 func (c Config) normalized() Config {
+	c, err := c.checked()
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// checked is normalized for a config read with a sample from disk or a peer:
+// an unusable one is an error, not a panic.
+func (c Config) checked() (Config, error) {
 	if c.SizeModel == (histogram.SizeModel{}) {
 		c.SizeModel = histogram.DefaultSizeModel
 	}
 	if c.ExceedProb == 0 {
 		c.ExceedProb = DefaultExceedProb
 	}
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	return c
+	return c, c.Validate()
 }
 
 // Validate reports whether the configuration is usable.
@@ -51,7 +58,9 @@ func (c Config) Validate() error {
 	if c.SizeModel.CountBytes < 0 {
 		return fmt.Errorf("core: SizeModel.CountBytes = %d, want >= 0", c.SizeModel.CountBytes)
 	}
-	if c.ExceedProb < 0 || c.ExceedProb > 0.5 {
+	// 0 selects the default; NaN, and a p so small that 1 − p rounds to 1
+	// (which has no normal quantile), are refused.
+	if !(c.ExceedProb >= 0 && c.ExceedProb <= 0.5) || c.ExceedProb > 0 && 1-c.ExceedProb == 1 {
 		return fmt.Errorf("core: ExceedProb = %v, want in (0, 0.5]", c.ExceedProb)
 	}
 	if c.NF() < 1 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"samplewh/internal/histogram"
@@ -25,17 +26,20 @@ import (
 //     the number of merged elements each partition contributes, is drawn from
 //     the multivariate hypergeometric over the parent sizes |Dᵢ| as a chain of
 //     conditional univariate draws, Lᵢ ~ Hypergeometric(|Dᵢ|, Σ_{j>i}|Dⱼ|,
-//     k − Σ_{j<i}Lⱼ), and each Sᵢ is subsampled once to Lᵢ elements by
-//     selection sampling over its (value, count) entries (selectSRS).
+//     k − Σ_{j<i}Lⱼ), and each Sᵢ is subsampled once to Lᵢ elements, one
+//     draw per survivor (selectSRS: Floyd's algorithm over its expanded
+//     elements, or a walk of its entries where they are few and repeated).
 //   - With only Bernoulli and exhaustive inputs (an exhaustive sample is a
 //     Bern(1) sample) it is HBMerge's lines 8–16: every input is thinned once
 //     to one rate q — q = min(q(ΣNᵢ, p, n_F), minᵢ qᵢ) when any input is
 //     Bernoulli, 1 when none is — and if the join of the thinned inputs
 //     exceeds F, a simple random sample of n_F is taken from it.
 //
-// The survivors are joined once into a fresh histogram. Because the inputs are
-// only read they may be shared (cached) samples; the result never aliases one
-// — a single input comes back as a Clone.
+// The survivors are joined once, in place, into a fresh histogram that builds
+// a value index only if something looks a value up (join). Because the inputs
+// are only read they may be shared (cached) samples; the result never aliases
+// one — a single input comes back as a Clone. Parent sizes that sum past
+// int64 and an unusable config are errors.
 //
 // When src is a *randx.RNG input i draws from its own stream, split off src in
 // input order (right after Lᵢ on the reservoir path), so up to parallelism
@@ -55,6 +59,9 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 		if err := mergeCompatible(samples[0], s); err != nil {
 			return nil, err
 		}
+		if s.ParentSize > math.MaxInt64-parents {
+			return nil, fmt.Errorf("core: MergeK parent sizes sum past %d", int64(math.MaxInt64))
+		}
 		parents += s.ParentSize
 		switch s.Kind {
 		case Exhaustive:
@@ -70,7 +77,10 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 	if len(samples) == 1 {
 		return samples[0].Clone(), nil
 	}
-	cfg := samples[0].Config.normalized()
+	cfg, err := samples[0].Config.checked()
+	if err != nil {
+		return nil, err
+	}
 	nf := cfg.NF()
 	if bernoulli && parents > 0 {
 		q = min(q, QApprox(parents, cfg.ExceedProb, nf))
@@ -78,37 +88,40 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 	out := &Sample[V]{Kind: ReservoirKind, ParentSize: parents, Config: cfg}
 
 	kept := make([][]histogram.Entry[V], len(samples))
+	ls := make([]int64, len(samples))
 	srcs := make([]randx.Source, len(samples))
 	rng, splittable := src.(*randx.RNG)
 	if !splittable {
 		parallelism = 1
 	}
-	var buf []histogram.Entry[V]
-	if reservoir {
-		// Input i's survivors land in its own window of one shared buffer: at
-		// most Lᵢ entries, and ΣLᵢ = k. (k = 0 — some input sampled nothing —
-		// needs no special case: every window is empty and so is the merged
-		// sample, the only uniform one that can be certified.)
-		buf = make([]histogram.Entry[V], k)
-	}
-	rest, need, off := parents, k, int64(0)
+	// On the reservoir path input i's survivors land in its own window of one
+	// shared buffer, as many entries as they can fill: min(Lᵢ, its entries),
+	// and ΣLᵢ = k. (k = 0 — some input sampled nothing — needs no special
+	// case: every window is empty and so is the merged sample, the only
+	// uniform one that can be certified.)
+	window := func(i int) int64 { return min(ls[i], int64(samples[i].Hist.Distinct())) }
+	rest, need, total := parents, k, int64(0)
 	for i, s := range samples {
 		if reservoir {
 			rest -= s.ParentSize
-			l := need // the last input takes what is left
+			ls[i] = need // the last input takes what is left
 			if i < len(samples)-1 {
-				l = randx.Hypergeometric(src, s.ParentSize, rest, need)
+				ls[i] = randx.Hypergeometric(src, s.ParentSize, rest, need)
 			}
-			need -= l
-			kept[i] = buf[off : off : off+l]
-			off += l
+			need -= ls[i]
+			total += window(i)
 		}
 		srcs[i] = src
 		if splittable {
 			srcs[i] = rng.Split()
 		}
 	}
-	pick := func(i int) { kept[i] = selectSRS(samples[i].Hist, kept[i], srcs[i]) }
+	buf := make([]histogram.Entry[V], total)
+	for i, off := 0, int64(0); reservoir && i < len(kept); i++ {
+		kept[i] = buf[off : off : off+window(i)]
+		off += window(i)
+	}
+	pick := func(i int) { kept[i] = selectSRS(samples[i].Hist, ls[i], kept[i], srcs[i]) }
 	if !reservoir {
 		pick = func(i int) { kept[i] = thin(samples[i].Hist, q/samples[i].rate(), srcs[i]) }
 	}
@@ -149,13 +162,14 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 	}
 
 	sp = parent.Start("merge_join")
-	out.Hist = join(cfg.SizeModel, kept)
+	out.Hist = join(cfg.SizeModel, buf, kept, nf)
 	switch {
 	case reservoir: // the size-k SRS the draw made
 	case out.Hist.Footprint() > cfg.FootprintBytes:
 		// The low-probability overflow (HBMerge lines 14–16): an SRS of n_F
 		// elements of a Bern(q) sample of the union is one of the union.
-		srs := selectSRS(out.Hist, make([]histogram.Entry[V], 0, min(nf, out.Size())), src)
+		n := min(nf, out.Size())
+		srs := selectSRS(out.Hist, n, make([]histogram.Entry[V], 0, min(n, int64(out.Hist.Distinct()))), src)
 		out.Hist = histogram.FromEntries(cfg.SizeModel, srs)
 	case q == 1:
 		out.Kind, out.Q = Exhaustive, 1
@@ -167,20 +181,56 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 	return out, nil
 }
 
-// join sums the inputs' survivors into one fresh histogram, the paper's join
-// over all of them at once.
-func join[V comparable](model histogram.SizeModel, kept [][]histogram.Entry[V]) *histogram.Histogram[V] {
-	distinct := 0
+// join sums the inputs' survivors into one histogram, the paper's join over
+// all of them at once: a value seen before adds its count to its first entry,
+// a new one is written at the next free slot. When the survivors sit in
+// windows of buf, in order (the reservoir path), that is done in place in
+// buf's front — the next free slot is never past the entry being read — and
+// otherwise into a fresh slice of their number. The value → position map that
+// finds a repeat is borrowed from a pool and handed back empty, unless it may
+// have grown past a few n_F. The histogram adopts the entries and builds an
+// index of its own only if something looks a value up.
+func join[V comparable](model histogram.SizeModel, buf []histogram.Entry[V], kept [][]histogram.Entry[V], nf int64) *histogram.Histogram[V] {
+	n := 0
 	for _, es := range kept {
-		distinct += len(es)
+		n += len(es)
 	}
-	h := histogram.NewSized[V](model, distinct)
+	pool := dedupePool[V]()
+	seen, _ := pool.Get().(map[V]int)
+	if seen == nil {
+		seen = make(map[V]int, n)
+	}
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([]histogram.Entry[V], 0, n)
+	}
 	for _, es := range kept {
 		for _, e := range es {
-			h.Insert(e.Value, e.Count)
+			if j, ok := seen[e.Value]; ok {
+				out[j].Count += e.Count
+				continue
+			}
+			seen[e.Value] = len(out)
+			out = append(out, e)
 		}
 	}
-	return h
+	if int64(n)/4 <= nf {
+		clear(seen)
+		pool.Put(seen)
+	}
+	return histogram.FromEntries(model, out)
+}
+
+// dedupePools holds join's map pool for each value type, keyed by (*V)(nil).
+var dedupePools sync.Map
+
+func dedupePool[V comparable]() *sync.Pool {
+	key := any((*V)(nil))
+	if p, ok := dedupePools.Load(key); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := dedupePools.LoadOrStore(key, new(sync.Pool))
+	return p.(*sync.Pool)
 }
 
 // rate is the Bernoulli rate a non-reservoir sample was drawn at: Q, or 1 for
@@ -209,16 +259,73 @@ func thin[V comparable](h *histogram.Histogram[V], rate float64, src randx.Sourc
 	return out
 }
 
-// selectSRS appends to dst a simple random sample, without replacement, of
-// cap(dst) of h's data elements in compact form, reading h in one sequential
-// pass (selection sampling, Knuth's Algorithm S, lifted from elements to
-// (value, count) entries). Walking the expanded elements one at a time, the
-// next one is taken with probability need/remaining; over a run of c equal
-// elements the number taken is therefore Hypergeometric(c, remaining−c, need),
-// which is drawn once instead of flipping c coins. It requires
-// cap(dst) ≤ h.Size().
-func selectSRS[V comparable](h *histogram.Histogram[V], dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
-	need, remaining := int64(cap(dst)), h.Size()
+// walks is selectSRS's cost rule: walk the entries when a bitset over the
+// expanded elements, size bits, would take more words than h has entries — a
+// few values, heavily repeated. It is also what keeps a hostile size from
+// sizing a bitset: one is never larger than the entries it indexes.
+func walks(size int64, distinct int) bool { return size/64 > int64(distinct) }
+
+// selectSRS appends to dst a simple random sample, without replacement, of n
+// of h's data elements (n ≤ h.Size()) in compact form and in h's entry order,
+// reading h only. Number the expanded elements 0…|S|−1, entry by entry. Floyd's
+// algorithm picks n distinct positions uniformly, one draw per survivor: for j
+// = |S|−n … |S|−1, draw t uniform in [0, j] and take t, or j if t is taken
+// already — a bitset of |S| bits is the set. One pass over the bitset in
+// ascending order then maps positions onto entries (a position is the entry
+// index when every count is 1). Where walks says the bitset costs more than
+// the entries, and when every element is taken, selectWalk does it instead.
+func selectSRS[V comparable](h *histogram.Histogram[V], n int64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
+	size := h.Size()
+	if n == 0 {
+		return dst
+	}
+	if n == size || walks(size, h.Distinct()) {
+		return selectWalk(h, n, dst, src)
+	}
+	set := make([]uint64, (size+63)/64)
+	for j := size - n; j < size; j++ {
+		t := randx.Int64n(src, j+1)
+		if set[t/64]&(1<<(t%64)) != 0 {
+			t = j
+		}
+		set[t/64] |= 1 << (t % 64)
+	}
+	if size == int64(h.Distinct()) {
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				dst = append(dst, h.Entry(w*64+bits.TrailingZeros64(word)))
+			}
+		}
+		return dst
+	}
+	// Entry i holds positions [end − its count, end); last is the entry dst
+	// ends with.
+	i, end, last := 0, h.Entry(0).Count, -1
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			for p := int64(w*64 + bits.TrailingZeros64(word)); p >= end; {
+				i++
+				end += h.Entry(i).Count
+			}
+			if i == last {
+				dst[len(dst)-1].Count++
+				continue
+			}
+			dst = append(dst, histogram.Entry[V]{Value: h.Entry(i).Value, Count: 1})
+			last = i
+		}
+	}
+	return dst
+}
+
+// selectWalk is selectSRS by selection sampling (Knuth's Algorithm S, lifted
+// from elements to (value, count) entries), one draw per entry: walking the
+// expanded elements in order, the next is taken with probability
+// need/remaining, so over a run of c equal elements the number taken is
+// Hypergeometric(c, remaining−c, need), drawn once instead of flipping c
+// coins. Once need = remaining everything left is taken without a draw.
+func selectWalk[V comparable](h *histogram.Histogram[V], n int64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
+	need, remaining := n, h.Size()
 	for i := 0; need > 0; i++ {
 		e := h.Entry(i)
 		take := e.Count

@@ -83,6 +83,9 @@ func (s *Sample[V]) Validate() error {
 	if s.Hist == nil {
 		return fmt.Errorf("core: sample has nil histogram")
 	}
+	if s.ParentSize < 0 {
+		return fmt.Errorf("core: sample has negative parent size %d", s.ParentSize)
+	}
 	switch s.Kind {
 	case Exhaustive:
 		if s.Hist.Size() != s.ParentSize {
@@ -90,7 +93,7 @@ func (s *Sample[V]) Validate() error {
 				s.Hist.Size(), s.ParentSize)
 		}
 	case BernoulliKind:
-		if s.Q <= 0 || s.Q > 1 {
+		if !(s.Q > 0 && s.Q <= 1) { // NaN included
 			return fmt.Errorf("core: bernoulli sample with rate q = %v outside (0,1]", s.Q)
 		}
 	case ReservoirKind:

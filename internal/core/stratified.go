@@ -95,13 +95,17 @@ func UnionBernoulli[V comparable](samples []*Sample[V], src randx.Source) (*Samp
 		}
 		minQ = min(minQ, s.rate())
 	}
-	out := &Sample[V]{Kind: BernoulliKind, Q: minQ, Config: samples[0].Config.normalized()}
+	cfg, err := samples[0].Config.checked()
+	if err != nil {
+		return nil, err
+	}
+	out := &Sample[V]{Kind: BernoulliKind, Q: minQ, Config: cfg}
 	kept := make([][]histogram.Entry[V], len(samples))
 	for i, s := range samples {
 		kept[i] = thin(s.Hist, minQ/s.rate(), src)
 		out.ParentSize += s.ParentSize
 	}
-	out.Hist = join(out.Config.SizeModel, kept)
+	out.Hist = join(cfg.SizeModel, nil, kept, cfg.NF())
 	if minQ == 1 {
 		out.Kind = Exhaustive
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -13,7 +14,9 @@ import (
 
 	"samplewh/internal/core"
 	"samplewh/internal/faults"
+	"samplewh/internal/histogram"
 	"samplewh/internal/obs"
+	"samplewh/internal/randx"
 	"samplewh/internal/storage"
 	"samplewh/internal/warehouse"
 )
@@ -843,7 +846,11 @@ func TestClusterIngestHealsMissedDatasetCreate(t *testing.T) {
 // TestSampleFromWire: a shard's values arrive in ascending order, so the
 // coordinator adopts them as they come and refuses an answer that repeats a
 // value, goes back down, or carries a count below one — where rebuilding by
-// inserts would have summed a repeat silently.
+// inserts would have summed a repeat silently — or whose counts sum past the
+// parent size. That includes counts whose sum wraps int64 — [MaxInt64, 2] to
+// Size() = −9223372036854775807, or three back to a small positive size —
+// which Validate's size ≤ parent cannot see and the merge would size a
+// buffer from.
 func TestSampleFromWire(t *testing.T) {
 	cc := core.ConfigForNF(64)
 	meta := SampleMeta{Kind: "reservoir", Size: 4, ParentSize: 100}
@@ -858,6 +865,10 @@ func TestSampleFromWire(t *testing.T) {
 		{"out of order", []ValueCount{{1, 1}, {7, 2}, {3, 1}}, false},
 		{"zero count", []ValueCount{{1, 1}, {3, 0}, {7, 3}}, false},
 		{"negative count", []ValueCount{{1, -1}, {3, 2}, {7, 3}}, false},
+		{"up to the parent", []ValueCount{{1, 60}, {3, 40}}, true},
+		{"past the parent", []ValueCount{{1, 60}, {3, 41}}, false},
+		{"sum wraps negative", []ValueCount{{1, math.MaxInt64}, {3, 2}}, false},
+		{"sum wraps positive", []ValueCount{{1, math.MaxInt64}, {3, math.MaxInt64}, {7, 3}}, false},
 	} {
 		smp, err := sampleFromWire(SampleResponse{Sample: meta, Values: tc.values}, cc)
 		if !tc.ok {
@@ -880,4 +891,44 @@ func TestSampleFromWire(t *testing.T) {
 			t.Fatalf("%s: rebuilt %v, want %d values", tc.name, smp, n)
 		}
 	}
+}
+
+// FuzzSampleFromWire: no GET sample body a peer can send makes the
+// coordinator panic, in decoding it or in merging what sampleFromWire
+// accepts beside a second input.
+func FuzzSampleFromWire(f *testing.F) {
+	for _, body := range []string{
+		`{"dataset":"d","sample":{"kind":"reservoir","size":4,"parent_size":100},"values":[{"value":1,"count":1},{"value":3,"count":2},{"value":7,"count":1}]}`,
+		`{"sample":{"kind":"bernoulli","parent_size":100,"q":0.25},"values":[{"value":-5,"count":3},{"value":9,"count":1}]}`,
+		`{"sample":{"kind":"exhaustive","parent_size":3},"values":[{"value":4,"count":3}]}`,
+		`{"sample":{"kind":"reservoir","parent_size":10},"values":[{"value":1,"count":9223372036854775807},{"value":2,"count":2}]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	cc := core.ConfigForNF(64)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var resp SampleResponse
+		if json.Unmarshal(body, &resp) != nil {
+			return
+		}
+		smp, err := sampleFromWire(resp, cc)
+		if err != nil {
+			return
+		}
+		if err := smp.Validate(); err != nil {
+			t.Fatalf("accepted an invalid sample: %v", err)
+		}
+		_, _ = core.MergeK(context.Background(), []*core.Sample[int64]{smp, mergePartner(smp)}, randx.New(1), 1)
+	})
+}
+
+// mergePartner is a small sample of another partition, of s's kind and
+// config, for s to be merged beside.
+func mergePartner(s *core.Sample[int64]) *core.Sample[int64] {
+	o := &core.Sample[int64]{Kind: s.Kind, ParentSize: 10, Q: s.Q, Config: s.Config,
+		Hist: histogram.FromEntries(s.Config.SizeModel, []histogram.Entry[int64]{{Value: 1, Count: 1}, {Value: 2, Count: 2}})}
+	if s.Kind == core.Exhaustive {
+		o.ParentSize = o.Size()
+	}
+	return o
 }

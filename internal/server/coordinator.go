@@ -148,12 +148,18 @@ func sampleFromWire(resp SampleResponse, cc core.Config) (*core.Sample[int64], e
 	}
 	// handleSample sends values in ascending order, so the rule storage
 	// applies to a value-ordered file is the whole check: each value above the
-	// one before (no repeats, no hash map), each count positive.
+	// one before (no repeats, no hash map), each count positive, and the
+	// counts never summing past the parent size (nor, so, past int64).
 	entries := make([]histogram.Entry[int64], len(resp.Values))
+	var size int64
 	for i, vc := range resp.Values {
 		if vc.Count <= 0 {
 			return nil, fmt.Errorf("shard sample with non-positive count %d for value %d", vc.Count, vc.Value)
 		}
+		if vc.Count > resp.Sample.ParentSize-size {
+			return nil, fmt.Errorf("shard sample counts pass its parent size %d at value %d", resp.Sample.ParentSize, vc.Value)
+		}
+		size += vc.Count
 		if i > 0 && vc.Value <= resp.Values[i-1].Value {
 			return nil, fmt.Errorf("shard sample value %d at %d is not above %d", vc.Value, i, resp.Values[i-1].Value)
 		}

@@ -216,6 +216,7 @@ func DecodeSample[V comparable](buf []byte, vc ValueCodec[V]) (*core.Sample[V], 
 	// built; from the first pair that is not, every value read so far goes
 	// into one and the rest of the file is checked against it.
 	var seen map[V]struct{}
+	var size int64
 	for i := uint64(0); i < entryCount; i++ {
 		v, n, err := vc.Read(buf[pos:])
 		if err != nil {
@@ -229,6 +230,11 @@ func DecodeSample[V comparable](buf []byte, vc ValueCodec[V]) (*core.Sample[V], 
 		if c < 1 {
 			return fail(fmt.Sprintf("entry %d has count %d", i, c))
 		}
+		// The counts may not sum past the parent size — nor, so, past int64.
+		if c > parentSize-size {
+			return fail(fmt.Sprintf("entry %d takes the sample past parent size %d", i, parentSize))
+		}
+		size += c
 		if seen == nil && i > 0 && vc.Compare(entries[i-1].Value, v) >= 0 {
 			seen = make(map[V]struct{}, cap(entries))
 			for _, e := range entries {

@@ -268,6 +268,8 @@ func TestEncodeIsCanonical(t *testing.T) {
 // Every input the parent's decoder rejects is still rejected, with the
 // parent's message: duplicates wherever they sit relative to the first
 // out-of-order pair, and each of the other checks the rewrite walked past.
+// (A sample larger than its parent is rejected at the entry that takes it
+// past, with a message of its own: TestDecodeCountsPastParent.)
 func TestDecodeRejectsWhatParentRejects(t *testing.T) {
 	good := encodeEntries(100, 1, 1, 2, 2, 3, 1)
 	if _, err := DecodeSample(good, Int64Codec{}); err != nil {
@@ -288,7 +290,6 @@ func TestDecodeRejectsWhatParentRejects(t *testing.T) {
 		"checksum":                                   flipped,
 		"trailing bytes":                             append(v1Encoding(t, good), 0),
 		"hostile entry count":                        hostile,
-		"invalid sample: larger than its parent":     encodeEntries(2, 1, 1, 2, 2),
 		"truncated":                                  v1Encoding(t, good)[:len(good)-checksumSize-1],
 	}
 	for name, data := range cases {
