@@ -43,10 +43,6 @@ bench-smoke:
 bench:
 	go test -run XXX -bench . -benchtime 1s .
 
-# The write side's micro-benchmarks: one RollIn+RollOut cycle over a 64-partition
-# file store (ns and catalog bytes per cycle) and the sidecar build inside it.
-bench-roll:
-	go test -run XXX -bench 'BenchmarkRollCycle|BenchmarkFromSample' -benchtime=50x .
 
 # The cold read's micro-benchmarks: decoding one 8192-entry HR sample, stored
 # in value order and in the insertion order older files have, and cloning its
@@ -63,6 +59,14 @@ BENCHTIME ?= 200x
 
 bench-merge:
 	go test -run XXX -bench BenchmarkMergeK -benchmem -benchtime=$(BENCHTIME) .
+
+# The write side's micro-benchmarks, with the same BENCHTIME (CI: 20x): one
+# served PUT of a 65 536-row body without network or journal (scan, FeedAll,
+# finalize, roll-in with its sidecar build), HR fed 4096-value chunks through
+# core.FeedAll, one RollIn+RollOut cycle over a 64-partition file store (ns and
+# catalog bytes per cycle) and the sidecar build inside it.
+bench-roll:
+	go test -run XXX -bench 'BenchmarkIngestBody|BenchmarkSamplerThroughput/HR-FeedAll|BenchmarkRollCycle|BenchmarkFromSample' -benchmem -benchtime=$(BENCHTIME) .
 
 # Cluster benchmark (DESIGN.md §13): replicated scatter-gather ladder over
 # shard counts plus a one-shard-down kill drill through the survivors; the
@@ -106,11 +110,13 @@ chaos-cluster:
 # fixed point), a partition's sidecar blob (what loads validates or reads as
 # absent), the query grammar (an accepted query re-renders to itself) and a
 # read's URL parameters (an accepted read has a supported confidence and
-# in-range bounds) — and over the histogram, whose lazily built index must
-# leave every operation sequence observably what the eager reference makes of
-# it.
-# The manifest seeds are ~40 KB, so minimizing each new corpus entry would eat
-# the whole budget. Override FUZZTIME for longer campaigns.
+# in-range bounds) and an ingest body (read exactly as TrimSpace + ParseInt
+# read it: the same values, or the same status and message) — and over the
+# histogram, whose lazily built index must leave every operation sequence
+# observably what the eager reference makes of it.
+# The manifest seeds are ~40 KB and one ingest-body seed is 1 MiB, so
+# minimizing each new corpus entry would eat the whole budget. Override
+# FUZZTIME for longer campaigns.
 FUZZTIME ?= 15s
 
 fuzz:
@@ -121,6 +127,7 @@ fuzz:
 	go test -run NONE -fuzz FuzzLoadSidecar -fuzztime $(FUZZTIME) ./internal/warehouse
 	go test -run NONE -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/estimate
 	go test -run NONE -fuzz FuzzParseReadQuery -fuzztime $(FUZZTIME) ./internal/server
+	go test -run NONE -fuzz FuzzIngestBody -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/server
 
 # Non-test Go lines per internal package, per command and in the root facade —
 # the count ROADMAP aim 2 and its simplification items gate on (raw lines:

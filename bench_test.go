@@ -8,19 +8,25 @@
 package samplewh
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"slices"
+	"strconv"
 	"testing"
 
 	"samplewh/internal/core"
 	"samplewh/internal/experiments"
 	"samplewh/internal/obs"
 	"samplewh/internal/randx"
+	"samplewh/internal/server"
 	"samplewh/internal/sketch"
 	"samplewh/internal/storage"
 	"samplewh/internal/warehouse"
@@ -596,9 +602,13 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 func BenchmarkSamplerThroughput(b *testing.B) {
 	cfg := core.ConfigForNF(8192)
 	for _, dist := range []workload.Distribution{workload.Unique, workload.Uniform, workload.Zipfian} {
-		for _, alg := range []string{"SB", "HB", "HR", "Concise"} {
+		for _, alg := range []string{"SB", "HB", "HR", "HR-FeedAll", "Concise"} {
 			b.Run(fmt.Sprintf("%s/%s", alg, dist), func(b *testing.B) {
 				rng := randx.New(17)
+				if alg == "HR-FeedAll" {
+					feedAllThroughput(b, cfg, dist, rng)
+					return
+				}
 				g := workload.New(workload.Spec{Dist: dist, N: int64(b.N) + 1, Seed: 9})
 				var smp core.Sampler[int64]
 				switch alg {
@@ -619,5 +629,59 @@ func BenchmarkSamplerThroughput(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// feedAllThroughput is BenchmarkSamplerThroughput's HR row fed as a served
+// PUT feeds it: one op is a 4096-value chunk through core.FeedAll, so MB/s
+// compares with the per-value rows while ns/op is per chunk.
+func feedAllThroughput(b *testing.B, cfg core.Config, dist workload.Distribution, rng *randx.RNG) {
+	const chunk = 4096
+	g := workload.New(workload.Spec{Dist: dist, N: int64(b.N)*chunk + 1, Seed: 9})
+	smp := core.NewHR[int64](cfg, rng)
+	vals := make([]int64, chunk)
+	b.SetBytes(8 * chunk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := range vals {
+			vals[j], _ = g.Next()
+		}
+		b.StartTimer()
+		core.FeedAll(smp, vals)
+	}
+}
+
+// BenchmarkIngestBody is one served PUT without the network or the journal:
+// a 65 536-row body of the benchmark's shape (near-unique values over
+// [0, 2·16·65 536), decimal text, one per line) through the ingest handler —
+// scan, core.FeedAll into HR at n_F = 8192, Finalize, and the roll-in into an
+// in-memory store with a codec, whose sidecar is sketch.FromSample. Each op
+// rolls the partition out again.
+func BenchmarkIngestBody(b *testing.B) {
+	const rows = 1 << 16
+	rng := randx.New(7)
+	var body []byte
+	for range rows {
+		body = strconv.AppendInt(body, int64(randx.Uint64n(rng, 2*16*rows)), 10)
+		body = append(body, '\n')
+	}
+	wh := warehouse.New[int64](storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}), 1)
+	if err := wh.CreateDataset("bench", warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(8192)}); err != nil {
+		b.Fatal(err)
+	}
+	h := server.New(wh, server.Config{}).Handler()
+	serve := func(method string, body io.Reader, want int) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, "/v1/datasets/bench/partitions/p", body))
+		if w.Code != want {
+			b.Fatalf("%s: %d %s", method, w.Code, w.Body)
+		}
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	for b.Loop() {
+		serve(http.MethodPut, bytes.NewReader(body), http.StatusCreated)
+		serve(http.MethodDelete, nil, http.StatusOK)
 	}
 }

@@ -308,7 +308,17 @@ func (c *cli) ingest(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Values reach the sampler a chunk at a time, through the same
+	// core.FeedAll a served PUT uses.
 	var n int64
+	chunk := make([]int64, 0, 4096)
+	add := func(v int64) {
+		if chunk = append(chunk, v); len(chunk) == cap(chunk) {
+			core.FeedAll(smp, chunk)
+			chunk = chunk[:0]
+		}
+		n++
+	}
 	switch *format {
 	case "text":
 		sc := bufio.NewScanner(r)
@@ -322,8 +332,7 @@ func (c *cli) ingest(args []string) error {
 			if err != nil {
 				return fmt.Errorf("ingest: line %d: %w", n+1, err)
 			}
-			smp.Feed(v)
-			n++
+			add(v)
 		}
 		if err := sc.Err(); err != nil {
 			return err
@@ -339,12 +348,12 @@ func (c *cli) ingest(args []string) error {
 			if err != nil {
 				return fmt.Errorf("ingest: binary read after %d values: %w", n, err)
 			}
-			smp.Feed(int64(binary.LittleEndian.Uint64(buf[:])))
-			n++
+			add(int64(binary.LittleEndian.Uint64(buf[:])))
 		}
 	default:
 		return fmt.Errorf("ingest: unknown format %q", *format)
 	}
+	core.FeedAll(smp, chunk)
 	if n == 0 {
 		return fmt.Errorf("ingest: no values read")
 	}

@@ -27,6 +27,19 @@ type Sampler[V comparable] interface {
 	Finalize() (*Sample[V], error)
 }
 
+// FeedAll feeds vals to s in order, as that many Feed calls would. It is the
+// one way a batch of rows enters a sampler: a sampler with a bulk FeedAll of
+// its own (HR) takes the whole slice, any other is fed a value at a time.
+func FeedAll[V comparable](s Sampler[V], vals []V) {
+	if bulk, ok := s.(interface{ FeedAll([]V) }); ok {
+		bulk.FeedAll(vals)
+		return
+	}
+	for _, v := range vals {
+		s.Feed(v)
+	}
+}
+
 // BernoulliSampler draws a plain Bern(q) sample (paper §3.1): every arriving
 // element is included independently with probability q. The sample is kept
 // in compact form. The footprint is NOT bounded a priori — this primitive

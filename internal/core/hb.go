@@ -159,11 +159,10 @@ func (s *HB[V]) feedExact(v V, n int64) int64 {
 		// Leave phase 1 BEFORE an insert could push the footprint past F —
 		// this is what makes the a priori bound exact even when F is not
 		// aligned to the representation's byte increments.
-		if s.hist.FootprintAfterInsert(v) > s.cfg.FootprintBytes {
+		if !s.hist.InsertWithin(v, s.cfg.FootprintBytes) {
 			s.leaveExact()
 			return n
 		}
-		s.hist.Insert(v, 1)
 		s.seen++
 		n--
 		// The footprint only changes when a value is new or turns from

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"samplewh/internal/histogram"
 	"samplewh/internal/obs"
@@ -106,13 +107,48 @@ func (s *HR[V]) FeedN(v V, n int64) {
 		panic(fmt.Sprintf("core: FeedN with n = %d < 1", n))
 	}
 	s.o.countItems(n)
-	for n > 0 {
-		if s.phase == PhaseExact {
-			n = s.feedExact(v, n)
-		} else {
-			n = s.feedReservoir(v, n)
+	if s.phase == PhaseExact {
+		if n = s.feedExact(v, n); n == 0 {
+			return
 		}
 	}
+	s.feedReservoir(s.seen+n, n, func(int64) V { return v })
+}
+
+// FeedAll processes vals in order: the same draws, in the same order, as one
+// Feed per value, but with per-value work only where Figure 7 has some. The
+// exact phase costs one index lookup per value; the reservoir phase steps
+// from one scheduled insertion to the next and never visits the values the
+// skips pass over.
+func (s *HR[V]) FeedAll(vals []V) {
+	if s.finalized {
+		panic("core: HR sampler fed after Finalize")
+	}
+	var counted int64
+	if s.phase == PhaseExact {
+		if s.seen == 0 {
+			// The exact phase ends by n_F distinct values. A first batch is
+			// seldom the last, so reserve for twice it, but never past n_F:
+			// the index grows by doubling anyway, and what is reserved stays
+			// in proportion to the rows in hand, whatever n_F a dataset sets.
+			s.hist = histogram.NewSized[V](s.cfg.SizeModel, int(min(s.nf, 2*int64(len(vals)))))
+		}
+		i := 0
+		for i < len(vals) && s.hist.InsertWithin(vals[i], s.cfg.FootprintBytes) {
+			i++
+		}
+		s.seen += int64(i)
+		if i == len(vals) {
+			s.o.countItems(int64(i))
+			return
+		}
+		// vals[i] found the bound, as in feedExact, and counts before the switch.
+		s.o.countItems(int64(i + 1))
+		s.leaveExact()
+		vals, counted = vals[i:], 1
+	}
+	base := s.seen
+	s.feedReservoir(base+int64(len(vals)), counted, func(i int64) V { return vals[i-base-1] })
 }
 
 // feedExact is phase 1 of Figure 7; returns the unprocessed remainder of the
@@ -121,12 +157,10 @@ func (s *HR[V]) feedExact(v V, n int64) int64 {
 	for n > 0 {
 		// Switch to reservoir mode BEFORE an insert could push the
 		// footprint past F (see HB.feedExact).
-		if s.hist.FootprintAfterInsert(v) > s.cfg.FootprintBytes {
-			s.enterReservoir(s.nf)
-			s.o.transition(PhaseExact, PhaseReservoir, s.seen, s.SampleSize(), s.CurrentFootprint())
+		if !s.hist.InsertWithin(v, s.cfg.FootprintBytes) {
+			s.leaveExact()
 			return n
 		}
-		s.hist.Insert(v, 1)
 		s.seen++
 		n--
 		// Same bulk shortcut as Algorithm HB: once v is a pair, further
@@ -140,6 +174,13 @@ func (s *HR[V]) feedExact(v V, n int64) int64 {
 	return 0
 }
 
+// leaveExact is Figure 7's phase switch, taken on the element that would
+// push the footprint past F: that element is the reservoir phase's first.
+func (s *HR[V]) leaveExact() {
+	s.enterReservoir(s.nf)
+	s.o.transition(PhaseExact, PhaseReservoir, s.seen, s.SampleSize(), s.CurrentFootprint())
+}
+
 // enterReservoir switches to reservoir mode with capacity k and schedules
 // the next insertion.
 func (s *HR[V]) enterReservoir(k int64) {
@@ -149,17 +190,33 @@ func (s *HR[V]) enterReservoir(k int64) {
 	s.next = s.seen + 1 + s.sk.Skip(s.seen)
 }
 
-// feedReservoir is phase 2 of Figure 7 over a run of n equal values.
-func (s *HR[V]) feedReservoir(v V, n int64) int64 {
-	end := s.seen + n
+// feedReservoir is phase 2 of Figure 7 over stream elements seen+1 … end,
+// at(i) being element i. It steps from one scheduled insertion to the next
+// and never visits the elements the skips pass over. The first counted of
+// these elements are in the items counter already; the rest are counted as
+// one Feed each would count them, so the lazy purge's event sees the count
+// through the element that triggers it.
+func (s *HR[V]) feedReservoir(end, counted int64, at func(i int64) V) {
+	base := s.seen
+	var inserts int64
 	for s.next <= end {
-		s.ensureReady()
-		s.bag[randx.Intn(s.src, len(s.bag))] = v
-		s.o.inserts.Inc()
+		if !s.expanded {
+			s.seen = s.next - 1
+			if d := s.next - base - counted; d > 0 {
+				s.o.countItems(d)
+				counted += d
+			}
+			s.ensureReady()
+		}
+		s.bag[randx.Intn(s.src, len(s.bag))] = at(s.next)
+		inserts++
 		s.next = s.next + 1 + s.sk.Skip(s.next)
 	}
+	if d := end - base - counted; d > 0 {
+		s.o.countItems(d)
+	}
+	s.o.inserts.Add(inserts)
 	s.seen = end
-	return 0
 }
 
 // ensureReady performs the lazy purge-to-n_F and expansion of Figure 7
@@ -198,7 +255,7 @@ func (s *HR[V]) Finalize() (*Sample[V], error) {
 		out.Hist = s.hist
 	case s.expanded:
 		out.Kind = ReservoirKind
-		out.Hist = histogram.FromBag(s.cfg.SizeModel, s.bag)
+		out.Hist = bagHistogram(s.cfg.SizeModel, s.bag)
 		s.bag = nil
 	default:
 		// Phase switch happened but no insertion followed: apply the lazy
@@ -214,6 +271,34 @@ func (s *HR[V]) Finalize() (*Sample[V], error) {
 	s.hist = nil
 	s.o.finalize(out.Kind, s.seen, out.Size(), out.Footprint())
 	return out, nil
+}
+
+// bagHistogram compacts a finished reservoir. An int64 bag — the value type
+// swd, swcli and journal replay store — is sorted and run-length coded: no
+// index is built, and the entries come out in the value order a store keeps,
+// so the store's sort finds nothing to do. Any other value type goes through
+// FromBag, in order of first appearance.
+func bagHistogram[V comparable](model histogram.SizeModel, bag []V) *histogram.Histogram[V] {
+	ints, ok := any(bag).([]int64)
+	if !ok {
+		return histogram.FromBag(model, bag)
+	}
+	slices.Sort(ints)
+	distinct := 0
+	for i, v := range ints {
+		if i == 0 || v != ints[i-1] {
+			distinct++
+		}
+	}
+	entries := make([]histogram.Entry[int64], 0, distinct)
+	for i, v := range ints {
+		if i == 0 || v != ints[i-1] {
+			entries = append(entries, histogram.Entry[int64]{Value: v, Count: 1})
+		} else {
+			entries[len(entries)-1].Count++
+		}
+	}
+	return any(histogram.FromEntries(model, entries)).(*histogram.Histogram[V])
 }
 
 var _ Sampler[int64] = (*HR[int64])(nil)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"samplewh/internal/randx"
@@ -266,5 +267,32 @@ func TestHRSampleSizeStabilityVsHB(t *testing.T) {
 	}
 	if hrVar > hbVar {
 		t.Fatalf("HR size variance %v exceeds HB %v; expected HR to be more stable", hrVar, hbVar)
+	}
+}
+
+// TestHRReservesByRowsNotNF: a sampler's allocations follow the rows fed,
+// through Feed and FeedAll alike, not n_F: a few rows at n_F = 4 Mi stay in
+// kilobytes where a reservation for n_F would take over 64 MiB.
+func TestHRReservesByRowsNotNF(t *testing.T) {
+	for name, feed := range map[string]func(*HR[int64], []int64){
+		"Feed": func(hr *HR[int64], vals []int64) {
+			for _, v := range vals {
+				hr.Feed(v)
+			}
+		},
+		"FeedAll": func(hr *HR[int64], vals []int64) { hr.FeedAll(vals) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		hr := NewHR[int64](ConfigForNF(1<<22), randx.New(1))
+		feed(hr, []int64{1, 2, 2})
+		s, err := hr.Finalize()
+		runtime.ReadMemStats(&after)
+		if err != nil || s.Kind != Exhaustive || s.Size() != 3 {
+			t.Fatalf("%s: %v %v", name, s, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("%s: 3 rows at n_F = 4 Mi allocated %d bytes", name, got)
+		}
 	}
 }

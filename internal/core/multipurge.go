@@ -97,13 +97,12 @@ func (s *MultiPurgeSampler[V]) FeedN(v V, n int64) {
 
 func (s *MultiPurgeSampler[V]) feedExact(v V, n int64) int64 {
 	for n > 0 {
-		if s.hist.FootprintAfterInsert(v) > s.cfg.FootprintBytes {
+		if !s.hist.InsertWithin(v, s.cfg.FootprintBytes) {
 			PurgeBernoulli(s.hist, s.q, s.src)
 			s.phase = PhaseBernoulli
 			s.shrinkToBound()
 			return n
 		}
-		s.hist.Insert(v, 1)
 		s.seen++
 		n--
 		if n > 0 && s.hist.Count(v) >= 2 {

@@ -58,17 +58,18 @@ func PurgeReservoir[V comparable](h *histogram.Histogram[V], m int64, src randx.
 	if h.Size() <= m {
 		return
 	}
-	entries := h.Entries() // snapshot: (v_1,n_1), ..., (v_m,n_m) in order
-	newCounts := make([]int64, len(entries))
-	tree := fenwick.New(len(entries)) // reservoir contents by entry
+	// h is read in entry order, (v_1,n_1), ..., (v_m,n_m), and not written
+	// until every survivor count is known.
+	newCounts := make([]int64, h.Distinct())
+	tree := fenwick.New(len(newCounts)) // reservoir contents by entry
 
 	sk := randx.NewSkipper(src, m)
 	var b int64   // current upper bucket boundary (paper's b)
 	var l int64   // current number of values in the reservoir (paper's L)
 	j := int64(1) // 1-based index of the next element to include
 
-	for i := range entries {
-		b += entries[i].Count
+	for i := range newCounts {
+		b += h.Entry(i).Count
 		for j <= b {
 			if l == m {
 				// Evict a uniformly random victim from the reservoir.
@@ -91,11 +92,6 @@ func PurgeReservoir[V comparable](h *histogram.Histogram[V], m int64, src randx.
 		}
 	}
 
-	// Rebuild h from the reservoir counts.
-	h.Reset()
-	for i, e := range entries {
-		if newCounts[i] > 0 {
-			h.Insert(e.Value, newCounts[i])
-		}
-	}
+	// Compact h to the reservoir counts, entries in their order.
+	h.Reload(newCounts)
 }

@@ -171,19 +171,32 @@ func (h *Histogram[V]) Insert(v V, n int64) {
 	h.size += n
 }
 
-// FootprintAfterInsert returns the footprint the histogram would have after
-// one more occurrence of v, without inserting. The bounded samplers use it
-// to transition out of their exact phase *before* an insert could push the
-// footprint past the a priori bound F.
-func (h *Histogram[V]) FootprintAfterInsert(v V) int64 {
-	switch h.Count(v) {
-	case 0:
-		return h.footprint + h.model.PairBytes(1)
-	case 1:
-		return h.footprint + h.model.PairBytes(2) - h.model.PairBytes(1)
-	default:
-		return h.footprint
+// InsertWithin adds one occurrence of v if the footprint afterwards is at
+// most bound, and reports whether it did; otherwise the histogram is
+// unchanged. It is the bounded samplers' exact phase in one index lookup:
+// they leave that phase *before* an insert could push the footprint past the
+// a priori bound F.
+func (h *Histogram[V]) InsertWithin(v V, bound int64) bool {
+	index := h.indexed()
+	if i, ok := index[v]; ok {
+		old := h.entries[i].Count
+		fp := h.footprint + h.model.PairBytes(old+1) - h.model.PairBytes(old)
+		if fp > bound {
+			return false
+		}
+		h.entries[i].Count = old + 1
+		h.footprint = fp
+	} else {
+		fp := h.footprint + h.model.PairBytes(1)
+		if fp > bound {
+			return false
+		}
+		index[v] = len(h.entries)
+		h.entries = append(h.entries, Entry[V]{Value: v, Count: 1})
+		h.footprint = fp
 	}
+	h.size++
+	return true
 }
 
 // Remove deletes n occurrences of v, dropping the entry when its count
@@ -228,6 +241,32 @@ func (h *Histogram[V]) SetCount(i int, count int64) {
 	}
 	h.entries[i].Count = count
 	h.footprint += h.model.PairBytes(count) - h.model.PairBytes(old)
+}
+
+// Reload sets every entry's count at once — entry i gets counts[i] ≥ 0 —
+// and drops the entries set to zero, keeping the rest in their order. It is
+// the purges' rebuild: they compute every survivor count before writing one.
+// The index, which maps values to the old positions, goes.
+func (h *Histogram[V]) Reload(counts []int64) {
+	if len(counts) != len(h.entries) {
+		panic(fmt.Sprintf("histogram: Reload with %d counts for %d entries", len(counts), len(h.entries)))
+	}
+	kept := h.entries[:0]
+	h.size, h.footprint = 0, 0
+	for i, e := range h.entries {
+		switch c := counts[i]; {
+		case c < 0:
+			panic(fmt.Sprintf("histogram: Reload with count = %d < 0", c))
+		case c > 0:
+			e.Count = c
+			kept = append(kept, e)
+			h.size += c
+			h.footprint += h.model.PairBytes(c)
+		}
+	}
+	clear(h.entries[len(kept):])
+	h.entries = kept
+	h.index.Store(nil)
 }
 
 // removeAt drops entry i by swapping the final entry into its slot.

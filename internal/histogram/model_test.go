@@ -55,6 +55,21 @@ func (h *eager) footprintAfterInsert(v int64) int64 {
 	}
 }
 
+func (h *eager) reload(counts []int64) {
+	kept := h.entries[:0]
+	clear(h.index)
+	h.size, h.footprint = 0, 0
+	for i, e := range h.entries {
+		if counts[i] > 0 {
+			h.index[e.Value] = len(kept)
+			kept = append(kept, Entry[int64]{e.Value, counts[i]})
+			h.size += counts[i]
+			h.footprint += h.model.PairBytes(counts[i])
+		}
+	}
+	h.entries = kept
+}
+
 func (h *eager) remove(v, n int64) {
 	i := h.index[v]
 	h.setCount(i, h.entries[i].Count-n)
@@ -228,9 +243,9 @@ func runOps(data []byte) error {
 		p := live[int(a>>4)%len(live)]
 		q := live[int(b>>4)%len(live)]
 		v, n := int64(a%16), int64(b%4)+1
-		what := fmt.Sprintf("step %d op %d a=%d b=%d", step, op%14, a, b)
+		what := fmt.Sprintf("step %d op %d a=%d b=%d", step, op%15, a, b)
 		var got, want any
-		switch op % 14 {
+		switch op % 15 {
 		case 0, 1: // twice as likely as the rest: sequences should grow
 			p.h.Insert(v, n)
 			p.ref.insert(v, n)
@@ -249,7 +264,14 @@ func runOps(data []byte) error {
 		case 4:
 			got, want = p.h.Count(v), p.ref.count(v)
 		case 5:
-			got, want = p.h.FootprintAfterInsert(v), p.ref.footprintAfterInsert(v)
+			// The bound lands below, on and above each possible footprint
+			// after the insert, so both answers come up.
+			bound := p.ref.footprint + int64(b%32) - 8
+			fits := p.ref.footprintAfterInsert(v) <= bound
+			if fits {
+				p.ref.insert(v, 1)
+			}
+			got, want = p.h.InsertWithin(v, bound), fits
 		case 6:
 			if len(live) < 4 {
 				live = append(live, pair{p.h.Clone(), p.ref.clone()})
@@ -282,6 +304,13 @@ func runOps(data []byte) error {
 		case 13:
 			rebuilt := FromEntries(p.ref.model, p.h.Entries())
 			got, want = rebuilt.Equal(p.h) && p.h.Equal(rebuilt), true
+		case 14:
+			counts := make([]int64, len(p.ref.entries))
+			for i := range counts {
+				counts[i] = int64((int(a) + i*int(b)) % 4) // 0 drops the entry
+			}
+			p.h.Reload(counts)
+			p.ref.reload(counts)
 		}
 		if got != want {
 			return fmt.Errorf("%s: got %v, want %v", what, got, want)
@@ -325,6 +354,7 @@ func FuzzHistogramOps(f *testing.F) {
 	f.Add([]byte{12, 4, 3, 0, 3, 0, 0, 6, 0, 0, 0, 0x15, 1})         // FromEntries: count, drop, clone, insert into the clone
 	f.Add([]byte{13, 10, 0, 0, 6, 0, 0, 7, 0, 0x10, 8, 0, 0x10})     // Clone: sort, clone, join the clone in, equal
 	f.Add([]byte{14, 9, 0, 8, 0, 5, 2, 2, 5, 0, 12, 0, 0, 13, 0, 0}) // FromBag: reset, insert, remove, joined footprint, rebuild
+	f.Add([]byte{2, 5, 3, 8, 5, 3, 31, 14, 1, 2, 4, 3, 0})           // FromEntries: a refused and an admitted bounded insert, reload, count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := runOps(data); err != nil {
 			t.Fatal(err)

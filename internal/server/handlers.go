@@ -501,13 +501,18 @@ func (s *Server) scanValues(w http.ResponseWriter, r *http.Request) valueSource 
 		}
 		chunk = chunk[:0]
 		for len(chunk) < ingestChunk && sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			v, err := strconv.ParseInt(line, 10, 64)
-			if err != nil {
-				return nil, badRequest("%s: value %d: %v", what, n+1, err)
+			v, ok := parseShortInt(sc.Bytes())
+			if !ok {
+				// Everything else — blank, padded, long or malformed — is
+				// read exactly as strconv reads the trimmed line.
+				line := strings.TrimSpace(sc.Text())
+				if line == "" {
+					continue
+				}
+				var err error
+				if v, err = strconv.ParseInt(line, 10, 64); err != nil {
+					return nil, badRequest("%s: value %d: %v", what, n+1, err)
+				}
 			}
 			chunk = append(chunk, v)
 			n++
@@ -522,6 +527,32 @@ func (s *Server) scanValues(w http.ResponseWriter, r *http.Request) valueSource 
 		}
 		return chunk, nil
 	}
+}
+
+// parseShortInt reads the line an ingest body almost always holds: an
+// optional sign and 1–18 decimal digits, nothing else. Eighteen digits cannot
+// overflow an int64, so the value is exactly strconv.ParseInt's. Any other
+// line reports false and is left to the general path.
+func parseShortInt(line []byte) (int64, bool) {
+	neg := false
+	if len(line) > 0 && (line[0] == '-' || line[0] == '+') {
+		neg = line[0] == '-'
+		line = line[1:]
+	}
+	if len(line) == 0 || len(line) > 18 {
+		return 0, false
+	}
+	var v int64
+	for _, c := range line {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 // chunksOf is the valueSource over an already buffered batch.
@@ -636,9 +667,7 @@ func (s *Server) ingestLocal(ctx context.Context, ds, part string, expected int6
 		if len(vals) == 0 {
 			break
 		}
-		for _, v := range vals {
-			smp.Feed(v)
-		}
+		core.FeedAll(smp, vals)
 		if entry != nil {
 			asp := readSpan.Start("wal_append")
 			asp.SetValue("values", int64(len(vals)))

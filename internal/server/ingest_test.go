@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -257,5 +259,100 @@ func TestScanValuesLineBound(t *testing.T) {
 	// collected values and the request; the megabyte buffer put it over 1.3 MB.
 	if perReq := (after.TotalAlloc - before.TotalAlloc) / runs; perReq > 400<<10 {
 		t.Fatalf("scanning 8192 short lines allocates %d bytes per request, want under 400 KiB", perReq)
+	}
+}
+
+// referenceScan is the ingest body parser without parseShortInt: every line
+// through strings.TrimSpace and strconv.ParseInt. FuzzIngestBody holds
+// scanValues to it.
+func referenceScan(body []byte) ([]int64, error) {
+	sc := bufio.NewScanner(bytes.NewReader(body))
+	sc.Buffer(make([]byte, scanBufStart), maxIngestLine)
+	var vals []int64
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		v, err := strconv.ParseInt(line, 10, 64)
+		if err != nil {
+			return nil, badRequest("ingest d/p: value %d: %v", len(vals)+1, err)
+		}
+		vals = append(vals, v)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, badRequest("ingest d/p: read: %v", err)
+	}
+	return vals, nil
+}
+
+// FuzzIngestBody: scanValues reads every body as the reference does — the
+// same values, or the same status and message.
+func FuzzIngestBody(f *testing.F) {
+	for _, seed := range []string{
+		"+5\n-0\n007\n",
+		"123456789012345678\n-123456789012345678\n1234567890123456789\n",
+		"9223372036854775807\n-9223372036854775807\n-9223372036854775808\n",
+		"9223372036854775808\n",
+		"1\r\n2\r\n\r\n\n3",
+		" 4 \n5\u0085\n\u0085\n",
+		"1_000\n",
+		"+\n",
+		"-\n",
+		strings.Repeat("7", maxIngestLine) + "\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	s := &Server{} // the parser reads the request only
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest(http.MethodPut, "/v1/datasets/d/partitions/p", bytes.NewReader(body))
+		r.SetPathValue("ds", "d")
+		r.SetPathValue("part", "p")
+		var got []int64
+		var err error
+		for source := s.scanValues(httptest.NewRecorder(), r); ; {
+			var chunk []int64
+			if chunk, err = source(); err != nil || len(chunk) == 0 {
+				break
+			}
+			got = append(got, chunk...)
+		}
+		want, wantErr := referenceScan(body)
+		if wantErr != nil || err != nil {
+			he, ok := err.(*httpError)
+			we, wok := wantErr.(*httpError)
+			if !ok || !wok || he.code != we.code || he.msg != we.msg {
+				t.Fatalf("body %q: error %v, reference %v", body, err, wantErr)
+			}
+			return
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("body %q: values %v, reference %v", body, got, want)
+		}
+	})
+}
+
+// TestSmallPutIgnoresLargeNF: what a PUT allocates grows with the rows it
+// sends, not with the dataset's n_F, which a create body sets without an
+// upper bound. A three-row PUT into an HR dataset whose n_F is 4 Mi would
+// allocate well over 64 MiB if the sampler reserved for n_F up front.
+func TestSmallPutIgnoresLargeNF(t *testing.T) {
+	wh, _, err := warehouse.Open[int64](storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(wh, Config{})
+	if w := do(t, s, http.MethodPost, "/v1/datasets", `{"name":"big","algorithm":"HR","nf":4194304}`); w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := do(t, s, http.MethodPut, "/v1/datasets/big/partitions/p", "1\n2\n2\n")
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("put: %d %s", w.Code, w.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("a 3-row PUT at n_F = 4 Mi allocated %d bytes", got)
 	}
 }

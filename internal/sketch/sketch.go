@@ -109,11 +109,9 @@ type Builder struct {
 	sum Summary
 	kmv *kmvHeap
 	// heavy holds the space-saving counters in claim order, at most heavyK of
-	// them; slot maps a tracked value to its index in heavy. An eviction
-	// overwrites the minimum counter in place, so a stream of unseen values
-	// allocates nothing.
+	// them. An eviction overwrites the minimum counter in place, so a stream
+	// of unseen values allocates nothing.
 	heavy      []HeavyHit
-	slot       map[int64]int
 	heavyK     int
 	heavyFloor int64
 }
@@ -141,7 +139,6 @@ func NewBuilderSized(kmvK, heavyK int) *Builder {
 		},
 		kmv:    newKMVHeap(kmvK),
 		heavy:  make([]HeavyHit, 0, heavyK),
-		slot:   make(map[int64]int, heavyK),
 		heavyK: heavyK,
 	}
 }
@@ -172,28 +169,26 @@ func (b *Builder) AddN(v int64, n int64) {
 
 // addHeavy is the space-saving update: tracked values increment; untracked
 // values claim a free slot, or evict the minimum counter inheriting its
-// count as error.
+// count as error. One scan of the heavyK counters finds both v and that
+// minimum, so no value → slot map is kept.
 func (b *Builder) addHeavy(v int64, n int64) {
-	if i, ok := b.slot[v]; ok {
-		b.heavy[i].Count += n
-		return
-	}
-	if len(b.heavy) < b.heavyK {
-		b.slot[v] = len(b.heavy)
-		b.heavy = append(b.heavy, HeavyHit{Value: v, Count: n})
-		return
-	}
-	// Evict the minimum-count entry (ties broken by value for determinism).
 	min := 0
-	for i := 1; i < len(b.heavy); i++ {
+	for i := range b.heavy {
 		h, m := &b.heavy[i], &b.heavy[min]
+		if h.Value == v {
+			h.Count += n
+			return
+		}
+		// The minimum-count entry, ties broken by value for determinism.
 		if h.Count < m.Count || (h.Count == m.Count && h.Value < m.Value) {
 			min = i
 		}
 	}
+	if len(b.heavy) < b.heavyK {
+		b.heavy = append(b.heavy, HeavyHit{Value: v, Count: n})
+		return
+	}
 	evicted := b.heavy[min]
-	delete(b.slot, evicted.Value)
-	b.slot[v] = min
 	b.heavy[min] = HeavyHit{Value: v, Count: evicted.Count + n, Err: evicted.Count}
 	if evicted.Count > b.heavyFloor {
 		b.heavyFloor = evicted.Count

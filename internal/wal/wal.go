@@ -87,8 +87,10 @@ const (
 	frameSeal   = 3
 	frameCommit = 4
 
-	// frameOverhead is u32 payload length + u8 type + u32 crc32c.
-	frameOverhead = 9
+	// frameHeader is u32 payload length + u8 type; frameOverhead adds the
+	// trailing u32 crc32c.
+	frameHeader   = 5
+	frameOverhead = frameHeader + 4
 
 	segExt = ".wal"
 )
@@ -239,6 +241,9 @@ type Entry[V comparable] struct {
 	// key routes fault-schedule decisions ("dataset/partition").
 	key    string
 	sealed bool
+	// frame is the last values frame, kept so the next Append encodes into
+	// its buffer instead of growing a fresh one.
+	frame []byte
 }
 
 // ID returns the journal-wide entry ID.
@@ -278,17 +283,22 @@ func (e *Entry[V]) Append(values []V) error {
 	if e.sealed {
 		return fmt.Errorf("wal: append to sealed entry %d", e.id)
 	}
-	payload := binary.AppendUvarint(nil, e.id)
-	payload = binary.AppendUvarint(payload, uint64(len(values)))
+	// The frame is encoded once, in place: header, payload, then its CRC.
+	var header [frameHeader]byte
+	frame := append(e.frame[:0], header[:]...)
+	frame = binary.AppendUvarint(frame, e.id)
+	frame = binary.AppendUvarint(frame, uint64(len(values)))
 	for _, v := range values {
-		payload = e.l.codec.Append(payload, v)
+		frame = e.l.codec.Append(frame, v)
 	}
+	frame = finishFrame(frameValues, frame)
+	e.frame = frame
 	e.l.mu.Lock()
 	defer e.l.mu.Unlock()
 	if e.l.closed {
 		return fmt.Errorf("wal: append on closed journal")
 	}
-	return e.l.appendLocked(frameValues, payload, e.key, false)
+	return e.l.writeFrameLocked(frame, e.key, false)
 }
 
 // Seal marks the batch complete with its total value count and fsyncs it.
@@ -420,21 +430,30 @@ func (l *Log[V]) gcLocked() {
 	l.o.segments.Set(int64(len(l.segs)))
 }
 
-// appendLocked frames and writes one record to the active segment, rolling
-// segments as needed. mayRoll is set only for begin frames so one entry's
-// frames never span segments. Callers hold l.mu.
+// appendLocked frames and writes one record. Callers hold l.mu.
 func (l *Log[V]) appendLocked(typ byte, payload []byte, fkey string, mayRoll bool) error {
+	frame := make([]byte, frameHeader, frameOverhead+len(payload))
+	return l.writeFrameLocked(finishFrame(typ, append(frame, payload...)), fkey, mayRoll)
+}
+
+// finishFrame completes a frame built as frameHeader placeholder bytes followed
+// by the payload: it writes the payload length and the type into the header
+// and appends the CRC of both and the payload.
+func finishFrame(typ byte, frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
+	frame[4] = typ
+	return binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, crcTable))
+}
+
+// writeFrameLocked writes one complete frame to the active segment, rolling
+// segments as needed and applying the fault schedule. mayRoll is set only for
+// begin frames so one entry's frames never span segments. Callers hold l.mu.
+func (l *Log[V]) writeFrameLocked(frame []byte, fkey string, mayRoll bool) error {
 	if l.f == nil || l.broken || (mayRoll && l.written >= l.opts.SegmentBytes) {
 		if err := l.rollLocked(); err != nil {
 			return err
 		}
 	}
-	frame := make([]byte, 0, frameOverhead+len(payload))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, typ)
-	frame = append(frame, payload...)
-	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, crcTable))
-
 	if l.opts.Schedule != nil {
 		f := l.opts.Schedule.Decide(faults.OpWalAppend, l.appendSeq.Add(1), fkey)
 		if f.Delay > 0 {

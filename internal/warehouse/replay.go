@@ -57,9 +57,7 @@ func (w *Warehouse[V]) ReplayJournal(lg *wal.Log[V], entries []wal.RecoveredEntr
 			}
 			continue
 		}
-		for _, v := range re.Values {
-			smp.Feed(v)
-		}
+		core.FeedAll(smp, re.Values)
 		sample, err := smp.Finalize()
 		if err != nil {
 			return rep, fmt.Errorf("warehouse: replay %s/%s: finalize: %w", re.Dataset, re.Partition, err)
