@@ -61,8 +61,9 @@ bench-merge:
 	go test -run XXX -bench BenchmarkMergeK -benchmem -benchtime=$(BENCHTIME) .
 
 # The write side's micro-benchmarks, with the same BENCHTIME (CI: 20x): one
-# served PUT of a 65 536-row body without network or journal (scan, FeedAll,
-# finalize, roll-in with its sidecar build), HR fed 4096-value chunks through
+# served PUT of a 65 536-row body without network (scan, FeedAll, finalize,
+# roll-in with its sidecar build) into an in-memory store, and into a file
+# store with a journal as swd runs it, HR fed 4096-value chunks through
 # core.FeedAll, one RollIn+RollOut cycle over a 64-partition file store (ns and
 # catalog bytes per cycle) and the sidecar build inside it.
 bench-roll:

@@ -18,6 +18,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"testing"
@@ -29,6 +30,7 @@ import (
 	"samplewh/internal/server"
 	"samplewh/internal/sketch"
 	"samplewh/internal/storage"
+	"samplewh/internal/wal"
 	"samplewh/internal/warehouse"
 	"samplewh/internal/workload"
 )
@@ -652,12 +654,14 @@ func feedAllThroughput(b *testing.B, cfg core.Config, dist workload.Distribution
 	}
 }
 
-// BenchmarkIngestBody is one served PUT without the network or the journal:
-// a 65 536-row body of the benchmark's shape (near-unique values over
-// [0, 2·16·65 536), decimal text, one per line) through the ingest handler —
-// scan, core.FeedAll into HR at n_F = 8192, Finalize, and the roll-in into an
-// in-memory store with a codec, whose sidecar is sketch.FromSample. Each op
-// rolls the partition out again.
+// BenchmarkIngestBody is one served PUT without the network: a 65 536-row
+// body of the benchmark's shape (near-unique values over [0, 2·16·65 536),
+// decimal text, one per line) through the ingest handler — scan,
+// core.FeedAll into HR at n_F = 8192, Finalize, and the roll-in, whose
+// sidecar is sketch.FromSample. Each op rolls the partition out again. The
+// store is in memory with a codec and no journal (MemStore), or what swd
+// runs on: a file store and a journal sealed with an fsync per PUT
+// (FileStore+journal).
 func BenchmarkIngestBody(b *testing.B) {
 	const rows = 1 << 16
 	rng := randx.New(7)
@@ -666,22 +670,40 @@ func BenchmarkIngestBody(b *testing.B) {
 		body = strconv.AppendInt(body, int64(randx.Uint64n(rng, 2*16*rows)), 10)
 		body = append(body, '\n')
 	}
-	wh := warehouse.New[int64](storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}), 1)
-	if err := wh.CreateDataset("bench", warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(8192)}); err != nil {
-		b.Fatal(err)
-	}
-	h := server.New(wh, server.Config{}).Handler()
-	serve := func(method string, body io.Reader, want int) {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(method, "/v1/datasets/bench/partitions/p", body))
-		if w.Code != want {
-			b.Fatalf("%s: %d %s", method, w.Code, w.Body)
+	run := func(b *testing.B, st storage.Store[int64], cfg server.Config) {
+		wh := warehouse.New[int64](st, 1)
+		if err := wh.CreateDataset("bench", warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(8192)}); err != nil {
+			b.Fatal(err)
+		}
+		h := server.New(wh, cfg).Handler()
+		serve := func(method string, body io.Reader, want int) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(method, "/v1/datasets/bench/partitions/p", body))
+			if w.Code != want {
+				b.Fatalf("%s: %d %s", method, w.Code, w.Body)
+			}
+		}
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			serve(http.MethodPut, bytes.NewReader(body), http.StatusCreated)
+			serve(http.MethodDelete, nil, http.StatusOK)
 		}
 	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(body)))
-	for b.Loop() {
-		serve(http.MethodPut, bytes.NewReader(body), http.StatusCreated)
-		serve(http.MethodDelete, nil, http.StatusOK)
-	}
+	b.Run("MemStore", func(b *testing.B) {
+		run(b, storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}), server.Config{})
+	})
+	b.Run("FileStore+journal", func(b *testing.B) {
+		dir := b.TempDir()
+		st, err := storage.NewFileStore[int64](dir, storage.Int64Codec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		journal, _, err := wal.Open[int64](filepath.Join(dir, "wal"), storage.Int64Codec{}, wal.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer journal.Close()
+		run(b, st, server.Config{Journal: journal})
+	})
 }

@@ -312,6 +312,9 @@ func (s *Store[V]) Put(key string, smp *core.Sample[V]) error {
 	return s.inner.Put(key, smp)
 }
 
+// Order implements storage.Store; it is never faulted.
+func (s *Store[V]) Order(smp *core.Sample[V]) { s.inner.Order(smp) }
+
 // Get implements storage.Store.
 func (s *Store[V]) Get(key string) (*core.Sample[V], error) {
 	if err := s.apply(OpGet, key); err != nil {

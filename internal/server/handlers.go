@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -478,17 +479,29 @@ const (
 )
 
 // valueSource hands an ingest batch over a chunk at a time: each call returns
-// up to ingestChunk values, valid until the next call, and none at the end.
+// up to ingestChunk values, valid until the call after next, and none at the
+// end. So a caller may feed one chunk while the next is read.
 type valueSource func() ([]int64, error)
 
 // scanValues is the one parser of the text ingest body — int64 values, one
 // per line, blank lines skipped, bounded by the server's body cap. It honors
 // the request deadline between chunks, so a slow client cannot pin an ingest
-// slot forever. Nothing is allocated until the first chunk is asked for.
+// slot forever. Nothing is allocated until the first chunk is asked for; the
+// chunks alternate between two buffers.
+//
+// The scanner hands over every complete line in its buffer as one block
+// (scanBlock), and one byte loop reads the line nearly every body holds — an
+// optional sign, 1–18 digits, which cannot overflow, and the newline. Every
+// other line (blank, padded, \r-ended, longer, malformed) is read exactly as
+// strconv reads the trimmed line, so values and error messages are those of
+// a line-at-a-time TrimSpace+ParseInt, and a line still may not pass
+// maxIngestLine.
 func (s *Server) scanValues(w http.ResponseWriter, r *http.Request) valueSource {
 	what := "ingest " + r.PathValue("ds") + "/" + r.PathValue("part")
 	var sc *bufio.Scanner
-	var chunk []int64
+	var bufs [2][]int64
+	var turn int
+	var block []byte // the unread lines of the scanner's current token
 	var n int64
 	return func() ([]int64, error) {
 		if err := r.Context().Err(); err != nil {
@@ -497,22 +510,55 @@ func (s *Server) scanValues(w http.ResponseWriter, r *http.Request) valueSource 
 		if sc == nil {
 			sc = bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 			sc.Buffer(make([]byte, scanBufStart), maxIngestLine)
-			chunk = make([]int64, 0, ingestChunk)
+			sc.Split(scanBlock)
 		}
-		chunk = chunk[:0]
-		for len(chunk) < ingestChunk && sc.Scan() {
-			v, ok := parseShortInt(sc.Bytes())
-			if !ok {
-				// Everything else — blank, padded, long or malformed — is
-				// read exactly as strconv reads the trimmed line.
-				line := strings.TrimSpace(sc.Text())
-				if line == "" {
-					continue
+		turn ^= 1
+		if bufs[turn] == nil {
+			bufs[turn] = make([]int64, 0, ingestChunk)
+		}
+		chunk := bufs[turn][:0]
+		for len(chunk) < ingestChunk {
+			if len(block) == 0 {
+				if !sc.Scan() {
+					break
 				}
-				var err error
-				if v, err = strconv.ParseInt(line, 10, 64); err != nil {
-					return nil, badRequest("%s: value %d: %v", what, n+1, err)
+				block = sc.Bytes()
+			}
+			i := 0
+			if block[0] == '-' || block[0] == '+' {
+				i = 1
+			}
+			var v int64
+			j := i
+			for ; j < len(block) && j-i < 19; j++ {
+				d := block[j] - '0'
+				if d > 9 {
+					break
 				}
+				v = v*10 + int64(d)
+			}
+			if digits := j - i; digits > 0 && digits < 19 && (j == len(block) || block[j] == '\n') {
+				if block[0] == '-' {
+					v = -v
+				}
+				chunk = append(chunk, v)
+				n++
+				block = block[min(j+1, len(block)):]
+				continue
+			}
+			line := block
+			if end := bytes.IndexByte(block, '\n'); end >= 0 {
+				line, block = block[:end], block[end+1:]
+			} else {
+				block = nil
+			}
+			trimmed := strings.TrimSpace(string(line))
+			if trimmed == "" {
+				continue
+			}
+			var err error
+			if v, err = strconv.ParseInt(trimmed, 10, 64); err != nil {
+				return nil, badRequest("%s: value %d: %v", what, n+1, err)
 			}
 			chunk = append(chunk, v)
 			n++
@@ -529,30 +575,19 @@ func (s *Server) scanValues(w http.ResponseWriter, r *http.Request) valueSource 
 	}
 }
 
-// parseShortInt reads the line an ingest body almost always holds: an
-// optional sign and 1–18 decimal digits, nothing else. Eighteen digits cannot
-// overflow an int64, so the value is exactly strconv.ParseInt's. Any other
-// line reports false and is left to the general path.
-func parseShortInt(line []byte) (int64, bool) {
-	neg := false
-	if len(line) > 0 && (line[0] == '-' || line[0] == '+') {
-		neg = line[0] == '-'
-		line = line[1:]
+// scanBlock is the ingest body's bufio.SplitFunc: every complete line in the
+// buffer as one token, newlines included, and at EOF what follows the last
+// newline. The scanner grows its buffer only while no newline is in it, so a
+// line longer than its maximum fails with bufio.ErrTooLong as under
+// bufio.ScanLines.
+func scanBlock(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
 	}
-	if len(line) == 0 || len(line) > 18 {
-		return 0, false
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
 	}
-	var v int64
-	for _, c := range line {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
+	return 0, nil, nil
 }
 
 // chunksOf is the valueSource over an already buffered batch.
@@ -561,6 +596,72 @@ func chunksOf(vals []int64) valueSource {
 		chunk := vals[:min(len(vals), ingestChunk)]
 		vals = vals[len(chunk):]
 		return chunk, nil
+	}
+}
+
+// readBatch reads a batch from source into entry, when there is a journal,
+// and into smp: chunks in body order, one values frame per chunk, each chunk
+// journaled before it is fed. The calling goroutine scans; one worker
+// journals and feeds a chunk behind, so no more than two chunks —
+// valueSource's guarantee — are out at once. A journal error stops the
+// journaling and feeding and wins over a scan error, which can only come
+// from a later chunk. readBatch joins the worker before it returns, on every
+// path: nothing reads a chunk, appends to entry or feeds smp once it has, so
+// the caller may abort the entry.
+func readBatch(what string, source valueSource, smp core.Sampler[int64], entry *wal.Entry[int64], span *obs.Span) (n int64, err error) {
+	chunks := make(chan []int64, 1)
+	// One result per chunk taken: nil, or the journal's error. The worker is
+	// at most two results ahead of the receives below, so it never blocks.
+	done := make(chan error, 2)
+	var panicked any // the worker's, raised again here: the server recovers it
+	go func() {
+		defer func() {
+			panicked = recover()
+			close(done)
+		}()
+		var err error
+		for vals := range chunks {
+			if err == nil && entry != nil {
+				asp := span.Start("wal_append")
+				asp.SetValue("values", int64(len(vals)))
+				err = entry.Append(vals)
+				asp.SetError(err)
+				asp.End()
+			}
+			if err == nil {
+				core.FeedAll(smp, vals)
+			}
+			done <- err
+		}
+	}()
+	var jerr error // the journal's, once the worker reports one
+	defer func() {
+		close(chunks)
+		for e := range done {
+			if jerr == nil {
+				jerr = e
+			}
+		}
+		if panicked != nil {
+			panic(panicked)
+		}
+		if jerr != nil {
+			err = fmt.Errorf("%s: journal: %w", what, jerr)
+		}
+	}()
+	for k := 0; ; k++ {
+		if k >= 2 {
+			e, ok := <-done
+			if jerr = e; !ok || e != nil { // closed: the worker panicked
+				return n, nil
+			}
+		}
+		vals, err := source()
+		if err != nil || len(vals) == 0 {
+			return n, err
+		}
+		chunks <- vals
+		n += int64(len(vals))
 	}
 }
 
@@ -624,9 +725,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 // set instead of ingesting again.
 //
 // Stage spans: ingest_read covers the scan with one wal_append child per
-// journaled chunk; wal_seal wraps the fsync ack barrier; finalize and rollin
-// time the sampler drain and the durable roll-in. Untraced requests pay nil
-// checks only.
+// journaled chunk (readBatch journals and feeds a chunk behind the scan);
+// wal_seal wraps the fsync ack barrier, which overlaps finalize, the sampler
+// drain; rollin, the durable roll-in, starts once both have ended. Untraced
+// requests pay nil checks only.
 func (s *Server) ingestLocal(ctx context.Context, ds, part string, expected int64, key string, source valueSource) (resp IngestResponse, replayed bool, err error) {
 	if key != "" {
 		if resp, ok := s.idem.get(idemScope(ds, part, key)); ok {
@@ -658,48 +760,38 @@ func (s *Server) ingestLocal(ctx context.Context, ds, part string, expected int6
 	reqSpan := obs.SpanFromContext(ctx)
 	readSpan := reqSpan.Start("ingest_read")
 	defer readSpan.End()
-	var n int64
-	for {
-		vals, err := source()
-		if err != nil {
-			return resp, false, err
-		}
-		if len(vals) == 0 {
-			break
-		}
-		core.FeedAll(smp, vals)
-		if entry != nil {
-			asp := readSpan.Start("wal_append")
-			asp.SetValue("values", int64(len(vals)))
-			err := entry.Append(vals)
-			asp.SetError(err)
-			asp.End()
-			if err != nil {
-				return resp, false, fmt.Errorf("ingest %s/%s: journal: %w", ds, part, err)
-			}
-		}
-		n += int64(len(vals))
+	n, err := readBatch("ingest "+ds+"/"+part, source, smp, entry, readSpan)
+	if err != nil {
+		return resp, false, err
 	}
 	if n == 0 {
 		return resp, false, badRequest("ingest %s/%s: no values in body", ds, part)
 	}
 	readSpan.SetValue("values", n)
 	readSpan.End()
+	// Seal is the durability barrier: after it returns, a crash anywhere
+	// below replays this batch on restart — the ack is safe to send. Its
+	// fsync runs beside Finalize; both are waited for before the roll-in.
+	var sealed chan error
 	if entry != nil {
-		// Seal is the durability barrier: after it returns, a crash anywhere
-		// below replays this batch on restart — the ack is safe to send.
 		ssp := reqSpan.Start("wal_seal")
-		err := entry.SealContext(obs.ContextWithSpan(ctx, ssp), n)
-		ssp.SetError(err)
-		ssp.End()
-		if err != nil {
-			return resp, false, fmt.Errorf("ingest %s/%s: journal seal: %w", ds, part, err)
-		}
+		sealed = make(chan error, 1)
+		go func() {
+			err := entry.SealContext(obs.ContextWithSpan(ctx, ssp), n)
+			ssp.SetError(err)
+			ssp.End()
+			sealed <- err
+		}()
 	}
 	fsp := reqSpan.Start("finalize")
 	sample, err := smp.Finalize()
 	fsp.SetError(err)
 	fsp.End()
+	if sealed != nil {
+		if err := <-sealed; err != nil {
+			return resp, false, fmt.Errorf("ingest %s/%s: journal seal: %w", ds, part, err)
+		}
+	}
 	if err != nil {
 		return resp, false, err
 	}

@@ -255,14 +255,14 @@ func TestScanValuesLineBound(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// 64 KiB of scanner buffer, 32 KiB of chunk, this test's own ~192 KiB of
+	// 64 KiB of scanner buffer, two 32 KiB chunks, this test's own ~192 KiB of
 	// collected values and the request; the megabyte buffer put it over 1.3 MB.
 	if perReq := (after.TotalAlloc - before.TotalAlloc) / runs; perReq > 400<<10 {
 		t.Fatalf("scanning 8192 short lines allocates %d bytes per request, want under 400 KiB", perReq)
 	}
 }
 
-// referenceScan is the ingest body parser without parseShortInt: every line
+// referenceScan is the ingest body parser without its fast path: every line
 // through strings.TrimSpace and strconv.ParseInt. FuzzIngestBody holds
 // scanValues to it.
 func referenceScan(body []byte) ([]int64, error) {
@@ -286,8 +286,24 @@ func referenceScan(body []byte) ([]int64, error) {
 	return vals, nil
 }
 
+// atRefill is a body of short lines that puts the first cut bytes of tail
+// at the end of the scanner's first buffer and the rest after it.
+func atRefill(tail string, cut int) string {
+	n := scanBufStart - cut
+	head := strings.Repeat("5\n", n/2)
+	if n%2 == 1 {
+		head = "1" + head // a first line of 15
+	}
+	return head + tail
+}
+
+// padded is an n-byte line: a value, 7, behind n−1 spaces.
+func padded(n int) string { return strings.Repeat(" ", n-1) + "7" }
+
 // FuzzIngestBody: scanValues reads every body as the reference does — the
-// same values, or the same status and message.
+// same values, or the same status and message. A body over the cap, which
+// the reference does not apply, is TestIngestPipelineExitPaths's: at 256 MiB
+// it is too large a seed.
 func FuzzIngestBody(f *testing.F) {
 	for _, seed := range []string{
 		"+5\n-0\n007\n",
@@ -300,6 +316,18 @@ func FuzzIngestBody(f *testing.F) {
 		"+\n",
 		"-\n",
 		strings.Repeat("7", maxIngestLine) + "\n",
+		// What block framing makes new: where the scanner's first buffer
+		// (scanBufStart bytes) ends and the next read refills it ...
+		atRefill("12\r\n", 3),  // a \r\n split across it
+		atRefill("-4567\n", 3), // a value split across it
+		"1\n2\n3",              // a final line with no newline
+		// ... lines at the line bound, with and without their newline, and
+		// one byte over ...
+		"1\n" + padded(maxIngestLine-1) + "\n2\n",
+		"1\n" + padded(maxIngestLine),
+		"1\n" + padded(maxIngestLine) + "\n2\n",
+		// ... and a run of blank lines longer than one chunk.
+		"1\n" + strings.Repeat("\n", ingestChunk+10) + "2\n" + strings.Repeat("\r\n", ingestChunk+1) + "3",
 	} {
 		f.Add([]byte(seed))
 	}

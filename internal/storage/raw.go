@@ -22,6 +22,11 @@ type RawStore[V comparable] interface {
 	// existing entry. The bytes are validated (checksum + structure) before
 	// they become visible, so a corrupt transfer can never be adopted.
 	PutRaw(key string, data []byte) error
+	// PutSample is Put that also returns the encoded bytes it stored — what
+	// GetRaw would read back — so a caller can hash what it wrote without
+	// reading it again. The bytes are nil when the store keeps none (a
+	// MemStore without a codec).
+	PutSample(key string, s *core.Sample[V]) ([]byte, error)
 	// DecodeRaw decodes encoded sample bytes without touching the store.
 	DecodeRaw(data []byte) (*core.Sample[V], error)
 }
@@ -115,6 +120,19 @@ func (s *MemStore[V]) PutRaw(key string, data []byte) error {
 	s.o.puts.Inc()
 	s.o.bytesWritten.Add(int64(len(data)))
 	return nil
+}
+
+// PutSample implements RawStore: Put, then the canonical encoding GetRaw
+// would produce.
+func (s *MemStore[V]) PutSample(key string, smp *core.Sample[V]) ([]byte, error) {
+	if err := s.Put(key, smp); err != nil || s.codec == nil {
+		return nil, err
+	}
+	data, err := EncodeSample(smp, s.codec)
+	if err != nil {
+		return nil, fmt.Errorf("storage: memstore put %q: encode: %w", key, err)
+	}
+	return data, nil
 }
 
 // DecodeRaw implements RawStore.

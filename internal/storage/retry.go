@@ -154,6 +154,9 @@ func (s *RetryStore[V]) Put(key string, smp *core.Sample[V]) error {
 	return s.do("put", key, func() error { return s.inner.Put(key, smp) })
 }
 
+// Order implements Store.
+func (s *RetryStore[V]) Order(smp *core.Sample[V]) { s.inner.Order(smp) }
+
 // Get implements Store.
 func (s *RetryStore[V]) Get(key string) (*core.Sample[V], error) {
 	var out *core.Sample[V]

@@ -280,6 +280,8 @@ func (s *scriptedStore) Put(key string, smp *core.Sample[int64]) error {
 	return s.inner.Put(key, smp)
 }
 
+func (s *scriptedStore) Order(smp *core.Sample[int64]) { s.inner.Order(smp) }
+
 func (s *scriptedStore) Get(key string) (*core.Sample[int64], error) {
 	if err := s.next(); err != nil {
 		return nil, err

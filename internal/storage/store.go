@@ -16,13 +16,18 @@ import (
 // Keys are hierarchical, slash-separated strings such as
 // "orders/price/2006-01-02".
 type Store[V comparable] interface {
-	// Put stores the sample under key, replacing any existing one. A store
-	// that holds a value codec first puts the caller's sample into value
-	// order, in place (sortForPut): the multiset is untouched, the entry
-	// order afterwards is the one every later Get returns. So the caller must
-	// own the sample: no other goroutine may be reading or putting it
-	// meanwhile, unless it is in value order already (then nothing is written).
+	// Put stores the sample under key, replacing any existing one. It first
+	// orders the caller's sample as Order does: the multiset is untouched,
+	// the entry order afterwards is the one every later Get returns. So the
+	// caller must own the sample: no other goroutine may be reading or
+	// putting it meanwhile, unless it is in that order already (after Order,
+	// Put writes nothing to it).
 	Put(key string, s *core.Sample[V]) error
+	// Order puts s, in place, into the entry order Put stores: value order
+	// for a store that holds a value codec, the caller's own otherwise. A
+	// caller that reads s while Put runs — the warehouse builds a sidecar
+	// beside the put — orders it first.
+	Order(s *core.Sample[V])
 	// Get returns the sample stored under key, or an error satisfying
 	// IsNotFound if absent. Callers own the returned sample.
 	Get(key string) (*core.Sample[V], error)
@@ -35,11 +40,12 @@ type Store[V comparable] interface {
 
 // sortForPut puts the caller's sample into ascending value order, in place
 // and without a copy, before a store encodes or clones it. It runs ahead of
-// everything else so that whatever the caller derives from the sample after
-// Put returns — the warehouse's sidecar (its heavy-hitter table depends on
-// entry order), statistics, content hash — is derived from the order a later
-// Get of the same key yields. A store without a codec never encodes and has
-// no order to impose: it keeps the caller's on both sides.
+// everything else so that whatever the caller derives from the sample —
+// the warehouse's sidecar (its heavy-hitter table depends on entry order),
+// statistics, content hash — is derived from the order a later Get of the
+// same key yields. A store without a codec never encodes and has no order to
+// impose: it keeps the caller's on both sides. It writes nothing to a sample
+// already in order.
 func sortForPut[V comparable](smp *core.Sample[V], codec ValueCodec[V]) {
 	if smp != nil && smp.Hist != nil && codec != nil {
 		smp.Hist.SortFunc(codec.Compare)
@@ -76,6 +82,9 @@ func (s *MemStore[V]) Put(key string, smp *core.Sample[V]) error {
 	s.o.puts.Inc()
 	return nil
 }
+
+// Order implements Store.
+func (s *MemStore[V]) Order(smp *core.Sample[V]) { sortForPut(smp, s.codec) }
 
 // Get implements Store.
 func (s *MemStore[V]) Get(key string) (*core.Sample[V], error) {
@@ -259,28 +268,37 @@ func writeAtomic(path string, data []byte) error {
 
 // Put implements Store with atomic replace.
 func (s *FileStore[V]) Put(key string, smp *core.Sample[V]) error {
+	_, err := s.PutSample(key, smp)
+	return err
+}
+
+// PutSample implements RawStore: Put, handing back the encoded bytes.
+func (s *FileStore[V]) PutSample(key string, smp *core.Sample[V]) ([]byte, error) {
 	t := s.o.putNS.Start()
 	defer t.Stop()
 	path, err := s.pathFor(key)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sortForPut(smp, s.codec)
 	te := s.o.encodeNS.Start()
 	data, err := EncodeSample(smp, s.codec)
 	te.Stop()
 	if err != nil {
-		return fmt.Errorf("storage: put %q: encode: %w", key, err)
+		return nil, fmt.Errorf("storage: put %q: encode: %w", key, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := writeAtomic(path, data); err != nil {
-		return fmt.Errorf("storage: put %q: %w", key, err)
+		return nil, fmt.Errorf("storage: put %q: %w", key, err)
 	}
 	s.o.puts.Inc()
 	s.o.bytesWritten.Add(int64(len(data)))
-	return nil
+	return data, nil
 }
+
+// Order implements Store.
+func (s *FileStore[V]) Order(smp *core.Sample[V]) { sortForPut(smp, s.codec) }
 
 // Get implements Store. A file whose bytes fail checksum or structural
 // validation is quarantined — renamed to a ".corrupt" sibling so it is never

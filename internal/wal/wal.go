@@ -166,6 +166,9 @@ type Log[V comparable] struct {
 	dir   string
 	codec storage.ValueCodec[V]
 	opts  Options
+	// varints is set when codec is storage.Int64Codec, whose values frames
+	// Append writes directly.
+	varints bool
 
 	mu        sync.Mutex
 	f         *os.File // active segment; nil until first append
@@ -215,9 +218,11 @@ func Open[V comparable](dir string, codec storage.ValueCodec[V], opts Options) (
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
 	}
+	_, varints := any(codec).(storage.Int64Codec)
 	l := &Log[V]{
 		dir:       dir,
 		codec:     codec,
+		varints:   varints,
 		opts:      opts,
 		entries:   make(map[uint64]*entryState),
 		nextEntry: 1,
@@ -288,8 +293,15 @@ func (e *Entry[V]) Append(values []V) error {
 	frame := append(e.frame[:0], header[:]...)
 	frame = binary.AppendUvarint(frame, e.id)
 	frame = binary.AppendUvarint(frame, uint64(len(values)))
-	for _, v := range values {
-		frame = e.l.codec.Append(frame, v)
+	if ints, ok := any(values).([]int64); ok && e.l.varints {
+		// Int64Codec.Append, without an interface call per value.
+		for _, v := range ints {
+			frame = binary.AppendVarint(frame, v)
+		}
+	} else {
+		for _, v := range values {
+			frame = e.l.codec.Append(frame, v)
+		}
 	}
 	frame = finishFrame(frameValues, frame)
 	e.frame = frame

@@ -128,12 +128,12 @@ const (
 // validate → put → invalidate → upsert → persist → account. raw is the
 // encoded sample when the caller has it (adopt); sk is a sidecar the caller
 // brings (stream-built or transferred, already validated and cloned) or nil
-// to derive one from the sample. Persist is this record's sidecar blob, then
-// the manifest. When either cannot be saved the previous record (or none) is
-// restored, so after any return the in-memory catalog equals the last
-// manifest written; the stored bytes may then be ahead of their seal — never
-// beside a sidecar that describes other bytes — which a retry, or fsck,
-// converges.
+// to derive one from the sample, beside the put. Persist is this record's
+// sidecar blob, then the manifest. When either cannot be saved the previous
+// record (or none) is restored, so after any return the in-memory catalog
+// equals the last manifest written; the stored bytes may then be ahead of
+// their seal — never beside a sidecar that describes other bytes — which a
+// retry, or fsck, converges.
 func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []byte, sk *sketch.Summary) error {
 	if err := checkPartitionID(id); err != nil {
 		return err
@@ -165,13 +165,32 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 			return err
 		}
 	}
+	// A sidecar the writer did not bring is built beside the put. Put into
+	// the store's order first, the sample is only read from here on.
+	if op == opRollIn {
+		w.store.Order(s)
+	}
+	var built chan *sketch.Summary
+	if sk == nil {
+		built = make(chan *sketch.Summary, 1)
+		go func() { built <- w.autoSketch(s) }()
+	} else if op == opRollIn {
+		w.o.sketchBuilds.Inc() // stream-built; an adopted sidecar was built elsewhere
+	}
 	rs, hasRaw := w.rawStore()
 	var err error
 	switch op {
 	case opRollIn:
-		err = w.store.Put(key, s)
+		if hasRaw {
+			raw, err = rs.PutSample(key, s) // the bytes it wrote seal the record
+		} else {
+			err = w.store.Put(key, s)
+		}
 	case opAdopt: // AdoptPartition has checked that the store has raw access
 		err = rs.PutRaw(key, raw)
+	}
+	if built != nil {
+		sk = <-built
 	}
 	if err != nil {
 		err = fmt.Errorf("warehouse: %s %s/%s: %w", op, dataset, id, err)
@@ -180,15 +199,7 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 	}
 	w.ld.invalidate(key)
 
-	if sk == nil {
-		sk = w.autoSketch(s)
-	} else if op == opRollIn {
-		w.o.sketchBuilds.Inc() // stream-built; an adopted sidecar was built elsewhere
-	}
 	rec := partition{id: id, stats: statsOf(s), known: true, sketch: sk, sketchUnsaved: true}
-	if raw == nil && hasRaw {
-		raw, _ = rs.GetRaw(key) // unreadable bytes stay unsealed: presence-only
-	}
 	if raw != nil {
 		rec.hash = contentHash(raw, sk)
 	}

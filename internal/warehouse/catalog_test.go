@@ -157,6 +157,14 @@ func (s rawFaultStore) DecodeRaw(b []byte) (*core.Sample[int64], error) {
 	return s.mem.DecodeRaw(b)
 }
 
+// PutSample puts through the injector, so the sample put stays faultable.
+func (s rawFaultStore) PutSample(key string, smp *core.Sample[int64]) ([]byte, error) {
+	if err := s.Store.Put(key, smp); err != nil {
+		return nil, err
+	}
+	return s.mem.GetRaw(key)
+}
+
 // sidecarsAgree: every sidecar w holds validates and describes the sample
 // stored beside it — the partition's row count, and bounds that bracket every
 // sampled value. A partition may have none; one whose sample is gone (a

@@ -47,6 +47,7 @@ func (bareStore) Put(string, *core.Sample[int64]) error   { return nil }
 func (bareStore) Get(string) (*core.Sample[int64], error) { return nil, &storage.NotFoundError{} }
 func (bareStore) Delete(string) error                     { return nil }
 func (bareStore) Keys(string) ([]string, error)           { return nil, nil }
+func (bareStore) Order(*core.Sample[int64])               {}
 
 // TestCrashRecoveryByteIdentical is the headline durability property: a
 // warehouse reopened from its manifest produces byte-identical merged
