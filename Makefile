@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-decode bench-merge bench-cluster bench-repair smoke-serve chaos chaos-cluster fuzz loc
+.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-decode bench-merge bench-cluster smoke-serve chaos chaos-cluster fuzz loc
 
 check: fmt vet build test
 
@@ -74,13 +74,6 @@ bench-roll:
 # JSON document goes to stdout.
 bench-cluster:
 	go run ./cmd/swbench -exp cluster -clshards 1,2,4 -clclients 8 -cldur 2s -json -
-
-# Self-healing replication drill (DESIGN.md §16): kill a replica, ingest
-# through the survivors, restart it, and measure convergence time; fails
-# unless the healed cluster answers strict full-coverage queries with samples
-# identical to a never-failed control; the JSON document goes to stdout.
-bench-repair:
-	go run ./cmd/swbench -exp repair -rshards 3 -rparts 8 -json -
 
 # Boot a real swd, hit every endpoint once with curl + swcli query, then
 # SIGTERM it and require a clean drain (exit 0). The one-query-per-endpoint

@@ -576,26 +576,6 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 			smp.Instrument(reg, "p0")
 		})
 	})
-	// The acceptance-relevant comparison: the full partition-sample-merge
-	// pipeline (the hot path every figure bench exercises), with and
-	// without a live registry.
-	for _, on := range []bool{false, true} {
-		name := "pipeline/off"
-		opt := benchOpts()
-		if on {
-			name = "pipeline/on"
-			opt.Obs = obs.NewRegistry()
-		}
-		b.Run(name, func(b *testing.B) {
-			rng := randx.New(43)
-			b.SetBytes(1 << 23)
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunPipeline(experiments.AlgHR, workload.Unique, 1<<20, 16, opt, rng); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSamplerThroughput measures raw per-element feeding cost of every

@@ -9,9 +9,8 @@
 //	fig15-16    final merged sample sizes for HB / HR
 //	concise     §3.3 concise-sampling non-uniformity demonstration
 //	uniformity  chi-square uniformity audit of all three pipelines
-//	faults      fault-injection drill: transient storm + bit-rot degradation
+//	calibration confidence-interval coverage of all three pipelines
 //	cluster     replicated scatter-gather ladder + one-shard-down kill drill
-//	repair      self-healing drill: kill a replica, ingest, restart, converge
 //	chaos       SIGKILL crash-recovery drill against a built swd
 //	all         the figures, concise, uniformity and calibration
 //
@@ -23,34 +22,27 @@
 // which take considerably longer.
 //
 // Results print as aligned text tables by default; -json FILE additionally
-// writes every report (plus the metrics snapshot, when instrumented) as one
-// machine-readable JSON document ("-" selects stdout). -metrics ADDR
-// instruments the experiment pipelines and serves the live metrics snapshot
-// at http://ADDR/debug/vars (expvar) alongside net/http/pprof profiling
-// endpoints, printing the final metrics report to stderr on exit.
+// writes every report as one machine-readable JSON document ("-" selects
+// stdout).
 //
 // Usage:
 //
 //	swbench -exp all
 //	swbench -exp fig10 -logn 24 -runs 3
 //	swbench -exp fig15 -parts 1,2,4,8,16,32,64,128,256,512,1024 -full
-//	swbench -exp fig11 -json results.json -metrics localhost:6060
+//	swbench -exp fig11 -json results.json
 package main
 
 import (
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"samplewh/internal/experiments"
-	"samplewh/internal/obs"
 )
 
 // jsonResult is one experiment's machine-readable output.
@@ -62,16 +54,14 @@ type jsonResult struct {
 	Notes  []string   `json:"notes,omitempty"`
 }
 
-// jsonDocument is the -json output: every report plus the metrics snapshot
-// when -metrics instrumented the run.
+// jsonDocument is the -json output: every report.
 type jsonDocument struct {
-	Results []jsonResult  `json:"results"`
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+	Results []jsonResult `json:"results"`
 }
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment: fig5, fig9..fig16, concise, uniformity, calibration, faults, cluster, chaos, repair, all")
+		exp         = flag.String("exp", "all", "experiment: fig5, fig9..fig16, concise, uniformity, calibration, cluster, chaos, all")
 		full        = flag.Bool("full", false, "use the paper's full-scale parameters (slow)")
 		logN        = flag.Int("logn", 0, "speedup population size exponent (default 22, paper 26)")
 		partsFlag   = flag.String("parts", "", "comma-separated partition counts")
@@ -83,7 +73,6 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "base RNG seed")
 		parallelism = flag.Int("parallelism", 0, "sampler goroutines (0 = GOMAXPROCS)")
 		trials      = flag.Int("trials", 0, "trials for concise/uniformity experiments")
-		faultRate   = flag.Float64("fault-rate", 0.2, "faults experiment: transient failure probability per store op")
 		clShards    = flag.String("clshards", "1,2,4", "cluster experiment: comma-separated shard counts")
 		clClients   = flag.Int("clclients", 8, "cluster experiment: closed-loop query clients")
 		clDur       = flag.Duration("cldur", 2*time.Second, "cluster experiment: duration per rung")
@@ -92,12 +81,7 @@ func main() {
 		cworkers    = flag.Int("cworkers", 4, "chaos experiment: concurrent ingest workers")
 		cbatch      = flag.Int("cbatch", 2000, "chaos experiment: values per ingest batch")
 		cuptime     = flag.Duration("cuptime", 150*time.Millisecond, "chaos experiment: daemon uptime between kills")
-		faultCrpt   = flag.Float64("fault-corrupt", 0.15, "faults experiment: sticky corruption probability per partition")
-		rparts      = flag.Int("rparts", 8, "repair experiment: partitions per ingest wave")
-		rshards     = flag.Int("rshards", 3, "repair experiment: cluster size")
-		rper        = flag.Int("rper", 2048, "repair experiment: values per partition")
 		jsonOut     = flag.String("json", "", "also write results as JSON to this file (\"-\" = stdout)")
-		metricsAddr = flag.String("metrics", "", "instrument the pipelines and serve expvar+pprof at this address")
 	)
 	flag.Parse()
 
@@ -107,20 +91,6 @@ func main() {
 		Parallelism: *parallelism,
 		NF:          *nf,
 		P:           *p,
-	}
-
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		opt.Obs = reg
-		expvar.Publish("samplewh", expvar.Func(func() any { return reg.Snapshot() }))
-		go func() {
-			// DefaultServeMux carries /debug/vars (expvar) and /debug/pprof/*.
-			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "swbench: metrics server: %v\n", err)
-			}
-		}()
-		defer func() { fmt.Fprint(os.Stderr, reg.String()) }()
 	}
 	if opt.Runs == 0 {
 		opt.Runs = 1
@@ -189,17 +159,9 @@ func main() {
 				}
 			}
 			return nil
-		case "faults":
-			r, err := experiments.FaultTolerance(*faultRate, *faultCrpt, 16, opt)
-			return emit(name, r, err)
 		case "cluster":
 			r, err := experiments.Cluster(experiments.ClusterConfig{
 				Shards: parseInts(*clShards), Clients: *clClients, Dur: *clDur,
-			}, opt)
-			return emit(name, r, err)
-		case "repair":
-			r, err := experiments.Repair(experiments.RepairConfig{
-				Shards: *rshards, Parts: *rparts, Per: *rper,
 			}, opt)
 			return emit(name, r, err)
 		case "chaos":
@@ -234,12 +196,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		doc := jsonDocument{Results: collected}
-		if reg != nil {
-			snap := reg.Snapshot()
-			doc.Metrics = &snap
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
+		data, err := json.MarshalIndent(jsonDocument{Results: collected}, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swbench: marshal results: %v\n", err)
 			os.Exit(1)

@@ -8,7 +8,6 @@ import (
 	"samplewh/internal/core"
 	"samplewh/internal/estimate"
 	"samplewh/internal/histogram"
-	"samplewh/internal/obs"
 	"samplewh/internal/randx"
 	"samplewh/internal/stats"
 	"samplewh/internal/stream"
@@ -33,23 +32,6 @@ type Options struct {
 	Parallelism int     // sampler goroutines (0 = GOMAXPROCS)
 	NF          int64   // sample-size bound n_F (paper: 8192)
 	P           float64 // HB exceedance probability (paper default: 0.001)
-
-	// Obs optionally routes sampler metrics and events into a registry;
-	// nil runs the experiments uninstrumented (the default, and what the
-	// timing figures should use).
-	Obs *obs.Registry
-}
-
-// instrument routes a sampler into the options' registry, if any.
-func (o Options) instrument(s core.Sampler[int64], partition string) core.Sampler[int64] {
-	if o.Obs != nil {
-		if in, ok := s.(interface {
-			Instrument(*obs.Registry, string)
-		}); ok {
-			in.Instrument(o.Obs, partition)
-		}
-	}
-	return s
 }
 
 func (o Options) normalized() Options {
@@ -97,16 +79,14 @@ func runOne(alg Alg, spec workload.Spec, parts int, opt Options, rng *randx.RNG)
 		srcs[i] = rng.Split()
 	}
 	factory := func(i int, expectedN int64) core.Sampler[int64] {
-		var smp core.Sampler[int64]
 		switch alg {
 		case AlgSB:
-			smp = core.NewSB[int64](cfg, sbRate, srcs[i])
+			return core.NewSB[int64](cfg, sbRate, srcs[i])
 		case AlgHB:
-			smp = core.NewHB[int64](cfg, expectedN, srcs[i])
+			return core.NewHB[int64](cfg, expectedN, srcs[i])
 		default:
-			smp = core.NewHR[int64](cfg, srcs[i])
+			return core.NewHR[int64](cfg, srcs[i])
 		}
-		return opt.instrument(smp, fmt.Sprintf("p%d", i))
 	}
 	start := time.Now()
 	samples, err := stream.SampleParallel(gens, factory, opt.Parallelism)

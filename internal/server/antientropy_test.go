@@ -6,10 +6,12 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"samplewh/internal/core"
 	"samplewh/internal/obs"
 	"samplewh/internal/storage"
 	"samplewh/internal/warehouse"
@@ -266,12 +268,30 @@ func TestClusterRejoinConvergence(t *testing.T) {
 	defer cancel()
 	rc := newRepairCluster(t, 3, 2, 1)
 
-	if _, err := rc.clients[0].CreateDataset(ctx, CreateDatasetRequest{Name: "d", NF: 4096}); err != nil {
-		t.Fatalf("create dataset: %v", err)
+	// "d" keeps every row (NF 4096 > 50 rows per partition), so its sums are
+	// exact. "s" samples 16 of each partition's 50 rows, so only a replica
+	// sampled under the partition's own seed matches the reference below.
+	const per = 50
+	sampledReq := CreateDatasetRequest{Name: "s", NF: 16}
+	for _, req := range []CreateDatasetRequest{{Name: "d", NF: 4096}, sampledReq} {
+		if _, err := rc.clients[0].CreateDataset(ctx, req); err != nil {
+			t.Fatalf("create dataset %s: %v", req.Name, err)
+		}
+	}
+
+	// The never-failed reference: one in-process warehouse fed the same
+	// batches of "s". Samplers are partition-seeded, so a healthy cluster
+	// stores exactly these bytes for every partition.
+	ref := warehouse.New[int64](storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}), 1)
+	refCfg, err := DatasetConfig(sampledReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.CreateDataset("s", refCfg); err != nil {
+		t.Fatal(err)
 	}
 
 	// Phase 1: everything healthy; ingest a first wave through all shards.
-	const per = 50
 	var parts []string
 	ingest := func(coord int, part string, lo int64) {
 		t.Helper()
@@ -281,12 +301,26 @@ func TestClusterRejoinConvergence(t *testing.T) {
 			fmt.Fprintf(&b, "%d\n", v)
 		}
 		key := "batch-" + part
-		resp, err := rc.clients[coord].IngestKeyed(ctx, "d", part, 0, key, strings.NewReader(b.String()))
-		if err != nil {
-			t.Fatalf("ingest %s via shard %d: %v", part, coord, err)
+		for _, ds := range []string{"d", "s"} {
+			resp, err := rc.clients[coord].IngestKeyed(ctx, ds, part, 0, key, strings.NewReader(b.String()))
+			if err != nil {
+				t.Fatalf("ingest %s/%s via shard %d: %v", ds, part, coord, err)
+			}
+			if resp.Read != per {
+				t.Fatalf("ingest %s/%s: read %d, want %d", ds, part, resp.Read, per)
+			}
 		}
-		if resp.Read != per {
-			t.Fatalf("ingest %s: read %d, want %d", part, resp.Read, per)
+		smp, err := ref.NewPartitionSampler("s", part, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.FeedAll(smp, vals)
+		s, err := smp.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.RollIn("s", part, s); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 6; i++ {
@@ -300,19 +334,19 @@ func TestClusterRejoinConvergence(t *testing.T) {
 	// hints on the coordinator.
 	const down = 2
 	rc.kill(down)
-	var needsDown bool
+	healed := map[string][]string{} // data set → second-wave partitions placed on the dead shard
 	for i := 6; i < 12; i++ {
 		p := fmt.Sprintf("p%02d", i)
 		parts = append(parts, p)
-		for _, m := range rc.chainOf("d", p) {
-			if m == down {
-				needsDown = true
+		for _, ds := range []string{"d", "s"} {
+			if slices.Contains(rc.chainOf(ds, p), down) {
+				healed[ds] = append(healed[ds], p)
 			}
 		}
 		ingest(i%2, p, int64(i*per)) // coordinators 0 and 1 only
 	}
-	if !needsDown {
-		t.Fatalf("no second-wave partition placed on shard %d; test would prove nothing", down)
+	if len(healed["d"]) == 0 || len(healed["s"]) == 0 {
+		t.Fatalf("second-wave partitions on shard %d: %v; test would prove nothing", down, healed)
 	}
 	hintsQueued := rc.servers[0].PendingHints() + rc.servers[1].PendingHints()
 	if hintsQueued == 0 {
@@ -329,22 +363,23 @@ func TestClusterRejoinConvergence(t *testing.T) {
 	rc.restart(down)
 
 	converged := func() (bool, string) {
-		for _, p := range parts {
-			chain := rc.chainOf("d", p)
-			var want string
-			for _, m := range chain {
-				hs, err := rc.whs[m].PartitionHashes("d")
-				if err != nil {
-					return false, fmt.Sprintf("shard %d: %v", m, err)
-				}
-				h, ok := hs[p]
-				if !ok {
-					return false, fmt.Sprintf("shard %d missing %s", m, p)
-				}
-				if want == "" {
-					want = h
-				} else if h != want {
-					return false, fmt.Sprintf("%s hash mismatch: shard %d has %s, chain head has %s", p, m, h, want)
+		for _, ds := range []string{"d", "s"} {
+			for _, p := range parts {
+				var want string
+				for _, m := range rc.chainOf(ds, p) {
+					hs, err := rc.whs[m].PartitionHashes(ds)
+					if err != nil {
+						return false, fmt.Sprintf("shard %d: %v", m, err)
+					}
+					h, ok := hs[p]
+					if !ok {
+						return false, fmt.Sprintf("shard %d missing %s/%s", m, ds, p)
+					}
+					if want == "" {
+						want = h
+					} else if h != want {
+						return false, fmt.Sprintf("%s/%s hash mismatch: shard %d has %s, chain head has %s", ds, p, m, h, want)
+					}
 				}
 			}
 		}
@@ -397,19 +432,8 @@ func TestClusterRejoinConvergence(t *testing.T) {
 	// Phase 5: byte-identical replicas. For each second-wave partition on
 	// the rejoined shard, the local sample values must match the survivor's
 	// exactly — repair transfers stored bytes, it does not re-sample.
-	checked := 0
-	for i := 6; i < 12; i++ {
-		p := fmt.Sprintf("p%02d", i)
+	for _, p := range healed["d"] {
 		chain := rc.chainOf("d", p)
-		onDown := false
-		for _, m := range chain {
-			if m == down {
-				onDown = true
-			}
-		}
-		if !onDown {
-			continue
-		}
 		var samples [][]ValueCount
 		for _, m := range chain {
 			got, err := rc.clients[m].Sample(ctx, "d", QueryOpts{Parts: []string{p}, Local: true})
@@ -423,10 +447,28 @@ func TestClusterRejoinConvergence(t *testing.T) {
 				t.Fatalf("replicas of %s diverge after repair:\n%v\nvs\n%v", p, samples[0], s)
 			}
 		}
-		checked++
 	}
-	if checked == 0 {
-		t.Fatal("no second-wave partition verified byte-identical on the rejoined shard")
+
+	// Phase 6: healed equals never failed. Exhaustive samples of "d" compare
+	// equal under any seed; each healed replica of "s" must hold the bytes
+	// the reference stored for the same rows.
+	want, err := ref.PartitionHashes("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range healed["s"] {
+		if want[p] == "" {
+			t.Fatalf("reference holds no content hash for s/%s", p)
+		}
+		for _, m := range rc.chainOf("s", p) {
+			hs, err := rc.whs[m].PartitionHashes("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hs[p] != want[p] {
+				t.Fatalf("s/%s on shard %d hashes %s, the never-failed reference %s", p, m, hs[p], want[p])
+			}
+		}
 	}
 
 	// Repair status must be visible on /clusterz.

@@ -642,18 +642,6 @@ func (s *Server) repairSweep(ctx context.Context) error {
 	return firstErr
 }
 
-// RepairNow runs one synchronous repair cycle — hint replay, then a full
-// anti-entropy sweep — outside the background schedule. Tests and the
-// convergence drill call it to make "one repair interval" deterministic.
-func (s *Server) RepairNow(ctx context.Context) error {
-	c := s.cluster
-	if c == nil || c.repair == nil {
-		return errors.New("repair not enabled")
-	}
-	s.replayHints(ctx)
-	return s.repairSweep(ctx)
-}
-
 // --- read repair ---------------------------------------------------------
 
 // enqueueReadRepair queues one partition for targeted repair; duplicate

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -304,6 +305,49 @@ func TestPartialMergeSkipsUnreadable(t *testing.T) {
 	// fabricating an empty sample.
 	if _, _, err := w.MergedSamplePartialContext(bg, "ds", "p2", "p3"); err == nil {
 		t.Fatal("merge of only unreadable partitions succeeded")
+	}
+
+	// Rate-driven bit-rot across 16 partitions: the partial merge skips
+	// exactly the keys the schedule corrupts and merges every other one.
+	rates := faults.Rates{Seed: 1, Corrupt: 0.15}
+	wr := New[int64](faults.Wrap[int64](storage.NewMemStore[int64](), rates), 11)
+	if err := wr.CreateDataset("ds", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
+		t.Fatal(err)
+	}
+	var wantSkipped, wantMerged []string
+	for i := int64(0); i < 16; i++ {
+		p := fmt.Sprintf("p%02d", i)
+		if err := wr.RollIn("ds", p, externalSample(t, 64, uint64(i+1), i*per, (i+1)*per)); err != nil {
+			t.Fatal(err)
+		}
+		if rates.Decide(faults.OpGet, 0, "ds/"+p).Err != nil {
+			wantSkipped = append(wantSkipped, p)
+		} else {
+			wantMerged = append(wantMerged, p)
+		}
+	}
+	if len(wantSkipped) == 0 || len(wantMerged) == 0 {
+		t.Fatalf("schedule corrupts %v of 16 partitions; pick a seed that splits them", wantSkipped)
+	}
+	if _, err := wr.MergedSampleContext(bg, "ds"); !storage.IsCorrupt(err) {
+		t.Fatalf("strict merge under rate-driven bit-rot: err = %v", err)
+	}
+	m, cov, err = wr.MergedSamplePartialContext(bg, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var skipped []string
+	for _, sk := range cov.Skipped {
+		if sk.Reason != "corrupt" {
+			t.Fatalf("skipped %s for %q, want corrupt", sk.ID, sk.Reason)
+		}
+		skipped = append(skipped, sk.ID)
+	}
+	if !reflect.DeepEqual(skipped, wantSkipped) || !reflect.DeepEqual(cov.Merged, wantMerged) || len(cov.Requested) != 16 {
+		t.Fatalf("coverage = %+v, want skipped %v and merged %v", cov, wantSkipped, wantMerged)
+	}
+	if want := int64(len(wantMerged)) * per; m.ParentSize != want {
+		t.Fatalf("parent size = %d, want %d (survivors only)", m.ParentSize, want)
 	}
 }
 
