@@ -99,7 +99,10 @@ chaos-cluster:
 # Short fuzz passes over the decoders that read bytes the program did not
 # write this run — the binary sample codec and a shard's GET sample body
 # (decode must never panic, must reject corrupted inputs, must never hold a
-# value twice, and what is accepted must merge without a panic), the manifest
+# value twice, and what is accepted must merge without a panic), the raw store
+# path (what PutRaw accepts GetRaw returns verbatim and Get decodes as
+# DecodeSample does, on both stores; what it rejects leaves the previous
+# bytes), the manifest
 # (load → catalog records → save must never panic, and a saved catalog is a
 # fixed point), a partition's sidecar blob (what loads validates or reads as
 # absent), the query grammar (an accepted query re-renders to itself) and a
@@ -109,12 +112,15 @@ chaos-cluster:
 # histogram, whose lazily built index must leave every operation sequence
 # observably what the eager reference makes of it.
 # The manifest seeds are ~40 KB and one ingest-body seed is 1 MiB, so
-# minimizing each new corpus entry would eat the whole budget. Override
+# minimizing each new corpus entry would eat the whole budget; FuzzPutRaw
+# writes each input through a file store, and minimizing stalls it the same
+# way. Override
 # FUZZTIME for longer campaigns.
 FUZZTIME ?= 15s
 
 fuzz:
 	go test -run NONE -fuzz FuzzDecodeSample -fuzztime $(FUZZTIME) ./internal/storage
+	go test -run NONE -fuzz FuzzPutRaw -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/storage
 	go test -run NONE -fuzz FuzzSampleFromWire -fuzztime $(FUZZTIME) ./internal/server
 	go test -run NONE -fuzz FuzzHistogramOps -fuzztime $(FUZZTIME) ./internal/histogram
 	go test -run NONE -fuzz FuzzLoadManifest -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/warehouse

@@ -639,7 +639,7 @@ func feedAllThroughput(b *testing.B, cfg core.Config, dist workload.Distribution
 // decimal text, one per line) through the ingest handler — scan,
 // core.FeedAll into HR at n_F = 8192, Finalize, and the roll-in, whose
 // sidecar is sketch.FromSample. Each op rolls the partition out again. The
-// store is in memory with a codec and no journal (MemStore), or what swd
+// store is in memory with no journal (MemStore), or what swd
 // runs on: a file store and a journal sealed with an fsync per PUT
 // (FileStore+journal).
 func BenchmarkIngestBody(b *testing.B) {
@@ -651,7 +651,10 @@ func BenchmarkIngestBody(b *testing.B) {
 		body = append(body, '\n')
 	}
 	run := func(b *testing.B, st storage.Store[int64], cfg server.Config) {
-		wh := warehouse.New[int64](st, 1)
+		wh, _, err := warehouse.Open[int64](st, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if err := wh.CreateDataset("bench", warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(8192)}); err != nil {
 			b.Fatal(err)
 		}
@@ -671,7 +674,7 @@ func BenchmarkIngestBody(b *testing.B) {
 		}
 	}
 	b.Run("MemStore", func(b *testing.B) {
-		run(b, storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}), server.Config{})
+		run(b, storage.NewMemStore[int64](storage.Int64Codec{}), server.Config{})
 	})
 	b.Run("FileStore+journal", func(b *testing.B) {
 		dir := b.TempDir()

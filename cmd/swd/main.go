@@ -129,16 +129,11 @@ func run(c *config) error {
 	}
 	reg := obs.NewRegistry()
 
-	// Build the warehouse: durable file-backed catalog (reconciled on open)
-	// or an ephemeral in-memory one.
-	var st interface {
-		storage.Store[int64]
-		Instrument(*obs.Registry)
-	}
+	// Build the warehouse over a file store (catalog reconciled on open) or
+	// an in-memory one, which keeps the same bytes and catalog until exit.
+	var st storage.Store[int64]
 	if c.mem {
-		// The codec enables the raw-bytes interface anti-entropy hashes and
-		// transfers are built on, so -mem cluster nodes repair too.
-		st = storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
+		st = storage.NewMemStore[int64](storage.Int64Codec{})
 	} else {
 		fst, err := storage.NewFileStore[int64](c.dir, storage.Int64Codec{})
 		if err != nil {

@@ -128,8 +128,11 @@ func ExampleNewEstimator() {
 // samples of any subset on demand.
 func ExampleWarehouse() {
 	ctx := context.Background()
-	wh := samplewh.NewWarehouse(samplewh.NewMemStore(), 5)
-	err := wh.CreateDataset("orders", samplewh.DatasetConfig{
+	wh, _, err := samplewh.OpenWarehouse(samplewh.NewMemStore(), 5)
+	if err != nil {
+		panic(err)
+	}
+	err = wh.CreateDataset("orders", samplewh.DatasetConfig{
 		Algorithm: samplewh.AlgHR,
 		Core:      samplewh.ConfigForNF(128),
 	})

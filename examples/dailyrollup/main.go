@@ -18,7 +18,10 @@ import (
 
 func main() {
 	ctx := context.Background()
-	wh := samplewh.NewWarehouse(samplewh.NewMemStore(), 42)
+	wh, _, err := samplewh.OpenWarehouse(samplewh.NewMemStore(), 42)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := samplewh.DatasetConfig{
 		Algorithm: samplewh.AlgHR,
 		Core:      samplewh.ConfigForNF(2048),

@@ -40,9 +40,12 @@ func main() {
 	reg := samplewh.NewMetrics()
 	sink := samplewh.NewMemorySink(8)
 	reg.SetSink(sink)
-	samplewh.InstrumentStore(store, reg)
+	store.Instrument(reg)
 
-	samples := samplewh.NewWarehouse(store, 7)
+	samples, _, err := samplewh.OpenWarehouse(store, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
 	samples.Instrument(reg)
 	if err := samples.CreateDataset("sensor", samplewh.DatasetConfig{
 		Algorithm: samplewh.AlgHR,

@@ -149,7 +149,7 @@ func TestIntegrationWarehouseLifecycle(t *testing.T) {
 // goroutines (ingests into distinct data sets plus concurrent merges) to
 // verify the locking discipline. Run with -race for full effect.
 func TestIntegrationConcurrentWarehouseAccess(t *testing.T) {
-	wh := NewWarehouse(NewMemStore(), 3)
+	wh := openWarehouse(t, 3)
 	cfg := ConfigForNF(128)
 	const workers = 8
 	for w := 0; w < workers; w++ {

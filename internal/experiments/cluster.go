@@ -89,7 +89,10 @@ func newBenchCluster(n int, seed uint64) (*benchCluster, error) {
 	bc := &benchCluster{}
 	for i := 0; i < n; i++ {
 		reg := obs.NewRegistry()
-		wh := warehouse.New[int64](storage.NewMemStore[int64](), seed+uint64(i))
+		wh, _, err := warehouse.Open[int64](storage.NewMemStore[int64](storage.Int64Codec{}), seed+uint64(i))
+		if err != nil {
+			return nil, err
+		}
 		wh.SetQueryConfig(warehouse.QueryConfig{CacheBytes: 64 << 20})
 		// Generous admission limits: a coordinated query holds a local slot
 		// while its scatter sub-requests hold slots on every peer, so the

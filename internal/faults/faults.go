@@ -1,8 +1,8 @@
 // Package faults is a deterministic, seedable fault injector for the sample
 // warehouse's storage layer. It wraps any storage.Store and applies a
 // Schedule — error, corruption and latency decisions per operation — so
-// tests and swbench can exercise every failure path of the stack (retry
-// backoff, quarantine, partial merges, crash recovery) reproducibly.
+// tests can exercise every failure path of the stack (quarantine, partial
+// merges, failed catalog writes, crash recovery) reproducibly.
 //
 // Determinism: Rates decides by hashing (seed, op, sequence, key), so the
 // same seed yields the same decisions even when operations race, and sticky
@@ -91,9 +91,10 @@ type Schedule interface {
 // for errors.Is checks in tests.
 var ErrInjected = errors.New("faults: injected failure")
 
-// TransientErr fabricates a retryable error for op on key.
+// TransientErr fabricates a one-off failure of op on key: the next call may
+// succeed.
 func TransientErr(op Op, key string) error {
-	return storage.Transient(fmt.Errorf("%w: transient %s %q", ErrInjected, op, key))
+	return fmt.Errorf("%w: transient %s %q", ErrInjected, op, key)
 }
 
 // CorruptErr fabricates a permanent corruption error for key.
@@ -130,7 +131,7 @@ func unit(x uint64) float64 { return float64(x>>11) / float64(1<<53) }
 type Rates struct {
 	// Seed drives every decision. Two equal seeds agree everywhere.
 	Seed uint64
-	// Transient is the per-call probability of a retryable error (any op).
+	// Transient is the per-call probability of a one-off error (any op).
 	Transient float64
 	// Corrupt is the per-key probability that reads of the key permanently
 	// fail with a corruption error (OpGet/OpGetBlob only).
@@ -227,10 +228,10 @@ func sum(a [numOps]int64) int64 {
 	return t
 }
 
-// Store wraps an inner storage.Store with a fault schedule. It forwards the
-// blob side channel when the inner store provides one, injecting OpPutBlob/
-// OpGetBlob/OpDeleteBlob faults the same way. Safe for concurrent use if the
-// inner store is.
+// Store wraps an inner storage.Store with a fault schedule, and is one
+// itself: OpPut faults Put, PutSample and PutRaw, OpGet faults Get and
+// GetRaw, and the blob calls have classes of their own. Safe for concurrent
+// use if the inner store is.
 type Store[V comparable] struct {
 	inner    storage.Store[V]
 	sched    Schedule
@@ -265,13 +266,11 @@ type faultObs struct {
 	delays   *obs.Counter
 }
 
-// Instrument routes the injector's counters into reg and forwards to the
-// inner store when it is instrumentable.
+// Instrument implements storage.Store: the injector's counters and the inner
+// store's metrics go into reg.
 func (s *Store[V]) Instrument(reg *obs.Registry) {
 	s.o = faultObs{injected: reg.Counter("faults.injected"), delays: reg.Counter("faults.delays")}
-	if in, ok := s.inner.(interface{ Instrument(*obs.Registry) }); ok {
-		in.Instrument(reg)
-	}
+	s.inner.Instrument(reg)
 }
 
 // Stats returns a snapshot of the injector's activity.
@@ -339,40 +338,56 @@ func (s *Store[V]) Keys(prefix string) ([]string, error) {
 	return s.inner.Keys(prefix)
 }
 
-// PutBlob implements storage.BlobStore.
-func (s *Store[V]) PutBlob(name string, data []byte) error {
-	bs, ok := s.inner.(storage.BlobStore)
-	if !ok {
-		return storage.ErrBlobsUnsupported
+// PutSample implements storage.Store.
+func (s *Store[V]) PutSample(key string, smp *core.Sample[V]) ([]byte, error) {
+	if err := s.apply(OpPut, key); err != nil {
+		return nil, err
 	}
+	return s.inner.PutSample(key, smp)
+}
+
+// PutRaw implements storage.Store.
+func (s *Store[V]) PutRaw(key string, data []byte) error {
+	if err := s.apply(OpPut, key); err != nil {
+		return err
+	}
+	return s.inner.PutRaw(key, data)
+}
+
+// GetRaw implements storage.Store.
+func (s *Store[V]) GetRaw(key string) ([]byte, error) {
+	if err := s.apply(OpGet, key); err != nil {
+		return nil, err
+	}
+	return s.inner.GetRaw(key)
+}
+
+// DecodeRaw implements storage.Store; it touches no stored state and is never
+// faulted.
+func (s *Store[V]) DecodeRaw(data []byte) (*core.Sample[V], error) { return s.inner.DecodeRaw(data) }
+
+// PutBlob implements storage.Store.
+func (s *Store[V]) PutBlob(name string, data []byte) error {
 	if err := s.apply(OpPutBlob, name); err != nil {
 		return err
 	}
-	return bs.PutBlob(name, data)
+	return s.inner.PutBlob(name, data)
 }
 
-// GetBlob implements storage.BlobStore.
+// GetBlob implements storage.Store.
 func (s *Store[V]) GetBlob(name string) ([]byte, error) {
-	bs, ok := s.inner.(storage.BlobStore)
-	if !ok {
-		return nil, storage.ErrBlobsUnsupported
-	}
 	if err := s.apply(OpGetBlob, name); err != nil {
 		return nil, err
 	}
-	return bs.GetBlob(name)
+	return s.inner.GetBlob(name)
 }
 
-// DeleteBlob implements storage.BlobStore.
+// DeleteBlob implements storage.Store.
 func (s *Store[V]) DeleteBlob(name string) error {
-	bs, ok := s.inner.(storage.BlobStore)
-	if !ok {
-		return storage.ErrBlobsUnsupported
-	}
 	if err := s.apply(OpDeleteBlob, name); err != nil {
 		return err
 	}
-	return bs.DeleteBlob(name)
+	return s.inner.DeleteBlob(name)
 }
 
 // ExpectedFailures returns the expected number of injected transients for n
@@ -383,7 +398,6 @@ func ExpectedFailures(n int64, rate float64) float64 {
 
 var (
 	_ storage.Store[int64] = (*Store[int64])(nil)
-	_ storage.BlobStore    = (*Store[int64])(nil)
 	_ Schedule             = Rates{}
 	_ Schedule             = FailNth{}
 	_ Schedule             = FailKey{}

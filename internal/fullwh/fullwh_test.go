@@ -169,7 +169,10 @@ func TestShadowPipelineEstimatesMatchTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := warehouse.New[int64](storage.NewMemStore[int64](), 7)
+	sw, _, err := warehouse.Open[int64](storage.NewMemStore[int64](storage.Int64Codec{}), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(2048)}
 	if err := sw.CreateDataset("orders", cfg); err != nil {
 		t.Fatal(err)
@@ -226,7 +229,10 @@ func TestShadowIngestHBRequiresExpected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := warehouse.New[int64](storage.NewMemStore[int64](), 8)
+	sw, _, err := warehouse.Open[int64](storage.NewMemStore[int64](storage.Int64Codec{}), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := warehouse.DatasetConfig{Algorithm: warehouse.AlgHB, Core: core.ConfigForNF(64)}
 	if err := sw.CreateDataset("d", cfg); err != nil {
 		t.Fatal(err)

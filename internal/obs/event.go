@@ -29,9 +29,6 @@ const (
 	EvPartitionCut = "partition_cut"
 	// EvError: an operation failed. Labels: "op", "error".
 	EvError = "error"
-	// EvRetry: a store operation is being re-attempted after a transient
-	// failure. Labels: "op", "key", "error". Values: "attempt".
-	EvRetry = "retry"
 	// EvQuarantine: a corrupt sample file was renamed aside so it will
 	// never be half-decoded again. Labels: "key".
 	EvQuarantine = "quarantine"

@@ -175,7 +175,7 @@ func newRepairCluster(t *testing.T, n, replication, writeQuorum int) *repairClus
 		}
 		rc.lns[i] = ln
 		rc.addrs = append(rc.addrs, "http://"+ln.Addr().String())
-		rc.stores[i] = storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
+		rc.stores[i] = storage.NewMemStore[int64](storage.Int64Codec{})
 		rc.seeds[i] = uint64(9000 + i)
 	}
 	for i := 0; i < n; i++ {
@@ -282,7 +282,7 @@ func TestClusterRejoinConvergence(t *testing.T) {
 	// The never-failed reference: one in-process warehouse fed the same
 	// batches of "s". Samplers are partition-seeded, so a healthy cluster
 	// stores exactly these bytes for every partition.
-	ref := warehouse.New[int64](storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}), 1)
+	ref := openWarehouse(t, storage.NewMemStore[int64](storage.Int64Codec{}), 1)
 	refCfg, err := DatasetConfig(sampledReq)
 	if err != nil {
 		t.Fatal(err)

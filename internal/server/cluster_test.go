@@ -60,7 +60,7 @@ func newTestCluster(t *testing.T, n int, o clusterOpts) *testCluster {
 		tc.addrs = append(tc.addrs, "http://"+ln.Addr().String())
 	}
 	for i := 0; i < n; i++ {
-		wh := warehouse.New[int64](storage.NewMemStore[int64](), uint64(1000+i))
+		wh := openWarehouse(t, storage.NewMemStore[int64](storage.Int64Codec{}), uint64(1000+i))
 		srv := New(wh, Config{DefaultTimeout: 5 * time.Second, Registry: obs.NewRegistry()})
 		ccfg := ClusterConfig{
 			Peers:         tc.addrs,

@@ -34,7 +34,7 @@ func (s *throttledStore) Get(key string) (*core.Sample[int64], error) {
 // a client for it plus the shutdown hooks.
 func bootServer(t *testing.T, cfg Config, st storage.Store[int64]) (*Client, *Server, *http.Server) {
 	t.Helper()
-	wh := warehouse.New[int64](st, 99)
+	wh := openWarehouse(t, st, 99)
 	// A tiny cache would hide the throttled store from repeat queries; the
 	// saturation phase needs every merge to hit storage.
 	wh.SetQueryConfig(warehouse.QueryConfig{CacheBytes: 0, LoadWorkers: 1})
@@ -56,7 +56,7 @@ func bootServer(t *testing.T, cfg Config, st storage.Store[int64]) (*Client, *Se
 // graceful drain — the integration criterion of the serving subsystem. Run
 // under -race (make test does).
 func TestServerEndToEnd(t *testing.T) {
-	st := &throttledStore{Store: storage.NewMemStore[int64]()}
+	st := &throttledStore{Store: storage.NewMemStore[int64](storage.Int64Codec{})}
 	reg := obs.NewRegistry()
 	cfg := Config{
 		DefaultTimeout: 5 * time.Second,
@@ -261,7 +261,7 @@ func TestServerEndToEnd(t *testing.T) {
 // TestClientTimeoutPropagation proves a short client deadline cancels the
 // server-side merge instead of letting it run to completion.
 func TestClientTimeoutPropagation(t *testing.T) {
-	st := &throttledStore{Store: storage.NewMemStore[int64]()}
+	st := &throttledStore{Store: storage.NewMemStore[int64](storage.Int64Codec{})}
 	client, _, _ := bootServer(t, Config{DefaultTimeout: 5 * time.Second}, st)
 	ctx := context.Background()
 	if _, err := client.CreateDataset(ctx, CreateDatasetRequest{Name: "d", NF: 256}); err != nil {

@@ -12,7 +12,6 @@ import (
 
 	"samplewh/internal/obs"
 	"samplewh/internal/storage"
-	"samplewh/internal/warehouse"
 )
 
 // callFixture is one remote peer behind a breaker on the injectable clock
@@ -189,7 +188,7 @@ func (r pullRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 // outrank it; a pull shows up as a request to the authority's transport.
 func TestRepairPartition(t *testing.T) {
 	var pulled []int
-	srv := New(warehouse.New[int64](storage.NewMemStore[int64](), 1), Config{Registry: obs.NewRegistry()})
+	srv := New(openWarehouse(t, storage.NewMemStore[int64](storage.Int64Codec{}), 1), Config{Registry: obs.NewRegistry()})
 	err := srv.EnableCluster(ClusterConfig{
 		Peers:       []string{"http://s0.invalid", "http://s1.invalid", "http://s2.invalid"},
 		ShardID:     0,

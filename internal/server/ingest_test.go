@@ -22,7 +22,7 @@ import (
 	"samplewh/internal/warehouse"
 )
 
-// ingestNodes is n swd nodes over in-memory stores with raw access, each
+// ingestNodes is n swd nodes over in-memory stores, each
 // with its own journal when asked — one standalone node, or an n-way
 // replicated cluster in which every node holds every partition.
 type ingestNodes struct {
@@ -44,7 +44,7 @@ func bootIngestNodes(t *testing.T, n int, journal bool) *ingestNodes {
 		lns[i], addrs[i] = ln, "http://"+ln.Addr().String()
 	}
 	for i := range lns {
-		st := storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
+		st := storage.NewMemStore[int64](storage.Int64Codec{})
 		wh, _, err := warehouse.Open[int64](st, uint64(500+i))
 		if err != nil {
 			t.Fatal(err)
@@ -365,7 +365,7 @@ func FuzzIngestBody(f *testing.F) {
 // upper bound. A three-row PUT into an HR dataset whose n_F is 4 Mi would
 // allocate well over 64 MiB if the sampler reserved for n_F up front.
 func TestSmallPutIgnoresLargeNF(t *testing.T) {
-	wh, _, err := warehouse.Open[int64](storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}), 1)
+	wh, _, err := warehouse.Open[int64](storage.NewMemStore[int64](storage.Int64Codec{}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

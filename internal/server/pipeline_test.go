@@ -141,7 +141,7 @@ func TestIngestPipelineExitPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer lg.Close()
-			wh, _, err := warehouse.Open[int64](storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}), 1)
+			wh, _, err := warehouse.Open[int64](storage.NewMemStore[int64](storage.Int64Codec{}), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -455,7 +455,7 @@ func TestClusterBadConfidenceLeavesBreakersClosed(t *testing.T) {
 // built from its sample is not exact, bounded or not, however complete the
 // rest of the read.
 func TestBoundedExactNeedsExhaustiveProof(t *testing.T) {
-	wh := warehouse.New[int64](storage.NewMemStore[int64](), 42)
+	wh := openWarehouse(t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
 	if err := wh.CreateDataset("d", warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(512)}); err != nil {
 		t.Fatal(err)
 	}

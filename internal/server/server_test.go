@@ -16,13 +16,23 @@ import (
 	"samplewh/internal/warehouse"
 )
 
+// openWarehouse opens a warehouse over st.
+func openWarehouse(t testing.TB, st storage.Store[int64], seed uint64) *warehouse.Warehouse[int64] {
+	t.Helper()
+	wh, _, err := warehouse.Open[int64](st, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wh
+}
+
 // newTestWarehouse builds an in-memory warehouse with one HR data set "d"
 // holding parts partitions of size valuesPer each (values are sequential, so
 // estimates have known ground truth: partition i holds
 // [i*valuesPer, (i+1)*valuesPer)).
 func newTestWarehouse(t *testing.T, parts, valuesPer int) *warehouse.Warehouse[int64] {
 	t.Helper()
-	wh := warehouse.New[int64](storage.NewMemStore[int64](), 42)
+	wh := openWarehouse(t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
 	cfg := warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(512)}
 	if err := wh.CreateDataset("d", cfg); err != nil {
 		t.Fatal(err)
@@ -251,7 +261,7 @@ func TestReadinessGate(t *testing.T) {
 }
 
 func TestDatasetLifecycle(t *testing.T) {
-	s := New(warehouse.New[int64](storage.NewMemStore[int64](), 1), Config{})
+	s := New(openWarehouse(t, storage.NewMemStore[int64](storage.Int64Codec{}), 1), Config{})
 
 	// Empty listing.
 	if got := decode[[]DatasetInfo](t, do(t, s, http.MethodGet, "/v1/datasets", "")); len(got) != 0 {
@@ -482,8 +492,8 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestWarehouseSentinelStatus pins the one error map: each warehouse sentinel
 // answers its HTTP status on every route that can raise it.
 func TestWarehouseSentinelStatus(t *testing.T) {
-	store := storage.NewMemStore[int64]()
-	wh := warehouse.New[int64](store, 42)
+	store := storage.NewMemStore[int64](storage.Int64Codec{})
+	wh := openWarehouse(t, store, 42)
 	cfg := warehouse.DatasetConfig{Algorithm: warehouse.AlgHR, Core: core.ConfigForNF(64)}
 	for _, ds := range []string{"gone", "empty"} {
 		if err := wh.CreateDataset(ds, cfg); err != nil {

@@ -1,5 +1,6 @@
 // Package storage persists finalized samples: a compact varint-based binary
-// codec for Sample values plus a file-backed store with atomic replace.
+// codec for Sample values plus the one Store contract, kept in memory or in
+// files with atomic replace.
 // This is the durable layer of the sample warehouse — per-partition samples
 // are written as they are rolled in and read back on demand for merging
 // (paper Figure 1: samples "are sent to the sample warehouse, where they may

@@ -56,44 +56,3 @@ func IsCorrupt(err error) bool {
 	var c *CorruptError
 	return errors.As(err, &c)
 }
-
-// TransientError marks a failure as retryable: the operation may succeed if
-// simply attempted again (flaky I/O, injected faults, remote timeouts).
-type TransientError struct {
-	Err error
-}
-
-// Error implements error.
-func (e *TransientError) Error() string {
-	return fmt.Sprintf("storage: transient: %v", e.Err)
-}
-
-// Unwrap exposes the underlying failure to errors.Is/As.
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// Retryable marks the error for IsRetryable.
-func (e *TransientError) Retryable() bool { return true }
-
-// Transient wraps err as retryable. A nil err returns nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &TransientError{Err: err}
-}
-
-// IsRetryable reports whether err is worth retrying. Missing keys and
-// corruption are permanent by definition; everything else is retryable only
-// if something in the chain explicitly says so via a `Retryable() bool`
-// method (TransientError does). Unknown errors default to permanent — a
-// retry loop that spins on a programming error helps nobody.
-func IsRetryable(err error) bool {
-	if err == nil || IsNotFound(err) || IsCorrupt(err) {
-		return false
-	}
-	var r interface{ Retryable() bool }
-	if errors.As(err, &r) {
-		return r.Retryable()
-	}
-	return false
-}

@@ -71,14 +71,12 @@ func (o *storeObs) blobPut(n int) {
 	o.blobBytesWritten.Add(int64(n))
 }
 
-// Instrument routes the store's metrics into reg. A nil registry reverts the
-// store to the uninstrumented no-op state.
+// Instrument implements Store.
 func (s *MemStore[V]) Instrument(reg *obs.Registry) {
 	s.o = newStoreObs(reg, "storage.mem")
 }
 
-// Instrument routes the store's metrics into reg. A nil registry reverts the
-// store to the uninstrumented no-op state.
+// Instrument implements Store.
 func (s *FileStore[V]) Instrument(reg *obs.Registry) {
 	s.o = newStoreObs(reg, "storage.file")
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"samplewh/internal/core"
 	"samplewh/internal/histogram"
@@ -105,9 +104,6 @@ func TestFileStoreQuarantinesCorruptFile(t *testing.T) {
 	_, err = st.Get("ds/p1")
 	if !IsCorrupt(err) {
 		t.Fatalf("corrupt read err = %v", err)
-	}
-	if IsRetryable(err) {
-		t.Fatal("corruption classified retryable")
 	}
 
 	// The file is renamed aside and the key now reads as missing.
@@ -241,262 +237,48 @@ func TestPathForRejectsHostileKeys(t *testing.T) {
 	}
 }
 
-// scriptedStore interposes a scripted error sequence over a MemStore, for
-// RetryStore unit tests: each operation consumes the next entry (nil =
-// success), and operations beyond the script succeed.
-type scriptedStore struct {
-	inner *MemStore[int64]
-	mu    sync.Mutex
-	errs  []error
-	ops   int
-}
-
-func scripted(errs ...error) *scriptedStore {
-	return &scriptedStore{inner: NewMemStore[int64](), errs: errs}
-}
-
-func (s *scriptedStore) next() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ops++
-	if len(s.errs) == 0 {
-		return nil
-	}
-	err := s.errs[0]
-	s.errs = s.errs[1:]
-	return err
-}
-
-func (s *scriptedStore) attempts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ops
-}
-
-func (s *scriptedStore) Put(key string, smp *core.Sample[int64]) error {
-	if err := s.next(); err != nil {
-		return err
-	}
-	return s.inner.Put(key, smp)
-}
-
-func (s *scriptedStore) Order(smp *core.Sample[int64]) { s.inner.Order(smp) }
-
-func (s *scriptedStore) Get(key string) (*core.Sample[int64], error) {
-	if err := s.next(); err != nil {
-		return nil, err
-	}
-	return s.inner.Get(key)
-}
-
-func (s *scriptedStore) Delete(key string) error {
-	if err := s.next(); err != nil {
-		return err
-	}
-	return s.inner.Delete(key)
-}
-
-func (s *scriptedStore) Keys(prefix string) ([]string, error) {
-	if err := s.next(); err != nil {
-		return nil, err
-	}
-	return s.inner.Keys(prefix)
-}
-
-func TestRetryStoreRecoversFromTransients(t *testing.T) {
-	boom := Transient(errors.New("blip"))
-	st := scripted(boom, boom, nil)
-	var slept []time.Duration
-	rs := NewRetryStore[int64](st, RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    8 * time.Millisecond,
-		Jitter:      -1,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	})
-	reg := obs.NewRegistry()
-	rs.Instrument(reg)
-	if err := rs.Put("k", sampleFixture(t, 25, 300)); err != nil {
-		t.Fatalf("Put should have succeeded on attempt 3: %v", err)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %v, want 2 backoffs", slept)
-	}
-	// No jitter: exact exponential 1ms, 2ms.
-	if slept[0] != time.Millisecond || slept[1] != 2*time.Millisecond {
-		t.Fatalf("backoff sequence = %v", slept)
-	}
-	if got := reg.Counter("storage.retry.retries").Value(); got != 2 {
-		t.Fatalf("retries counter = %d", got)
-	}
-}
-
-func TestRetryStoreBudgetExhaustion(t *testing.T) {
-	boom := Transient(errors.New("always"))
-	st := scripted(boom, boom, boom, boom, boom, boom)
-	rs := NewRetryStore[int64](st, RetryPolicy{MaxAttempts: 3, Jitter: -1, Sleep: func(time.Duration) {}})
-	reg := obs.NewRegistry()
-	rs.Instrument(reg)
-	err := rs.Put("k", sampleFixture(t, 26, 300))
-	if err == nil {
-		t.Fatal("exhausted budget returned nil")
-	}
-	if !strings.Contains(err.Error(), "retry budget exhausted after 3 attempts") {
-		t.Fatalf("err = %v", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatal("cause not wrapped")
-	}
-	if st.attempts() != 3 {
-		t.Fatalf("attempts = %d, want 3", st.attempts())
-	}
-	if got := reg.Counter("storage.retry.exhausted").Value(); got != 1 {
-		t.Fatalf("exhausted counter = %d", got)
-	}
-}
-
-func TestRetryStoreDoesNotRetryPermanent(t *testing.T) {
-	cases := []error{
-		&NotFoundError{Key: "k"},
-		&CorruptError{Key: "k", Err: errors.New("bad crc")},
-		errors.New("unclassified"),
-	}
-	for _, perm := range cases {
-		st := scripted(perm, nil)
-		rs := NewRetryStore[int64](st, RetryPolicy{Sleep: func(time.Duration) {}})
-		_, err := rs.Get("k")
-		if !errors.Is(err, perm) {
-			t.Fatalf("err = %v, want %v passed through", err, perm)
-		}
-		if st.attempts() != 1 {
-			t.Fatalf("%v retried: %d attempts", perm, st.attempts())
-		}
-	}
-}
-
-func TestRetryStoreMaxDelayCap(t *testing.T) {
-	boom := Transient(errors.New("blip"))
-	st := scripted(boom, boom, boom, boom, boom, boom, boom, nil)
-	var slept []time.Duration
-	rs := NewRetryStore[int64](st, RetryPolicy{
-		MaxAttempts: 8,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    4 * time.Millisecond,
-		Jitter:      -1,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	})
-	if _, err := rs.Keys(""); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range slept {
-		if d > 4*time.Millisecond {
-			t.Fatalf("backoff %d = %v exceeds cap", i, d)
-		}
-	}
-	if last := slept[len(slept)-1]; last != 4*time.Millisecond {
-		t.Fatalf("final backoff = %v, want capped 4ms", last)
-	}
-}
-
-func TestRetryStoreJitterBounds(t *testing.T) {
-	boom := Transient(errors.New("blip"))
-	errs := make([]error, 40)
-	for i := range errs {
-		if i%2 == 0 {
-			errs[i] = boom
-		}
-	}
-	st := scripted(errs...)
-	var slept []time.Duration
-	rs := NewRetryStore[int64](st, RetryPolicy{
-		MaxAttempts: 2,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    10 * time.Millisecond,
-		Jitter:      0.5,
-		Seed:        99,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	})
-	for i := 0; i < 20; i++ {
-		rs.Delete("k")
-	}
-	if len(slept) == 0 {
-		t.Fatal("no backoffs recorded")
-	}
-	lo, hi := slept[0], slept[0]
-	for _, d := range slept {
-		if d < 5*time.Millisecond || d > 15*time.Millisecond {
-			t.Fatalf("jittered delay %v outside [5ms, 15ms]", d)
-		}
-		if d < lo {
-			lo = d
-		}
-		if d > hi {
-			hi = d
-		}
-	}
-	if lo == hi {
-		t.Fatal("jitter produced constant delays")
-	}
-}
-
 func TestErrorClassification(t *testing.T) {
 	nf := &NotFoundError{Key: "k"}
 	co := &CorruptError{Key: "k", Err: errors.New("crc")}
-	tr := Transient(errors.New("net"))
 	wrapped := &NotFoundError{Key: "k", Err: os.ErrNotExist}
 
-	if !IsNotFound(nf) || IsNotFound(co) || IsNotFound(tr) {
+	if !IsNotFound(nf) || IsNotFound(co) || IsNotFound(errors.New("other")) {
 		t.Fatal("IsNotFound misclassifies")
 	}
-	if !IsCorrupt(co) || IsCorrupt(nf) || IsCorrupt(tr) {
+	if !IsCorrupt(co) || IsCorrupt(nf) || IsCorrupt(errors.New("other")) {
 		t.Fatal("IsCorrupt misclassifies")
-	}
-	if !IsRetryable(tr) || IsRetryable(nf) || IsRetryable(co) || IsRetryable(nil) {
-		t.Fatal("IsRetryable misclassifies")
-	}
-	if IsRetryable(errors.New("unknown")) {
-		t.Fatal("unknown errors must default to permanent")
 	}
 	if !errors.Is(wrapped, os.ErrNotExist) {
 		t.Fatal("NotFoundError does not unwrap its cause")
 	}
-	if Transient(nil) != nil {
-		t.Fatal("Transient(nil) != nil")
-	}
 }
 
-// TestBlobSideChannel: both stores — and the retry wrapper over them — put,
-// get and delete blobs, count every operation and the bytes written, keep
-// blobs out of Keys, and treat deleting a missing blob as done.
+// TestBlobSideChannel: both stores put, get and delete blobs, count every
+// operation and the bytes written, keep blobs out of Keys, and treat deleting
+// a missing blob as done; the file store keeps blob names inside its root.
 func TestBlobSideChannel(t *testing.T) {
 	fs, err := NewFileStore[int64](t.TempDir(), Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type blobStore interface {
-		Store[int64]
-		BlobStore
-		Instrument(*obs.Registry)
-	}
-	for kind, st := range map[string]blobStore{"storage.mem": NewMemStore[int64](), "storage.file": fs} {
+	for kind, st := range map[string]Store[int64]{"storage.mem": NewMemStore[int64](Int64Codec{}), "storage.file": fs} {
 		reg := obs.NewRegistry()
 		st.Instrument(reg)
-		var bs BlobStore = NewRetryStore[int64](st, RetryPolicy{})
-		if err := bs.PutBlob("ds/p1", []byte("sidecar")); err != nil {
+		if err := st.PutBlob("ds/p1", []byte("sidecar")); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if got, err := bs.GetBlob("ds/p1"); err != nil || string(got) != "sidecar" {
+		if got, err := st.GetBlob("ds/p1"); err != nil || string(got) != "sidecar" {
 			t.Fatalf("%s: GetBlob = %q, %v", kind, got, err)
 		}
 		if keys, _ := st.Keys(""); len(keys) != 0 {
 			t.Fatalf("%s: Keys lists blobs: %v", kind, keys)
 		}
 		for i := 0; i < 2; i++ { // the second delete finds nothing, and is no error
-			if err := bs.DeleteBlob("ds/p1"); err != nil {
+			if err := st.DeleteBlob("ds/p1"); err != nil {
 				t.Fatalf("%s: DeleteBlob #%d: %v", kind, i+1, err)
 			}
 		}
-		if _, err := bs.GetBlob("ds/p1"); !IsNotFound(err) {
+		if _, err := st.GetBlob("ds/p1"); !IsNotFound(err) {
 			t.Fatalf("%s: GetBlob after delete: %v", kind, err)
 		}
 		for name, want := range map[string]int64{"blob_puts": 1, "blob_bytes_written": 7, "blob_gets": 2, "blob_deletes": 2} {

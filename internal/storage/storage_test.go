@@ -179,7 +179,7 @@ func testStore(t *testing.T, st Store[int64]) {
 }
 
 func TestMemStore(t *testing.T) {
-	testStore(t, NewMemStore[int64]())
+	testStore(t, NewMemStore[int64](Int64Codec{}))
 }
 
 func TestFileStore(t *testing.T) {
@@ -247,6 +247,9 @@ func TestFileStoreRejectsHostileKeys(t *testing.T) {
 	for _, key := range []string{"", "../escape", "/abs/path", "a/../../b"} {
 		if err := st.Put(key, s); err == nil {
 			t.Errorf("hostile key %q accepted", key)
+		}
+		if err := st.DeleteBlob(key); err == nil {
+			t.Errorf("hostile blob name %q accepted", key)
 		}
 	}
 }

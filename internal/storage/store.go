@@ -12,8 +12,10 @@ import (
 	"samplewh/internal/obs"
 )
 
-// Store is the persistence contract the sample warehouse programs against.
-// Keys are hierarchical, slash-separated strings such as
+// Store is the persistence contract the sample warehouse programs against,
+// and every store provides all of it: samples by key, their encoded bytes,
+// the blob side channel that makes the catalog durable, and metrics. Keys
+// are hierarchical, slash-separated strings such as
 // "orders/price/2006-01-02".
 type Store[V comparable] interface {
 	// Put stores the sample under key, replacing any existing one. It first
@@ -23,10 +25,10 @@ type Store[V comparable] interface {
 	// putting it meanwhile, unless it is in that order already (after Order,
 	// Put writes nothing to it).
 	Put(key string, s *core.Sample[V]) error
-	// Order puts s, in place, into the entry order Put stores: value order
-	// for a store that holds a value codec, the caller's own otherwise. A
-	// caller that reads s while Put runs — the warehouse builds a sidecar
-	// beside the put — orders it first.
+	// Order puts s, in place, into the entry order Put stores: ascending
+	// value order under the store's codec. A caller that reads s while Put
+	// runs — the warehouse builds a sidecar beside the put — orders it
+	// first.
 	Order(s *core.Sample[V])
 	// Get returns the sample stored under key, or an error satisfying
 	// IsNotFound if absent. Callers own the returned sample.
@@ -34,98 +36,62 @@ type Store[V comparable] interface {
 	// Delete removes the sample under key; deleting a missing key is a
 	// no-op.
 	Delete(key string) error
-	// Keys returns all stored keys with the given prefix, sorted.
+	// Keys returns all stored keys with the given prefix, sorted. Blobs are
+	// never listed.
 	Keys(prefix string) ([]string, error)
+
+	// The encoded bytes. Anti-entropy repair is built on them: partition
+	// content hashes are computed over the exact stored bytes, and partition
+	// transfers ship those bytes verbatim so a pulled replica is
+	// byte-identical to its source.
+
+	// GetRaw returns the encoded bytes stored under key, exactly as stored,
+	// or an error satisfying IsNotFound if absent. The bytes are NOT
+	// validated; callers that intend to use them must DecodeRaw first.
+	GetRaw(key string) ([]byte, error)
+	// PutRaw stores pre-encoded sample bytes under key verbatim, replacing
+	// any existing entry. The bytes are validated (checksum + structure)
+	// before they become visible, so a corrupt transfer can never be
+	// adopted; rejected bytes leave the previous entry in place.
+	PutRaw(key string, data []byte) error
+	// PutSample is Put that also returns the encoded bytes it stored — what
+	// GetRaw reads back — so a caller can hash what it wrote without reading
+	// it again.
+	PutSample(key string, s *core.Sample[V]) ([]byte, error)
+	// DecodeRaw decodes encoded sample bytes without touching the store.
+	DecodeRaw(data []byte) (*core.Sample[V], error)
+
+	// The blob side channel, for small metadata documents: the warehouse
+	// persists its catalog manifest and one sketch sidecar per partition
+	// through it. Blob names use the same escaping as sample keys in their
+	// own namespace, so blobs and samples never collide.
+
+	// PutBlob stores data under name, replacing any existing blob, with the
+	// same atomicity guarantee as Put.
+	PutBlob(name string, data []byte) error
+	// GetBlob returns the blob stored under name, or an error satisfying
+	// IsNotFound if absent. Callers own the returned slice.
+	GetBlob(name string) ([]byte, error)
+	// DeleteBlob removes the blob under name; deleting a missing blob is a
+	// no-op.
+	DeleteBlob(name string) error
+
+	// Instrument routes the store's metrics into reg; a nil registry reverts
+	// it to the uninstrumented no-op state. Install instrumentation before
+	// sharing the store across goroutines.
+	Instrument(reg *obs.Registry)
 }
 
 // sortForPut puts the caller's sample into ascending value order, in place
-// and without a copy, before a store encodes or clones it. It runs ahead of
-// everything else so that whatever the caller derives from the sample —
-// the warehouse's sidecar (its heavy-hitter table depends on entry order),
-// statistics, content hash — is derived from the order a later Get of the
-// same key yields. A store without a codec never encodes and has no order to
-// impose: it keeps the caller's on both sides. It writes nothing to a sample
-// already in order.
+// and without a copy, before a store encodes it. It runs ahead of everything
+// else so that whatever the caller derives from the sample — the warehouse's
+// sidecar (its heavy-hitter table depends on entry order), statistics,
+// content hash — is derived from the order a later Get of the same key
+// yields. It writes nothing to a sample already in order.
 func sortForPut[V comparable](smp *core.Sample[V], codec ValueCodec[V]) {
-	if smp != nil && smp.Hist != nil && codec != nil {
+	if smp != nil && smp.Hist != nil {
 		smp.Hist.SortFunc(codec.Compare)
 	}
-}
-
-// MemStore is an in-memory Store, safe for concurrent use. Samples are
-// stored by reference with defensive clones on both Put and Get so callers
-// can freely mutate (merges consume histograms).
-type MemStore[V comparable] struct {
-	mu    sync.RWMutex
-	m     map[string]*core.Sample[V]
-	blobs map[string][]byte
-	codec ValueCodec[V] // optional; enables the RawStore methods (WithCodec)
-	o     storeObs
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore[V comparable]() *MemStore[V] {
-	return &MemStore[V]{m: make(map[string]*core.Sample[V]), blobs: make(map[string][]byte)}
-}
-
-// Put implements Store.
-func (s *MemStore[V]) Put(key string, smp *core.Sample[V]) error {
-	if smp == nil {
-		return fmt.Errorf("storage: Put nil sample at %q", key)
-	}
-	t := s.o.putNS.Start()
-	sortForPut(smp, s.codec)
-	s.mu.Lock()
-	s.m[key] = smp.Clone()
-	s.mu.Unlock()
-	t.Stop()
-	s.o.puts.Inc()
-	return nil
-}
-
-// Order implements Store.
-func (s *MemStore[V]) Order(smp *core.Sample[V]) { sortForPut(smp, s.codec) }
-
-// Get implements Store.
-func (s *MemStore[V]) Get(key string) (*core.Sample[V], error) {
-	t := s.o.getNS.Start()
-	s.mu.RLock()
-	smp, ok := s.m[key]
-	var out *core.Sample[V]
-	if ok {
-		out = smp.Clone()
-	}
-	s.mu.RUnlock()
-	t.Stop()
-	s.o.gets.Inc()
-	if !ok {
-		s.o.misses.Inc()
-		return nil, &NotFoundError{Key: key}
-	}
-	return out, nil
-}
-
-// Delete implements Store.
-func (s *MemStore[V]) Delete(key string) error {
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
-	s.o.deletes.Inc()
-	return nil
-}
-
-// Keys implements Store.
-func (s *MemStore[V]) Keys(prefix string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for k := range s.m {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // FileStore persists samples as one file per key under a root directory,
@@ -272,7 +238,7 @@ func (s *FileStore[V]) Put(key string, smp *core.Sample[V]) error {
 	return err
 }
 
-// PutSample implements RawStore: Put, handing back the encoded bytes.
+// PutSample implements Store: Put, handing back the encoded bytes.
 func (s *FileStore[V]) PutSample(key string, smp *core.Sample[V]) ([]byte, error) {
 	t := s.o.putNS.Start()
 	defer t.Stop()

@@ -66,19 +66,10 @@ func partitionSeed(dataset, partitionID string) uint64 {
 	return h
 }
 
-// rawStore returns the store's raw-bytes extension when it has one. Without
-// it the warehouse degrades to presence-only inventories (empty hashes) and
-// cannot export or adopt partitions.
-func (w *Warehouse[V]) rawStore() (storage.RawStore[V], bool) {
-	rs, ok := w.store.(storage.RawStore[V])
-	return rs, ok
-}
-
 // PartitionHashes returns one data set's inventory: partition ID → content
 // hash for every attached partition, in no particular order. Partitions
-// without a recorded hash (store without raw access, or attached before
-// hashes existed) map to "" — digest comparison then degrades to presence
-// checks for them.
+// without a recorded hash (attached under a manifest that predates hashes)
+// map to "" — digest comparison then degrades to presence checks for them.
 func (w *Warehouse[V]) PartitionHashes(dataset string) (map[string]string, error) {
 	return snapshot(w, dataset, func(p *partition) (string, bool) { return p.hash, true })
 }
@@ -92,13 +83,8 @@ type PartitionTransfer struct {
 }
 
 // ExportPartition packages an attached partition for transfer to another
-// replica. It errors when the store has no raw access or the partition is
-// not attached.
+// replica. It errors when the partition is not attached.
 func (w *Warehouse[V]) ExportPartition(dataset, partitionID string) (*PartitionTransfer, error) {
-	rs, ok := w.rawStore()
-	if !ok {
-		return nil, fmt.Errorf("warehouse: export %s/%s: store has no raw access", dataset, partitionID)
-	}
 	w.mu.RLock()
 	ds, dsok := w.sets[dataset]
 	attached := false
@@ -119,7 +105,7 @@ func (w *Warehouse[V]) ExportPartition(dataset, partitionID string) (*PartitionT
 		return nil, fmt.Errorf("warehouse: export %s/%s: %w", dataset, partitionID,
 			&storage.NotFoundError{Key: w.key(dataset, partitionID)})
 	}
-	raw, err := rs.GetRaw(w.key(dataset, partitionID))
+	raw, err := w.store.GetRaw(w.key(dataset, partitionID))
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: export %s/%s: %w", dataset, partitionID, err)
 	}
@@ -133,11 +119,7 @@ func (w *Warehouse[V]) ExportPartition(dataset, partitionID string) (*PartitionT
 // transferred sidecar is adopted as-is when valid; otherwise one is derived
 // from the sample.
 func (w *Warehouse[V]) AdoptPartition(dataset, partitionID string, raw []byte, sk *sketch.Summary) error {
-	rs, ok := w.rawStore()
-	if !ok {
-		return fmt.Errorf("warehouse: adopt %s/%s: store has no raw access", dataset, partitionID)
-	}
-	s, err := rs.DecodeRaw(raw)
+	s, err := w.store.DecodeRaw(raw)
 	if err != nil {
 		return fmt.Errorf("warehouse: adopt %s/%s: %w", dataset, partitionID, err)
 	}
@@ -169,16 +151,11 @@ func (r *HashFsckReport) Problems() int {
 // FsckHashes audits the manifest's partition content hashes against the
 // stored sample bytes, so anti-entropy digests cannot silently propagate
 // corruption or go stale. With fix set it recomputes defective hashes and
-// rewrites the manifest (see fsckCatalog). A store without raw access has
-// nothing to verify and yields an empty report.
+// rewrites the manifest (see fsckCatalog).
 func FsckHashes(store storage.Store[int64], fix bool) (*HashFsckReport, error) {
 	rep := &HashFsckReport{}
-	rs, hasRaw := store.(storage.RawStore[int64])
-	err := fsckCatalog(store, "hashes", func(key string, p *partition) fsckVerdict {
-		if !hasRaw {
-			return fsckKeep
-		}
-		raw, err := rs.GetRaw(key)
+	err := fsckCatalog(store, func(key string, p *partition) fsckVerdict {
+		raw, err := store.GetRaw(key)
 		if err != nil {
 			// The sample itself is unreadable or missing; the main fsck
 			// passes own that problem.

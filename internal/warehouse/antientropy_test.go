@@ -13,7 +13,7 @@ import (
 // overwrite the only evidence that a stored sample diverged from its roll-in
 // seal before the audit could witness it.
 func TestOpenPreservesRecordedHash(t *testing.T) {
-	st := storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
+	st := storage.NewMemStore[int64](storage.Int64Codec{})
 	w, _, err := Open[int64](st, 5)
 	if err != nil {
 		t.Fatal(err)

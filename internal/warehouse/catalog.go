@@ -13,8 +13,8 @@ import (
 // partition is the catalog's one record per attached partition: everything
 // the warehouse knows about a partition without reading its sample. Samples
 // roll in and out as partitions do, and so does this record: install writes
-// it, remove drops it, manifest.go's records/setRecords persist it
-// (DESIGN.md §17).
+// it, remove drops it, manifest.go's records, setRecords and saveSidecars
+// persist it (DESIGN.md §17).
 type partition struct {
 	id string
 	// stats are the planner's statistics (stats.go), captured when the sample
@@ -26,11 +26,11 @@ type partition struct {
 	// sketch support and for partitions whose stored sidecar is missing or
 	// unusable, until a query backfills it. sketchUnsaved marks a sidecar the
 	// store's blob for this partition does not hold yet: the next catalog
-	// write sends it (setRecords) and no other.
+	// write sends it (saveSidecars) and no other.
 	sketch        *sketch.Summary
 	sketchUnsaved bool
 	// hash seals the stored sample bytes for anti-entropy (antientropy.go);
-	// "" when the store has no raw access or the manifest predates hashes.
+	// "" when the manifest predates hashes.
 	hash string
 	// ewmaNS is the load-latency EWMA as the manifest last carried it. The
 	// loader owns the live value (it moves on every fetch, outside w.mu);
@@ -177,17 +177,12 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 	} else if op == opRollIn {
 		w.o.sketchBuilds.Inc() // stream-built; an adopted sidecar was built elsewhere
 	}
-	rs, hasRaw := w.rawStore()
 	var err error
 	switch op {
 	case opRollIn:
-		if hasRaw {
-			raw, err = rs.PutSample(key, s) // the bytes it wrote seal the record
-		} else {
-			err = w.store.Put(key, s)
-		}
-	case opAdopt: // AdoptPartition has checked that the store has raw access
-		err = rs.PutRaw(key, raw)
+		raw, err = w.store.PutSample(key, s) // the bytes it wrote seal the record
+	case opAdopt:
+		err = w.store.PutRaw(key, raw)
 	}
 	if built != nil {
 		sk = <-built
@@ -199,10 +194,8 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 	}
 	w.ld.invalidate(key)
 
-	rec := partition{id: id, stats: statsOf(s), known: true, sketch: sk, sketchUnsaved: true}
-	if raw != nil {
-		rec.hash = contentHash(raw, sk)
-	}
+	rec := partition{id: id, stats: statsOf(s), known: true, sketch: sk, sketchUnsaved: true,
+		hash: contentHash(raw, sk)}
 	prev, replaced := ds.upsert(rec)
 	if err := w.saveManifest(); err != nil {
 		if replaced {

@@ -19,7 +19,7 @@ import (
 )
 
 // writerFixture is one durable, instrumented, traced warehouse over an
-// in-memory store with raw access, holding an empty HR data set "ds".
+// in-memory store, holding an empty HR data set "ds".
 type writerFixture struct {
 	st   *storage.MemStore[int64]
 	w    *Warehouse[int64]
@@ -30,7 +30,7 @@ type writerFixture struct {
 func newWriterFixture(t *testing.T) *writerFixture {
 	t.Helper()
 	f := &writerFixture{
-		st:   storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{}),
+		st:   storage.NewMemStore[int64](storage.Int64Codec{}),
 		reg:  obs.NewRegistry(),
 		sink: obs.NewMemorySink(16),
 	}
@@ -128,41 +128,20 @@ func TestBothWritersAgree(t *testing.T) {
 	}
 }
 
-// blobFault fails, while on, the catalog writes hit selects: the manifest
-// put, a sidecar put, or a sidecar delete.
-type blobFault struct {
+// writeFault fails, while on, the writes hit selects: the sample put, the
+// manifest put, a sidecar put, or a sidecar delete.
+type writeFault struct {
 	on  atomic.Bool
 	hit func(op faults.Op, key string) bool
 }
 
-var errBlob = errors.New("catalog disk full")
+var errDiskFull = errors.New("disk full")
 
-func (b *blobFault) Decide(op faults.Op, _ int64, key string) faults.Fault {
+func (b *writeFault) Decide(op faults.Op, _ int64, key string) faults.Fault {
 	if b.on.Load() && b.hit(op, key) {
-		return faults.Fault{Err: errBlob}
+		return faults.Fault{Err: errDiskFull}
 	}
 	return faults.Fault{}
-}
-
-// rawFaultStore adds the raw-bytes extension the fault injector does not
-// forward, so AdoptPartition works over it.
-type rawFaultStore struct {
-	*faults.Store[int64]
-	mem *storage.MemStore[int64]
-}
-
-func (s rawFaultStore) GetRaw(key string) ([]byte, error) { return s.mem.GetRaw(key) }
-func (s rawFaultStore) PutRaw(key string, b []byte) error { return s.mem.PutRaw(key, b) }
-func (s rawFaultStore) DecodeRaw(b []byte) (*core.Sample[int64], error) {
-	return s.mem.DecodeRaw(b)
-}
-
-// PutSample puts through the injector, so the sample put stays faultable.
-func (s rawFaultStore) PutSample(key string, smp *core.Sample[int64]) ([]byte, error) {
-	if err := s.Store.Put(key, smp); err != nil {
-		return nil, err
-	}
-	return s.mem.GetRaw(key)
 }
 
 // sidecarsAgree: every sidecar w holds validates and describes the sample
@@ -199,7 +178,7 @@ func sidecarsAgree(t *testing.T, when string, w *Warehouse[int64]) {
 // absent one is rebuilt by the first sketch-assisted query.
 func checkReopened(t *testing.T, when string, mem *storage.MemStore[int64], ids []string) {
 	t.Helper()
-	cp := storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
+	cp := storage.NewMemStore[int64](storage.Int64Codec{})
 	keys, _ := mem.Keys("")
 	for _, k := range keys {
 		raw, err := mem.GetRaw(k)
@@ -231,8 +210,9 @@ func checkReopened(t *testing.T, when string, mem *storage.MemStore[int64], ids 
 	}
 }
 
-// TestFailedPersistLeavesCatalogAtLastManifest: whichever catalog write
-// fails — the record's sidecar, the manifest, a rolled-out sidecar's delete —
+// TestFailedPersistLeavesCatalogAtLastManifest: whichever write fails — the
+// sample put (PutSample or PutRaw), the record's sidecar, the manifest, a
+// rolled-out sidecar's delete —
 // every catalog writer returns with the in-memory catalog equal to the last
 // manifest that was written: a new partition is not listed, a replaced one
 // keeps its old record, a rolled-out one is still there. A process restarted
@@ -244,6 +224,8 @@ func TestFailedPersistLeavesCatalogAtLastManifest(t *testing.T) {
 		hit    func(op faults.Op, key string) bool
 		breaks func(writer string) bool
 	}{
+		{"sample put", func(op faults.Op, _ string) bool { return op == faults.OpPut },
+			func(writer string) bool { return writer != "RollOut" }},
 		{"manifest put", func(op faults.Op, key string) bool { return op == faults.OpPutBlob && key == manifestName },
 			func(string) bool { return true }},
 		{"sidecar put", func(op faults.Op, key string) bool { return op == faults.OpPutBlob && key != manifestName },
@@ -252,10 +234,9 @@ func TestFailedPersistLeavesCatalogAtLastManifest(t *testing.T) {
 			func(writer string) bool { return writer == "RollOut" || strings.HasSuffix(writer, " replace") }},
 	} {
 		t.Run(fc.name, func(t *testing.T) {
-			mem := storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
-			fault := &blobFault{hit: fc.hit}
-			st := rawFaultStore{Store: faults.Wrap[int64](mem, fault), mem: mem}
-			w, _, err := Open[int64](st, 5)
+			mem := storage.NewMemStore[int64](storage.Int64Codec{})
+			fault := &writeFault{hit: fc.hit}
+			w, _, err := Open[int64](faults.Wrap[int64](mem, fault), 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,11 +263,7 @@ func TestFailedPersistLeavesCatalogAtLastManifest(t *testing.T) {
 			inMemory := func() []byte {
 				w.mu.Lock()
 				defer w.mu.Unlock()
-				m, err := w.buildManifest(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data, err := json.MarshalIndent(m, "", "  ")
+				data, err := json.MarshalIndent(w.buildManifest(), "", "  ")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -325,7 +302,7 @@ func TestFailedPersistLeavesCatalogAtLastManifest(t *testing.T) {
 					checkReopened(t, wr.name, mem, sidecars)
 					continue
 				}
-				if !errors.Is(err, errBlob) {
+				if !errors.Is(err, errDiskFull) {
 					t.Fatalf("%s with a failing %s: err = %v", wr.name, fc.name, err)
 				}
 				if !bytes.Equal(durable(), before) {
@@ -410,9 +387,11 @@ func FuzzLoadManifest(f *testing.F) {
 			return nil, false
 		}
 		for name, md := range m.Datasets {
-			if err := md.setRecords(st, name, md.records(st, name)); err != nil {
+			recs := records(st, md, name)
+			if err := saveSidecars(st, name, recs); err != nil {
 				t.Fatalf("a manifest that loaded does not save its sidecars: %v", err)
 			}
+			md.setRecords(recs)
 			m.Datasets[name] = md
 		}
 		if err := saveManifestBlob(st, m); err != nil {
@@ -422,7 +401,7 @@ func FuzzLoadManifest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		newStore := func() *storage.MemStore[int64] {
-			st := storage.NewMemStore[int64]()
+			st := storage.NewMemStore[int64](storage.Int64Codec{})
 			for key, sk := range blobs {
 				if err := st.PutBlob(key, []byte(sk)); err != nil {
 					t.Fatal(err)

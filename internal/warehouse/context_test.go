@@ -14,8 +14,8 @@ import (
 // with parts sampled partitions in dataset "ctx".
 func newCtxWarehouse(t *testing.T, parts int, delay time.Duration) (*Warehouse[int64], *slowStore) {
 	t.Helper()
-	st := &slowStore{Store: storage.NewMemStore[int64](), delay: delay}
-	w := New[int64](st, 7)
+	st := &slowStore{Store: storage.NewMemStore[int64](storage.Int64Codec{}), delay: delay}
+	w := mustOpen[int64](t, st, 7)
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("ctx", cfg); err != nil {
 		t.Fatal(err)

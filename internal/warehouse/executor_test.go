@@ -20,8 +20,8 @@ import (
 // values lie far outside the query range [0, 3999].
 func executorFixture(t *testing.T) (*Warehouse[int64], *obs.MemorySink) {
 	t.Helper()
-	store := storage.NewMemStore[int64]()
-	w := New[int64](store, 42)
+	store := storage.NewMemStore[int64](storage.Int64Codec{})
+	w := mustOpen[int64](t, store, 42)
 	w.SetQueryConfig(QueryConfig{LoadWorkers: 2})
 	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(128)}); err != nil {
 		t.Fatal(err)
@@ -170,8 +170,8 @@ func TestExecutorSentinelErrors(t *testing.T) {
 		},
 	}
 	// A store whose every sample is gone: nothing is readable.
-	store := storage.NewMemStore[int64]()
-	w := New[int64](store, 1)
+	store := storage.NewMemStore[int64](storage.Int64Codec{})
+	w := mustOpen[int64](t, store, 1)
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	for _, ds := range []string{"orders", "empty"} {
 		if err := w.CreateDataset(ds, cfg); err != nil {

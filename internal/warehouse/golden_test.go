@@ -36,7 +36,7 @@ const goldenPath = "testdata/golden-manifest.json"
 // golden file records.
 func goldenStore(t testing.TB) (*storage.MemStore[int64], *Warehouse[int64]) {
 	t.Helper()
-	st := storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
+	st := storage.NewMemStore[int64](storage.Int64Codec{})
 	w, _, err := Open[int64](st, 2006)
 	if err != nil {
 		t.Fatal(err)

@@ -90,11 +90,11 @@ type failStore struct {
 
 var errDisk = errors.New("disk on fire")
 
-func (f *failStore) Put(key string, s *core.Sample[int64]) error {
+func (f *failStore) PutSample(key string, s *core.Sample[int64]) ([]byte, error) {
 	if f.failPut {
-		return fmt.Errorf("storage: put %q: %w", key, errDisk)
+		return nil, fmt.Errorf("storage: put %q: %w", key, errDisk)
 	}
-	return f.Store.Put(key, s)
+	return f.Store.PutSample(key, s)
 }
 
 func (f *failStore) Delete(key string) error {
@@ -108,8 +108,8 @@ func (f *failStore) Delete(key string) error {
 // dataset/partition coordinates wrapped in, remain errors.Is-matchable, and
 // are counted and traced.
 func TestWarehouseErrorWrapping(t *testing.T) {
-	fs := &failStore{Store: storage.NewMemStore[int64](), failPut: true}
-	w := New[int64](fs, 7)
+	fs := &failStore{Store: storage.NewMemStore[int64](storage.Int64Codec{}), failPut: true}
+	w := mustOpen[int64](t, fs, 7)
 	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
 	}

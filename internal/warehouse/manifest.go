@@ -82,24 +82,24 @@ func parseAlgorithm(s string) (Algorithm, error) {
 // on-disk layout is known. Sidecars come back as stored, valid or not: Open
 // drops the unusable ones, fsck reports them; a blob that is missing or does
 // not decode is no sidecar. An inline sidecar wins over a blob and is marked
-// for the move out. A nil blob store reads the manifest's own facts only.
-func (md manifestDataset) records(blob storage.BlobStore, dataset string) []*partition {
+// for the move out.
+func records[V comparable](st storage.Store[V], md manifestDataset, dataset string) []*partition {
 	recs := make([]*partition, len(md.Partitions))
 	for i, id := range md.Partitions {
-		st, known := md.Stats[id]
+		ps, known := md.Stats[id]
 		sk := md.Sketches[id]
 		inline := sk != nil
-		if !inline && blob != nil {
-			sk = loadSidecar(blob, dataset+"/"+id)
+		if !inline {
+			sk = loadSidecar(st, dataset+"/"+id)
 		}
 		recs[i] = &partition{
 			id:            id,
-			stats:         st.PartitionStats,
+			stats:         ps.PartitionStats,
 			known:         known,
 			sketch:        sk,
 			sketchUnsaved: inline,
 			hash:          md.Hashes[id],
-			ewmaNS:        st.LoadEWMANS,
+			ewmaNS:        ps.LoadEWMANS,
 		}
 	}
 	return recs
@@ -107,8 +107,8 @@ func (md manifestDataset) records(blob storage.BlobStore, dataset string) []*par
 
 // loadSidecar decodes one partition's sidecar blob, nil when there is none to
 // decode.
-func loadSidecar(blob storage.BlobStore, key string) *sketch.Summary {
-	data, err := blob.GetBlob(key)
+func loadSidecar[V comparable](st storage.Store[V], key string) *sketch.Summary {
+	data, err := st.GetBlob(key)
 	if err != nil {
 		return nil
 	}
@@ -119,15 +119,33 @@ func loadSidecar(blob storage.BlobStore, key string) *sketch.Summary {
 	return sk
 }
 
-// setRecords is the inverse of records. Sidecars the store does not hold yet
-// go out first, one compact blob each — an installed or backfilled record's
-// own, or all of them when the catalog came from memory or from a manifest
-// that carried them inline — so a crash before the manifest lands leaves what
-// was there. Then the small facts are laid out as three registries, each
-// omitted while no record has an entry for it, so a catalog loaded from an
-// older manifest re-saves in that manifest's shape. A nil blob store lays out
-// the manifest and writes nothing.
-func (md *manifestDataset) setRecords(blob storage.BlobStore, dataset string, recs []*partition) error {
+// saveSidecars writes the sidecars the store does not hold yet, one compact
+// blob each — an installed or backfilled record's own, or all of them when
+// the catalog came from a manifest that carried them inline. They go out
+// before the manifest that names them, so a crash in between leaves what was
+// there.
+func saveSidecars[V comparable](st storage.Store[V], dataset string, recs []*partition) error {
+	for _, p := range recs {
+		if p.sketch == nil || !p.sketchUnsaved {
+			continue
+		}
+		data, err := json.Marshal(p.sketch)
+		if err != nil {
+			return fmt.Errorf("warehouse: encode sidecar %s/%s: %w", dataset, p.id, err)
+		}
+		if err := st.PutBlob(dataset+"/"+p.id, data); err != nil {
+			return fmt.Errorf("warehouse: save sidecar %s/%s: %w", dataset, p.id, err)
+		}
+		p.sketchUnsaved = false
+	}
+	return nil
+}
+
+// setRecords is the inverse of records for the manifest's own facts: they are
+// laid out as three registries, each omitted while no record has an entry for
+// it, so a catalog loaded from an older manifest re-saves in that manifest's
+// shape. The sidecars are saveSidecars' to write.
+func (md *manifestDataset) setRecords(recs []*partition) {
 	md.Partitions = make([]string, len(recs))
 	md.Stats, md.Sketches, md.Hashes = nil, nil, nil
 	for i, p := range recs {
@@ -144,24 +162,11 @@ func (md *manifestDataset) setRecords(blob storage.BlobStore, dataset string, re
 			}
 			md.Hashes[p.id] = p.hash
 		}
-		if blob == nil || p.sketch == nil || !p.sketchUnsaved {
-			continue
-		}
-		data, err := json.Marshal(p.sketch)
-		if err != nil {
-			return fmt.Errorf("warehouse: encode sidecar %s/%s: %w", dataset, p.id, err)
-		}
-		if err := blob.PutBlob(dataset+"/"+p.id, data); err != nil {
-			return fmt.Errorf("warehouse: save sidecar %s/%s: %w", dataset, p.id, err)
-		}
-		p.sketchUnsaved = false
 	}
-	return nil
 }
 
-// buildManifest snapshots the catalog, writing through blob the sidecars it
-// does not hold yet (see setRecords). Callers hold w.mu.
-func (w *Warehouse[V]) buildManifest(blob storage.BlobStore) (manifest, error) {
+// buildManifest snapshots the catalog. Callers hold w.mu.
+func (w *Warehouse[V]) buildManifest() manifest {
 	m := manifest{Version: manifestVersion, Datasets: make(map[string]manifestDataset, len(w.sets))}
 	for name, ds := range w.sets {
 		md := manifestDataset{
@@ -175,35 +180,31 @@ func (w *Warehouse[V]) buildManifest(blob storage.BlobStore) (manifest, error) {
 		for _, p := range ds.parts {
 			p.ewmaNS = w.ld.ewmaNS(w.key(name, p.id))
 		}
-		if err := md.setRecords(blob, name, ds.parts); err != nil {
-			return m, err
-		}
+		md.setRecords(ds.parts)
 		m.Datasets[name] = md
 	}
-	return m, nil
+	return m
 }
 
-// saveManifest persists the catalog through the blob side channel. It is a
-// no-op on ephemeral (New-built) warehouses. Callers hold w.mu.
+// saveManifest persists the catalog through the store's blob side channel:
+// the sidecars it does not hold yet, then the manifest. Callers hold w.mu.
 func (w *Warehouse[V]) saveManifest() error {
-	if w.blob == nil {
-		return nil
+	for name, ds := range w.sets {
+		if err := saveSidecars(w.store, name, ds.parts); err != nil {
+			return err
+		}
 	}
-	m, err := w.buildManifest(w.blob)
-	if err != nil {
-		return err
-	}
-	return saveManifestBlob(w.blob, m)
+	return saveManifestBlob(w.store, w.buildManifest())
 }
 
 // saveManifestBlob writes m as the store's catalog; fsck, which repairs the
 // catalog without a live warehouse, calls it directly.
-func saveManifestBlob(blob storage.BlobStore, m manifest) error {
+func saveManifestBlob[V comparable](st storage.Store[V], m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("warehouse: encode manifest: %w", err)
 	}
-	if err := blob.PutBlob(manifestName, data); err != nil {
+	if err := st.PutBlob(manifestName, data); err != nil {
 		return fmt.Errorf("warehouse: save manifest: %w", err)
 	}
 	return nil
@@ -211,9 +212,9 @@ func saveManifestBlob(blob storage.BlobStore, m manifest) error {
 
 // loadManifest reads and validates the stored catalog; a missing blob yields
 // an empty manifest (fresh warehouse).
-func loadManifest(blob storage.BlobStore) (manifest, error) {
+func loadManifest[V comparable](st storage.Store[V]) (manifest, error) {
 	var m manifest
-	data, err := blob.GetBlob(manifestName)
+	data, err := st.GetBlob(manifestName)
 	if storage.IsNotFound(err) {
 		return manifest{Version: manifestVersion, Datasets: map[string]manifestDataset{}}, nil
 	}
@@ -248,12 +249,8 @@ const (
 // check reports, and says what becomes of the record. A changed catalog is
 // written back once, after the walk: the sidecars that were rebuilt, then the
 // manifest.
-func fsckCatalog(store storage.Store[int64], pass string, check func(key string, p *partition) fsckVerdict) error {
-	blob, ok := store.(storage.BlobStore)
-	if !ok {
-		return fmt.Errorf("warehouse: fsck %s: store has no blob support: %w", pass, storage.ErrBlobsUnsupported)
-	}
-	m, err := loadManifest(blob)
+func fsckCatalog(store storage.Store[int64], check func(key string, p *partition) fsckVerdict) error {
+	m, err := loadManifest(store)
 	if err != nil {
 		return err
 	}
@@ -265,13 +262,13 @@ func fsckCatalog(store storage.Store[int64], pass string, check func(key string,
 	changed := false
 	walked := make(map[string][]*partition, len(names))
 	for _, name := range names {
-		for _, p := range m.Datasets[name].records(blob, name) {
+		for _, p := range records(store, m.Datasets[name], name) {
 			key := name + "/" + p.id
 			switch check(key, p) {
 			case fsckDrop:
 				// Best effort, as in Recover: a sidecar that outlives its
 				// record is inert.
-				_ = blob.DeleteBlob(key)
+				_ = store.DeleteBlob(key)
 				changed = true
 				continue
 			case fsckRepaired:
@@ -284,13 +281,14 @@ func fsckCatalog(store storage.Store[int64], pass string, check func(key string,
 		return nil
 	}
 	for _, name := range names {
-		md := m.Datasets[name]
-		if err := md.setRecords(blob, name, walked[name]); err != nil {
+		if err := saveSidecars(store, name, walked[name]); err != nil {
 			return err
 		}
+		md := m.Datasets[name]
+		md.setRecords(walked[name])
 		m.Datasets[name] = md
 	}
-	return saveManifestBlob(blob, m)
+	return saveManifestBlob(store, m)
 }
 
 // CatalogFsckReport summarizes one offline manifest-vs-store reconciliation
@@ -318,7 +316,7 @@ func FsckReconcile(store storage.Store[int64], fix bool) (*CatalogFsckReport, er
 		unclaimed[k] = true
 	}
 	rep := &CatalogFsckReport{}
-	err = fsckCatalog(store, "catalog", func(key string, p *partition) fsckVerdict {
+	err = fsckCatalog(store, func(key string, p *partition) fsckVerdict {
 		if unclaimed[key] {
 			delete(unclaimed, key)
 			return fsckKeep
@@ -352,22 +350,17 @@ type RecoveryReport struct {
 }
 
 // Open loads a durable warehouse from the store's persisted manifest and
-// reconciles it against the store's contents (see Recover). The store must
-// support the blob side channel (FileStore and MemStore both do); seed plays
-// the same role as in New. A store without a manifest opens as an empty
-// durable warehouse, so Open doubles as "create durable".
+// reconciles it against the store's contents (see Recover), seeding all merge
+// randomness from seed. It is the one way to build a warehouse: a store
+// without a manifest opens as an empty warehouse, whose catalog the first
+// CreateDataset persists.
 func Open[V comparable](store storage.Store[V], seed uint64) (*Warehouse[V], *RecoveryReport, error) {
-	blob, ok := store.(storage.BlobStore)
-	if !ok {
-		return nil, nil, fmt.Errorf("warehouse: open: store has no blob support: %w", storage.ErrBlobsUnsupported)
-	}
-	m, err := loadManifest(blob)
+	m, err := loadManifest(store)
 	if err != nil {
 		return nil, nil, err
 	}
 	w := &Warehouse[V]{
 		store: store,
-		blob:  blob,
 		rng:   randx.New(seed),
 		sets:  make(map[string]*dataset, len(m.Datasets)),
 		ld:    newLoader(store),
@@ -389,7 +382,7 @@ func Open[V comparable](store storage.Store[V], seed uint64) (*Warehouse[V], *Re
 			return nil, nil, fmt.Errorf("warehouse: manifest data set %q: %w", name, err)
 		}
 		ds := &dataset{cfg: norm}
-		for _, p := range md.records(blob, name) {
+		for _, p := range records(store, md, name) {
 			// Corrupt or version-skewed sidecars are dropped here so the query
 			// path rebuilds them; fsck reads the stored ones and still
 			// reports them.

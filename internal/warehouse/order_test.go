@@ -14,7 +14,7 @@ import (
 	"samplewh/internal/storage"
 )
 
-// A store with a codec holds samples in value order, and puts the caller's
+// A store holds samples in value order, and puts the caller's
 // sample in that order before anything is derived from it (DESIGN.md §17).
 // These tests hold the write side to the consequence — what a roll records
 // is what the stored sample says after a reopen — and the read side to the
@@ -23,7 +23,7 @@ import (
 // TestRollInDerivesFromStoredOrder: the sidecar (its heavy-hitter table
 // depends on entry order), the statistics and the content hash a RollIn
 // records equal those recomputed from store.Get after a reopen, for every
-// sampler kind, on both stores that encode.
+// sampler kind, on both stores.
 func TestRollInDerivesFromStoredOrder(t *testing.T) {
 	stores := map[string]func(t *testing.T) storage.Store[int64]{
 		"FileStore": func(t *testing.T) storage.Store[int64] {
@@ -34,7 +34,7 @@ func TestRollInDerivesFromStoredOrder(t *testing.T) {
 			return st
 		},
 		"MemStore with codec": func(*testing.T) storage.Store[int64] {
-			return storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
+			return storage.NewMemStore[int64](storage.Int64Codec{})
 		},
 	}
 	sets := map[string]DatasetConfig{
@@ -92,7 +92,7 @@ func TestRollInDerivesFromStoredOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				raw, err := st.(storage.RawStore[int64]).GetRaw(w.key(name, "p"))
+				raw, err := st.GetRaw(w.key(name, "p"))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,57 +116,48 @@ func TestRollInDerivesFromStoredOrder(t *testing.T) {
 	}
 }
 
-// TestMemStoreAdoptsLegacyOrderBytes: a MemStore holds decoded samples and
-// re-encodes on GetRaw, so bytes adopted from a peer that still writes
-// insertion order come back as the value-ordered encoding of the same
-// multiset — the same length, stable from call to call, but not the bytes
-// that went in, and so not the hash AdoptPartition sealed (it seals what was
-// transferred, which is what the peer's inventory says). A FileStore keeps
-// the transferred bytes verbatim and has no such gap; closing it for the
-// in-memory store would mean keeping the bytes beside the sample, for the
-// one mixed-version, memory-only cluster that could notice.
+// TestMemStoreAdoptsLegacyOrderBytes: a MemStore keeps the bytes it is given,
+// so a partition adopted from a peer that still writes insertion order is
+// stored verbatim: the export hands the same bytes on, and the hash
+// AdoptPartition sealed over what was transferred is the hash of what the
+// store holds, so an audit of the hashes finds nothing to fix.
 func TestMemStoreAdoptsLegacyOrderBytes(t *testing.T) {
 	legacy, err := os.ReadFile("../storage/testdata/legacy-order.sample")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
-	if err := st.PutRaw("ds/p", legacy); err != nil {
-		t.Fatal(err)
-	}
-	first, err := st.GetRaw("ds/p")
+	st := storage.NewMemStore[int64](storage.Int64Codec{})
+	w, _, err := Open[int64](st, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := st.GetRaw("ds/p")
+	if err := w.CreateDataset("ds", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AdoptPartition("ds", "p", legacy, nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := st.GetRaw(w.key("ds", "p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first, second) || contentHash(first, nil) != contentHash(second, nil) {
-		t.Fatal("GetRaw is not stable from call to call")
+	if !bytes.Equal(raw, legacy) {
+		t.Fatalf("GetRaw returned %d bytes, not the %d adopted verbatim", len(raw), len(legacy))
 	}
-	if len(first) != len(legacy) || bytes.Equal(first, legacy) {
-		t.Fatalf("GetRaw returned %d bytes (equal to the put: %v), want the %d put in value order",
-			len(first), bytes.Equal(first, legacy), len(legacy))
-	}
-	put, err := st.DecodeRaw(legacy)
+	tr, err := w.ExportPartition("ds", "p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.DecodeRaw(first)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(tr.Raw, legacy) {
+		t.Error("the export re-encoded the adopted bytes")
 	}
-	if !got.Hist.Equal(put.Hist) || got.ParentSize != put.ParentSize || got.Kind != put.Kind {
-		t.Fatalf("GetRaw holds %v, put %v", got, put)
+	hashes, _ := w.PartitionHashes("ds")
+	if hashes["p"] == "" || hashes["p"] != tr.Hash || hashes["p"] != contentHash(raw, tr.Sketch) {
+		t.Errorf("sealed hash %q, export says %q, stored bytes say %q", hashes["p"], tr.Hash, contentHash(raw, tr.Sketch))
 	}
-	// Re-putting what GetRaw returned is the fixed point: from there on the
-	// store's bytes and any seal over them agree.
-	if err := st.PutRaw("ds/p", first); err != nil {
-		t.Fatal(err)
-	}
-	if third, _ := st.GetRaw("ds/p"); !bytes.Equal(third, first) {
-		t.Fatal("value-ordered bytes did not round-trip verbatim")
+	rep, err := FsckHashes(st, false)
+	if err != nil || rep.Problems() != 0 {
+		t.Errorf("hash audit after adopting legacy bytes: %+v, %v", rep, err)
 	}
 }
 

@@ -183,8 +183,8 @@ func TestPlannedCoverageAccounting(t *testing.T) {
 }
 
 func TestPlannedMaxTimeStopsAfterFirstWave(t *testing.T) {
-	ss := &slowStore{Store: storage.NewMemStore[int64](), delay: 5 * time.Millisecond}
-	w := New[int64](ss, 42)
+	ss := &slowStore{Store: storage.NewMemStore[int64](storage.Int64Codec{}), delay: 5 * time.Millisecond}
+	w := mustOpen[int64](t, ss, 42)
 	w.SetQueryConfig(QueryConfig{LoadWorkers: 2})
 	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(256)}); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestPlannedCacheResidencyReordersPlan(t *testing.T) {
 }
 
 func TestManifestStatsRoundTrip(t *testing.T) {
-	store := storage.NewMemStore[int64]()
+	store := storage.NewMemStore[int64](storage.Int64Codec{})
 	w, _, err := Open[int64](store, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestManifestStatsRoundTrip(t *testing.T) {
 // statistics registry existed: the partitions plan as unknown and the first
 // planned query backfills their entries on the spot.
 func TestManifestBackfillOldManifests(t *testing.T) {
-	store := storage.NewMemStore[int64]()
+	store := storage.NewMemStore[int64](storage.Int64Codec{})
 	w, _, err := Open[int64](store, 42)
 	if err != nil {
 		t.Fatal(err)

@@ -27,9 +27,9 @@ func TestWarmCacheMergeUniformity(t *testing.T) {
 		n       = parts * perPart
 	)
 	reg := obs.NewRegistry()
-	store := storage.NewMemStore[int64]()
+	store := storage.NewMemStore[int64](storage.Int64Codec{})
 	store.Instrument(reg)
-	w := New[int64](store, 7)
+	w := mustOpen[int64](t, store, 7)
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("orders", cfg); err != nil {
 		t.Fatal(err)

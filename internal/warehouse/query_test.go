@@ -32,9 +32,9 @@ func (s *slowStore) Get(key string) (*core.Sample[int64], error) {
 // warm, a MergedSample performs zero store.Get calls.
 func TestWarmCacheZeroStoreGets(t *testing.T) {
 	reg := obs.NewRegistry()
-	store := storage.NewMemStore[int64]()
+	store := storage.NewMemStore[int64](storage.Int64Codec{})
 	store.Instrument(reg)
-	w := New[int64](store, 42)
+	w := mustOpen[int64](t, store, 42)
 	w.Instrument(reg)
 	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20})
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
@@ -74,9 +74,9 @@ func TestWarmCacheZeroStoreGets(t *testing.T) {
 // SetQueryConfig every merge re-reads the store.
 func TestCacheDisabledByDefault(t *testing.T) {
 	reg := obs.NewRegistry()
-	store := storage.NewMemStore[int64]()
+	store := storage.NewMemStore[int64](storage.Int64Codec{})
 	store.Instrument(reg)
-	w := New[int64](store, 42)
+	w := mustOpen[int64](t, store, 42)
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("orders", cfg); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestCacheDisabledByDefault(t *testing.T) {
 // path must be transparent to the statistics.
 func TestCacheDoesNotChangeResults(t *testing.T) {
 	build := func(qc QueryConfig) *Warehouse[int64] {
-		w := New[int64](storage.NewMemStore[int64](), 42)
+		w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
 		w.SetQueryConfig(qc)
 		cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 		if err := w.CreateDataset("orders", cfg); err != nil {
@@ -144,8 +144,8 @@ func TestCacheDoesNotChangeResults(t *testing.T) {
 // partitions against a slow store and checks each partition was fetched far
 // fewer times than requested — concurrent loads coalesce.
 func TestSingleflightDedup(t *testing.T) {
-	ss := &slowStore{Store: storage.NewMemStore[int64](), delay: 2 * time.Millisecond}
-	w := New[int64](ss, 42)
+	ss := &slowStore{Store: storage.NewMemStore[int64](storage.Int64Codec{}), delay: 2 * time.Millisecond}
+	w := mustOpen[int64](t, ss, 42)
 	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20, LoadWorkers: 8})
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("orders", cfg); err != nil {
@@ -193,7 +193,7 @@ func TestSingleflightDedup(t *testing.T) {
 // partition p is warmed into the cache, rolled out, and re-rolled-in with
 // different content; a warm merge must see only the new content.
 func TestStaleCacheNeverServedAfterRollCycle(t *testing.T) {
-	w := New[int64](storage.NewMemStore[int64](), 42)
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
 	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20})
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("orders", cfg); err != nil {
@@ -225,7 +225,7 @@ func TestStaleCacheNeverServedAfterRollCycle(t *testing.T) {
 // concurrently (the -race run is the point) and asserts the cache never
 // serves a rolled-out partition's values after churn settles.
 func TestConcurrentRollCycleUnderRace(t *testing.T) {
-	w := New[int64](storage.NewMemStore[int64](), 42)
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
 	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20, LoadWorkers: 4, MergeWorkers: 2})
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("orders", cfg); err != nil {
@@ -318,8 +318,8 @@ func TestConcurrentRollCycleUnderRace(t *testing.T) {
 // on the concurrent loader: deleting a sample behind the warehouse's back
 // produces a skip, not a failure.
 func TestMergedSamplePartialSkipsWithLoader(t *testing.T) {
-	store := storage.NewMemStore[int64]()
-	w := New[int64](store, 42)
+	store := storage.NewMemStore[int64](storage.Int64Codec{})
+	w := mustOpen[int64](t, store, 42)
 	w.SetQueryConfig(QueryConfig{LoadWorkers: 8})
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("orders", cfg); err != nil {

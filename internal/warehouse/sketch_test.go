@@ -88,7 +88,7 @@ func TestRollOutDropsSketch(t *testing.T) {
 }
 
 func TestSketchManifestRoundTrip(t *testing.T) {
-	st := storage.NewMemStore[int64]()
+	st := storage.NewMemStore[int64](storage.Int64Codec{})
 	w, _, err := Open[int64](st, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestPlannedQueryAllPrunedFallback(t *testing.T) {
 }
 
 func TestFsckSketches(t *testing.T) {
-	st := storage.NewMemStore[int64]()
+	st := storage.NewMemStore[int64](storage.Int64Codec{})
 	w, _, err := Open[int64](st, 5)
 	if err != nil {
 		t.Fatal(err)

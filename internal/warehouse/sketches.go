@@ -33,13 +33,10 @@ func (w *Warehouse[V]) autoSketch(s *core.Sample[V]) *sketch.Summary {
 }
 
 // deleteSidecar removes one partition's sidecar blob — rolled out, found
-// dangling by Recover, or about to have its sample replaced. It is a no-op on
-// ephemeral warehouses. Callers hold w.mu.
+// dangling by Recover, or about to have its sample replaced. Callers hold
+// w.mu.
 func (w *Warehouse[V]) deleteSidecar(key string) error {
-	if w.blob == nil {
-		return nil
-	}
-	if err := w.blob.DeleteBlob(key); err != nil {
+	if err := w.store.DeleteBlob(key); err != nil {
 		return fmt.Errorf("warehouse: delete sidecar %s: %w", key, err)
 	}
 	return nil
@@ -132,7 +129,7 @@ func (r *SketchFsckReport) Problems() int {
 // back (see fsckCatalog). A store without a manifest yields an empty report.
 func FsckSketches(store storage.Store[int64], fix bool) (*SketchFsckReport, error) {
 	rep := &SketchFsckReport{}
-	err := fsckCatalog(store, "sketches", func(key string, p *partition) fsckVerdict {
+	err := fsckCatalog(store, func(key string, p *partition) fsckVerdict {
 		rep.Checked++
 		switch sk := p.sketch; {
 		case sk == nil:

@@ -111,15 +111,13 @@ type PartitionInfo struct {
 // It is safe for concurrent use. The paper's evaluation uses int64 values;
 // any comparable value type with a Store implementation works.
 type Warehouse[V comparable] struct {
-	mu    sync.RWMutex
+	mu sync.RWMutex
+	// store holds the samples and, through its blob side channel, the
+	// catalog: every catalog mutation rewrites the manifest, after the one
+	// sidecar blob that changed.
 	store storage.Store[V]
-	// blob, when non-nil, is the side channel making the catalog durable:
-	// every catalog mutation rewrites the manifest through it, after the one
-	// sidecar blob that changed. New leaves it nil (ephemeral catalog); Open
-	// sets it.
-	blob storage.BlobStore
-	rng  *randx.RNG
-	sets map[string]*dataset
+	rng   *randx.RNG
+	sets  map[string]*dataset
 	// ld is the read-path fetch layer: bounded-concurrency store loads with
 	// singleflight dedup and the optional read-through sample cache.
 	ld *loader[V]
@@ -127,18 +125,6 @@ type Warehouse[V comparable] struct {
 	// applied at merge time).
 	mergeWorkers int
 	o            whObs
-}
-
-// New creates a warehouse over the given store, seeding all merge
-// randomness from seed. The catalog (data set configs and partition lists)
-// lives only in memory; use Open for a catalog that survives restarts.
-func New[V comparable](store storage.Store[V], seed uint64) *Warehouse[V] {
-	return &Warehouse[V]{
-		store: store,
-		rng:   randx.New(seed),
-		sets:  make(map[string]*dataset),
-		ld:    newLoader(store),
-	}
 }
 
 // SetQueryConfig applies read-path tuning: the decoded-sample cache budget,

@@ -25,9 +25,19 @@ func partitionSketch(w *Warehouse[int64], ds, id string) (*sketch.Summary, bool,
 	return sk, ok, err
 }
 
+// mustOpen opens a warehouse over st.
+func mustOpen[V comparable](t testing.TB, st storage.Store[V], seed uint64) *Warehouse[V] {
+	t.Helper()
+	w, _, err := Open[V](st, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func newTestWarehouse(t *testing.T, alg Algorithm, nf int64) *Warehouse[int64] {
 	t.Helper()
-	w := New[int64](storage.NewMemStore[int64](), 42)
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
 	cfg := DatasetConfig{Algorithm: alg, Core: core.ConfigForNF(nf)}
 	if alg == AlgSB {
 		cfg.SBRate = 0.05
@@ -58,7 +68,7 @@ func ingest(t *testing.T, w *Warehouse[int64], ds, part string, lo, hi int64) {
 }
 
 func TestCreateDatasetValidation(t *testing.T) {
-	w := New[int64](storage.NewMemStore[int64](), 1)
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 1)
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("", cfg); err == nil {
 		t.Error("empty name accepted")
@@ -84,7 +94,7 @@ func TestCreateDatasetValidation(t *testing.T) {
 }
 
 func TestDefaultAlgorithmIsHR(t *testing.T) {
-	w := New[int64](storage.NewMemStore[int64](), 1)
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 1)
 	if err := w.CreateDataset("d", DatasetConfig{Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +346,7 @@ func TestWarehouseMergedSampleUniformity(t *testing.T) {
 	counts := make([]int64, n)
 	var sizeTotal int64
 	for trial := 0; trial < trials; trial++ {
-		w := New[int64](storage.NewMemStore[int64](), uint64(trial)+1)
+		w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), uint64(trial)+1)
 		if err := w.CreateDataset("d", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(32)}); err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +387,7 @@ func TestWarehouseMergedSampleUniformity(t *testing.T) {
 }
 
 func TestDatasetsListing(t *testing.T) {
-	w := New[int64](storage.NewMemStore[int64](), 1)
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 1)
 	for _, n := range []string{"zeta", "alpha", "mid"} {
 		if err := w.CreateDataset(n, DatasetConfig{Core: core.ConfigForNF(16)}); err != nil {
 			t.Fatal(err)
@@ -410,7 +420,7 @@ func TestWarehouseWithFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := New[int64](st, 7)
+	w := mustOpen[int64](t, st, 7)
 	if err := w.CreateDataset("d", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +449,7 @@ func TestWarehouseWithFileStore(t *testing.T) {
 
 func TestGenericStringWarehouse(t *testing.T) {
 	// The warehouse is generic: run the full life cycle over string values.
-	w := New[string](storage.NewMemStore[string](), 9)
+	w := mustOpen[string](t, storage.NewMemStore[string](storage.StringCodec{}), 9)
 	cfg := core.Config{
 		FootprintBytes: 24 * 64, // 64 values of up to 24 bytes
 		SizeModel:      histogram.SizeModel{ValueBytes: 24, CountBytes: 4},

@@ -24,7 +24,7 @@ func TestMetricsConcurrency(t *testing.T) {
 	sink := NewMemorySink(128)
 	reg.SetSink(sink)
 
-	w := NewWarehouse(NewMemStore(), 7)
+	w := openWarehouse(t, 7)
 	if err := w.CreateDataset("events", DatasetConfig{
 		Algorithm: AlgHR,
 		Core:      ConfigForNF(256),
@@ -120,30 +120,6 @@ func TestDefaultMetricsRegistry(t *testing.T) {
 	}
 }
 
-// TestInstrumentStore verifies the generic store-instrumentation hook
-// reports whether the store supports it.
-func TestInstrumentStore(t *testing.T) {
-	reg := NewMetrics()
-	st := NewMemStore()
-	if !InstrumentStore(st, reg) {
-		t.Fatal("MemStore should be instrumentable")
-	}
-	smp := NewHRSampler[int64](ConfigForNF(16), 1)
-	for i := int64(0); i < 100; i++ {
-		smp.Feed(i)
-	}
-	s, err := smp.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put("k", s); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("storage.mem.puts").Value(); got != 1 {
-		t.Errorf("storage.mem.puts = %d, want 1", got)
-	}
-}
-
 // TestTraceOverheadGuard bounds what tracing costs a served merge: the same
 // warm 16-partition merge of full-size (n_F = 8192) samples is timed with no
 // trace in the context — every span call a nil no-op — and with a fresh request
@@ -160,7 +136,7 @@ func TestTraceOverheadGuard(t *testing.T) {
 		t.Skip("timing guard: skipped under -race and -short")
 	}
 	const parts, nf = 16, 8192
-	w := NewWarehouse(NewMemStore(), 1)
+	w := openWarehouse(t, 1)
 	if err := w.CreateDataset("qp", DatasetConfig{Algorithm: AlgHR, Core: ConfigForNF(nf)}); err != nil {
 		t.Fatal(err)
 	}

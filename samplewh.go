@@ -170,18 +170,15 @@ const (
 	AlgSB = warehouse.AlgSB
 )
 
-// NewWarehouse creates an int64-valued warehouse over store.
-func NewWarehouse(store Store, seed uint64) *Warehouse { return warehouse.New[int64](store, seed) }
-
 // RecoveryReport describes what a warehouse recovery reconciled: the catalog
 // it restored plus any dangling partitions dropped and orphan keys found.
 type RecoveryReport = warehouse.RecoveryReport
 
-// OpenWarehouse opens a durable int64-valued warehouse over store: the
-// catalog (data set configurations and partition lists) is persisted as a
-// manifest in the store and restored — reconciled against the store's actual
-// contents — on every open. The store must support blob metadata (the
-// built-in memory and file stores do).
+// OpenWarehouse opens an int64-valued warehouse over store, the one way to
+// build one: the catalog (data set configurations and partition lists) is
+// persisted as a manifest in the store and restored — reconciled against the
+// store's actual contents — on every open. An empty store opens as an empty
+// warehouse.
 func OpenWarehouse(store Store, seed uint64) (*Warehouse, *RecoveryReport, error) {
 	return warehouse.Open[int64](store, seed)
 }
@@ -191,11 +188,13 @@ func OpenWarehouse(store Store, seed uint64) (*Warehouse, *RecoveryReport, error
 // pool, and the merge parallelism. Apply with Warehouse.SetQueryConfig.
 type QueryConfig = warehouse.QueryConfig
 
-// Store is the persistence contract for int64-valued sample warehouses.
+// Store is the persistence contract for int64-valued sample warehouses:
+// samples, their encoded bytes, the blobs that hold the catalog, and
+// metrics. A custom store implements all of it.
 type Store = storage.Store[int64]
 
 // NewMemStore returns an in-memory store.
-func NewMemStore() Store { return storage.NewMemStore[int64]() }
+func NewMemStore() Store { return storage.NewMemStore[int64](storage.Int64Codec{}) }
 
 // NewFileStore returns a file-backed store rooted at dir.
 func NewFileStore(dir string) (Store, error) {
@@ -294,17 +293,6 @@ func DefaultMetrics() *Metrics { return defaultMetrics }
 
 // Snapshot copies the current state of the package-level registry.
 func Snapshot() MetricsSnapshot { return defaultMetrics.Snapshot() }
-
-// InstrumentStore routes a store's metrics into reg when the concrete store
-// supports instrumentation (the built-in memory and file stores do). It
-// reports whether the store was instrumented.
-func InstrumentStore[V comparable](s storage.Store[V], reg *Metrics) bool {
-	in, ok := s.(interface{ Instrument(*obs.Registry) })
-	if ok {
-		in.Instrument(reg)
-	}
-	return ok
-}
 
 // WorkloadSpec describes a synthetic data set (the paper's unique, uniform
 // and Zipfian evaluation workloads).

@@ -9,6 +9,16 @@ import (
 	"samplewh/internal/storage"
 )
 
+// openWarehouse opens a warehouse over a fresh in-memory store.
+func openWarehouse(t testing.TB, seed uint64) *Warehouse {
+	t.Helper()
+	wh, _, err := OpenWarehouse(NewMemStore(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wh
+}
+
 func TestFacadeQuickstartFlow(t *testing.T) {
 	cfg := ConfigForNF(512)
 	hr := NewHRSampler[int64](cfg, 1)
@@ -75,7 +85,7 @@ func TestFacadeMergeFlow(t *testing.T) {
 }
 
 func TestFacadeWarehouseFlow(t *testing.T) {
-	wh := NewWarehouse(NewMemStore(), 8)
+	wh := openWarehouse(t, 8)
 	if err := wh.CreateDataset("t", DatasetConfig{Algorithm: AlgHR, Core: ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +237,7 @@ func TestFacadeDeterminism(t *testing.T) {
 }
 
 func TestFacadeQueryPath(t *testing.T) {
-	wh := NewWarehouse(NewMemStore(), 8)
+	wh := openWarehouse(t, 8)
 	if err := wh.CreateDataset("t", DatasetConfig{Algorithm: AlgHR, Core: ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
 	}
