@@ -52,9 +52,10 @@ bench-decode:
 
 # The warm read's micro-benchmark: one k-way merge of 16 cached 8192-entry HR
 # samples beside the clone + pairwise tree it replaced, over HB inputs, with an
-# exhaustive input, and in value order as the store serves them, each
-# single-threaded and at full parallelism. CI runs it with BENCHTIME=20x as a
-# smoke test.
+# exhaustive input, in value order as the store serves them, and over the
+# served data's shape with its few repeated values, each single-threaded and at
+# full parallelism; then the served quantile over the merged sample. CI runs it
+# with BENCHTIME=20x as a smoke test.
 BENCHTIME ?= 200x
 
 bench-merge:

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"samplewh/internal/core"
+	"samplewh/internal/estimate"
 	"samplewh/internal/experiments"
 	"samplewh/internal/obs"
 	"samplewh/internal/randx"
@@ -377,7 +378,11 @@ func BenchmarkMergeTreeParallel(b *testing.B) {
 // hb rows merge the same partitions sampled by Algorithm HB (Bernoulli
 // inputs, thinned to one rate); hr+exhaustive adds a 4096-row partition the HR
 // sampler kept whole. The served rows merge the HR samples with their entries
-// in value order, as the store hands them out.
+// in value order, as the store hands them out; the served+repeats rows do the
+// same over the served data's shape — partition i is 65536 uniform draws in
+// [i·S, i·S+2S), S = 16·65536 — whose samples keep a few repeated values, so
+// the selection maps positions around them. The quantile row is what a
+// served quantile pays after that merge: NewOrdered and Quantile(0.9).
 func BenchmarkMergeK(b *testing.B) {
 	const parts = 16
 	const per = 64 * 1024
@@ -391,6 +396,23 @@ func BenchmarkMergeK(b *testing.B) {
 	}
 	hb := partitionSamples(b, parts, per, func() core.Sampler[int64] { return core.NewHB[int64](cfg, per, rng.Split()) })
 	withExh := append(slices.Clone(samples), hrSamples(b, cfg, 1, 4096, rng)[0])
+	repeats := make([]*core.Sample[int64], parts)
+	for i := range repeats {
+		const stride = 16 * per
+		hr := core.NewHR[int64](cfg, rng.Split())
+		for j := 0; j < per; j++ {
+			hr.Feed(int64(i)*stride + randx.Int64n(rng, 2*stride))
+		}
+		s, err := hr.Finalize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Hist.Distinct() == int(s.Size()) {
+			b.Fatal("served-shape sample kept no repeated value")
+		}
+		s.Hist.SortFunc(cmp.Compare[int64])
+		repeats[i] = s
+	}
 	kway := func(in []*core.Sample[int64], par int) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
@@ -422,7 +444,24 @@ func BenchmarkMergeK(b *testing.B) {
 		b.Run("hb"+suffix, kway(hb, par))
 		b.Run("hr+exhaustive"+suffix, kway(withExh, par))
 		b.Run("served"+suffix, kway(served, par))
+		b.Run("served+repeats"+suffix, kway(repeats, par))
 	}
+	merged, err := core.MergeK(context.Background(), repeats, rng, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("quantile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			oe, err := estimate.NewOrdered(merged, func(a, b int64) bool { return a < b })
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := oe.Quantile(0.9); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // insertionOrderEncoding lays s out as stores wrote samples before value order

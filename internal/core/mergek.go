@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"samplewh/internal/histogram"
@@ -35,11 +37,14 @@ import (
 //     Bernoulli, 1 when none is — and if the join of the thinned inputs
 //     exceeds F, a simple random sample of n_F is taken from it.
 //
-// The survivors are joined once, in place, into a fresh histogram that builds
-// a value index only if something looks a value up (join). Because the inputs
-// are only read they may be shared (cached) samples; the result never aliases
-// one — a single input comes back as a Clone. Parent sizes that sum past
-// int64 and an unusable config are errors.
+// Each input's survivors are one run in value order — sorted first, only its
+// own few entries, when the input was not in value order itself — and the runs
+// are joined once by a k-way merge into a fresh histogram in strictly
+// ascending value order, which builds a value index only if something looks a
+// value up (join). Because the inputs are only read they may be shared
+// (cached) samples; the result never aliases one — a single input comes back
+// as a Clone, in value order too. Parent sizes that sum past int64 and an
+// unusable config are errors.
 //
 // When src is a *randx.RNG input i draws from its own stream, split off src in
 // input order (right after Lᵢ on the reservoir path), so up to parallelism
@@ -48,7 +53,7 @@ import (
 // split; the inputs are then walked sequentially on the shared stream. When
 // ctx carries an obs span the two phases record merge_select and merge_join
 // children; a done ctx is observed between them.
-func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.Source, parallelism int) (*Sample[V], error) {
+func MergeK[V cmp.Ordered](ctx context.Context, samples []*Sample[V], src randx.Source, parallelism int) (*Sample[V], error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: MergeK with no samples")
 	}
@@ -75,7 +80,9 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 		k = min(k, s.Size())
 	}
 	if len(samples) == 1 {
-		return samples[0].Clone(), nil
+		c := samples[0].Clone()
+		c.Hist.SortFunc(cmp.Compare[V])
+		return c, nil
 	}
 	cfg, err := samples[0].Config.checked()
 	if err != nil {
@@ -94,12 +101,18 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 	if !splittable {
 		parallelism = 1
 	}
-	// On the reservoir path input i's survivors land in its own window of one
-	// shared buffer, as many entries as they can fill: min(Lᵢ, its entries),
-	// and ΣLᵢ = k. (k = 0 — some input sampled nothing — needs no special
-	// case: every window is empty and so is the merged sample, the only
-	// uniform one that can be certified.)
-	window := func(i int) int64 { return min(ls[i], int64(samples[i].Hist.Distinct())) }
+	// Input i's survivors land in its own window of one pooled buffer, as
+	// many entries as they can fill: its entries when it is thinned, and on
+	// the reservoir path min(Lᵢ, its entries), where ΣLᵢ = k. (k = 0 — some
+	// input sampled nothing — needs no special case: every window is empty
+	// and so is the merged sample, the only uniform one that can be
+	// certified.)
+	window := func(i int) int64 {
+		if d := int64(samples[i].Hist.Distinct()); !reservoir || ls[i] > d {
+			return d
+		}
+		return ls[i]
+	}
 	rest, need, total := parents, k, int64(0)
 	for i, s := range samples {
 		if reservoir {
@@ -109,21 +122,25 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 				ls[i] = randx.Hypergeometric(src, s.ParentSize, rest, need)
 			}
 			need -= ls[i]
-			total += window(i)
 		}
+		total += window(i)
 		srcs[i] = src
 		if splittable {
 			srcs[i] = rng.Split()
 		}
 	}
-	buf := make([]histogram.Entry[V], total)
-	for i, off := 0, int64(0); reservoir && i < len(kept); i++ {
+	buf := windows[V](total)
+	for i, off := 0, int64(0); i < len(kept); i++ {
 		kept[i] = buf[off : off : off+window(i)]
 		off += window(i)
 	}
-	pick := func(i int) { kept[i] = selectSRS(samples[i].Hist, ls[i], kept[i], srcs[i]) }
-	if !reservoir {
-		pick = func(i int) { kept[i] = thin(samples[i].Hist, q/samples[i].rate(), srcs[i]) }
+	pick := func(i int) {
+		if reservoir {
+			kept[i] = selectSRS(samples[i].Hist, ls[i], kept[i], srcs[i])
+		} else {
+			kept[i] = thin(samples[i].Hist, q/samples[i].rate(), kept[i], srcs[i])
+		}
+		sortRun(kept[i])
 	}
 
 	parent := obs.SpanFromContext(ctx)
@@ -162,7 +179,8 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 	}
 
 	sp = parent.Start("merge_join")
-	out.Hist = join(cfg.SizeModel, buf, kept, nf)
+	out.Hist = join(cfg.SizeModel, kept)
+	putWindows(buf, kept, nf)
 	switch {
 	case reservoir: // the size-k SRS the draw made
 	case out.Hist.Footprint() > cfg.FootprintBytes:
@@ -181,56 +199,109 @@ func MergeK[V comparable](ctx context.Context, samples []*Sample[V], src randx.S
 	return out, nil
 }
 
-// join sums the inputs' survivors into one histogram, the paper's join over
-// all of them at once: a value seen before adds its count to its first entry,
-// a new one is written at the next free slot. When the survivors sit in
-// windows of buf, in order (the reservoir path), that is done in place in
-// buf's front — the next free slot is never past the entry being read — and
-// otherwise into a fresh slice of their number. The value → position map that
-// finds a repeat is borrowed from a pool and handed back empty, unless it may
-// have grown past a few n_F. The histogram adopts the entries and builds an
-// index of its own only if something looks a value up.
-func join[V comparable](model histogram.SizeModel, buf []histogram.Entry[V], kept [][]histogram.Entry[V], nf int64) *histogram.Histogram[V] {
+// join sums the inputs' survivor runs, each in strictly ascending value order,
+// into one histogram, the paper's join over all of them at once: a k-way merge
+// over a binary heap of run heads, each head carrying its value, in which a
+// value equal to the last one written adds its count to it. The result is in
+// strictly ascending value order, and its entries are the one fresh
+// allocation; the histogram adopts them and builds an index of its own only
+// if something looks a value up.
+func join[V cmp.Ordered](model histogram.SizeModel, kept [][]histogram.Entry[V]) *histogram.Histogram[V] {
 	n := 0
+	heads := make([]runHead[V], 0, len(kept))
 	for _, es := range kept {
-		n += len(es)
-	}
-	pool := dedupePool[V]()
-	seen, _ := pool.Get().(map[V]int)
-	if seen == nil {
-		seen = make(map[V]int, n)
-	}
-	out := buf[:0]
-	if cap(out) < n {
-		out = make([]histogram.Entry[V], 0, n)
-	}
-	for _, es := range kept {
-		for _, e := range es {
-			if j, ok := seen[e.Value]; ok {
-				out[j].Count += e.Count
-				continue
-			}
-			seen[e.Value] = len(out)
-			out = append(out, e)
+		if len(es) > 0 {
+			n += len(es)
+			heads = append(heads, runHead[V]{value: es[0].Value, rest: es})
 		}
 	}
-	if int64(n)/4 <= nf {
-		clear(seen)
-		pool.Put(seen)
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(heads, i)
+	}
+	out := make([]histogram.Entry[V], 0, n)
+	for len(heads) > 0 {
+		top := &heads[0]
+		if e := top.rest[0]; len(out) > 0 && out[len(out)-1].Value == e.Value {
+			out[len(out)-1].Count += e.Count
+		} else {
+			out = append(out, e)
+		}
+		if top.rest = top.rest[1:]; len(top.rest) > 0 {
+			top.value = top.rest[0].Value
+		} else if heads[0], heads = heads[len(heads)-1], heads[:len(heads)-1]; len(heads) == 0 {
+			break
+		}
+		siftDown(heads, 0)
 	}
 	return histogram.FromEntries(model, out)
 }
 
-// dedupePools holds join's map pool for each value type, keyed by (*V)(nil).
-var dedupePools sync.Map
+// runHead is a survivor run in join's heap, keyed by the value of its first
+// entry.
+type runHead[V cmp.Ordered] struct {
+	value V
+	rest  []histogram.Entry[V]
+}
 
-func dedupePool[V comparable]() *sync.Pool {
-	key := any((*V)(nil))
-	if p, ok := dedupePools.Load(key); ok {
-		return p.(*sync.Pool)
+// siftDown moves the head at position i down the min-heap h to its place,
+// lifting each smaller child into the hole it leaves.
+func siftDown[V cmp.Ordered](h []runHead[V], i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && cmp.Less(h[c+1].value, h[c].value) {
+			c++
+		}
+		if !cmp.Less(h[c].value, x.value) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	p, _ := dedupePools.LoadOrStore(key, new(sync.Pool))
-	return p.(*sync.Pool)
+	h[i] = x
+}
+
+// sortRun puts one input's survivors in value order, in place, unless they
+// are already: a sample a store serves is in value order and so are its
+// survivors; legacy-order files, adopted bytes and in-memory sampler output
+// are not.
+func sortRun[V cmp.Ordered](es []histogram.Entry[V]) {
+	byValue := func(a, b histogram.Entry[V]) int { return cmp.Compare(a.Value, b.Value) }
+	if !slices.IsSortedFunc(es, byValue) {
+		slices.SortFunc(es, byValue)
+	}
+}
+
+// windowPool holds the buffers MergeK cuts its survivor windows from, of
+// whichever value type was merged last; one of another type is dropped and a
+// fresh one made.
+var windowPool sync.Pool
+
+// windows returns a zeroed buffer of n entries, pooled when one large enough
+// is.
+func windows[V cmp.Ordered](n int64) []histogram.Entry[V] {
+	if p, ok := windowPool.Get().(*[]histogram.Entry[V]); ok && int64(cap(*p)) >= n {
+		return (*p)[:n]
+	}
+	return make([]histogram.Entry[V], n)
+}
+
+// putWindows pools buf once the runs written into it are cleared, so it is
+// zeroed again and holds no value alive. A buffer of more than a few n_F
+// entries — a thinned merge's windows are its inputs' whole entries — is let
+// go instead, so one large merge does not pin it in the pool.
+func putWindows[V cmp.Ordered](buf []histogram.Entry[V], runs [][]histogram.Entry[V], nf int64) {
+	if int64(cap(buf))/4 > nf {
+		return
+	}
+	for _, run := range runs {
+		clear(run)
+	}
+	buf = buf[:cap(buf)]
+	windowPool.Put(&buf)
 }
 
 // rate is the Bernoulli rate a non-reservoir sample was drawn at: Q, or 1 for
@@ -242,21 +313,20 @@ func (s *Sample[V]) rate() float64 {
 	return 1
 }
 
-// thin returns fresh entries holding a Bern(rate) subsample of h's data
-// elements — purgeBernoulli (Figure 3) into a copy, one binomial draw per
-// entry — reading h only. rate ≥ 1 copies h.
-func thin[V comparable](h *histogram.Histogram[V], rate float64, src randx.Source) []histogram.Entry[V] {
-	out := make([]histogram.Entry[V], 0, h.Distinct())
-	for i := 0; i < h.Distinct(); i++ {
+// thin appends to dst a Bern(rate) subsample of h's data elements —
+// purgeBernoulli (Figure 3) into a copy, one binomial draw per entry — in h's
+// entry order, reading h only. rate ≥ 1 copies h.
+func thin[V comparable](h *histogram.Histogram[V], rate float64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
+	for i, n := 0, h.Distinct(); i < n; i++ {
 		e := h.Entry(i)
 		if rate < 1 {
 			e.Count = randx.Binomial(src, e.Count, rate)
 		}
 		if e.Count > 0 {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 	}
-	return out
+	return dst
 }
 
 // walks is selectSRS's cost rule: walk the entries when a bitset over the
@@ -271,9 +341,12 @@ func walks(size int64, distinct int) bool { return size/64 > int64(distinct) }
 // algorithm picks n distinct positions uniformly, one draw per survivor: for j
 // = |S|−n … |S|−1, draw t uniform in [0, j] and take t, or j if t is taken
 // already — a bitset of |S| bits is the set. One pass over the bitset in
-// ascending order then maps positions onto entries (a position is the entry
-// index when every count is 1). Where walks says the bitset costs more than
-// the entries, and when every element is taken, selectWalk does it instead.
+// ascending order then maps positions onto entries through h.Repeats, the
+// entries whose count is above 1: outside their runs a position p is entry p −
+// excess, excess being the counts above 1 of the repeated entries before it,
+// so the pass costs the survivors and the repeats, never the other entries.
+// Where walks says the bitset costs more than the entries, and when every
+// element is taken, selectWalk does it instead.
 func selectSRS[V comparable](h *histogram.Histogram[V], n int64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
 	size := h.Size()
 	if n == 0 {
@@ -290,22 +363,29 @@ func selectSRS[V comparable](h *histogram.Histogram[V], n int64, dst []histogram
 		}
 		set[t/64] |= 1 << (t % 64)
 	}
-	if size == int64(h.Distinct()) {
-		for w, word := range set {
-			for ; word != 0; word &= word - 1 {
-				dst = append(dst, h.Entry(w*64+bits.TrailingZeros64(word)))
-			}
-		}
-		return dst
-	}
-	// Entry i holds positions [end − its count, end); last is the entry dst
-	// ends with.
-	i, end, last := 0, h.Entry(0).Count, -1
+	// reps[r] is the next repeated entry; its run starts at position
+	// reps[r] + excess. last is the entry dst ends with.
+	reps := h.Repeats()
+	r, excess, last := 0, int64(0), -1
 	for w, word := range set {
 		for ; word != 0; word &= word - 1 {
-			for p := int64(w*64 + bits.TrailingZeros64(word)); p >= end; {
-				i++
-				end += h.Entry(i).Count
+			p := int64(w*64 + bits.TrailingZeros64(word))
+			i := -1
+			for r < len(reps) {
+				start := int64(reps[r]) + excess
+				if p < start {
+					break
+				}
+				c := h.Entry(reps[r]).Count
+				if p < start+c {
+					i = reps[r]
+					break
+				}
+				excess += c - 1
+				r++
+			}
+			if i < 0 {
+				i = int(p - excess)
 			}
 			if i == last {
 				dst[len(dst)-1].Count++

@@ -606,3 +606,115 @@ func TestMergeKEdges(t *testing.T) {
 		t.Error("MergeK ignored a cancelled context")
 	}
 }
+
+// TestMergeKValueOrder is the order contract of MergeK and UnionBernoulli:
+// the merged histogram is strictly ascending for every regime — reservoir,
+// Bernoulli-only, reservoir and Bernoulli beside exhaustive inputs, exhaustive
+// over F, SB's union — over inputs in value order and in the insertion order
+// older files keep, whose values the inputs share. Which elements survive
+// does not depend on the values, only on the counts in entry order, so the
+// same merge with input i's values moved to their own range (v + 1000·i)
+// shows each input's survivors; mapJoin, the dedupe-map join that MergeK used
+// to run, sums them to what the value-sharing merge must hold. (Where the
+// join overflows F, the SRS of n_F taken from it is drawn over entries the
+// two joins lay out differently, so only the order is checked.)
+func TestMergeKValueOrder(t *testing.T) {
+	srs := func(i int, d []int64, _ core.Config, r *randx.RNG) *core.Sample[int64] { return srsOf(d, 8+4*(i%3), r) }
+	sets := append([]mergeKSet{{"hr", mergeKCfg, mergeKPartitions, srs, false}}, mergeKSets()...)
+	for _, ms := range sets {
+		for _, legacy := range []bool{false, true} {
+			for seed := uint64(0); seed < 50; seed++ {
+				r := randx.New(500 + seed)
+				var in, apart []*core.Sample[int64]
+				reservoir := false
+				for i, d := range ms.parts(5) {
+					s := ms.draw(i, d, ms.cfg, r)
+					if legacy {
+						s = shuffledEntries(s, r)
+					} else {
+						s.Hist.SortFunc(func(a, b int64) int { return int(a - b) })
+					}
+					reservoir = reservoir || s.Kind == core.ReservoirKind
+					in = append(in, s)
+					apart = append(apart, shifted(s, int64(1000*i)))
+				}
+				got, err := ms.merge(in, randx.New(seed), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s legacy=%v seed %d", ms.name, legacy, seed)
+				if !ascending(got) {
+					t.Fatalf("%s: merged entries not strictly ascending: %v", name, got.Hist.Entries())
+				}
+				ref, err := ms.merge(apart, randx.New(seed), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reservoir && got.Kind == core.ReservoirKind {
+					continue // the overflow SRS of n_F
+				}
+				survivors := make([][]histogram.Entry[int64], len(in))
+				for _, e := range ref.Hist.Entries() {
+					i := e.Value / 1000
+					survivors[i] = append(survivors[i], histogram.Entry[int64]{Value: e.Value - 1000*i, Count: e.Count})
+				}
+				if want := mapJoin(survivors); !got.Hist.Equal(want) || got.Kind != ref.Kind || got.Q != ref.Q {
+					t.Fatalf("%s: merged %v %v, the map join of each input's survivors gives %v %v", name, got, got.Hist.Entries(), ref, want.Entries())
+				}
+			}
+		}
+	}
+}
+
+// ascending reports whether s's entries are in strictly ascending value order.
+func ascending(s *core.Sample[int64]) bool {
+	for i := 1; i < s.Hist.Distinct(); i++ {
+		if s.Hist.Entry(i).Value <= s.Hist.Entry(i-1).Value {
+			return false
+		}
+	}
+	return true
+}
+
+// shuffledEntries is s with its entries in a random order, as files written
+// before value order was the stored order hold them.
+func shuffledEntries(s *core.Sample[int64], r *randx.RNG) *core.Sample[int64] {
+	es := s.Hist.Entries()
+	for i := len(es) - 1; i > 0; i-- {
+		j := randx.Intn(r, i+1)
+		es[i], es[j] = es[j], es[i]
+	}
+	c := *s
+	c.Hist = histogram.FromEntries(s.Config.SizeModel, es)
+	return &c
+}
+
+// shifted is s with every value moved by off, its entry order kept.
+func shifted(s *core.Sample[int64], off int64) *core.Sample[int64] {
+	es := s.Hist.Entries()
+	for i := range es {
+		es[i].Value += off
+	}
+	c := *s
+	c.Hist = histogram.FromEntries(s.Config.SizeModel, es)
+	return &c
+}
+
+// mapJoin is the reference join: a value seen before adds its count to its
+// first entry, found through a value → position map; a new value is
+// appended.
+func mapJoin(kept [][]histogram.Entry[int64]) *histogram.Histogram[int64] {
+	seen := map[int64]int{}
+	var out []histogram.Entry[int64]
+	for _, es := range kept {
+		for _, e := range es {
+			if j, ok := seen[e.Value]; ok {
+				out[j].Count += e.Count
+				continue
+			}
+			seen[e.Value] = len(out)
+			out = append(out, e)
+		}
+	}
+	return histogram.FromEntries(mergeKCfg.SizeModel, out)
+}

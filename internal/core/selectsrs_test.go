@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"samplewh/internal/histogram"
@@ -151,4 +152,56 @@ func poolSmallCells(observed []int64, expected []float64) ([]int64, []float64) {
 	obs[small] += restObs
 	exp[small] += restExp
 	return obs, exp
+}
+
+// TestSelectSRSRepeatsMapping holds the position → entry map through the
+// repeated entries to a walk of every entry's cumulative count over the same
+// Floyd draws, on histograms with no repeat, a few (one at each end among
+// them) and many, so the survivors are the ones the walk picks.
+func TestSelectSRSRepeatsMapping(t *testing.T) {
+	for ci, counts := range [][]int64{
+		{1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+		{3, 1, 1, 1, 2, 1, 1, 1, 1, 4},
+		{1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2},
+		{2, 3, 2, 1, 5, 2, 2, 1, 1, 3, 2, 2},
+	} {
+		entries := make([]histogram.Entry[int64], len(counts))
+		var size int64
+		for i, c := range counts {
+			entries[i] = histogram.Entry[int64]{Value: int64(7 * i), Count: c}
+			size += c
+		}
+		h := histogram.FromEntries(histogram.DefaultSizeModel, entries)
+		for n := int64(1); n < size; n++ {
+			for seed := uint64(0); seed < 20; seed++ {
+				got := selectSRS(h, n, nil, randx.New(seed))
+				// The same draws, mapped by walking the cumulative counts.
+				r := randx.New(seed)
+				set := make([]bool, size)
+				for j := size - n; j < size; j++ {
+					if t := randx.Int64n(r, j+1); !set[t] {
+						set[t] = true
+					} else {
+						set[j] = true
+					}
+				}
+				var want []histogram.Entry[int64]
+				var p int64
+				for _, e := range entries {
+					var took int64
+					for c := int64(0); c < e.Count; c, p = c+1, p+1 {
+						if set[p] {
+							took++
+						}
+					}
+					if took > 0 {
+						want = append(want, histogram.Entry[int64]{Value: e.Value, Count: took})
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("histogram %d, n=%d, seed %d: selectSRS = %v, the walk gives %v", ci, n, seed, got, want)
+				}
+			}
+		}
+	}
 }

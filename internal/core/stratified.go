@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"samplewh/internal/histogram"
@@ -78,10 +79,11 @@ func (st *Stratified[V]) Collapse(merge MergeFunc[V], src randx.Source) (*Sample
 // a Bern(q) sample from the union of the parent partitions. Such unioning is
 // useful when enforcing an upper bound on the sample size is not an issue."
 // Every input is thinned to the minimum rate into fresh entries (an exhaustive
-// sample is a Bern(1) sample), so the inputs are only read and the result
-// aliases none of them. It is Algorithm SB's merge: what a fold of SBMerges
-// computes, in one pass.
-func UnionBernoulli[V comparable](samples []*Sample[V], src randx.Source) (*Sample[V], error) {
+// sample is a Bern(1) sample), put in value order, and the runs are joined as
+// MergeK joins them, so the inputs are only read and the result, in value
+// order, aliases none of them. It is Algorithm SB's merge: what a fold of
+// SBMerges computes, in one pass.
+func UnionBernoulli[V cmp.Ordered](samples []*Sample[V], src randx.Source) (*Sample[V], error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: UnionBernoulli with no samples")
 	}
@@ -102,10 +104,11 @@ func UnionBernoulli[V comparable](samples []*Sample[V], src randx.Source) (*Samp
 	out := &Sample[V]{Kind: BernoulliKind, Q: minQ, Config: cfg}
 	kept := make([][]histogram.Entry[V], len(samples))
 	for i, s := range samples {
-		kept[i] = thin(s.Hist, minQ/s.rate(), src)
+		kept[i] = thin(s.Hist, minQ/s.rate(), make([]histogram.Entry[V], 0, s.Hist.Distinct()), src)
+		sortRun(kept[i])
 		out.ParentSize += s.ParentSize
 	}
-	out.Hist = join(cfg.SizeModel, nil, kept, cfg.NF())
+	out.Hist = join(cfg.SizeModel, kept)
 	if minQ == 1 {
 		out.Kind = Exhaustive
 	}

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"samplewh/internal/core"
+	"samplewh/internal/histogram"
 )
 
 // ZCrit maps a confidence level to the two-sided normal critical value used
@@ -242,8 +243,8 @@ type FreqEntry[V comparable] struct {
 }
 
 // TopK returns the k most frequent sample values with their frequencies
-// scaled to data-set cardinality (N/n scaling). Ties break arbitrarily but
-// deterministically.
+// scaled to data-set cardinality (N/n scaling). Ties keep the sample's entry
+// order: ascending value for a merged or stored sample.
 func (e *Estimator[V]) TopK(k int) []FreqEntry[V] {
 	if k <= 0 || e.s.Size() == 0 {
 		return nil
@@ -309,41 +310,57 @@ func GroupBy[V comparable, K comparable](e *Estimator[V], key func(V) K) ([]Grou
 // order supplied by less.
 type OrderedEstimator[V comparable] struct {
 	*Estimator[V]
-	sorted []V // expanded sample, sorted ascending
+	sorted *histogram.Histogram[V] // the sample's entries, ascending by less
 }
 
-// NewOrdered builds an ordered estimator; the expansion costs O(|S|) memory.
+// NewOrdered builds an ordered estimator. A sample whose entries are already
+// in ascending order of less — every merged or stored one — is walked in
+// place, with nothing allocated beyond the estimator; any other is copied
+// once, as entries, and sorted.
 func NewOrdered[V comparable](s *core.Sample[V], less func(a, b V) bool) (*OrderedEstimator[V], error) {
 	base, err := NewWithConfidence(s, 0.95)
 	if err != nil {
 		return nil, err
 	}
-	bag := s.Hist.Expand()
-	// Equal bare values are interchangeable, so stability buys nothing here.
-	slices.SortFunc(bag, func(a, b V) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
+	h := s.Hist
+	for i := 1; i < h.Distinct(); i++ {
+		if less(h.Entry(i).Value, h.Entry(i-1).Value) {
+			es := h.Entries()
+			// Values are distinct, so stability buys nothing here.
+			slices.SortFunc(es, func(a, b histogram.Entry[V]) int {
+				switch {
+				case less(a.Value, b.Value):
+					return -1
+				case less(b.Value, a.Value):
+					return 1
+				}
+				return 0
+			})
+			h = histogram.FromEntries(h.Model(), es)
+			break
 		}
-		return 0
-	})
-	return &OrderedEstimator[V]{Estimator: base, sorted: bag}, nil
+	}
+	return &OrderedEstimator[V]{Estimator: base, sorted: h}, nil
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) of the data set as the
-// corresponding sample quantile.
+// corresponding sample quantile: element ⌊q·(|S|−1)⌋ of the sorted expanded
+// sample, found by walking the entries' cumulative counts.
 func (e *OrderedEstimator[V]) Quantile(q float64) (V, error) {
 	var zero V
-	if len(e.sorted) == 0 {
+	size := e.sorted.Size()
+	if size == 0 {
 		return zero, fmt.Errorf("estimate: empty sample")
 	}
 	if !(q >= 0 && q <= 1) {
 		return zero, fmt.Errorf("estimate: quantile %v outside [0,1]", q)
 	}
-	idx := int(q * float64(len(e.sorted)-1))
-	return e.sorted[idx], nil
+	idx := int64(q * float64(size-1))
+	i := 0
+	for cum := e.sorted.Entry(0).Count; cum <= idx; cum += e.sorted.Entry(i).Count {
+		i++
+	}
+	return e.sorted.Entry(i).Value, nil
 }
 
 // Median estimates the data-set median.

@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -544,5 +545,96 @@ func TestNewOrderedMatchesStableSort(t *testing.T) {
 				t.Fatalf("%s: quantile %v = %d, stable sort says %d", name, q, got, ref)
 			}
 		}
+	}
+}
+
+// TestOrderedWalkMatchesBagSort holds Quantile, Quantiles and EquiDepth to
+// expanding the sample and sorting the bag, for q = 0, 0.01, …, 1: over
+// entries already in value order (walked in place), in another order (copied
+// and sorted once), heavily duplicated, a single entry and nothing at all. A
+// sample in value order costs NewOrdered nothing beyond the estimator.
+func TestOrderedWalkMatchesBagSort(t *testing.T) {
+	less := func(a, b int64) bool { return a < b }
+	src := randx.New(23)
+	var random, heavy []histogram.Entry[int64]
+	for v := int64(0); v < 400; v++ {
+		random = append(random, histogram.Entry[int64]{Value: 3*v - 500, Count: 1 + int64(src.Uint64()%3)})
+	}
+	for v := int64(0); v < 5; v++ {
+		heavy = append(heavy, histogram.Entry[int64]{Value: v * v, Count: 1 + int64(src.Uint64()%700)})
+	}
+	shuffle := func(es []histogram.Entry[int64]) []histogram.Entry[int64] {
+		es = slices.Clone(es)
+		for i := len(es) - 1; i > 0; i-- {
+			j := int(src.Uint64() % uint64(i+1))
+			es[i], es[j] = es[j], es[i]
+		}
+		return es
+	}
+	for _, tc := range []struct {
+		name    string
+		entries []histogram.Entry[int64]
+	}{
+		{"sorted", random},
+		{"unsorted", shuffle(random)},
+		{"heavy-duplicate", heavy},
+		{"heavy-duplicate unsorted", shuffle(heavy)},
+		{"single entry", []histogram.Entry[int64]{{Value: 42, Count: 9}}},
+		{"empty", nil},
+	} {
+		h := histogram.FromEntries(histogram.DefaultSizeModel, slices.Clone(tc.entries))
+		s := &core.Sample[int64]{Kind: core.ReservoirKind, ParentSize: 1 << 20, Config: core.ConfigForNF(8192), Hist: h}
+		before := h.Entries()
+		oe, err := NewOrdered(s, less)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(h.Entries(), before) {
+			t.Fatalf("%s: NewOrdered reordered the sample", tc.name)
+		}
+		bag := h.Expand()
+		slices.Sort(bag)
+		var qs []float64
+		for i := 0; i <= 100; i++ {
+			qs = append(qs, float64(i)/100)
+		}
+		got, err := oe.Quantiles(qs...)
+		if len(bag) == 0 {
+			if err == nil {
+				t.Fatalf("%s: quantiles of an empty sample: %v", tc.name, got)
+			}
+			if _, err := oe.EquiDepth(4); err == nil {
+				t.Fatalf("%s: equi-depth bounds of an empty sample", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, q := range qs {
+			want := bag[int(q*float64(len(bag)-1))]
+			if one, err := oe.Quantile(q); err != nil || one != want || got[i] != want {
+				t.Fatalf("%s: quantile %v = %d (Quantiles: %d), %v; the sorted bag says %d", tc.name, q, one, got[i], err, want)
+			}
+		}
+		for b := 2; b <= 10; b++ {
+			bounds, err := oe.EquiDepth(b)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for i, v := range bounds {
+				if want := bag[int(float64(i+1)/float64(b)*float64(len(bag)-1))]; v != want {
+					t.Fatalf("%s: EquiDepth(%d) bound %d = %d, the sorted bag says %d", tc.name, b, i, v, want)
+				}
+			}
+		}
+	}
+
+	s := &core.Sample[int64]{Kind: core.ReservoirKind, ParentSize: 1 << 20, Config: core.ConfigForNF(8192),
+		Hist: histogram.FromEntries(histogram.DefaultSizeModel, slices.Clone(random))}
+	base := testing.AllocsPerRun(100, func() { _, _ = NewWithConfidence(s, 0.95) })
+	ordered := testing.AllocsPerRun(100, func() { _, _ = NewOrdered(s, less) })
+	if ordered > base+1 {
+		t.Errorf("NewOrdered on a sample in value order allocates %v times, the estimator alone %v", ordered, base)
 	}
 }

@@ -11,12 +11,14 @@
 // Entries are kept in a deterministic order (insertion order, with
 // swap-with-last compaction on removal), so that all sampling algorithms
 // driven by a seeded random source are exactly reproducible; Go's randomized
-// map iteration order never influences results.
+// map iteration order never influences results. A histogram a store serves is
+// in ascending value order, and so is one a merge joins (core.MergeK,
+// core.UnionBernoulli), whatever order its inputs were in.
 //
-// The entry slice is the histogram; the value → position index is a cache
-// over it, built by the first lookup or mutation (see indexed). A histogram
-// that is only iterated — decoded, cloned, cached, walked by a merge or an
-// estimator — never pays for one.
+// The entry slice is the histogram; the value → position index and the list
+// of repeated entries are caches over it, each built by its first use (see
+// indexed and Repeats). A histogram that is only iterated — decoded, cloned,
+// cached, walked by a merge or an estimator — never pays for either.
 package histogram
 
 import (
@@ -69,6 +71,7 @@ type Histogram[V comparable] struct {
 	model     SizeModel
 	entries   []Entry[V]
 	index     atomic.Pointer[map[V]int] // nil until indexed builds it
+	repeats   atomic.Pointer[[]int]     // nil until Repeats builds it
 	size      int64                     // total number of data elements (sum of counts)
 	footprint int64                     // bytes under the compact representation
 }
@@ -129,6 +132,35 @@ func (h *Histogram[V]) indexed() map[V]int {
 	return m
 }
 
+// Repeats returns the indices, ascending, of the entries whose count is above
+// 1: what maps an expanded element's position onto its entry without walking
+// the entries (entry i starts at position i plus the counts above 1 before
+// it). It is built on first use and published atomically, like the index, so
+// histograms shared read-only may call it concurrently; every count mutator
+// drops it. The slice is shared: the caller must not modify it.
+func (h *Histogram[V]) Repeats() []int {
+	if p := h.repeats.Load(); p != nil {
+		return *p
+	}
+	reps := []int{}
+	for i, e := range h.entries {
+		if e.Count > 1 {
+			reps = append(reps, i)
+		}
+	}
+	h.repeats.Store(&reps)
+	return reps
+}
+
+// dropRepeats forgets the list of repeated entries after a count changes. Only
+// a built one is stored over, so an insert into a histogram that was never
+// asked pays one load.
+func (h *Histogram[V]) dropRepeats() {
+	if h.repeats.Load() != nil {
+		h.repeats.Store(nil)
+	}
+}
+
 // Model returns the histogram's size model.
 func (h *Histogram[V]) Model() SizeModel { return h.model }
 
@@ -158,6 +190,7 @@ func (h *Histogram[V]) Insert(v V, n int64) {
 	if n < 1 {
 		panic(fmt.Sprintf("histogram: Insert with n = %d < 1", n))
 	}
+	h.dropRepeats()
 	index := h.indexed()
 	if i, ok := index[v]; ok {
 		old := h.entries[i].Count
@@ -196,6 +229,7 @@ func (h *Histogram[V]) InsertWithin(v V, bound int64) bool {
 		h.footprint = fp
 	}
 	h.size++
+	h.dropRepeats()
 	return true
 }
 
@@ -205,6 +239,7 @@ func (h *Histogram[V]) Remove(v V, n int64) {
 	if n < 1 {
 		panic(fmt.Sprintf("histogram: Remove with n = %d < 1", n))
 	}
+	h.dropRepeats()
 	i, ok := h.indexed()[v]
 	if !ok || h.entries[i].Count < n {
 		panic("histogram: Remove of more occurrences than present")
@@ -232,6 +267,7 @@ func (h *Histogram[V]) SetCount(i int, count int64) {
 	if count < 0 {
 		panic(fmt.Sprintf("histogram: SetCount with count = %d < 0", count))
 	}
+	h.dropRepeats()
 	old := h.entries[i].Count
 	h.size += count - old
 	if count == 0 {
@@ -267,6 +303,7 @@ func (h *Histogram[V]) Reload(counts []int64) {
 	clear(h.entries[len(kept):])
 	h.entries = kept
 	h.index.Store(nil)
+	h.dropRepeats()
 }
 
 // removeAt drops entry i by swapping the final entry into its slot.
@@ -341,6 +378,7 @@ func (h *Histogram[V]) SortFunc(cmp func(a, b V) int) {
 	}
 	slices.SortFunc(h.entries, func(a, b Entry[V]) int { return cmp(a.Value, b.Value) })
 	h.index.Store(nil)
+	h.dropRepeats()
 }
 
 // Join merges other into h, summing counts of shared values. This is the
@@ -384,6 +422,7 @@ func (h *Histogram[V]) Equal(other *Histogram[V]) bool {
 func (h *Histogram[V]) Reset() {
 	h.entries = h.entries[:0]
 	clear(h.indexed()) // a built index keeps its capacity; an unbuilt one is built empty
+	h.dropRepeats()
 	h.size = 0
 	h.footprint = 0
 }

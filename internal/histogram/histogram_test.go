@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -233,6 +234,42 @@ func TestEachAndEntries(t *testing.T) {
 	es[0].Count = 999 // must be a copy
 	if h.Size() != 3 {
 		t.Fatal("Entries exposed internal state")
+	}
+}
+
+// TestRepeatsTracksMutation: Repeats lists the entries whose count is above
+// 1, in entry order, and each count mutator drops a list it had built, so the
+// next call sees the mutated entries.
+func TestRepeatsTracksMutation(t *testing.T) {
+	want := func(h *Histogram[int64]) []int {
+		reps := []int{}
+		for i := 0; i < h.Distinct(); i++ {
+			if h.Entry(i).Count > 1 {
+				reps = append(reps, i)
+			}
+		}
+		return reps
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(h *Histogram[int64])
+	}{
+		{"Insert", func(h *Histogram[int64]) { h.Insert(1, 1) }},
+		{"InsertWithin", func(h *Histogram[int64]) { h.InsertWithin(3, 1<<20) }},
+		{"Remove", func(h *Histogram[int64]) { h.Remove(2, 2) }},
+		{"SetCount", func(h *Histogram[int64]) { h.SetCount(0, 1) }},
+		{"Reload", func(h *Histogram[int64]) { h.Reload([]int64{1, 3, 2, 1}) }},
+		{"SortFunc", func(h *Histogram[int64]) { h.SortFunc(func(a, b int64) int { return int(a - b) }) }},
+		{"Reset", func(h *Histogram[int64]) { h.Reset() }},
+	} {
+		h := FromEntries(DefaultSizeModel, []Entry[int64]{{Value: 4, Count: 3}, {Value: 1, Count: 1}, {Value: 2, Count: 2}, {Value: 3, Count: 1}})
+		if got := h.Repeats(); !slices.Equal(got, []int{0, 2}) {
+			t.Fatalf("%s: Repeats before = %v, want [0 2]", tc.name, got)
+		}
+		tc.mutate(h)
+		if got, w := h.Repeats(), want(h); !slices.Equal(got, w) {
+			t.Errorf("%s: Repeats after = %v, want %v", tc.name, got, w)
+		}
 	}
 }
 

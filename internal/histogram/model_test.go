@@ -163,7 +163,8 @@ type pair struct {
 
 // check compares everything a caller can observe without a lookup, so that
 // checking never builds an index: a histogram a step left index-free is still
-// index-free when the next step runs.
+// index-free when the next step runs. It does build the list of repeated
+// entries, which the next step's mutation must then drop.
 func (p pair) check(step string) error {
 	h, ref := p.h, p.ref
 	if h.Size() != ref.size || h.Distinct() != len(ref.entries) || h.Footprint() != ref.footprint || h.Model() != ref.model {
@@ -188,6 +189,15 @@ func (p pair) check(step string) error {
 	}
 	if !slices.Equal(h.Expand(), ref.expand()) {
 		return fmt.Errorf("%s: Expand() = %v, want %v", step, h.Expand(), ref.expand())
+	}
+	reps := []int{}
+	for i, e := range ref.entries {
+		if e.Count > 1 {
+			reps = append(reps, i)
+		}
+	}
+	if !slices.Equal(h.Repeats(), reps) {
+		return fmt.Errorf("%s: Repeats() = %v, want %v", step, h.Repeats(), reps)
 	}
 	if sorted := h.IsSortedFunc(cmp.Compare[int64]); sorted != slices.IsSortedFunc(ref.entries, func(a, b Entry[int64]) int { return cmp.Compare(a.Value, b.Value) }) {
 		return fmt.Errorf("%s: IsSortedFunc = %v over %v", step, sorted, ref.entries)

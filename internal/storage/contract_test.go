@@ -197,9 +197,11 @@ func TestStoreContract(t *testing.T) {
 }
 
 // FuzzPutRaw: whatever bytes PutRaw accepts, GetRaw returns verbatim and Get
-// decodes to the sample DecodeSample makes of them, entry order included;
-// whatever it rejects leaves the key's previous bytes in place, and is what
-// DecodeSample rejects.
+// decodes to the sample DecodeSample makes of them, entry order included, and
+// that sample merges beside a partner into strictly ascending value order
+// (MergeBeside) — a legacy-order file sorts its survivors first; whatever it
+// rejects leaves the key's previous bytes in place, and is what DecodeSample
+// rejects.
 func FuzzPutRaw(f *testing.F) {
 	legacy, err := os.ReadFile(legacyOrder)
 	if err != nil {
@@ -240,6 +242,7 @@ func FuzzPutRaw(f *testing.F) {
 			if err != nil || !sameSample(got, want) {
 				t.Fatalf("%s: Get = %v, %v; DecodeSample gives %v", c.name, got, err, want)
 			}
+			storage.MergeBeside(t, got)
 		}
 	})
 }

@@ -72,10 +72,28 @@ func FuzzDecodeSample(f *testing.F) {
 		if _, err := EncodeSample(s, Int64Codec{}); err != nil {
 			t.Fatalf("accepted sample failed to re-encode: %v", err)
 		}
-		// The merge trusts what decodes: an error is fine, a panic is not.
-		_, _ = core.MergeK(context.Background(), []*core.Sample[int64]{s, mergePartner(s)}, randx.New(1), 1)
+		mergeBeside(t, s)
 	})
 }
+
+// mergeBeside merges s beside mergePartner(s), as a served merge trusts what
+// decodes: an error is fine, a panic is not, and what merges is in strictly
+// ascending value order whatever order s holds its entries in. FuzzPutRaw,
+// outside the package, calls it as MergeBeside.
+func mergeBeside(t *testing.T, s *core.Sample[int64]) {
+	t.Helper()
+	m, err := core.MergeK(context.Background(), []*core.Sample[int64]{s, mergePartner(s)}, randx.New(1), 1)
+	if err != nil {
+		return
+	}
+	for i := 1; i < m.Hist.Distinct(); i++ {
+		if m.Hist.Entry(i).Value <= m.Hist.Entry(i-1).Value {
+			t.Fatalf("merged entries %d and %d out of value order: %v", i-1, i, m.Hist.Entries())
+		}
+	}
+}
+
+var MergeBeside = mergeBeside
 
 // mergePartner is a small sample of another partition, of s's kind and
 // config, for s to be merged beside.

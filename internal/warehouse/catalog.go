@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -93,7 +94,7 @@ func (ds *dataset) ids() []string {
 // snapshot is the accessor behind every per-partition view of a data set
 // (statistics, sidecars, content hashes): it copies one fact per record
 // under the read lock, skipping records pick has nothing for.
-func snapshot[V comparable, T any](w *Warehouse[V], dataset string, pick func(*partition) (T, bool)) (map[string]T, error) {
+func snapshot[V cmp.Ordered, T any](w *Warehouse[V], dataset string, pick func(*partition) (T, bool)) (map[string]T, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	ds, ok := w.sets[dataset]

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -354,7 +355,7 @@ type RecoveryReport struct {
 // randomness from seed. It is the one way to build a warehouse: a store
 // without a manifest opens as an empty warehouse, whose catalog the first
 // CreateDataset persists.
-func Open[V comparable](store storage.Store[V], seed uint64) (*Warehouse[V], *RecoveryReport, error) {
+func Open[V cmp.Ordered](store storage.Store[V], seed uint64) (*Warehouse[V], *RecoveryReport, error) {
 	m, err := loadManifest(store)
 	if err != nil {
 		return nil, nil, err

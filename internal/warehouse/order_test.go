@@ -162,9 +162,10 @@ func TestMemStoreAdoptsLegacyOrderBytes(t *testing.T) {
 }
 
 // TestSharedHistogramLookups: a decoded, cached sample has no index until a
-// lookup builds one, and readers that share it may all be the first to ask.
-// Run under -race: eight readers iterate, look values up and compare while a
-// ninth clones the shared sample and purges its clone.
+// lookup builds one, and readers that share it may all be the first to ask —
+// for the index or for the list of repeated entries a merge maps positions
+// through. Run under -race: eight readers iterate, look values up and compare
+// while a ninth clones the shared sample and purges its clone.
 func TestSharedHistogramLookups(t *testing.T) {
 	st, err := storage.NewFileStore[int64](t.TempDir(), storage.Int64Codec{})
 	if err != nil {
@@ -202,6 +203,11 @@ func TestSharedHistogramLookups(t *testing.T) {
 				})
 				if size != shared.Hist.Size() || !shared.Hist.Equal(want.Hist) || !want.Hist.Equal(shared.Hist) {
 					t.Errorf("shared histogram %v reads as %d elements, want %v", shared.Hist, size, want.Hist)
+				}
+				for _, i := range shared.Hist.Repeats() {
+					if c := shared.Hist.Entry(i).Count; c < 2 {
+						t.Errorf("Repeats lists entry %d, of count %d", i, c)
+					}
 				}
 			}
 		}()

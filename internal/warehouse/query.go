@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -439,7 +440,7 @@ func (w *Warehouse[V]) combine(ctx context.Context, parent *obs.Span, q *query[V
 // HR's is core.MergeK. Both only read their inputs and return a fresh sample.
 // The executor's combine stage and the cluster coordinator's fold of its shard
 // samples are its callers.
-func Merge[V comparable](ctx context.Context, alg Algorithm, samples []*core.Sample[V], src *randx.RNG, workers int) (*core.Sample[V], error) {
+func Merge[V cmp.Ordered](ctx context.Context, alg Algorithm, samples []*core.Sample[V], src *randx.RNG, workers int) (*core.Sample[V], error) {
 	if alg == AlgSB {
 		return core.UnionBernoulli(samples, src)
 	}

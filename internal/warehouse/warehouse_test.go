@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -26,7 +27,7 @@ func partitionSketch(w *Warehouse[int64], ds, id string) (*sketch.Summary, bool,
 }
 
 // mustOpen opens a warehouse over st.
-func mustOpen[V comparable](t testing.TB, st storage.Store[V], seed uint64) *Warehouse[V] {
+func mustOpen[V cmp.Ordered](t testing.TB, st storage.Store[V], seed uint64) *Warehouse[V] {
 	t.Helper()
 	w, _, err := Open[V](st, seed)
 	if err != nil {

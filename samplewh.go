@@ -35,6 +35,8 @@
 package samplewh
 
 import (
+	"cmp"
+
 	"samplewh/internal/core"
 	"samplewh/internal/estimate"
 	"samplewh/internal/fullwh"
@@ -140,8 +142,9 @@ func NewStratifiedEstimator[V comparable](st *Stratified[V]) (*estimate.Stratifi
 
 // UnionBernoulli unions Bernoulli samples of disjoint partitions without a
 // footprint bound, thinning every input to the smallest rate (paper §4.1).
-// It only reads its inputs: Algorithm SB's merge.
-func UnionBernoulli[V comparable](samples []*Sample[V], src Source) (*Sample[V], error) {
+// It only reads its inputs: Algorithm SB's merge. The union's entries come
+// out in ascending value order, which is why V must be ordered.
+func UnionBernoulli[V cmp.Ordered](samples []*Sample[V], src Source) (*Sample[V], error) {
 	return core.UnionBernoulli(samples, src)
 }
 
