@@ -109,13 +109,15 @@ chaos-cluster:
 # absent), the query grammar (an accepted query re-renders to itself) and a
 # read's URL parameters (an accepted read has a supported confidence and
 # in-range bounds) and an ingest body (read exactly as TrimSpace + ParseInt
-# read it: the same values, or the same status and message) — and over the
+# read it: the same values, or the same status and message), a journal
+# segment (recovery never panics, recovers only what Inspect lists as pending,
+# and recovers it again on reopening or after TruncateTorn) — and over the
 # histogram, whose lazily built index must leave every operation sequence
 # observably what the eager reference makes of it.
 # The manifest seeds are ~40 KB and one ingest-body seed is 1 MiB, so
 # minimizing each new corpus entry would eat the whole budget; FuzzPutRaw
-# writes each input through a file store, and minimizing stalls it the same
-# way. Override
+# writes each input through a file store and FuzzWALRecover through journal
+# directories, and minimizing stalls them the same way. Override
 # FUZZTIME for longer campaigns.
 FUZZTIME ?= 15s
 
@@ -129,6 +131,7 @@ fuzz:
 	go test -run NONE -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/estimate
 	go test -run NONE -fuzz FuzzParseReadQuery -fuzztime $(FUZZTIME) ./internal/server
 	go test -run NONE -fuzz FuzzIngestBody -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/server
+	go test -run NONE -fuzz FuzzWALRecover -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/wal
 
 # Non-test Go lines per internal package, per command and in the root facade —
 # the count ROADMAP aim 2 and its simplification items gate on (raw lines:

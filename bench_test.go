@@ -9,7 +9,6 @@ package samplewh
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -392,7 +391,7 @@ func BenchmarkMergeK(b *testing.B) {
 	served := make([]*core.Sample[int64], parts)
 	for i, s := range samples {
 		served[i] = s.Clone()
-		served[i].Hist.SortFunc(cmp.Compare[int64])
+		served[i].Hist.Sort()
 	}
 	hb := partitionSamples(b, parts, per, func() core.Sampler[int64] { return core.NewHB[int64](cfg, per, rng.Split()) })
 	withExh := append(slices.Clone(samples), hrSamples(b, cfg, 1, 4096, rng)[0])
@@ -410,7 +409,7 @@ func BenchmarkMergeK(b *testing.B) {
 		if s.Hist.Distinct() == int(s.Size()) {
 			b.Fatal("served-shape sample kept no repeated value")
 		}
-		s.Hist.SortFunc(cmp.Compare[int64])
+		s.Hist.Sort()
 		repeats[i] = s
 	}
 	kway := func(in []*core.Sample[int64], par int) func(b *testing.B) {

@@ -53,6 +53,42 @@ func TestFlagsMatchReadme(t *testing.T) {
 	}
 }
 
+// TestFlagTableMatchesFlags holds README's swd flag table to defineFlags:
+// every flag a row names is defined (the cluster row names several, comma
+// separated), and every defined flag has a row.
+func TestFlagTableMatchesFlags(t *testing.T) {
+	fs := flag.NewFlagSet("swd", flag.ContinueOnError)
+	defineFlags(fs)
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(readme), "\n## Running the server\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	table := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		cell, _, _ := strings.Cut(strings.TrimPrefix(line, "| "), " |")
+		for _, name := range strings.Split(cell, ", ") {
+			name = strings.TrimSuffix(strings.TrimPrefix(name, "`-"), "`")
+			if fs.Lookup(name) == nil {
+				t.Errorf("README's swd flag table lists -%s, which swd does not define", name)
+			}
+			table[name] = true
+		}
+	}
+	if len(table) == 0 {
+		t.Fatal("README has no swd flag table under \"Running the server\"")
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !table[f.Name] {
+			t.Errorf("README's swd flag table has no row for -%s", f.Name)
+		}
+	})
+}
+
 var (
 	flagToken = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
 	flagSpan  = regexp.MustCompile("`-([a-z][a-z0-9-]*)")

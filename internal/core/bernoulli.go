@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"samplewh/internal/histogram"
@@ -15,7 +16,7 @@ import (
 // FeedN(v, n) is statistically identical to calling Feed(v) n times but lets
 // the implementations use binomial and skip shortcuts so that merging never
 // needs to expand a compact histogram into a bag (paper §4.1).
-type Sampler[V comparable] interface {
+type Sampler[V cmp.Ordered] interface {
 	// Feed processes the next arriving data element.
 	Feed(v V)
 	// FeedN processes a run of n consecutive arrivals of the same value.
@@ -30,7 +31,7 @@ type Sampler[V comparable] interface {
 // FeedAll feeds vals to s in order, as that many Feed calls would. It is the
 // one way a batch of rows enters a sampler: a sampler with a bulk FeedAll of
 // its own (HR) takes the whole slice, any other is fed a value at a time.
-func FeedAll[V comparable](s Sampler[V], vals []V) {
+func FeedAll[V cmp.Ordered](s Sampler[V], vals []V) {
 	if bulk, ok := s.(interface{ FeedAll([]V) }); ok {
 		bulk.FeedAll(vals)
 		return
@@ -44,7 +45,7 @@ func FeedAll[V comparable](s Sampler[V], vals []V) {
 // element is included independently with probability q. The sample is kept
 // in compact form. The footprint is NOT bounded a priori — this primitive
 // underlies Algorithm SB and the phase-2 machinery of Algorithm HB.
-type BernoulliSampler[V comparable] struct {
+type BernoulliSampler[V cmp.Ordered] struct {
 	cfg       Config
 	q         float64
 	hist      *histogram.Histogram[V]
@@ -62,7 +63,7 @@ func (b *BernoulliSampler[V]) Instrument(reg *obs.Registry, partition string) {
 }
 
 // NewBernoulli returns a Bern(q) sampler. It panics if q is outside [0, 1].
-func NewBernoulli[V comparable](cfg Config, q float64, src randx.Source) *BernoulliSampler[V] {
+func NewBernoulli[V cmp.Ordered](cfg Config, q float64, src randx.Source) *BernoulliSampler[V] {
 	cfg = cfg.normalized()
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("core: NewBernoulli with q = %v outside [0,1]", q))
@@ -123,12 +124,12 @@ func (b *BernoulliSampler[V]) Finalize() (*Sample[V], error) {
 // SB is Algorithm SB, the paper's "stratified Bernoulli" benchmark scheme
 // (§5): sample every partition at one fixed rate and union the results. It
 // is simply a named BernoulliSampler; the interesting part is SBMerge.
-type SB[V comparable] struct {
+type SB[V cmp.Ordered] struct {
 	BernoulliSampler[V]
 }
 
 // NewSB returns an Algorithm SB sampler at the fixed rate q.
-func NewSB[V comparable](cfg Config, q float64, src randx.Source) *SB[V] {
+func NewSB[V cmp.Ordered](cfg Config, q float64, src randx.Source) *SB[V] {
 	return &SB[V]{*NewBernoulli[V](cfg, q, src)}
 }
 
@@ -137,7 +138,7 @@ func NewSB[V comparable](cfg Config, q float64, src randx.Source) *SB[V] {
 // partitions (paper §3.1); when they differ, the higher-rate sample is first
 // thinned with purgeBernoulli to equalize the rates (paper §4.1, last
 // paragraph). The inputs are consumed.
-func SBMerge[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
+func SBMerge[V cmp.Ordered](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
 	if s1.Kind != BernoulliKind || s2.Kind != BernoulliKind {
 		return nil, fmt.Errorf("core: SBMerge requires two Bernoulli samples, got %s and %s",
 			s1.Kind, s2.Kind)
@@ -166,7 +167,7 @@ func SBMerge[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], err
 // replacement (paper §3.2), using Vitter skips between inclusions. It is the
 // standalone primitive; Algorithms HB and HR embed the same machinery with
 // their compact phase-1 front ends.
-type ReservoirSampler[V comparable] struct {
+type ReservoirSampler[V cmp.Ordered] struct {
 	cfg       Config
 	k         int64
 	bag       []V
@@ -179,7 +180,7 @@ type ReservoirSampler[V comparable] struct {
 
 // NewReservoir returns a reservoir sampler of capacity k. It panics if
 // k < 1.
-func NewReservoir[V comparable](cfg Config, k int64, src randx.Source) *ReservoirSampler[V] {
+func NewReservoir[V cmp.Ordered](cfg Config, k int64, src randx.Source) *ReservoirSampler[V] {
 	cfg = cfg.normalized()
 	if k < 1 {
 		panic(fmt.Sprintf("core: NewReservoir with k = %d < 1", k))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"samplewh/internal/histogram"
@@ -21,7 +22,7 @@ const DefaultPurgeFactor = 0.8
 // exactly why Algorithms HB and HR replace it. It is provided as a baseline,
 // and the non-uniformity is demonstrated empirically by the §3.3
 // counterexample test and experiment.
-type ConciseSampler[V comparable] struct {
+type ConciseSampler[V cmp.Ordered] struct {
 	cfg       Config
 	factor    float64
 	q         float64
@@ -34,7 +35,7 @@ type ConciseSampler[V comparable] struct {
 
 // NewConcise returns a concise sampler with footprint bound cfg.FootprintBytes
 // and purge factor (0 < factor < 1; 0 selects DefaultPurgeFactor).
-func NewConcise[V comparable](cfg Config, factor float64, src randx.Source) *ConciseSampler[V] {
+func NewConcise[V cmp.Ordered](cfg Config, factor float64, src randx.Source) *ConciseSampler[V] {
 	cfg = cfg.normalized()
 	if factor == 0 {
 		factor = DefaultPurgeFactor
@@ -142,7 +143,7 @@ var _ Sampler[int64] = (*ConciseSampler[int64])(nil)
 // every later occurrence is counted exactly (no coin flip), and deletions in
 // the parent data set can be propagated. Like concise sampling it is not
 // uniform; it is provided for completeness as the deletion-capable baseline.
-type CountingSampler[V comparable] struct {
+type CountingSampler[V cmp.Ordered] struct {
 	cfg       Config
 	factor    float64
 	q         float64
@@ -154,7 +155,7 @@ type CountingSampler[V comparable] struct {
 }
 
 // NewCounting returns a counting sampler (see NewConcise for parameters).
-func NewCounting[V comparable](cfg Config, factor float64, src randx.Source) *CountingSampler[V] {
+func NewCounting[V cmp.Ordered](cfg Config, factor float64, src randx.Source) *CountingSampler[V] {
 	cfg = cfg.normalized()
 	if factor == 0 {
 		factor = DefaultPurgeFactor

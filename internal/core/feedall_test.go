@@ -101,7 +101,7 @@ func chunkings(rows, switchAt int, seed uint64) map[string][]int {
 
 func encodeSorted(t *testing.T, s *core.Sample[int64]) []byte {
 	t.Helper()
-	s.Hist.SortFunc(storage.Int64Codec{}.Compare)
+	s.Hist.Sort()
 	b, err := storage.EncodeSample(s, storage.Int64Codec{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"samplewh/internal/histogram"
@@ -51,7 +52,7 @@ func (p Phase) String() string {
 // requirement for Algorithm HB (§4.3). If fewer elements actually arrive the
 // sample is smaller than intended (q was set too low) but remains uniform;
 // if more arrive, the reservoir fallback still bounds the footprint.
-type HB[V comparable] struct {
+type HB[V cmp.Ordered] struct {
 	cfg       Config
 	nf        int64
 	expectedN int64
@@ -79,7 +80,7 @@ func (s *HB[V]) Instrument(reg *obs.Registry, partition string) {
 
 // NewHB returns an Algorithm HB sampler for a partition of expected size
 // expectedN. It panics on invalid configuration or expectedN < 1.
-func NewHB[V comparable](cfg Config, expectedN int64, src randx.Source) *HB[V] {
+func NewHB[V cmp.Ordered](cfg Config, expectedN int64, src randx.Source) *HB[V] {
 	cfg = cfg.normalized()
 	if expectedN < 1 {
 		panic(fmt.Sprintf("core: NewHB with expectedN = %d < 1", expectedN))

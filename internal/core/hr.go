@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -23,7 +24,7 @@ import (
 // reservoir insertion — or at Finalize if no insertion ever happens. Both
 // orderings yield the same distribution because the skip lengths are
 // independent of the purge.
-type HR[V comparable] struct {
+type HR[V cmp.Ordered] struct {
 	cfg Config
 	nf  int64
 	src randx.Source
@@ -52,7 +53,7 @@ func (s *HR[V]) Instrument(reg *obs.Registry, partition string) {
 // The configuration must satisfy CountBytes <= ValueBytes (true of the
 // default model), which guarantees that at least n_F elements have arrived
 // by the time the footprint bound is hit, so the reservoir is well defined.
-func NewHR[V comparable](cfg Config, src randx.Source) *HR[V] {
+func NewHR[V cmp.Ordered](cfg Config, src randx.Source) *HR[V] {
 	cfg = cfg.normalized()
 	if cfg.SizeModel.CountBytes > cfg.SizeModel.ValueBytes {
 		panic(fmt.Sprintf("core: NewHR requires CountBytes (%d) <= ValueBytes (%d)",
@@ -273,32 +274,26 @@ func (s *HR[V]) Finalize() (*Sample[V], error) {
 	return out, nil
 }
 
-// bagHistogram compacts a finished reservoir. An int64 bag — the value type
-// swd, swcli and journal replay store — is sorted and run-length coded: no
-// index is built, and the entries come out in the value order a store keeps,
-// so the store's sort finds nothing to do. Any other value type goes through
-// FromBag, in order of first appearance.
-func bagHistogram[V comparable](model histogram.SizeModel, bag []V) *histogram.Histogram[V] {
-	ints, ok := any(bag).([]int64)
-	if !ok {
-		return histogram.FromBag(model, bag)
-	}
-	slices.Sort(ints)
+// bagHistogram compacts a finished reservoir: the bag is sorted and
+// run-length coded, so no index is built and the entries come out in the
+// value order a store keeps — the store's sort finds nothing to do.
+func bagHistogram[V cmp.Ordered](model histogram.SizeModel, bag []V) *histogram.Histogram[V] {
+	slices.Sort(bag)
 	distinct := 0
-	for i, v := range ints {
-		if i == 0 || v != ints[i-1] {
+	for i, v := range bag {
+		if i == 0 || v != bag[i-1] {
 			distinct++
 		}
 	}
-	entries := make([]histogram.Entry[int64], 0, distinct)
-	for i, v := range ints {
-		if i == 0 || v != ints[i-1] {
-			entries = append(entries, histogram.Entry[int64]{Value: v, Count: 1})
+	entries := make([]histogram.Entry[V], 0, distinct)
+	for i, v := range bag {
+		if i == 0 || v != bag[i-1] {
+			entries = append(entries, histogram.Entry[V]{Value: v, Count: 1})
 		} else {
 			entries[len(entries)-1].Count++
 		}
 	}
-	return any(histogram.FromEntries(model, entries)).(*histogram.Histogram[V])
+	return histogram.FromEntries(model, entries)
 }
 
 var _ Sampler[int64] = (*HR[int64])(nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -10,7 +11,7 @@ import (
 
 // mergeCompatible verifies that two samples were collected under the same
 // footprint regime; merging across regimes has no defined semantics.
-func mergeCompatible[V comparable](s1, s2 *Sample[V]) error {
+func mergeCompatible[V cmp.Ordered](s1, s2 *Sample[V]) error {
 	if s1.Config.FootprintBytes != s2.Config.FootprintBytes {
 		return fmt.Errorf("core: merge of samples with different footprints (%dB vs %dB)",
 			s1.Config.FootprintBytes, s2.Config.FootprintBytes)
@@ -37,7 +38,7 @@ func mergeCompatible[V comparable](s1, s2 *Sample[V]) error {
 //     footprint bound, the union is cut down to a size-n_F reservoir sample.
 //
 // The result is a uniform sample of D1 ∪ D2. Inputs are consumed.
-func HBMerge[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
+func HBMerge[V cmp.Ordered](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
 	if err := mergeCompatible(s1, s2); err != nil {
 		return nil, err
 	}
@@ -123,7 +124,7 @@ func HBMerge[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], err
 //     (Theorem 1 asserts uniformity of the result).
 //
 // The result is a uniform sample of D1 ∪ D2. Inputs are consumed.
-func HRMerge[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
+func HRMerge[V cmp.Ordered](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
 	if err := mergeCompatible(s1, s2); err != nil {
 		return nil, err
 	}
@@ -145,7 +146,7 @@ func HRMerge[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], err
 
 // hrMergeSRS implements lines 5–12 of Figure 8 for two non-exhaustive
 // samples, each viewed as a simple random sample of its realized size.
-func hrMergeSRS[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
+func hrMergeSRS[V cmp.Ordered](s1, s2 *Sample[V], src randx.Source) (*Sample[V], error) {
 	k := s1.Size()
 	if s2.Size() < k {
 		k = s2.Size()
@@ -174,7 +175,7 @@ func hrMergeSRS[V comparable](s1, s2 *Sample[V], src randx.Source) (*Sample[V], 
 // resumeHB builds an Algorithm HB sampler whose state continues from a
 // previously finalized sample, as HBMerge line 3 requires ("Algorithm HB is
 // appropriately initialized to be in phase 1, 2, or 3").
-func resumeHB[V comparable](s *Sample[V], expectedN int64, src randx.Source) *HB[V] {
+func resumeHB[V cmp.Ordered](s *Sample[V], expectedN int64, src randx.Source) *HB[V] {
 	cfg := s.Config.normalized()
 	hb := &HB[V]{
 		cfg:       cfg,
@@ -206,7 +207,7 @@ func resumeHB[V comparable](s *Sample[V], expectedN int64, src randx.Source) *HB
 // reservoir mode with capacity equal to their realized size, so the merged
 // sample size matches HRMerge's k = min(...) semantics when one input is
 // exhaustive: the reservoir side's size is preserved.
-func resumeHR[V comparable](s *Sample[V], src randx.Source) *HR[V] {
+func resumeHR[V cmp.Ordered](s *Sample[V], src randx.Source) *HR[V] {
 	cfg := s.Config.normalized()
 	hr := &HR[V]{
 		cfg:   cfg,
@@ -232,7 +233,7 @@ func resumeHR[V comparable](s *Sample[V], src randx.Source) *HR[V] {
 // elements, maintaining capacity k. It returns the updated bag. This is the
 // "stream in the values from S2" step of HBMerge lines 15–16, done per
 // (value, count) pair without expanding h.
-func absorbIntoReservoir[V comparable](bag []V, k, t0 int64, h *histogram.Histogram[V], src randx.Source) []V {
+func absorbIntoReservoir[V cmp.Ordered](bag []V, k, t0 int64, h *histogram.Histogram[V], src randx.Source) []V {
 	t := t0
 	var sk *randx.Skipper
 	var next int64
@@ -262,13 +263,13 @@ func absorbIntoReservoir[V comparable](bag []V, k, t0 int64, h *histogram.Histog
 
 // MergeFunc is the signature shared by the pairwise merges: HBMerge, HRMerge
 // and SBMerge.
-type MergeFunc[V comparable] func(s1, s2 *Sample[V], src randx.Source) (*Sample[V], error)
+type MergeFunc[V cmp.Ordered] func(s1, s2 *Sample[V], src randx.Source) (*Sample[V], error)
 
 // MergeSerial folds the samples left-to-right with repeated pairwise merges:
 // ((S1 ⊕ S2) ⊕ S3) ⊕ ... — the "sequence of pairwise merges (serially)" of
 // the paper's experiments. Inputs are consumed. It returns an error on an
 // empty input.
-func MergeSerial[V comparable](samples []*Sample[V], merge MergeFunc[V], src randx.Source) (*Sample[V], error) {
+func MergeSerial[V cmp.Ordered](samples []*Sample[V], merge MergeFunc[V], src randx.Source) (*Sample[V], error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: MergeSerial with no samples")
 	}
@@ -293,7 +294,7 @@ func MergeSerial[V comparable](samples []*Sample[V], merge MergeFunc[V], src ran
 // on the tree shape — never on execution order — so MergeTreeParallel
 // produces byte-identical output for the same seed. Foreign Source
 // implementations cannot be split; all merges then share src sequentially.
-func MergeTree[V comparable](samples []*Sample[V], merge MergeFunc[V], src randx.Source) (*Sample[V], error) {
+func MergeTree[V cmp.Ordered](samples []*Sample[V], merge MergeFunc[V], src randx.Source) (*Sample[V], error) {
 	return MergeTreeParallel(samples, merge, src, 1)
 }
 
@@ -306,7 +307,7 @@ func MergeTree[V comparable](samples []*Sample[V], merge MergeFunc[V], src randx
 // regardless of parallelism or scheduling. A foreign (non-*randx.RNG) source
 // cannot be split across goroutines; the tree then runs sequentially on the
 // shared stream. Inputs are consumed.
-func MergeTreeParallel[V comparable](samples []*Sample[V], merge MergeFunc[V], src randx.Source, parallelism int) (*Sample[V], error) {
+func MergeTreeParallel[V cmp.Ordered](samples []*Sample[V], merge MergeFunc[V], src randx.Source, parallelism int) (*Sample[V], error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: MergeTree with no samples")
 	}

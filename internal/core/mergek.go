@@ -81,7 +81,7 @@ func MergeK[V cmp.Ordered](ctx context.Context, samples []*Sample[V], src randx.
 	}
 	if len(samples) == 1 {
 		c := samples[0].Clone()
-		c.Hist.SortFunc(cmp.Compare[V])
+		c.Hist.Sort()
 		return c, nil
 	}
 	cfg, err := samples[0].Config.checked()
@@ -316,7 +316,7 @@ func (s *Sample[V]) rate() float64 {
 // thin appends to dst a Bern(rate) subsample of h's data elements —
 // purgeBernoulli (Figure 3) into a copy, one binomial draw per entry — in h's
 // entry order, reading h only. rate ≥ 1 copies h.
-func thin[V comparable](h *histogram.Histogram[V], rate float64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
+func thin[V cmp.Ordered](h *histogram.Histogram[V], rate float64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
 	for i, n := 0, h.Distinct(); i < n; i++ {
 		e := h.Entry(i)
 		if rate < 1 {
@@ -347,7 +347,7 @@ func walks(size int64, distinct int) bool { return size/64 > int64(distinct) }
 // so the pass costs the survivors and the repeats, never the other entries.
 // Where walks says the bitset costs more than the entries, and when every
 // element is taken, selectWalk does it instead.
-func selectSRS[V comparable](h *histogram.Histogram[V], n int64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
+func selectSRS[V cmp.Ordered](h *histogram.Histogram[V], n int64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
 	size := h.Size()
 	if n == 0 {
 		return dst
@@ -404,7 +404,7 @@ func selectSRS[V comparable](h *histogram.Histogram[V], n int64, dst []histogram
 // need/remaining, so over a run of c equal elements the number taken is
 // Hypergeometric(c, remaining−c, need), drawn once instead of flipping c
 // coins. Once need = remaining everything left is taken without a draw.
-func selectWalk[V comparable](h *histogram.Histogram[V], n int64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
+func selectWalk[V cmp.Ordered](h *histogram.Histogram[V], n int64, dst []histogram.Entry[V], src randx.Source) []histogram.Entry[V] {
 	need, remaining := n, h.Size()
 	for i := 0; need > 0; i++ {
 		e := h.Entry(i)

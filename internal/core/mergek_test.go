@@ -632,7 +632,7 @@ func TestMergeKValueOrder(t *testing.T) {
 					if legacy {
 						s = shuffledEntries(s, r)
 					} else {
-						s.Hist.SortFunc(func(a, b int64) int { return int(a - b) })
+						s.Hist.Sort()
 					}
 					reservoir = reservoir || s.Kind == core.ReservoirKind
 					in = append(in, s)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"samplewh/internal/histogram"
@@ -18,7 +19,7 @@ import (
 // variant is dominated by Algorithm HB: it is somewhat more expensive on
 // average and its final sample sizes are smaller and less stable. It exists
 // so the design choice is measurable.
-type MultiPurgeSampler[V comparable] struct {
+type MultiPurgeSampler[V cmp.Ordered] struct {
 	cfg       Config
 	nf        int64
 	factor    float64
@@ -36,7 +37,7 @@ type MultiPurgeSampler[V comparable] struct {
 // NewMultiPurge returns the multiple-purge variant for a partition of
 // expected size expectedN. factor (0 < factor < 1; 0 selects
 // DefaultPurgeFactor) scales q at each overflow purge.
-func NewMultiPurge[V comparable](cfg Config, expectedN int64, factor float64, src randx.Source) *MultiPurgeSampler[V] {
+func NewMultiPurge[V cmp.Ordered](cfg Config, expectedN int64, factor float64, src randx.Source) *MultiPurgeSampler[V] {
 	cfg = cfg.normalized()
 	if expectedN < 1 {
 		panic(fmt.Sprintf("core: NewMultiPurge with expectedN = %d < 1", expectedN))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"samplewh/internal/fenwick"
@@ -18,7 +19,7 @@ import (
 // sample of D (paper §3.1).
 //
 // q ≥ 1 is a no-op; q ≤ 0 empties the histogram.
-func PurgeBernoulli[V comparable](h *histogram.Histogram[V], q float64, src randx.Source) {
+func PurgeBernoulli[V cmp.Ordered](h *histogram.Histogram[V], q float64, src randx.Source) {
 	if q >= 1 {
 		return
 	}
@@ -47,7 +48,7 @@ func PurgeBernoulli[V comparable](h *histogram.Histogram[V], q float64, src rand
 //
 // If h holds m or fewer elements the call is a no-op (the reservoir would
 // retain everything).
-func PurgeReservoir[V comparable](h *histogram.Histogram[V], m int64, src randx.Source) {
+func PurgeReservoir[V cmp.Ordered](h *histogram.Histogram[V], m int64, src randx.Source) {
 	if m < 0 {
 		panic(fmt.Sprintf("core: PurgeReservoir with m = %d < 0", m))
 	}

@@ -164,7 +164,8 @@ func TestPurgeReservoirSubsetUniformity(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		h := buildHist(1, 1, 2, 1, 3, 1, 4, 1, 5, 1)
 		PurgeReservoir(h, 2, r)
-		es := h.SortedEntries(func(a, b int64) bool { return a < b })
+		h.Sort()
+		es := h.Entries()
 		if len(es) != 2 {
 			t.Fatalf("purge produced %d entries", len(es))
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"samplewh/internal/histogram"
@@ -40,7 +41,7 @@ func (k Kind) String() string {
 // Sample is a finalized, self-describing sample of one data-set partition
 // (or of a union of partitions after merging). It is the unit that the
 // sample warehouse stores, rolls in and out, and merges.
-type Sample[V comparable] struct {
+type Sample[V cmp.Ordered] struct {
 	// Kind is the statistical nature of Hist relative to the parent.
 	Kind Kind
 	// Hist holds the sampled values in compact (value, count) form.

@@ -15,14 +15,14 @@ import (
 // a stratified random sample of the concatenation of the parent data-set
 // partitions" — stratified estimators (see the estimate package) are often
 // sharper than merging when strata differ systematically.
-type Stratified[V comparable] struct {
+type Stratified[V cmp.Ordered] struct {
 	strata []*Sample[V]
 }
 
 // NewStratified assembles a stratified sample from per-partition samples.
 // All samples must share a size model; none may be nil or empty of parent
 // data.
-func NewStratified[V comparable](samples ...*Sample[V]) (*Stratified[V], error) {
+func NewStratified[V cmp.Ordered](samples ...*Sample[V]) (*Stratified[V], error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: NewStratified with no strata")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"samplewh/internal/histogram"
 	"samplewh/internal/randx"
 )
@@ -18,12 +19,12 @@ import (
 // parameter triple (|D1|, |D2|, k); a balanced merge tree over equal-size
 // partitions touches only O(log n) distinct triples, so every level after
 // the first draws its split L in O(1).
-type SymmetricMerger[V comparable] struct {
+type SymmetricMerger[V cmp.Ordered] struct {
 	cache map[[3]int64]*randx.AliasTable
 }
 
 // NewSymmetricMerger returns a merger with an empty alias-table cache.
-func NewSymmetricMerger[V comparable]() *SymmetricMerger[V] {
+func NewSymmetricMerger[V cmp.Ordered]() *SymmetricMerger[V] {
 	return &SymmetricMerger[V]{cache: make(map[[3]int64]*randx.AliasTable)}
 }
 

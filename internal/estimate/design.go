@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"cmp"
 	"math"
 
 	"samplewh/internal/core"
@@ -22,7 +23,7 @@ type ZeroStratum struct {
 // Design is the strata one read's answer stands on: one merged sample of the
 // covered union or the per-partition strata of a stratified read (at most one
 // of the two), the proven strata, and the ignored population.
-type Design[V comparable] struct {
+type Design[V cmp.Ordered] struct {
 	Sample  *core.Sample[V]
 	Strata  *core.Stratified[V]
 	Proven  []ZeroStratum
@@ -31,7 +32,7 @@ type Design[V comparable] struct {
 
 // Planned is the design of a bounded read that merged s out of totalPop
 // requested rows, provenZero of them proven to hold no match.
-func Planned[V comparable](s *core.Sample[V], totalPop, provenZero int64) Design[V] {
+func Planned[V cmp.Ordered](s *core.Sample[V], totalPop, provenZero int64) Design[V] {
 	d := Design[V]{Sample: s, Ignored: max(totalPop-s.ParentSize-provenZero, 0)}
 	if provenZero > 0 {
 		d.Proven = []ZeroStratum{{Pop: provenZero}}
@@ -69,7 +70,7 @@ func (d Design[V]) Pop() int64 {
 // ignored population at [0, pop]; their fraction is that over the population.
 // The answer is exact only when no sampled stratum is inexact, every proven
 // stratum is exhaustive and nothing is ignored.
-func Interval[V comparable](d Design[V], pred func(V) bool, frac bool, z float64) (Estimate, error) {
+func Interval[V cmp.Ordered](d Design[V], pred func(V) bool, frac bool, z float64) (Estimate, error) {
 	sampled, proven := d.pops()
 	total := float64(sampled + proven + d.Ignored)
 	var e Estimate
@@ -161,7 +162,7 @@ func HalfWidth(e Estimate) float64 { return (e.Hi - e.Lo) / 2 }
 // BoundedFractionProvenZero is Interval's fraction over Planned(s, totalPop,
 // provenZero). It remains only because bench/trace.go compiles against it;
 // ROADMAP item 1(a), which rewrites that replay, deletes it.
-func BoundedFractionProvenZero[V comparable](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop, provenZero int64) (Estimate, error) {
+func BoundedFractionProvenZero[V cmp.Ordered](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop, provenZero int64) (Estimate, error) {
 	z, err := ZCrit(confidence)
 	if err != nil {
 		return Estimate{}, err

@@ -11,10 +11,10 @@
 package estimate
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"samplewh/internal/core"
 	"samplewh/internal/histogram"
@@ -56,13 +56,13 @@ func (e Estimate) String() string {
 }
 
 // Estimator answers approximate queries over one sample.
-type Estimator[V comparable] struct {
+type Estimator[V cmp.Ordered] struct {
 	s *core.Sample[V]
 	z float64
 }
 
 // New builds an estimator at 95% confidence.
-func New[V comparable](s *core.Sample[V]) *Estimator[V] {
+func New[V cmp.Ordered](s *core.Sample[V]) *Estimator[V] {
 	e, err := NewWithConfidence(s, 0.95)
 	if err != nil {
 		panic(err) // unreachable: 0.95 is always supported
@@ -72,7 +72,7 @@ func New[V comparable](s *core.Sample[V]) *Estimator[V] {
 
 // NewWithConfidence builds an estimator with the given confidence level
 // (0.90, 0.95 or 0.99).
-func NewWithConfidence[V comparable](s *core.Sample[V], confidence float64) (*Estimator[V], error) {
+func NewWithConfidence[V cmp.Ordered](s *core.Sample[V], confidence float64) (*Estimator[V], error) {
 	if s == nil || s.Hist == nil {
 		return nil, fmt.Errorf("estimate: nil sample")
 	}
@@ -236,15 +236,14 @@ func (e *Estimator[V]) DistinctGEE() float64 {
 }
 
 // FreqEntry is one value with its estimated data-set frequency.
-type FreqEntry[V comparable] struct {
+type FreqEntry[V cmp.Ordered] struct {
 	Value     V       `json:"value"`
 	Estimated float64 `json:"estimated"` // estimated occurrences in the full data set
 	InSample  int64   `json:"in_sample"` // occurrences in the sample
 }
 
 // TopK returns the k most frequent sample values with their frequencies
-// scaled to data-set cardinality (N/n scaling). Ties keep the sample's entry
-// order: ascending value for a merged or stored sample.
+// scaled to data-set cardinality (N/n scaling). Ties list in ascending value.
 func (e *Estimator[V]) TopK(k int) []FreqEntry[V] {
 	if k <= 0 || e.s.Size() == 0 {
 		return nil
@@ -254,7 +253,9 @@ func (e *Estimator[V]) TopK(k int) []FreqEntry[V] {
 	e.s.Hist.Each(func(v V, c int64) {
 		entries = append(entries, FreqEntry[V]{Value: v, Estimated: float64(c) * scale, InSample: c})
 	})
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].InSample > entries[j].InSample })
+	slices.SortFunc(entries, func(a, b FreqEntry[V]) int {
+		return cmp.Or(cmp.Compare(b.InSample, a.InSample), cmp.Compare(a.Value, b.Value))
+	})
 	if k > len(entries) {
 		k = len(entries)
 	}
@@ -279,7 +280,7 @@ func Diff(a, b Estimate) Estimate {
 }
 
 // GroupResult is one group's estimated aggregate.
-type GroupResult[K comparable] struct {
+type GroupResult[K cmp.Ordered] struct {
 	Key   K        `json:"key"`
 	Count Estimate `json:"count"` // estimated number of data-set elements in the group
 	Share Estimate `json:"share"` // estimated fraction of the data set in the group
@@ -288,9 +289,9 @@ type GroupResult[K comparable] struct {
 // GroupBy estimates a GROUP BY COUNT(*) over the data set: values are
 // assigned to groups by key, and each group's population count is estimated
 // with its confidence interval. Groups are returned in decreasing estimated
-// count; only groups observed in the sample appear (unseen groups are, by
-// definition, estimated at zero).
-func GroupBy[V comparable, K comparable](e *Estimator[V], key func(V) K) ([]GroupResult[K], error) {
+// count, ties in ascending key; only groups observed in the sample appear
+// (unseen groups are, by definition, estimated at zero).
+func GroupBy[V cmp.Ordered, K cmp.Ordered](e *Estimator[V], key func(V) K) ([]GroupResult[K], error) {
 	n := e.s.Size()
 	if n == 0 {
 		return nil, fmt.Errorf("estimate: empty sample")
@@ -302,13 +303,15 @@ func GroupBy[V comparable, K comparable](e *Estimator[V], key func(V) K) ([]Grou
 		share := e.share(float64(c) / float64(n))
 		out = append(out, GroupResult[K]{Key: k, Count: e.count(share), Share: share})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Count.Value > out[j].Count.Value })
+	slices.SortFunc(out, func(a, b GroupResult[K]) int {
+		return cmp.Or(cmp.Compare(b.Count.Value, a.Count.Value), cmp.Compare(a.Key, b.Key))
+	})
 	return out, nil
 }
 
 // OrderedEstimator adds order-dependent queries for values with a total
 // order supplied by less.
-type OrderedEstimator[V comparable] struct {
+type OrderedEstimator[V cmp.Ordered] struct {
 	*Estimator[V]
 	sorted *histogram.Histogram[V] // the sample's entries, ascending by less
 }
@@ -317,7 +320,7 @@ type OrderedEstimator[V comparable] struct {
 // in ascending order of less — every merged or stored one — is walked in
 // place, with nothing allocated beyond the estimator; any other is copied
 // once, as entries, and sorted.
-func NewOrdered[V comparable](s *core.Sample[V], less func(a, b V) bool) (*OrderedEstimator[V], error) {
+func NewOrdered[V cmp.Ordered](s *core.Sample[V], less func(a, b V) bool) (*OrderedEstimator[V], error) {
 	base, err := NewWithConfidence(s, 0.95)
 	if err != nil {
 		return nil, err
@@ -407,7 +410,7 @@ func (e *OrderedEstimator[V]) EquiDepth(b int) ([]V, error) {
 // systematic UNDERESTIMATE when many join keys are sampled in only one side
 // — treat it as a lower-bound indicator for join-candidate screening, not a
 // cardinality oracle.
-func JoinSizeEstimate[V comparable](a, b *core.Sample[V]) (float64, error) {
+func JoinSizeEstimate[V cmp.Ordered](a, b *core.Sample[V]) (float64, error) {
 	if a == nil || b == nil || a.Hist == nil || b.Hist == nil {
 		return 0, fmt.Errorf("estimate: nil sample")
 	}
@@ -445,7 +448,7 @@ type Resemblance struct {
 // sets behind two samples. These are sample-based plug-in estimates: exact
 // when both samples are exhaustive, increasingly noisy for small sampling
 // fractions.
-func ValueSetResemblance[V comparable](a, b *core.Sample[V]) (Resemblance, error) {
+func ValueSetResemblance[V cmp.Ordered](a, b *core.Sample[V]) (Resemblance, error) {
 	if a == nil || b == nil || a.Hist == nil || b.Hist == nil {
 		return Resemblance{}, fmt.Errorf("estimate: nil sample")
 	}

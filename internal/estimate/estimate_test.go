@@ -359,6 +359,69 @@ func TestGroupBySampledCalibration(t *testing.T) {
 	}
 }
 
+// Tied groups and tied values list in ascending key whatever the sample's
+// entry order or the map's iteration order: one call after another gives one
+// answer.
+func TestTiesListInKeyOrder(t *testing.T) {
+	// Values 0..63 in a shuffled entry order; a value in an odd block of
+	// eight occurs twice, so blocks 1, 3, 5, 7 tie at 16 and 0, 2, 4, 6 at 8.
+	entries := make([]histogram.Entry[int64], 64)
+	var size int64
+	for v := range int64(64) {
+		entries[v] = histogram.Entry[int64]{Value: v, Count: 1 + v/8%2}
+		size += entries[v].Count
+	}
+	r := randx.New(40)
+	for i := len(entries) - 1; i > 0; i-- {
+		j := randx.Intn(r, i+1)
+		entries[i], entries[j] = entries[j], entries[i]
+	}
+	s := &core.Sample[int64]{Kind: core.ReservoirKind, Hist: histogram.FromEntries(histogram.DefaultSizeModel, entries),
+		ParentSize: 10 * size, Config: core.ConfigForNF(1024)}
+	e := New(s)
+
+	var groups []int64
+	for i := range 20 {
+		gs, err := GroupBy(e, func(v int64) int64 { return v / 8 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]int64, len(gs))
+		for j, g := range gs {
+			keys[j] = g.Key
+		}
+		if i == 0 {
+			groups = keys
+		} else if !slices.Equal(keys, groups) {
+			t.Fatalf("call %d: groups %v, first call %v", i, keys, groups)
+		}
+	}
+	if want := []int64{1, 3, 5, 7, 0, 2, 4, 6}; !slices.Equal(groups, want) {
+		t.Fatalf("groups %v, want %v", groups, want)
+	}
+
+	top := e.TopK(64)
+	for i := range 20 {
+		if again := e.TopK(64); !slices.Equal(again, top) {
+			t.Fatalf("call %d: TopK %v, first call %v", i, again, top)
+		}
+	}
+	var values, want []int64
+	for _, f := range top {
+		values = append(values, f.Value)
+	}
+	for _, c := range []int64{2, 1} {
+		for v := range int64(64) {
+			if 1+v/8%2 == c {
+				want = append(want, v)
+			}
+		}
+	}
+	if !slices.Equal(values, want) {
+		t.Fatalf("TopK values %v, want %v", values, want)
+	}
+}
+
 func TestGroupByEmptySample(t *testing.T) {
 	s := reservoirSample(t, 22, 1000, 64)
 	s.Hist.Reset()

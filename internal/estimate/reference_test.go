@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"cmp"
 	"math"
 
 	"samplewh/internal/core"
@@ -17,7 +18,7 @@ import (
 // them. The interval combines the covered-union sampling interval with the
 // worst-case contribution of the uncovered remainder; at full coverage
 // (totalPop ≤ s.ParentSize) it is exactly Fraction.
-func refBoundedFraction[V comparable](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop int64) (Estimate, error) {
+func refBoundedFraction[V cmp.Ordered](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop int64) (Estimate, error) {
 	e, err := NewWithConfidence(s, confidence)
 	if err != nil {
 		return Estimate{}, err
@@ -50,7 +51,7 @@ func refExtend(est Estimate, w, u float64) Estimate {
 
 // refBoundedCount is BoundedFraction scaled to a count over totalPop elements.
 // Its fraction-scale half-width (for maxerr checks) is HalfWidth(est)/totalPop.
-func refBoundedCount[V comparable](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop int64) (Estimate, error) {
+func refBoundedCount[V cmp.Ordered](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop int64) (Estimate, error) {
 	frac, err := refBoundedFraction[V](s, pred, confidence, totalPop)
 	if err != nil {
 		return Estimate{}, err
@@ -90,7 +91,7 @@ func refProxyHalfWidthZ(n, coveredPop, totalPop int64, z float64) float64 {
 
 // refTotalWithZeros is N_total across loaded strata and proven-zero strata.
 // Integer addition keeps the total independent of which strata were pruned.
-func refTotalWithZeros[V comparable](e *StratifiedEstimator[V], zeros []ZeroStratum) int64 {
+func refTotalWithZeros[V cmp.Ordered](e *StratifiedEstimator[V], zeros []ZeroStratum) int64 {
 	total := e.st.ParentSize()
 	for _, z := range zeros {
 		total += z.Pop
@@ -101,7 +102,7 @@ func refTotalWithZeros[V comparable](e *StratifiedEstimator[V], zeros []ZeroStra
 // refCountPruned estimates the number of elements satisfying pred across the
 // loaded strata plus the proven-zero strata. When zeros is empty it is
 // exactly Count.
-func refCountPruned[V comparable](e *StratifiedEstimator[V], pred func(V) bool, zeros []ZeroStratum) (Estimate, error) {
+func refCountPruned[V cmp.Ordered](e *StratifiedEstimator[V], pred func(V) bool, zeros []ZeroStratum) (Estimate, error) {
 	est, err := e.Sum(func(v V) float64 {
 		if pred(v) {
 			return 1
@@ -131,7 +132,7 @@ func refCountPruned[V comparable](e *StratifiedEstimator[V], pred func(V) bool, 
 // refFractionPruned estimates the fraction of elements satisfying pred over
 // the union of loaded and proven-zero strata. When zeros is empty it is
 // exactly Fraction.
-func refFractionPruned[V comparable](e *StratifiedEstimator[V], pred func(V) bool, zeros []ZeroStratum) (Estimate, error) {
+func refFractionPruned[V cmp.Ordered](e *StratifiedEstimator[V], pred func(V) bool, zeros []ZeroStratum) (Estimate, error) {
 	cnt, err := refCountPruned(e, pred, zeros)
 	if err != nil {
 		return Estimate{}, err
@@ -162,7 +163,7 @@ func refFractionPruned[V comparable](e *StratifiedEstimator[V], pred func(V) boo
 // refBoundedFraction unchanged (the two formulas agree algebraically but not
 // bit-for-bit, and the zero-pruning case must stay byte-identical to the
 // pre-sketch path).
-func refBoundedFractionProvenZero[V comparable](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop, provenZero int64) (Estimate, error) {
+func refBoundedFractionProvenZero[V cmp.Ordered](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop, provenZero int64) (Estimate, error) {
 	if provenZero <= 0 {
 		return refBoundedFraction(s, pred, confidence, totalPop)
 	}
@@ -193,7 +194,7 @@ func refBoundedFractionProvenZero[V comparable](s *core.Sample[V], pred func(V) 
 
 // refBoundedCountProvenZero is refBoundedFractionProvenZero scaled to a count
 // over totalPop elements; with provenZero == 0 it delegates to BoundedCount.
-func refBoundedCountProvenZero[V comparable](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop, provenZero int64) (Estimate, error) {
+func refBoundedCountProvenZero[V cmp.Ordered](s *core.Sample[V], pred func(V) bool, confidence float64, totalPop, provenZero int64) (Estimate, error) {
 	if provenZero <= 0 {
 		return refBoundedCount(s, pred, confidence, totalPop)
 	}

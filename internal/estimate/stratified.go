@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -14,19 +15,19 @@ import (
 // corrections. When strata differ systematically (e.g. daily partitions
 // with drifting value distributions), these estimates are tighter than the
 // ones obtained from a merged sample of the same total size.
-type StratifiedEstimator[V comparable] struct {
+type StratifiedEstimator[V cmp.Ordered] struct {
 	st *core.Stratified[V]
 	z  float64
 }
 
 // NewStratified builds a stratified estimator at 95% confidence.
-func NewStratified[V comparable](st *core.Stratified[V]) (*StratifiedEstimator[V], error) {
+func NewStratified[V cmp.Ordered](st *core.Stratified[V]) (*StratifiedEstimator[V], error) {
 	return NewStratifiedWithConfidence(st, 0.95)
 }
 
 // NewStratifiedWithConfidence builds a stratified estimator at an explicit
 // confidence level (0.90, 0.95, or 0.99).
-func NewStratifiedWithConfidence[V comparable](st *core.Stratified[V], confidence float64) (*StratifiedEstimator[V], error) {
+func NewStratifiedWithConfidence[V cmp.Ordered](st *core.Stratified[V], confidence float64) (*StratifiedEstimator[V], error) {
 	if st == nil || st.NumStrata() == 0 {
 		return nil, fmt.Errorf("estimate: nil or empty stratified sample")
 	}

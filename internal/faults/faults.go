@@ -11,6 +11,7 @@
 package faults
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -232,7 +233,7 @@ func sum(a [numOps]int64) int64 {
 // itself: OpPut faults Put, PutSample and PutRaw, OpGet faults Get and
 // GetRaw, and the blob calls have classes of their own. Safe for concurrent
 // use if the inner store is.
-type Store[V comparable] struct {
+type Store[V cmp.Ordered] struct {
 	inner    storage.Store[V]
 	sched    Schedule
 	sleep    func(time.Duration)
@@ -244,7 +245,7 @@ type Store[V comparable] struct {
 }
 
 // Wrap returns a fault-injecting view of inner under the given schedule.
-func Wrap[V comparable](inner storage.Store[V], sched Schedule) *Store[V] {
+func Wrap[V cmp.Ordered](inner storage.Store[V], sched Schedule) *Store[V] {
 	return &Store[V]{inner: inner, sched: sched, sleep: time.Sleep}
 }
 
@@ -310,9 +311,6 @@ func (s *Store[V]) Put(key string, smp *core.Sample[V]) error {
 	}
 	return s.inner.Put(key, smp)
 }
-
-// Order implements storage.Store; it is never faulted.
-func (s *Store[V]) Order(smp *core.Sample[V]) { s.inner.Order(smp) }
 
 // Get implements storage.Store.
 func (s *Store[V]) Get(key string) (*core.Sample[V], error) {

@@ -22,9 +22,9 @@
 package histogram
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -60,14 +60,14 @@ func (m SizeModel) MaxValues(footprint int64) int64 {
 }
 
 // Entry is a single (value, count) pair of a compact histogram.
-type Entry[V comparable] struct {
+type Entry[V cmp.Ordered] struct {
 	Value V
 	Count int64
 }
 
 // Histogram is a compact multiset of values with incremental footprint
 // accounting. The zero value is not usable; construct with New.
-type Histogram[V comparable] struct {
+type Histogram[V cmp.Ordered] struct {
 	model     SizeModel
 	entries   []Entry[V]
 	index     atomic.Pointer[map[V]int] // nil until indexed builds it
@@ -77,7 +77,7 @@ type Histogram[V comparable] struct {
 }
 
 // New returns an empty histogram using the given size model.
-func New[V comparable](model SizeModel) *Histogram[V] {
+func New[V cmp.Ordered](model SizeModel) *Histogram[V] {
 	return NewSized[V](model, 0)
 }
 
@@ -85,7 +85,7 @@ func New[V comparable](model SizeModel) *Histogram[V] {
 // builders that know the entry count before they insert (a merge join, a
 // bag): neither the entry slice nor the index, which is sized by that
 // reservation when the first insert builds it, rehashes on the way.
-func NewSized[V comparable](model SizeModel, distinct int) *Histogram[V] {
+func NewSized[V cmp.Ordered](model SizeModel, distinct int) *Histogram[V] {
 	if distinct < 0 {
 		distinct = 0
 	}
@@ -95,7 +95,7 @@ func NewSized[V comparable](model SizeModel, distinct int) *Histogram[V] {
 // FromEntries adopts a ready slice of entries — distinct values, counts ≥ 1,
 // both the caller's to have checked — as a histogram, summing only size and
 // footprint. The slice belongs to the histogram afterwards.
-func FromEntries[V comparable](model SizeModel, entries []Entry[V]) *Histogram[V] {
+func FromEntries[V cmp.Ordered](model SizeModel, entries []Entry[V]) *Histogram[V] {
 	h := &Histogram[V]{model: model, entries: entries}
 	for _, e := range entries {
 		h.size += e.Count
@@ -105,7 +105,7 @@ func FromEntries[V comparable](model SizeModel, entries []Entry[V]) *Histogram[V
 }
 
 // FromBag builds a histogram holding every element of the bag.
-func FromBag[V comparable](model SizeModel, bag []V) *Histogram[V] {
+func FromBag[V cmp.Ordered](model SizeModel, bag []V) *Histogram[V] {
 	h := NewSized[V](model, len(bag))
 	for _, v := range bag {
 		h.Insert(v, 1)
@@ -114,7 +114,7 @@ func FromBag[V comparable](model SizeModel, bag []V) *Histogram[V] {
 }
 
 // indexed returns the value → position map over the entries, building it when
-// the histogram has none: after FromEntries, Clone or SortFunc, or before the
+// the histogram has none: after FromEntries, Clone or Sort, or before the
 // first insert. It is the only reader of h.index, and it publishes what it
 // builds atomically, so a lookup (Count, Equal, JoinedFootprint) stays legal
 // on a histogram several goroutines share read-only: each finds the published
@@ -362,24 +362,26 @@ func (h *Histogram[V]) Clone() *Histogram[V] {
 	}
 }
 
-// IsSortedFunc reports whether the entries are in ascending order of cmp over
-// their values.
-func (h *Histogram[V]) IsSortedFunc(cmp func(a, b V) int) bool {
-	return slices.IsSortedFunc(h.entries, func(a, b Entry[V]) int { return cmp(a.Value, b.Value) })
+// IsSorted reports whether the entries are in ascending value order.
+func (h *Histogram[V]) IsSorted() bool {
+	return slices.IsSortedFunc(h.entries, byValue[V])
 }
 
-// SortFunc puts the entries in ascending order of cmp over their values, in
-// place and without a scratch copy; the index, which maps values to the old
-// positions, goes. A histogram already in order is left untouched — not one
-// write — so sorting one that is shared read-only is legal once it is sorted.
-func (h *Histogram[V]) SortFunc(cmp func(a, b V) int) {
-	if h.IsSortedFunc(cmp) {
+// Sort puts the entries in ascending value order, in place and without a
+// scratch copy; the index, which maps values to the old positions, goes. A
+// histogram already in order is left untouched — not one write — so sorting
+// one that is shared read-only is legal once it is sorted.
+func (h *Histogram[V]) Sort() {
+	if h.IsSorted() {
 		return
 	}
-	slices.SortFunc(h.entries, func(a, b Entry[V]) int { return cmp(a.Value, b.Value) })
+	slices.SortFunc(h.entries, byValue[V])
 	h.index.Store(nil)
 	h.dropRepeats()
 }
+
+// byValue orders entries by value.
+func byValue[V cmp.Ordered](a, b Entry[V]) int { return cmp.Compare(a.Value, b.Value) }
 
 // Join merges other into h, summing counts of shared values. This is the
 // paper's join(S1, S2) operator: it computes the compact representation of
@@ -431,12 +433,4 @@ func (h *Histogram[V]) Reset() {
 func (h *Histogram[V]) String() string {
 	return fmt.Sprintf("Histogram{distinct=%d size=%d footprint=%dB}",
 		len(h.entries), h.size, h.footprint)
-}
-
-// SortedEntries returns the entries ordered by the given less function on
-// values; used by tests and reports that need canonical output.
-func (h *Histogram[V]) SortedEntries(less func(a, b V) bool) []Entry[V] {
-	out := h.Entries()
-	sort.Slice(out, func(i, j int) bool { return less(out[i].Value, out[j].Value) })
-	return out
 }

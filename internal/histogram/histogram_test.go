@@ -2,7 +2,7 @@ package histogram
 
 import (
 	"slices"
-	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -259,7 +259,7 @@ func TestRepeatsTracksMutation(t *testing.T) {
 		{"Remove", func(h *Histogram[int64]) { h.Remove(2, 2) }},
 		{"SetCount", func(h *Histogram[int64]) { h.SetCount(0, 1) }},
 		{"Reload", func(h *Histogram[int64]) { h.Reload([]int64{1, 3, 2, 1}) }},
-		{"SortFunc", func(h *Histogram[int64]) { h.SortFunc(func(a, b int64) int { return int(a - b) }) }},
+		{"Sort", func(h *Histogram[int64]) { h.Sort() }},
 		{"Reset", func(h *Histogram[int64]) { h.Reset() }},
 	} {
 		h := FromEntries(DefaultSizeModel, []Entry[int64]{{Value: 4, Count: 3}, {Value: 1, Count: 1}, {Value: 2, Count: 2}, {Value: 3, Count: 1}})
@@ -273,14 +273,39 @@ func TestRepeatsTracksMutation(t *testing.T) {
 	}
 }
 
-func TestSortedEntries(t *testing.T) {
+// Sort orders the entries by value, and on a histogram already in order it
+// writes nothing: several goroutines may sort and read one shared sample at
+// once, which the race detector checks.
+func TestSort(t *testing.T) {
 	h := New[int64](DefaultSizeModel)
-	for _, v := range []int64{5, 3, 9, 1} {
+	for _, v := range []int64{5, 3, 9, 1, 3} {
 		h.Insert(v, 1)
 	}
-	es := h.SortedEntries(func(a, b int64) bool { return a < b })
-	if !sort.SliceIsSorted(es, func(i, j int) bool { return es[i].Value < es[j].Value }) {
-		t.Fatalf("not sorted: %v", es)
+	if h.IsSorted() {
+		t.Fatal("insertion order 5 3 9 1 3 reads as sorted")
+	}
+	h.Sort()
+	want := []Entry[int64]{{1, 1}, {3, 2}, {5, 1}, {9, 1}}
+	if !h.IsSorted() || !slices.Equal(h.Entries(), want) {
+		t.Fatalf("after Sort: %v, want %v", h.Entries(), want)
+	}
+	h.Count(3)
+	h.Repeats()
+	index, repeats := h.index.Load(), h.repeats.Load()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.Sort()
+			h.Count(9)
+			h.Repeats()
+			h.Each(func(int64, int64) {})
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(h.Entries(), want) || h.index.Load() != index || h.repeats.Load() != repeats {
+		t.Fatalf("Sorts of a sorted histogram wrote to it: %v, want %v", h.Entries(), want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package histogram
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -138,11 +137,24 @@ func (h *eager) reset() {
 	h.size, h.footprint = 0, 0
 }
 
+// sort orders the entries by a slices.Sort of the values.
 func (h *eager) sort() {
-	slices.SortFunc(h.entries, func(a, b Entry[int64]) int { return cmp.Compare(a.Value, b.Value) })
-	for i, e := range h.entries {
-		h.index[e.Value] = i
+	values := h.values()
+	slices.Sort(values)
+	sorted := make([]Entry[int64], len(values))
+	for i, v := range values {
+		sorted[i] = Entry[int64]{Value: v, Count: h.count(v)}
+		h.index[v] = i
 	}
+	h.entries = sorted
+}
+
+func (h *eager) values() []int64 {
+	values := make([]int64, len(h.entries))
+	for i, e := range h.entries {
+		values[i] = e.Value
+	}
+	return values
 }
 
 func (h *eager) expand() []int64 {
@@ -199,8 +211,8 @@ func (p pair) check(step string) error {
 	if !slices.Equal(h.Repeats(), reps) {
 		return fmt.Errorf("%s: Repeats() = %v, want %v", step, h.Repeats(), reps)
 	}
-	if sorted := h.IsSortedFunc(cmp.Compare[int64]); sorted != slices.IsSortedFunc(ref.entries, func(a, b Entry[int64]) int { return cmp.Compare(a.Value, b.Value) }) {
-		return fmt.Errorf("%s: IsSortedFunc = %v over %v", step, sorted, ref.entries)
+	if sorted := h.IsSorted(); sorted != slices.IsSorted(ref.values()) {
+		return fmt.Errorf("%s: IsSorted = %v over %v", step, sorted, ref.entries)
 	}
 	return nil
 }
@@ -302,13 +314,21 @@ func runOps(data []byte) error {
 				p.ref.reset()
 			}
 		case 10:
-			p.h.SortFunc(cmp.Compare[int64])
+			p.h.Sort()
 			p.ref.sort()
 		case 11:
-			sorted := p.ref.clone()
-			sorted.sort()
-			got = fmt.Sprint(p.h.SortedEntries(func(x, y int64) bool { return x < y }))
-			want = fmt.Sprint(sorted.entries)
+			// A histogram in order sorts without one write, which is what
+			// makes Sort legal on a sample shared read-only: its entries,
+			// its index and its list of repeats all stay where they were.
+			sorted := p.h.IsSorted()
+			got, want = sorted, slices.IsSorted(p.ref.values())
+			if sorted {
+				entries, index, repeats := p.h.entries, p.h.index.Load(), p.h.repeats.Load()
+				p.h.Sort()
+				if len(entries) > 0 && &p.h.entries[0] != &entries[0] || p.h.index.Load() != index || p.h.repeats.Load() != repeats {
+					return fmt.Errorf("%s: Sort of a sorted histogram wrote to it", what)
+				}
+			}
 		case 12:
 			got, want = p.h.JoinedFootprint(q.h), p.ref.joinedFootprint(q.ref)
 		case 13:
@@ -365,6 +385,8 @@ func FuzzHistogramOps(f *testing.F) {
 	f.Add([]byte{13, 10, 0, 0, 6, 0, 0, 7, 0, 0x10, 8, 0, 0x10})     // Clone: sort, clone, join the clone in, equal
 	f.Add([]byte{14, 9, 0, 8, 0, 5, 2, 2, 5, 0, 12, 0, 0, 13, 0, 0}) // FromBag: reset, insert, remove, joined footprint, rebuild
 	f.Add([]byte{2, 5, 3, 8, 5, 3, 31, 14, 1, 2, 4, 3, 0})           // FromEntries: a refused and an admitted bounded insert, reload, count
+	// New: insert 1 and 3, sorted?, insert 2, sorted?, sort, sorted?
+	f.Add([]byte{0, 0, 1, 0, 0, 3, 0, 11, 0, 0, 0, 2, 0, 11, 0, 0, 10, 0, 0, 11, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := runOps(data); err != nil {
 			t.Fatal(err)

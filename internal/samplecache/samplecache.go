@@ -20,6 +20,7 @@
 package samplecache
 
 import (
+	"cmp"
 	"container/list"
 	"strings"
 	"sync"
@@ -31,7 +32,7 @@ import (
 
 // Cache is a footprint-bounded LRU of decoded samples keyed by the
 // warehouse's "dataset/partition" key.
-type Cache[V comparable] struct {
+type Cache[V cmp.Ordered] struct {
 	mu      sync.Mutex
 	budget  int64
 	bytes   int64
@@ -48,7 +49,7 @@ type Cache[V comparable] struct {
 	o cacheObs
 }
 
-type entry[V comparable] struct {
+type entry[V cmp.Ordered] struct {
 	key      string
 	s        *core.Sample[V]
 	size     int64
@@ -58,7 +59,7 @@ type entry[V comparable] struct {
 // New returns a cache holding at most budget bytes of sample footprint.
 // A budget <= 0 returns nil: the disabled cache, on which every method is a
 // no-op.
-func New[V comparable](budget int64) *Cache[V] {
+func New[V cmp.Ordered](budget int64) *Cache[V] {
 	if budget <= 0 {
 		return nil
 	}

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -1048,8 +1047,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 		resp.TraceID, resp.Trace = explainTrace(r)
 	}
 	if limit != 0 {
-		entries := rd.design.Sample.Hist.Entries()
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Value < entries[j].Value })
+		entries := rd.design.Sample.Hist.Entries() // ascending: a merge's output order
 		if limit > 0 && len(entries) > limit {
 			entries = entries[:limit]
 			resp.Truncated = true

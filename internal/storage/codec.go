@@ -20,15 +20,12 @@ import (
 
 // ValueCodec serializes sample values of type V. Implementations must be
 // symmetric: Decode(Encode(v)) == v.
-type ValueCodec[V comparable] interface {
+type ValueCodec[V cmp.Ordered] interface {
 	// Append encodes v onto buf and returns the extended buffer.
 	Append(buf []byte, v V) []byte
 	// Read decodes one value from buf, returning the value and the number
 	// of bytes consumed, or an error on malformed input.
 	Read(buf []byte) (V, int, error)
-	// Compare orders values: negative when a sorts before b, zero only when
-	// a == b. It is the order samples are stored in.
-	Compare(a, b V) int
 }
 
 // Int64Codec encodes int64 values with zig-zag varints.
@@ -47,9 +44,6 @@ func (Int64Codec) Read(buf []byte) (int64, int, error) {
 	}
 	return v, n, nil
 }
-
-// Compare implements ValueCodec.
-func (Int64Codec) Compare(a, b int64) int { return cmp.Compare(a, b) }
 
 // StringCodec encodes strings with a uvarint length prefix.
 type StringCodec struct{}
@@ -72,9 +66,6 @@ func (StringCodec) Read(buf []byte) (string, int, error) {
 	return string(buf[n : n+int(l)]), n + int(l), nil
 }
 
-// Compare implements ValueCodec.
-func (StringCodec) Compare(a, b string) int { return cmp.Compare(a, b) }
-
 // Codec format constants.
 const (
 	magic = 0x53574831 // "SWH1"
@@ -95,18 +86,18 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	exceedProb float64 | entryCount uvarint | {value, count varint}... |
 //	crc32c u32 (over all preceding bytes)
 //
-// Entries are written in ascending value order (vc.Compare) whatever order
-// the sample holds them in, so equal multisets encode to equal bytes. A store
-// sorts the sample itself before it encodes (sortForPut); only a direct
-// caller's unordered sample costs the sorted copy here.
-func EncodeSample[V comparable](s *core.Sample[V], vc ValueCodec[V]) ([]byte, error) {
+// Entries are written in ascending value order whatever order the sample
+// holds them in, so equal multisets encode to equal bytes. A store sorts the
+// sample itself before it encodes (sortForPut); only a direct caller's
+// unordered sample costs the sorted copy here.
+func EncodeSample[V cmp.Ordered](s *core.Sample[V], vc ValueCodec[V]) ([]byte, error) {
 	if s == nil || s.Hist == nil {
 		return nil, fmt.Errorf("storage: nil sample")
 	}
 	hist := s.Hist
-	if !hist.IsSortedFunc(vc.Compare) {
+	if !hist.IsSorted() {
 		hist = hist.Clone()
-		hist.SortFunc(vc.Compare)
+		hist.Sort()
 	}
 	buf := make([]byte, 0, 64+s.Hist.Distinct()*10)
 	buf = binary.BigEndian.AppendUint32(buf, magic)
@@ -130,7 +121,7 @@ func EncodeSample[V comparable](s *core.Sample[V], vc ValueCodec[V]) ([]byte, er
 // in any order — files written before value order was the stored order, or
 // adopted from a peer that still writes them so, decode to the same multiset
 // — and the sample holds them in the order of the file.
-func DecodeSample[V comparable](buf []byte, vc ValueCodec[V]) (*core.Sample[V], error) {
+func DecodeSample[V cmp.Ordered](buf []byte, vc ValueCodec[V]) (*core.Sample[V], error) {
 	fail := func(msg string) (*core.Sample[V], error) {
 		return nil, fmt.Errorf("storage: decode: %s", msg)
 	}
@@ -236,7 +227,7 @@ func DecodeSample[V comparable](buf []byte, vc ValueCodec[V]) (*core.Sample[V], 
 			return fail(fmt.Sprintf("entry %d takes the sample past parent size %d", i, parentSize))
 		}
 		size += c
-		if seen == nil && i > 0 && vc.Compare(entries[i-1].Value, v) >= 0 {
+		if seen == nil && i > 0 && cmp.Compare(entries[i-1].Value, v) >= 0 {
 			seen = make(map[V]struct{}, cap(entries))
 			for _, e := range entries {
 				seen[e.Value] = struct{}{}

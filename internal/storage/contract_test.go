@@ -62,7 +62,7 @@ func shuffledSample(t *testing.T, seed uint64) *core.Sample[int64] {
 		entries[i], entries[j] = entries[j], entries[i]
 	}
 	s.Hist = histogram.FromEntries(s.Hist.Model(), entries)
-	if s.Hist.IsSortedFunc(storage.Int64Codec{}.Compare) {
+	if s.Hist.IsSorted() {
 		t.Fatal("fixture is in value order already")
 	}
 	return s
@@ -96,7 +96,7 @@ func TestStoreContract(t *testing.T) {
 			// Put orders the caller's sample and Get returns that order.
 			s := shuffledSample(t, 3)
 			want := s.Hist.Clone()
-			want.SortFunc(codec.Compare)
+			want.Sort()
 			if err := st.Put("ds/p", s); err != nil {
 				t.Fatal(err)
 			}

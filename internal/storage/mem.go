@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -13,7 +14,7 @@ import (
 // MemStore is an in-memory Store, safe for concurrent use. It keeps each
 // sample's encoded bytes, the way a FileStore keeps files: Put encodes once,
 // Get decodes, and GetRaw returns exactly what was stored.
-type MemStore[V comparable] struct {
+type MemStore[V cmp.Ordered] struct {
 	mu    sync.RWMutex
 	m     map[string][]byte
 	blobs map[string][]byte
@@ -22,7 +23,7 @@ type MemStore[V comparable] struct {
 }
 
 // NewMemStore returns an empty in-memory store encoding values with codec.
-func NewMemStore[V comparable](codec ValueCodec[V]) *MemStore[V] {
+func NewMemStore[V cmp.Ordered](codec ValueCodec[V]) *MemStore[V] {
 	return &MemStore[V]{m: make(map[string][]byte), blobs: make(map[string][]byte), codec: codec}
 }
 
@@ -55,7 +56,7 @@ func (s *MemStore[V]) Put(key string, smp *core.Sample[V]) error {
 func (s *MemStore[V]) PutSample(key string, smp *core.Sample[V]) ([]byte, error) {
 	t := s.o.putNS.Start()
 	defer t.Stop()
-	sortForPut(smp, s.codec)
+	sortForPut(smp)
 	te := s.o.encodeNS.Start()
 	data, err := EncodeSample(smp, s.codec)
 	te.Stop()
@@ -65,9 +66,6 @@ func (s *MemStore[V]) PutSample(key string, smp *core.Sample[V]) ([]byte, error)
 	s.set(key, data)
 	return slices.Clone(data), nil
 }
-
-// Order implements Store.
-func (s *MemStore[V]) Order(smp *core.Sample[V]) { sortForPut(smp, s.codec) }
 
 // Get implements Store.
 func (s *MemStore[V]) Get(key string) (*core.Sample[V], error) {

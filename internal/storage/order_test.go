@@ -171,7 +171,7 @@ func sameSample(t *testing.T, what string, got, want *core.Sample[int64]) {
 }
 
 func ascending(h *histogram.Histogram[int64]) bool {
-	return h.IsSortedFunc(Int64Codec{}.Compare)
+	return h.IsSorted()
 }
 
 func TestLegacyOrderFixture(t *testing.T) {

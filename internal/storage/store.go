@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,19 +18,14 @@ import (
 // the blob side channel that makes the catalog durable, and metrics. Keys
 // are hierarchical, slash-separated strings such as
 // "orders/price/2006-01-02".
-type Store[V comparable] interface {
+type Store[V cmp.Ordered] interface {
 	// Put stores the sample under key, replacing any existing one. It first
-	// orders the caller's sample as Order does: the multiset is untouched,
-	// the entry order afterwards is the one every later Get returns. So the
-	// caller must own the sample: no other goroutine may be reading or
-	// putting it meanwhile, unless it is in that order already (after Order,
-	// Put writes nothing to it).
+	// puts the caller's sample in ascending value order (Histogram.Sort): the
+	// multiset is untouched, the entry order afterwards is the one every
+	// later Get returns. So the caller must own the sample: no other
+	// goroutine may be reading or putting it meanwhile, unless it is in that
+	// order already (after Sort, Put writes nothing to it).
 	Put(key string, s *core.Sample[V]) error
-	// Order puts s, in place, into the entry order Put stores: ascending
-	// value order under the store's codec. A caller that reads s while Put
-	// runs — the warehouse builds a sidecar beside the put — orders it
-	// first.
-	Order(s *core.Sample[V])
 	// Get returns the sample stored under key, or an error satisfying
 	// IsNotFound if absent. Callers own the returned sample.
 	Get(key string) (*core.Sample[V], error)
@@ -88,16 +84,16 @@ type Store[V comparable] interface {
 // sidecar (its heavy-hitter table depends on entry order), statistics,
 // content hash — is derived from the order a later Get of the same key
 // yields. It writes nothing to a sample already in order.
-func sortForPut[V comparable](smp *core.Sample[V], codec ValueCodec[V]) {
+func sortForPut[V cmp.Ordered](smp *core.Sample[V]) {
 	if smp != nil && smp.Hist != nil {
-		smp.Hist.SortFunc(codec.Compare)
+		smp.Hist.Sort()
 	}
 }
 
 // FileStore persists samples as one file per key under a root directory,
 // using the binary codec and atomic temp-file + rename replacement so a
 // crash never leaves a half-written sample visible.
-type FileStore[V comparable] struct {
+type FileStore[V cmp.Ordered] struct {
 	root  string
 	codec ValueCodec[V]
 	mu    sync.Mutex
@@ -105,7 +101,7 @@ type FileStore[V comparable] struct {
 }
 
 // NewFileStore opens (creating if needed) a file store rooted at dir.
-func NewFileStore[V comparable](dir string, codec ValueCodec[V]) (*FileStore[V], error) {
+func NewFileStore[V cmp.Ordered](dir string, codec ValueCodec[V]) (*FileStore[V], error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create root: %w", err)
 	}
@@ -246,7 +242,7 @@ func (s *FileStore[V]) PutSample(key string, smp *core.Sample[V]) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	sortForPut(smp, s.codec)
+	sortForPut(smp)
 	te := s.o.encodeNS.Start()
 	data, err := EncodeSample(smp, s.codec)
 	te.Stop()
@@ -262,9 +258,6 @@ func (s *FileStore[V]) PutSample(key string, smp *core.Sample[V]) ([]byte, error
 	s.o.bytesWritten.Add(int64(len(data)))
 	return data, nil
 }
-
-// Order implements Store.
-func (s *FileStore[V]) Order(smp *core.Sample[V]) { sortForPut(smp, s.codec) }
 
 // Get implements Store. A file whose bytes fail checksum or structural
 // validation is quarantined — renamed to a ".corrupt" sibling so it is never

@@ -12,6 +12,7 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"sync"
@@ -40,7 +41,7 @@ func newPartitionerObs(r *obs.Registry, component string) partitionerObs {
 
 // cutEvent records one finalized partition: the counter bump plus (when
 // tracing) an EvPartitionCut event.
-func cutEvent[V comparable](o *partitionerObs, idx int, s *core.Sample[V]) {
+func cutEvent[V cmp.Ordered](o *partitionerObs, idx int, s *core.Sample[V]) {
 	o.cuts.Inc()
 	if o.reg.Tracing() {
 		o.reg.Emit(obs.Event{
@@ -58,7 +59,7 @@ func cutEvent[V comparable](o *partitionerObs, idx int, s *core.Sample[V]) {
 
 // instrumentSampler routes a sampler's metrics into reg when the sampler
 // supports instrumentation (all core samplers do). Nil reg is a no-op.
-func instrumentSampler[V comparable](s core.Sampler[V], reg *obs.Registry, partition string) {
+func instrumentSampler[V cmp.Ordered](s core.Sampler[V], reg *obs.Registry, partition string) {
 	if reg == nil {
 		return
 	}
@@ -71,7 +72,7 @@ func instrumentSampler[V comparable](s core.Sampler[V], reg *obs.Registry, parti
 
 // SamplerFactory builds the sampler for partition index i covering
 // expectedN elements.
-type SamplerFactory[V comparable] func(i int, expectedN int64) core.Sampler[V]
+type SamplerFactory[V cmp.Ordered] func(i int, expectedN int64) core.Sampler[V]
 
 // Source is one partition's finite stream of values: Len reports the
 // expected element count (0 when unknown) and Next yields values until
@@ -82,7 +83,7 @@ type Source[V any] interface {
 }
 
 // ParallelResult pairs a partition's finalized sample with its index.
-type ParallelResult[V comparable] struct {
+type ParallelResult[V cmp.Ordered] struct {
 	Index  int
 	Sample *core.Sample[V]
 	Err    error
@@ -103,7 +104,7 @@ func SampleParallel(gens []*workload.Generator, factory SamplerFactory[int64], p
 
 // SampleParallelFrom is SampleParallel over any value type: each source is
 // fed through its own sampler, at most parallelism at a time.
-func SampleParallelFrom[V comparable](sources []Source[V], factory SamplerFactory[V], parallelism int) ([]*core.Sample[V], error) {
+func SampleParallelFrom[V cmp.Ordered](sources []Source[V], factory SamplerFactory[V], parallelism int) ([]*core.Sample[V], error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("stream: no generators")
 	}
@@ -147,7 +148,7 @@ func SampleParallelFrom[V comparable](sources []Source[V], factory SamplerFactor
 // scenario. Because the sub-streams are disjoint, each sampler's output is a
 // uniform sample of its sub-stream and the samples can be merged into a
 // uniform sample of everything.
-type Splitter[V comparable] struct {
+type Splitter[V cmp.Ordered] struct {
 	samplers []core.Sampler[V]
 	next     int
 	fed      int64
@@ -157,7 +158,7 @@ type Splitter[V comparable] struct {
 }
 
 // NewSplitter builds a splitter over w samplers created by factory.
-func NewSplitter[V comparable](w int, factory SamplerFactory[V]) *Splitter[V] {
+func NewSplitter[V cmp.Ordered](w int, factory SamplerFactory[V]) *Splitter[V] {
 	if w < 1 {
 		panic(fmt.Sprintf("stream: NewSplitter with w = %d < 1", w))
 	}
@@ -210,7 +211,7 @@ func (sp *Splitter[V]) Finalize() ([]*core.Sample[V], error) {
 // TemporalPartitioner cuts a stream into fixed-length partitions (e.g. one
 // per day) and samples each independently, so that daily samples can later
 // be combined into weekly, monthly or yearly samples (paper §2).
-type TemporalPartitioner[V comparable] struct {
+type TemporalPartitioner[V cmp.Ordered] struct {
 	every   int64
 	factory SamplerFactory[V]
 	cur     core.Sampler[V]
@@ -221,7 +222,7 @@ type TemporalPartitioner[V comparable] struct {
 }
 
 // NewTemporalPartitioner cuts a new partition after every `every` values.
-func NewTemporalPartitioner[V comparable](every int64, factory SamplerFactory[V]) *TemporalPartitioner[V] {
+func NewTemporalPartitioner[V cmp.Ordered](every int64, factory SamplerFactory[V]) *TemporalPartitioner[V] {
 	if every < 1 {
 		panic(fmt.Sprintf("stream: NewTemporalPartitioner with every = %d < 1", every))
 	}
@@ -280,7 +281,7 @@ func (tp *TemporalPartitioner[V]) Finalize() ([]*core.Sample[V], error) {
 // data falls to the specified lower bound, finalize the partition (and its
 // sample) and begin a new one. This keeps every partition's sampling
 // fraction at or above MinFraction while the footprint stays bounded.
-type RatioPartitioner[V comparable] struct {
+type RatioPartitioner[V cmp.Ordered] struct {
 	minFraction float64
 	minSize     int64 // grace period before the ratio is enforced
 	factory     SamplerFactory[V]
@@ -297,7 +298,7 @@ type RatioPartitioner[V comparable] struct {
 // below minFraction (checked once at least minSize elements have been
 // seen; minSize <= 0 selects 1). The factory must build samplers exposing
 // SampleSize (HB, HR, SB and friends all do).
-func NewRatioPartitioner[V comparable](minFraction float64, minSize int64, factory SamplerFactory[V]) (*RatioPartitioner[V], error) {
+func NewRatioPartitioner[V cmp.Ordered](minFraction float64, minSize int64, factory SamplerFactory[V]) (*RatioPartitioner[V], error) {
 	if minFraction <= 0 || minFraction > 1 {
 		return nil, fmt.Errorf("stream: min fraction %v outside (0,1]", minFraction)
 	}

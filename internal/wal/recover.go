@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -45,7 +46,7 @@ func scanFrames(data []byte, fn func(typ byte, payload []byte) error) (valid int
 }
 
 // recEntry accumulates one entry's frames during recovery.
-type recEntry[V comparable] struct {
+type recEntry[V cmp.Ordered] struct {
 	meta   RecoveredEntry[V]
 	seg    *segment
 	sealed bool

@@ -30,6 +30,7 @@
 package wal
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -162,7 +163,7 @@ type entryState struct {
 // Log is a segmented write-ahead journal for values of type V. It is safe
 // for concurrent use; appends from concurrent entries interleave in the
 // active segment and are disambiguated by entry ID on recovery.
-type Log[V comparable] struct {
+type Log[V cmp.Ordered] struct {
 	dir   string
 	codec storage.ValueCodec[V]
 	opts  Options
@@ -197,7 +198,7 @@ type Log[V comparable] struct {
 // server acknowledged it (or was about to) but its sample never durably
 // rolled in. The caller replays it through the data set's sampler and then
 // commits it.
-type RecoveredEntry[V comparable] struct {
+type RecoveredEntry[V cmp.Ordered] struct {
 	ID        uint64
 	Dataset   string
 	Partition string
@@ -213,7 +214,7 @@ type RecoveredEntry[V comparable] struct {
 // returned for replay. The caller must replay and Commit (or explicitly
 // abandon) the returned entries before new load arrives, or they will be
 // replayed again after the next crash.
-func Open[V comparable](dir string, codec storage.ValueCodec[V], opts Options) (*Log[V], []RecoveredEntry[V], error) {
+func Open[V cmp.Ordered](dir string, codec storage.ValueCodec[V], opts Options) (*Log[V], []RecoveredEntry[V], error) {
 	opts = opts.normalized()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
@@ -240,7 +241,7 @@ func Open[V comparable](dir string, codec storage.ValueCodec[V], opts Options) (
 func (l *Log[V]) Dir() string { return l.dir }
 
 // Entry is one in-flight journaled ingest batch.
-type Entry[V comparable] struct {
+type Entry[V cmp.Ordered] struct {
 	l  *Log[V]
 	id uint64
 	// key routes fault-schedule decisions ("dataset/partition").

@@ -167,9 +167,9 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 		}
 	}
 	// A sidecar the writer did not bring is built beside the put. Put into
-	// the store's order first, the sample is only read from here on.
+	// the stored order first, the sample is only read from here on.
 	if op == opRollIn {
-		w.store.Order(s)
+		s.Hist.Sort()
 	}
 	var built chan *sketch.Summary
 	if sk == nil {

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"cmp"
 	"context"
 	"runtime"
 	"sync"
@@ -81,7 +82,7 @@ func newLoadObs(r *obs.Registry) loadObs {
 // generation-guarded: bumping the generation before dropping a cache entry
 // guarantees that an in-flight fetch started before the invalidation can
 // never re-insert the stale sample after it.
-type loader[V comparable] struct {
+type loader[V cmp.Ordered] struct {
 	store storage.Store[V]
 
 	mu      sync.Mutex
@@ -98,14 +99,14 @@ type loader[V comparable] struct {
 }
 
 // flight is one in-progress store fetch other loads can join.
-type flight[V comparable] struct {
+type flight[V cmp.Ordered] struct {
 	done chan struct{}
 	gen  uint64 // loader generation when the fetch began
 	s    *core.Sample[V]
 	err  error
 }
 
-func newLoader[V comparable](store storage.Store[V]) *loader[V] {
+func newLoader[V cmp.Ordered](store storage.Store[V]) *loader[V] {
 	return &loader[V]{
 		store:   store,
 		flights: make(map[string]*flight[V]),
@@ -232,7 +233,7 @@ func (l *loader[V]) reset() {
 }
 
 // loadResult pairs one requested key's sample with its fetch error.
-type loadResult[V comparable] struct {
+type loadResult[V cmp.Ordered] struct {
 	s   *core.Sample[V]
 	err error
 }

@@ -84,7 +84,7 @@ func parseAlgorithm(s string) (Algorithm, error) {
 // drops the unusable ones, fsck reports them; a blob that is missing or does
 // not decode is no sidecar. An inline sidecar wins over a blob and is marked
 // for the move out.
-func records[V comparable](st storage.Store[V], md manifestDataset, dataset string) []*partition {
+func records[V cmp.Ordered](st storage.Store[V], md manifestDataset, dataset string) []*partition {
 	recs := make([]*partition, len(md.Partitions))
 	for i, id := range md.Partitions {
 		ps, known := md.Stats[id]
@@ -108,7 +108,7 @@ func records[V comparable](st storage.Store[V], md manifestDataset, dataset stri
 
 // loadSidecar decodes one partition's sidecar blob, nil when there is none to
 // decode.
-func loadSidecar[V comparable](st storage.Store[V], key string) *sketch.Summary {
+func loadSidecar[V cmp.Ordered](st storage.Store[V], key string) *sketch.Summary {
 	data, err := st.GetBlob(key)
 	if err != nil {
 		return nil
@@ -125,7 +125,7 @@ func loadSidecar[V comparable](st storage.Store[V], key string) *sketch.Summary 
 // the catalog came from a manifest that carried them inline. They go out
 // before the manifest that names them, so a crash in between leaves what was
 // there.
-func saveSidecars[V comparable](st storage.Store[V], dataset string, recs []*partition) error {
+func saveSidecars[V cmp.Ordered](st storage.Store[V], dataset string, recs []*partition) error {
 	for _, p := range recs {
 		if p.sketch == nil || !p.sketchUnsaved {
 			continue
@@ -200,7 +200,7 @@ func (w *Warehouse[V]) saveManifest() error {
 
 // saveManifestBlob writes m as the store's catalog; fsck, which repairs the
 // catalog without a live warehouse, calls it directly.
-func saveManifestBlob[V comparable](st storage.Store[V], m manifest) error {
+func saveManifestBlob[V cmp.Ordered](st storage.Store[V], m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("warehouse: encode manifest: %w", err)
@@ -213,7 +213,7 @@ func saveManifestBlob[V comparable](st storage.Store[V], m manifest) error {
 
 // loadManifest reads and validates the stored catalog; a missing blob yields
 // an empty manifest (fresh warehouse).
-func loadManifest[V comparable](st storage.Store[V]) (manifest, error) {
+func loadManifest[V cmp.Ordered](st storage.Store[V]) (manifest, error) {
 	var m manifest
 	data, err := st.GetBlob(manifestName)
 	if storage.IsNotFound(err) {

@@ -76,7 +76,7 @@ func TestRollInDerivesFromStoredOrder(t *testing.T) {
 					}
 					s.Hist = histogram.FromEntries(s.Hist.Model(), entries)
 				}
-				if s.Hist.IsSortedFunc(storage.Int64Codec{}.Compare) || s.Hist.Size() == int64(s.Hist.Distinct()) {
+				if s.Hist.IsSorted() || s.Hist.Size() == int64(s.Hist.Distinct()) {
 					t.Fatalf("%s: fixture %v is already in value order or holds no repeated value", name, s.Hist)
 				}
 				if err := w.RollIn(name, "p", s); err != nil {

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"cmp"
 	"context"
 
 	"samplewh/internal/core"
@@ -9,7 +10,7 @@ import (
 )
 
 // PlannedQuery configures one bounded merge (DESIGN.md §14).
-type PlannedQuery[V comparable] struct {
+type PlannedQuery[V cmp.Ordered] struct {
 	// Bounds are the caller's targets. The zero value makes
 	// MergedSamplePlanned the ordinary full merge.
 	Bounds plan.Bounds

@@ -26,7 +26,7 @@ import (
 // (DESIGN.md §9): resolve → prune → order → load → combine → account.
 
 // query is one read request.
-type query[V comparable] struct {
+type query[V cmp.Ordered] struct {
 	// op names the request in errors and error events: "merge", "range" or
 	// "sketch".
 	op      string
@@ -67,7 +67,7 @@ func (q *query[V]) wrap(err error) error {
 // result is what run produces: sample for a merge, strata plus zeros for a
 // range query (strata nil when every readable partition was proven out of
 // range), and exec when the query was bounded.
-type result[V comparable] struct {
+type result[V cmp.Ordered] struct {
 	sample *core.Sample[V]
 	strata *core.Stratified[V]
 	zeros  []estimate.ZeroStratum
@@ -184,7 +184,7 @@ func (w *Warehouse[V]) prune(ctx context.Context, q *query[V], v *catalogView, r
 const waveCap = 8
 
 // stopRule is a bounded query's plan and early-stop state (DESIGN.md §14).
-type stopRule[V comparable] struct {
+type stopRule[V cmp.Ordered] struct {
 	q           *query[V]
 	v           *catalogView
 	plan        plan.QueryPlan

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"cmp"
 	"fmt"
 
 	"samplewh/internal/core"
@@ -11,7 +12,7 @@ import (
 // rebuilt: its values were re-fed through the data set's sampler family and
 // the finished sample rolled in, exactly as the original handler would have
 // done had the process survived.
-type ReplayedIngest[V comparable] struct {
+type ReplayedIngest[V cmp.Ordered] struct {
 	ID        uint64
 	Dataset   string
 	Partition string
@@ -25,7 +26,7 @@ type ReplayedIngest[V comparable] struct {
 }
 
 // ReplayReport summarizes one journal replay pass.
-type ReplayReport[V comparable] struct {
+type ReplayReport[V cmp.Ordered] struct {
 	Replayed []ReplayedIngest[V]
 	// Orphaned counts journal entries whose data set no longer exists (it
 	// was never created, or was dropped after the batch was acknowledged);

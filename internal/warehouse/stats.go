@@ -1,6 +1,10 @@
 package warehouse
 
-import "samplewh/internal/core"
+import (
+	"cmp"
+
+	"samplewh/internal/core"
+)
 
 // PartitionStats is one partition's registry entry: the cheap statistics the
 // planner consumes (DESIGN.md §14) without touching the stored sample. They
@@ -13,7 +17,7 @@ type PartitionStats struct {
 	Footprint  int64 `json:"footprint_bytes"`
 }
 
-func statsOf[V comparable](s *core.Sample[V]) PartitionStats {
+func statsOf[V cmp.Ordered](s *core.Sample[V]) PartitionStats {
 	return PartitionStats{SampleSize: s.Size(), ParentSize: s.ParentSize, Footprint: s.Footprint()}
 }
 

@@ -110,7 +110,7 @@ type PartitionInfo struct {
 
 // Warehouse is the sample warehouse, generic over the sampled value type.
 // It is safe for concurrent use. The paper's evaluation uses int64 values;
-// any comparable value type with a Store implementation works.
+// any ordered value type with a Store implementation works.
 type Warehouse[V cmp.Ordered] struct {
 	mu sync.RWMutex
 	// store holds the samples and, through its blob side channel, the

@@ -68,34 +68,34 @@ type Config = core.Config
 func ConfigForNF(nf int64) Config { return core.ConfigForNF(nf) }
 
 // Sample is a finalized, mergeable, self-describing partition sample.
-type Sample[V comparable] = core.Sample[V]
+type Sample[V cmp.Ordered] = core.Sample[V]
 
 // Sampler is the shared contract of all partition samplers.
-type Sampler[V comparable] = core.Sampler[V]
+type Sampler[V cmp.Ordered] = core.Sampler[V]
 
 // HB is the paper's Algorithm HB (hybrid Bernoulli) sampler.
-type HB[V comparable] = core.HB[V]
+type HB[V cmp.Ordered] = core.HB[V]
 
 // HR is the paper's Algorithm HR (hybrid reservoir) sampler.
-type HR[V comparable] = core.HR[V]
+type HR[V cmp.Ordered] = core.HR[V]
 
 // SB is the fixed-rate stratified Bernoulli baseline (Algorithm SB).
-type SB[V comparable] = core.SB[V]
+type SB[V cmp.Ordered] = core.SB[V]
 
 // NewHBSampler returns an Algorithm HB sampler for a partition of expected
 // size expectedN, seeded deterministically.
-func NewHBSampler[V comparable](cfg Config, expectedN int64, seed uint64) *HB[V] {
+func NewHBSampler[V cmp.Ordered](cfg Config, expectedN int64, seed uint64) *HB[V] {
 	return core.NewHB[V](cfg, expectedN, randx.New(seed))
 }
 
 // NewHRSampler returns an Algorithm HR sampler, seeded deterministically.
-func NewHRSampler[V comparable](cfg Config, seed uint64) *HR[V] {
+func NewHRSampler[V cmp.Ordered](cfg Config, seed uint64) *HR[V] {
 	return core.NewHR[V](cfg, randx.New(seed))
 }
 
 // NewSBSampler returns a fixed-rate Bern(q) sampler, seeded
 // deterministically.
-func NewSBSampler[V comparable](cfg Config, q float64, seed uint64) *SB[V] {
+func NewSBSampler[V cmp.Ordered](cfg Config, q float64, seed uint64) *SB[V] {
 	return core.NewSB[V](cfg, q, randx.New(seed))
 }
 
@@ -109,34 +109,34 @@ func QExact(n int64, p float64, nf int64, tol float64) float64 {
 
 // HRMerge is the paper's Figure 8 merge for Algorithm HR samples
 // (hypergeometric split, Theorem 1).
-func HRMerge[V comparable](s1, s2 *Sample[V], src Source) (*Sample[V], error) {
+func HRMerge[V cmp.Ordered](s1, s2 *Sample[V], src Source) (*Sample[V], error) {
 	return core.HRMerge(s1, s2, src)
 }
 
 // MergeFunc is the signature shared by the pairwise merges.
-type MergeFunc[V comparable] = core.MergeFunc[V]
+type MergeFunc[V cmp.Ordered] = core.MergeFunc[V]
 
 // MergeSerial folds samples with a left-deep chain of pairwise merges.
-func MergeSerial[V comparable](samples []*Sample[V], merge MergeFunc[V], src Source) (*Sample[V], error) {
+func MergeSerial[V cmp.Ordered](samples []*Sample[V], merge MergeFunc[V], src Source) (*Sample[V], error) {
 	return core.MergeSerial(samples, merge, src)
 }
 
 // MergeTree folds samples with a balanced binary tree of pairwise merges.
-func MergeTree[V comparable](samples []*Sample[V], merge MergeFunc[V], src Source) (*Sample[V], error) {
+func MergeTree[V cmp.Ordered](samples []*Sample[V], merge MergeFunc[V], src Source) (*Sample[V], error) {
 	return core.MergeTree(samples, merge, src)
 }
 
 // Stratified is a stratified random sample: per-partition uniform samples
 // kept separate (paper §4.1), queried with stratified-expansion estimators.
-type Stratified[V comparable] = core.Stratified[V]
+type Stratified[V cmp.Ordered] = core.Stratified[V]
 
 // NewStratified assembles a stratified sample from per-partition samples.
-func NewStratified[V comparable](samples ...*Sample[V]) (*Stratified[V], error) {
+func NewStratified[V cmp.Ordered](samples ...*Sample[V]) (*Stratified[V], error) {
 	return core.NewStratified(samples...)
 }
 
 // NewStratifiedEstimator builds the stratified-expansion estimator.
-func NewStratifiedEstimator[V comparable](st *Stratified[V]) (*estimate.StratifiedEstimator[V], error) {
+func NewStratifiedEstimator[V cmp.Ordered](st *Stratified[V]) (*estimate.StratifiedEstimator[V], error) {
 	return estimate.NewStratified(st)
 }
 
@@ -150,10 +150,10 @@ func UnionBernoulli[V cmp.Ordered](samples []*Sample[V], src Source) (*Sample[V]
 
 // SymmetricMerger caches alias tables across repeated symmetric HR merges
 // (paper §4.2); use its Merge method with MergeTree.
-type SymmetricMerger[V comparable] = core.SymmetricMerger[V]
+type SymmetricMerger[V cmp.Ordered] = core.SymmetricMerger[V]
 
 // NewSymmetricMerger returns a merger with an empty alias-table cache.
-func NewSymmetricMerger[V comparable]() *SymmetricMerger[V] {
+func NewSymmetricMerger[V cmp.Ordered]() *SymmetricMerger[V] {
 	return core.NewSymmetricMerger[V]()
 }
 
@@ -205,20 +205,20 @@ func NewFileStore(dir string) (Store, error) {
 }
 
 // Estimator answers approximate queries over one sample.
-type Estimator[V comparable] = estimate.Estimator[V]
+type Estimator[V cmp.Ordered] = estimate.Estimator[V]
 
 // NewEstimator builds a 95%-confidence estimator over a sample.
-func NewEstimator[V comparable](s *Sample[V]) *Estimator[V] { return estimate.New(s) }
+func NewEstimator[V cmp.Ordered](s *Sample[V]) *Estimator[V] { return estimate.New(s) }
 
 // JoinSizeEstimate estimates the equality-join size |A ⋈ B| from two
 // samples (a lower-bound-leaning plug-in estimator; see its doc).
-func JoinSizeEstimate[V comparable](a, b *Sample[V]) (float64, error) {
+func JoinSizeEstimate[V cmp.Ordered](a, b *Sample[V]) (float64, error) {
 	return estimate.JoinSizeEstimate(a, b)
 }
 
 // ValueSetResemblance estimates distinct-value overlap between two samples
 // (Jaccard and containment), the metadata-discovery primitive.
-func ValueSetResemblance[V comparable](a, b *Sample[V]) (estimate.Resemblance, error) {
+func ValueSetResemblance[V cmp.Ordered](a, b *Sample[V]) (estimate.Resemblance, error) {
 	return estimate.ValueSetResemblance(a, b)
 }
 
