@@ -133,10 +133,10 @@ fuzz:
 	go test -run NONE -fuzz FuzzIngestBody -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/server
 	go test -run NONE -fuzz FuzzWALRecover -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/wal
 
-# Non-test Go lines per internal package, per command and in the root facade —
-# the count ROADMAP aim 2 and its simplification items gate on (raw lines:
-# code, comments and blanks alike).
+# Non-test Go lines per internal package, per command and in the root facade,
+# then their total — the count ROADMAP aim 2 and its simplification items gate
+# on (raw lines: code, comments and blanks alike).
 loc:
 	@for d in internal/*/ cmd/*/ ./; do \
 		printf '%6d %s\n' "$$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l)" "$$d"; \
-	done
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'

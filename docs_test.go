@@ -151,3 +151,105 @@ func composedOf(name string, lits map[string]bool) bool {
 	}
 	return false
 }
+
+// goName matches a code span that is an exported Go name — an identifier with
+// a lower-case letter in it (all-caps spans such as `HB` or `SIGTERM` are
+// acronyms and signals) — or a pkg.Name.
+var goName = regexp.MustCompile(`^(?:([a-z][a-z0-9]*)\.)?([A-Z][A-Za-z0-9_]*)$`)
+
+// TestDocsGoNamesExist: every code span of README.md and DESIGN.md, fenced
+// blocks aside, that is an exported Go name names a declaration in the
+// repository's Go source, test files and the bench module included, since the
+// documents name tests and benchmarks: a bare name is declared anywhere (a
+// function, type, method, field, variable or constant), a pkg.Name in the
+// package pkg. A pkg that is no package of the repository (`cmp.Ordered`) is
+// the standard library's and not checked.
+func TestDocsGoNamesExist(t *testing.T) {
+	decls := goDecls(t)
+	all := map[string]bool{}
+	for _, names := range decls {
+		for name := range names {
+			all[name] = true
+		}
+	}
+	fence := regexp.MustCompile("(?ms)^\\s*```.*?^\\s*```")
+	span := regexp.MustCompile("`([^`\n]+)`")
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range span.FindAllStringSubmatch(fence.ReplaceAllString(string(data), ""), -1) {
+			g := goName.FindStringSubmatch(m[1])
+			if g == nil || strings.ToUpper(g[2]) == g[2] {
+				continue
+			}
+			switch pkg, ok := decls[g[1]]; {
+			case g[1] == "" && !all[g[2]]:
+				t.Errorf("%s: `%s` is declared nowhere in the source", doc, m[1])
+			case g[1] != "" && ok && !pkg[g[2]]:
+				t.Errorf("%s: `%s` is not declared in package %s", doc, m[1], g[1])
+			}
+		}
+	}
+}
+
+// goDecls maps each package name of the repository's Go source to the names
+// it declares: top-level functions, types, variables and constants, methods,
+// and the fields and methods of its struct and interface types.
+func goDecls(t *testing.T) map[string]map[string]bool {
+	decls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		add := func(ids ...*ast.Ident) {
+			for _, id := range ids {
+				decls[pkg][id.Name] = true
+			}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				add(decl.Name)
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						add(spec.Names...)
+					case *ast.TypeSpec:
+						add(spec.Name)
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if fields, ok := n.(*ast.FieldList); ok {
+				for _, field := range fields.List {
+					add(field.Names...)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls
+}

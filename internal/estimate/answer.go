@@ -55,9 +55,10 @@ func ParseQuery(s string) (Query, error) {
 	return q, nil
 }
 
-// Range reports whether q is a count or a fraction: the kinds Interval
-// composes, so the only ones whose fraction-scale error a maxerr bound can
-// promise and the ones sketch sidecars can prune partitions for.
+// Range reports whether q is a count or a fraction: the kinds that compose
+// proven and ignored population, so the only ones whose fraction-scale error
+// a maxerr bound can promise and the ones sketch sidecars can prune
+// partitions for.
 func (q Query) Range() bool { return q.Kind == "count" || q.Kind == "fraction" }
 
 // Pred is a range query's predicate: the value lies in [Lo, Hi].
@@ -103,8 +104,8 @@ type Result struct {
 }
 
 // Answer evaluates q over the design d of one read at the given confidence:
-// count and fraction compose d through Interval, every other kind reads d's
-// merged sample. sk, when non-nil, is the sketch union of the covered
+// count, fraction, sum and avg compose d through Interval, every other kind
+// reads d's merged sample. sk, when non-nil, is the sketch union of the covered
 // partitions — the authoritative distinct/topk source when it observed every
 // row, with the sample-based estimators kept alongside.
 func Answer(q Query, d Design[int64], confidence float64, sk *sketch.Summary) (Result, error) {
@@ -116,24 +117,23 @@ func Answer(q Query, d Design[int64], confidence float64, sk *sketch.Summary) (R
 		r.Estimate = &e
 		return r, nil
 	}
-	if q.Range() {
+	if q.Range() || q.Kind == "sum" || q.Kind == "avg" {
 		z, err := ZCrit(confidence)
 		if err != nil {
 			return r, err
 		}
-		return set(Interval(d, q.Pred(), q.Kind == "fraction", z))
+		f := func(v int64) float64 { return float64(v) }
+		if q.Range() {
+			f = Indicator(q.Pred())
+		}
+		return set(Interval(d, q.Kind, f, z))
 	}
 	est, err := NewWithConfidence(d.Sample, confidence)
 	if err != nil {
 		return r, err
 	}
-	value := func(v int64) float64 { return float64(v) }
 	observedAll := sk != nil && (sk.Source == sketch.SourceStream || sk.Exhaustive)
 	switch q.Kind {
-	case "avg":
-		return set(est.Avg(value))
-	case "sum":
-		return set(est.Sum(value))
 	case "median", "quantile":
 		oe, err := NewOrdered(d.Sample, func(a, b int64) bool { return a < b })
 		if err != nil {

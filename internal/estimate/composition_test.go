@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -73,7 +74,9 @@ func allExhaustive(zs []ZeroStratum) bool {
 // arithmetic they replaced to 4 ulps on value, stderr, lo and hi, and exactly
 // on exactness, but for one fix: a merged read is exact only when every
 // proven stratum's proof observed every row, where the reference ignored the
-// proofs' exhaustiveness.
+// proofs' exhaustiveness. Sum and avg, over the merged and the stratified
+// designs, agree with the estimators' former arithmetic the same way: they
+// answer for the sampled population alone, exact when its samples are.
 func TestIntervalMatchesReference(t *testing.T) {
 	src := randx.New(27)
 	agree := func(i int, what string, got, want Estimate, wantExact bool) {
@@ -95,12 +98,23 @@ func TestIntervalMatchesReference(t *testing.T) {
 	}
 	compose := func(d Design[int64], pred func(int64) bool, z float64) (cnt, frac Estimate) {
 		t.Helper()
-		cnt, err1 := Interval(d, pred, false, z)
-		frac, err2 := Interval(d, pred, true, z)
+		cnt, err1 := Interval(d, "count", Indicator(pred), z)
+		frac, err2 := Interval(d, "fraction", Indicator(pred), z)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
 		return cnt, frac
+	}
+	value := func(v int64) float64 { return float64(v) }
+	linear := func(i int, d Design[int64], z float64, wantSum, wantAvg Estimate, err error) {
+		t.Helper()
+		sum, err1 := Interval(d, "sum", value, z)
+		avg, err2 := Interval(d, "avg", value, z)
+		if err != nil || err1 != nil || err2 != nil {
+			t.Fatal(err, err1, err2)
+		}
+		agree(i, "sum", sum, wantSum, wantSum.Exact)
+		agree(i, "avg", avg, wantAvg, wantAvg.Exact)
 	}
 	for i := 0; i < 2500; i++ {
 		conf := []float64{0.90, 0.95, 0.99}[src.Uint64()%3]
@@ -136,6 +150,10 @@ func TestIntervalMatchesReference(t *testing.T) {
 			agree(i, "merged count", cnt, wantCnt, wantCnt.Exact && allExhaustive(zeros))
 			agree(i, "merged fraction", frac, wantFrac, wantFrac.Exact && allExhaustive(zeros))
 			proxy(i, ProxyWidth(s.Size(), s.ParentSize, proven, total, z), refProxyHalfWidthProvenZeroZ(s.Size(), s.ParentSize, total, proven, z))
+			e := &Estimator[int64]{s: s, z: z}
+			wantSum, err1 := refSum(e, value)
+			wantAvg, err2 := refAvg(e, value)
+			linear(i, d, z, wantSum, wantAvg, errors.Join(err1, err2))
 		case 2, 4: // strata plus zeros; exhaustive strata every other time
 			if i%5 == 4 {
 				nf = 4096 // every stratum fits: exhaustive
@@ -165,6 +183,9 @@ func TestIntervalMatchesReference(t *testing.T) {
 			}
 			agree(i, "strata count", cnt, wantCnt, wantCnt.Exact)
 			agree(i, "strata fraction", frac, wantFrac, wantFrac.Exact)
+			wantSum, err1 := refStratSum(e, value)
+			wantAvg, err2 := refStratAvg(e, value)
+			linear(i, Design[int64]{Strata: st, Proven: zeros}, z, wantSum, wantAvg, errors.Join(err1, err2))
 		case 3: // all proven
 			zeros := zeroStrata(src, int64(1+src.Uint64()%4000), false)
 			cnt, frac := compose(Design[int64]{Proven: zeros}, pred, z)
@@ -203,10 +224,10 @@ var answerers = []answerer{
 			if err != nil {
 				return cnt, frac, err
 			}
-			if cnt, err = Interval(d, pred, false, z); err != nil {
+			if cnt, err = Interval(d, "count", Indicator(pred), z); err != nil {
 				return cnt, frac, err
 			}
-			frac, err = Interval(d, pred, true, z)
+			frac, err = Interval(d, "fraction", Indicator(pred), z)
 			return cnt, frac, err
 		},
 		ProxyWidth},

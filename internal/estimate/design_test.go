@@ -12,11 +12,11 @@ import (
 const z95 = 1.959963984540054
 
 // bounded composes the design of a read that merged s out of total requested
-// rows, provenZero of them proven to hold no match: its fraction with frac set,
-// its count otherwise.
-func bounded(t *testing.T, s *core.Sample[int64], pred func(int64) bool, z float64, total, provenZero int64, frac bool) Estimate {
+// rows, provenZero of them proven to hold no match: its count or fraction, as
+// kind says.
+func bounded(t *testing.T, s *core.Sample[int64], pred func(int64) bool, z float64, total, provenZero int64, kind string) Estimate {
 	t.Helper()
-	e, err := Interval(Planned(s, total, provenZero), pred, frac, z)
+	e, err := Interval(Planned(s, total, provenZero), kind, Indicator(pred), z)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestBoundedFractionFullCoverageIsFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, total := range []int64{0, s.ParentSize - 1, s.ParentSize} {
-		if got := bounded(t, s, pred, z95, total, 0, true); got != plain {
+		if got := bounded(t, s, pred, z95, total, 0, "fraction"); got != plain {
 			t.Fatalf("totalPop %d: bounded %+v != plain %+v", total, got, plain)
 		}
 	}
@@ -56,7 +56,7 @@ func TestBoundedFractionPartialCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 8000
-	got := bounded(t, s, pred, z95, total, 0, true)
+	got := bounded(t, s, pred, z95, total, 0, "fraction")
 	w := float64(s.ParentSize) / total
 	if got.Lo != w*covered.Lo || got.Hi != w*covered.Hi+(1-w) {
 		t.Fatalf("interval %v..%v, want %v..%v", got.Lo, got.Hi, w*covered.Lo, w*covered.Hi+(1-w))
@@ -81,7 +81,7 @@ func TestBoundedHalfWidthMonotoneInCoverage(t *testing.T) {
 	pred := func(v int64) bool { return v < 500 }
 	prev := -1.0
 	for _, total := range []int64{2000, 2500, 4000, 8000, 100000} {
-		hw := HalfWidth(bounded(t, s, pred, z95, total, 0, true))
+		hw := HalfWidth(bounded(t, s, pred, z95, total, 0, "fraction"))
 		if hw < prev {
 			t.Fatalf("half-width %v at totalPop %d shrank below %v", hw, total, prev)
 		}
@@ -93,8 +93,8 @@ func TestBoundedCountScalesFraction(t *testing.T) {
 	s := reservoirSample(t, 3, 2000, 256)
 	pred := func(v int64) bool { return v < 1000 }
 	const total = 6000
-	frac := bounded(t, s, pred, z95, total, 0, true)
-	cnt := bounded(t, s, pred, z95, total, 0, false)
+	frac := bounded(t, s, pred, z95, total, 0, "fraction")
+	cnt := bounded(t, s, pred, z95, total, 0, "count")
 	if cnt.Value != frac.Value*total || cnt.Lo != frac.Lo*total || cnt.Hi != frac.Hi*total {
 		t.Fatalf("count %+v does not scale fraction %+v by %d", cnt, frac, total)
 	}
@@ -110,7 +110,7 @@ func TestProxyHalfWidthUpperBoundsBoundedFraction(t *testing.T) {
 	for _, total := range []int64{2000, 4000, 16000} {
 		proxy := ProxyWidth(s.Size(), s.ParentSize, 0, total, z95)
 		for _, cut := range []int64{100, 500, 1000, 1900} {
-			hw := HalfWidth(bounded(t, s, func(v int64) bool { return v < cut }, z95, total, 0, true))
+			hw := HalfWidth(bounded(t, s, func(v int64) bool { return v < cut }, z95, total, 0, "fraction"))
 			if hw > proxy+1e-12 {
 				t.Fatalf("totalPop %d pred <%d: half-width %v exceeds proxy %v", total, cut, hw, proxy)
 			}
@@ -175,8 +175,8 @@ func TestBoundedValueInsideItsInterval(t *testing.T) {
 		if trial%2 == 1 {
 			provenZero = int64(src.Uint64() % uint64(total-s.ParentSize+rows)) // may exceed what is uncovered
 		}
-		frac := bounded(t, s, pred, plain.z, total, provenZero, true)
-		count := bounded(t, s, pred, plain.z, total, provenZero, false)
+		frac := bounded(t, s, pred, plain.z, total, provenZero, "fraction")
+		count := bounded(t, s, pred, plain.z, total, provenZero, "count")
 		if !(0 <= frac.Lo && frac.Lo <= frac.Value && frac.Value <= frac.Hi && frac.Hi <= 1) {
 			t.Fatalf("trial %d (covered %d of %d, %d proven zero): fraction %+v is not 0 ≤ lo ≤ value ≤ hi ≤ 1",
 				trial, s.ParentSize, total, provenZero, frac)
@@ -197,7 +197,7 @@ func TestBoundedValueInsideItsInterval(t *testing.T) {
 			}
 		}
 		for _, full := range []int64{0, s.ParentSize - 1, s.ParentSize} {
-			if got := bounded(t, s, pred, plain.z, full, 0, true); got != wantFrac {
+			if got := bounded(t, s, pred, plain.z, full, 0, "fraction"); got != wantFrac {
 				t.Fatalf("trial %d: full coverage (total %d) %+v, want Fraction's %+v", trial, full, got, wantFrac)
 			}
 		}
@@ -293,7 +293,7 @@ func TestPrunedExactFlag(t *testing.T) {
 	// row of it.
 	for _, proof := range []bool{true, false} {
 		d := Design[int64]{Sample: ex, Proven: []ZeroStratum{{Pop: 20, Exhaustive: proof}}}
-		got, err := Interval(d, pred, true, z95)
+		got, err := Interval(d, "fraction", Indicator(pred), z95)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,8 +308,8 @@ func TestPrunedExactFlag(t *testing.T) {
 func TestBoundedProvenZeroTightens(t *testing.T) {
 	s := stratum(t, core.ReservoirKind, 100, map[int64]int64{1: 5, 9: 5})
 	pred := func(v int64) bool { return v < 5 }
-	base := bounded(t, s, pred, z95, 400, 0, true)
-	tight := bounded(t, s, pred, z95, 400, 300, true)
+	base := bounded(t, s, pred, z95, 400, 0, "fraction")
+	tight := bounded(t, s, pred, z95, 400, 300, "fraction")
 	if tight.Hi >= base.Hi {
 		t.Fatalf("proven zero did not tighten Hi: base %+v tight %+v", base, tight)
 	}
@@ -321,7 +321,7 @@ func TestBoundedProvenZeroTightens(t *testing.T) {
 		t.Fatalf("inverted interval: %+v", tight)
 	}
 	// Count scaling.
-	if cnt := bounded(t, s, pred, z95, 400, 300, false); math.Abs(cnt.Value-tight.Value*400) > 1e-9 {
+	if cnt := bounded(t, s, pred, z95, 400, 300, "count"); math.Abs(cnt.Value-tight.Value*400) > 1e-9 {
 		t.Fatalf("count scale mismatch: %+v vs %v", cnt, tight.Value*400)
 	}
 }

@@ -83,98 +83,26 @@ func NewWithConfidence[V cmp.Ordered](s *core.Sample[V], confidence float64) (*E
 	return &Estimator[V]{s: s, z: z}, nil
 }
 
-// Sample returns the underlying sample.
-func (e *Estimator[V]) Sample() *core.Sample[V] { return e.s }
-
-// interval finishes an Estimate from a point value and standard error.
-func (e *Estimator[V]) interval(value, stderr float64) Estimate {
-	exact := e.s.Kind == core.Exhaustive
-	if exact {
-		stderr = 0
-	}
-	return Estimate{
-		Value:  value,
-		StdErr: stderr,
-		Lo:     value - e.z*stderr,
-		Hi:     value + e.z*stderr,
-		Exact:  exact,
-	}
-}
-
 // Fraction estimates the fraction of data-set elements whose value satisfies
 // pred (the selectivity of the predicate).
 func (e *Estimator[V]) Fraction(pred func(V) bool) (Estimate, error) {
-	n := e.s.Size()
-	if n == 0 {
-		return Estimate{}, fmt.Errorf("estimate: empty sample")
-	}
-	var match int64
-	e.s.Hist.Each(func(v V, c int64) {
-		if pred(v) {
-			match += c
-		}
-	})
-	return e.share(float64(match) / float64(n)), nil
+	return Interval(Design[V]{Sample: e.s}, "fraction", Indicator(pred), e.z)
 }
 
 // Count estimates the number of data-set elements whose value satisfies
 // pred: N times the sample selectivity.
 func (e *Estimator[V]) Count(pred func(V) bool) (Estimate, error) {
-	frac, err := e.Fraction(pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return e.count(frac), nil
-}
-
-// share is the interval of a proportion p of the sample, clamped to [0, 1].
-func (e *Estimator[V]) share(p float64) Estimate {
-	est := e.interval(p, srsSE(p, e.s.Size(), e.s.ParentSize))
-	est.Lo, est.Hi = max(est.Lo, 0), min(est.Hi, 1)
-	return est
-}
-
-// count carries a share's estimate to the N rows the sample covers, clamped
-// to [0, N].
-func (e *Estimator[V]) count(share Estimate) Estimate {
-	N := float64(e.s.ParentSize)
-	est := e.interval(share.Value*N, share.StdErr*N)
-	est.Lo, est.Hi = max(est.Lo, 0), min(est.Hi, N)
-	return est
+	return Interval(Design[V]{Sample: e.s}, "count", Indicator(pred), e.z)
 }
 
 // Avg estimates the mean of f(v) over the data set.
 func (e *Estimator[V]) Avg(f func(V) float64) (Estimate, error) {
-	n := e.s.Size()
-	if n == 0 {
-		return Estimate{}, fmt.Errorf("estimate: empty sample")
-	}
-	var sum, sumsq float64
-	e.s.Hist.Each(func(v V, c int64) {
-		x := f(v)
-		sum += x * float64(c)
-		sumsq += x * x * float64(c)
-	})
-	mean := sum / float64(n)
-	var se float64
-	if n > 1 {
-		variance := (sumsq - sum*mean) / float64(n-1)
-		if variance < 0 {
-			variance = 0
-		}
-		se = math.Sqrt(variance/float64(n)) * fpc(n, e.s.ParentSize)
-	}
-	return e.interval(mean, se), nil
+	return Interval(Design[V]{Sample: e.s}, "avg", f, e.z)
 }
 
 // Sum estimates the total of f(v) over the data set: N times the mean.
 func (e *Estimator[V]) Sum(f func(V) float64) (Estimate, error) {
-	avg, err := e.Avg(f)
-	if err != nil {
-		return Estimate{}, err
-	}
-	N := float64(e.s.ParentSize)
-	return e.interval(avg.Value*N, avg.StdErr*N), nil
+	return Interval(Design[V]{Sample: e.s}, "sum", f, e.z)
 }
 
 // DistinctNaive returns the number of distinct values in the sample — a
@@ -262,23 +190,6 @@ func (e *Estimator[V]) TopK(k int) []FreqEntry[V] {
 	return entries[:k]
 }
 
-// Diff returns the estimated difference a − b between two estimates derived
-// from independent samples (e.g. this week's COUNT vs last week's), with the
-// standard errors combined in quadrature. The 95% interval uses the normal
-// critical value; pass estimates built at the same confidence level.
-func Diff(a, b Estimate) Estimate {
-	se := math.Sqrt(a.StdErr*a.StdErr + b.StdErr*b.StdErr)
-	const z = 1.959963984540054
-	v := a.Value - b.Value
-	return Estimate{
-		Value:  v,
-		StdErr: se,
-		Lo:     v - z*se,
-		Hi:     v + z*se,
-		Exact:  a.Exact && b.Exact,
-	}
-}
-
 // GroupResult is one group's estimated aggregate.
 type GroupResult[K cmp.Ordered] struct {
 	Key   K        `json:"key"`
@@ -300,8 +211,8 @@ func GroupBy[V cmp.Ordered, K cmp.Ordered](e *Estimator[V], key func(V) K) ([]Gr
 	e.s.Hist.Each(func(v V, c int64) { counts[key(v)] += c })
 	out := make([]GroupResult[K], 0, len(counts))
 	for k, c := range counts {
-		share := e.share(float64(c) / float64(n))
-		out = append(out, GroupResult[K]{Key: k, Count: e.count(share), Share: share})
+		share, count := proportion(float64(c)/float64(n), n, e.s.ParentSize, e.z, e.s.Kind == core.Exhaustive)
+		out = append(out, GroupResult[K]{Key: k, Count: count, Share: share})
 	}
 	slices.SortFunc(out, func(a, b GroupResult[K]) int {
 		return cmp.Or(cmp.Compare(b.Count.Value, a.Count.Value), cmp.Compare(a.Key, b.Key))
@@ -364,22 +275,6 @@ func (e *OrderedEstimator[V]) Quantile(q float64) (V, error) {
 		i++
 	}
 	return e.sorted.Entry(i).Value, nil
-}
-
-// Median estimates the data-set median.
-func (e *OrderedEstimator[V]) Median() (V, error) { return e.Quantile(0.5) }
-
-// Quantiles estimates several quantiles at once; qs must each lie in [0,1].
-func (e *OrderedEstimator[V]) Quantiles(qs ...float64) ([]V, error) {
-	out := make([]V, len(qs))
-	for i, q := range qs {
-		v, err := e.Quantile(q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // EquiDepth returns the boundaries of a b-bucket equi-depth histogram of the

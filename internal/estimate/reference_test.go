@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 
 	"samplewh/internal/core"
@@ -13,6 +14,141 @@ import (
 // can hold Interval and ProxyWidth to it. refAllProven is the all-proven
 // branch of the server's former rangeEstimate.
 
+// refInterval finishes an Estimate from a point value and standard error.
+func refInterval[V cmp.Ordered](e *Estimator[V], value, stderr float64) Estimate {
+	exact := e.s.Kind == core.Exhaustive
+	if exact {
+		stderr = 0
+	}
+	return Estimate{
+		Value:  value,
+		StdErr: stderr,
+		Lo:     value - e.z*stderr,
+		Hi:     value + e.z*stderr,
+		Exact:  exact,
+	}
+}
+
+// refFraction estimates the fraction of data-set elements whose value
+// satisfies pred (the selectivity of the predicate).
+func refFraction[V cmp.Ordered](e *Estimator[V], pred func(V) bool) (Estimate, error) {
+	n := e.s.Size()
+	if n == 0 {
+		return Estimate{}, fmt.Errorf("estimate: empty sample")
+	}
+	var match int64
+	e.s.Hist.Each(func(v V, c int64) {
+		if pred(v) {
+			match += c
+		}
+	})
+	return refShare(e, float64(match)/float64(n)), nil
+}
+
+// refShare is the interval of a proportion p of the sample, clamped to [0, 1].
+func refShare[V cmp.Ordered](e *Estimator[V], p float64) Estimate {
+	est := refInterval(e, p, srsSE(p, e.s.Size(), e.s.ParentSize))
+	est.Lo, est.Hi = max(est.Lo, 0), min(est.Hi, 1)
+	return est
+}
+
+// refAvg estimates the mean of f(v) over the data set.
+func refAvg[V cmp.Ordered](e *Estimator[V], f func(V) float64) (Estimate, error) {
+	n := e.s.Size()
+	if n == 0 {
+		return Estimate{}, fmt.Errorf("estimate: empty sample")
+	}
+	var sum, sumsq float64
+	e.s.Hist.Each(func(v V, c int64) {
+		x := f(v)
+		sum += x * float64(c)
+		sumsq += x * x * float64(c)
+	})
+	mean := sum / float64(n)
+	var se float64
+	if n > 1 {
+		variance := (sumsq - sum*mean) / float64(n-1)
+		if variance < 0 {
+			variance = 0
+		}
+		se = math.Sqrt(variance/float64(n)) * fpc(n, e.s.ParentSize)
+	}
+	return refInterval(e, mean, se), nil
+}
+
+// refSum estimates the total of f(v) over the data set: N times the mean.
+func refSum[V cmp.Ordered](e *Estimator[V], f func(V) float64) (Estimate, error) {
+	avg, err := refAvg(e, f)
+	if err != nil {
+		return Estimate{}, err
+	}
+	N := float64(e.s.ParentSize)
+	return refInterval(e, avg.Value*N, avg.StdErr*N), nil
+}
+
+// refStratSum estimates the total of f(v) over the union of the strata:
+// T̂ = Σ_h N_h·ȳ_h with variance Σ_h N_h²(1−n_h/N_h)s_h²/n_h.
+func refStratSum[V cmp.Ordered](e *StratifiedEstimator[V], f func(V) float64) (Estimate, error) {
+	var total, variance float64
+	exact := true
+	for i, s := range e.st.Strata() {
+		n := float64(s.Size())
+		if n == 0 {
+			return Estimate{}, fmt.Errorf("estimate: stratum %d has an empty sample", i)
+		}
+		N := float64(s.ParentSize)
+		var sum, sumsq float64
+		s.Hist.Each(func(v V, c int64) {
+			x := f(v)
+			sum += x * float64(c)
+			sumsq += x * x * float64(c)
+		})
+		mean := sum / n
+		total += N * mean
+		if s.Kind != core.Exhaustive {
+			exact = false
+			if n > 1 {
+				sVar := (sumsq - sum*mean) / (n - 1)
+				if sVar < 0 {
+					sVar = 0
+				}
+				fpc := 1 - n/N
+				if fpc < 0 {
+					fpc = 0
+				}
+				variance += N * N * fpc * sVar / n
+			}
+		}
+	}
+	se := math.Sqrt(variance)
+	if exact {
+		se = 0
+	}
+	return Estimate{
+		Value:  total,
+		StdErr: se,
+		Lo:     total - e.z*se,
+		Hi:     total + e.z*se,
+		Exact:  exact,
+	}, nil
+}
+
+// refStratAvg estimates the population mean of f(v): Sum / N_total.
+func refStratAvg[V cmp.Ordered](e *StratifiedEstimator[V], f func(V) float64) (Estimate, error) {
+	sum, err := refStratSum(e, f)
+	if err != nil {
+		return Estimate{}, err
+	}
+	N := float64(e.st.ParentSize())
+	return Estimate{
+		Value:  sum.Value / N,
+		StdErr: sum.StdErr / N,
+		Lo:     sum.Lo / N,
+		Hi:     sum.Hi / N,
+		Exact:  sum.Exact,
+	}, nil
+}
+
 // refBoundedFraction estimates the predicate selectivity over a requested
 // population of totalPop elements from a sample covering only s.ParentSize of
 // them. The interval combines the covered-union sampling interval with the
@@ -23,7 +159,7 @@ func refBoundedFraction[V cmp.Ordered](s *core.Sample[V], pred func(V) bool, con
 	if err != nil {
 		return Estimate{}, err
 	}
-	est, err := e.Fraction(pred)
+	est, err := refFraction(e, pred)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -103,7 +239,7 @@ func refTotalWithZeros[V cmp.Ordered](e *StratifiedEstimator[V], zeros []ZeroStr
 // loaded strata plus the proven-zero strata. When zeros is empty it is
 // exactly Count.
 func refCountPruned[V cmp.Ordered](e *StratifiedEstimator[V], pred func(V) bool, zeros []ZeroStratum) (Estimate, error) {
-	est, err := e.Sum(func(v V) float64 {
+	est, err := refStratSum(e, func(v V) float64 {
 		if pred(v) {
 			return 1
 		}
@@ -171,7 +307,7 @@ func refBoundedFractionProvenZero[V cmp.Ordered](s *core.Sample[V], pred func(V)
 	if err != nil {
 		return Estimate{}, err
 	}
-	est, err := e.Fraction(pred)
+	est, err := refFraction(e, pred)
 	if err != nil {
 		return Estimate{}, err
 	}

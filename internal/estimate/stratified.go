@@ -3,7 +3,6 @@ package estimate
 import (
 	"cmp"
 	"fmt"
-	"math"
 
 	"samplewh/internal/core"
 )
@@ -41,74 +40,22 @@ func NewStratifiedWithConfidence[V cmp.Ordered](st *core.Stratified[V], confiden
 // Sum estimates the total of f(v) over the union of the strata:
 // T̂ = Σ_h N_h·ȳ_h with variance Σ_h N_h²(1−n_h/N_h)s_h²/n_h.
 func (e *StratifiedEstimator[V]) Sum(f func(V) float64) (Estimate, error) {
-	var total, variance float64
-	exact := true
-	for i, s := range e.st.Strata() {
-		n := float64(s.Size())
-		if n == 0 {
-			return Estimate{}, fmt.Errorf("estimate: stratum %d has an empty sample", i)
-		}
-		N := float64(s.ParentSize)
-		var sum, sumsq float64
-		s.Hist.Each(func(v V, c int64) {
-			x := f(v)
-			sum += x * float64(c)
-			sumsq += x * x * float64(c)
-		})
-		mean := sum / n
-		total += N * mean
-		if s.Kind != core.Exhaustive {
-			exact = false
-			if n > 1 {
-				sVar := (sumsq - sum*mean) / (n - 1)
-				if sVar < 0 {
-					sVar = 0
-				}
-				fpc := 1 - n/N
-				if fpc < 0 {
-					fpc = 0
-				}
-				variance += N * N * fpc * sVar / n
-			}
-		}
-	}
-	se := math.Sqrt(variance)
-	if exact {
-		se = 0
-	}
-	return Estimate{
-		Value:  total,
-		StdErr: se,
-		Lo:     total - e.z*se,
-		Hi:     total + e.z*se,
-		Exact:  exact,
-	}, nil
+	return Interval(Design[V]{Strata: e.st}, "sum", f, e.z)
 }
 
 // Avg estimates the population mean of f(v): Sum / N_total.
 func (e *StratifiedEstimator[V]) Avg(f func(V) float64) (Estimate, error) {
-	sum, err := e.Sum(f)
-	if err != nil {
-		return Estimate{}, err
-	}
-	N := float64(e.st.ParentSize())
-	return Estimate{
-		Value:  sum.Value / N,
-		StdErr: sum.StdErr / N,
-		Lo:     sum.Lo / N,
-		Hi:     sum.Hi / N,
-		Exact:  sum.Exact,
-	}, nil
+	return Interval(Design[V]{Strata: e.st}, "avg", f, e.z)
 }
 
 // CountPruned is Interval's count over the strata plus the proven-zero
 // strata. It remains only because bench/trace.go compiles against it; ROADMAP
-// item 1(a), which rewrites that replay, deletes it.
+// item 2(b), which rewrites that replay, deletes it.
 func (e *StratifiedEstimator[V]) CountPruned(pred func(V) bool, zeros []ZeroStratum) (Estimate, error) {
-	return Interval(Design[V]{Strata: e.st, Proven: zeros}, pred, false, e.z)
+	return Interval(Design[V]{Strata: e.st, Proven: zeros}, "count", Indicator(pred), e.z)
 }
 
 // FractionPruned is CountPruned's fraction, kept for the same reason.
 func (e *StratifiedEstimator[V]) FractionPruned(pred func(V) bool, zeros []ZeroStratum) (Estimate, error) {
-	return Interval(Design[V]{Strata: e.st, Proven: zeros}, pred, true, e.z)
+	return Interval(Design[V]{Strata: e.st, Proven: zeros}, "fraction", Indicator(pred), e.z)
 }

@@ -69,14 +69,14 @@ func TestStratifiedCountAndFraction(t *testing.T) {
 	}
 	// Predicate: values in stratum 0's range (v < 1000): exactly 10000.
 	pred := func(v int64) bool { return v < 1000 }
-	cnt, err := Interval(Design[int64]{Strata: st}, pred, false, e.z)
+	cnt, err := Interval(Design[int64]{Strata: st}, "count", Indicator(pred), e.z)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(cnt.Value-10000) > 6*cnt.StdErr+1 {
 		t.Fatalf("count %v ± %v, truth 10000", cnt.Value, cnt.StdErr)
 	}
-	frac, err := Interval(Design[int64]{Strata: st}, pred, true, e.z)
+	frac, err := Interval(Design[int64]{Strata: st}, "fraction", Indicator(pred), e.z)
 	if err != nil {
 		t.Fatal(err)
 	}

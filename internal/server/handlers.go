@@ -987,12 +987,12 @@ func (s *Server) localRead(ctx context.Context, q readQuery) (readResult, error)
 		pq := warehouse.PlannedQuery[int64]{Bounds: q.bounds, Confidence: q.confidence}
 		z, _ := estimate.ZCrit(q.confidence) // parseReadQuery admits supported levels only
 		if q.query.Range() || q.bounds.MaxErr > 0 {
-			pred := q.query.Pred()
+			ind := estimate.Indicator(q.query.Pred())
 			pq.HalfWidth = func(acc *core.Sample[int64], totalPop, provenZero int64) (float64, bool) {
 				if !q.query.Range() {
 					return estimate.ProxyWidth(acc.Size(), acc.ParentSize, provenZero, totalPop, z), true
 				}
-				e, herr := estimate.Interval(estimate.Planned(acc, totalPop, provenZero), pred, true, z)
+				e, herr := estimate.Interval(estimate.Planned(acc, totalPop, provenZero), "fraction", ind, z)
 				return estimate.HalfWidth(e), herr == nil
 			}
 		}

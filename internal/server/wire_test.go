@@ -36,8 +36,9 @@ func goldenServer(t *testing.T, valuesPer int) *Server {
 // sketch-pruned, bounded with and without proven-zero partitions, at other
 // confidence levels and over partition subsets — answers exactly the bytes in
 // testdata/golden-estimate.txt. Requests run in file order, since each merge
-// draws from the warehouse's seeded stream. (groupby over equal group counts
-// lists its ties in map order, so only the sampled fixture asks it.)
+// draws from the warehouse's seeded stream; groupby lists equal group counts
+// in ascending key, so the exhaustive fixture's four equal groups are pinned
+// too.
 func TestEstimateWireGolden(t *testing.T) {
 	fixtures := []struct {
 		name    string
@@ -51,12 +52,13 @@ func TestEstimateWireGolden(t *testing.T) {
 			"q=fraction:0..499&maxerr=0.3&prune=0", "q=count:0..499&maxerr=0.3&prune=0",
 			"q=count:0..499&maxerr=0.3", "q=fraction:0..1999&maxerr=0.3", "q=count:0..3999&maxerr=0.01",
 			"q=avg&maxtime=10s", "q=avg&confidence=0.99", "q=fraction:0..1999&confidence=0.9",
-			"q=count:0..1999&parts=p0,p1", "q=median&parts=p2,p3",
+			"q=count:0..1999&parts=p0,p1", "q=median&parts=p2,p3", "q=sum&maxtime=10s",
 		}},
 		{"exhaustive", goldenServer(t, 100), []string{
 			"q=avg", "q=distinct", "q=topk:3", "q=quantile:0.25",
 			"q=count:0..199", "q=count:1000..2000", "q=fraction:0..149&maxerr=0.3",
 			"q=count:0..99&maxerr=0.3", "q=fraction:0..99&maxerr=0.3", "q=count:0..399&maxerr=0.3&prune=0",
+			"q=groupby:100", "q=sum",
 		}},
 	}
 	elapsed := regexp.MustCompile(`"elapsed_ns":\d+`)
