@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-decode bench-merge bench-cluster smoke-serve chaos chaos-cluster fuzz loc
+.PHONY: check fmt vet build test bench-test bench-smoke bench bench-roll bench-decode bench-merge smoke-serve chaos chaos-cluster fuzz loc
 
 check: fmt vet build test
 
@@ -69,12 +69,6 @@ bench-merge:
 # catalog bytes per cycle) and the sidecar build inside it.
 bench-roll:
 	go test -run XXX -bench 'BenchmarkIngestBody|BenchmarkSamplerThroughput/HR-FeedAll|BenchmarkRollCycle|BenchmarkFromSample' -benchmem -benchtime=$(BENCHTIME) .
-
-# Cluster benchmark (DESIGN.md §13): replicated scatter-gather ladder over
-# shard counts plus a one-shard-down kill drill through the survivors; the
-# JSON document goes to stdout.
-bench-cluster:
-	go run ./cmd/swbench -exp cluster -clshards 1,2,4 -clclients 8 -cldur 2s -json -
 
 # Boot a real swd, hit every endpoint once with curl + swcli query, then
 # SIGTERM it and require a clean drain (exit 0). The one-query-per-endpoint

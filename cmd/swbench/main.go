@@ -10,12 +10,12 @@
 //	concise     §3.3 concise-sampling non-uniformity demonstration
 //	uniformity  chi-square uniformity audit of all three pipelines
 //	calibration confidence-interval coverage of all three pipelines
-//	cluster     replicated scatter-gather ladder + one-shard-down kill drill
 //	chaos       SIGKILL crash-recovery drill against a built swd
 //	all         the figures, concise, uniformity and calibration
 //
 // The served read and write paths are timed by the bench/ harness
-// (BENCHMARK.json), not here.
+// (BENCHMARK.json), not here; the cluster's failover is checked by the
+// server package's tests and make chaos-cluster.
 //
 // The defaults run a laptop-scale configuration; pass -full for the paper's
 // original sizes (N = 2^26 for speedup, scale factors to 512, 3 runs),
@@ -23,7 +23,7 @@
 //
 // Results print as aligned text tables by default; -json FILE additionally
 // writes every report as one machine-readable JSON document ("-" selects
-// stdout).
+// stdout). swbench -h lists the flags; README.md shows each of them.
 //
 // Usage:
 //
@@ -59,58 +59,73 @@ type jsonDocument struct {
 	Results []jsonResult `json:"results"`
 }
 
+// config is swbench's command line.
+type config struct {
+	exp, parts, scales, swd, json   string
+	full                            bool
+	logN, runs, parallelism, trials int
+	ccycles, cworkers, cbatch       int
+	per, nf                         int64
+	p                               float64
+	seed                            uint64
+	cuptime                         time.Duration
+}
+
+// defineFlags declares swbench's flags on fs; main_test.go holds this set
+// and README to each other.
+func defineFlags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.StringVar(&c.exp, "exp", "all", "experiment: fig5, fig9..fig16, concise, uniformity, calibration, chaos, all")
+	fs.BoolVar(&c.full, "full", false, "use the paper's full-scale parameters (slow)")
+	fs.IntVar(&c.logN, "logn", 0, "speedup population size exponent (default 22, paper 26)")
+	fs.StringVar(&c.parts, "parts", "", "comma-separated partition counts")
+	fs.StringVar(&c.scales, "scales", "", "comma-separated scale factors")
+	fs.Int64Var(&c.per, "per", 32*1024, "elements per partition (scaleup, sample sizes)")
+	fs.IntVar(&c.runs, "runs", 0, "repetitions per point (default 1, paper 3)")
+	fs.Int64Var(&c.nf, "nf", 8192, "sample-size bound nF")
+	fs.Float64Var(&c.p, "p", 0.001, "HB exceedance probability")
+	fs.Uint64Var(&c.seed, "seed", 1, "base RNG seed")
+	fs.IntVar(&c.parallelism, "parallelism", 0, "sampler goroutines (0 = GOMAXPROCS)")
+	fs.IntVar(&c.trials, "trials", 0, "trials for concise/uniformity experiments")
+	fs.StringVar(&c.swd, "swd", "", "chaos experiment: path to a built swd binary")
+	fs.IntVar(&c.ccycles, "ccycles", 20, "chaos experiment: SIGKILL/restart cycles")
+	fs.IntVar(&c.cworkers, "cworkers", 4, "chaos experiment: concurrent ingest workers")
+	fs.IntVar(&c.cbatch, "cbatch", 2000, "chaos experiment: values per ingest batch")
+	fs.DurationVar(&c.cuptime, "cuptime", 150*time.Millisecond, "chaos experiment: daemon uptime between kills")
+	fs.StringVar(&c.json, "json", "", "also write results as JSON to this file (\"-\" = stdout)")
+	return c
+}
+
 func main() {
-	var (
-		exp         = flag.String("exp", "all", "experiment: fig5, fig9..fig16, concise, uniformity, calibration, cluster, chaos, all")
-		full        = flag.Bool("full", false, "use the paper's full-scale parameters (slow)")
-		logN        = flag.Int("logn", 0, "speedup population size exponent (default 22, paper 26)")
-		partsFlag   = flag.String("parts", "", "comma-separated partition counts")
-		scalesFlag  = flag.String("scales", "", "comma-separated scale factors")
-		per         = flag.Int64("per", 32*1024, "elements per partition (scaleup, sample sizes)")
-		runs        = flag.Int("runs", 0, "repetitions per point (default 1, paper 3)")
-		nf          = flag.Int64("nf", 8192, "sample-size bound nF")
-		p           = flag.Float64("p", 0.001, "HB exceedance probability")
-		seed        = flag.Uint64("seed", 1, "base RNG seed")
-		parallelism = flag.Int("parallelism", 0, "sampler goroutines (0 = GOMAXPROCS)")
-		trials      = flag.Int("trials", 0, "trials for concise/uniformity experiments")
-		clShards    = flag.String("clshards", "1,2,4", "cluster experiment: comma-separated shard counts")
-		clClients   = flag.Int("clclients", 8, "cluster experiment: closed-loop query clients")
-		clDur       = flag.Duration("cldur", 2*time.Second, "cluster experiment: duration per rung")
-		swdPath     = flag.String("swd", "", "chaos experiment: path to a built swd binary")
-		ccycles     = flag.Int("ccycles", 20, "chaos experiment: SIGKILL/restart cycles")
-		cworkers    = flag.Int("cworkers", 4, "chaos experiment: concurrent ingest workers")
-		cbatch      = flag.Int("cbatch", 2000, "chaos experiment: values per ingest batch")
-		cuptime     = flag.Duration("cuptime", 150*time.Millisecond, "chaos experiment: daemon uptime between kills")
-		jsonOut     = flag.String("json", "", "also write results as JSON to this file (\"-\" = stdout)")
-	)
+	c := defineFlags(flag.CommandLine)
 	flag.Parse()
 
 	opt := experiments.Options{
-		Seed:        *seed,
-		Runs:        *runs,
-		Parallelism: *parallelism,
-		NF:          *nf,
-		P:           *p,
+		Seed:        c.seed,
+		Runs:        c.runs,
+		Parallelism: c.parallelism,
+		NF:          c.nf,
+		P:           c.p,
 	}
 	if opt.Runs == 0 {
 		opt.Runs = 1
-		if *full {
+		if c.full {
 			opt.Runs = 3
 		}
 	}
-	speedupLogN := *logN
+	speedupLogN := c.logN
 	if speedupLogN == 0 {
 		speedupLogN = 22
-		if *full {
+		if c.full {
 			speedupLogN = 26
 		}
 	}
-	parts := parseInts(*partsFlag)
-	scales := parseInts(*scalesFlag)
-	if len(parts) == 0 && !*full {
+	parts := parseInts(c.parts)
+	scales := parseInts(c.scales)
+	if len(parts) == 0 && !c.full {
 		parts = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
 	}
-	if len(scales) == 0 && !*full {
+	if len(scales) == 0 && !c.full {
 		scales = []int{8, 16, 32, 64, 128}
 	}
 
@@ -140,39 +155,34 @@ func main() {
 			return emit(name, r, err)
 		case "fig12", "fig13", "fig14":
 			alg := map[string]experiments.Alg{"fig12": experiments.AlgSB, "fig13": experiments.AlgHB, "fig14": experiments.AlgHR}[name]
-			r, err := experiments.Scaleup(alg, scales, *per, opt)
+			r, err := experiments.Scaleup(alg, scales, c.per, opt)
 			return emit(name, r, err)
 		case "fig15":
-			r, err := experiments.SampleSizes(experiments.AlgHB, parts, *per, opt)
+			r, err := experiments.SampleSizes(experiments.AlgHB, parts, c.per, opt)
 			return emit(name, r, err)
 		case "fig16":
-			r, err := experiments.SampleSizes(experiments.AlgHR, parts, *per, opt)
+			r, err := experiments.SampleSizes(experiments.AlgHR, parts, c.per, opt)
 			return emit(name, r, err)
 		case "concise":
-			r, err := experiments.ConciseNonUniformity(*trials, opt)
+			r, err := experiments.ConciseNonUniformity(c.trials, opt)
 			return emit(name, r, err)
 		case "calibration":
 			for _, alg := range []experiments.Alg{experiments.AlgSB, experiments.AlgHB, experiments.AlgHR} {
-				r, err := experiments.EstimatorCalibration(alg, *trials, opt)
+				r, err := experiments.EstimatorCalibration(alg, c.trials, opt)
 				if err := emit(fmt.Sprintf("%s-%s", name, alg), r, err); err != nil {
 					return err
 				}
 			}
 			return nil
-		case "cluster":
-			r, err := experiments.Cluster(experiments.ClusterConfig{
-				Shards: parseInts(*clShards), Clients: *clClients, Dur: *clDur,
-			}, opt)
-			return emit(name, r, err)
 		case "chaos":
 			r, err := experiments.Chaos(experiments.ChaosConfig{
-				SwdPath: *swdPath, Cycles: *ccycles, Workers: *cworkers,
-				Batch: *cbatch, Uptime: *cuptime,
+				SwdPath: c.swd, Cycles: c.ccycles, Workers: c.cworkers,
+				Batch: c.cbatch, Uptime: c.cuptime,
 			}, opt)
 			return emit(name, r, err)
 		case "uniformity":
 			for _, alg := range []experiments.Alg{experiments.AlgSB, experiments.AlgHB, experiments.AlgHR} {
-				r, err := experiments.UniformityAudit(alg, *trials, opt)
+				r, err := experiments.UniformityAudit(alg, c.trials, opt)
 				if err := emit(fmt.Sprintf("%s-%s", name, alg), r, err); err != nil {
 					return err
 				}
@@ -183,8 +193,8 @@ func main() {
 		}
 	}
 
-	names := []string{*exp}
-	if *exp == "all" {
+	names := []string{c.exp}
+	if c.exp == "all" {
 		names = []string{"fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 			"fig15", "fig16", "concise", "uniformity", "calibration"}
 	}
@@ -195,17 +205,17 @@ func main() {
 		}
 	}
 
-	if *jsonOut != "" {
+	if c.json != "" {
 		data, err := json.MarshalIndent(jsonDocument{Results: collected}, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swbench: marshal results: %v\n", err)
 			os.Exit(1)
 		}
 		data = append(data, '\n')
-		if *jsonOut == "-" {
+		if c.json == "-" {
 			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "swbench: write %s: %v\n", *jsonOut, err)
+		} else if err := os.WriteFile(c.json, data, 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "swbench: write %s: %v\n", c.json, err)
 			os.Exit(1)
 		}
 	}

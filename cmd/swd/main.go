@@ -94,7 +94,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.peers, "peers", "", "cluster mode: comma-separated peer base URLs, self included (index = shard id)")
 	fs.IntVar(&c.shardID, "shard-id", 0, "this node's index into -peers")
 	fs.IntVar(&c.replication, "replication", 1, "replicas per partition (ingest fan-out, query failover width)")
-	fs.IntVar(&c.writeQuorum, "write-quorum", 0, "replica acks required before an ingest is acknowledged (0 = majority)")
+	fs.IntVar(&c.writeQuorum, "write-quorum", 0, "replica acks required before an ingest is acknowledged, at most -replication (0 = majority)")
 	fs.DurationVar(&c.hedgeInitial, "hedge-initial", 50*time.Millisecond, "hedge delay before a peer has latency history")
 	fs.DurationVar(&c.breakerOpen, "breaker-open", 2*time.Second, "how long an open per-peer circuit breaker rejects before probing")
 	fs.DurationVar(&c.repairInterval, "repair-interval", 30*time.Second, "anti-entropy sweep period; 0 disables self-healing repair (cluster mode)")
@@ -184,7 +184,7 @@ func run(c *config) error {
 			Replication:    c.replication,
 			WriteQuorum:    c.writeQuorum,
 			HedgeInitial:   c.hedgeInitial,
-			Breaker:        server.BreakerConfig{OpenFor: c.breakerOpen},
+			BreakerOpen:    c.breakerOpen,
 			RepairInterval: c.repairInterval,
 		}
 		for i := range cluster.Peers {

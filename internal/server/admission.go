@@ -23,20 +23,13 @@ type limiter struct {
 	wait  time.Duration // max time a request may sit queued
 }
 
-// newLimiter builds a limiter with the given concurrency, queue depth and
-// queue wait. Concurrency is clamped to >= 1; depth 0 means shed immediately
-// when all slots are busy.
-func newLimiter(concurrency, depth int, wait time.Duration) *limiter {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if depth < 0 {
-		depth = 0
-	}
+// newLimiter builds a limiter with the given concurrency, a queue twice as
+// deep and the queueWait bound.
+func newLimiter(concurrency int) *limiter {
 	return &limiter{
 		slots: make(chan struct{}, concurrency),
-		queue: make(chan struct{}, depth),
-		wait:  wait,
+		queue: make(chan struct{}, 2*concurrency),
+		wait:  queueWait,
 	}
 }
 

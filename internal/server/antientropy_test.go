@@ -210,11 +210,10 @@ func (rc *repairCluster) start(i int) {
 		WriteQuorum: rc.quorum,
 		// Fast breaker + repair cadence so convergence happens within the
 		// test deadline. The breaker must reopen quickly after the shard
-		// rejoins or hint replay would stall on the OpenFor window.
-		Breaker:            BreakerConfig{Window: 4, MinSamples: 2, OpenFor: 100 * time.Millisecond},
-		HedgeDisabled:      true,
-		RepairInterval:     150 * time.Millisecond,
-		HintReplayInterval: 50 * time.Millisecond,
+		// rejoins or hint replay would stall on the open period. Each sweep
+		// replays hints before it diffs, so hints replay every 150ms too.
+		BreakerOpen:    100 * time.Millisecond,
+		RepairInterval: 150 * time.Millisecond,
 	})
 	if err != nil {
 		rc.t.Fatalf("enable cluster shard %d: %v", i, err)

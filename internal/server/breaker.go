@@ -13,10 +13,10 @@ const (
 	// window.
 	BreakerClosed BreakerState = iota
 	// BreakerOpen: the peer is considered down; every Allow fails instantly
-	// (no deadline budget is spent) until OpenFor elapses.
+	// (no deadline budget is spent) until its open period elapses.
 	BreakerOpen
-	// BreakerHalfOpen: OpenFor elapsed; exactly one probe request is let
-	// through. Success closes the breaker, failure re-opens it.
+	// BreakerHalfOpen: the open period elapsed; exactly one probe request is
+	// let through. Success closes the breaker, failure re-opens it.
 	BreakerHalfOpen
 )
 
@@ -34,48 +34,22 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes a per-peer circuit breaker. The zero value selects the
-// defaults noted per field.
-type BreakerConfig struct {
-	// Window is the rolling outcome window length. Default 16.
-	Window int
-	// MinSamples is the minimum recorded outcomes before the breaker may
-	// trip — a single failed request against a cold peer must not open it.
-	// Default 4.
-	MinSamples int
-	// FailureRatio trips the breaker when the windowed failure fraction
-	// reaches it. Default 0.5.
-	FailureRatio float64
-	// OpenFor is how long an open breaker rejects before letting a
-	// half-open probe through. Default 2s.
-	OpenFor time.Duration
-}
-
-func (c BreakerConfig) normalized() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 4
-	}
-	if c.MinSamples > c.Window {
-		c.MinSamples = c.Window
-	}
-	if c.FailureRatio <= 0 || c.FailureRatio > 1 {
-		c.FailureRatio = 0.5
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 2 * time.Second
-	}
-	return c
-}
+// A breaker trips when at least breakerMinSamples of its last breakerWindow
+// outcomes are recorded and breakerFailureRatio of them failed. The minimum
+// keeps a single failed request against a cold peer from opening it.
+const (
+	breakerWindow       = 16
+	breakerMinSamples   = 4
+	breakerFailureRatio = 0.5
+)
 
 // breaker is a per-peer circuit breaker over a rolling outcome window.
-// Closed → (failure ratio over window) → open → (OpenFor elapses) →
+// Closed → (failure ratio over window) → open → (openFor elapses) →
 // half-open single probe → closed or open again. Safe for concurrent use.
 type breaker struct {
-	cfg BreakerConfig
-	now func() time.Time // injectable clock for tests
+	openFor    time.Duration
+	minSamples int
+	now        func() time.Time // injectable clock for tests
 
 	mu         sync.Mutex
 	outcomes   []bool // ring of success flags
@@ -88,21 +62,23 @@ type breaker struct {
 	probeStart time.Time // when the in-flight probe was admitted
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
-	cfg = cfg.normalized()
+// newBreaker builds a closed breaker that, once open, rejects for openFor
+// before letting a half-open probe through.
+func newBreaker(openFor time.Duration) *breaker {
 	return &breaker{
-		cfg:      cfg,
-		now:      time.Now,
-		outcomes: make([]bool, cfg.Window),
+		openFor:    openFor,
+		minSamples: breakerMinSamples,
+		now:        time.Now,
+		outcomes:   make([]bool, breakerWindow),
 	}
 }
 
 // Allow reports whether a request to the peer may proceed. In the open state
 // it returns false instantly — the caller skips the peer without spending
-// any of its deadline budget. After OpenFor it admits one half-open probe;
+// any of its deadline budget. After openFor it admits one half-open probe;
 // probe is true for that call, and its holder must settle the slot with
 // Record (outcome) or CancelProbe (attempt abandoned). As a backstop against
-// a holder that does neither, the slot expires after another OpenFor and a
+// a holder that does neither, the slot expires after another openFor and a
 // replacement probe is admitted — the latch can delay recovery but never
 // fence a healthy peer permanently.
 func (b *breaker) Allow() (ok, probe bool) {
@@ -112,7 +88,7 @@ func (b *breaker) Allow() (ok, probe bool) {
 	case BreakerClosed:
 		return true, false
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) < b.cfg.OpenFor {
+		if b.now().Sub(b.openedAt) < b.openFor {
 			return false, false
 		}
 		b.state = BreakerHalfOpen
@@ -120,7 +96,7 @@ func (b *breaker) Allow() (ok, probe bool) {
 		b.probeStart = b.now()
 		return true, true
 	case BreakerHalfOpen:
-		if b.probing && b.now().Sub(b.probeStart) < b.cfg.OpenFor {
+		if b.probing && b.now().Sub(b.probeStart) < b.openFor {
 			return false, false
 		}
 		b.probing = true
@@ -172,8 +148,8 @@ func (b *breaker) Record(ok bool) {
 		b.fails++
 	}
 	b.idx = (b.idx + 1) % len(b.outcomes)
-	if b.filled >= b.cfg.MinSamples &&
-		float64(b.fails) >= b.cfg.FailureRatio*float64(b.filled) {
+	if b.filled >= b.minSamples &&
+		float64(b.fails) >= breakerFailureRatio*float64(b.filled) {
 		b.trip()
 	}
 }

@@ -10,21 +10,26 @@ type testClock struct{ now time.Time }
 
 func (c *testClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 
-func newTestBreaker(cfg BreakerConfig) (*breaker, *testClock) {
-	b := newBreaker(cfg)
+// newTestBreaker builds a breaker over a window of the given length that may
+// trip from minSamples outcomes on, open for a second, on an injectable
+// clock. Production breakers keep breakerWindow and breakerMinSamples; the
+// small windows here make every transition a few calls away.
+func newTestBreaker(window, minSamples int) (*breaker, *testClock) {
+	b := newBreaker(time.Second)
+	b.outcomes, b.minSamples = make([]bool, window), minSamples
 	clk := &testClock{now: time.Unix(0, 0)}
 	b.now = func() time.Time { return clk.now }
 	return b, clk
 }
 
 func TestBreakerTripsOnFailureRatio(t *testing.T) {
-	b, _ := newTestBreaker(BreakerConfig{Window: 8, MinSamples: 4, FailureRatio: 0.5, OpenFor: time.Second})
-	// Below MinSamples nothing trips, even at 100% failure.
+	b, _ := newTestBreaker(8, 4)
+	// Below the minimum nothing trips, even at 100% failure.
 	b.Record(false)
 	b.Record(false)
 	b.Record(false)
 	if b.State() != BreakerClosed {
-		t.Fatalf("state %v before MinSamples, want closed", b.State())
+		t.Fatalf("state %v before the minimum, want closed", b.State())
 	}
 	b.Record(false)
 	if b.State() != BreakerOpen {
@@ -36,7 +41,7 @@ func TestBreakerTripsOnFailureRatio(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbe(t *testing.T) {
-	b, clk := newTestBreaker(BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Second})
+	b, clk := newTestBreaker(4, 2)
 	b.Record(false)
 	b.Record(false)
 	if b.State() != BreakerOpen {
@@ -63,7 +68,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if ok, probe := b.Allow(); !ok || probe {
 		t.Fatalf("Allow() = %v, %v on closed breaker, want plain admit", ok, probe)
 	}
-	// One failure on the fresh window must not trip (MinSamples again).
+	// One failure on the fresh window must not trip (the minimum again).
 	b.Record(false)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state %v after one failure on fresh window, want closed", b.State())
@@ -71,7 +76,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 }
 
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	b, clk := newTestBreaker(BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Second})
+	b, clk := newTestBreaker(4, 2)
 	b.Record(false)
 	b.Record(false)
 	clk.advance(2 * time.Second)
@@ -93,21 +98,21 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 }
 
 func TestBreakerRollingWindow(t *testing.T) {
-	b, _ := newTestBreaker(BreakerConfig{Window: 4, MinSamples: 4, FailureRatio: 0.5, OpenFor: time.Second})
+	b, _ := newTestBreaker(4, 4)
 	// 2 fails then 4 successes: the fails age out of the window.
 	b.Record(false)
 	b.Record(false)
 	b.Record(true)
 	b.Record(true)
 	// Window now [F F T T] = 50% → would trip at exactly the ratio; this
-	// ordering reaches MinSamples at the trip point.
+	// ordering reaches the minimum at the trip point.
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %v at exactly the failure ratio, want open", b.State())
 	}
 }
 
 func TestBreakerCancelProbeReleasesSlot(t *testing.T) {
-	b, clk := newTestBreaker(BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Second})
+	b, clk := newTestBreaker(4, 2)
 	b.Record(false)
 	b.Record(false)
 	clk.advance(1100 * time.Millisecond)
@@ -131,7 +136,7 @@ func TestBreakerCancelProbeReleasesSlot(t *testing.T) {
 }
 
 func TestBreakerProbeLatchExpires(t *testing.T) {
-	b, clk := newTestBreaker(BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Second})
+	b, clk := newTestBreaker(4, 2)
 	b.Record(false)
 	b.Record(false)
 	clk.advance(1100 * time.Millisecond)

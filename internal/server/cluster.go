@@ -27,18 +27,17 @@ type ClusterConfig struct {
 	// and query failover width). Clamped to [1, len(Peers)]. Default 1.
 	Replication int
 	// WriteQuorum is how many replica acknowledgments an ingest needs
-	// before the coordinator acks the client. 0 selects a majority of the
-	// replication factor (N/2+1).
+	// before the coordinator acks the client, at most Replication. 0
+	// selects a majority of the replication factor (N/2+1).
 	WriteQuorum int
 
-	// HedgeDisabled turns off hedged requests (they default on).
-	HedgeDisabled bool
 	// HedgeInitial is the hedge delay used before a peer has enough
 	// latency observations. Default 50ms.
 	HedgeInitial time.Duration
 
-	// Breaker tunes the per-peer circuit breakers.
-	Breaker BreakerConfig
+	// BreakerOpen is how long an open per-peer circuit breaker rejects
+	// before letting a half-open probe through. Default 2s.
+	BreakerOpen time.Duration
 
 	// HTTPClient, when non-nil, builds the HTTP client used for one peer —
 	// the hook where tests plug fault-injecting transports
@@ -50,10 +49,6 @@ type ClusterConfig struct {
 	// sweeps, hinted handoff and read repair entirely — no background
 	// goroutines start. cmd/swd defaults it to 30s.
 	RepairInterval time.Duration
-	// HintReplayInterval is how often pending hinted-handoff writes attempt
-	// delivery — much faster than the sweep so a recovered replica catches
-	// up as soon as its breaker half-opens. Default 1s.
-	HintReplayInterval time.Duration
 	// Hints, when non-nil, is the durable hinted-handoff journal (a
 	// dedicated WAL, separate from the ingest journal): hints survive a
 	// coordinator crash and are re-seeded via Server.SeedHints. Nil keeps
@@ -79,17 +74,17 @@ func (c ClusterConfig) normalized() (ClusterConfig, error) {
 	if c.Replication > len(c.Peers) {
 		c.Replication = len(c.Peers)
 	}
+	if c.WriteQuorum > c.Replication {
+		return c, fmt.Errorf("cluster: write quorum %d exceeds replication %d", c.WriteQuorum, c.Replication)
+	}
 	if c.WriteQuorum <= 0 {
 		c.WriteQuorum = c.Replication/2 + 1
-	}
-	if c.WriteQuorum > c.Replication {
-		c.WriteQuorum = c.Replication
 	}
 	if c.HedgeInitial <= 0 {
 		c.HedgeInitial = 50 * time.Millisecond
 	}
-	if c.HintReplayInterval <= 0 {
-		c.HintReplayInterval = time.Second
+	if c.BreakerOpen <= 0 {
+		c.BreakerOpen = 2 * time.Second
 	}
 	return c, nil
 }
@@ -166,7 +161,7 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 				httpc = c
 			}
 		}
-		peers[i] = newPeer(i, addr, i == cfg.ShardID, cfg.Breaker, httpc)
+		peers[i] = newPeer(i, addr, i == cfg.ShardID, cfg.BreakerOpen, httpc)
 	}
 	s.cluster = &clusterState{
 		cfg:   cfg,
@@ -261,9 +256,7 @@ func (s *Server) handleClusterz(w http.ResponseWriter, r *http.Request) {
 		if p95, ok := p.lat.quantile(0.95); ok {
 			st.LatencyP95NS = p95
 		}
-		if !c.cfg.HedgeDisabled {
-			st.HedgeDelayNS = int64(p.hedgeDelay(c.cfg.HedgeInitial))
-		}
+		st.HedgeDelayNS = int64(p.hedgeDelay(c.cfg.HedgeInitial))
 		if p.self {
 			st.Ready = s.ReadyState() && !s.Draining()
 			resp.Peers[i] = st

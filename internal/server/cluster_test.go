@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,9 +40,11 @@ type testCluster struct {
 type clusterOpts struct {
 	replication int
 	writeQuorum int
-	breaker     BreakerConfig
-	hedgeOff    bool
+	breakerOpen time.Duration
 	hedgeInit   time.Duration
+	// queryLimit, when > 0, replaces every shard's query-class limiter with
+	// one of that many slots (a queue twice as deep).
+	queryLimit int
 	// httpClient, when non-nil, builds coordinator→peer HTTP clients for
 	// the owner shard (fault-injecting transports plug in here).
 	httpClient func(owner, peer int, addr string) *http.Client
@@ -63,13 +66,12 @@ func newTestCluster(t *testing.T, n int, o clusterOpts) *testCluster {
 		wh := openWarehouse(t, storage.NewMemStore[int64](storage.Int64Codec{}), uint64(1000+i))
 		srv := New(wh, Config{DefaultTimeout: 5 * time.Second, Registry: obs.NewRegistry()})
 		ccfg := ClusterConfig{
-			Peers:         tc.addrs,
-			ShardID:       i,
-			Replication:   o.replication,
-			WriteQuorum:   o.writeQuorum,
-			Breaker:       o.breaker,
-			HedgeDisabled: o.hedgeOff,
-			HedgeInitial:  o.hedgeInit,
+			Peers:        tc.addrs,
+			ShardID:      i,
+			Replication:  o.replication,
+			WriteQuorum:  o.writeQuorum,
+			BreakerOpen:  o.breakerOpen,
+			HedgeInitial: o.hedgeInit,
 		}
 		if o.httpClient != nil {
 			owner := i
@@ -79,6 +81,9 @@ func newTestCluster(t *testing.T, n int, o clusterOpts) *testCluster {
 		}
 		if err := srv.EnableCluster(ccfg); err != nil {
 			t.Fatalf("enable cluster shard %d: %v", i, err)
+		}
+		if o.queryLimit > 0 {
+			*srv.query = *testLimiter(o.queryLimit, 2*o.queryLimit, queueWait)
 		}
 		hs := &http.Server{Handler: srv.Handler()}
 		go hs.Serve(lns[i])
@@ -327,7 +332,11 @@ func TestClusterFailoverCoversReplicatedPartitions(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// Replication 2, write quorum 1: every partition survives one dead shard.
-	tc := newTestCluster(t, 3, clusterOpts{replication: 2, writeQuorum: 1})
+	// A coordinated query holds a query slot on its coordinator while its
+	// scatter legs take slots on the peers, so concurrent clients need more
+	// slots than a small host's GOMAXPROCS, or coordinators wait on each
+	// other until the queue wait sheds a leg.
+	tc := newTestCluster(t, 3, clusterOpts{replication: 2, writeQuorum: 1, queryLimit: 64})
 	tc.createDataset(ctx, 0, "d", 8192)
 
 	const parts, per = 9, 50
@@ -359,6 +368,35 @@ func TestClusterFailoverCoversReplicatedPartitions(t *testing.T) {
 		t.Fatalf("failover sum %+v, want %d", est.Estimate, total)
 	}
 
+	// Concurrent clients through both surviving coordinators: every answer
+	// is complete, none fails or is degraded.
+	survivors := tc.clients[:2]
+	queries := []string{"avg", "sum", "quantile:0.95"}
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				q := queries[(w+i)%len(queries)]
+				est, err := survivors[(w+i)%len(survivors)].Estimate(ctx, "d", q, QueryOpts{})
+				if err == nil && (est.Degraded || len(est.Coverage.Merged) != parts) {
+					err = fmt.Errorf("degraded: %+v", est.Coverage)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("client %d, query %s: %w", w, q, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
 	// Writes still reach quorum 1 on the surviving replica; the response
 	// reports the dead replica and flags the write degraded.
 	resp, err := tc.clients[0].IngestValues(ctx, "d", "extra", 0, seqValues(0, per))
@@ -378,9 +416,9 @@ func TestClusterBreakerStopsRoutingToDeadPeer(t *testing.T) {
 	tc := newTestCluster(t, 3, clusterOpts{
 		replication: 2,
 		writeQuorum: 1,
-		// Small window, long OpenFor: the breaker trips fast and stays open
-		// for the rest of the test.
-		breaker: BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Minute},
+		// A long open period: once tripped, the breaker stays open for the
+		// rest of the test.
+		breakerOpen: time.Minute,
 	})
 	tc.createDataset(ctx, 0, "d", 8192)
 	const parts, per = 9, 50
@@ -488,6 +526,36 @@ func TestClusterHedgingCutsSlowShardLatency(t *testing.T) {
 	}
 	if tc.servers[0].cluster.o.hedgeWins.Value() == 0 {
 		t.Fatal("no hedged request won against the slow shard")
+	}
+}
+
+// TestEnableClusterWriteQuorum: 0 selects a majority of the replication
+// factor, a quorum up to it stands, and one the replica set cannot meet is
+// refused instead of acknowledging writes on fewer acks than asked for.
+func TestEnableClusterWriteQuorum(t *testing.T) {
+	peers := []string{"http://s0.invalid", "http://s1.invalid", "http://s2.invalid"}
+	cases := []struct {
+		replication, quorum, want int // want 0: EnableCluster fails
+	}{
+		{replication: 2, quorum: 0, want: 2},
+		{replication: 3, quorum: 0, want: 2},
+		{replication: 2, quorum: 1, want: 1},
+		{replication: 2, quorum: 2, want: 2},
+		{replication: 3, quorum: 3, want: 3},
+		{replication: 2, quorum: 3, want: 0},
+		{replication: 5, quorum: 4, want: 0}, // replication clamps to 3 peers
+	}
+	for _, tc := range cases {
+		srv := New(openWarehouse(t, storage.NewMemStore[int64](storage.Int64Codec{}), 1), Config{})
+		err := srv.EnableCluster(ClusterConfig{Peers: peers, Replication: tc.replication, WriteQuorum: tc.quorum})
+		switch {
+		case tc.want == 0 && err == nil:
+			t.Errorf("replication %d, quorum %d: enabled, want an error", tc.replication, tc.quorum)
+		case tc.want != 0 && err != nil:
+			t.Errorf("replication %d, quorum %d: %v", tc.replication, tc.quorum, err)
+		case tc.want != 0 && srv.cluster.cfg.WriteQuorum != tc.want:
+			t.Errorf("replication %d, quorum %d: quorum %d, want %d", tc.replication, tc.quorum, srv.cluster.cfg.WriteQuorum, tc.want)
+		}
 	}
 }
 
@@ -631,7 +699,7 @@ func TestClusterStatusEndpoint(t *testing.T) {
 // the same pull a forwarded ingest performs, so a query-only workload converges.
 func TestClusterQueryHealsMissedDatasetCreate(t *testing.T) {
 	ctx := context.Background()
-	tc := newTestCluster(t, 2, clusterOpts{replication: 1, hedgeOff: true})
+	tc := newTestCluster(t, 2, clusterOpts{replication: 1})
 
 	// Shard 1 knows the data set; shard 0 "missed the broadcast" (it never
 	// hears about it — the definition is planted directly in shard 1's
@@ -686,7 +754,7 @@ func TestClusterQueryHealsMissedDatasetCreate(t *testing.T) {
 // hint handles it (TestClusterRollOutTombstoneHint).
 func TestClusterRollOutReportsDegradedReplica(t *testing.T) {
 	ctx := context.Background()
-	tc := newTestCluster(t, 3, clusterOpts{replication: 2, writeQuorum: 1, hedgeOff: true})
+	tc := newTestCluster(t, 3, clusterOpts{replication: 2, writeQuorum: 1})
 	tc.createDataset(ctx, 0, "ro", 2048)
 	if _, err := tc.clients[0].IngestValues(ctx, "ro", "p1", 0, seqValues(0, 300)); err != nil {
 		t.Fatalf("ingest: %v", err)
@@ -812,7 +880,7 @@ func TestClusterHBScatter(t *testing.T) {
 // same key replays.
 func TestClusterIngestHealsMissedDatasetCreate(t *testing.T) {
 	ctx := context.Background()
-	tc := newTestCluster(t, 2, clusterOpts{replication: 2, hedgeOff: true})
+	tc := newTestCluster(t, 2, clusterOpts{replication: 2})
 	cfg, err := DatasetConfig(CreateDatasetRequest{Name: "heal", NF: 2048})
 	if err != nil {
 		t.Fatalf("dataset config: %v", err)

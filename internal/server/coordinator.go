@@ -272,7 +272,7 @@ func (s *Server) fetchGroup(ctx context.Context, q readQuery, chain []*peer, agg
 
 	launch(false)
 	var hedgeTimer <-chan time.Time
-	if !c.cfg.HedgeDisabled && len(chain) > 1 {
+	if len(chain) > 1 {
 		t := time.NewTimer(chain[0].hedgeDelay(c.cfg.HedgeInitial))
 		defer t.Stop()
 		hedgeTimer = t.C

@@ -48,7 +48,7 @@ func bootDurable(t *testing.T, dir string) *durableServer {
 		}
 		replayed = rep.Replayed
 	}
-	srv := New(wh, Config{DefaultTimeout: 5 * time.Second, IngestLimit: 4, Journal: lg})
+	srv := New(wh, Config{DefaultTimeout: 5 * time.Second, Journal: lg})
 	srv.SeedIdempotency(replayed)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"samplewh/internal/core"
 	"samplewh/internal/obs"
 	"samplewh/internal/storage"
-	"samplewh/internal/warehouse"
 )
 
 // throttledStore delays every Get so query latency — and therefore admission
@@ -31,14 +30,15 @@ func (s *throttledStore) Get(key string) (*core.Sample[int64], error) {
 }
 
 // bootServer starts a fully wired server on a loopback listener and returns
-// a client for it plus the shutdown hooks.
-func bootServer(t *testing.T, cfg Config, st storage.Store[int64]) (*Client, *Server, *http.Server) {
+// a client for it plus the shutdown hooks. The server runs without a sample
+// cache, so every merge reads the throttled store. shape, when non-nil, runs
+// before the listener serves.
+func bootServer(t *testing.T, cfg Config, st storage.Store[int64], shape func(*Server)) (*Client, *Server, *http.Server) {
 	t.Helper()
-	wh := openWarehouse(t, st, 99)
-	// A tiny cache would hide the throttled store from repeat queries; the
-	// saturation phase needs every merge to hit storage.
-	wh.SetQueryConfig(warehouse.QueryConfig{CacheBytes: 0, LoadWorkers: 1})
-	srv := New(wh, cfg)
+	srv := New(openWarehouse(t, st, 99), cfg)
+	if shape != nil {
+		shape(srv)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -58,15 +58,12 @@ func bootServer(t *testing.T, cfg Config, st storage.Store[int64]) (*Client, *Se
 func TestServerEndToEnd(t *testing.T) {
 	st := &throttledStore{Store: storage.NewMemStore[int64](storage.Int64Codec{})}
 	reg := obs.NewRegistry()
-	cfg := Config{
-		DefaultTimeout: 5 * time.Second,
-		QueryLimit:     2,
-		QueueDepth:     1,
-		QueueWait:      20 * time.Millisecond,
-		IngestLimit:    4,
-		Registry:       reg,
-	}
-	client, srv, httpSrv := bootServer(t, cfg, st)
+	// Limits far below production's, so this test's load sheds: two query
+	// slots, four ingest slots, one queue position each, 20ms waits.
+	client, srv, httpSrv := bootServer(t, Config{DefaultTimeout: 5 * time.Second, Registry: reg}, st, func(s *Server) {
+		*s.ingest = *testLimiter(4, 1, 20*time.Millisecond)
+		*s.query = *testLimiter(2, 1, 20*time.Millisecond)
+	})
 	ctx := context.Background()
 
 	if _, err := client.CreateDataset(ctx, CreateDatasetRequest{Name: "d", Algorithm: "HR", NF: 512}); err != nil {
@@ -124,7 +121,7 @@ func TestServerEndToEnd(t *testing.T) {
 			for j := range vals {
 				vals[j] = int64(i*1000 + j)
 			}
-			// 8 writers against IngestLimit 4 + QueueDepth 1: the excess is
+			// 8 writers against 4 ingest slots + 1 queue position: the excess is
 			// legitimately shed with 429, and a shed writer comes back.
 			for {
 				_, err := client.IngestValues(ctx, "d", part(i), 0, vals)
@@ -167,7 +164,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Phase 2: saturation. Slow the store so each query pins its slot, then
-	// offer far more load than QueryLimit+QueueDepth admits: the excess must
+	// offer far more load than 2 slots + 1 queue position admit: the excess must
 	// shed with 429 + Retry-After while admitted requests still succeed.
 	st.delay.Store(int64(30 * time.Millisecond))
 	// Phase 1's readers and writers were shed too; count this phase only.
@@ -262,7 +259,7 @@ func TestServerEndToEnd(t *testing.T) {
 // server-side merge instead of letting it run to completion.
 func TestClientTimeoutPropagation(t *testing.T) {
 	st := &throttledStore{Store: storage.NewMemStore[int64](storage.Int64Codec{})}
-	client, _, _ := bootServer(t, Config{DefaultTimeout: 5 * time.Second}, st)
+	client, _, _ := bootServer(t, Config{DefaultTimeout: 5 * time.Second}, st, nil)
 	ctx := context.Background()
 	if _, err := client.CreateDataset(ctx, CreateDatasetRequest{Name: "d", NF: 256}); err != nil {
 		t.Fatal(err)
@@ -272,7 +269,7 @@ func TestClientTimeoutPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st.delay.Store(int64(200 * time.Millisecond)) // ≥800ms per full merge
+	st.delay.Store(int64(200 * time.Millisecond)) // ≥200ms per full merge
 	start := time.Now()
 	_, err := client.Estimate(ctx, "d", "avg", QueryOpts{Timeout: 50 * time.Millisecond})
 	elapsed := time.Since(start)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strings"
@@ -27,11 +28,10 @@ func newCallFixture() *callFixture {
 	reg := obs.NewRegistry()
 	f := &callFixture{
 		c:   &clusterState{o: newClusterObs(reg)},
-		p:   newPeer(1, "http://peer.invalid", false, BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Second}, nil),
-		clk: &testClock{now: time.Unix(0, 0)},
+		p:   newPeer(1, "http://peer.invalid", false, time.Second, nil),
 		reg: reg,
 	}
-	f.p.br.now = func() time.Time { return f.clk.now }
+	f.p.br, f.clk = newTestBreaker(4, 2)
 	return f
 }
 
@@ -193,11 +193,8 @@ func TestRepairPartition(t *testing.T) {
 		Peers:       []string{"http://s0.invalid", "http://s1.invalid", "http://s2.invalid"},
 		ShardID:     0,
 		Replication: 3,
-		// Repair is on and idle: no tick fires, and the recorder's failed
-		// pulls never add up to an open breaker.
-		RepairInterval:     time.Hour,
-		HintReplayInterval: time.Hour,
-		Breaker:            BreakerConfig{Window: 64, MinSamples: 64},
+		// Repair is on and idle: no sweep fires and no hint is pending.
+		RepairInterval: time.Hour,
 		HTTPClient: func(shard int, _ string) *http.Client {
 			return &http.Client{Transport: pullRecorder{shard: shard, pulled: &pulled}}
 		},
@@ -207,6 +204,9 @@ func TestRepairPartition(t *testing.T) {
 	}
 	t.Cleanup(srv.StopRepair)
 	c := srv.cluster
+	for _, p := range c.peers { // the recorder's failed pulls never open a breaker
+		p.br.minSamples = math.MaxInt
+	}
 
 	part := ""
 	for i := 0; part == "" && i < 4096; i++ {
@@ -289,7 +289,7 @@ func TestRepairPartition(t *testing.T) {
 func TestClusterForwardedIngestHealsMissedDatasetCreate(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	tc := newTestCluster(t, 2, clusterOpts{replication: 2, hedgeOff: true})
+	tc := newTestCluster(t, 2, clusterOpts{replication: 2})
 
 	// Only shard 0 knows the data set: planted in its warehouse, no broadcast.
 	cfg, err := DatasetConfig(CreateDatasetRequest{Name: "late", NF: 2048})

@@ -61,7 +61,7 @@ func bootIngestNodes(t *testing.T, n int, journal bool) *ingestNodes {
 		}
 		srv := New(wh, cfg)
 		if n > 1 {
-			if err := srv.EnableCluster(ClusterConfig{Peers: addrs, ShardID: i, Replication: n, HedgeDisabled: true}); err != nil {
+			if err := srv.EnableCluster(ClusterConfig{Peers: addrs, ShardID: i, Replication: n}); err != nil {
 				t.Fatal(err)
 			}
 		}

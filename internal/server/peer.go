@@ -82,12 +82,12 @@ type peer struct {
 	lat *latWindow
 }
 
-func newPeer(id int, addr string, self bool, brCfg BreakerConfig, httpc *http.Client) *peer {
+func newPeer(id int, addr string, self bool, breakerOpen time.Duration, httpc *http.Client) *peer {
 	p := &peer{
 		id:   id,
 		addr: addr,
 		self: self,
-		br:   newBreaker(brCfg),
+		br:   newBreaker(breakerOpen),
 		lat:  newLatWindow(),
 	}
 	if !self {

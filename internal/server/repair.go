@@ -175,13 +175,17 @@ const tombstoneExpected = -1
 // counted (repair.hints_dropped), and the anti-entropy sweep covers them.
 const maxPendingHints = 4096
 
+// hintReplayEvery is how often pending hinted-handoff writes attempt
+// delivery — much faster than the sweep so a recovered replica catches up as
+// soon as its breaker half-opens.
+const hintReplayEvery = time.Second
+
 // repairState is the per-node repair machinery: the pending hint queue, the
 // read-repair channel and the background loop's lifecycle.
 type repairState struct {
-	interval  time.Duration
-	hintEvery time.Duration
-	hlog      *wal.Log[int64]
-	o         repairObs
+	interval time.Duration
+	hlog     *wal.Log[int64]
+	o        repairObs
 
 	mu     sync.Mutex
 	hints  []*hint
@@ -200,13 +204,12 @@ type repairState struct {
 
 func newRepairState(cfg ClusterConfig, reg *obs.Registry) *repairState {
 	return &repairState{
-		interval:  cfg.RepairInterval,
-		hintEvery: cfg.HintReplayInterval,
-		hlog:      cfg.Hints,
-		o:         newRepairObs(reg),
-		queued:    make(map[repairTarget]bool),
-		rrCh:      make(chan repairTarget, 256),
-		stop:      make(chan struct{}),
+		interval: cfg.RepairInterval,
+		hlog:     cfg.Hints,
+		o:        newRepairObs(reg),
+		queued:   make(map[repairTarget]bool),
+		rrCh:     make(chan repairTarget, 256),
+		stop:     make(chan struct{}),
 	}
 }
 
@@ -737,14 +740,13 @@ func (s *Server) targetedRepair(ctx context.Context, ds, part string) {
 // --- lifecycle -----------------------------------------------------------
 
 // repairLoop is the background schedule: full sweeps every RepairInterval,
-// hint-replay attempts every HintReplayInterval (much faster, so a
-// recovered replica catches up as soon as its breaker half-opens).
+// hint-replay attempts every hintReplayEvery.
 func (s *Server) repairLoop() {
 	rp := s.cluster.repair
 	defer rp.wg.Done()
 	sweep := time.NewTicker(rp.interval)
 	defer sweep.Stop()
-	hints := time.NewTicker(rp.hintEvery)
+	hints := time.NewTicker(hintReplayEvery)
 	defer hints.Stop()
 	budget := 2 * rp.interval
 	if budget < 5*time.Second {

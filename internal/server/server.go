@@ -37,37 +37,18 @@ import (
 	"samplewh/internal/warehouse"
 )
 
-// Config tunes the server's admission control and deadlines. The zero value
-// selects production-reasonable defaults.
+// Config is what a deployment sets on the server. The zero value selects the
+// defaults noted per field; every other serving limit is a constant below.
 type Config struct {
 	// DefaultTimeout is the per-request deadline applied when the client
 	// does not pass ?timeout=. Default 2s.
 	DefaultTimeout time.Duration
-	// MaxTimeout clamps client-requested deadlines. Default 30s.
-	MaxTimeout time.Duration
-
-	// IngestLimit bounds concurrently executing roll-in/roll-out requests.
-	// Ingest streams through a sampler and holds the warehouse write path;
-	// a small bound protects query tail latency. Default 4.
-	IngestLimit int
-	// QueryLimit bounds concurrently executing merge/estimate requests —
-	// the CPU-heavy class. Default GOMAXPROCS.
-	QueryLimit int
-	// QueueDepth bounds how many requests may wait per class before new
-	// arrivals are shed with 429. Default 2× the class limit.
-	QueueDepth int
-	// QueueWait bounds how long a request may wait for a slot before being
-	// shed. Default 100ms.
-	QueueWait time.Duration
 
 	// SlowLogThreshold is the latency (admission wait included) above which
 	// a request's span tree is recorded in the slow-query log and a
 	// slow_query event is emitted. Default 500ms; negative disables the
 	// slow-query log.
 	SlowLogThreshold time.Duration
-	// SlowLogSize bounds the slow-query log ring (oldest entries are
-	// overwritten). Default 64.
-	SlowLogSize int
 
 	// Journal, when non-nil, is the write-ahead ingest journal: every
 	// acknowledged ingest batch is sealed in it (fsynced per its policy)
@@ -82,9 +63,22 @@ type Config struct {
 
 // Serving limits nothing configures.
 const (
+	// maxTimeout clamps client-requested deadlines.
+	maxTimeout = 30 * time.Second
+	// ingestLimit bounds concurrently executing roll-in/roll-out requests.
+	// Ingest streams through a sampler and holds the warehouse write path;
+	// a small bound protects query tail latency. The query class's bound is
+	// GOMAXPROCS: merge and estimate are the CPU-heavy work.
+	ingestLimit = 4
 	// readLimit bounds concurrently executing introspection requests
 	// (dataset/partition listing, anti-entropy reads).
 	readLimit = 64
+	// queueWait bounds how long a request may wait for a slot before being
+	// shed; each class queues at most twice its limit (see newLimiter).
+	queueWait = 100 * time.Millisecond
+	// slowLogSize bounds the slow-query log ring (oldest entries are
+	// overwritten).
+	slowLogSize = 64
 	// maxBodyBytes caps ingest request bodies.
 	maxBodyBytes = 256 << 20
 	// retryAfter is the Retry-After hint, in whole seconds, on 429 and
@@ -102,33 +96,10 @@ func (c Config) normalized() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
-	}
-	if c.IngestLimit <= 0 {
-		c.IngestLimit = 4
-	}
-	if c.QueryLimit <= 0 {
-		c.QueryLimit = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueWait <= 0 {
-		c.QueueWait = 100 * time.Millisecond
-	}
 	if c.SlowLogThreshold == 0 {
 		c.SlowLogThreshold = 500 * time.Millisecond
 	}
-	if c.SlowLogSize <= 0 {
-		c.SlowLogSize = 64
-	}
 	return c
-}
-
-// queueDepth resolves the per-class queue depth for a class limit.
-func (c Config) queueDepth(limit int) int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 2 * limit
 }
 
 // serverObs bundles the server's metric handles (nil-safe zero value).
@@ -208,10 +179,10 @@ func New(wh *warehouse.Warehouse[int64], cfg Config) *Server {
 		o:       newServerObs(cfg.Registry),
 		journal: cfg.Journal,
 		idem:    newIdemRegistry(idemCapacity, idemTTL, cfg.Registry.Counter("server.idem_evictions")),
-		slow:    newSlowLog(cfg.SlowLogThreshold, cfg.SlowLogSize, cfg.Registry),
-		read:    newLimiter(readLimit, cfg.queueDepth(readLimit), cfg.QueueWait),
-		ingest:  newLimiter(cfg.IngestLimit, cfg.queueDepth(cfg.IngestLimit), cfg.QueueWait),
-		query:   newLimiter(cfg.QueryLimit, cfg.queueDepth(cfg.QueryLimit), cfg.QueueWait),
+		slow:    newSlowLog(cfg.SlowLogThreshold, cfg.Registry),
+		read:    newLimiter(readLimit),
+		ingest:  newLimiter(ingestLimit),
+		query:   newLimiter(runtime.GOMAXPROCS(0)),
 	}
 	s.ready.Store(true)
 	s.routes()
@@ -394,7 +365,7 @@ func (s *Server) wrap(lim *limiter, route string, fn handlerFunc) http.Handler {
 }
 
 // requestContext derives the request deadline: ?timeout= (clamped to
-// MaxTimeout) or the server default, layered on the connection context so
+// maxTimeout) or the server default, layered on the connection context so
 // client disconnects cancel work too.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
 	d := s.cfg.DefaultTimeout
@@ -405,9 +376,7 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 		}
 		d = parsed
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
+	d = min(d, maxTimeout)
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
 }

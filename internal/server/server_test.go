@@ -86,8 +86,14 @@ func decode[T any](t *testing.T, w *httptest.ResponseRecorder) T {
 	return out
 }
 
+// testLimiter is a limiter with a queue depth and wait of the test's choosing;
+// production limiters queue twice their concurrency for queueWait.
+func testLimiter(concurrency, depth int, wait time.Duration) *limiter {
+	return &limiter{slots: make(chan struct{}, concurrency), queue: make(chan struct{}, depth), wait: wait}
+}
+
 func TestLimiterShedAndQueue(t *testing.T) {
-	l := newLimiter(1, 1, 50*time.Millisecond)
+	l := testLimiter(1, 1, 50*time.Millisecond)
 	ctx := context.Background()
 	if err := l.acquire(ctx); err != nil {
 		t.Fatalf("first acquire: %v", err)
@@ -118,7 +124,7 @@ func TestLimiterShedAndQueue(t *testing.T) {
 }
 
 func TestLimiterQueueWaitExpires(t *testing.T) {
-	l := newLimiter(1, 4, 10*time.Millisecond)
+	l := testLimiter(1, 4, 10*time.Millisecond)
 	if err := l.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +137,7 @@ func TestLimiterQueueWaitExpires(t *testing.T) {
 }
 
 func TestLimiterContextCancelWhileQueued(t *testing.T) {
-	l := newLimiter(1, 4, time.Minute)
+	l := testLimiter(1, 4, time.Minute)
 	if err := l.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +153,7 @@ func TestLimiterContextCancelWhileQueued(t *testing.T) {
 }
 
 func TestRequestContextTimeouts(t *testing.T) {
-	s := newTestServer(t, Config{DefaultTimeout: 2 * time.Second, MaxTimeout: 5 * time.Second})
+	s := newTestServer(t, Config{DefaultTimeout: 2 * time.Second})
 	cases := []struct {
 		raw  string
 		want time.Duration
@@ -155,7 +161,7 @@ func TestRequestContextTimeouts(t *testing.T) {
 	}{
 		{raw: "", want: 2 * time.Second},
 		{raw: "100ms", want: 100 * time.Millisecond},
-		{raw: "10m", want: 5 * time.Second}, // clamped to MaxTimeout
+		{raw: "10m", want: maxTimeout}, // clamped
 		{raw: "bogus", bad: true},
 		{raw: "-1s", bad: true},
 		{raw: "0s", bad: true},

@@ -57,19 +57,16 @@ type slowLog struct {
 	evictedC *obs.Counter
 }
 
-// newSlowLog builds the ring; a negative threshold disables the log entirely
-// (returns nil). threshold and size arrive already defaulted by
+// newSlowLog builds the slowLogSize ring; a negative threshold disables the
+// log entirely (returns nil). threshold arrives already defaulted by
 // Config.normalized.
-func newSlowLog(threshold time.Duration, size int, reg *obs.Registry) *slowLog {
+func newSlowLog(threshold time.Duration, reg *obs.Registry) *slowLog {
 	if threshold < 0 {
 		return nil
 	}
-	if size < 1 {
-		size = 1
-	}
 	return &slowLog{
 		threshold: threshold,
-		buf:       make([]SlowQuery, 0, size),
+		buf:       make([]SlowQuery, 0, slowLogSize),
 		entriesC:  reg.Counter("slowlog.entries"),
 		evictedC:  reg.Counter("slowlog.evicted"),
 	}

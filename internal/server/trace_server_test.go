@@ -185,12 +185,11 @@ func TestSlowLogRingEviction(t *testing.T) {
 	s := newTestServer(t, Config{
 		Registry:         reg,
 		SlowLogThreshold: time.Nanosecond, // every request is "slow"
-		SlowLogSize:      4,
-		// Admit everything: the point is ring behavior under concurrency,
-		// not shedding.
-		QueryLimit: requests,
-		QueueDepth: requests,
 	})
+	// A 4-entry ring instead of slowLogSize, so 32 requests evict; and admit
+	// everything: the point is ring behavior under concurrency, not shedding.
+	s.slow.buf = make([]SlowQuery, 0, 4)
+	*s.query = *testLimiter(requests, requests, queueWait)
 
 	var wg sync.WaitGroup
 	for i := 0; i < requests; i++ {

@@ -27,7 +27,7 @@ var goldenEstimatePath = filepath.Join("testdata", "golden-estimate.txt")
 func goldenServer(t *testing.T, valuesPer int) *Server {
 	t.Helper()
 	wh := newTestWarehouse(t, 4, valuesPer)
-	wh.SetQueryConfig(warehouse.QueryConfig{CacheBytes: 1 << 22, LoadWorkers: 4})
+	wh.SetQueryConfig(warehouse.QueryConfig{CacheBytes: 1 << 22})
 	return New(wh, Config{})
 }
 

@@ -304,10 +304,6 @@ func (s *Summary) DistinctEstimate() float64 {
 	return float64(n-1) / u
 }
 
-// Saturated reports whether the KMV sketch has reached capacity (estimates
-// become approximate rather than exact).
-func (s *Summary) Saturated() bool { return len(s.KMV) >= s.KMVK }
-
 // ProvablyOutside reports whether the summary proves that no observed value
 // lies inside [lo, hi]. An empty summary (Observed == 0) proves nothing —
 // the companion sample may be unreadable, and pruning on it would change

@@ -1,68 +1,13 @@
 // Package stats provides the statistical testing substrate used to audit the
-// sampling algorithms: descriptive statistics, the regularized incomplete
-// gamma function, chi-square goodness-of-fit tests (used to verify that HB,
-// HR and the merge procedures are uniform and that concise sampling is not),
-// and a two-sample Kolmogorov–Smirnov test.
+// sampling algorithms: the regularized incomplete gamma function and
+// chi-square goodness-of-fit tests (used to verify that HB, HR and the merge
+// procedures are uniform and that concise sampling is not).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Summary holds descriptive statistics of a float64 slice.
-type Summary struct {
-	N        int
-	Mean     float64
-	Variance float64 // unbiased (n−1 denominator)
-	StdDev   float64
-	Min      float64
-	Max      float64
-}
-
-// Summarize computes descriptive statistics. An empty input yields a zero
-// Summary with N = 0.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Variance = ss / float64(len(xs)-1)
-		s.StdDev = math.Sqrt(s.Variance)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
 
 // GammaP returns the regularized lower incomplete gamma function P(a, x),
 // the CDF of a Gamma(a, 1) variable at x. It uses the series expansion for
@@ -199,74 +144,4 @@ func ChiSquareUniform(observed []int64) (ChiSquareResult, error) {
 		expected[i] = float64(total) / float64(len(observed))
 	}
 	return ChiSquareGOF(observed, expected, 0)
-}
-
-// KSResult reports a two-sample Kolmogorov–Smirnov test.
-type KSResult struct {
-	Stat   float64 // the D statistic: sup |F1 − F2|
-	PValue float64 // asymptotic p-value
-}
-
-// Reject reports whether the null (same distribution) is rejected at alpha.
-func (r KSResult) Reject(alpha float64) bool { return r.PValue < alpha }
-
-// KSTwoSample computes the two-sample KS statistic and its asymptotic
-// p-value. Inputs are not modified. It returns an error if either sample is
-// empty.
-func KSTwoSample(a, b []float64) (KSResult, error) {
-	var r KSResult
-	if len(a) == 0 || len(b) == 0 {
-		return r, fmt.Errorf("stats: KS test with empty sample (|a|=%d, |b|=%d)", len(a), len(b))
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	na, nb := len(as), len(bs)
-	var i, j int
-	var d float64
-	for i < na && j < nb {
-		x := math.Min(as[i], bs[j])
-		for i < na && as[i] <= x {
-			i++
-		}
-		for j < nb && bs[j] <= x {
-			j++
-		}
-		diff := math.Abs(float64(i)/float64(na) - float64(j)/float64(nb))
-		if diff > d {
-			d = diff
-		}
-	}
-	r.Stat = d
-	en := math.Sqrt(float64(na) * float64(nb) / float64(na+nb))
-	r.PValue = ksProb((en + 0.12 + 0.11/en) * d)
-	return r, nil
-}
-
-// ksProb evaluates the Kolmogorov distribution tail
-// Q(λ) = 2 Σ_{j≥1} (−1)^{j−1} exp(−2 j² λ²).
-func ksProb(lambda float64) float64 {
-	if lambda <= 0 {
-		return 1
-	}
-	const maxIter = 100
-	var sum float64
-	sign := 1.0
-	for j := 1; j <= maxIter; j++ {
-		term := sign * math.Exp(-2*float64(j)*float64(j)*lambda*lambda)
-		sum += term
-		if math.Abs(term) < 1e-12 {
-			break
-		}
-		sign = -sign
-	}
-	p := 2 * sum
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p
 }

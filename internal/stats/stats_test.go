@@ -7,41 +7,6 @@ import (
 	"samplewh/internal/randx"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Fatalf("N = %d", s.N)
-	}
-	if math.Abs(s.Mean-5) > 1e-12 {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	if math.Abs(s.Variance-32.0/7) > 1e-12 {
-		t.Fatalf("variance = %v, want %v", s.Variance, 32.0/7)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary: %+v", s)
-	}
-	s := Summarize([]float64{3})
-	if s.Mean != 3 || s.Variance != 0 || s.Min != 3 || s.Max != 3 {
-		t.Fatalf("single summary: %+v", s)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("Mean = %v", got)
-	}
-}
-
 func TestGammaPKnownValues(t *testing.T) {
 	// P(1, x) = 1 − e^{-x} (exponential CDF).
 	for _, x := range []float64{0.1, 1, 3, 10} {
@@ -147,60 +112,5 @@ func TestChiSquareResultString(t *testing.T) {
 	res := ChiSquareResult{Stat: 1.5, DF: 3, PValue: 0.68}
 	if res.String() == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestKSTwoSampleSameDistribution(t *testing.T) {
-	r := randx.New(2)
-	a := make([]float64, 2000)
-	b := make([]float64, 3000)
-	for i := range a {
-		a[i] = randx.Float64(r)
-	}
-	for i := range b {
-		b[i] = randx.Float64(r)
-	}
-	res, err := KSTwoSample(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reject(1e-5) {
-		t.Fatalf("same distribution rejected: %+v", res)
-	}
-}
-
-func TestKSTwoSampleDifferentDistributions(t *testing.T) {
-	r := randx.New(3)
-	a := make([]float64, 2000)
-	b := make([]float64, 2000)
-	for i := range a {
-		a[i] = randx.Float64(r)
-	}
-	for i := range b {
-		b[i] = randx.Float64(r) + 0.3 // shifted
-	}
-	res, err := KSTwoSample(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reject(0.001) {
-		t.Fatalf("shifted distribution not rejected: %+v", res)
-	}
-}
-
-func TestKSTwoSampleErrors(t *testing.T) {
-	if _, err := KSTwoSample(nil, []float64{1}); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-}
-
-func TestKSDoesNotMutateInputs(t *testing.T) {
-	a := []float64{3, 1, 2}
-	b := []float64{5, 4}
-	if _, err := KSTwoSample(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if a[0] != 3 || a[1] != 1 || b[0] != 5 {
-		t.Fatal("KSTwoSample mutated its inputs")
 	}
 }

@@ -55,13 +55,10 @@ type Policy uint8
 // acknowledged batch survives power loss.
 const SyncAlways Policy = 0
 
-// Options tunes a journal. The zero value selects 64 MiB segments.
+// Options tunes a journal.
 type Options struct {
 	// Policy is always SyncAlways; see Policy.
 	Policy Policy
-	// SegmentBytes is the soft segment-roll threshold. One entry's frames
-	// never span segments, so a single huge batch may overshoot it.
-	SegmentBytes int64
 	// Schedule, when non-nil, injects deterministic faults into appends and
 	// fsyncs (see the package comment).
 	Schedule faults.Schedule
@@ -70,15 +67,12 @@ type Options struct {
 	Registry *obs.Registry
 }
 
-func (o Options) normalized() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
-	return o
-}
-
 // Segment file format constants.
 const (
+	// segmentBytes is the soft segment-roll threshold. One entry's frames
+	// never span segments, so a single huge batch may overshoot it.
+	segmentBytes = 64 << 20
+
 	segMagic   = 0x5357414c // "SWAL"
 	segVersion = 1
 	headerSize = 5 // u32 magic + u8 version
@@ -167,6 +161,9 @@ type Log[V cmp.Ordered] struct {
 	dir   string
 	codec storage.ValueCodec[V]
 	opts  Options
+	// rollBytes is the segment-roll threshold: segmentBytes (tests lower it
+	// to roll within a few entries).
+	rollBytes int64
 	// varints is set when codec is storage.Int64Codec, whose values frames
 	// Append writes directly.
 	varints bool
@@ -215,7 +212,6 @@ type RecoveredEntry[V cmp.Ordered] struct {
 // abandon) the returned entries before new load arrives, or they will be
 // replayed again after the next crash.
 func Open[V cmp.Ordered](dir string, codec storage.ValueCodec[V], opts Options) (*Log[V], []RecoveredEntry[V], error) {
-	opts = opts.normalized()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
 	}
@@ -225,6 +221,7 @@ func Open[V cmp.Ordered](dir string, codec storage.ValueCodec[V], opts Options) 
 		codec:     codec,
 		varints:   varints,
 		opts:      opts,
+		rollBytes: segmentBytes,
 		entries:   make(map[uint64]*entryState),
 		nextEntry: 1,
 		nextSeq:   1,
@@ -462,7 +459,7 @@ func finishFrame(typ byte, frame []byte) []byte {
 // segments as needed and applying the fault schedule. mayRoll is set only for
 // begin frames so one entry's frames never span segments. Callers hold l.mu.
 func (l *Log[V]) writeFrameLocked(frame []byte, fkey string, mayRoll bool) error {
-	if l.f == nil || l.broken || (mayRoll && l.written >= l.opts.SegmentBytes) {
+	if l.f == nil || l.broken || (mayRoll && l.written >= l.rollBytes) {
 		if err := l.rollLocked(); err != nil {
 			return err
 		}

@@ -234,7 +234,8 @@ func TestInjectedFsyncErrorFailsSeal(t *testing.T) {
 func TestSegmentRollAndGC(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	l, _ := openTest(t, dir, Options{SegmentBytes: 256, Registry: reg})
+	l, _ := openTest(t, dir, Options{Registry: reg})
+	l.rollBytes = 256
 	var entries []*Entry[int64]
 	for i := 0; i < 16; i++ {
 		e, err := l.Begin("orders", fmt.Sprintf("p%02d", i), "", 8)
@@ -300,7 +301,8 @@ func TestReplayIdempotencyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed))
 	for round := 0; round < 40; round++ {
 		dir := t.TempDir()
-		l, _ := openTest(t, dir, Options{SegmentBytes: 512})
+		l, _ := openTest(t, dir, Options{})
+		l.rollBytes = 512
 		want := make(map[string][]int64)
 		nBatch := 1 + rng.Intn(8)
 		for b := 0; b < nBatch; b++ {
@@ -393,7 +395,8 @@ func TestInspectReportsTornAndOrphanedSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Segment 1: fully committed batches (orphaned once a later segment
 	// exists). Force tiny segments so each lifecycle lands where we want it.
-	l, _ := openTest(t, dir, Options{SegmentBytes: 1})
+	l, _ := openTest(t, dir, Options{})
+	l.rollBytes = 1
 	e, err := l.Begin("ds", "committed", "", 1)
 	if err != nil {
 		t.Fatal(err)

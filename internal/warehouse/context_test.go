@@ -66,7 +66,7 @@ func TestMergedSampleContextCancelMidLoad(t *testing.T) {
 	const parts = 8
 	w, st := newCtxWarehouse(t, parts, 20*time.Millisecond)
 	// Sequential loads make "how many gets happened before cancel" meaningful.
-	w.SetQueryConfig(QueryConfig{LoadWorkers: 1, MergeWorkers: 1})
+	w.ld.workers = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	g0 := st.gets.Load()
 	done := make(chan error, 1)
@@ -91,7 +91,7 @@ func TestMergedSampleContextCancelMidLoad(t *testing.T) {
 
 func TestMergedSampleContextDeadline(t *testing.T) {
 	w, _ := newCtxWarehouse(t, 6, 15*time.Millisecond)
-	w.SetQueryConfig(QueryConfig{LoadWorkers: 1, MergeWorkers: 1})
+	w.ld.workers = 1
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
 	if _, err := w.MergedSampleContext(ctx, "ctx"); !errors.Is(err, context.DeadlineExceeded) {

@@ -22,7 +22,7 @@ func executorFixture(t *testing.T) (*Warehouse[int64], *obs.MemorySink) {
 	t.Helper()
 	store := storage.NewMemStore[int64](storage.Int64Codec{})
 	w := mustOpen[int64](t, store, 42)
-	w.SetQueryConfig(QueryConfig{LoadWorkers: 2})
+	w.ld.workers = 2
 	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(128)}); err != nil {
 		t.Fatal(err)
 	}

@@ -19,32 +19,13 @@ type QueryConfig struct {
 	// 0 (the default) disables caching: every merge re-reads the store, the
 	// pre-cache behavior.
 	CacheBytes int64
-	// LoadWorkers bounds the number of concurrent store.Get calls one merge
-	// issues. 0 selects the default (4×GOMAXPROCS — partition loads are
-	// I/O-bound); 1 loads sequentially.
-	LoadWorkers int
-	// MergeWorkers bounds the goroutines of one HB or HR merge
-	// (core.MergeK), which select from or thin its inputs in parallel. 0
-	// selects GOMAXPROCS; 1 merges sequentially. The merged result is
-	// byte-identical either way.
-	MergeWorkers int
 }
 
-// resolveLoadWorkers maps the config value to an effective worker count.
-func resolveLoadWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return 4 * runtime.GOMAXPROCS(0)
-}
-
-// resolveMergeWorkers maps the config value to an effective parallelism.
-func resolveMergeWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// loadWorkers bounds the concurrent store.Get calls of one merge: partition
+// loads are I/O-bound, so 4×GOMAXPROCS. One HB or HR merge (core.MergeK)
+// selects from or thins its inputs on GOMAXPROCS goroutines; the merged
+// result is byte-identical for any count.
+func loadWorkers() int { return 4 * runtime.GOMAXPROCS(0) }
 
 // loadObs bundles the loader's metric handles (nil-safe zero value).
 //
@@ -85,11 +66,14 @@ func newLoadObs(r *obs.Registry) loadObs {
 type loader[V cmp.Ordered] struct {
 	store storage.Store[V]
 
+	// workers bounds one load's concurrent store fetches: loadWorkers, set
+	// once (tests lower it before their first query).
+	workers int
+
 	mu      sync.Mutex
 	gen     uint64 // invalidation epoch; bumped by every invalidation
 	flights map[string]*flight[V]
 	cache   *samplecache.Cache[V]
-	workers int
 	// ewma holds the per-key load-latency EWMA (α = 1/8) the planner uses to
 	// predict load costs. It describes the store, not the cached content, so
 	// invalidation and cache swaps leave it alone; a roll-out deletes its key.
@@ -110,7 +94,7 @@ func newLoader[V cmp.Ordered](store storage.Store[V]) *loader[V] {
 	return &loader[V]{
 		store:   store,
 		flights: make(map[string]*flight[V]),
-		workers: resolveLoadWorkers(0),
+		workers: loadWorkers(),
 		ewma:    make(map[string]int64),
 	}
 }
@@ -159,13 +143,6 @@ func (l *loader[V]) dropEWMA(key string) {
 	l.mu.Unlock()
 }
 
-// workerBound returns the configured concurrent-load bound (wave sizing).
-func (l *loader[V]) workerBound() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.workers
-}
-
 // resident reports whether key's decoded sample is cache-resident, without
 // touching LRU order or the hit/miss counters (the planner's probe).
 func (l *loader[V]) resident(key string) bool {
@@ -184,7 +161,7 @@ func (l *loader[V]) instrument(reg *obs.Registry) {
 }
 
 // configure applies a QueryConfig: swaps in a fresh cache sized to the new
-// budget and resets the worker bound. reg instruments the new cache.
+// budget. reg instruments the new cache.
 func (l *loader[V]) configure(cfg QueryConfig, reg *obs.Registry) {
 	cache := samplecache.New[V](cfg.CacheBytes)
 	cache.Instrument(reg)
@@ -192,7 +169,6 @@ func (l *loader[V]) configure(cfg QueryConfig, reg *obs.Registry) {
 	defer l.mu.Unlock()
 	l.gen++ // orphan in-flight fetches aimed at the old cache
 	l.cache = cache
-	l.workers = resolveLoadWorkers(cfg.LoadWorkers)
 }
 
 // stats returns the current cache counters (all zero with caching disabled).
@@ -241,14 +217,14 @@ type loadResult[V cmp.Ordered] struct {
 // load fetches every key, preserving request order in the results (merge
 // determinism depends on it). Keys resident in the cache resolve in the calling
 // goroutine — a hit is a pointer copy, cheaper than the goroutine that would
-// carry it; the rest run on a worker pool bounded by the configured
-// LoadWorkers, and duplicate concurrent fetches coalesce. Cancellation is
+// carry it; the rest run on a worker pool bounded by loadWorkers, and
+// duplicate concurrent fetches coalesce. Cancellation is
 // honored between keys: once ctx is done, keys not yet started resolve to
 // ctx.Err() instead of reaching the store. The samples are shared (see loader).
 func (l *loader[V]) load(ctx context.Context, keys []string) []loadResult[V] {
 	res := make([]loadResult[V], len(keys))
 	l.mu.Lock()
-	workers, cache := l.workers, l.cache
+	cache := l.cache
 	l.mu.Unlock()
 	one := func(i int) {
 		if err := ctx.Err(); err != nil {
@@ -267,13 +243,13 @@ func (l *loader[V]) load(ctx context.Context, keys []string) []loadResult[V] {
 			misses = append(misses, i)
 		}
 	}
-	if len(misses) <= 1 || workers <= 1 {
+	if len(misses) <= 1 || l.workers <= 1 {
 		for _, i := range misses {
 			one(i)
 		}
 		return res
 	}
-	sem := make(chan struct{}, min(workers, len(misses)))
+	sem := make(chan struct{}, min(l.workers, len(misses)))
 	var wg sync.WaitGroup
 	for _, i := range misses {
 		wg.Add(1)

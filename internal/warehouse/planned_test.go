@@ -34,7 +34,7 @@ func proxyHW(confidence float64) func(*core.Sample[int64], int64, int64) (float6
 func plannedFixture(t *testing.T, parts int) *Warehouse[int64] {
 	t.Helper()
 	w := newTestWarehouse(t, AlgHR, 256)
-	w.SetQueryConfig(QueryConfig{LoadWorkers: 4})
+	w.ld.workers = 4
 	for p := 0; p < parts; p++ {
 		ingest(t, w, "orders", fmt.Sprintf("p%02d", p), int64(p)*1000, int64(p+1)*1000)
 	}
@@ -185,7 +185,7 @@ func TestPlannedCoverageAccounting(t *testing.T) {
 func TestPlannedMaxTimeStopsAfterFirstWave(t *testing.T) {
 	ss := &slowStore{Store: storage.NewMemStore[int64](storage.Int64Codec{}), delay: 5 * time.Millisecond}
 	w := mustOpen[int64](t, ss, 42)
-	w.SetQueryConfig(QueryConfig{LoadWorkers: 2})
+	w.ld.workers = 2
 	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(256)}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,8 @@ func TestPlannedValidation(t *testing.T) {
 
 func TestPlannedCacheResidencyReordersPlan(t *testing.T) {
 	w := newTestWarehouse(t, AlgHR, 256)
-	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20, LoadWorkers: 4})
+	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20})
+	w.ld.workers = 4
 	for p := 0; p < 8; p++ {
 		ingest(t, w, "orders", fmt.Sprintf("p%02d", p), int64(p)*1000, int64(p+1)*1000)
 	}

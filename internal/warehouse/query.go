@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
 	"time"
@@ -78,9 +79,8 @@ type result[V cmp.Ordered] struct {
 // catalogView is what one query reads from the catalog, copied under a
 // single RLock so the stages after resolve never touch shared state.
 type catalogView struct {
-	ids          []string
-	alg          Algorithm
-	mergeWorkers int
+	ids []string
+	alg Algorithm
 	// stats is the planner's registry for ids (bounded queries only);
 	// sketches holds their valid sidecars (pruning, strata and sketch-union
 	// queries only). The load stage adds the entries it repairs to both.
@@ -98,7 +98,6 @@ func (w *Warehouse[V]) resolve(q *query[V], sidecars bool) (catalogView, error) 
 		return v, unknownDataset(q.dataset)
 	}
 	v.alg = ds.cfg.Algorithm
-	v.mergeWorkers = w.mergeWorkers
 	if v.ids = slices.Clone(q.ids); len(v.ids) == 0 {
 		v.ids = ds.ids()
 		if q.window > 0 && q.window < len(v.ids) {
@@ -236,7 +235,7 @@ func (w *Warehouse[V]) order(q *query[V], v *catalogView, live []string, res *re
 		ProvenZeroPop:     provenZero,
 		AchievedHalfWidth: -1,
 	}
-	maxWave := max(1, min(w.ld.workerBound(), waveCap))
+	maxWave := max(1, min(w.ld.workers, waveCap))
 	ordered := make([]string, len(pl.Steps))
 	for i, st := range pl.Steps {
 		ordered[i] = st.Stat.ID
@@ -419,7 +418,7 @@ func (w *Warehouse[V]) combine(ctx context.Context, parent *obs.Span, q *query[V
 	t := w.o.mergeNS.Start()
 	var err error
 	if len(got) > 0 { // a wave in which nothing loaded leaves acc as it was
-		workers := resolveMergeWorkers(v.mergeWorkers)
+		workers := runtime.GOMAXPROCS(0)
 		span.SetValue("workers", int64(workers))
 		acc, err = Merge(obs.ContextWithSpan(ctx, span), v.alg, inputs, src, workers)
 	}

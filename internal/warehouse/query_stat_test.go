@@ -37,7 +37,7 @@ func TestWarmCacheMergeUniformity(t *testing.T) {
 	for p := 0; p < parts; p++ {
 		ingest(t, w, "orders", fmt.Sprintf("p%d", p), int64(p)*perPart, int64(p+1)*perPart)
 	}
-	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20, MergeWorkers: 4})
+	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20})
 	if _, err := w.MergedSampleContext(bg, "orders"); err != nil { // prime the cache
 		t.Fatal(err)
 	}

@@ -98,12 +98,19 @@ func TestCacheDisabledByDefault(t *testing.T) {
 }
 
 // TestCacheDoesNotChangeResults merges the same data with and without the
-// cache (and with parallel merge) and requires identical samples: the read
-// path must be transparent to the statistics.
+// cache (and with parallel or sequential loads) and requires identical
+// samples: the read path must be transparent to the statistics.
 func TestCacheDoesNotChangeResults(t *testing.T) {
-	build := func(qc QueryConfig) *Warehouse[int64] {
+	type config struct {
+		cacheBytes int64
+		workers    int // 0 keeps loadWorkers
+	}
+	build := func(qc config) *Warehouse[int64] {
 		w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
-		w.SetQueryConfig(qc)
+		w.SetQueryConfig(QueryConfig{CacheBytes: qc.cacheBytes})
+		if qc.workers > 0 {
+			w.ld.workers = qc.workers
+		}
 		cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 		if err := w.CreateDataset("orders", cfg); err != nil {
 			t.Fatal(err)
@@ -113,11 +120,11 @@ func TestCacheDoesNotChangeResults(t *testing.T) {
 		}
 		return w
 	}
-	configs := []QueryConfig{
+	configs := []config{
 		{},                    // no cache, default workers
-		{CacheBytes: 1 << 20}, // cached
-		{CacheBytes: 1 << 20, MergeWorkers: 4, LoadWorkers: 8},
-		{MergeWorkers: 1, LoadWorkers: 1}, // fully sequential
+		{cacheBytes: 1 << 20}, // cached
+		{cacheBytes: 1 << 20, workers: 8},
+		{workers: 1}, // sequential loads
 	}
 	var ref *core.Sample[int64]
 	for i, qc := range configs {
@@ -146,7 +153,8 @@ func TestCacheDoesNotChangeResults(t *testing.T) {
 func TestSingleflightDedup(t *testing.T) {
 	ss := &slowStore{Store: storage.NewMemStore[int64](storage.Int64Codec{}), delay: 2 * time.Millisecond}
 	w := mustOpen[int64](t, ss, 42)
-	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20, LoadWorkers: 8})
+	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20})
+	w.ld.workers = 8
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("orders", cfg); err != nil {
 		t.Fatal(err)
@@ -226,7 +234,8 @@ func TestStaleCacheNeverServedAfterRollCycle(t *testing.T) {
 // serves a rolled-out partition's values after churn settles.
 func TestConcurrentRollCycleUnderRace(t *testing.T) {
 	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
-	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20, LoadWorkers: 4, MergeWorkers: 2})
+	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20})
+	w.ld.workers = 4
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("orders", cfg); err != nil {
 		t.Fatal(err)
@@ -320,7 +329,7 @@ func TestConcurrentRollCycleUnderRace(t *testing.T) {
 func TestMergedSamplePartialSkipsWithLoader(t *testing.T) {
 	store := storage.NewMemStore[int64](storage.Int64Codec{})
 	w := mustOpen[int64](t, store, 42)
-	w.SetQueryConfig(QueryConfig{LoadWorkers: 8})
+	w.ld.workers = 8
 	cfg := DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}
 	if err := w.CreateDataset("orders", cfg); err != nil {
 		t.Fatal(err)

@@ -59,7 +59,8 @@ func assertCacheUntouched(t *testing.T, w *Warehouse[int64], want map[string][]b
 func sharingFixture(t *testing.T) (*Warehouse[int64], []string) {
 	t.Helper()
 	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
-	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22, LoadWorkers: 4, MergeWorkers: 2})
+	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22})
+	w.ld.workers = 4
 	var keys []string
 	for _, ds := range []struct {
 		name string
@@ -193,7 +194,8 @@ func TestQueriesNeverTouchCachedSamples(t *testing.T) {
 // a report; afterwards the stable partitions' cached samples are unchanged.
 func TestSharedSamplesUnderConcurrentQueries(t *testing.T) {
 	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
-	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22, LoadWorkers: 4, MergeWorkers: 2})
+	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22})
+	w.ld.workers = 4
 	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +294,8 @@ func TestSharedSamplesUnderConcurrentQueries(t *testing.T) {
 // and with one load_partition span per key, labelled by how it was satisfied.
 func TestLoadResolvesHitsInline(t *testing.T) {
 	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
-	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22, LoadWorkers: 4})
+	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22})
+	w.ld.workers = 4
 	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
 	}

@@ -122,20 +122,15 @@ type Warehouse[V cmp.Ordered] struct {
 	// ld is the read-path fetch layer: bounded-concurrency store loads with
 	// singleflight dedup and the optional read-through sample cache.
 	ld *loader[V]
-	// mergeWorkers is the resolved QueryConfig.MergeWorkers (0 = GOMAXPROCS,
-	// applied at merge time).
-	mergeWorkers int
-	o            whObs
+	o  whObs
 }
 
-// SetQueryConfig applies read-path tuning: the decoded-sample cache budget,
-// the partition-load worker bound, and the merge parallelism (see QueryConfig
-// and DESIGN.md §9). The zero QueryConfig restores the defaults (caching
-// disabled). Any existing cache contents are discarded.
+// SetQueryConfig applies read-path tuning: the decoded-sample cache budget
+// (see QueryConfig and DESIGN.md §9). The zero QueryConfig restores the
+// default (caching disabled). Any existing cache contents are discarded.
 func (w *Warehouse[V]) SetQueryConfig(cfg QueryConfig) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.mergeWorkers = cfg.MergeWorkers
 	w.ld.configure(cfg, w.o.reg)
 }
 

@@ -130,7 +130,8 @@ func TestDefaultMetricsRegistry(t *testing.T) {
 // swing further than the effect guarded. On a shared host most merges are
 // disturbed and the undisturbed floor is reached rarely, so the minima keep
 // accumulating, round after round, until they are within the bound or the
-// rounds run out; one load and one merge worker keep the scheduler out of it.
+// rounds run out. The inputs are cached, so they load in the calling
+// goroutine; the merge runs on GOMAXPROCS workers, as a served one does.
 func TestTraceOverheadGuard(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("timing guard: skipped under -race and -short")
@@ -157,7 +158,7 @@ func TestTraceOverheadGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w.SetQueryConfig(QueryConfig{CacheBytes: 256 << 20, LoadWorkers: 1, MergeWorkers: 1})
+	w.SetQueryConfig(QueryConfig{CacheBytes: 256 << 20})
 	merge := func(traced bool) time.Duration {
 		ctx := context.Background()
 		var tr *obs.Trace

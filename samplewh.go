@@ -187,8 +187,8 @@ func OpenWarehouse(store Store, seed uint64) (*Warehouse, *RecoveryReport, error
 }
 
 // QueryConfig tunes the warehouse read path: the decoded-sample cache budget
-// (bytes of sample footprint; 0 disables caching), the partition-load worker
-// pool, and the merge parallelism. Apply with Warehouse.SetQueryConfig.
+// (bytes of sample footprint; 0 disables caching). Apply with
+// Warehouse.SetQueryConfig.
 type QueryConfig = warehouse.QueryConfig
 
 // Store is the persistence contract for int64-valued sample warehouses:

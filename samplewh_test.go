@@ -258,7 +258,7 @@ func TestFacadeQueryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wh.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20, MergeWorkers: 2})
+	wh.SetQueryConfig(QueryConfig{CacheBytes: 1 << 20})
 	for i := 0; i < 3; i++ {
 		m, err := wh.MergedSampleContext(context.Background(), "t")
 		if err != nil {
