@@ -581,9 +581,7 @@ func BenchmarkFromSample(b *testing.B) {
 // BenchmarkInstrumentationOverhead measures what the observability layer
 // costs on the sampler hot path (HR Feed): nothing when uninstrumented or
 // instrumented against a nil registry (the no-op methods compile to nil
-// checks), a few atomic adds per element with a live registry, and the same
-// with tracing enabled (events only fire at phase boundaries, never per
-// element).
+// checks), and a few atomic adds per element with a live registry.
 func BenchmarkInstrumentationOverhead(b *testing.B) {
 	cfg := core.ConfigForNF(8192)
 	run := func(b *testing.B, instrument func(*core.HR[int64])) {
@@ -602,17 +600,10 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 		run(b, nil)
 	})
 	b.Run("nil-registry", func(b *testing.B) {
-		run(b, func(smp *core.HR[int64]) { smp.Instrument(nil, "p0") })
+		run(b, func(smp *core.HR[int64]) { smp.Instrument(nil) })
 	})
 	b.Run("metrics", func(b *testing.B) {
-		run(b, func(smp *core.HR[int64]) { smp.Instrument(obs.NewRegistry(), "p0") })
-	})
-	b.Run("metrics+tracing", func(b *testing.B) {
-		run(b, func(smp *core.HR[int64]) {
-			reg := obs.NewRegistry()
-			reg.SetSink(obs.NewMemorySink(1024))
-			smp.Instrument(reg, "p0")
-		})
+		run(b, func(smp *core.HR[int64]) { smp.Instrument(obs.NewRegistry()) })
 	})
 }
 

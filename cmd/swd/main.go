@@ -273,7 +273,6 @@ func run(c *config) error {
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			return fmt.Errorf("drain: %w", err)
 		}
-		srv.FinishDrain()
 		logf("drained cleanly (%d requests served)", srv.Served())
 		return nil
 	case err := <-errCh:

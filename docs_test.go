@@ -1,16 +1,29 @@
 package samplewh
 
 import (
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
+	"maps"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"samplewh/internal/obs"
+	"samplewh/internal/server"
+	"samplewh/internal/storage"
+	"samplewh/internal/wal"
+	"samplewh/internal/warehouse"
 )
 
 // The documents name Make targets and metrics; these tests fail the moment a
@@ -58,8 +71,123 @@ func TestMetricsCatalogNamesExist(t *testing.T) {
 	}
 }
 
-// catalogNames returns the expanded metric names of README's catalog table.
+// TestMetricsCatalogCoversRegistry is the reverse of
+// TestMetricsCatalogNamesExist: a swd stack (file store, journal, cache)
+// served in process answers one request on every route — create, ingest,
+// sample, estimate, roll-out, both metrics formats and the slow-query log —
+// and every counter, gauge and histogram its registry then holds matches a
+// row of README's catalog.
+func TestMetricsCatalogCoversRegistry(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	st, err := storage.NewFileStore[int64](dir, storage.Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Instrument(reg)
+	wh, _, err := warehouse.Open[int64](st, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh.Instrument(reg)
+	wh.SetQueryConfig(warehouse.QueryConfig{CacheBytes: 1 << 20})
+	journal, _, err := wal.Open[int64](filepath.Join(dir, "wal"), storage.Int64Codec{}, wal.Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	// Every request is slow, so the slow-query log records too.
+	srv := server.New(wh, server.Config{SlowLogThreshold: time.Nanosecond, Journal: journal, Registry: reg})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	ctx := context.Background()
+	c := server.NewClient(hs.URL, nil)
+	if _, err := c.CreateDataset(ctx, server.CreateDatasetRequest{Name: "orders", Algorithm: "HR", NF: 64}); err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range []string{"day1", "day2"} {
+		var body strings.Builder
+		for v := range 1000 {
+			body.WriteString(strconv.Itoa(v) + "\n")
+		}
+		if _, err := c.Ingest(ctx, "orders", part, 0, strings.NewReader(body.String())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Sample(ctx, "orders", server.QueryOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Estimate(ctx, "orders", "avg", server.QueryOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RollOut(ctx, "orders", "day1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if _, err := c.SlowLog(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	rows := catalogPatterns(t)
+	snap := reg.Snapshot()
+	var names []string
+	names = slices.AppendSeq(names, maps.Keys(snap.Counters))
+	names = slices.AppendSeq(names, maps.Keys(snap.Gauges))
+	names = slices.AppendSeq(names, maps.Keys(snap.Histograms))
+	if len(names) < 50 {
+		t.Fatalf("the stack registered only %d metrics; the requests did not reach it", len(names))
+	}
+	for _, name := range slices.Sorted(slices.Values(names)) {
+		if !slices.ContainsFunc(rows, func(re *regexp.Regexp) bool { return re.MatchString(name) }) {
+			t.Errorf("the server registers %q, which no row of README's metrics catalog names", name)
+		}
+	}
+}
+
+// catalogPatterns returns one pattern per expanded name of README's catalog
+// table, each <placeholder> standing for one dotted segment.
+func catalogPatterns(t *testing.T) []*regexp.Regexp {
+	var out []*regexp.Regexp
+	placeholder := regexp.MustCompile(`<[^>]+>`)
+	for _, name := range catalogRows(t) {
+		for _, n := range expandBraces(name) {
+			parts := placeholder.Split(n, -1)
+			for i, p := range parts {
+				parts[i] = regexp.QuoteMeta(p)
+			}
+			out = append(out, regexp.MustCompile("^"+strings.Join(parts, `[^.]+`)+"$"))
+		}
+	}
+	return out
+}
+
+// catalogNames returns the expanded metric names of README's catalog table,
+// less the rows holding a <placeholder>.
 func catalogNames(t *testing.T) []string {
+	var names []string
+	for _, name := range catalogRows(t) {
+		if !strings.Contains(name, "<") {
+			names = append(names, expandBraces(name)...)
+		}
+	}
+	if len(names) < 50 {
+		t.Fatalf("read %d names from the metrics catalog; the table's layout changed", len(names))
+	}
+	return names
+}
+
+// catalogRows returns the code spans of the name column of README's catalog
+// table, unexpanded.
+func catalogRows(t *testing.T) []string {
 	data, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
@@ -68,26 +196,20 @@ func catalogNames(t *testing.T) []string {
 	if !ok {
 		t.Fatal("README has no metrics catalog")
 	}
-	var names []string
+	var rows []string
 	span := regexp.MustCompile("`([^`]+)`")
 	for _, line := range strings.Split(table, "\n") {
 		if !strings.HasPrefix(line, "| `") {
-			if len(names) > 0 && !strings.HasPrefix(line, "|") {
+			if len(rows) > 0 && !strings.HasPrefix(line, "|") {
 				break // past the table
 			}
 			continue
 		}
-		cell := strings.Split(line, "|")[1]
-		for _, m := range span.FindAllStringSubmatch(cell, -1) {
-			if !strings.Contains(m[1], "<") {
-				names = append(names, expandBraces(m[1])...)
-			}
+		for _, m := range span.FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
+			rows = append(rows, m[1])
 		}
 	}
-	if len(names) < 50 {
-		t.Fatalf("read %d names from the metrics catalog; the table's layout changed", len(names))
-	}
-	return names
+	return rows
 }
 
 // expandBraces expands each {a,b,...} group of s.

@@ -35,11 +35,8 @@ func main() {
 	}
 
 	// Observability: one registry collects metrics from the store, the
-	// warehouse and every sampler it hands out; a ring-buffer sink retains
-	// the most recent structured events.
+	// warehouse and every sampler it hands out.
 	reg := samplewh.NewMetrics()
-	sink := samplewh.NewMemorySink(8)
-	reg.SetSink(sink)
 	store.Instrument(reg)
 
 	samples, _, err := samplewh.OpenWarehouse(store, 7)
@@ -154,11 +151,6 @@ func main() {
 	fmt.Printf("\nafter rolling out batch-0: full=%d values, shadow parent=%d (consistent: %v)\n",
 		size2, m2.ParentSize, size2 == m2.ParentSize)
 
-	// What the instrumentation saw: counters, gauges, latency histograms,
-	// and the tail of the structured event trace.
+	// What the instrumentation saw: counters, gauges and latency histograms.
 	fmt.Printf("\n=== metrics ===\n%s", reg.String())
-	fmt.Println("\n=== recent events ===")
-	for _, e := range sink.Events() {
-		fmt.Printf("#%-3d %-16s %s/%s %v\n", e.Seq, e.Type, e.Dataset, e.Partition, e.Values)
-	}
 }

@@ -55,11 +55,10 @@ type BernoulliSampler[V cmp.Ordered] struct {
 	o         samplerObs
 }
 
-// Instrument routes the sampler's metrics and events into reg, labelled
-// with the given partition ID (empty is fine). Call it before the first
-// Feed; a nil registry leaves the sampler uninstrumented.
-func (b *BernoulliSampler[V]) Instrument(reg *obs.Registry, partition string) {
-	b.o = newSamplerObs(reg, "core.sb", partition)
+// Instrument routes the sampler's metrics into reg. Call it before the
+// first Feed; a nil registry leaves the sampler uninstrumented.
+func (b *BernoulliSampler[V]) Instrument(reg *obs.Registry) {
+	b.o = newSamplerObs(reg, "core.sb")
 }
 
 // NewBernoulli returns a Bern(q) sampler. It panics if q is outside [0, 1].
@@ -117,7 +116,7 @@ func (b *BernoulliSampler[V]) Finalize() (*Sample[V], error) {
 		Q:          b.q,
 		Config:     b.cfg,
 	}
-	b.o.finalize(out.Kind, b.seen, out.Size(), out.Footprint())
+	b.o.finalize(out.Size(), out.Footprint())
 	return out, nil
 }
 
@@ -163,100 +162,4 @@ func SBMerge[V cmp.Ordered](s1, s2 *Sample[V], src randx.Source) (*Sample[V], er
 	}, nil
 }
 
-// ReservoirSampler maintains a classic size-k simple random sample without
-// replacement (paper §3.2), using Vitter skips between inclusions. It is the
-// standalone primitive; Algorithms HB and HR embed the same machinery with
-// their compact phase-1 front ends.
-type ReservoirSampler[V cmp.Ordered] struct {
-	cfg       Config
-	k         int64
-	bag       []V
-	seen      int64
-	next      int64 // 1-based index of the next element to include
-	sk        *randx.Skipper
-	src       randx.Source
-	finalized bool
-}
-
-// NewReservoir returns a reservoir sampler of capacity k. It panics if
-// k < 1.
-func NewReservoir[V cmp.Ordered](cfg Config, k int64, src randx.Source) *ReservoirSampler[V] {
-	cfg = cfg.normalized()
-	if k < 1 {
-		panic(fmt.Sprintf("core: NewReservoir with k = %d < 1", k))
-	}
-	return &ReservoirSampler[V]{
-		cfg: cfg,
-		k:   k,
-		bag: make([]V, 0, k),
-		src: src,
-	}
-}
-
-// K returns the reservoir capacity.
-func (r *ReservoirSampler[V]) K() int64 { return r.k }
-
-// Seen returns the number of elements processed.
-func (r *ReservoirSampler[V]) Seen() int64 { return r.seen }
-
-// SampleSize returns the current reservoir occupancy.
-func (r *ReservoirSampler[V]) SampleSize() int64 { return int64(len(r.bag)) }
-
-// Feed processes one arriving element.
-func (r *ReservoirSampler[V]) Feed(v V) { r.FeedN(v, 1) }
-
-// FeedN processes a run of n equal values, jumping between inclusions with
-// Vitter skips so the cost is proportional to the number of inclusions.
-func (r *ReservoirSampler[V]) FeedN(v V, n int64) {
-	if r.finalized {
-		panic("core: ReservoirSampler fed after Finalize")
-	}
-	if n < 1 {
-		panic(fmt.Sprintf("core: FeedN with n = %d < 1", n))
-	}
-	// Warm-up: the first k elements always enter the reservoir.
-	for n > 0 && int64(len(r.bag)) < r.k {
-		r.bag = append(r.bag, v)
-		r.seen++
-		n--
-	}
-	if n == 0 {
-		return
-	}
-	if r.sk == nil {
-		r.sk = randx.NewSkipper(r.src, r.k)
-		r.next = r.seen + 1 + r.sk.Skip(r.seen)
-	}
-	end := r.seen + n
-	for r.next <= end {
-		r.bag[randx.Intn(r.src, len(r.bag))] = v
-		r.next = r.next + 1 + r.sk.Skip(r.next)
-	}
-	r.seen = end
-}
-
-// Finalize returns the simple random sample collected so far. If the stream
-// never exceeded the reservoir capacity the sample holds the whole partition
-// and is reported as Exhaustive, which lets merges exploit it.
-func (r *ReservoirSampler[V]) Finalize() (*Sample[V], error) {
-	if r.finalized {
-		return nil, fmt.Errorf("core: ReservoirSampler already finalized")
-	}
-	r.finalized = true
-	s := &Sample[V]{
-		Kind:       ReservoirKind,
-		Hist:       histogram.FromBag(r.cfg.SizeModel, r.bag),
-		ParentSize: r.seen,
-		Config:     r.cfg,
-	}
-	if r.seen == int64(len(r.bag)) {
-		s.Kind = Exhaustive
-		s.Q = 1
-	}
-	return s, nil
-}
-
-var (
-	_ Sampler[int64] = (*BernoulliSampler[int64])(nil)
-	_ Sampler[int64] = (*ReservoirSampler[int64])(nil)
-)
+var _ Sampler[int64] = (*BernoulliSampler[int64])(nil)

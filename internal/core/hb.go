@@ -71,11 +71,10 @@ type HB[V cmp.Ordered] struct {
 	o         samplerObs
 }
 
-// Instrument routes the sampler's metrics and events into reg, labelled
-// with the given partition ID (empty is fine). Call it before the first
-// Feed; a nil registry leaves the sampler uninstrumented.
-func (s *HB[V]) Instrument(reg *obs.Registry, partition string) {
-	s.o = newSamplerObs(reg, "core.hb", partition)
+// Instrument routes the sampler's metrics into reg. Call it before the
+// first Feed; a nil registry leaves the sampler uninstrumented.
+func (s *HB[V]) Instrument(reg *obs.Registry) {
+	s.o = newSamplerObs(reg, "core.hb")
 }
 
 // NewHB returns an Algorithm HB sampler for a partition of expected size
@@ -184,17 +183,17 @@ func (s *HB[V]) feedExact(v V, n int64) int64 {
 func (s *HB[V]) leaveExact() {
 	before := s.hist.Size()
 	PurgeBernoulli(s.hist, s.q, s.src)
-	s.o.purge("bernoulli", before, s.hist.Size(), s.seen)
+	s.o.purge("bernoulli", before, s.hist.Size())
 	if s.hist.Size() < s.nf {
 		s.phase = PhaseBernoulli
-		s.o.transition(PhaseExact, PhaseBernoulli, s.seen, s.hist.Size(), s.CurrentFootprint())
+		s.o.transition()
 		return
 	}
 	before = s.hist.Size()
 	PurgeReservoir(s.hist, s.nf, s.src)
-	s.o.purge("reservoir", before, s.hist.Size(), s.seen)
+	s.o.purge("reservoir", before, s.hist.Size())
 	s.enterReservoir(s.nf)
-	s.o.transition(PhaseExact, PhaseReservoir, s.seen, s.SampleSize(), s.CurrentFootprint())
+	s.o.transition()
 }
 
 // enterReservoir switches to phase 3 with reservoir capacity k and schedules
@@ -232,7 +231,7 @@ func (s *HB[V]) feedBernoulli(v V, n int64) int64 {
 			s.o.accepts.Inc()
 			if int64(len(s.bag)) >= s.nf {
 				s.enterReservoir(s.nf)
-				s.o.transition(PhaseBernoulli, PhaseReservoir, s.seen, s.SampleSize(), s.CurrentFootprint())
+				s.o.transition()
 				return n
 			}
 		}
@@ -297,7 +296,7 @@ func (s *HB[V]) Finalize() (*Sample[V], error) {
 	case PhaseReservoir:
 		out.Kind = ReservoirKind
 	}
-	s.o.finalize(out.Kind, s.seen, out.Size(), out.Footprint())
+	s.o.finalize(out.Size(), out.Footprint())
 	return out, nil
 }
 

@@ -42,11 +42,10 @@ type HR[V cmp.Ordered] struct {
 	o         samplerObs
 }
 
-// Instrument routes the sampler's metrics and events into reg, labelled
-// with the given partition ID (empty is fine). Call it before the first
-// Feed; a nil registry leaves the sampler uninstrumented.
-func (s *HR[V]) Instrument(reg *obs.Registry, partition string) {
-	s.o = newSamplerObs(reg, "core.hr", partition)
+// Instrument routes the sampler's metrics into reg. Call it before the
+// first Feed; a nil registry leaves the sampler uninstrumented.
+func (s *HR[V]) Instrument(reg *obs.Registry) {
+	s.o = newSamplerObs(reg, "core.hr")
 }
 
 // NewHR returns an Algorithm HR sampler. It panics on invalid configuration.
@@ -179,7 +178,7 @@ func (s *HR[V]) feedExact(v V, n int64) int64 {
 // push the footprint past F: that element is the reservoir phase's first.
 func (s *HR[V]) leaveExact() {
 	s.enterReservoir(s.nf)
-	s.o.transition(PhaseExact, PhaseReservoir, s.seen, s.SampleSize(), s.CurrentFootprint())
+	s.o.transition()
 }
 
 // enterReservoir switches to reservoir mode with capacity k and schedules
@@ -195,7 +194,7 @@ func (s *HR[V]) enterReservoir(k int64) {
 // at(i) being element i. It steps from one scheduled insertion to the next
 // and never visits the elements the skips pass over. The first counted of
 // these elements are in the items counter already; the rest are counted as
-// one Feed each would count them, so the lazy purge's event sees the count
+// one Feed each would count them, so the lazy purge flushes the count
 // through the element that triggers it.
 func (s *HR[V]) feedReservoir(end, counted int64, at func(i int64) V) {
 	base := s.seen
@@ -229,7 +228,7 @@ func (s *HR[V]) ensureReady() {
 	if !s.purged {
 		before := s.hist.Size()
 		PurgeReservoir(s.hist, s.rk, s.src)
-		s.o.purge("reservoir", before, s.hist.Size(), s.seen)
+		s.o.purge("reservoir", before, s.hist.Size())
 		s.purged = true
 	}
 	s.bag = s.hist.Expand()
@@ -264,13 +263,13 @@ func (s *HR[V]) Finalize() (*Sample[V], error) {
 		if !s.purged {
 			before := s.hist.Size()
 			PurgeReservoir(s.hist, s.rk, s.src)
-			s.o.purge("reservoir", before, s.hist.Size(), s.seen)
+			s.o.purge("reservoir", before, s.hist.Size())
 		}
 		out.Kind = ReservoirKind
 		out.Hist = s.hist
 	}
 	s.hist = nil
-	s.o.finalize(out.Kind, s.seen, out.Size(), out.Footprint())
+	s.o.finalize(out.Size(), out.Footprint())
 	return out, nil
 }
 

@@ -6,13 +6,14 @@ import (
 
 // samplerObs bundles a sampler's cached metric handles. The zero value (all
 // nil handles) makes every recording call a no-op, so uninstrumented
-// samplers pay only a nil-check per event — instrumentation is strictly
+// samplers pay only a nil-check per update — instrumentation is strictly
 // opt-in via the samplers' Instrument methods.
 //
 // Metric names follow the catalog in README.md §Observability:
 //
 //	<component>.items              elements fed (counter; batched — exact at
-//	                               every traced event, else ≤ 4096 behind)
+//	                               every transition, purge and finalize,
+//	                               else ≤ 4096 behind)
 //	<component>.accepts            phase-2 Bernoulli acceptances (counter)
 //	<component>.reservoir_inserts  phase-3 reservoir replacements (counter)
 //	<component>.phase_transitions  boundary crossings (counter)
@@ -24,7 +25,6 @@ import (
 type samplerObs struct {
 	reg       *obs.Registry
 	component string
-	partition string
 
 	items       *obs.Counter
 	accepts     *obs.Counter
@@ -36,7 +36,7 @@ type samplerObs struct {
 	// single-goroutine by contract, so a plain field is race-free. The
 	// batch is published every itemsFlushBatch elements and at every
 	// transition/purge/finalize, keeping the shared counter exact at each
-	// traced event and at most one batch behind in between.
+	// boundary and at most one batch behind in between.
 	itemsPending int64
 }
 
@@ -46,11 +46,10 @@ const itemsFlushBatch = 1 << 12
 
 // newSamplerObs caches the hot-path handles for one sampler. A nil registry
 // yields the all-nil no-op bundle.
-func newSamplerObs(r *obs.Registry, component, partition string) samplerObs {
+func newSamplerObs(r *obs.Registry, component string) samplerObs {
 	return samplerObs{
 		reg:         r,
 		component:   component,
-		partition:   partition,
 		items:       r.Counter(component + ".items"),
 		accepts:     r.Counter(component + ".accepts"),
 		inserts:     r.Counter(component + ".reservoir_inserts"),
@@ -72,7 +71,7 @@ func (o *samplerObs) countItems(n int64) {
 }
 
 // flushItems publishes any locally-batched item count; boundary recorders
-// call it so counters are exact whenever an event fires.
+// call it so counters are exact at every phase boundary.
 func (o *samplerObs) flushItems() {
 	if o.itemsPending != 0 {
 		o.items.Add(o.itemsPending)
@@ -80,28 +79,14 @@ func (o *samplerObs) flushItems() {
 	}
 }
 
-// transition records exactly one phase-boundary crossing: the counter bump
-// plus (when tracing) one EvPhaseTransition event.
-func (o *samplerObs) transition(from, to Phase, seen, sampleSize, footprint int64) {
+// transition records exactly one phase-boundary crossing.
+func (o *samplerObs) transition() {
 	o.flushItems()
 	o.transitions.Inc()
-	if o.reg.Tracing() {
-		o.reg.Emit(obs.Event{
-			Type:      obs.EvPhaseTransition,
-			Component: o.component,
-			Partition: o.partition,
-			Labels:    map[string]string{"from": from.String(), "to": to.String()},
-			Values: map[string]int64{
-				"seen":        seen,
-				"sample_size": sampleSize,
-				"footprint":   footprint,
-			},
-		})
-	}
 }
 
 // purge records one in-place subsampling of the compact sample.
-func (o *samplerObs) purge(kind string, before, after, seen int64) {
+func (o *samplerObs) purge(kind string, before, after int64) {
 	if o.reg == nil {
 		return
 	}
@@ -110,20 +95,11 @@ func (o *samplerObs) purge(kind string, before, after, seen int64) {
 	// lookups here are off the hot path.
 	o.reg.Counter("core.purge." + kind).Inc()
 	o.reg.Counter("core.purge.dropped").Add(before - after)
-	if o.reg.Tracing() {
-		o.reg.Emit(obs.Event{
-			Type:      obs.EvPurge,
-			Component: o.component,
-			Partition: o.partition,
-			Labels:    map[string]string{"kind": kind},
-			Values:    map[string]int64{"before": before, "after": after, "seen": seen},
-		})
-	}
 }
 
-// finalize records the finished sample's kind, size and footprint
-// occupancy against the bound F.
-func (o *samplerObs) finalize(kind Kind, seen, sampleSize, footprint int64) {
+// finalize records the finished sample's size and footprint occupancy
+// against the bound F.
+func (o *samplerObs) finalize(sampleSize, footprint int64) {
 	if o.reg == nil {
 		return
 	}
@@ -131,17 +107,4 @@ func (o *samplerObs) finalize(kind Kind, seen, sampleSize, footprint int64) {
 	o.reg.Counter(o.component + ".finalized").Inc()
 	o.reg.Histogram(o.component + ".final_sample_size").Observe(sampleSize)
 	o.reg.Histogram("core.footprint.final_bytes").Observe(footprint)
-	if o.reg.Tracing() {
-		o.reg.Emit(obs.Event{
-			Type:      obs.EvFinalize,
-			Component: o.component,
-			Partition: o.partition,
-			Labels:    map[string]string{"kind": kind.String()},
-			Values: map[string]int64{
-				"seen":        seen,
-				"sample_size": sampleSize,
-				"footprint":   footprint,
-			},
-		})
-	}
 }

@@ -7,46 +7,33 @@ import (
 	"samplewh/internal/randx"
 )
 
-// collectEvents filters a sink's retained events by type.
-func collectEvents(sink *obs.MemorySink, typ string) []obs.Event {
-	var out []obs.Event
-	for _, e := range sink.Events() {
-		if e.Type == typ {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // TestHBPhaseTransitionEvents drives Algorithm HB through both of its
-// boundary crossings and asserts exactly one PhaseTransition event is
-// emitted per crossing: exhaustive→Bernoulli, then Bernoulli→reservoir.
+// boundary crossings and asserts the phase_transitions counter moves by
+// exactly one per crossing: exhaustive→Bernoulli, then Bernoulli→reservoir.
 func TestHBPhaseTransitionEvents(t *testing.T) {
 	reg := obs.NewRegistry()
-	sink := obs.NewMemorySink(1024)
-	reg.SetSink(sink)
+	transitions := reg.Counter("core.hb.phase_transitions")
 
 	cfg := ConfigForNF(64)
 	// expectedN well above n_F keeps q comfortably inside (0,1), so the
 	// exact phase exits into Bernoulli, and enough further arrivals push the
 	// Bernoulli sample over n_F into the reservoir fallback.
 	hb := NewHB[int64](cfg, 4*64, randx.New(1))
-	hb.Instrument(reg, "p0")
+	hb.Instrument(reg)
 
 	v := int64(0)
 	for hb.Phase() == PhaseExact {
 		hb.Feed(v)
 		v++
 	}
-	got := collectEvents(sink, obs.EvPhaseTransition)
-	if len(got) != 1 {
-		t.Fatalf("after exact exit: %d transition events, want exactly 1", len(got))
+	if hb.Phase() != PhaseBernoulli {
+		t.Fatalf("exact phase exited into %v, want bernoulli", hb.Phase())
 	}
-	if got[0].Labels["from"] != "exact" || got[0].Labels["to"] != "bernoulli" {
-		t.Fatalf("first transition %v, want exact→bernoulli", got[0].Labels)
+	if n := transitions.Value(); n != 1 {
+		t.Fatalf("after exact exit: %d transitions counted, want exactly 1", n)
 	}
-	if got[0].Component != "core.hb" || got[0].Partition != "p0" {
-		t.Errorf("transition mislabelled: %+v", got[0])
+	if items := reg.Counter("core.hb.items").Value(); items != hb.Seen() {
+		t.Errorf("items counter %d != Seen() %d at the transition", items, hb.Seen())
 	}
 
 	for hb.Phase() == PhaseBernoulli {
@@ -56,12 +43,11 @@ func TestHBPhaseTransitionEvents(t *testing.T) {
 			t.Fatal("sampler never entered reservoir phase")
 		}
 	}
-	got = collectEvents(sink, obs.EvPhaseTransition)
-	if len(got) != 2 {
-		t.Fatalf("after reservoir entry: %d transition events, want exactly 2", len(got))
+	if hb.Phase() != PhaseReservoir {
+		t.Fatalf("bernoulli phase exited into %v, want reservoir", hb.Phase())
 	}
-	if got[1].Labels["from"] != "bernoulli" || got[1].Labels["to"] != "reservoir" {
-		t.Fatalf("second transition %v, want bernoulli→reservoir", got[1].Labels)
+	if n := transitions.Value(); n != 2 {
+		t.Fatalf("after reservoir entry: %d transitions counted, want exactly 2", n)
 	}
 
 	// Feeding on in reservoir phase must not produce further transitions.
@@ -69,11 +55,8 @@ func TestHBPhaseTransitionEvents(t *testing.T) {
 		hb.Feed(v)
 		v++
 	}
-	if n := len(collectEvents(sink, obs.EvPhaseTransition)); n != 2 {
-		t.Errorf("steady reservoir phase emitted extra transitions: %d total", n)
-	}
-	if c := reg.Counter("core.hb.phase_transitions").Value(); c != 2 {
-		t.Errorf("phase_transitions counter = %d, want 2", c)
+	if n := transitions.Value(); n != 2 {
+		t.Errorf("steady reservoir phase counted extra transitions: %d total", n)
 	}
 	// Mid-stream the batched items counter may trail Seen() by less than
 	// one flush batch; Finalize flushes, after which it is exact.
@@ -86,25 +69,28 @@ func TestHBPhaseTransitionEvents(t *testing.T) {
 	if items := reg.Counter("core.hb.items").Value(); items != hb.Seen() {
 		t.Errorf("items counter after finalize %d != Seen() %d", items, hb.Seen())
 	}
-	if n := len(collectEvents(sink, obs.EvFinalize)); n != 1 {
-		t.Errorf("finalize events = %d, want 1", n)
+	if n := reg.Counter("core.hb.finalized").Value(); n != 1 {
+		t.Errorf("finalized = %d, want 1", n)
 	}
 }
 
 // TestHBCountersReconcile finishes Algorithm HB in its Bernoulli phase and
 // checks the accounting identity: final sample size = size left by the
-// phase-1 purge + Bernoulli acceptances since.
+// phase-1 purge (the count held at the exit less core.purge.dropped) +
+// Bernoulli acceptances since.
 func TestHBCountersReconcile(t *testing.T) {
 	reg := obs.NewRegistry()
-	sink := obs.NewMemorySink(64)
-	reg.SetSink(sink)
 
 	const n = 4096
 	cfg := ConfigForNF(512)
 	hb := NewHB[int64](cfg, n, randx.New(7))
-	hb.Instrument(reg, "")
+	hb.Instrument(reg)
+	var fedAtExit int64
 	for v := int64(0); v < n; v++ {
 		hb.Feed(v)
+		if fedAtExit == 0 && hb.Phase() != PhaseExact {
+			fedAtExit = hb.Seen()
+		}
 	}
 	s, err := hb.Finalize()
 	if err != nil {
@@ -113,18 +99,19 @@ func TestHBCountersReconcile(t *testing.T) {
 	if s.Kind != BernoulliKind {
 		t.Fatalf("sample kind %v; this test needs a Bernoulli finish (tune n/nF)", s.Kind)
 	}
-	purges := collectEvents(sink, obs.EvPurge)
-	if len(purges) != 1 {
-		t.Fatalf("purge events = %d, want 1 (the phase-1 exit)", len(purges))
+	if p := reg.Counter("core.purge.bernoulli").Value(); p != 1 {
+		t.Fatalf("bernoulli purges = %d, want 1 (the phase-1 exit)", p)
 	}
-	after := purges[0].Values["after"]
+	if p := reg.Counter("core.purge.reservoir").Value(); p != 0 {
+		t.Fatalf("reservoir purges = %d, want 0 on a Bernoulli finish", p)
+	}
+	// The exact phase holds every value fed before the one that ends it
+	// (that one goes to the Bernoulli phase), so the purge started from
+	// fedAtExit-1 values.
+	after := fedAtExit - 1 - reg.Counter("core.purge.dropped").Value()
 	accepts := reg.Counter("core.hb.accepts").Value()
 	if got := s.Size(); got != after+accepts {
 		t.Errorf("final size %d != purge-survivors %d + accepts %d", got, after, accepts)
-	}
-	dropped := reg.Counter("core.purge.dropped").Value()
-	if want := purges[0].Values["before"] - after; dropped != want {
-		t.Errorf("purge.dropped = %d, want %d", dropped, want)
 	}
 	if items := reg.Counter("core.hb.items").Value(); items != n || s.ParentSize != n {
 		t.Errorf("items=%d parent=%d, want both %d", items, s.ParentSize, n)
@@ -136,13 +123,11 @@ func TestHBCountersReconcile(t *testing.T) {
 // purge's survivor count (reservoir insertions replace, never grow).
 func TestHRTransitionAndReconcile(t *testing.T) {
 	reg := obs.NewRegistry()
-	sink := obs.NewMemorySink(64)
-	reg.SetSink(sink)
 
 	const n = 10000
 	cfg := ConfigForNF(64)
 	hr := NewHR[int64](cfg, randx.New(3))
-	hr.Instrument(reg, "day-1")
+	hr.Instrument(reg)
 	for v := int64(0); v < n; v++ {
 		hr.Feed(v)
 	}
@@ -150,22 +135,17 @@ func TestHRTransitionAndReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans := collectEvents(sink, obs.EvPhaseTransition)
-	if len(trans) != 1 {
-		t.Fatalf("transition events = %d, want exactly 1", len(trans))
+	if n := reg.Counter("core.hr.phase_transitions").Value(); n != 1 {
+		t.Fatalf("transitions = %d, want exactly 1", n)
 	}
-	if trans[0].Labels["from"] != "exact" || trans[0].Labels["to"] != "reservoir" {
-		t.Fatalf("transition %v, want exact→reservoir", trans[0].Labels)
+	if hr.Phase() != PhaseReservoir {
+		t.Fatalf("phase %v, want reservoir", hr.Phase())
 	}
 	if s.Kind != ReservoirKind || s.Size() != 64 {
 		t.Fatalf("final sample kind=%v size=%d, want reservoir of 64", s.Kind, s.Size())
 	}
-	purges := collectEvents(sink, obs.EvPurge)
-	if len(purges) != 1 {
-		t.Fatalf("purge events = %d, want 1 (the lazy reservoir purge)", len(purges))
-	}
-	if purges[0].Values["after"] != s.Size() {
-		t.Errorf("purge left %d values but final size is %d", purges[0].Values["after"], s.Size())
+	if p := reg.Counter("core.purge.reservoir").Value(); p != 1 {
+		t.Fatalf("reservoir purges = %d, want 1 (the lazy reservoir purge)", p)
 	}
 	if items := reg.Counter("core.hr.items").Value(); items != n {
 		t.Errorf("items counter = %d, want %d", items, n)
@@ -176,14 +156,11 @@ func TestHRTransitionAndReconcile(t *testing.T) {
 }
 
 // TestHRExhaustiveNoEvents: a partition that never hits the bound crosses
-// no boundary and purges nothing — the trace must be silent except for the
-// finalize record.
+// no boundary and purges nothing — only the finalize counter moves.
 func TestHRExhaustiveNoEvents(t *testing.T) {
 	reg := obs.NewRegistry()
-	sink := obs.NewMemorySink(16)
-	reg.SetSink(sink)
 	hr := NewHR[int64](ConfigForNF(1024), randx.New(5))
-	hr.Instrument(reg, "")
+	hr.Instrument(reg)
 	for v := int64(0); v < 100; v++ {
 		hr.Feed(v)
 	}
@@ -194,14 +171,13 @@ func TestHRExhaustiveNoEvents(t *testing.T) {
 	if s.Kind != Exhaustive {
 		t.Fatalf("kind = %v, want exhaustive", s.Kind)
 	}
-	if n := len(collectEvents(sink, obs.EvPhaseTransition)); n != 0 {
-		t.Errorf("exhaustive run emitted %d transitions", n)
+	for _, name := range []string{"core.hr.phase_transitions", "core.purge.reservoir", "core.purge.bernoulli"} {
+		if n := reg.Counter(name).Value(); n != 0 {
+			t.Errorf("exhaustive run counted %s = %d, want 0", name, n)
+		}
 	}
-	if n := len(collectEvents(sink, obs.EvPurge)); n != 0 {
-		t.Errorf("exhaustive run emitted %d purges", n)
-	}
-	if n := len(collectEvents(sink, obs.EvFinalize)); n != 1 {
-		t.Errorf("finalize events = %d, want 1", n)
+	if n := reg.Counter("core.hr.finalized").Value(); n != 1 {
+		t.Errorf("finalized = %d, want 1", n)
 	}
 }
 
@@ -210,7 +186,7 @@ func TestHRExhaustiveNoEvents(t *testing.T) {
 func TestSBCountersReconcile(t *testing.T) {
 	reg := obs.NewRegistry()
 	sb := NewSB[int64](ConfigForNF(1024), 0.25, randx.New(9))
-	sb.Instrument(reg, "")
+	sb.Instrument(reg)
 	const n = 5000
 	for v := int64(0); v < n; v++ {
 		sb.Feed(v)
@@ -235,7 +211,7 @@ func TestUninstrumentedSamplersUnchanged(t *testing.T) {
 	run := func(reg *obs.Registry) *Sample[int64] {
 		hr := NewHR[int64](cfg, randx.New(11))
 		if reg != nil {
-			hr.Instrument(reg, "x")
+			hr.Instrument(reg)
 		}
 		for v := int64(0); v < 3000; v++ {
 			hr.Feed(v)

@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -189,44 +188,11 @@ func (s FailKey) Decide(op Op, seq int64, key string) Fault {
 	return Fault{}
 }
 
-// Compose runs schedules in order; the first non-clean Fault wins, with
-// delays accumulating across all of them.
-func Compose(schedules ...Schedule) Schedule { return composed(schedules) }
-
-type composed []Schedule
-
-// Decide implements Schedule.
-func (c composed) Decide(op Op, seq int64, key string) Fault {
-	var out Fault
-	for _, s := range c {
-		f := s.Decide(op, seq, key)
-		out.Delay += f.Delay
-		if f.Err != nil && out.Err == nil {
-			out.Err = f.Err
-		}
-	}
-	return out
-}
-
 // Stats counts what the injector has done, per operation class.
 type Stats struct {
 	Ops      [numOps]int64 // operations that passed through
 	Injected [numOps]int64 // operations that failed by injection
 	Delays   int64         // operations delayed
-}
-
-// TotalOps sums operations across all classes.
-func (s Stats) TotalOps() int64 { return sum(s.Ops) }
-
-// TotalInjected sums injected failures across all classes.
-func (s Stats) TotalInjected() int64 { return sum(s.Injected) }
-
-func sum(a [numOps]int64) int64 {
-	var t int64
-	for _, v := range a {
-		t += v
-	}
-	return t
 }
 
 // Store wraps an inner storage.Store with a fault schedule, and is one
@@ -386,12 +352,6 @@ func (s *Store[V]) DeleteBlob(name string) error {
 		return err
 	}
 	return s.inner.DeleteBlob(name)
-}
-
-// ExpectedFailures returns the expected number of injected transients for n
-// draws at the given rate — a convenience for sizing test assertions.
-func ExpectedFailures(n int64, rate float64) float64 {
-	return float64(n) * math.Min(math.Max(rate, 0), 1)
 }
 
 var (

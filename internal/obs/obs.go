@@ -1,6 +1,6 @@
 // Package obs is the warehouse's observability layer: atomic counters,
-// gauges, bounded latency histograms, and structured event tracing, with no
-// dependencies beyond the standard library.
+// gauges, bounded latency histograms and request spans, with no dependencies
+// beyond the standard library.
 //
 // The design rule is nil-safety everywhere: every method on a nil *Registry,
 // *Counter, *Gauge or *Histogram is a no-op, so instrumented code never
@@ -12,8 +12,7 @@
 // Typical wiring:
 //
 //	reg := obs.NewRegistry()
-//	reg.SetSink(obs.NewMemorySink(256))   // optional structured events
-//	sampler.Instrument(reg, "partition-7")
+//	sampler.Instrument(reg)
 //	...
 //	fmt.Print(reg.Snapshot())             // or reg.String()
 package obs
@@ -247,7 +246,7 @@ type HistogramSummary struct {
 	P99   int64   `json:"p99"`
 }
 
-// Registry holds a process's (or component's) metrics and its event sink.
+// Registry holds a process's (or component's) metrics.
 // Metric handles are registered lazily by name; handle lookup takes a lock,
 // so hot paths should look up once and cache the handle. All methods are
 // safe for concurrent use, and every method on a nil *Registry is a no-op
@@ -257,13 +256,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	sink   atomic.Pointer[sinkBox]
-	seq    atomic.Int64
-	events atomic.Int64
 }
-
-type sinkBox struct{ sink EventSink }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -322,50 +315,17 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// SetSink installs the structured-event sink (nil disables tracing).
-func (r *Registry) SetSink(s EventSink) {
-	if r == nil {
-		return
-	}
-	if s == nil {
-		r.sink.Store(nil)
-		return
-	}
-	r.sink.Store(&sinkBox{sink: s})
-}
+// MemorySink is an empty stand-in for the removed structured-event sink:
+// bench/stack.go still installs one. It and SetSink go when ROADMAP item
+// 2(c) wires that stack as swd runs it.
+type MemorySink struct{}
 
-// Tracing reports whether an event sink is installed. Instrumented code
-// should guard Event construction with it so that disabled tracing costs
-// nothing (the Event literal, with its maps, is built before Emit runs).
-func (r *Registry) Tracing() bool {
-	return r != nil && r.sink.Load() != nil
-}
+// NewMemorySink returns an empty MemorySink; capacity is ignored. Kept for
+// bench/stack.go until ROADMAP item 2(c).
+func NewMemorySink(capacity int) *MemorySink { return &MemorySink{} }
 
-// Emit delivers one event to the sink, stamping Seq and (if unset) Time.
-// Without a sink it is a no-op.
-func (r *Registry) Emit(e Event) {
-	if r == nil {
-		return
-	}
-	box := r.sink.Load()
-	if box == nil {
-		return
-	}
-	e.Seq = r.seq.Add(1)
-	if e.Time.IsZero() {
-		e.Time = time.Now()
-	}
-	r.events.Add(1)
-	box.sink.Emit(e)
-}
-
-// EventCount returns the number of events emitted so far.
-func (r *Registry) EventCount() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.events.Load()
-}
+// SetSink does nothing. Kept for bench/stack.go until ROADMAP item 2(c).
+func (r *Registry) SetSink(*MemorySink) {}
 
 // Snapshot is a point-in-time copy of every metric in a registry. It
 // marshals to JSON (expvar-compatible: a single JSON object) and renders a
@@ -374,7 +334,6 @@ type Snapshot struct {
 	Counters   map[string]int64            `json:"counters,omitempty"`
 	Gauges     map[string]int64            `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSummary `json:"histograms,omitempty"`
-	Events     int64                       `json:"events"`
 }
 
 // Snapshot copies the current value of every registered metric. It is safe
@@ -398,7 +357,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 
-	s := Snapshot{Events: r.events.Load()}
+	var s Snapshot
 	if len(counters) > 0 {
 		s.Counters = make(map[string]int64, len(counters))
 		for k, c := range counters {
@@ -455,7 +414,6 @@ func (s Snapshot) String() string {
 				renderValue(k, float64(h.P99)), renderValue(k, float64(h.Max)))
 		}
 	}
-	fmt.Fprintf(&b, "events emitted: %d\n", s.Events)
 	return b.String()
 }
 

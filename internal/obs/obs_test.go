@@ -18,19 +18,11 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("g").Add(-1)
 	r.Histogram("h").Observe(10)
 	r.Histogram("h").Start().Stop()
-	r.Emit(Event{Type: "t"})
-	r.SetSink(NewMemorySink(4))
-	if r.Tracing() {
-		t.Error("nil registry reports tracing enabled")
-	}
-	if got := r.EventCount(); got != 0 {
-		t.Errorf("nil registry EventCount = %d", got)
-	}
 	if s := r.Snapshot(); s.Counters != nil || s.Gauges != nil || s.Histograms != nil {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
 	}
-	if r.String() == "" {
-		t.Error("nil registry String is empty (want at least the events line)")
+	if out := r.String(); out != "" {
+		t.Errorf("nil registry String = %q, want empty", out)
 	}
 
 	var c *Counter
@@ -117,56 +109,6 @@ func TestTimer(t *testing.T) {
 	}
 }
 
-func TestEvents(t *testing.T) {
-	r := NewRegistry()
-	if r.Tracing() {
-		t.Fatal("tracing enabled without a sink")
-	}
-	r.Emit(Event{Type: "dropped"}) // no sink: dropped silently
-	if r.EventCount() != 0 {
-		t.Fatal("sinkless emit counted")
-	}
-	sink := NewMemorySink(3)
-	r.SetSink(sink)
-	if !r.Tracing() {
-		t.Fatal("tracing not enabled after SetSink")
-	}
-	for i := 0; i < 5; i++ {
-		r.Emit(Event{Type: "tick", Values: map[string]int64{"i": int64(i)}})
-	}
-	evs := sink.Events()
-	if len(evs) != 3 {
-		t.Fatalf("ring retained %d events, want 3", len(evs))
-	}
-	// Oldest-first, holding the last 3 of 5.
-	for j, e := range evs {
-		if want := int64(j + 2); e.Values["i"] != want {
-			t.Errorf("event %d: i = %d, want %d", j, e.Values["i"], want)
-		}
-		if e.Seq == 0 || e.Time.IsZero() {
-			t.Errorf("event %d missing seq/time stamp: %+v", j, e)
-		}
-	}
-	if sink.Total() != 5 || r.EventCount() != 5 {
-		t.Errorf("totals: sink=%d reg=%d, want 5/5", sink.Total(), r.EventCount())
-	}
-	r.SetSink(nil)
-	if r.Tracing() {
-		t.Error("tracing still enabled after SetSink(nil)")
-	}
-}
-
-func TestFuncSink(t *testing.T) {
-	r := NewRegistry()
-	var got []string
-	r.SetSink(FuncSink(func(e Event) { got = append(got, e.Type) }))
-	r.Emit(Event{Type: "a"})
-	r.Emit(Event{Type: "b"})
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("func sink saw %v", got)
-	}
-}
-
 func TestSnapshotJSONAndString(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core.items").Add(7)
@@ -186,7 +128,7 @@ func TestSnapshotJSONAndString(t *testing.T) {
 	}
 
 	out := s.String()
-	for _, want := range []string{"core.items", "warehouse.ds.partitions", "merge_ns", "events emitted"} {
+	for _, want := range []string{"core.items", "warehouse.ds.partitions", "merge_ns"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -194,11 +136,10 @@ func TestSnapshotJSONAndString(t *testing.T) {
 }
 
 // TestConcurrentRegistry hammers one registry from many goroutines —
-// registrations, updates, emits and snapshots — and is meaningful under
+// registrations, updates and snapshots — and is meaningful under
 // -race (the Makefile's check target runs it so).
 func TestConcurrentRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.SetSink(NewMemorySink(128))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -210,7 +151,6 @@ func TestConcurrentRegistry(t *testing.T) {
 				r.Gauge("g").Set(int64(i))
 				r.Histogram("h_ns").Observe(int64(i))
 				if i%100 == 0 {
-					r.Emit(Event{Type: "tick", Component: "test"})
 					_ = r.Counter("late-registered")
 				}
 			}

@@ -54,8 +54,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		writeHeader(&b, name, "histogram")
 		writeHistogram(&b, name, hists[name])
 	}
-	writeHeader(&b, "obs.events", "counter")
-	fmt.Fprintf(&b, "obs_events %d\n", r.events.Load())
 	_, err := io.WriteString(w, b.String())
 	return err
 }

@@ -70,7 +70,6 @@ func TestWritePrometheus(t *testing.T) {
 		"server_latency_ns_bucket{le=\"+Inf\"} 3\n",
 		"server_latency_ns_sum 1200\n",
 		"server_latency_ns_count 3\n",
-		"# TYPE obs_events counter\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

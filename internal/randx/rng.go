@@ -10,10 +10,7 @@
 // run in parallel (each parallel sampler gets its own Split-off stream).
 package randx
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Source is the minimal interface the variate generators need. It matches
 // the method set of *RNG and is satisfied by any 64-bit generator.
@@ -162,23 +159,6 @@ func Bernoulli(s Source, p float64) bool {
 	return Float64(s) < p
 }
 
-// Exponential returns an exponentially distributed variate with rate 1.
-func Exponential(s Source) float64 {
-	return -math.Log(Float64Open(s))
-}
-
-// Normal returns a standard normal variate via the polar (Marsaglia) method.
-func Normal(s Source) float64 {
-	for {
-		u := 2*Float64(s) - 1
-		v := 2*Float64(s) - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
-}
-
 // Shuffle permutes the n elements addressed by swap using the Fisher-Yates
 // algorithm.
 func Shuffle(s Source, n int, swap func(i, j int)) {
@@ -186,14 +166,4 @@ func Shuffle(s Source, n int, swap func(i, j int)) {
 		j := Intn(s, i+1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func Perm(s Source, n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	Shuffle(s, n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

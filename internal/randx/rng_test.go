@@ -3,7 +3,6 @@ package randx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewDeterministic(t *testing.T) {
@@ -157,71 +156,6 @@ func TestBernoulliRate(t *testing.T) {
 	got := float64(hits) / n
 	if math.Abs(got-p) > 0.01 {
 		t.Fatalf("Bernoulli(%v) rate = %v", p, got)
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	r := New(11)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		x := Normal(r)
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(12)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += Exponential(r)
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	check := func(n uint8) bool {
-		m := int(n%50) + 1
-		p := Perm(r, m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	r := New(14)
-	const n = 5
-	const draws = 50000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		counts[Perm(r, n)[0]]++
-	}
-	for i, c := range counts {
-		if c < 9000 || c > 11000 {
-			t.Fatalf("Perm first element %d appeared %d times, want ~10000", i, c)
-		}
 	}
 }
 

@@ -17,8 +17,6 @@ import (
 //	samplecache.bytes          cached footprint total (gauge)
 //	samplecache.entries        cached entry count (gauge)
 type cacheObs struct {
-	reg *obs.Registry
-
 	hits          *obs.Counter
 	misses        *obs.Counter
 	evictionsC    *obs.Counter
@@ -32,7 +30,6 @@ type cacheObs struct {
 // newCacheObs caches the metric handles; nil registry → no-op bundle.
 func newCacheObs(r *obs.Registry) cacheObs {
 	return cacheObs{
-		reg:           r,
 		hits:          r.Counter("samplecache.hits"),
 		misses:        r.Counter("samplecache.misses"),
 		evictionsC:    r.Counter("samplecache.evictions"),

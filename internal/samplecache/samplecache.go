@@ -70,7 +70,7 @@ func New[V cmp.Ordered](budget int64) *Cache[V] {
 	}
 }
 
-// Instrument routes the cache's metrics and events through reg. Safe on nil.
+// Instrument routes the cache's metrics through reg. Safe on nil.
 func (c *Cache[V]) Instrument(reg *obs.Registry) {
 	if c == nil {
 		return
@@ -263,19 +263,10 @@ func (c *Cache[V]) removeLocked(el *list.Element) {
 	c.o.entries.Set(int64(c.ll.Len()))
 }
 
-// evictLocked unlinks el as a budget eviction, recording the metric and (when
-// tracing) the EvCacheEvict event. Caller holds c.mu.
+// evictLocked unlinks el as a budget eviction, recording the metric. Caller
+// holds c.mu.
 func (c *Cache[V]) evictLocked(el *list.Element) {
-	e := el.Value.(*entry[V])
 	c.removeLocked(el)
 	c.evictions++
 	c.o.evictionsC.Inc()
-	if c.o.reg.Tracing() {
-		c.o.reg.Emit(obs.Event{
-			Type:      obs.EvCacheEvict,
-			Component: "samplecache",
-			Labels:    map[string]string{"key": e.key},
-			Values:    map[string]int64{"footprint": e.size},
-		})
-	}
 }

@@ -191,22 +191,22 @@ func TestStatsAndMetricsMirror(t *testing.T) {
 	}
 }
 
-func TestEvictionEventEmitted(t *testing.T) {
+// TestEvictionCounted: a budget eviction drops the least recently used entry
+// and moves samplecache.evictions by one.
+func TestEvictionCounted(t *testing.T) {
 	reg := obs.NewRegistry()
-	sink := obs.NewMemorySink(16)
-	reg.SetSink(sink)
 	c := New[int64](8)
 	c.Instrument(reg)
 	c.Put("a", sampleWith(1))
 	c.Put("b", sampleWith(1)) // evicts a
-	var found bool
-	for _, e := range sink.Events() {
-		if e.Type == obs.EvCacheEvict && e.Labels["key"] == "a" && e.Values["footprint"] == 8 {
-			found = true
-		}
+	if n := reg.Counter("samplecache.evictions").Value(); n != 1 {
+		t.Fatalf("samplecache.evictions = %d, want 1", n)
 	}
-	if !found {
-		t.Fatalf("no EvCacheEvict for a in %+v", sink.Events())
+	if _, ok := c.Get("a"); ok {
+		t.Error("a survived its eviction")
+	}
+	if _, ok := c.Get("b"); !ok {
+		t.Error("b was evicted instead of a")
 	}
 }
 

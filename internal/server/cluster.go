@@ -175,9 +175,6 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	return nil
 }
 
-// Cluster reports whether the server runs in cluster mode.
-func (s *Server) Cluster() bool { return s.cluster != nil }
-
 // replicas returns the peer handles responsible for a partition, in
 // placement (failover) order.
 func (c *clusterState) replicas(dataset, partition string) []*peer {

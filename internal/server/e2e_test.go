@@ -243,7 +243,6 @@ func TestServerEndToEnd(t *testing.T) {
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	srv.FinishDrain()
 	for i := 0; i < 2; i++ {
 		if err := <-inflightResults; err != nil {
 			t.Fatalf("in-flight request dropped during drain: %v", err)

@@ -264,7 +264,7 @@ func TestRepairPartition(t *testing.T) {
 				return map[string]string{part: e, "other": "zzz.1"}
 			}
 		}
-		member, err := srv.repairPartition(context.Background(), "d", part, "test", digestOf)
+		member, err := srv.repairPartition(context.Background(), "d", part, digestOf)
 		if !member {
 			t.Errorf("%s: member = false for a partition whose chain holds this shard", tc.name)
 		}

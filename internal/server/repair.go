@@ -94,7 +94,6 @@ type RepairStatus struct {
 //	repair.last_sweep_unix      completion time of the last sweep (gauge, seconds)
 //	repair.sweep_ns             sweep duration (histogram)
 type repairObs struct {
-	reg           *obs.Registry
 	sweeps        *obs.Counter
 	pulls         *obs.Counter
 	pullErrors    *obs.Counter
@@ -111,7 +110,6 @@ type repairObs struct {
 
 func newRepairObs(reg *obs.Registry) repairObs {
 	return repairObs{
-		reg:           reg,
 		sweeps:        reg.Counter("repair.sweeps"),
 		pulls:         reg.Counter("repair.pulls"),
 		pullErrors:    reg.Counter("repair.pull_errors"),
@@ -383,10 +381,6 @@ func (s *Server) replayHints(ctx context.Context) {
 			if ctx.Err() != nil {
 				return
 			}
-			kind := "ingest"
-			if h.tombstone {
-				kind = "tombstone"
-			}
 			err := c.call(ctx, p, func() error {
 				if h.tombstone {
 					err := p.ingest.deletePartition(ctx, h.ds, h.part, true)
@@ -403,12 +397,6 @@ func (s *Server) replayHints(ctx context.Context) {
 			case err == nil:
 				rp.finishHint(h)
 				rp.o.hintsReplayed.Inc()
-				if rp.o.reg.Tracing() {
-					rp.o.reg.Emit(obs.Event{Type: obs.EvHintReplay, Component: "server.repair",
-						Dataset: h.ds, Partition: h.part,
-						Labels: map[string]string{"target": strconv.Itoa(h.shard), "kind": kind},
-						Values: map[string]int64{"values": int64(len(h.vals))}})
-				}
 			case peerHealthy(err):
 				// The target is up and rejected the write outright (bad
 				// request, unknown partition scheme...): replaying the same
@@ -495,7 +483,7 @@ func (s *Server) handleAntiEntropyNudge(w http.ResponseWriter, r *http.Request) 
 // them locally, healing a missed dataset-create on the way. The adopted
 // bytes are verbatim, so after the pull this replica's copy is
 // byte-identical to the source's.
-func (s *Server) pullPartition(ctx context.Context, p *peer, ds, part, trigger string) error {
+func (s *Server) pullPartition(ctx context.Context, p *peer, ds, part string) error {
 	rp := s.cluster.repair
 	var t PartitionTransferResponse
 	err := s.cluster.call(ctx, p, func() (err error) {
@@ -519,12 +507,6 @@ func (s *Server) pullPartition(ctx context.Context, p *peer, ds, part, trigger s
 		return fmt.Errorf("adopt %s/%s: %w", ds, part, err)
 	}
 	rp.o.pulls.Inc()
-	if rp.o.reg.Tracing() {
-		rp.o.reg.Emit(obs.Event{Type: obs.EvRepairPull, Component: "server.repair",
-			Dataset: ds, Partition: part,
-			Labels: map[string]string{"source": strconv.Itoa(p.id), "trigger": trigger},
-			Values: map[string]int64{"bytes": int64(len(t.Raw))}})
-	}
 	return nil
 }
 
@@ -546,8 +528,8 @@ func needPull(localHash string, localHas bool, wantHash string) bool {
 // authority, so every replica converges toward one copy's bytes. Its copy is
 // pulled when needPull says the local one is missing or stale. digestOf
 // returns a chain member's partition → hash inventory for ds, nil when the
-// member could not be asked; trigger labels the pull's event.
-func (s *Server) repairPartition(ctx context.Context, ds, part, trigger string, digestOf func(*peer) map[string]string) (member bool, err error) {
+// member could not be asked.
+func (s *Server) repairPartition(ctx context.Context, ds, part string, digestOf func(*peer) map[string]string) (member bool, err error) {
 	c := s.cluster
 	chain := c.replicas(ds, part)
 	self := slices.IndexFunc(chain, func(p *peer) bool { return p.self })
@@ -570,7 +552,7 @@ func (s *Server) repairPartition(ctx context.Context, ds, part, trigger string, 
 			continue
 		}
 		if needPull(localHash, localHas, wantHash) {
-			err = s.pullPartition(ctx, p, ds, part, trigger)
+			err = s.pullPartition(ctx, p, ds, part)
 		}
 		return true, err
 	}
@@ -629,7 +611,7 @@ func (s *Server) repairSweep(ctx context.Context) error {
 			return ctx.Err()
 		}
 		prefetched := func(p *peer) map[string]string { return digests[p.id][t.ds] }
-		if _, err := s.repairPartition(ctx, t.ds, t.part, "sweep", prefetched); err != nil && firstErr == nil {
+		if _, err := s.repairPartition(ctx, t.ds, t.part, prefetched); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -727,7 +709,7 @@ func (s *Server) targetedRepair(ctx context.Context, ds, part string) {
 		})
 		return d.Datasets[ds]
 	}
-	if member, _ := s.repairPartition(ctx, ds, part, "read_repair", fetched); member {
+	if member, _ := s.repairPartition(ctx, ds, part, fetched); member {
 		return
 	}
 	for _, p := range c.replicas(ds, part) {

@@ -18,7 +18,7 @@
 //     (500), not the process.
 //
 // Metrics (server.requests, server.shed, server.latency_ns, per-route
-// histograms) and shed/drain trace events thread through internal/obs.
+// histograms) and request spans thread through internal/obs.
 package server
 
 import (
@@ -45,9 +45,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 
 	// SlowLogThreshold is the latency (admission wait included) above which
-	// a request's span tree is recorded in the slow-query log and a
-	// slow_query event is emitted. Default 500ms; negative disables the
-	// slow-query log.
+	// a request's span tree is recorded in the slow-query log. Default
+	// 500ms; negative disables the slow-query log.
 	SlowLogThreshold time.Duration
 
 	// Journal, when non-nil, is the write-ahead ingest journal: every
@@ -56,8 +55,8 @@ type Config struct {
 	// RollIn lands. Nil serves without crash durability (in-memory mode).
 	Journal *wal.Log[int64]
 
-	// Registry routes server metrics and events; nil leaves the server
-	// uninstrumented (all obs calls are nil-safe no-ops).
+	// Registry routes server metrics; nil leaves the server uninstrumented
+	// (all obs calls are nil-safe no-ops).
 	Registry *obs.Registry
 }
 
@@ -256,24 +255,11 @@ func (s *Server) ReadyState() bool { return s.ready.Load() }
 // already-accepted requests keep executing. The caller then runs
 // http.Server.Shutdown, which stops the listener and waits for in-flight
 // requests — together, no request is dropped after accept.
-func (s *Server) BeginDrain() {
-	if s.draining.Swap(true) {
-		return
-	}
-	if s.o.reg.Tracing() {
-		s.o.reg.Emit(obs.Event{Type: obs.EvDrain, Component: "server",
-			Labels: map[string]string{"stage": "begin"}})
-	}
-}
+func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// FinishDrain records drain completion (after http.Server.Shutdown returns).
-func (s *Server) FinishDrain() {
-	if s.o.reg.Tracing() {
-		s.o.reg.Emit(obs.Event{Type: obs.EvDrain, Component: "server",
-			Labels: map[string]string{"stage": "done"},
-			Values: map[string]int64{"served": s.served.Load()}})
-	}
-}
+// FinishDrain does nothing: drain completion is swd's "drained cleanly" log
+// line. Kept because bench/stack.go calls it; it goes with ROADMAP item 2(c).
+func (s *Server) FinishDrain() {}
 
 // Draining reports whether BeginDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -301,10 +287,6 @@ func (s *Server) wrap(lim *limiter, route string, fn handlerFunc) http.Handler {
 			if p := recover(); p != nil {
 				s.o.panics.Inc()
 				s.o.errors.Inc()
-				if s.o.reg.Tracing() {
-					s.o.reg.Emit(obs.Event{Type: obs.EvError, Component: "server",
-						Labels: map[string]string{"op": route, "error": fmt.Sprint(p)}})
-				}
 				// The header may already be out; WriteHeader then is a no-op.
 				writeError(w, http.StatusInternalServerError, "internal error")
 			}
@@ -353,7 +335,7 @@ func (s *Server) wrap(lim *limiter, route string, fn handlerFunc) http.Handler {
 		s.served.Add(1)
 		elapsed := tr.Finish()
 		s.o.traceSpans.Add(tr.Spans())
-		s.slow.observe(route, tr, elapsed, s.o.reg)
+		s.slow.observe(route, tr, elapsed)
 		if err != nil {
 			code, msg := errorStatus(err)
 			if code >= 500 {
@@ -387,11 +369,6 @@ func (s *Server) shedOrCancel(w http.ResponseWriter, route string, err error) {
 	if errors.Is(err, errShed) {
 		s.o.shed.Inc()
 		s.o.reg.Counter("server.route." + route + ".shed").Inc()
-		if s.o.reg.Tracing() {
-			s.o.reg.Emit(obs.Event{Type: obs.EvShed, Component: "server",
-				Labels: map[string]string{"route": route},
-				Values: map[string]int64{"inflight": int64(s.Inflight())}})
-		}
 		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "saturated: admission queue full")
 		return

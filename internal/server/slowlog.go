@@ -74,7 +74,7 @@ func newSlowLog(threshold time.Duration, reg *obs.Registry) *slowLog {
 
 // observe records the finished trace if it crossed the threshold. Called on
 // every request; the fast path (under threshold) is one comparison.
-func (l *slowLog) observe(route string, tr *obs.Trace, elapsed time.Duration, reg *obs.Registry) {
+func (l *slowLog) observe(route string, tr *obs.Trace, elapsed time.Duration) {
 	if l == nil || elapsed < l.threshold {
 		return
 	}
@@ -98,14 +98,6 @@ func (l *slowLog) observe(route string, tr *obs.Trace, elapsed time.Duration, re
 	l.total++
 	l.mu.Unlock()
 	l.entriesC.Inc()
-	if reg.Tracing() {
-		reg.Emit(obs.Event{
-			Type:      obs.EvSlowQuery,
-			Component: "server",
-			Labels:    map[string]string{"route": route, "trace_id": tr.ID()},
-			Values:    map[string]int64{"ns": elapsed.Nanoseconds()},
-		})
-	}
 }
 
 // snapshot renders the log for /debug/slowlog, newest entry first.

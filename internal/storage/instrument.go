@@ -20,8 +20,6 @@ import (
 //	<kind>.encode_ns / .decode_ns    codec latency histograms
 //	<kind>.put_ns / .get_ns          whole-operation latency histograms
 type storeObs struct {
-	reg *obs.Registry
-
 	puts        *obs.Counter
 	gets        *obs.Counter
 	deletes     *obs.Counter
@@ -46,7 +44,6 @@ type storeObs struct {
 // A nil registry yields the all-nil no-op bundle.
 func newStoreObs(r *obs.Registry, kind string) storeObs {
 	return storeObs{
-		reg:              r,
 		puts:             r.Counter(kind + ".puts"),
 		gets:             r.Counter(kind + ".gets"),
 		deletes:          r.Counter(kind + ".deletes"),

@@ -283,7 +283,7 @@ func (s *FileStore[V]) Get(key string) (*core.Sample[V], error) {
 	smp, err := DecodeSample(data, s.codec)
 	td.Stop()
 	if err != nil {
-		s.quarantine(key, path)
+		s.quarantine(path)
 		return nil, &CorruptError{Key: key, Err: err}
 	}
 	s.o.gets.Inc()
@@ -292,7 +292,7 @@ func (s *FileStore[V]) Get(key string) (*core.Sample[V], error) {
 }
 
 // quarantine renames a corrupt sample file out of the visible key space.
-func (s *FileStore[V]) quarantine(key, path string) {
+func (s *FileStore[V]) quarantine(path string) {
 	s.mu.Lock()
 	err := os.Rename(path, path+corruptExt)
 	if err == nil {
@@ -306,13 +306,6 @@ func (s *FileStore[V]) quarantine(key, path string) {
 		return
 	}
 	s.o.quarantines.Inc()
-	if s.o.reg.Tracing() {
-		s.o.reg.Emit(obs.Event{
-			Type:      obs.EvQuarantine,
-			Component: "storage.file",
-			Labels:    map[string]string{"key": key},
-		})
-	}
 }
 
 // Delete implements Store.

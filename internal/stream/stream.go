@@ -25,48 +25,23 @@ import (
 // partitionerObs bundles a stream partitioner's metric handles; the zero
 // value is the no-op bundle.
 type partitionerObs struct {
-	reg       *obs.Registry
-	component string
-	cuts      *obs.Counter // stream.partitions_cut
+	reg  *obs.Registry
+	cuts *obs.Counter // stream.partitions_cut
 }
 
 // newPartitionerObs caches the handles; nil registry → no-op bundle.
-func newPartitionerObs(r *obs.Registry, component string) partitionerObs {
-	return partitionerObs{
-		reg:       r,
-		component: component,
-		cuts:      r.Counter("stream.partitions_cut"),
-	}
-}
-
-// cutEvent records one finalized partition: the counter bump plus (when
-// tracing) an EvPartitionCut event.
-func cutEvent[V cmp.Ordered](o *partitionerObs, idx int, s *core.Sample[V]) {
-	o.cuts.Inc()
-	if o.reg.Tracing() {
-		o.reg.Emit(obs.Event{
-			Type:      obs.EvPartitionCut,
-			Component: o.component,
-			Partition: fmt.Sprintf("p%d", idx),
-			Values: map[string]int64{
-				"index":       int64(idx),
-				"seen":        s.ParentSize,
-				"sample_size": s.Size(),
-			},
-		})
-	}
+func newPartitionerObs(r *obs.Registry) partitionerObs {
+	return partitionerObs{reg: r, cuts: r.Counter("stream.partitions_cut")}
 }
 
 // instrumentSampler routes a sampler's metrics into reg when the sampler
 // supports instrumentation (all core samplers do). Nil reg is a no-op.
-func instrumentSampler[V cmp.Ordered](s core.Sampler[V], reg *obs.Registry, partition string) {
+func instrumentSampler[V cmp.Ordered](s core.Sampler[V], reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	if in, ok := s.(interface {
-		Instrument(*obs.Registry, string)
-	}); ok {
-		in.Instrument(reg, partition)
+	if in, ok := s.(interface{ Instrument(*obs.Registry) }); ok {
+		in.Instrument(reg)
 	}
 }
 
@@ -179,7 +154,7 @@ func (sp *Splitter[V]) Instrument(reg *obs.Registry) {
 	sp.items = reg.Counter("stream.split.items")
 	for i, s := range sp.samplers {
 		sp.lanes[i] = reg.Counter(fmt.Sprintf("stream.lane.%d.items", i))
-		instrumentSampler(s, reg, fmt.Sprintf("lane-%d", i))
+		instrumentSampler(s, reg)
 	}
 }
 
@@ -231,12 +206,12 @@ func NewTemporalPartitioner[V cmp.Ordered](every int64, factory SamplerFactory[V
 	return tp
 }
 
-// Instrument routes the partitioner's metrics and EvPartitionCut events into
-// reg, and instruments the current and all future partition samplers. Call
-// it before the first Feed; a nil registry is a no-op.
+// Instrument routes the partitioner's metrics into reg, and instruments the
+// current and all future partition samplers. Call it before the first Feed;
+// a nil registry is a no-op.
 func (tp *TemporalPartitioner[V]) Instrument(reg *obs.Registry) {
-	tp.o = newPartitionerObs(reg, "stream.temporal")
-	instrumentSampler(tp.cur, reg, fmt.Sprintf("p%d", tp.curIdx))
+	tp.o = newPartitionerObs(reg)
+	instrumentSampler(tp.cur, reg)
 }
 
 // Feed processes one value, cutting a partition boundary when due.
@@ -256,10 +231,10 @@ func (tp *TemporalPartitioner[V]) cut() error {
 		return fmt.Errorf("stream: temporal cut: %w", err)
 	}
 	tp.done = append(tp.done, s)
-	cutEvent(&tp.o, tp.curIdx, s)
+	tp.o.cuts.Inc()
 	tp.curIdx++
 	tp.cur = tp.factory(tp.curIdx, tp.every)
-	instrumentSampler(tp.cur, tp.o.reg, fmt.Sprintf("p%d", tp.curIdx))
+	instrumentSampler(tp.cur, tp.o.reg)
 	tp.inCur = 0
 	return nil
 }
@@ -312,12 +287,12 @@ func NewRatioPartitioner[V cmp.Ordered](minFraction float64, minSize int64, fact
 	return rp, nil
 }
 
-// Instrument routes the partitioner's metrics and EvPartitionCut events into
-// reg, and instruments the current and all future partition samplers. Call
-// it before the first Feed; a nil registry is a no-op.
+// Instrument routes the partitioner's metrics into reg, and instruments the
+// current and all future partition samplers. Call it before the first Feed;
+// a nil registry is a no-op.
 func (rp *RatioPartitioner[V]) Instrument(reg *obs.Registry) {
-	rp.o = newPartitionerObs(reg, "stream.ratio")
-	instrumentSampler(rp.cur, reg, fmt.Sprintf("p%d", rp.curIdx))
+	rp.o = newPartitionerObs(reg)
+	instrumentSampler(rp.cur, reg)
 }
 
 // open starts the next partition's sampler.
@@ -331,7 +306,7 @@ func (rp *RatioPartitioner[V]) open() error {
 		return fmt.Errorf("stream: sampler %T does not expose SampleSize", s)
 	}
 	rp.cur = sized
-	instrumentSampler[V](sized, rp.o.reg, fmt.Sprintf("p%d", rp.curIdx))
+	instrumentSampler[V](sized, rp.o.reg)
 	return nil
 }
 
@@ -348,7 +323,7 @@ func (rp *RatioPartitioner[V]) Feed(v V) error {
 			return fmt.Errorf("stream: ratio cut: %w", err)
 		}
 		rp.done = append(rp.done, s)
-		cutEvent(&rp.o, rp.curIdx, s)
+		rp.o.cuts.Inc()
 		rp.curIdx++
 		return rp.open()
 	}
@@ -364,7 +339,7 @@ func (rp *RatioPartitioner[V]) Finalize() ([]*core.Sample[V], error) {
 			return nil, err
 		}
 		rp.done = append(rp.done, s)
-		cutEvent(&rp.o, rp.curIdx, s)
+		rp.o.cuts.Inc()
 	}
 	return rp.done, nil
 }

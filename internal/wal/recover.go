@@ -10,8 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"samplewh/internal/obs"
 )
 
 // scanFrames walks the frames of one segment's bytes (header excluded) and
@@ -96,20 +94,11 @@ func (l *Log[V]) recover() ([]RecoveredEntry[V], error) {
 			tornAt = headerSize + valid
 		}
 		if torn {
-			lost := int64(len(data)) - tornAt
 			if err := os.Truncate(path, tornAt); err != nil {
 				return nil, fmt.Errorf("wal: truncate torn segment %s: %w", name, err)
 			}
 			l.o.truncations.Inc()
 			l.o.tornFrames.Inc()
-			if l.o.reg.Tracing() {
-				l.o.reg.Emit(obs.Event{
-					Type:      obs.EvWALTruncate,
-					Component: "wal",
-					Labels:    map[string]string{"segment": name},
-					Values:    map[string]int64{"offset": tornAt, "lost_bytes": lost},
-				})
-			}
 		}
 		l.segs = append(l.segs, seg)
 	}
@@ -137,16 +126,6 @@ func (l *Log[V]) recover() ([]RecoveredEntry[V], error) {
 		l.entries[id] = &entryState{seg: re.seg, sealed: true}
 		out = append(out, re.meta)
 		l.o.replays.Inc()
-		if l.o.reg.Tracing() {
-			l.o.reg.Emit(obs.Event{
-				Type:      obs.EvWALReplay,
-				Component: "wal",
-				Dataset:   re.meta.Dataset,
-				Partition: re.meta.Partition,
-				Labels:    map[string]string{"key": re.meta.Key},
-				Values:    map[string]int64{"values": int64(len(re.meta.Values))},
-			})
-		}
 	}
 	// Commit frames can outlive their begin frames (the begin's segment was
 	// GC'd); count them toward the ID watermark too, or a reissued ID could

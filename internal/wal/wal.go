@@ -62,8 +62,7 @@ type Options struct {
 	// Schedule, when non-nil, injects deterministic faults into appends and
 	// fsyncs (see the package comment).
 	Schedule faults.Schedule
-	// Registry routes wal.* metrics and replay/truncate events; nil leaves
-	// the journal uninstrumented.
+	// Registry routes wal.* metrics; nil leaves the journal uninstrumented.
 	Registry *obs.Registry
 }
 
@@ -108,7 +107,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	wal.gc_segments  fully committed segments deleted (counter)
 //	wal.segments     live segment files (gauge)
 type walObs struct {
-	reg         *obs.Registry
 	appends     *obs.Counter
 	bytes       *obs.Counter
 	fsyncs      *obs.Counter
@@ -123,7 +121,6 @@ type walObs struct {
 
 func newWALObs(reg *obs.Registry) walObs {
 	return walObs{
-		reg:         reg,
 		appends:     reg.Counter("wal.appends"),
 		bytes:       reg.Counter("wal.bytes"),
 		fsyncs:      reg.Counter("wal.fsyncs"),

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"samplewh/internal/core"
-	"samplewh/internal/obs"
 	"samplewh/internal/sketch"
 )
 
@@ -118,7 +117,7 @@ func checkPartitionID(id string) error {
 }
 
 // The two ways a partition's sample reaches the catalog. The op names the
-// writer in errors and events and decides how the bytes reach the store; both
+// writer in errors and decides how the bytes reach the store; both
 // replace a known ID and seal what they stored.
 const (
 	opRollIn = "roll-in" // encode s and put it
@@ -162,7 +161,7 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 		// and is rebuilt on demand; the old one beside the new bytes would
 		// read as a proof about them.
 		if err := w.deleteSidecar(key); err != nil {
-			w.o.fail(op, dataset, id, err)
+			w.o.errors.Inc()
 			return err
 		}
 	}
@@ -190,7 +189,7 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 	}
 	if err != nil {
 		err = fmt.Errorf("warehouse: %s %s/%s: %w", op, dataset, id, err)
-		w.o.fail(op, dataset, id, err)
+		w.o.errors.Inc()
 		return err
 	}
 	w.ld.invalidate(key)
@@ -211,20 +210,13 @@ func (w *Warehouse[V]) install(op, dataset, id string, s *core.Sample[V], raw []
 		return err
 	}
 
-	var labels map[string]string
 	if op == opRollIn {
 		w.o.rollIns.Inc()
 		w.o.rollInSize.Observe(s.Size())
 	} else {
 		w.o.attaches.Inc()
-		labels = map[string]string{"mode": op}
 	}
 	w.gauges()
-	w.o.event(obs.EvRollIn, dataset, id, labels, map[string]int64{
-		"sample_size": s.Size(),
-		"parent_size": s.ParentSize,
-		"footprint":   s.Footprint(),
-	})
 	return nil
 }
 

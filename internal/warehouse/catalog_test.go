@@ -18,27 +18,24 @@ import (
 	"samplewh/internal/storage"
 )
 
-// writerFixture is one durable, instrumented, traced warehouse over an
-// in-memory store, holding an empty HR data set "ds".
+// writerFixture is one durable, instrumented warehouse over an in-memory
+// store, holding an empty HR data set "ds".
 type writerFixture struct {
-	st   *storage.MemStore[int64]
-	w    *Warehouse[int64]
-	reg  *obs.Registry
-	sink *obs.MemorySink
+	st  *storage.MemStore[int64]
+	w   *Warehouse[int64]
+	reg *obs.Registry
 }
 
 func newWriterFixture(t *testing.T) *writerFixture {
 	t.Helper()
 	f := &writerFixture{
-		st:   storage.NewMemStore[int64](storage.Int64Codec{}),
-		reg:  obs.NewRegistry(),
-		sink: obs.NewMemorySink(16),
+		st:  storage.NewMemStore[int64](storage.Int64Codec{}),
+		reg: obs.NewRegistry(),
 	}
 	var err error
 	if f.w, _, err = Open[int64](f.st, 11); err != nil {
 		t.Fatal(err)
 	}
-	f.reg.SetSink(f.sink)
 	f.w.Instrument(f.reg)
 	if err := f.w.CreateDataset("ds", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(64)}); err != nil {
 		t.Fatal(err)
@@ -54,7 +51,6 @@ type catalogFacts struct {
 	Hashes     map[string]string
 	Gauges     [3]int64 // ds.partitions, partition_stats_entries, partition_sketch_entries
 	Errors     int64
-	Events     []obs.Event // roll_in events, modulo the mode label and the clock
 }
 
 func (f *writerFixture) facts(t *testing.T) catalogFacts {
@@ -73,19 +69,13 @@ func (f *writerFixture) facts(t *testing.T) catalogFacts {
 		f.reg.Gauge("warehouse.partition_sketch_entries").Value(),
 	}
 	c.Errors = f.reg.Counter("warehouse.errors").Value()
-	for _, e := range f.sink.Events() {
-		if e.Type == obs.EvRollIn {
-			c.Events = append(c.Events, obs.Event{Type: e.Type, Component: e.Component,
-				Dataset: e.Dataset, Partition: e.Partition, Values: e.Values})
-		}
-	}
 	return c
 }
 
 // TestBothWritersAgree: the same sample bytes entering the catalog by RollIn
 // and by ExportPartition→AdoptPartition go through one install, so every
-// accessor, gauge and event agrees; only the lifecycle counter (rollins vs
-// attaches) and the event's mode label name the writer.
+// accessor and gauge agrees; only the lifecycle counter (rollins vs
+// attaches) names the writer.
 func TestBothWritersAgree(t *testing.T) {
 	rolled, adopted := newWriterFixture(t), newWriterFixture(t)
 
@@ -102,16 +92,11 @@ func TestBothWritersAgree(t *testing.T) {
 
 	want := rolled.facts(t)
 	if len(want.Partitions) != 1 || len(want.Stats) != 1 || len(want.Sketches) != 1 ||
-		want.Hashes["p"] != tr.Hash || want.Gauges != [3]int64{1, 1, 1} || len(want.Events) != 1 {
+		want.Hashes["p"] != tr.Hash || want.Gauges != [3]int64{1, 1, 1} {
 		t.Fatalf("roll-in left %+v", want)
 	}
 	if got := adopted.facts(t); !reflect.DeepEqual(got, want) {
 		t.Errorf("adopt:\n got %+v\nwant %+v", got, want)
-	}
-	for _, e := range adopted.sink.Events() {
-		if e.Type == obs.EvRollIn && e.Labels["mode"] != "adopt" {
-			t.Errorf("adopt roll_in event labels %v", e.Labels)
-		}
 	}
 	for _, c := range []struct {
 		f                          *writerFixture

@@ -8,7 +8,7 @@ import (
 // the core samplers do). NewPartitionSampler uses it so the warehouse can instrument
 // whatever sampler family the data set's configuration selects.
 type instrumentable interface {
-	Instrument(reg *obs.Registry, partition string)
+	Instrument(reg *obs.Registry)
 }
 
 // whObs bundles the warehouse's cached metric handles. The zero value (all
@@ -91,29 +91,4 @@ func newWHObs(r *obs.Registry) whObs {
 		mergeInputs:       r.Histogram("warehouse.merge_inputs"),
 		mergeNS:           r.Histogram("warehouse.merge_ns"),
 	}
-}
-
-// fail records one failed warehouse operation: the error counter plus (when
-// tracing) an EvError event carrying the operation and message.
-func (o *whObs) fail(op, dataset, partition string, err error) {
-	o.errors.Inc()
-	if o.reg.Tracing() {
-		o.event(obs.EvError, dataset, partition, map[string]string{"op": op, "error": err.Error()}, nil)
-	}
-}
-
-// event emits one warehouse event (partition lifecycle, merge) when tracing
-// is enabled.
-func (o *whObs) event(typ, dataset, partition string, labels map[string]string, values map[string]int64) {
-	if !o.reg.Tracing() {
-		return
-	}
-	o.reg.Emit(obs.Event{
-		Type:      typ,
-		Component: "warehouse",
-		Dataset:   dataset,
-		Partition: partition,
-		Labels:    labels,
-		Values:    values,
-	})
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"samplewh/internal/histogram"
-	"samplewh/internal/obs"
 	"samplewh/internal/randx"
 	"samplewh/internal/sketch"
 	"samplewh/internal/storage"
@@ -457,18 +456,6 @@ func (w *Warehouse[V]) Recover() (*RecoveryReport, error) {
 		}
 	}
 	w.o.recoveries.Inc()
-	if w.o.reg.Tracing() {
-		w.o.reg.Emit(obs.Event{
-			Type:      obs.EvRecovery,
-			Component: "warehouse",
-			Values: map[string]int64{
-				"datasets":   int64(rep.Datasets),
-				"partitions": int64(rep.Partitions),
-				"dangling":   int64(len(rep.Dangling)),
-				"orphans":    int64(len(rep.Orphans)),
-			},
-		})
-	}
 	return rep, nil
 }
 

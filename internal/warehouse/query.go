@@ -28,7 +28,7 @@ import (
 
 // query is one read request.
 type query[V cmp.Ordered] struct {
-	// op names the request in errors and error events: "merge", "range" or
+	// op names the request in errors: "merge", "range" or
 	// "sketch".
 	op      string
 	dataset string
@@ -368,7 +368,7 @@ func (w *Warehouse[V]) loadWave(ctx context.Context, parent *obs.Span, q *query[
 			if errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded) {
 				return nil, err
 			}
-			w.o.fail(q.op, q.dataset, id, err)
+			w.o.errors.Inc()
 			if !q.partial {
 				return nil, err
 			}
@@ -408,7 +408,7 @@ func (w *Warehouse[V]) loadWave(ctx context.Context, parent *obs.Span, q *query[
 // union, which is what lets the stop rule evaluate the interval between waves.
 // The loaded samples, shared with the cache, are only read, and the result
 // aliases none of them.
-func (w *Warehouse[V]) combine(ctx context.Context, parent *obs.Span, q *query[V], v *catalogView, acc *core.Sample[V], got []*core.Sample[V], src *randx.RNG) (*core.Sample[V], int64, error) {
+func (w *Warehouse[V]) combine(ctx context.Context, parent *obs.Span, q *query[V], v *catalogView, acc *core.Sample[V], got []*core.Sample[V], src *randx.RNG) (*core.Sample[V], error) {
 	inputs := got
 	if acc != nil {
 		inputs = append([]*core.Sample[V]{acc}, got...)
@@ -422,15 +422,14 @@ func (w *Warehouse[V]) combine(ctx context.Context, parent *obs.Span, q *query[V
 		span.SetValue("workers", int64(workers))
 		acc, err = Merge(obs.ContextWithSpan(ctx, span), v.alg, inputs, src, workers)
 	}
-	ns := t.Stop()
+	t.Stop()
 	span.SetError(err)
 	span.End()
 	if err != nil {
-		err = q.wrap(err)
-		w.o.fail(q.op, q.dataset, "", err)
-		return nil, ns, err
+		w.o.errors.Inc()
+		return nil, q.wrap(err)
 	}
-	return acc, ns, nil
+	return acc, nil
 }
 
 // Merge is the one place a merge is chosen: a uniform sample of the union of
@@ -446,11 +445,8 @@ func Merge[V cmp.Ordered](ctx context.Context, alg Algorithm, samples []*core.Sa
 	return core.MergeK(ctx, samples, src, workers)
 }
 
-// account is stage 6 for merges: the one site for the merge counters and the
-// EvMerge/EvPartialMerge events. ns is the merge time of an unbounded query
-// and the whole execution time of a bounded one.
-func (w *Warehouse[V]) account(q *query[V], res *result[V], ns int64) {
-	cov := &res.cov
+// account is stage 6 for merges: the one site for the merge counters.
+func (w *Warehouse[V]) account(cov *MergeCoverage) {
 	w.o.merges.Inc()
 	w.o.mergeInputs.Observe(int64(len(cov.Merged)))
 	if n := len(cov.Pruned); n > 0 {
@@ -459,27 +455,7 @@ func (w *Warehouse[V]) account(q *query[V], res *result[V], ns int64) {
 	}
 	if cov.Partial() {
 		w.o.partialMerges.Inc()
-		w.o.event(obs.EvPartialMerge, q.dataset, "", nil, map[string]int64{
-			"requested": int64(len(cov.Requested)),
-			"merged":    int64(len(cov.Merged)),
-			"skipped":   int64(len(cov.Skipped)),
-		})
 	}
-	if !w.o.reg.Tracing() {
-		return
-	}
-	var labels map[string]string
-	values := map[string]int64{
-		"inputs":      int64(len(cov.Merged)),
-		"sample_size": res.sample.Size(),
-		"parent_size": res.sample.ParentSize,
-		"ns":          ns,
-	}
-	if res.exec != nil {
-		labels = map[string]string{"mode": "planned", "stop": res.exec.StopReason}
-		values["pruned"] = int64(len(cov.Pruned))
-	}
-	w.o.event(obs.EvMerge, q.dataset, "", labels, values)
 }
 
 // splitRNG draws the query's merge randomness: exactly one Split per
@@ -551,7 +527,7 @@ func (w *Warehouse[V]) run(ctx context.Context, q query[V]) (result[V], error) {
 			samples = got
 			continue
 		}
-		if acc, _, err = w.combine(ctx, span, &q, &v, acc, got, src); err != nil {
+		if acc, err = w.combine(ctx, span, &q, &v, acc, got, src); err != nil {
 			return res, err
 		}
 		if rule.met(idx-n, n, acc) && idx < len(ordered) {
@@ -564,11 +540,9 @@ func (w *Warehouse[V]) run(ctx context.Context, q query[V]) (result[V], error) {
 		return res, fmt.Errorf("warehouse: %s %s: %w (of %d requested)",
 			q.verb(), q.dataset, ErrNoReadablePartitions, len(v.ids))
 	}
-	var ns int64
 	switch {
 	case rule != nil:
 		rule.finish(acc, idx, stop, &res.cov, span)
-		ns = res.exec.ElapsedNS
 	case ctx.Err() != nil:
 		return res, q.wrap(ctx.Err())
 	case q.strata:
@@ -579,11 +553,11 @@ func (w *Warehouse[V]) run(ctx context.Context, q query[V]) (result[V], error) {
 		}
 		return res, nil
 	default:
-		if acc, ns, err = w.combine(ctx, span, &q, &v, nil, samples, w.splitRNG()); err != nil {
+		if acc, err = w.combine(ctx, span, &q, &v, nil, samples, w.splitRNG()); err != nil {
 			return res, err
 		}
 	}
 	res.sample = acc
-	w.account(&q, &res, ns)
+	w.account(&res.cov)
 	return res, nil
 }

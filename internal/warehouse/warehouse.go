@@ -140,7 +140,7 @@ func (w *Warehouse[V]) CacheStats() samplecache.Stats {
 	return w.ld.stats()
 }
 
-// Instrument routes the warehouse's metrics and events into reg: partition
+// Instrument routes the warehouse's metrics into reg: partition
 // lifecycle counters, merge latency, per-dataset partition gauges, and
 // samplers handed out by NewPartitionSampler. A nil registry reverts to the
 // no-op state. Instrument the underlying store separately (stores are shared
@@ -237,8 +237,7 @@ func (w *Warehouse[V]) NewPartitionSampler(dataset, partitionID string, expected
 	}
 	if w.o.reg != nil {
 		if in, ok := smp.(instrumentable); ok {
-			// Sampler events carry just the component name.
-			in.Instrument(w.o.reg, "")
+			in.Instrument(w.o.reg)
 		}
 	}
 	return smp, nil
@@ -294,12 +293,12 @@ func (w *Warehouse[V]) RollOut(dataset, partitionID string) error {
 	key := w.key(dataset, partitionID)
 	if err := w.store.Delete(key); err != nil {
 		err = fmt.Errorf("warehouse: roll-out %s/%s: %w", dataset, partitionID, err)
-		w.o.fail("roll-out", dataset, partitionID, err)
+		w.o.errors.Inc()
 		return err
 	}
 	w.ld.invalidate(key)
 	if err := w.deleteSidecar(key); err != nil {
-		w.o.fail("roll-out", dataset, partitionID, err)
+		w.o.errors.Inc()
 		return err
 	}
 	rec, idx := ds.remove(partitionID)
@@ -313,7 +312,6 @@ func (w *Warehouse[V]) RollOut(dataset, partitionID string) error {
 	w.ld.dropEWMA(key)
 	w.o.rollOuts.Inc()
 	w.gauges()
-	w.o.event(obs.EvRollOut, dataset, partitionID, nil, nil)
 	return nil
 }
 

@@ -263,8 +263,8 @@ func NewRatioPartitioner(minFraction float64, minSize int64, factory SamplerFact
 	return stream.NewRatioPartitioner(minFraction, minSize, factory)
 }
 
-// Metrics is the observability registry: atomic counters, gauges, bounded
-// latency histograms and structured event tracing, with nil-safe no-op
+// Metrics is the observability registry: atomic counters, gauges and bounded
+// latency histograms, with nil-safe no-op
 // semantics throughout (a nil *Metrics leaves every component
 // uninstrumented at no measurable cost). Route a component into a registry
 // with its Instrument method — samplers, warehouses, stores, splitters and
@@ -278,12 +278,6 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // marshals to expvar-style JSON and renders a human-readable report via
 // String.
 type MetricsSnapshot = obs.Snapshot
-
-// MemorySink retains the most recent events in a fixed-capacity ring buffer.
-type MemorySink = obs.MemorySink
-
-// NewMemorySink returns a sink retaining up to capacity events.
-func NewMemorySink(capacity int) *MemorySink { return obs.NewMemorySink(capacity) }
 
 // defaultMetrics backs DefaultMetrics and Snapshot for single-registry
 // programs.
