@@ -68,13 +68,6 @@ var exportAllowList = map[string]string{
 	"internal/warehouse.Warehouse.RollInSketched": "later: ROADMAP 9(a) builds the sidecar in the stream with it",
 	"internal/core.Stratified.Collapse":           "later: ROADMAP 16(b) drops or moves it",
 	"internal/fenwick.FromCounts":                 "later: ROADMAP 15 deletes internal/fenwick",
-	"internal/randx.Shuffle":                      "later: ROADMAP 19 decides it with the other test-only helpers",
-	"internal/randx.Zipf.S":                       "later: ROADMAP 19 decides it with the other test-only helpers",
-	"internal/randx.Zipf.V":                       "later: ROADMAP 19 decides it with the other test-only helpers",
-	"internal/stream.NewTemporalPartitioner":      "later: ROADMAP 19 decides it with the other test-only helpers",
-	"internal/server.Client.Health":               "later: ROADMAP 19 decides it with the other test-only client calls",
-	"internal/server.Client.IngestValues":         "later: ROADMAP 19 decides it with the other test-only client calls",
-	"internal/server.IsShed":                      "later: ROADMAP 19 decides it with the other test-only client calls",
 }
 
 // stdlibCalls are method names the standard library calls through its own

@@ -58,7 +58,7 @@ type BernoulliSampler[V cmp.Ordered] struct {
 // Instrument routes the sampler's metrics into reg. Call it before the
 // first Feed; a nil registry leaves the sampler uninstrumented.
 func (b *BernoulliSampler[V]) Instrument(reg *obs.Registry) {
-	b.o = newSamplerObs(reg, "core.sb")
+	b.o = newSamplerObs(reg, "core.sb", true, false)
 }
 
 // NewBernoulli returns a Bern(q) sampler. It panics if q is outside [0, 1].

@@ -74,7 +74,7 @@ type HB[V cmp.Ordered] struct {
 // Instrument routes the sampler's metrics into reg. Call it before the
 // first Feed; a nil registry leaves the sampler uninstrumented.
 func (s *HB[V]) Instrument(reg *obs.Registry) {
-	s.o = newSamplerObs(reg, "core.hb")
+	s.o = newSamplerObs(reg, "core.hb", true, true)
 }
 
 // NewHB returns an Algorithm HB sampler for a partition of expected size

@@ -45,7 +45,7 @@ type HR[V cmp.Ordered] struct {
 // Instrument routes the sampler's metrics into reg. Call it before the
 // first Feed; a nil registry leaves the sampler uninstrumented.
 func (s *HR[V]) Instrument(reg *obs.Registry) {
-	s.o = newSamplerObs(reg, "core.hr")
+	s.o = newSamplerObs(reg, "core.hr", false, true)
 }
 
 // NewHR returns an Algorithm HR sampler. It panics on invalid configuration.

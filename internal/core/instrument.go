@@ -14,9 +14,9 @@ import (
 //	<component>.items              elements fed (counter; batched — exact at
 //	                               every transition, purge and finalize,
 //	                               else ≤ 4096 behind)
-//	<component>.accepts            phase-2 Bernoulli acceptances (counter)
-//	<component>.reservoir_inserts  phase-3 reservoir replacements (counter)
-//	<component>.phase_transitions  boundary crossings (counter)
+//	<component>.accepts            Bernoulli-phase acceptances (counter; HB, SB)
+//	<component>.reservoir_inserts  reservoir replacements (counter; HB, HR)
+//	<component>.phase_transitions  boundary crossings (counter; HB, HR)
 //	<component>.finalized          samplers finalized (counter)
 //	core.purge.bernoulli / .reservoir   purge invocations (counters)
 //	core.purge.dropped                  elements dropped by purges (counter)
@@ -44,17 +44,21 @@ type samplerObs struct {
 // between boundary flushes.
 const itemsFlushBatch = 1 << 12
 
-// newSamplerObs caches the hot-path handles for one sampler. A nil registry
-// yields the all-nil no-op bundle.
-func newSamplerObs(r *obs.Registry, component string) samplerObs {
-	return samplerObs{
-		reg:         r,
-		component:   component,
-		items:       r.Counter(component + ".items"),
-		accepts:     r.Counter(component + ".accepts"),
-		inserts:     r.Counter(component + ".reservoir_inserts"),
-		transitions: r.Counter(component + ".phase_transitions"),
+// newSamplerObs caches the hot-path handles for one sampler, registering only
+// the counters its kind increments: accepts for a sampler with a Bernoulli
+// phase, reservoir_inserts and phase_transitions for one with a reservoir
+// phase (the phases it crosses into). The handles it leaves nil are no-ops,
+// and a nil registry yields the all-nil no-op bundle.
+func newSamplerObs(r *obs.Registry, component string, bernoulli, reservoir bool) samplerObs {
+	o := samplerObs{reg: r, component: component, items: r.Counter(component + ".items")}
+	if bernoulli {
+		o.accepts = r.Counter(component + ".accepts")
 	}
+	if reservoir {
+		o.inserts = r.Counter(component + ".reservoir_inserts")
+		o.transitions = r.Counter(component + ".phase_transitions")
+	}
+	return o
 }
 
 // countItems accumulates n fed elements into the local batch, publishing to

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"samplewh/internal/obs"
@@ -200,6 +202,36 @@ func TestSBCountersReconcile(t *testing.T) {
 	}
 	if items := reg.Counter("core.sb.items").Value(); items != n {
 		t.Errorf("items = %d, want %d", items, n)
+	}
+}
+
+// TestSamplersRegisterOnlyTheirCounters: each sampler kind registers the
+// counters it increments and no other, so a registry never carries a series
+// that is 0 by construction (HR's accepts, SB's inserts and transitions).
+func TestSamplersRegisterOnlyTheirCounters(t *testing.T) {
+	cfg := ConfigForNF(64)
+	for _, tc := range []struct {
+		component  string
+		instrument func(*obs.Registry)
+		want       []string
+	}{
+		{"core.hb", func(r *obs.Registry) { NewHB[int64](cfg, 256, randx.New(1)).Instrument(r) },
+			[]string{"accepts", "items", "phase_transitions", "reservoir_inserts"}},
+		{"core.hr", func(r *obs.Registry) { NewHR[int64](cfg, randx.New(1)).Instrument(r) },
+			[]string{"items", "phase_transitions", "reservoir_inserts"}},
+		{"core.sb", func(r *obs.Registry) { NewSB[int64](cfg, 0.5, randx.New(1)).Instrument(r) },
+			[]string{"accepts", "items"}},
+	} {
+		reg := obs.NewRegistry()
+		tc.instrument(reg)
+		var got []string
+		for name := range reg.Snapshot().Counters {
+			got = append(got, strings.TrimPrefix(name, tc.component+"."))
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s registers %v, want %v", tc.component, got, tc.want)
+		}
 	}
 }
 

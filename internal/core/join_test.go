@@ -36,3 +36,20 @@ func TestSortRun(t *testing.T) {
 		})
 	}
 }
+
+// TestJoinBufferFitsRuns: a pooled buffer far larger than the runs — left by
+// an earlier, larger merge — does not back the merged sample, which may
+// outlive its request.
+func TestJoinBufferFitsRuns(t *testing.T) {
+	model := histogram.DefaultSizeModel
+	big := windows[int64](1<<14, 1<<14)
+	putWindows(big, 1<<14, big)
+	run := []histogram.Entry[int64]{{Value: 1, Count: 2}, {Value: 3, Count: 1}}
+	h := join(model, [][]histogram.Entry[int64]{run, {{Value: 2, Count: 1}}})
+	if h.Size() != 4 || h.Distinct() != 3 {
+		t.Fatalf("join gave %v", h)
+	}
+	if es := h.Release(); cap(es) > 2*3 {
+		t.Fatalf("merged sample of 3 entries backed by a buffer of %d", cap(es))
+	}
+}

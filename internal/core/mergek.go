@@ -129,7 +129,7 @@ func MergeK[V cmp.Ordered](ctx context.Context, samples []*Sample[V], src randx.
 			srcs[i] = rng.Split()
 		}
 	}
-	buf := windows[V](total)
+	buf := windows[V](total, math.MaxInt64)
 	for i, off := 0, int64(0); i < len(kept); i++ {
 		kept[i] = buf[off : off : off+window(i)]
 		off += window(i)
@@ -179,8 +179,8 @@ func MergeK[V cmp.Ordered](ctx context.Context, samples []*Sample[V], src randx.
 	}
 
 	sp = parent.Start("merge_join")
-	out.Hist = join(cfg.SizeModel, kept)
-	putWindows(buf, kept, nf)
+	out.Hist, out.owned = join(cfg.SizeModel, kept), true
+	putWindows(buf, nf, kept...)
 	switch {
 	case reservoir: // the size-k SRS the draw made
 	case out.Hist.Footprint() > cfg.FootprintBytes:
@@ -188,6 +188,7 @@ func MergeK[V cmp.Ordered](ctx context.Context, samples []*Sample[V], src randx.
 		// elements of a Bern(q) sample of the union is one of the union.
 		n := min(nf, out.Size())
 		srs := selectSRS(out.Hist, n, make([]histogram.Entry[V], 0, min(n, int64(out.Hist.Distinct()))), src)
+		out.Recycle()
 		out.Hist = histogram.FromEntries(cfg.SizeModel, srs)
 	case q == 1:
 		out.Kind, out.Q = Exhaustive, 1
@@ -203,9 +204,10 @@ func MergeK[V cmp.Ordered](ctx context.Context, samples []*Sample[V], src randx.
 // into one histogram, the paper's join over all of them at once: a k-way merge
 // over a binary heap of run heads, each head carrying its value, in which a
 // value equal to the last one written adds its count to it. The result is in
-// strictly ascending value order, and its entries are the one fresh
-// allocation; the histogram adopts them and builds an index of its own only
-// if something looks a value up.
+// strictly ascending value order. Its entries are a buffer from the window
+// pool, at most twice the runs' length — the merged sample may outlive the
+// request that made it — which Recycle gives back; the histogram adopts them
+// and builds an index of its own only if something looks a value up.
 func join[V cmp.Ordered](model histogram.SizeModel, kept [][]histogram.Entry[V]) *histogram.Histogram[V] {
 	n := 0
 	heads := make([]runHead[V], 0, len(kept))
@@ -218,7 +220,7 @@ func join[V cmp.Ordered](model histogram.SizeModel, kept [][]histogram.Entry[V])
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftDown(heads, i)
 	}
-	out := make([]histogram.Entry[V], 0, n)
+	out := windows[V](int64(n), 2*int64(n))[:0]
 	for len(heads) > 0 {
 		top := &heads[0]
 		if e := top.rest[0]; len(out) > 0 && out[len(out)-1].Value == e.Value {
@@ -275,16 +277,21 @@ func sortRun[V cmp.Ordered](es []histogram.Entry[V]) {
 	}
 }
 
-// windowPool holds the buffers MergeK cuts its survivor windows from, of
-// whichever value type was merged last; one of another type is dropped and a
-// fresh one made.
+// windowPool holds the buffers MergeK cuts its survivor windows and its
+// merged sample's entries from, of whichever value type was merged last; one
+// of another type is dropped and a fresh one made. Every pooled buffer is
+// zeroed through its capacity.
 var windowPool sync.Pool
 
-// windows returns a zeroed buffer of n entries, pooled when one large enough
-// is.
-func windows[V cmp.Ordered](n int64) []histogram.Entry[V] {
+// windows returns a zeroed buffer of n entries, pooled when one holds at
+// least n and at most most. One that is larger goes back for a later caller;
+// one too small, or of another type, is dropped.
+func windows[V cmp.Ordered](n, most int64) []histogram.Entry[V] {
 	if p, ok := windowPool.Get().(*[]histogram.Entry[V]); ok && int64(cap(*p)) >= n {
-		return (*p)[:n]
+		if int64(cap(*p)) <= most {
+			return (*p)[:n]
+		}
+		windowPool.Put(p)
 	}
 	return make([]histogram.Entry[V], n)
 }
@@ -292,9 +299,10 @@ func windows[V cmp.Ordered](n int64) []histogram.Entry[V] {
 // putWindows pools buf once the runs written into it are cleared, so it is
 // zeroed again and holds no value alive. A buffer of more than a few n_F
 // entries — a thinned merge's windows are its inputs' whole entries — is let
-// go instead, so one large merge does not pin it in the pool.
-func putWindows[V cmp.Ordered](buf []histogram.Entry[V], runs [][]histogram.Entry[V], nf int64) {
-	if int64(cap(buf))/4 > nf {
+// go instead, so one large merge does not pin it in the pool, and so is an
+// empty one.
+func putWindows[V cmp.Ordered](buf []histogram.Entry[V], nf int64, runs ...[]histogram.Entry[V]) {
+	if cap(buf) == 0 || int64(cap(buf))/4 > nf {
 		return
 	}
 	for _, run := range runs {
@@ -355,7 +363,8 @@ func selectSRS[V cmp.Ordered](h *histogram.Histogram[V], n int64, dst []histogra
 	if n == size || walks(size, h.Distinct()) {
 		return selectWalk(h, n, dst, src)
 	}
-	set := make([]uint64, (size+63)/64)
+	p := positions(size)
+	set := *p
 	for j := size - n; j < size; j++ {
 		t := randx.Int64n(src, j+1)
 		if set[t/64]&(1<<(t%64)) != 0 {
@@ -395,7 +404,39 @@ func selectSRS[V cmp.Ordered](h *histogram.Histogram[V], n int64, dst []histogra
 			last = i
 		}
 	}
+	putPositions(p)
 	return dst
+}
+
+// positionPool holds cleared position sets for selectSRS, at most
+// maxPooledPositions words each.
+var positionPool sync.Pool
+
+// maxPooledPositions bounds a pooled position set: 4096 words, 32 KiB, cover
+// a 262 144-element sample.
+const maxPooledPositions = 1 << 12
+
+// positions returns a cleared bitset over size positions, pooled when one
+// large enough is. The caller hands the pointer back to putPositions.
+func positions(size int64) *[]uint64 {
+	words := (size + 63) / 64
+	p, ok := positionPool.Get().(*[]uint64)
+	if !ok || int64(cap(*p)) < words {
+		p = new([]uint64)
+		*p = make([]uint64, words)
+	}
+	*p = (*p)[:words]
+	return p
+}
+
+// putPositions clears a set positions returned and pools it, unless it is
+// larger than maxPooledPositions words.
+func putPositions(p *[]uint64) {
+	if cap(*p) > maxPooledPositions {
+		return
+	}
+	clear(*p)
+	positionPool.Put(p)
 }
 
 // selectWalk is selectSRS by selection sampling (Knuth's Algorithm S, lifted

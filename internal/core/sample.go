@@ -55,6 +55,10 @@ type Sample[V cmp.Ordered] struct {
 	// Config carries the footprint bound and size model the sample was
 	// collected under; merges reuse it.
 	Config Config
+
+	// owned marks a sample MergeK returned: its entries came from the window
+	// pool, and Recycle may give them back.
+	owned bool
 }
 
 // Size returns the number of data-element values in the sample.
@@ -75,8 +79,23 @@ func (s *Sample[V]) Fraction() float64 {
 // keep samples in a warehouse merge clones.
 func (s *Sample[V]) Clone() *Sample[V] {
 	c := *s
-	c.Hist = s.Hist.Clone()
+	c.Hist, c.owned = s.Hist.Clone(), false
 	return &c
+}
+
+// Recycle gives the entries of a sample MergeK returned back to the pool the
+// merge draws its buffers from, cleared, and leaves the sample empty. The
+// request that owns a merged sample calls it once its answer is written, and
+// nothing else may read the sample afterwards (DESIGN.md §9). On any other
+// sample — a partition's, a cached or decoded one, a clone — and the second
+// time it does nothing.
+func (s *Sample[V]) Recycle() {
+	if s == nil || !s.owned {
+		return
+	}
+	s.owned = false
+	es := s.Hist.Release()
+	putWindows(es, s.Config.NF(), es)
 }
 
 // Validate checks the sample's internal consistency.

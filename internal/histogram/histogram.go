@@ -420,6 +420,17 @@ func (h *Histogram[V]) Equal(other *Histogram[V]) bool {
 	return true
 }
 
+// Release empties the histogram and hands its entry slice to the caller; the
+// histogram no longer references it.
+func (h *Histogram[V]) Release() []Entry[V] {
+	es := h.entries
+	h.entries = nil
+	h.index.Store(nil)
+	h.dropRepeats()
+	h.size, h.footprint = 0, 0
+	return es
+}
+
 // Reset empties the histogram in place, retaining allocated capacity.
 func (h *Histogram[V]) Reset() {
 	h.entries = h.entries[:0]

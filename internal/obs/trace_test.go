@@ -181,3 +181,34 @@ func TestSpanContext(t *testing.T) {
 		t.Fatal("nil span stored in context")
 	}
 }
+
+// BenchmarkSpan times one span as the read path records it — Start, one
+// SetValue, End — under fresh traces of 22 children each, a traced
+// 16-partition merge's span count, so what each trace and its arena cost is
+// paid for in the figure. The clock sub-benchmark times the two process clock
+// reads a span takes, the floor of its cost on the host at hand.
+func BenchmarkSpan(b *testing.B) {
+	b.Run("span", func(b *testing.B) {
+		const spansPerTrace = 22
+		b.ReportAllocs()
+		var tr *Trace
+		for i := 0; i < b.N; i++ {
+			if i%spansPerTrace == 0 {
+				tr.Finish()
+				tr = StartTrace("", "request")
+			}
+			sp := tr.Root().Start("load_partition")
+			sp.SetValue("bytes", int64(i))
+			sp.End()
+		}
+		tr.Finish()
+	})
+	b.Run("clock", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			clockSink += clock() - clock()
+		}
+	})
+}
+
+// clockSink keeps BenchmarkSpan's clock reads from being optimized away.
+var clockSink time.Duration

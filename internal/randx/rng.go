@@ -158,12 +158,3 @@ func Bernoulli(s Source, p float64) bool {
 	}
 	return Float64(s) < p
 }
-
-// Shuffle permutes the n elements addressed by swap using the Fisher-Yates
-// algorithm.
-func Shuffle(s Source, n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := Intn(s, i+1)
-		swap(i, j)
-	}
-}

@@ -159,12 +159,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestShuffleEmptyAndSingle(t *testing.T) {
-	r := New(15)
-	Shuffle(r, 0, func(i, j int) { t.Fatal("swap called for n=0") })
-	Shuffle(r, 1, func(i, j int) { t.Fatal("swap called for n=1") })
-}
-
 func BenchmarkRNGUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64

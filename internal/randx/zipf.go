@@ -15,7 +15,6 @@ import (
 // exact probabilities and O(log v) draws.
 type Zipf struct {
 	v   int64
-	s   float64
 	cdf []float64
 }
 
@@ -27,7 +26,7 @@ func NewZipf(v int64, s float64) *Zipf {
 	if s <= 0 || math.IsNaN(s) {
 		panic(fmt.Sprintf("randx: NewZipf with s = %v <= 0", s))
 	}
-	z := &Zipf{v: v, s: s, cdf: make([]float64, v)}
+	z := &Zipf{v: v, cdf: make([]float64, v)}
 	var sum float64
 	for i := int64(1); i <= v; i++ {
 		sum += math.Pow(float64(i), -s)
@@ -40,12 +39,6 @@ func NewZipf(v int64, s float64) *Zipf {
 	z.cdf[v-1] = 1
 	return z
 }
-
-// V returns the support size.
-func (z *Zipf) V() int64 { return z.v }
-
-// S returns the skew parameter.
-func (z *Zipf) S() float64 { return z.s }
 
 // PMF returns P(i) for i in {1..v}, 0 outside.
 func (z *Zipf) PMF(i int64) float64 {

@@ -61,13 +61,6 @@ func TestZipfSampleFrequencies(t *testing.T) {
 	}
 }
 
-func TestZipfAccessors(t *testing.T) {
-	z := NewZipf(42, 1.25)
-	if z.V() != 42 || z.S() != 1.25 {
-		t.Fatalf("accessors: V=%d S=%v", z.V(), z.S())
-	}
-}
-
 func TestZipfPanics(t *testing.T) {
 	for _, c := range []struct {
 		v int64

@@ -108,12 +108,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server: %d %s: %s", e.StatusCode, http.StatusText(e.StatusCode), e.Message)
 }
 
-// IsShed reports whether err is a 429 load-shed response.
-func IsShed(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.StatusCode == http.StatusTooManyRequests
-}
-
 // retryableRequest reports whether a request may be transparently re-issued:
 // the method must be idempotent and the body (if any) replayable via GetBody
 // (http.NewRequest sets it for strings/bytes readers; streaming bodies are
@@ -256,14 +250,6 @@ func (c *Client) get(ctx context.Context, path string, q url.Values, out any) er
 	return c.do(req, out)
 }
 
-// Health returns the server's health report (an *APIError with the decoded
-// body when the server is draining).
-func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
-	var out HealthResponse
-	err := c.get(ctx, "/healthz", nil, &out)
-	return out, err
-}
-
 // Datasets lists every data set with its configuration and partitions.
 func (c *Client) Datasets(ctx context.Context) ([]DatasetInfo, error) {
 	var out []DatasetInfo
@@ -349,11 +335,6 @@ func (c *Client) putPartition(ctx context.Context, ds, part string, expected int
 		replayed = resp.Header.Get("Idempotency-Replayed") == "true"
 	})
 	return out, replayed, err
-}
-
-// IngestValues is Ingest for an in-memory value slice.
-func (c *Client) IngestValues(ctx context.Context, ds, part string, expected int64, values []int64) (IngestResponse, error) {
-	return c.Ingest(ctx, ds, part, expected, strings.NewReader(valuesBody(values)))
 }
 
 // RollOut removes a partition.

@@ -922,7 +922,8 @@ type readQuery struct {
 // readResult is what a read hands the answer stage: the design the answer
 // stands on — one merged sample, or, for a local unbounded range query,
 // strata — with the proven and ignored population around it. shards is set
-// by the cluster coordinator only.
+// by the cluster coordinator only. The request owns the merged sample: its
+// handler recycles it once the reply is written.
 type readResult struct {
 	design   estimate.Design[int64]
 	cov      Coverage
@@ -1047,17 +1048,20 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 		resp.TraceID, resp.Trace = explainTrace(r)
 	}
 	if limit != 0 {
-		entries := rd.design.Sample.Hist.Entries() // ascending: a merge's output order
-		if limit > 0 && len(entries) > limit {
-			entries = entries[:limit]
+		h := rd.design.Sample.Hist // ascending: a merge's output order
+		n := h.Distinct()
+		if limit > 0 && n > limit {
+			n = limit
 			resp.Truncated = true
 		}
-		resp.Values = make([]ValueCount, len(entries))
-		for i, e := range entries {
+		resp.Values = make([]ValueCount, n)
+		for i := range resp.Values {
+			e := h.Entry(i)
 			resp.Values[i] = ValueCount{Value: e.Value, Count: e.Count}
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+	rd.design.Sample.Recycle()
 	return nil
 }
 
@@ -1119,5 +1123,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 		resp.TraceID, resp.Trace = explainTrace(r)
 	}
 	writeJSON(w, http.StatusOK, resp)
+	rd.design.Sample.Recycle()
 	return nil
 }

@@ -90,27 +90,3 @@ func TestSampleParallelFromGeneric(t *testing.T) {
 		}
 	}
 }
-
-// TestTemporalPartitionerGeneric cuts a string stream temporally.
-func TestTemporalPartitionerGeneric(t *testing.T) {
-	rng := randx.New(13)
-	cfg := core.ConfigForNF(16)
-	tp := NewTemporalPartitioner(100, func(i int, n int64) core.Sampler[string] {
-		return core.NewHR[string](cfg, rng.Split())
-	})
-	for i := 0; i < 250; i++ {
-		if err := tp.Feed(fmt.Sprintf("ev-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	samples, err := tp.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 3 {
-		t.Fatalf("%d partitions, want 3 (100+100+50)", len(samples))
-	}
-	if samples[2].ParentSize != 50 {
-		t.Fatalf("tail partition parent %d, want 50", samples[2].ParentSize)
-	}
-}

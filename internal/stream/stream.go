@@ -1,8 +1,7 @@
 // Package stream implements the data-flow side of the sample warehouse
 // (paper §2 and Figure 1): splitting a data set across parallel samplers
-// ("the incoming stream could be split over a number of machines"), slicing
-// a stream temporally (one partition per day), and partitioning on-the-fly
-// based on the sampled-to-seen ratio ("we wait until the ratio of sampled
+// ("the incoming stream could be split over a number of machines") and
+// partitioning on-the-fly based on the sampled-to-seen ratio ("we wait until the ratio of sampled
 // data to observed parent data hits the specified lower bound, at which
 // point we finalize the current data partition ... and begin a new one").
 //
@@ -181,73 +180,6 @@ func (sp *Splitter[V]) Finalize() ([]*core.Sample[V], error) {
 		out[i] = smp
 	}
 	return out, nil
-}
-
-// TemporalPartitioner cuts a stream into fixed-length partitions (e.g. one
-// per day) and samples each independently, so that daily samples can later
-// be combined into weekly, monthly or yearly samples (paper §2).
-type TemporalPartitioner[V cmp.Ordered] struct {
-	every   int64
-	factory SamplerFactory[V]
-	cur     core.Sampler[V]
-	curIdx  int
-	inCur   int64
-	done    []*core.Sample[V]
-	o       partitionerObs
-}
-
-// NewTemporalPartitioner cuts a new partition after every `every` values.
-func NewTemporalPartitioner[V cmp.Ordered](every int64, factory SamplerFactory[V]) *TemporalPartitioner[V] {
-	if every < 1 {
-		panic(fmt.Sprintf("stream: NewTemporalPartitioner with every = %d < 1", every))
-	}
-	tp := &TemporalPartitioner[V]{every: every, factory: factory}
-	tp.cur = factory(0, every)
-	return tp
-}
-
-// Instrument routes the partitioner's metrics into reg, and instruments the
-// current and all future partition samplers. Call it before the first Feed;
-// a nil registry is a no-op.
-func (tp *TemporalPartitioner[V]) Instrument(reg *obs.Registry) {
-	tp.o = newPartitionerObs(reg)
-	instrumentSampler(tp.cur, reg)
-}
-
-// Feed processes one value, cutting a partition boundary when due.
-func (tp *TemporalPartitioner[V]) Feed(v V) error {
-	tp.cur.Feed(v)
-	tp.inCur++
-	if tp.inCur >= tp.every {
-		return tp.cut()
-	}
-	return nil
-}
-
-// cut finalizes the current partition and opens the next.
-func (tp *TemporalPartitioner[V]) cut() error {
-	s, err := tp.cur.Finalize()
-	if err != nil {
-		return fmt.Errorf("stream: temporal cut: %w", err)
-	}
-	tp.done = append(tp.done, s)
-	tp.o.cuts.Inc()
-	tp.curIdx++
-	tp.cur = tp.factory(tp.curIdx, tp.every)
-	instrumentSampler(tp.cur, tp.o.reg)
-	tp.inCur = 0
-	return nil
-}
-
-// Finalize closes the in-progress partition (if non-empty) and returns all
-// partition samples in temporal order.
-func (tp *TemporalPartitioner[V]) Finalize() ([]*core.Sample[V], error) {
-	if tp.inCur > 0 {
-		if err := tp.cut(); err != nil {
-			return nil, err
-		}
-	}
-	return tp.done, nil
 }
 
 // RatioPartitioner implements the paper's on-the-fly partitioning rule for

@@ -122,57 +122,6 @@ func TestSplitterPanicsOnZeroLanes(t *testing.T) {
 	NewSplitter[int64](0, nil)
 }
 
-func TestTemporalPartitionerCutsEvery(t *testing.T) {
-	rng := randx.New(4)
-	cfg := core.ConfigForNF(16)
-	tp := NewTemporalPartitioner(100, func(i int, n int64) core.Sampler[int64] {
-		return core.NewHR[int64](cfg, rng.Split())
-	})
-	for v := int64(0); v < 250; v++ {
-		if err := tp.Feed(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	samples, err := tp.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 3 {
-		t.Fatalf("%d partitions, want 3 (100+100+50)", len(samples))
-	}
-	if samples[0].ParentSize != 100 || samples[2].ParentSize != 50 {
-		t.Fatalf("parents %d, %d", samples[0].ParentSize, samples[2].ParentSize)
-	}
-}
-
-func TestTemporalPartitionerExactBoundary(t *testing.T) {
-	rng := randx.New(5)
-	tp := NewTemporalPartitioner(50, func(i int, n int64) core.Sampler[int64] {
-		return core.NewHR[int64](core.ConfigForNF(16), rng.Split())
-	})
-	for v := int64(0); v < 100; v++ {
-		if err := tp.Feed(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	samples, err := tp.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 2 {
-		t.Fatalf("%d partitions, want exactly 2", len(samples))
-	}
-}
-
-func TestTemporalPartitionerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("every=0 did not panic")
-		}
-	}()
-	NewTemporalPartitioner[int64](0, nil)
-}
-
 func TestRatioPartitionerMaintainsFraction(t *testing.T) {
 	// With nF = 64 and min fraction 1/32, each partition must be finalized
 	// by the time ~2048 elements have been seen.

@@ -527,8 +527,12 @@ func (w *Warehouse[V]) run(ctx context.Context, q query[V]) (result[V], error) {
 			samples = got
 			continue
 		}
+		prev := acc
 		if acc, err = w.combine(ctx, span, &q, &v, acc, got, src); err != nil {
 			return res, err
+		}
+		if acc != prev {
+			prev.Recycle() // superseded: the next wave merged it in
 		}
 		if rule.met(idx-n, n, acc) && idx < len(ordered) {
 			stop = "maxerr"

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -286,6 +287,74 @@ func TestSharedSamplesUnderConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertCacheUntouched(t, w, want, "after concurrent queries")
+}
+
+// TestBoundedWavesRecycleAccumulators: with one loader worker every wave of a
+// bounded query holds one partition, so the executor folds its accumulator
+// once per wave and recycles the one each fold supersedes. Readers doing so
+// concurrently must each get a valid merged sample of what they covered —
+// size k, the covered parent size, values only from covered partitions —
+// and leave the cached partition samples as they were.
+func TestBoundedWavesRecycleAccumulators(t *testing.T) {
+	w := mustOpen[int64](t, storage.NewMemStore[int64](storage.Int64Codec{}), 42)
+	w.SetQueryConfig(QueryConfig{CacheBytes: 1 << 22})
+	w.ld.workers = 1
+	const parts, k = 6, 64
+	if err := w.CreateDataset("orders", DatasetConfig{Algorithm: AlgHR, Core: core.ConfigForNF(k)}); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, parts)
+	keys := make([]string, parts)
+	for p := range ids {
+		ids[p] = fmt.Sprintf("s%d", p)
+		keys[p] = w.key("orders", ids[p])
+		ingest(t, w, "orders", ids[p], int64(p)*1000, int64(p+1)*1000)
+	}
+	if _, err := w.MergedSampleContext(bg, "orders"); err != nil {
+		t.Fatal(err)
+	}
+	want := cachedEncodings(t, w, keys)
+
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 20; i++ {
+				sub := []string{ids[(r+i)%parts], ids[(r+i+1)%parts], ids[(r+i+2)%parts], ids[(r+i+4)%parts]}
+				tr := obs.StartTrace("", "reader")
+				ctx := obs.ContextWithSpan(context.Background(), tr.Root())
+				s, cov, exec, err := w.MergedSamplePlanned(ctx, "orders", sub, false,
+					PlannedQuery[int64]{Bounds: plan.Bounds{MaxErr: 0.001}, HalfWidth: proxyHW(0.95)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				folds := 0
+				for _, c := range tr.Snapshot().Children[0].Children {
+					if c.Name == "merge" {
+						folds++
+					}
+				}
+				if folds != len(sub) || exec.Loaded != len(sub) {
+					t.Errorf("%d folds over %d loaded of %d partitions, want one wave per partition", folds, exec.Loaded, len(sub))
+					return
+				}
+				if s.Size() != k || s.ParentSize != int64(1000*len(cov.Merged)) {
+					t.Errorf("merged %v over %v", s, cov.Merged)
+					return
+				}
+				for j := 0; j < s.Hist.Distinct(); j++ {
+					if v := s.Hist.Entry(j).Value; !slices.Contains(cov.Merged, fmt.Sprintf("s%d", v/1000)) {
+						t.Errorf("value %d is from no merged partition %v", v, cov.Merged)
+						return
+					}
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	assertCacheUntouched(t, w, want, "after bounded multi-wave queries")
 }
 
 // TestLoadResolvesHitsInline: a wave mixing resident and absent keys comes
