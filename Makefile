@@ -44,29 +44,30 @@ bench:
 	go test -run XXX -bench . -benchtime 1s .
 
 
+# Iterations per micro-benchmark below; CI runs each with BENCHTIME=20x as a
+# smoke test.
+BENCHTIME ?= 200x
+
 # The cold read's micro-benchmarks: decoding one 8192-entry HR sample, stored
 # in value order and in the insertion order older files have, and cloning its
 # histogram (what a consuming merge pays per input).
 bench-decode:
-	go test -run XXX -bench 'BenchmarkDecodeSample|BenchmarkHistogramClone' -benchmem -benchtime=200x .
+	go test -run XXX -bench 'BenchmarkDecodeSample|BenchmarkHistogramClone' -benchmem -benchtime=$(BENCHTIME) .
 
 # The warm read's micro-benchmark: one k-way merge of 16 cached 8192-entry HR
 # samples beside the clone + pairwise tree it replaced, over HB inputs, with an
 # exhaustive input, in value order as the store serves them, and over the
 # served data's shape with its few repeated values, each single-threaded and at
-# full parallelism; then the served quantile over the merged sample. CI runs it
-# with BENCHTIME=20x as a smoke test.
-BENCHTIME ?= 200x
-
+# full parallelism; then the served quantile over the merged sample.
 bench-merge:
 	go test -run XXX -bench BenchmarkMergeK -benchmem -benchtime=$(BENCHTIME) .
 
-# The write side's micro-benchmarks, with the same BENCHTIME (CI: 20x): one
-# served PUT of a 65 536-row body without network (scan, FeedAll, finalize,
-# roll-in with its sidecar build) into an in-memory store, and into a file
-# store with a journal as swd runs it, HR fed 4096-value chunks through
-# core.FeedAll, one RollIn+RollOut cycle over a 64-partition file store (ns and
-# catalog bytes per cycle) and the sidecar build inside it.
+# The write side's micro-benchmarks: one served PUT of a 65 536-row body
+# without network (scan, FeedAll, finalize, roll-in with its sidecar build)
+# into an in-memory store, and into a file store with a journal as swd runs it,
+# HR fed 4096-value chunks through core.FeedAll, one RollIn+RollOut cycle over
+# a 64-partition file store (ns and catalog bytes per cycle) and the sidecar
+# build inside it.
 bench-roll:
 	go test -run XXX -bench 'BenchmarkIngestBody|BenchmarkSamplerThroughput/HR-FeedAll|BenchmarkRollCycle|BenchmarkFromSample' -benchmem -benchtime=$(BENCHTIME) .
 

@@ -464,9 +464,16 @@ func BenchmarkMergeK(b *testing.B) {
 }
 
 // insertionOrderEncoding lays s out as stores wrote samples before value order
-// was the stored order (storage.EncodeSample's format, the entries in the
-// order the histogram holds them): the files older partitions still are.
+// was the stored order (storage.EncodeSample's format, the entries in a seeded
+// shuffle of the histogram's order, which a finalized HR sample already has in
+// value order): the files older partitions still are.
 func insertionOrderEncoding(s *core.Sample[int64]) []byte {
+	entries := s.Hist.Entries()
+	src := randx.New(7)
+	for i := len(entries) - 1; i > 0; i-- {
+		j := int(src.Uint64() % uint64(i+1))
+		entries[i], entries[j] = entries[j], entries[i]
+	}
 	buf := binary.BigEndian.AppendUint32(nil, 0x53574831)
 	buf = append(buf, 2, byte(s.Kind))
 	buf = binary.AppendVarint(buf, s.ParentSize)
@@ -476,10 +483,10 @@ func insertionOrderEncoding(s *core.Sample[int64]) []byte {
 	buf = binary.AppendVarint(buf, s.Config.SizeModel.CountBytes)
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Config.ExceedProb))
 	buf = binary.AppendUvarint(buf, uint64(s.Hist.Distinct()))
-	s.Hist.Each(func(v, c int64) {
-		buf = binary.AppendVarint(buf, v)
-		buf = binary.AppendVarint(buf, c)
-	})
+	for _, e := range entries {
+		buf = binary.AppendVarint(buf, e.Value)
+		buf = binary.AppendVarint(buf, e.Count)
+	}
 	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)))
 }
 
@@ -494,7 +501,7 @@ func BenchmarkDecodeSample(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if got, err := storage.DecodeSample(legacy, storage.Int64Codec{}); err != nil || !got.Hist.Equal(s.Hist) || len(legacy) != len(ordered) {
+	if got, err := storage.DecodeSample(legacy, storage.Int64Codec{}); err != nil || !got.Hist.Equal(s.Hist) || len(legacy) != len(ordered) || bytes.Equal(legacy, ordered) {
 		b.Fatalf("insertion-order encoding does not decode to the sample: %v", err)
 	}
 	for _, file := range []struct {

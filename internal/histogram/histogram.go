@@ -104,6 +104,13 @@ func FromEntries[V cmp.Ordered](model SizeModel, entries []Entry[V]) *Histogram[
 	return h
 }
 
+// FromSummedEntries is FromEntries for a caller that summed size (the counts)
+// and footprint (model.PairBytes of each count) while it checked the entries,
+// so the histogram adopts them without a second walk.
+func FromSummedEntries[V cmp.Ordered](model SizeModel, entries []Entry[V], size, footprint int64) *Histogram[V] {
+	return &Histogram[V]{model: model, entries: entries, size: size, footprint: footprint}
+}
+
 // FromBag builds a histogram holding every element of the bag.
 func FromBag[V cmp.Ordered](model SizeModel, bag []V) *Histogram[V] {
 	h := NewSized[V](model, len(bag))

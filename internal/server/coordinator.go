@@ -90,7 +90,7 @@ func (a *shardAgg) list() []ShardStatus {
 // localParam reports whether ?local=1 pins the request to this shard's own
 // warehouse (cluster-internal scatter requests set it).
 func localParam(r *http.Request) bool {
-	v, err := strconv.ParseBool(r.URL.Query().Get("local"))
+	v, err := strconv.ParseBool(queryParams(r).Get("local"))
 	return err == nil && v
 }
 

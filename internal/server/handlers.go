@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -667,7 +668,7 @@ func readBatch(what string, source valueSource, smp core.Sampler[int64], entry *
 // parseExpected reads ?expected=N, the expected partition size (required for
 // HB data sets); absent means 0.
 func parseExpected(r *http.Request) (int64, error) {
-	raw := r.URL.Query().Get("expected")
+	raw := queryParams(r).Get("expected")
 	if raw == "" {
 		return 0, nil
 	}
@@ -840,8 +841,8 @@ func (s *Server) rollOutLocal(ds, part string) error {
 }
 
 // boolParam parses a boolean query parameter; absent means def.
-func boolParam(r *http.Request, name string, def bool) (bool, error) {
-	raw := r.URL.Query().Get(name)
+func boolParam(params url.Values, name string, def bool) (bool, error) {
+	raw := params.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -865,7 +866,7 @@ func boolParam(r *http.Request, name string, def bool) (bool, error) {
 //	?explain=1     attach the request's span tree (returned separately)
 func parseReadQuery(r *http.Request) (q readQuery, explain bool, err error) {
 	q = readQuery{ds: r.PathValue("ds"), confidence: 0.95}
-	params := r.URL.Query()
+	params := queryParams(r)
 	if raw := params.Get("parts"); raw != "" {
 		for _, f := range strings.Split(raw, ",") {
 			f = strings.TrimSpace(f)
@@ -875,7 +876,7 @@ func parseReadQuery(r *http.Request) (q readQuery, explain bool, err error) {
 			q.ids = append(q.ids, f)
 		}
 	}
-	if q.partial, err = boolParam(r, "partial", true); err != nil {
+	if q.partial, err = boolParam(params, "partial", true); err != nil {
 		return q, false, err
 	}
 	if raw := params.Get("maxerr"); raw != "" {
@@ -899,7 +900,7 @@ func parseReadQuery(r *http.Request) (q readQuery, explain bool, err error) {
 			return q, false, badRequest("bad confidence %q (use 0.90, 0.95 or 0.99)", raw)
 		}
 	}
-	explain, err = boolParam(r, "explain", false)
+	explain, err = boolParam(params, "explain", false)
 	return q, explain, err
 }
 
@@ -1026,8 +1027,9 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	params := queryParams(r)
 	limit := -1
-	if raw := r.URL.Query().Get("limit"); raw != "" {
+	if raw := params.Get("limit"); raw != "" {
 		v, perr := strconv.Atoi(raw)
 		if perr != nil || v < 0 {
 			return badRequest("bad limit %q", raw)
@@ -1035,7 +1037,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 		limit = v
 	}
 	// ?sketch=1 attaches the merged sketch sidecar of the covered partitions.
-	if q.wantSketch, err = boolParam(r, "sketch", false); err != nil {
+	if q.wantSketch, err = boolParam(params, "sketch", false); err != nil {
 		return err
 	}
 	rd, err := s.readFrom(r, q)
@@ -1071,7 +1073,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 // the result.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 	start := nowNS()
-	raw := r.URL.Query().Get("q")
+	params := queryParams(r)
+	raw := params.Get("q")
 	query, err := estimate.ParseQuery(raw)
 	if err != nil {
 		return badRequest("%v", err)
@@ -1084,7 +1087,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 	// partitions provably outside the range. Pruning never changes the
 	// returned estimate — ?prune=0 exists for verification and benchmarking,
 	// not correctness.
-	if rq.prune, err = boolParam(r, "prune", true); err != nil {
+	if rq.prune, err = boolParam(params, "prune", true); err != nil {
 		return err
 	}
 	if rq.bounds.MaxErr > 0 && !query.Range() {

@@ -433,7 +433,7 @@ func (s *Server) handleAntiEntropyDigest(w http.ResponseWriter, r *http.Request)
 		return notFound("not in cluster mode")
 	}
 	inv := s.localInventory()
-	if ds := r.URL.Query().Get("ds"); ds != "" {
+	if ds := queryParams(r).Get("ds"); ds != "" {
 		scoped := make(map[string]map[string]string, 1)
 		if hashes, ok := inv[ds]; ok {
 			scoped[ds] = hashes
@@ -448,7 +448,8 @@ func (s *Server) handleAntiEntropyDigest(w http.ResponseWriter, r *http.Request)
 // streaming partition-transfer source, serving the raw stored bytes plus
 // sketch sidecar of one local partition.
 func (s *Server) handleAntiEntropyPartition(w http.ResponseWriter, r *http.Request) error {
-	ds, part := r.URL.Query().Get("ds"), r.URL.Query().Get("part")
+	params := queryParams(r)
+	ds, part := params.Get("ds"), params.Get("part")
 	if ds == "" || part == "" {
 		return badRequest("antientropy/partition: ds and part are required")
 	}
@@ -470,7 +471,8 @@ func (s *Server) handleAntiEntropyNudge(w http.ResponseWriter, r *http.Request) 
 	if c == nil || c.repair == nil {
 		return notFound("repair disabled")
 	}
-	ds, part := r.URL.Query().Get("ds"), r.URL.Query().Get("part")
+	params := queryParams(r)
+	ds, part := params.Get("ds"), params.Get("part")
 	if ds == "" || part == "" {
 		return badRequest("antientropy/nudge: ds and part are required")
 	}

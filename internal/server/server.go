@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -301,12 +302,14 @@ func (s *Server) wrap(lim *limiter, route string, fn handlerFunc) http.Handler {
 			return
 		}
 
-		ctx, cancel, err := s.requestContext(r)
+		params := r.URL.Query()
+		ctx, cancel, err := s.requestContext(r, params)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		defer cancel()
+		ctx = context.WithValue(ctx, paramsKey{}, params)
 
 		tr := obs.StartTrace(r.Header.Get(TraceHeader), route)
 		w.Header().Set(TraceHeader, tr.ID())
@@ -348,10 +351,10 @@ func (s *Server) wrap(lim *limiter, route string, fn handlerFunc) http.Handler {
 
 // requestContext derives the request deadline: ?timeout= (clamped to
 // maxTimeout) or the server default, layered on the connection context so
-// client disconnects cancel work too.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+// client disconnects cancel work too. params is r's parsed query string.
+func (s *Server) requestContext(r *http.Request, params url.Values) (context.Context, context.CancelFunc, error) {
 	d := s.cfg.DefaultTimeout
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
+	if raw := params.Get("timeout"); raw != "" {
 		parsed, err := time.ParseDuration(raw)
 		if err != nil || parsed <= 0 {
 			return nil, nil, fmt.Errorf("bad timeout %q (want a positive Go duration, e.g. 500ms)", raw)
@@ -361,6 +364,19 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	d = min(d, maxTimeout)
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, nil
+}
+
+// paramsKey is the context key under which wrap keeps the request's parsed
+// query string, so that the query string is parsed once per request.
+type paramsKey struct{}
+
+// queryParams returns r's parsed query string: the one wrap parsed, or a
+// parse of its own for a request that did not come through wrap.
+func queryParams(r *http.Request) url.Values {
+	if v, ok := r.Context().Value(paramsKey{}).(url.Values); ok {
+		return v
+	}
+	return r.URL.Query()
 }
 
 // shedOrCancel writes the admission-failure response: 429 + Retry-After for

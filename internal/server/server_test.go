@@ -172,7 +172,7 @@ func TestRequestContextTimeouts(t *testing.T) {
 			target += "?timeout=" + tc.raw
 		}
 		r := httptest.NewRequest(http.MethodGet, target, nil)
-		ctx, cancel, err := s.requestContext(r)
+		ctx, cancel, err := s.requestContext(r, r.URL.Query())
 		if tc.bad {
 			if err == nil {
 				cancel()
@@ -214,6 +214,21 @@ func TestPanicIsolation(t *testing.T) {
 	if got := s.read.inflight(); got != 0 {
 		t.Fatalf("inflight %d after panic, want 0", got)
 	}
+}
+
+// TestQueryParsedOnce: a wrapped handler reads the query string wrap parsed
+// for the timeout, not a parse of its own: every queryParams call in one
+// request returns the one map.
+func TestQueryParsedOnce(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.wrap(s.read, "params", func(w http.ResponseWriter, r *http.Request) error {
+		queryParams(r).Set("seen", "1")
+		if got := queryParams(r); got.Get("seen") != "1" || got.Get("timeout") != "1s" {
+			t.Errorf("second queryParams call returned another parse: %v", got)
+		}
+		return nil
+	})
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/?timeout=1s", nil))
 }
 
 func TestHealthAndDrain(t *testing.T) {

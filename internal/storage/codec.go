@@ -24,7 +24,8 @@ type ValueCodec[V cmp.Ordered] interface {
 	// Append encodes v onto buf and returns the extended buffer.
 	Append(buf []byte, v V) []byte
 	// Read decodes one value from buf, returning the value and the number
-	// of bytes consumed, or an error on malformed input.
+	// of bytes consumed, or an error on malformed input. The value may not
+	// share memory with buf, which the caller reuses (see DecodeSample).
 	Read(buf []byte) (V, int, error)
 }
 
@@ -121,6 +122,10 @@ func EncodeSample[V cmp.Ordered](s *core.Sample[V], vc ValueCodec[V]) ([]byte, e
 // in any order — files written before value order was the stored order, or
 // adopted from a peer that still writes them so, decode to the same multiset
 // — and the sample holds them in the order of the file.
+//
+// The sample keeps no reference to buf: every value is copied out of it by
+// vc.Read, so a caller may reuse buf once DecodeSample returns (FileStore.Get
+// reads into a pooled buffer).
 func DecodeSample[V cmp.Ordered](buf []byte, vc ValueCodec[V]) (*core.Sample[V], error) {
 	fail := func(msg string) (*core.Sample[V], error) {
 		return nil, fmt.Errorf("storage: decode: %s", msg)
@@ -151,44 +156,27 @@ func DecodeSample[V cmp.Ordered](buf []byte, vc ValueCodec[V]) (*core.Sample[V],
 		return fail(fmt.Sprintf("unsupported version %d", buf[4]))
 	}
 	kind := core.Kind(buf[5])
-	pos := 6
-	readVarint := func() (int64, bool) {
-		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
-	}
-	readFloat := func() (float64, bool) {
-		if len(buf)-pos < 8 {
-			return 0, false
-		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(buf[pos:]))
-		pos += 8
-		return f, true
-	}
-	parentSize, ok := readVarint()
+	parentSize, pos, ok := varintAt(buf, 6)
 	if !ok {
 		return fail("parent size")
 	}
-	q, ok := readFloat()
+	q, pos, ok := float64At(buf, pos)
 	if !ok {
 		return fail("q")
 	}
-	footprint, ok := readVarint()
+	footprint, pos, ok := varintAt(buf, pos)
 	if !ok {
 		return fail("footprint")
 	}
-	valueBytes, ok := readVarint()
+	valueBytes, pos, ok := varintAt(buf, pos)
 	if !ok {
 		return fail("value bytes")
 	}
-	countBytes, ok := readVarint()
+	countBytes, pos, ok := varintAt(buf, pos)
 	if !ok {
 		return fail("count bytes")
 	}
-	exceedProb, ok := readFloat()
+	exceedProb, pos, ok := float64At(buf, pos)
 	if !ok {
 		return fail("exceed prob")
 	}
@@ -208,15 +196,23 @@ func DecodeSample[V cmp.Ordered](buf []byte, vc ValueCodec[V]) (*core.Sample[V],
 	// built; from the first pair that is not, every value read so far goes
 	// into one and the rest of the file is checked against it.
 	var seen map[V]struct{}
-	var size int64
+	var prev V
+	// One pass reads each entry, checks it and sums what the histogram
+	// would otherwise walk the entries again for.
+	var size, fp int64
 	for i := uint64(0); i < entryCount; i++ {
 		v, n, err := vc.Read(buf[pos:])
 		if err != nil {
 			return nil, fmt.Errorf("storage: decode entry %d: %w", i, err)
 		}
 		pos += n
-		c, ok := readVarint()
-		if !ok {
+		// The count is a zig-zag varint, nearly always one byte (a count of
+		// 1 is 0x02): that byte is decoded here, anything longer by Varint.
+		var c int64
+		if pos < len(buf) && buf[pos] < 0x80 {
+			c = int64(buf[pos]>>1) ^ -int64(buf[pos]&1)
+			pos++
+		} else if c, pos, ok = varintAt(buf, pos); !ok {
 			return fail(fmt.Sprintf("entry %d count", i))
 		}
 		if c < 1 {
@@ -227,7 +223,8 @@ func DecodeSample[V cmp.Ordered](buf []byte, vc ValueCodec[V]) (*core.Sample[V],
 			return fail(fmt.Sprintf("entry %d takes the sample past parent size %d", i, parentSize))
 		}
 		size += c
-		if seen == nil && i > 0 && cmp.Compare(entries[i-1].Value, v) >= 0 {
+		fp += model.PairBytes(c)
+		if seen == nil && i > 0 && cmp.Compare(prev, v) >= 0 {
 			seen = make(map[V]struct{}, cap(entries))
 			for _, e := range entries {
 				seen[e.Value] = struct{}{}
@@ -241,13 +238,14 @@ func DecodeSample[V cmp.Ordered](buf []byte, vc ValueCodec[V]) (*core.Sample[V],
 			}
 		}
 		entries = append(entries, histogram.Entry[V]{Value: v, Count: c})
+		prev = v
 	}
 	if pos != len(buf) {
 		return fail(fmt.Sprintf("%d trailing bytes", len(buf)-pos))
 	}
 	s := &core.Sample[V]{
 		Kind:       kind,
-		Hist:       histogram.FromEntries(model, entries),
+		Hist:       histogram.FromSummedEntries(model, entries, size, fp),
 		ParentSize: parentSize,
 		Q:          q,
 		Config: core.Config{
@@ -260,4 +258,20 @@ func DecodeSample[V cmp.Ordered](buf []byte, vc ValueCodec[V]) (*core.Sample[V],
 		return nil, fmt.Errorf("storage: decoded sample invalid: %w", err)
 	}
 	return s, nil
+}
+
+// varintAt reads the zig-zag varint at buf[pos:], returning it and the
+// position after it, or false if none is there.
+func varintAt(buf []byte, pos int) (int64, int, bool) {
+	v, n := binary.Varint(buf[pos:])
+	return v, pos + max(n, 0), n > 0
+}
+
+// float64At reads the big-endian float64 at buf[pos:], returning it and the
+// position after it, or false if fewer than 8 bytes are left.
+func float64At(buf []byte, pos int) (float64, int, bool) {
+	if len(buf)-pos < 8 {
+		return 0, pos, false
+	}
+	return math.Float64frombits(binary.BigEndian.Uint64(buf[pos:])), pos + 8, true
 }

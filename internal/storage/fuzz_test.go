@@ -47,6 +47,11 @@ func FuzzDecodeSample(f *testing.F) {
 	f.Add(encodeEntries(100, 1, 1, 2, 1, 2, 1))
 	f.Add([]byte{})
 	f.Add([]byte{0x53, 0x57, 0x48, 0x31, 1, 2})
+	// Counts of each width the entry loop reads — one byte to 63, two from
+	// 64, six at 2⁴⁰ — and negative ones, of one byte and of two.
+	f.Add(encodeEntries(1<<41, 1, 63, 2, 64, 3, 1<<40))
+	f.Add(encodeEntries(100, 1, 1, 2, -1))
+	f.Add(encodeEntries(100, 1, 1, 2, -300))
 	// Counts whose sum wraps int64: negative, and back to positive.
 	f.Add(encodeEntries(10, 1, math.MaxInt64, 2, 2))
 	f.Add(encodeEntries(10, 1, math.MaxInt64, 2, math.MaxInt64, 3, 3))

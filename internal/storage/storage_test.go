@@ -1,8 +1,15 @@
 package storage
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"samplewh/internal/core"
@@ -312,4 +319,214 @@ func BenchmarkEncodeSample(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// withCRC seals an encoding's body (everything but its checksum) cut to n
+// bytes under a fresh checksum, so the cut reaches the entry loop.
+func withCRC(data []byte, n int) []byte {
+	body := bytes.Clone(data[:n])
+	return binary.BigEndian.AppendUint32(body, crc32.Checksum(body, crcTable))
+}
+
+// stringFixture is an exhaustive sample of n strings prefix-000, prefix-001,
+// …, with counts cycling 1–3: two fixtures of one n and prefix length have
+// the same layout and differ in every value.
+func stringFixture(prefix string, n int) *core.Sample[string] {
+	model := histogram.SizeModel{ValueBytes: 16, CountBytes: 4}
+	h := histogram.New[string](model)
+	for i := 0; i < n; i++ {
+		h.Insert(fmt.Sprintf("%s-%03d", prefix, i), int64(i%3+1))
+	}
+	return &core.Sample[string]{Kind: core.Exhaustive, Hist: h, ParentSize: h.Size(),
+		Config: core.Config{FootprintBytes: 1 << 20, SizeModel: model, ExceedProb: 0.001}}
+}
+
+// firstCount decodes data and returns its first entry's count.
+func firstCount[V cmp.Ordered](data []byte, vc ValueCodec[V]) (int64, error) {
+	s, err := DecodeSample(data, vc)
+	if err != nil {
+		return 0, err
+	}
+	return s.Hist.Entry(0).Count, nil
+}
+
+// TestDecodeCountEdges decodes the counts whose varint widths the entry loop
+// reads differently — one byte up to 63, two from 64, six at 2⁴⁰ — and
+// rejects a count below one, a count past the parent, and a file cut inside
+// a count or a value, each with a valid checksum over the cut body.
+func TestDecodeCountEdges(t *testing.T) {
+	body := func(data []byte) int { return len(data) - checksumSize }
+	big := encodeEntries(1<<41, 300, 1<<40) // the count's varint is the last 6 body bytes
+	bigValue := encodeEntries(10, 1<<40, 1) // a 6-byte value, then the count 0x02
+	str, err := EncodeSample(stringFixture("abcdef", 1), StringCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, negOne := encodeEntries(10, 5, 1), encodeEntries(10, 5, 1)
+	zero[body(zero)-1], negOne[body(negOne)-1] = 0x00, 0x01
+	int64s := func(data []byte) (int64, error) { return firstCount(data, Int64Codec{}) }
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		decode func([]byte) (int64, error) // int64s unless set
+		count  int64                       // the first entry's count when accepted
+		err    string                      // a substring of the rejection otherwise
+	}{
+		{name: "count 1", data: encodeEntries(10, 5, 1), count: 1},
+		{name: "count 63", data: encodeEntries(100, 5, 63), count: 63},
+		{name: "count 64", data: encodeEntries(100, 5, 64), count: 64},
+		{name: "count 2^40", data: big, count: 1 << 40},
+		{name: "count byte 0x00", data: withCRC(zero, body(zero)), err: "entry 0 has count 0"},
+		{name: "count byte 0x01", data: withCRC(negOne, body(negOne)), err: "entry 0 has count -1"},
+		{name: "count past the parent", data: encodeEntries(10, 5, 11), err: "past parent size 10"},
+		{name: "cut before a one-byte count", data: withCRC(zero, body(zero)-1), err: "entry 0 count"},
+		{name: "cut in a six-byte count", data: withCRC(big, body(big)-3), err: "entry 0 count"},
+		{name: "cut in a value", data: withCRC(bigValue, body(bigValue)-2), err: "malformed varint value"},
+		{name: "cut in a string value", data: withCRC(str, body(str)-3), err: "truncated string value",
+			decode: func(data []byte) (int64, error) { return firstCount(data, StringCodec{}) }},
+	} {
+		if tc.decode == nil {
+			tc.decode = int64s
+		}
+		got, err := tc.decode(tc.data)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.err == "" && got != tc.count:
+			t.Errorf("%s: decoded count %d, want %d", tc.name, got, tc.count)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.err)
+		}
+	}
+}
+
+// sameSums checks that the size and footprint the decoder summed while it
+// read are what FromEntries sums over the entries it kept.
+func sameSums[V cmp.Ordered](t *testing.T, name string, data []byte, vc ValueCodec[V]) {
+	t.Helper()
+	s, err := DecodeSample(data, vc)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := histogram.FromEntries(s.Hist.Model(), s.Hist.Entries())
+	if s.Hist.Size() != want.Size() || s.Hist.Footprint() != want.Footprint() {
+		t.Errorf("%s: decoded size %d footprint %d, FromEntries %d and %d",
+			name, s.Hist.Size(), s.Hist.Footprint(), want.Size(), want.Footprint())
+	}
+}
+
+func TestDecodeSumsMatchFromEntries(t *testing.T) {
+	hb := core.NewHB[int64](core.ConfigForNF(64), 5000, randx.New(3))
+	for v := int64(0); v < 5000; v++ {
+		hb.Feed(v % 700)
+	}
+	samples := map[string]*core.Sample[int64]{"exhaustive": sampleFixture(t, 4, 10), "HR": sampleFixture(t, 5, 5000)}
+	var err error
+	if samples["HB"], err = hb.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range samples {
+		want := map[string]core.Kind{"exhaustive": core.Exhaustive, "HR": core.ReservoirKind, "HB": core.BernoulliKind}[name]
+		if s.Kind != want || s.Hist.Size() == int64(s.Hist.Distinct()) {
+			t.Fatalf("%s fixture is a %v sample of %d rows in %d entries, want a %v one with repeats",
+				name, s.Kind, s.Hist.Size(), s.Hist.Distinct(), want)
+		}
+		data, err := EncodeSample(s, Int64Codec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSums(t, name, data, Int64Codec{})
+	}
+	legacy, err := os.ReadFile(legacyOrderFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSums(t, "legacy order", legacy, Int64Codec{})
+	str, err := EncodeSample(stringFixture("s", 50), StringCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSums(t, "strings", str, StringCodec{})
+}
+
+// getsOwnBytes puts a and b into a file store, then gets a, gets b — whose
+// read reuses the buffer a's was decoded from, whenever the pool hands it
+// back — and checks that a still encodes to what was stored: a value that
+// aliased the read buffer would now hold b's bytes.
+func getsOwnBytes[V cmp.Ordered](t *testing.T, vc ValueCodec[V], a, b *core.Sample[V]) {
+	t.Helper()
+	st, err := NewFileStore[V](t.TempDir(), vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := st.PutSample("a", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("b", b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		got, err := st.Get("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Get("b"); err != nil {
+			t.Fatal(err)
+		}
+		again, err := EncodeSample(got, vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, want) {
+			t.Fatalf("get %d: sample a changed when b was read: %v", i, got.Hist)
+		}
+	}
+}
+
+func TestFileStoreGetOwnsItsSample(t *testing.T) {
+	getsOwnBytes(t, Int64Codec{}, sampleFixture(t, 1, 1000), sampleFixture(t, 2, 1000))
+	getsOwnBytes(t, StringCodec{}, stringFixture("a", 200), stringFixture("b", 200))
+}
+
+// TestFileStoreConcurrentGets reads several keys from several goroutines at
+// once, each sample checked against its stored bytes after the next get: run
+// it under -race -count=10 after touching Get's buffer handling.
+func TestFileStoreConcurrentGets(t *testing.T) {
+	st, err := NewFileStore[string](t.TempDir(), StringCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"k0", "k1", "k2", "k3", "k4"}
+	stored := make([][]byte, len(keys))
+	for i, k := range keys {
+		if stored[i], err = st.PutSample(k, stringFixture(fmt.Sprintf("v%d", i), 100+20*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var prev *core.Sample[string]
+			prevKey := -1
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(keys)
+				got, err := st.Get(keys[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if prev != nil {
+					if again, err := EncodeSample(prev, StringCodec{}); err != nil || !bytes.Equal(again, stored[prevKey]) {
+						t.Errorf("goroutine %d: %s changed after later gets (%v)", g, keys[prevKey], err)
+						return
+					}
+				}
+				prev, prevKey = got, k
+			}
+		}(g)
+	}
+	wg.Wait()
 }

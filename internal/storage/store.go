@@ -3,8 +3,10 @@ package storage
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -270,7 +272,10 @@ func (s *FileStore[V]) Get(key string) (*core.Sample[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(path)
+	bp := readBufs.Get().(*[]byte)
+	defer putReadBuf(bp)
+	data, err := readFileInto(*bp, path)
+	*bp = data
 	if os.IsNotExist(err) {
 		s.o.gets.Inc()
 		s.o.misses.Inc()
@@ -289,6 +294,50 @@ func (s *FileStore[V]) Get(key string) (*core.Sample[V], error) {
 	s.o.gets.Inc()
 	s.o.bytesRead.Add(int64(len(data)))
 	return smp, nil
+}
+
+// readBufs holds the buffers Get reads sample files into. A decoded sample
+// keeps no reference to the bytes it came from (DecodeSample), so each
+// buffer goes back once its file is decoded; a buffer grown past
+// maxPooledRead by an outsized file is dropped instead, so one such file
+// cannot pin its size in the pool.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledRead = 1 << 20
+
+func putReadBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledRead {
+		readBufs.Put(bp)
+	}
+}
+
+// readFileInto reads the file at path into buf, reusing its capacity, as
+// os.ReadFile reads into a fresh slice: sized by the file's length up front,
+// then read to EOF.
+func readFileInto(buf []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	size := 512
+	if info, err := f.Stat(); err == nil {
+		size = int(info.Size()) + 1 // one byte more, so the read that meets EOF needs no growth
+	}
+	buf = slices.Grow(buf[:0], size)
+	for {
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+	}
 }
 
 // quarantine renames a corrupt sample file out of the visible key space.
